@@ -74,16 +74,15 @@ def _residual_csv(path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _schedule(args, base_dt, scenario=None) -> EpsilonSchedule:
-    eps0 = args.eps0 if args.eps0 is not None else getattr(
-        scenario, "default_eps0", 0.05)
-    levels = args.levels if args.levels is not None else getattr(
-        scenario, "default_levels", 8)
+def _schedule(args, path, base_dt, scenario) -> EpsilonSchedule:
+    """The geometric schedule of the flags (or the scenario defaults),
+    snapped to the base spacing and checked against the path's grid."""
+    eps0 = args.eps0 if args.eps0 is not None else scenario.default_eps0
+    levels = args.levels if args.levels is not None else scenario.default_levels
     try:
-        sched = EpsilonSchedule.geometric(eps0, levels).snapped(base_dt)
+        return EpsilonSchedule.geometric(eps0, levels).for_path(path, base_dt)
     except ScheduleError as exc:
         raise CliError(str(exc), EXIT_BAD_CONFIG)
-    return sched
 
 
 def _scenario(args):
@@ -129,11 +128,7 @@ def cmd_simulate(args) -> int:
 def _run_limit(args, estimator_name: str):
     sc = _scenario(args)
     X, gt = sc.build(seed=args.seed, n=args.n)
-    sched = _schedule(args, gt.base_dt, sc)
-    try:
-        sched.validate_for(X, gt.base_dt)
-    except ScheduleError as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    sched = _schedule(args, X, gt.base_dt, sc)
     if estimator_name == "qv":
         rep = qv_limit(X, schedule=sched, tol=args.tol)
     else:
@@ -184,11 +179,7 @@ def cmd_ito_check(args) -> int:
     sc = _scenario(args)
     X, gt = sc.build(seed=args.seed, n=args.n)
     F = _function(args.fn)
-    sched = _schedule(args, gt.base_dt, sc)
-    try:
-        sched.validate_for(X, gt.base_dt)
-    except ScheduleError as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    sched = _schedule(args, X, gt.base_dt, sc)
     try:
         if args.measure_form:
             if gt.compensator is None:
@@ -231,11 +222,7 @@ def cmd_dirichlet_check(args) -> int:
     if sc is None:
         raise CliError(f"unknown scenario {args.scenario!r}", EXIT_BAD_CONFIG)
     A, N, base_dt = sc.build(seed=args.seed, n=args.n)
-    sched = _schedule(args, base_dt, sc)
-    try:
-        sched.validate_for(A, base_dt)
-    except ScheduleError as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    sched = _schedule(args, A, base_dt, sc)
     rep = dd.orthogonality_test(A, N, sched, tol=args.tol)
     out = _out_dir(args)
     payload = rep.to_json_dict()
@@ -257,11 +244,7 @@ def _run_chain_check(args) -> int:
                        EXIT_BAD_CONFIG)
     X, gt = sc.build(seed=args.seed, n=args.n)
     F = _function(args.fn)
-    sched = _schedule(args, gt.base_dt, sc)
-    try:
-        sched.validate_for(X, gt.base_dt)
-    except ScheduleError as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    sched = _schedule(args, X, gt.base_dt, sc)
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.chain_rule_c01(F, X, dec, gt.compensator, sched,
                             tol=max(args.tol, 0.05), orth_tol=args.tol,

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import jumps as jmod
 from .ito import (FunctionBundle, increment_field, linear_jump_field,
-                  path_of_function, path_of_function_derivative, _qv_cont,
-                  stieltjes_left, taylor_remainder_field, time_integral)
+                  path_of_function, path_of_function_derivative,
+                  _smooth_terms, stieltjes_left, taylor_remainder_field,
+                  _validated)
 from .jumps import CompensatorSpec, X_FIELD, integrability_report
-from .paths import LINEAR, CadlagPath, PathError, from_arrays
+from .paths import LINEAR, CadlagPath, PathError, constant_path, from_arrays
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
-                         covariation, forward_integral, qv_limit)
+                         covariation, forward_integral, qv_limit, ucp_limit)
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -84,11 +85,6 @@ class LabeledDecomposition:
         return gap
 
 
-def _zero_like(X: CadlagPath) -> CadlagPath:
-    z = np.zeros(X.grid.size)
-    return from_arrays(X.grid, z, z.copy(), rule=LINEAR)
-
-
 def brownian_battery(X: CadlagPath, count: int = BATTERY_SIZE,
                      seed: int = 0) -> list[CadlagPath]:
     """Independent standard Brownian test paths on X's grid, fresh streams."""
@@ -129,12 +125,9 @@ def orthogonality_test(A: CadlagPath, N: CadlagPath,
     final estimate's sup-norm is below tol.  N must be continuous."""
     if N.jump_marks.size:
         raise PathError("test martingale must be continuous (no marked jumps)")
-    estimates = [covariation(A, N, e) for e in schedule]
-    sup_norms = np.array([p.sup_norm() for p in estimates])
-    gaps = np.array([float(np.max(np.abs(b.values - a.values)))
-                     for a, b in zip(estimates, estimates[1:])])
-    return OrthReport(tuple(schedule.epsilons), sup_norms, gaps, float(tol),
-                      bool(sup_norms[-1] < tol))
+    rep = ucp_limit(covariation, A, N, schedule, tol)
+    return OrthReport(rep.epsilons, rep.sup_norms, rep.sup_gaps, float(tol),
+                      bool(rep.sup_norms[-1] < tol))
 
 
 def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
@@ -196,13 +189,7 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
     A^F = gamma + (big-jump compensator integral) is submitted to an
     orthogonality battery of independent Brownian test paths.
     """
-    if not F.at_least("c01"):
-        raise ValueError(f"{F.name} is not of class c01")
-    if validate:
-        lo = float(min(np.min(X.values), np.min(X.left_values)))
-        hi = float(max(np.max(X.values), np.max(X.left_values)))
-        pad = 0.1 * max(hi - lo, 1.0)
-        F.validate_derivatives((0.0, X.horizon), (lo - pad, hi + pad))
+    _validated(F, X, "c01", validate)
     rep = qv_limit(X, schedule=schedule, tol=tol)
     if not rep.converged:
         from .ito import NonConvergenceError
@@ -226,7 +213,7 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
         vbar = jmod.integrate_nu(taylor_remainder_field(F, "big"), nu, X)
         k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
     else:
-        k_comp = y_comp = big_mu = vbar = _zero_like(X)
+        k_comp = y_comp = big_mu = vbar = constant_path(X.grid)
     gamma_vals = (lhs.values - f0 - mart_int.values - k_comp.values
                   + y_comp.values - big_mu.values)
     gamma_left = (lhs.left_values - f0 - mart_int.left_values
@@ -256,24 +243,19 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
     compensator integral of the Taylor remainder."""
     if not F.at_least("c12"):
         raise ValueError(f"{F.name} is not of class c12")
-    grid = X.grid
-    qvc, _ = _qv_cont(X, schedule, tol)
-    time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
-    A = decomp.A if decomp.A is not None else _zero_like(X)
+    time_term, bracket = _smooth_terms(F, X, schedule, tol)
+    A = decomp.A if decomp.A is not None else constant_path(X.grid)
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
-        fwd = _zero_like(X)
+        fwd = constant_path(X.grid)
     else:
         integrand = path_of_function_derivative(F, X)
         fwd = forward_integral(integrand, A, schedule.epsilons[-1])
-    pre = np.concatenate(([X.values[0]], X.left_values[1:]))
-    d2 = np.asarray(F.dxx(grid, pre), dtype=float)
-    bracket = 0.5 * stieltjes_left(from_arrays(grid, d2, d2.copy(), rule=LINEAR), qvc)
     if X.jump_marks.size:
         if nu is None:
             raise ValueError("a compensator model is required for a path with jumps")
         small_nu = jmod.integrate_nu(taylor_remainder_field(F, "small"), nu, X)
     else:
-        small_nu = _zero_like(X)
+        small_nu = constant_path(X.grid)
     return time_term + fwd + bracket + small_nu
 
 
@@ -326,9 +308,9 @@ def particular_wd_check(decomp: LabeledDecomposition,
                 if p is not None)
     M = (decomp.martingale
          if (decomp.M_c is not None or decomp.M_d is not None)
-         else _zero_like(base))
-    V = decomp.V if decomp.V is not None else _zero_like(M)
-    A_prime = decomp.A_prime if decomp.A_prime is not None else _zero_like(M)
+         else constant_path(base.grid))
+    V = decomp.V if decomp.V is not None else constant_path(M.grid)
+    A_prime = decomp.A_prime if decomp.A_prime is not None else constant_path(M.grid)
     if not np.all(np.isfinite(np.abs(np.diff(V.values)))):
         raise PathError("bounded variation component has non-finite increments")
     total_var = float(np.sum(np.abs(np.diff(V.values))))
@@ -355,8 +337,8 @@ def particular_wd_check(decomp: LabeledDecomposition,
         small = jmod.compensated_integral(X_FIELD.with_truncation("small"), X, nu)
         big = jmod.integrate_mu(X_FIELD.with_truncation("big"), X)
     else:
-        small = big = _zero_like(X)
-    mc = decomp.M_c if decomp.M_c is not None else _zero_like(X)
+        small = big = constant_path(X.grid)
+    mc = decomp.M_c if decomp.M_c is not None else constant_path(X.grid)
     alpha = X - mc - small - big
     rhs = mc + alpha + small + big
     reassembly_gap = float(np.max(np.abs(rhs.values - X.values)))
@@ -401,13 +383,13 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     diag = integrability_report(X)
     if not diag.big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
-    md = decomp.M_d if decomp.M_d is not None else _zero_like(X)
+    md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
     if X.jump_marks.size:
         if nu is None:
             raise ValueError("a compensator model is required for a path with jumps")
         rebuilt = jmod.compensated_integral(X_FIELD, X, nu)
     else:
-        rebuilt = _zero_like(X)
+        rebuilt = constant_path(X.grid)
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
     md_jumps = md.values - md.left_values
     x_jumps = X.values - X.left_values
@@ -461,7 +443,7 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
             raise ValueError("a compensator model is required for a path with jumps")
         comp = jmod.compensated_integral(increment_field(F), X, nu)
     else:
-        comp = _zero_like(X)
+        comp = constant_path(X.grid)
     f0 = float(lhs.values[0])
     a_path = from_arrays(X.grid, lhs.values - f0 - comp.values,
                          lhs.left_values - f0 - comp.left_values, rule=LINEAR)

@@ -20,7 +20,7 @@ import numpy as np
 from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD,
                     integrability_report)
-from .paths import LINEAR, CadlagPath, from_arrays
+from .paths import LINEAR, CadlagPath, constant_path, from_arrays
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
                          covariation, forward_integral, qv_limit)
 
@@ -238,11 +238,6 @@ def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDU
                        tol: float = DEFAULT_TOL) -> CadlagPath:
     """Estimated bracket minus the running sum of squared jumps, clipped at
     its running maximum so the result is a nondecreasing continuous path."""
-    path, _ = _qv_cont(X, schedule, tol)
-    return path
-
-
-def _qv_cont(X, schedule, tol):
     rep = qv_limit(X, schedule=schedule, tol=tol)
     if not rep.converged:
         raise NonConvergenceError(
@@ -251,7 +246,21 @@ def _qv_cont(X, schedule, tol):
     raw = rep.limit.values - jump_part.values
     mono = np.maximum.accumulate(np.maximum(raw, 0.0))
     mono[0] = 0.0
-    return from_arrays(X.grid, mono, mono.copy(), rule=LINEAR), rep
+    return from_arrays(X.grid, mono, mono.copy(), rule=LINEAR)
+
+
+def _smooth_terms(F: FunctionBundle, X: CadlagPath, schedule: EpsilonSchedule,
+                 tol: float) -> tuple[CadlagPath, CadlagPath]:
+    """The two terms every smooth-case identity shares: the time integral of
+    dF_t(s, X_s), and half of dF_xx(s, X_{s-}) integrated against the
+    continuous bracket part."""
+    qvc = qv_continuous_part(X, schedule, tol)
+    grid = X.grid
+    time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
+    d2 = np.asarray(F.dxx(grid, pre_jump_samples(X)), dtype=float)
+    bracket_term = 0.5 * stieltjes_left(
+        from_arrays(grid, d2, d2.copy(), rule=LINEAR), qvc)
+    return time_term, bracket_term
 
 
 # -- reports ------------------------------------------------------------------
@@ -300,8 +309,9 @@ class ItoReport:
 
 
 def _residual_paths(lhs, f0, fixed_paths, per_eps_paths):
+    """Residual sup-norm at each window of a stream of per-window term paths;
+    returns the final residual, the sup-norms and the final term path."""
     sups = []
-    final = None
     for fp in per_eps_paths:
         r = lhs.values - f0 - fp.values
         rl = lhs.left_values - f0 - fp.left_values
@@ -309,9 +319,8 @@ def _residual_paths(lhs, f0, fixed_paths, per_eps_paths):
             r = r - q.values
             rl = rl - q.left_values
         sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
-        final = (r, rl)
-    res = from_arrays(lhs.grid, final[0], final[0].copy(), rule=LINEAR)
-    return res, np.asarray(sups)
+    res = from_arrays(lhs.grid, r, r.copy(), rule=LINEAR)
+    return res, np.asarray(sups), fp
 
 
 def _validated(F, X, smoothness, validate):
@@ -331,21 +340,15 @@ def ito_terms_c12(F: FunctionBundle, X: CadlagPath,
     half the second derivative against the continuous bracket part, and the
     jump correction sum."""
     _validated(F, X, "c12", validate)
-    qvc, _ = _qv_cont(X, schedule, tol)
+    time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
     lhs = path_of_function(F, X)
     f0 = float(lhs.values[0])
-    grid = X.grid
-    pre = pre_jump_samples(X)
-    time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
-    d2_pre = from_arrays(grid, np.asarray(F.dxx(grid, pre), dtype=float),
-                         np.asarray(F.dxx(grid, pre), dtype=float), rule=LINEAR)
-    bracket_term = 0.5 * stieltjes_left(d2_pre, qvc)
     jump_sum = jmod.integrate_mu(taylor_remainder_field(F), X)
     integrand = path_of_function_derivative(F, X)
-    forwards = [forward_integral(integrand, X, e) for e in schedule]
-    residual, sups = _residual_paths(lhs, f0, [time_term, bracket_term, jump_sum],
-                                     forwards)
-    terms = {"time_integral": time_term, "forward_integral": forwards[-1],
+    residual, sups, forward = _residual_paths(
+        lhs, f0, [time_term, bracket_term, jump_sum],
+        (forward_integral(integrand, X, e) for e in schedule))
+    terms = {"time_integral": time_term, "forward_integral": forward,
              "bracket_term": bracket_term, "jump_sum": jump_sum}
     return ItoReport("c12", F.name, lhs, f0, terms, residual, sups,
                      tuple(schedule.epsilons))
@@ -371,15 +374,9 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
     diag = integrability_report(X, F, threshold)
     if not diag.square_summable:
         raise jmod.IntegrabilityError("squared jump total is not finite")
-    qvc, _ = _qv_cont(X, schedule, tol)
+    time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
     lhs = path_of_function(F, X)
     f0 = float(lhs.values[0])
-    grid = X.grid
-    pre = pre_jump_samples(X)
-    time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
-    d2 = np.asarray(F.dxx(grid, pre), dtype=float)
-    bracket_term = 0.5 * stieltjes_left(
-        from_arrays(grid, d2, d2.copy(), rule=LINEAR), qvc)
     if X.jump_marks.size:
         k_mu, k_nu = jmod.compensated_parts(
             increment_field(F, "small", threshold), X, nu)
@@ -392,9 +389,7 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
         # no atoms: the mu sides vanish and the nu sides cancel identically
         # (the compensator remainder equals the compensated field difference),
         # so every jump term is exactly the zero path
-        zero = from_arrays(grid, np.zeros(grid.size), np.zeros(grid.size),
-                           rule=LINEAR)
-        k_mu = k_nu = y_mu = y_nu = big_mu = small_nu = zero
+        k_mu = k_nu = y_mu = y_nu = big_mu = small_nu = constant_path(X.grid)
     terms = {
         "time_integral": time_term,
         "bracket_term": bracket_term,
@@ -404,9 +399,10 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
         "small_jump_compensator": small_nu,
     }
     integrand = path_of_function_derivative(F, X)
-    forwards = [forward_integral(integrand, X, e) for e in schedule]
-    residual, sups = _residual_paths(lhs, f0, list(terms.values()), forwards)
-    terms["forward_integral"] = forwards[-1]
+    residual, sups, forward = _residual_paths(
+        lhs, f0, list(terms.values()),
+        (forward_integral(integrand, X, e) for e in schedule))
+    terms["forward_integral"] = forward
     parts = {"increment_mu": k_mu, "increment_nu": k_nu, "linear_mu": y_mu,
              "linear_nu": y_nu, "big_mu": big_mu, "small_nu": small_nu,
              "jump_sum": jmod.integrate_mu(taylor_remainder_field(F), X)}
@@ -442,11 +438,11 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
                 - 0.5 * (F.dx(t, pre + x) + F.dx(t, pre)) * x)
 
     sym_jump = jmod.integrate_mu(IntegrandField(sym_fn), X)
-    brackets = [0.5 * covariation(integrand, X, e) for e in schedule]
-    residual, sups = _residual_paths(lhs, f0, [time_term, ito_ref, sym_jump],
-                                     brackets)
+    residual, sups, bracket = _residual_paths(
+        lhs, f0, [time_term, ito_ref, sym_jump],
+        (0.5 * covariation(integrand, X, e) for e in schedule))
     terms = {"time_integral": time_term, "reference_integral": ito_ref,
-             "half_transformed_bracket": brackets[-1],
+             "half_transformed_bracket": bracket,
              "symmetric_jump_sum": sym_jump}
     return ItoReport("c1_holder", F.name, lhs, f0, terms, residual, sups,
                      tuple(schedule.epsilons))

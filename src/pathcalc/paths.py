@@ -199,10 +199,6 @@ class CadlagPath:
     def __neg__(self):
         return self * -1.0
 
-    def shift_values(self, c: float) -> "CadlagPath":
-        c = float(c)
-        return from_arrays(self.grid, self.values + c, self.left_values + c, rule=self.rule)
-
     # -- refinement -------------------------------------------------------
 
     def refined(self, extra_times) -> "CadlagPath":
@@ -351,14 +347,6 @@ def uniform_grid(T: float, n: int) -> np.ndarray:
     if n < 2:
         raise PathError("need at least two grid cells")
     return np.linspace(0.0, float(T), int(n) + 1)
-
-
-def sup_diff(p: CadlagPath, q: CadlagPath) -> float:
-    """Sup over grid times (including left limits) of |p - q|."""
-    if not p.same_grid(q):
-        raise PathError("paths must share a grid")
-    return float(max(np.max(np.abs(p.values - q.values)),
-                     np.max(np.abs(p.left_values - q.left_values))))
 
 
 # free-function spellings of the core path queries

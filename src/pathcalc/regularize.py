@@ -17,10 +17,15 @@ piecewise constant whenever the inputs are, so the kernels are exact on
 piecewise-constant paths.  Splitting each integral at t - eps turns the
 computation into prefix sums: O(n) work for all t after an O(n log n) sort,
 which a literal O(n^2) per-t transcription (``brute_*`` below) must match to
-floating-point reassociation accuracy.
+floating-point reassociation accuracy.  The three split estimators are one
+window-sum kernel with different cell weights: the covariation weights the
+product of the X and Y increments by the cell width w, the weighted sum
+weights the squared X increment by w g, and the forward estimate weights
+the X increment alone by w Y.
 
-All kernels are pure functions; per-eps evaluations inside ``ucp_limit`` are
-independent and may run concurrently.
+All kernels are pure functions.  ``ucp_limit`` drives an estimator along a
+window schedule, streaming: it holds only the previous and the current
+estimate.
 """
 
 from __future__ import annotations
@@ -222,48 +227,58 @@ def _input_jump_indices(X: CadlagPath, Y: CadlagPath | None = None) -> np.ndarra
 # -- kernels -----------------------------------------------------------------
 
 
+def _window_sum(m: _Mesh, omega: np.ndarray, unit: bool = False) -> CadlagPath:
+    """Window sum of omega-weighted increment products as a path over t.
+
+    Computes (1/eps) sum over cells s of omega(s) (X(u(s) ^ t) - X(s))
+    (Y(u(s) ^ t) - Y(s)) for every grid time t on the mesh of (X, Y), or,
+    with ``unit``, of omega(s) (X(u(s) ^ t) - X(s)) alone.  Cells with
+    u(s) <= t (the bulk) are one prefix sum; the boundary cells after t - eps
+    expand into prefix sums of omega, omega a, omega b and omega a b, where
+    a and b are the factors' offsets from their start values.
+    """
+    X, Y = m.X, m.Y
+    cA = X.values[0]
+    xa = m.Xs - cA
+    Sw = _cumsum0(omega)
+    SwA = _cumsum0(omega * xa)
+    if unit:
+        bulk = _cumsum0(omega * (m.Xu - m.Xs))
+    else:
+        cB = Y.values[0]
+        # association is kept symmetric in the two factors so that swapping
+        # them returns bit-identical values
+        bulk = _cumsum0(omega * ((m.Xu - m.Xs) * (m.Yu - m.Ys)))
+        xb = xa if Y is X else m.Ys - cB
+        SwB = SwA if Y is X else _cumsum0(omega * xb)
+        SwAB = _cumsum0(omega * (xa * xb))
+
+    def assemble(j, Xt, Yt):
+        Am = Xt - cA
+        rw = Sw[m.pos] - Sw[j]
+        ra = SwA[m.pos] - SwA[j]
+        if unit:
+            return (bulk[j] + Am * rw - ra) / m.eps
+        Bm = Yt - cB
+        rb = SwB[m.pos] - SwB[j]
+        rab = SwAB[m.pos] - SwAB[j]
+        return (bulk[j] + (Am * Bm * rw + rab) - (Am * rb + Bm * ra)) / m.eps
+
+    vals = assemble(m.jr, X.values, Y.values)
+    lefts = assemble(m.jl, X.left_values, Y.left_values)
+    return _estimator_path(m.grid, vals, lefts, _input_jump_indices(X, Y))
+
+
 def covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
     """[X, Y] window estimate as a path over t, O(n) for all grid times."""
     m = _Mesh(X, Y, eps)
-    cX, cY = X.values[0], Y.values[0]
-    # association is kept symmetric in X and Y so that swapping the
-    # arguments returns bit-identical values
-    bulk = _cumsum0(m.w * ((m.Xu - m.Xs) * (m.Yu - m.Ys)))
-    xs, ys = m.Xs - cX, m.Ys - cY
-    Sw = _cumsum0(m.w)
-    SwX = _cumsum0(m.w * xs)
-    SwY = _cumsum0(m.w * ys)
-    SwXY = _cumsum0(m.w * (xs * ys))
-
-    def assemble(j, Xm, Ym):
-        rw = Sw[m.pos] - Sw[j]
-        rx = SwX[m.pos] - SwX[j]
-        ry = SwY[m.pos] - SwY[j]
-        rxy = SwXY[m.pos] - SwXY[j]
-        return (bulk[j] + (Xm * Ym * rw + rxy) - (Xm * ry + Ym * rx)) / m.eps
-
-    vals = assemble(m.jr, X.values - cX, Y.values - cY)
-    lefts = assemble(m.jl, X.left_values - cX, Y.left_values - cY)
-    return _estimator_path(m.grid, vals, lefts, _input_jump_indices(X, Y))
+    return _window_sum(m, m.w)
 
 
 def forward_integral(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     """Window estimate of int Y d-X as a path over t, O(n) for all t."""
     m = _Mesh(X, Y, eps)
-    cX = X.values[0]
-    bulk = _cumsum0(m.w * m.Ys * (m.Xu - m.Xs))
-    xs = m.Xs - cX
-    SwY = _cumsum0(m.w * m.Ys)
-    SwYX = _cumsum0(m.w * m.Ys * xs)
-
-    def assemble(j, Xm):
-        ry = SwY[m.pos] - SwY[j]
-        ryx = SwYX[m.pos] - SwYX[j]
-        return (bulk[j] + Xm * ry - ryx) / m.eps
-
-    vals = assemble(m.jr, X.values - cX)
-    lefts = assemble(m.jl, X.left_values - cX)
-    return _estimator_path(m.grid, vals, lefts, _input_jump_indices(X, Y))
+    return _window_sum(m, m.w * m.Ys, unit=True)
 
 
 def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
@@ -273,26 +288,7 @@ def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     with g identically one this is exactly ``covariation(X, X, eps)``.
     """
     m = _Mesh(X, X, eps)
-    cX = X.values[0]
-    gs = m.weight_samples(g)
-    # mirrors the covariation(X, X) associations so that g == 1 reproduces
-    # it bit for bit
-    dX = m.Xu - m.Xs
-    bulk = _cumsum0(m.w * gs * (dX * dX))
-    xs = m.Xs - cX
-    Swg = _cumsum0(m.w * gs)
-    SwgX = _cumsum0(m.w * gs * xs)
-    SwgXX = _cumsum0(m.w * gs * (xs * xs))
-
-    def assemble(j, Xm):
-        rg = Swg[m.pos] - Swg[j]
-        rgx = SwgX[m.pos] - SwgX[j]
-        rgxx = SwgXX[m.pos] - SwgXX[j]
-        return (bulk[j] + (Xm * Xm * rg + rgxx) - (Xm * rgx + Xm * rgx)) / m.eps
-
-    vals = assemble(m.jr, X.values - cX)
-    lefts = assemble(m.jl, X.left_values - cX)
-    return _estimator_path(m.grid, vals, lefts, _input_jump_indices(X))
+    return _window_sum(m, m.w * m.weight_samples(g))
 
 
 def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
@@ -406,20 +402,17 @@ class LimitReport:
 
     ``converged`` is a Cauchy test along the sampled schedule only (final
     sup-norm gap below tol relative to the last estimate); it is a surrogate
-    for the limit notion, and non-convergence is a first-class outcome.
+    for the limit notion, and non-convergence is a first-class outcome.  A
+    schedule of one window has no gap to test and never converges.  Only
+    the estimate at the last window is kept, as ``limit``.
     """
 
     epsilons: tuple[float, ...]
-    estimates: list[CadlagPath]
+    limit: CadlagPath
     sup_gaps: np.ndarray
     sup_norms: np.ndarray
     tol: float
     converged: bool
-
-    @property
-    def limit(self) -> CadlagPath:
-        """Last estimate, used as the limit proxy once converged."""
-        return self.estimates[-1]
 
     @property
     def gaps_increasing(self) -> bool:
@@ -443,23 +436,25 @@ def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath | None = None,
     """Run ``estimator`` along the schedule and test sup-norm Cauchy decay.
 
     ``estimator`` is called as estimator(X, eps) or estimator(X, Y, eps).
-    The report keeps every estimate and the raw gap array so callers can
-    apply their own criteria.
+    Estimates stream: only the previous and the current one are held.  The
+    report keeps the last estimate and the raw norm and gap arrays so
+    callers can apply their own criteria.
     """
     for e in schedule:
         if e >= X.horizon or e < X.min_spacing:
             raise ScheduleError(f"window {e} does not fit the grid")
-    estimates = []
+    prev = None
+    norms, gaps = [], []
     for e in schedule:
-        estimates.append(estimator(X, e) if Y is None else estimator(X, Y, e))
-    sup_norms = np.array([p.sup_norm() for p in estimates])
-    gaps = np.array([
-        float(np.max(np.abs(b.values - a.values)))
-        for a, b in zip(estimates, estimates[1:])
-    ])
+        est = estimator(X, e) if Y is None else estimator(X, Y, e)
+        norms.append(est.sup_norm())
+        if prev is not None:
+            gaps.append(float(np.max(np.abs(est.values - prev.values))))
+        prev = est
+    sup_norms, gaps = np.array(norms), np.array(gaps)
     scale = max(sup_norms[-1], 1e-12)
-    converged = bool(gaps.size == 0 or gaps[-1] <= tol * scale)
-    return LimitReport(tuple(schedule.epsilons), estimates, gaps, sup_norms,
+    converged = bool(gaps.size and gaps[-1] <= tol * scale)
+    return LimitReport(tuple(schedule.epsilons), est, gaps, sup_norms,
                        float(tol), converged)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw
-from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, from_arrays,
-                    uniform_grid)
+from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, constant_path,
+                    from_arrays, uniform_grid)
 
 KINDS = ("brownian", "poisson", "compound_poisson", "jump_diffusion", "fbm",
          "convolution_martingale", "pdp", "deterministic")
@@ -174,17 +174,12 @@ def brownian(spec: SimSpec):
                             spec.sigma ** 2 * grid, rule=LINEAR),
         decomposition={
             "M_c": from_arrays(grid, w, w.copy(), rule=LINEAR),
-            "M_d": _zero(grid),
+            "M_d": constant_path(grid),
             "A": from_arrays(grid, x0, x0.copy(), rule=LINEAR),
         },
         assumes_reversible=True,
     )
     return path, gt
-
-
-def _zero(grid):
-    z = np.zeros(grid.size)
-    return from_arrays(grid, z, z.copy(), rule=LINEAR)
 
 
 def _compound_poisson_core(spec, law: JumpLaw):
@@ -213,7 +208,7 @@ def poisson(spec: SimSpec):
         kind="poisson", base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
         bracket=_bracket_with_jumps(grid, 0.0, times, sizes),
         decomposition={
-            "M_c": _zero(grid),
+            "M_c": constant_path(grid),
             "M_d": from_arrays(grid, jv - drift, jl - drift, rule=LINEAR),
             "A": from_arrays(grid, spec.x0 + drift, spec.x0 + drift, rule=LINEAR),
         },
@@ -237,7 +232,7 @@ def compound_poisson(spec: SimSpec):
         jump_times=times, jump_sizes=sizes,
         bracket=_bracket_with_jumps(grid, 0.0, times, sizes),
         decomposition={
-            "M_c": _zero(grid),
+            "M_c": constant_path(grid),
             "M_d": from_arrays(grid, jv - drift, jl - drift, rule=LINEAR),
             "A": from_arrays(grid, spec.x0 + drift, spec.x0 + drift, rule=LINEAR),
         },
@@ -304,7 +299,7 @@ def fbm(spec: SimSpec):
     values = np.concatenate(([0.0], L @ z)) * spec.sigma + spec.x0
     path = from_arrays(grid, values, values.copy(), rule=LINEAR)
     if H > 0.5:
-        bracket, divergent = _zero(grid), False
+        bracket, divergent = constant_path(grid), False
     elif H == 0.5:
         bracket, divergent = from_arrays(grid, spec.sigma ** 2 * grid,
                                          spec.sigma ** 2 * grid, rule=LINEAR), False

@@ -53,6 +53,15 @@ def test_qv_rough_scenario_reports_expected_failure(tmp_path):
     assert report["expected_converged"] is False
 
 
+def test_qv_single_level_reports_no_convergence(tmp_path, capsys):
+    code = run(["qv", "--scenario", "fbm02", "--levels", "1",
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert "did not converge" in capsys.readouterr().out
+    report = json.loads((tmp_path / "fbm02_qv_report.json").read_text())
+    assert report["converged"] is False
+
+
 def test_ito_check_pass_and_residual_csv(tmp_path):
     code = run(["ito-check", "--scenario", "bm", "--fn", "square",
                 "--n", "50000", "--tol", "0.05", "--out", str(tmp_path)])

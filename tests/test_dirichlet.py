@@ -7,7 +7,7 @@ from pathcalc import ito
 from pathcalc import regularize as reg
 from pathcalc.ito import FUNCTION_CATALOG, linear_combination, path_of_function
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import PathError, step_path
+from pathcalc.paths import PathError, constant_path, step_path
 
 
 def brownian_pair(n=50000, seed=100):
@@ -189,7 +189,7 @@ def test_particular_pure_step_bounded_variation():
     nu = CompensatorSpec.user_supplied(0.0, DiracLaw(1.0))
     sched = reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / 20000)
     rep = dd.particular_wd_check(dec, nu, sched, tol=0.05,
-                                 m_bracket=dd._zero_like(V))
+                                 m_bracket=constant_path(V.grid))
     assert rep.passed_bracket
     # estimated bracket of the step is the step itself
     assert rep.bracket_gap < 1e-10

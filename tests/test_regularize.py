@@ -258,6 +258,14 @@ def test_ucp_limit_constant_converges_to_zero():
     assert np.all(rep.sup_gaps == 0.0)
 
 
+def test_single_window_does_not_converge():
+    # one window leaves no gap to test, so even a constant path cannot pass
+    X = constant_path(uniform_grid(1.0, 256), 3.0)
+    rep = reg.qv_limit(X, schedule=reg.EpsilonSchedule((0.1,)))
+    assert rep.sup_gaps.size == 0
+    assert not rep.converged
+
+
 def test_ucp_limit_rough_path_does_not_converge():
     X, gt = sim.simulate(sim.SimSpec("fbm", n=2000, seed=1, hurst=0.2))
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
