@@ -2,8 +2,9 @@
 
 Subcommands: simulate, qv, forward, convergence, ito-check, dirichlet-check,
 list.  Configuration is a flat key=value file plus flag overrides; flags
-win.  Artifacts are CSV (paths: t,value,left_value,is_jump; convergence
-tables: epsilon,sup_gap) and JSON reports carrying a schema_version field.
+win, and a switch takes true or false.  Artifacts are CSV (paths:
+t,value,left_value,is_jump; convergence tables: epsilon,sup_gap) and JSON
+reports carrying a schema_version field.
 Identical configuration, seeds included, produces byte-identical reports.
 
 Exit codes: 0 all requested checks pass, 1 check failure (including
@@ -337,18 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load key=value defaults from --config; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return argv
+def _read_config(path: str) -> dict[str, str]:
     try:
-        text = Path(known.config).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}", EXIT_BAD_CONFIG)
-    defaults = {}
+    config = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -356,25 +351,42 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         if "=" not in line:
             raise CliError(f"bad config line: {line!r}", EXIT_BAD_CONFIG)
         key, _, value = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in ap._subparsers._group_actions[0].choices.values():
-        known_dests = {a.dest: a for a in action._actions}
-        overrides = {}
-        for key, value in defaults.items():
-            if key in known_dests:
-                a = known_dests[key]
-                overrides[key] = a.type(value) if a.type else value
-        if overrides:
-            action.set_defaults(**overrides)
-    return argv
+        config[key.strip().replace("-", "_")] = value.strip()
+    return config
+
+
+def _parse_args(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with key=value defaults from --config; explicit flags win.
+
+    Config entries become flags placed before the command line's own, so
+    argparse converts them and a later explicit flag overrides them.  Keys
+    the subcommand does not have are ignored; a switch takes true or false.
+    """
+    args = ap.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    tokens = []
+    for key, value in _read_config(args.config).items():
+        if key in ("command", "func") or not hasattr(args, key):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if value not in ("true", "false"):
+                raise CliError(f"config {key}={value!r}: expected true or false",
+                               EXIT_BAD_CONFIG)
+            if value == "true":
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return ap.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
-        args = ap.parse_args(argv)
+        args = _parse_args(ap, argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,6 +66,9 @@ class CadlagPath:
             raise PathError("grid must start at 0")
         if grid.size != values.size or grid.size != left.size:
             raise PathError("grid, values and left_values lengths differ")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))
+                and np.all(np.isfinite(left))):
+            raise PathError("grid, values and left_values must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise PathError("grid must be strictly increasing")
         if marks.size:
@@ -122,8 +125,8 @@ class CadlagPath:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tq = np.atleast_1d(t_arr)
-        if np.any(tq < 0.0):
-            raise PathError("value_at needs t >= 0")
+        if not np.all(tq >= 0.0):
+            raise PathError("value_at needs t >= 0, not NaN")
         tc = np.minimum(tq, self.horizon)
         idx = np.searchsorted(self.grid, tc, side="right") - 1
         out = self.values[idx]
@@ -143,8 +146,8 @@ class CadlagPath:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tq = np.atleast_1d(t_arr)
-        if np.any(tq <= 0.0):
-            raise PathError("left limit undefined at t = 0")
+        if not np.all(tq > 0.0):
+            raise PathError("left limit needs t > 0, not NaN")
         beyond = tq > self.horizon
         tc = np.minimum(tq, self.horizon)
         idx = np.searchsorted(self.grid, tc, side="left")
@@ -235,19 +238,24 @@ class CadlagPath:
 
     @classmethod
     def from_csv(cls, text: str, rule: str | None = None) -> "CadlagPath":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines and lines[0].startswith("#"):
-            header = lines.pop(0)
+        lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if lines and lines[0][1].startswith("#"):
+            header = lines.pop(0)[1]
             if rule is None and "rule=" in header:
                 rule = header.split("rule=", 1)[1].strip()
-        if lines and lines[0].startswith("t,"):
+        if lines and lines[0][1].startswith("t,"):
             lines.pop(0)
-        rows = [ln.split(",") for ln in lines]
-        grid = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-        left = np.array([float(r[2]) for r in rows])
-        marks = np.nonzero(np.array([int(r[3]) for r in rows]))[0]
-        return cls(grid, values, left, marks, rule=rule or LINEAR)
+        rows = []
+        for no, ln in lines:
+            try:
+                t, v, lv, j = ln.split(",")
+                rows.append((float(t), float(v), float(lv), int(j)))
+            except ValueError:
+                raise PathError(f"CSV line {no}: expected t,value,left_value,is_jump, "
+                                f"got {ln!r}") from None
+        cols = np.array(rows, dtype=float).reshape(-1, 4)
+        return cls(cols[:, 0], cols[:, 1], cols[:, 2], np.nonzero(cols[:, 3])[0],
+                   rule=rule or LINEAR)
 
     def to_json_dict(self) -> dict:
         return {

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jumps import CompensatorSpec, DiracLaw, JumpLaw
+from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, constant_path,
                     from_arrays, uniform_grid)
 
@@ -136,22 +136,9 @@ def _brownian_values(rng, grid: np.ndarray, sigma: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(incr)))
 
 
-def _jump_cumsum(grid, times, sizes):
-    """Right-continuous running sum of jump sizes and its left limits."""
-    values = np.zeros(grid.size)
-    left = np.zeros(grid.size)
-    if times.size:
-        cum = np.cumsum(sizes)
-        idx = np.searchsorted(times, grid, side="right")
-        values = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        idxl = np.searchsorted(times, grid, side="left")
-        left = np.where(idxl > 0, cum[np.maximum(idxl - 1, 0)], 0.0)
-    return values, left
-
-
 def _bracket_with_jumps(grid, cont_slope, times, sizes):
     """Closed-form bracket path cont_slope * t + sum of squared jumps."""
-    jv, jl = _jump_cumsum(grid, times, sizes ** 2)
+    jv, jl = atom_cumsum(grid, times, sizes ** 2)
     return from_arrays(grid, cont_slope * grid + jv, cont_slope * grid + jl,
                        rule=LINEAR)
 
@@ -189,7 +176,7 @@ def _compound_poisson_core(spec, law: JumpLaw):
     keep = sizes != 0.0
     times, sizes = times[keep], sizes[keep]
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), times)
-    jv, jl = _jump_cumsum(grid, times, sizes)
+    jv, jl = atom_cumsum(grid, times, sizes)
     return grid, times, sizes, jv, jl
 
 
@@ -253,7 +240,7 @@ def jump_diffusion(spec: SimSpec):
     times, sizes = times[keep], sizes[keep]
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), times)
     w = _brownian_values(rng, grid, spec.sigma)
-    jv, jl = _jump_cumsum(grid, times, sizes)
+    jv, jl = atom_cumsum(grid, times, sizes)
     lam = spec.intensity
     mean_jump = law.mean() if times.size or lam > 0 else 0.0
     comp_drift = lam * mean_jump * grid
@@ -434,7 +421,7 @@ def refine_doubling(spec: SimSpec, path: CadlagPath, gt: GroundTruth):
         raise SimulationError(f"refinement not supported for kind {spec.kind!r}")
     fine = _merge_jump_times(uniform_grid(spec.T, 2 * spec.n), gt.jump_times)
     new_pts = np.setdiff1d(fine, path.grid)
-    jv, _ = _jump_cumsum(path.grid, gt.jump_times, gt.jump_sizes)
+    jv, _ = atom_cumsum(path.grid, gt.jump_times, gt.jump_sizes)
     smooth = spec.x0 + spec.drift * path.grid
     d_old = path.values - jv - smooth
     lo = np.searchsorted(path.grid, new_pts, side="right") - 1
@@ -443,7 +430,7 @@ def refine_doubling(spec: SimSpec, path: CadlagPath, gt: GroundTruth):
     var = spec.sigma ** 2 * (new_pts - a) * (b - new_pts) / (b - a)
     rng = _rng(spec.seed, stream=1)
     d_new = mean + np.sqrt(var) * rng.standard_normal(new_pts.size)
-    jv_new, _ = _jump_cumsum(new_pts, gt.jump_times, gt.jump_sizes)
+    jv_new, _ = atom_cumsum(new_pts, gt.jump_times, gt.jump_sizes)
     vals_new = d_new + jv_new + spec.x0 + spec.drift * new_pts
     values = np.empty(fine.size)
     left = np.empty(fine.size)
@@ -458,7 +445,7 @@ def refine_doubling(spec: SimSpec, path: CadlagPath, gt: GroundTruth):
     law = spec.jump_law or DiracLaw(1.0)
     mean_jump = law.mean() if lam > 0 else 0.0
     comp_drift = lam * mean_jump * fine
-    jvf, jlf = _jump_cumsum(fine, gt.jump_times, gt.jump_sizes)
+    jvf, jlf = atom_cumsum(fine, gt.jump_times, gt.jump_sizes)
     smooth_f = spec.x0 + spec.drift * fine
     wf = new_path.values - jvf - smooth_f
     decomposition = {

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pathcalc.cli import main
 
 
@@ -146,6 +148,34 @@ def test_config_file_defaults_and_flag_override(tmp_path):
                 "--out", str(out2)]) == 0
     rep2 = json.loads((out2 / "poisson_qv_report.json").read_text())
     assert rep2["tol"] == 0.02
+
+
+def test_config_boolean_false_keeps_flag_off(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario=bm\nfn=square\nn=50000\ntol=0.05\nmeasure_form=false\n")
+    # bm has no compensator model, so the measure form would exit 2
+    assert run(["ito-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert not (tmp_path / "bm_ito_square_integrability.json").exists()
+
+
+def test_config_boolean_true_turns_flag_on(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario=poisson\nfn=identity\ntol=0.05\nmeasure_form=true\n")
+    assert run(["ito-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "poisson_ito_identity_integrability.json").exists()
+
+
+@pytest.mark.parametrize("line", ["measure_form=yes", "measure_form=False",
+                                  "tol=abc"])
+def test_bad_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario=poisson\nfn=identity\n{line}\n")
+    try:
+        code = run(["ito-check", "--config", str(cfg), "--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse rejects a badly typed value
+        code = exc.code
+    assert code == 2
+    assert line.split("=")[0] in capsys.readouterr().err
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 import pathcalc.simulate as sim
 from pathcalc import jumps as jm
 from pathcalc import regularize as reg
+from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, increment_field,
+                          linear_jump_field, taylor_remainder_field)
 from pathcalc.paths import from_arrays, step_path, uniform_grid
 
 
@@ -121,6 +123,66 @@ def test_nu_quadrature_failure_detected():
     with pytest.raises((jm.QuadratureError, FloatingPointError)):
         with np.errstate(divide="raise"):
             jm.integrate_nu(blowup, nu, X)
+
+
+def test_kronrod_table_is_exact_and_embeds_gauss7():
+    x, wk, wg = jm._K15_NODES, jm._K15_WEIGHTS, jm._G7_WEIGHTS
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(wk @ x ** k) - exact) <= 1e-15
+    gx, gw = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(x[1::2] - gx)) <= 1e-15
+    assert np.max(np.abs(wg[1::2] - gw)) <= 1e-15
+    assert np.all(wg[::2] == 0.0)
+
+
+_ORACLE_LAWS = (jm.NormalLaw(0.0, 1.0), jm.NormalLaw(0.5, 2.0),
+                jm.UniformLaw(-1.0, 1.0), jm.UniformLaw(-0.5, 3.0),
+                jm.UniformLaw(0.2, 0.9))
+
+
+@pytest.mark.parametrize("fname", C12_SUITE)
+@pytest.mark.parametrize("law", _ORACLE_LAWS, ids=lambda law: law.describe())
+def test_nu_matches_adaptive_quadrature_oracle(law, fname):
+    integrate = pytest.importorskip("scipy.integrate")
+    F = FUNCTION_CATALOG[fname]
+    grid = np.array([0.0, 0.25, 0.5, 1.0])
+    X = from_arrays(grid, [0.3, -0.4, 1.2, 0.7], [0.3, -0.4, 0.5, 0.7])
+    pre = [0.3, -0.4, 0.5]
+    lo, hi = law.support
+    nu = jm.CompensatorSpec.compound_poisson(1.0, law)
+    for make in (increment_field, linear_jump_field, taylor_remainder_field):
+        for truncation in (None, "small", "big"):
+            field = make(F, truncation)
+            breaks = [c for c in (-field.threshold, field.threshold) if lo < c < hi]
+            expected = [0.0]
+            for s, x_pre, dt in zip(grid[:-1], pre, np.diff(grid)):
+                def integrand(x):
+                    return float(field(s, np.float64(x), x_pre)) * float(law.density(x))
+                g, _ = integrate.quad(integrand, lo, hi, points=breaks or None,
+                                      epsabs=1e-13, epsrel=1e-13, limit=200)
+                expected.append(expected[-1] + dt * g)
+            got = jm.integrate_nu(field, nu, X)
+            assert np.max(np.abs(got.values - expected)) <= 1e-9, (make.__name__,
+                                                                    truncation)
+
+
+def test_small_field_is_never_evaluated_on_big_jumps():
+    X = two_jump_path()
+    nu = jm.CompensatorSpec.compound_poisson(1.5, jm.NormalLaw(0, 1))
+    nan_outside = jm.IntegrandField(
+        lambda t, x, p: np.where(np.abs(x) <= 1.0, x * x, np.nan), "small")
+    got = jm.integrate_nu(nan_outside, nu, X)
+    want = jm.integrate_nu(jm.X_SQUARED_FIELD.with_truncation("small"), nu, X)
+    assert np.all(np.isfinite(got.values))
+    assert np.array_equal(got.values, want.values)
+
+
+def test_fully_truncated_field_gives_exact_zero_path():
+    X = two_jump_path()
+    nu = jm.CompensatorSpec.compound_poisson(1.5, jm.UniformLaw(-0.5, 0.5))
+    path = jm.integrate_nu(jm.X_FIELD.with_truncation("big"), nu, X)
+    assert path.sup_norm() == 0.0
 
 
 def test_user_supplied_rate_function():

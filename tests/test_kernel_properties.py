@@ -4,6 +4,10 @@ Paths are random cadlag paths under both interpolation rules.  Jumps are
 placed where the sample mesh has its edge cases: at tau with tau - eps
 exactly on a grid node (dyadic grids keep that subtraction exact), within
 eps of 0 (tau - eps falls outside the horizon) and within eps of T.
+
+The ``brute_*`` oracles share the kernels' sample mesh.  The mesh-free
+oracle below does not: it integrates the window sums exactly from
+``value_at`` and ``left_limit`` alone, so it also sees a fault in the mesh.
 """
 
 import numpy as np
@@ -32,8 +36,18 @@ def _path(grid, marks, rule, seed):
     return CadlagPath(grid, values, left, marks, rule=rule)
 
 
+def _draw_pair(draw, grid, x_jumps, rules):
+    rules = st.sampled_from(rules)
+    seeds = st.integers(0, 2**32 - 1)
+    X = _path(grid, np.array(sorted(x_jumps), dtype=np.intp), draw(rules), draw(seeds))
+    y_jumps = set(draw(st.lists(st.integers(1, grid.size - 1), max_size=2)))
+    y_jumps = np.array(sorted(y_jumps), dtype=np.intp)
+    Y = X if draw(st.booleans()) else _path(grid, y_jumps, draw(rules), draw(seeds))
+    return X, Y
+
+
 @st.composite
-def kernel_case(draw):
+def kernel_case(draw, rules=(PIECEWISE_CONSTANT, LINEAR)):
     dyadic = draw(st.booleans())
     n = draw(st.sampled_from([16, 32, 64])) if dyadic else draw(st.integers(12, 70))
     grid = uniform_grid(1.0, n)
@@ -48,13 +62,7 @@ def kernel_case(draw):
         jumps.add(draw(st.integers(n - cells + 1, n)))  # within eps of T
     if draw(st.booleans()):
         jumps.add(draw(st.integers(k + 1, n)))  # tau - eps on a grid node
-    rules = st.sampled_from([PIECEWISE_CONSTANT, LINEAR])
-    seeds = st.integers(0, 2**32 - 1)
-    X = _path(grid, np.array(sorted(jumps), dtype=np.intp), draw(rules), draw(seeds))
-    y_jumps = np.array(sorted(set(draw(st.lists(st.integers(1, n), max_size=2)))),
-                       dtype=np.intp)
-    Y = X if draw(st.booleans()) else _path(grid, y_jumps, draw(rules), draw(seeds))
-    return X, Y, eps
+    return (*_draw_pair(draw, grid, jumps, rules), eps)
 
 
 def _close(kernel, brute):
@@ -74,3 +82,73 @@ def test_kernel_matches_oracles_and_unit_weight(case):
     C = reg.covariation(X, X, eps)
     assert np.array_equal(W.values, C.values)
     assert np.array_equal(W.left_values, C.left_values)
+
+
+def _pin_cases():
+    # (n, k, i) on uniform_grid(1, n) with eps = grid[k] where grid[i] - eps
+    # rounds onto a node from which node + eps falls short of grid[i], so
+    # only the mesh's pin of the shifted point to tau finds the jump
+    out = []
+    for n in range(12, 65):
+        grid = uniform_grid(1.0, n)
+        for k in range(2, n // 3 + 1):
+            for i in range(k + 1, n + 1):
+                shifted = grid[i] - grid[k]
+                j = np.searchsorted(grid, shifted)
+                if grid[j] == shifted and shifted + grid[k] != grid[i]:
+                    out.append((n, k, i))
+    return out
+
+
+_PIN_CASES = _pin_cases()
+
+
+@st.composite
+def pinned_case(draw):
+    n, k, i = draw(st.sampled_from(_PIN_CASES))
+    grid = uniform_grid(1.0, n)
+    jumps = {i} | set(draw(st.lists(st.integers(1, n), max_size=2)))
+    return (*_draw_pair(draw, grid, jumps, (PIECEWISE_CONSTANT,)), float(grid[k]))
+
+
+def mesh_free_window_sums(X, Y, eps, unit):
+    """Values and left limits at the grid times of the covariation of X and
+    Y, or with ``unit`` of the forward integral of Y against X.
+
+    The ds-integral runs over the pieces between the breakpoints {grid} and
+    {grid - eps}.  On piecewise-constant paths the integrand is constant on
+    each piece, so 2-point Gauss-Legendre is exact there and never samples
+    a piece end, where the integrand may jump.
+    """
+    grid = X.grid
+    br = np.union1d(grid, grid - eps)
+    br = br[br >= 0.0]
+    half, mid = 0.5 * np.diff(br), 0.5 * (br[1:] + br[:-1])
+    gx, gw = np.polynomial.legendre.leggauss(2)
+    s = (mid[:, None] + half[:, None] * gx).ravel()
+    w = (half[:, None] * gw).ravel()
+    Xs, Ys = X.value_at(s), Y.value_at(s)
+    Xu, Yu = X.value_at(s + eps), Y.value_at(s + eps)
+    vals = np.zeros(grid.size)
+    lefts = np.zeros(grid.size)
+    for i in range(1, grid.size):
+        t = grid[i]
+        inside = s < t
+        bulk = s + eps < t
+        for out, Xt, Yt in ((vals, X.value_at(t), Y.value_at(t)),
+                            (lefts, X.left_limit(t), Y.left_limit(t))):
+            dx = np.where(bulk, Xu, Xt) - Xs
+            f = Ys * dx if unit else dx * (np.where(bulk, Yu, Yt) - Ys)
+            out[i] = np.sum((w * f)[inside]) / eps
+    return vals, lefts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(kernel_case(rules=(PIECEWISE_CONSTANT,)), pinned_case()))
+def test_kernel_matches_mesh_free_oracle(case):
+    X, Y, eps = case
+    for est, unit in ((reg.covariation(X, Y, eps), False),
+                      (reg.forward_integral(Y, X, eps), True)):
+        vals, lefts = mesh_free_window_sums(X, Y, eps, unit)
+        assert _close(est.values, vals)
+        assert _close(est.left_values, lefts)

@@ -179,3 +179,33 @@ def test_immutability():
     p = unit_step()
     with pytest.raises(ValueError):
         p.values[0] = 42.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    grid = [0.0, 0.5, 1.0]
+    with pytest.raises(PathError, match="finite"):
+        from_arrays(grid, [0.0, bad, 1.0], [0.0, bad, 1.0])
+    with pytest.raises(PathError, match="finite"):
+        from_arrays(grid, [0.0, bad, 1.0], [0.0, 0.0, 1.0])
+    with pytest.raises(PathError, match="finite"):
+        from_arrays([0.0, bad, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+
+def test_nan_time_rejected():
+    p = unit_step()
+    for query in (p.value_at, p.left_limit):
+        with pytest.raises(PathError):
+            query(np.nan)
+        with pytest.raises(PathError):
+            query(np.array([0.2, np.nan]))
+
+
+@pytest.mark.parametrize("row", ["0.5,1.0,0.0", "0.5,abc,0.0,1", "0.5,1.0,0.0,1,7",
+                                 "0.5,1.0,0.0,yes"])
+def test_csv_malformed_row_names_the_line(row):
+    lines = unit_step().to_csv().splitlines()
+    assert lines[3].startswith("0.5,")
+    lines[3] = row
+    with pytest.raises(PathError, match="line 4"):
+        CadlagPath.from_csv("\n".join(lines))
