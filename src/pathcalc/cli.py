@@ -268,13 +268,24 @@ def cmd_list(args) -> int:
 # -- argument plumbing ----------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive finite number."""
+    try:
+        if 0.0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a positive finite number, got {text!r}")
+
+
 def _add_common(p, scenario=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
     p.add_argument("--eps0", type=float, default=None,
                    help="largest window width; the schedule halves from here")
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV} or .)")
     p.add_argument("--config", default=None, help="flat key=value defaults file")
     if scenario:
@@ -391,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ScheduleError as exc:
+    except (ScheduleError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

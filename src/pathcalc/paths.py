@@ -356,21 +356,3 @@ def uniform_grid(T: float, n: int) -> np.ndarray:
         raise PathError("need at least two grid cells")
     return np.linspace(0.0, float(T), int(n) + 1)
 
-
-# free-function spellings of the core path queries
-
-
-def value_at(p: CadlagPath, t):
-    return p.value_at(t)
-
-
-def left_limit(p: CadlagPath, t):
-    return p.left_limit(t)
-
-
-def jumps_of(p: CadlagPath) -> list[tuple[float, float]]:
-    return p.jumps()
-
-
-def sum_squared_jumps(p: CadlagPath) -> float:
-    return p.sum_squared_jumps()

@@ -463,15 +463,3 @@ def qv_limit(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
     """Quadratic-variation study: ``covariation(X, X)`` along the schedule."""
     return ucp_limit(covariation, X, X, schedule=schedule, tol=tol)
 
-
-def modulus_of_continuity(X: CadlagPath, eps: float) -> float:
-    """max |X(a) - X(t)| over grid pairs with |a - t| <= eps."""
-    grid, v = X.grid, X.values
-    out = 0.0
-    for d in range(1, grid.size):
-        if np.all(grid[d:] - grid[:-d] > eps):
-            break
-        ok = (grid[d:] - grid[:-d]) <= eps
-        if np.any(ok):
-            out = max(out, float(np.max(np.abs(v[d:] - v[:-d])[ok])))
-    return out

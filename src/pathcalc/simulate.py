@@ -6,6 +6,15 @@ path carries exact jump sizes at exact times.  The ground truth records the
 jump log, the known closed-form bracket when one exists, and the labeled
 decomposition components (each a path on the same grid).
 
+The brownian, poisson, compound_poisson and jump_diffusion kinds share one
+Levy-Ito generator, X = x0 + drift t + sigma W + J with J a compound Poisson
+sum of intensity lam and jump law nu, and M_c = sigma W, M_d = J - lam E[nu] t,
+A = x0 + drift t + lam E[nu] t.  Per kind: brownian has lam = 0 and ignores
+drift; poisson has unit jumps, sigma = drift = 0, the pc rule and the Poisson
+compensator; compound_poisson has the spec's law (unit jumps when unset),
+sigma = drift = 0 and the pc rule; jump_diffusion reads every field and has
+no compensator when lam = 0.
+
 Randomness comes from numpy's counter-based Philox generator seeded as
 Philox(seed=[seed, stream]); identical specs therefore reproduce bit
 identical paths, and derived draws (refinement, test batteries) use
@@ -39,7 +48,14 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Process description: kind plus per-kind parameters, grid size, seed."""
+    """Process description: kind plus per-kind parameters, grid size, seed.
+
+    Every kind reads T, n and seed.  brownian reads x0 and sigma; poisson x0
+    and intensity (> 0); compound_poisson x0, intensity (> 0) and jump_law;
+    jump_diffusion every Levy-Ito field (x0, sigma, drift, intensity,
+    jump_law); fbm x0, sigma and hurst; pdp x0, switch_rate and regimes;
+    deterministic x0 and regimes[0]; convolution_martingale nothing more.
+    """
 
     kind: str
     T: float = 1.0
@@ -113,7 +129,9 @@ class GroundTruth:
 def _merge_jump_times(base: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Union of the base grid with exact jump times (open interval (0, T))."""
     times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) <= 0.0)):
+    if times.size == 0:
+        return base
+    if np.any(np.diff(times) <= 0.0):
         raise SimulationError("sampled jump times must be strictly increasing")
     return np.union1d(base, times)
 
@@ -136,130 +154,65 @@ def _brownian_values(rng, grid: np.ndarray, sigma: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(incr)))
 
 
-def _bracket_with_jumps(grid, cont_slope, times, sizes):
-    """Closed-form bracket path cont_slope * t + sum of squared jumps."""
-    jv, jl = atom_cumsum(grid, times, sizes ** 2)
-    return from_arrays(grid, cont_slope * grid + jv, cont_slope * grid + jl,
-                       rule=LINEAR)
-
-
 # -- generators --------------------------------------------------------------
 
-
-def brownian(spec: SimSpec):
-    if spec.kind != "brownian":
-        raise SimulationError("spec kind mismatch")
-    grid = uniform_grid(spec.T, spec.n)
-    w = _brownian_values(_rng(spec.seed), grid, spec.sigma)
-    values = spec.x0 + w
-    path = from_arrays(grid, values, values.copy(), rule=LINEAR)
-    x0 = np.full(grid.size, spec.x0)
-    gt = GroundTruth(
-        kind="brownian", base_dt=spec.base_dt,
-        jump_times=np.zeros(0), jump_sizes=np.zeros(0),
-        bracket=from_arrays(grid, spec.sigma ** 2 * grid,
-                            spec.sigma ** 2 * grid, rule=LINEAR),
-        decomposition={
-            "M_c": from_arrays(grid, w, w.copy(), rule=LINEAR),
-            "M_d": constant_path(grid),
-            "A": from_arrays(grid, x0, x0.copy(), rule=LINEAR),
-        },
-        assumes_reversible=True,
-    )
-    return path, gt
+_LEVY_ITO_KINDS = ("brownian", "poisson", "compound_poisson", "jump_diffusion")
 
 
-def _compound_poisson_core(spec, law: JumpLaw):
-    rng = _rng(spec.seed)
-    times = _sample_arrivals(rng, spec.intensity, spec.T)
-    sizes = law.sample(rng, times.size)
-    keep = sizes != 0.0
-    times, sizes = times[keep], sizes[keep]
-    grid = _merge_jump_times(uniform_grid(spec.T, spec.n), times)
-    jv, jl = atom_cumsum(grid, times, sizes)
-    return grid, times, sizes, jv, jl
+def _levy_ito_fields(spec: SimSpec):
+    """The per-kind rule: (sigma, drift, intensity, law, compensator) that a
+    Levy-Ito kind reads from its spec.  sigma is None for the pure-jump
+    kinds, which have no Brownian part and take the pc rule."""
+    lam, law = spec.intensity, spec.jump_law or DiracLaw(1.0)
+    if spec.kind == "brownian":
+        return spec.sigma, 0.0, 0.0, DiracLaw(1.0), None
+    if spec.kind == "jump_diffusion":
+        comp = CompensatorSpec.compound_poisson(lam, law) if lam > 0 else None
+        return spec.sigma, spec.drift, lam, law, comp
+    if lam <= 0.0:
+        raise SimulationError(f"{spec.kind} intensity must be positive")
+    if spec.kind == "poisson":
+        return None, 0.0, lam, DiracLaw(1.0), CompensatorSpec.poisson(lam)
+    return None, 0.0, lam, law, CompensatorSpec.compound_poisson(lam, law)
 
 
-def poisson(spec: SimSpec):
-    if spec.kind != "poisson":
-        raise SimulationError("spec kind mismatch")
-    if spec.intensity <= 0.0:
-        raise SimulationError("poisson intensity must be positive")
-    law = DiracLaw(1.0)
-    grid, times, sizes, jv, jl = _compound_poisson_core(spec, law)
-    path = from_arrays(grid, spec.x0 + jv, spec.x0 + jl, rule=PIECEWISE_CONSTANT)
-    lam = spec.intensity
-    comp = CompensatorSpec.poisson(lam)
-    drift = lam * grid
-    gt = GroundTruth(
-        kind="poisson", base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
-        bracket=_bracket_with_jumps(grid, 0.0, times, sizes),
-        decomposition={
-            "M_c": constant_path(grid),
-            "M_d": from_arrays(grid, jv - drift, jl - drift, rule=LINEAR),
-            "A": from_arrays(grid, spec.x0 + drift, spec.x0 + drift, rule=LINEAR),
-        },
-        compensator=comp,
-    )
-    return path, gt
-
-
-def compound_poisson(spec: SimSpec):
-    if spec.kind != "compound_poisson":
-        raise SimulationError("spec kind mismatch")
-    if spec.intensity <= 0.0:
-        raise SimulationError("jump intensity must be positive")
-    law = spec.jump_law or DiracLaw(1.0)
-    grid, times, sizes, jv, jl = _compound_poisson_core(spec, law)
-    path = from_arrays(grid, spec.x0 + jv, spec.x0 + jl, rule=PIECEWISE_CONSTANT)
-    lam = spec.intensity
-    drift = lam * law.mean() * grid
-    gt = GroundTruth(
-        kind="compound_poisson", base_dt=spec.base_dt,
-        jump_times=times, jump_sizes=sizes,
-        bracket=_bracket_with_jumps(grid, 0.0, times, sizes),
-        decomposition={
-            "M_c": constant_path(grid),
-            "M_d": from_arrays(grid, jv - drift, jl - drift, rule=LINEAR),
-            "A": from_arrays(grid, spec.x0 + drift, spec.x0 + drift, rule=LINEAR),
-        },
-        compensator=CompensatorSpec.compound_poisson(lam, law),
-    )
-    return path, gt
-
-
-def jump_diffusion(spec: SimSpec):
+def _levy_ito(spec: SimSpec):
     """x0 + drift t + sigma W + compound Poisson, exact jump-time grid."""
-    if spec.kind != "jump_diffusion":
-        raise SimulationError("spec kind mismatch")
-    law = spec.jump_law or DiracLaw(1.0)
+    sigma, _, lam, law, _ = _levy_ito_fields(spec)
     rng = _rng(spec.seed)
-    times = _sample_arrivals(rng, spec.intensity, spec.T)
+    times = _sample_arrivals(rng, lam, spec.T)
     sizes = law.sample(rng, times.size)
     keep = sizes != 0.0
     times, sizes = times[keep], sizes[keep]
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), times)
-    w = _brownian_values(rng, grid, spec.sigma)
+    w = None if sigma is None else _brownian_values(rng, grid, sigma)
+    return _levy_ito_truth(spec, grid, w, times, sizes)
+
+
+def _levy_ito_truth(spec: SimSpec, grid, w, times, sizes):
+    """Path x0 + drift t + w + J on grid, J the sum of the jumps, and its
+    ground truth.  w is sigma W on the grid, None for a pure-jump kind."""
+    sigma, drift, lam, law, comp = _levy_ito_fields(spec)
     jv, jl = atom_cumsum(grid, times, sizes)
-    lam = spec.intensity
-    mean_jump = law.mean() if times.size or lam > 0 else 0.0
-    comp_drift = lam * mean_jump * grid
-    a_vals = spec.x0 + spec.drift * grid + comp_drift
-    md_vals, md_left = jv - comp_drift, jl - comp_drift
-    values = (spec.x0 + spec.drift * grid) + w + jv
-    left = (spec.x0 + spec.drift * grid) + w + jl
-    path = from_arrays(grid, values, left, rule=LINEAR)
+    smooth = spec.x0 + drift * grid
+    comp_drift = lam * (law.mean() if lam > 0 else 0.0) * grid
+    cont = smooth if w is None else smooth + w
+    path = from_arrays(grid, cont + jv, cont + jl,
+                       rule=PIECEWISE_CONSTANT if w is None else LINEAR)
+    a = smooth + comp_drift
+    # closed-form bracket: sigma^2 t plus the running sum of squared jumps
+    qv = (0.0 if w is None else sigma ** 2) * grid
+    sq, sql = atom_cumsum(grid, times, sizes ** 2)
     gt = GroundTruth(
-        kind="jump_diffusion", base_dt=spec.base_dt,
-        jump_times=times, jump_sizes=sizes,
-        bracket=_bracket_with_jumps(grid, spec.sigma ** 2, times, sizes),
+        kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
+        bracket=from_arrays(grid, qv + sq, qv + sql, rule=LINEAR),
         decomposition={
-            "M_c": from_arrays(grid, w, w.copy(), rule=LINEAR),
-            "M_d": from_arrays(grid, md_vals, md_left, rule=LINEAR),
-            "A": from_arrays(grid, a_vals, a_vals.copy(), rule=LINEAR),
+            "M_c": (constant_path(grid) if w is None
+                    else from_arrays(grid, w, w.copy(), rule=LINEAR)),
+            "M_d": from_arrays(grid, jv - comp_drift, jl - comp_drift, rule=LINEAR),
+            "A": from_arrays(grid, a, a.copy(), rule=LINEAR),
         },
-        compensator=(CompensatorSpec.compound_poisson(lam, law) if lam > 0 else None),
-        assumes_reversible=True,
+        compensator=comp, assumes_reversible=w is not None,
     )
     return path, gt
 
@@ -375,10 +328,7 @@ def deterministic(spec: SimSpec):
 
 
 _GENERATORS = {
-    "brownian": brownian,
-    "poisson": poisson,
-    "compound_poisson": compound_poisson,
-    "jump_diffusion": jump_diffusion,
+    **dict.fromkeys(_LEVY_ITO_KINDS, _levy_ito),
     "fbm": fbm,
     "convolution_martingale": convolution_martingale,
     "pdp": pdp,
@@ -409,29 +359,28 @@ def refine_doubling(spec: SimSpec, path: CadlagPath, gt: GroundTruth):
     pure-jump content refines deterministically.  Returns (path, gt) on the
     doubled grid.
     """
-    if spec.kind in ("poisson", "compound_poisson"):
-        fine = _merge_jump_times(uniform_grid(spec.T, 2 * spec.n), gt.jump_times)
-        new_path = path.refined(fine)
-        gt2 = replace(gt, base_dt=spec.T / (2 * spec.n),
-                      decomposition=None if gt.decomposition is None else {
-                          k: p.refined(fine) for k, p in gt.decomposition.items()},
-                      bracket=None if gt.bracket is None else gt.bracket.refined(fine))
-        return new_path, gt2
-    if spec.kind not in ("brownian", "jump_diffusion"):
+    if spec.kind not in _LEVY_ITO_KINDS:
         raise SimulationError(f"refinement not supported for kind {spec.kind!r}")
-    fine = _merge_jump_times(uniform_grid(spec.T, 2 * spec.n), gt.jump_times)
+    sigma, drift, *_ = _levy_ito_fields(spec)
+    fine_spec = replace(spec, n=2 * spec.n)
+    times, sizes = gt.jump_times, gt.jump_sizes
+    fine = _merge_jump_times(uniform_grid(spec.T, fine_spec.n), times)
+    if sigma is None:
+        return path.refined(fine), replace(
+            gt, base_dt=fine_spec.base_dt,
+            decomposition={k: p.refined(fine) for k, p in gt.decomposition.items()},
+            bracket=gt.bracket.refined(fine))
     new_pts = np.setdiff1d(fine, path.grid)
-    jv, _ = atom_cumsum(path.grid, gt.jump_times, gt.jump_sizes)
-    smooth = spec.x0 + spec.drift * path.grid
-    d_old = path.values - jv - smooth
+    jv, _ = atom_cumsum(path.grid, times, sizes)
+    d_old = path.values - jv - (spec.x0 + drift * path.grid)
     lo = np.searchsorted(path.grid, new_pts, side="right") - 1
     a, b = path.grid[lo], path.grid[lo + 1]
     mean = d_old[lo] + (new_pts - a) / (b - a) * (d_old[lo + 1] - d_old[lo])
-    var = spec.sigma ** 2 * (new_pts - a) * (b - new_pts) / (b - a)
+    var = sigma ** 2 * (new_pts - a) * (b - new_pts) / (b - a)
     rng = _rng(spec.seed, stream=1)
     d_new = mean + np.sqrt(var) * rng.standard_normal(new_pts.size)
-    jv_new, _ = atom_cumsum(new_pts, gt.jump_times, gt.jump_sizes)
-    vals_new = d_new + jv_new + spec.x0 + spec.drift * new_pts
+    jv_new, _ = atom_cumsum(new_pts, times, sizes)
+    vals_new = d_new + jv_new + spec.x0 + drift * new_pts
     values = np.empty(fine.size)
     left = np.empty(fine.size)
     old_pos = np.searchsorted(fine, path.grid)
@@ -441,21 +390,6 @@ def refine_doubling(spec: SimSpec, path: CadlagPath, gt: GroundTruth):
     left[old_pos] = path.left_values
     left[new_pos] = vals_new
     new_path = from_arrays(fine, values, left, rule=LINEAR)
-    lam = spec.intensity if spec.kind == "jump_diffusion" else 0.0
-    law = spec.jump_law or DiracLaw(1.0)
-    mean_jump = law.mean() if lam > 0 else 0.0
-    comp_drift = lam * mean_jump * fine
-    jvf, jlf = atom_cumsum(fine, gt.jump_times, gt.jump_sizes)
-    smooth_f = spec.x0 + spec.drift * fine
-    wf = new_path.values - jvf - smooth_f
-    decomposition = {
-        "M_c": from_arrays(fine, wf, wf.copy(), rule=LINEAR),
-        "M_d": from_arrays(fine, jvf - comp_drift, jlf - comp_drift, rule=LINEAR),
-        "A": from_arrays(fine, smooth_f + comp_drift, smooth_f + comp_drift,
-                         rule=LINEAR),
-    }
-    gt2 = replace(
-        gt, base_dt=spec.T / (2 * spec.n), decomposition=decomposition,
-        bracket=None if gt.bracket is None else _bracket_with_jumps(
-            fine, spec.sigma ** 2, gt.jump_times, gt.jump_sizes))
-    return new_path, gt2
+    jvf, _ = atom_cumsum(fine, times, sizes)
+    w = new_path.values - jvf - (spec.x0 + drift * fine)
+    return new_path, _levy_ito_truth(fine_spec, fine, w, times, sizes)[1]

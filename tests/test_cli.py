@@ -124,6 +124,33 @@ def test_simulate_bad_kind_exits_2(tmp_path):
     assert run(["simulate", "--kind", "weird", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["qv", "--scenario", "fbm02", "--n", "5000"],
+    ["qv", "--scenario", "bm", "--n", "1"],
+    ["dirichlet-check", "--chain", "jump_diffusion", "--n", "1"],
+])
+def test_simulation_error_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:  # argparse rejects a badly typed value
+        return exc.code
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
+    assert exit_code(["qv", "--scenario", "poisson", "--tol", tol,
+                      "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario=poisson\ntol={tol}\n")
+    assert exit_code(["qv", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("argument --tol: expected a positive") == 2
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -170,10 +197,7 @@ def test_config_boolean_true_turns_flag_on(tmp_path):
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"scenario=poisson\nfn=identity\n{line}\n")
-    try:
-        code = run(["ito-check", "--config", str(cfg), "--out", str(tmp_path)])
-    except SystemExit as exc:  # argparse rejects a badly typed value
-        code = exc.code
+    code = exit_code(["ito-check", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert line.split("=")[0] in capsys.readouterr().err
 

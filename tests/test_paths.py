@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from pathcalc.paths import (CadlagPath, PathError, constant_path, from_arrays,
-                            from_function, jumps_of, left_limit, make_path,
-                            sum_squared_jumps, uniform_grid, value_at)
+                            from_function, make_path, uniform_grid)
 
 
 def unit_step():
@@ -12,14 +11,14 @@ def unit_step():
 
 def test_constant_path_has_no_jumps():
     p = make_path([0.0, 1.0], [0.0, 0.0])
-    assert jumps_of(p) == []
-    assert sum_squared_jumps(p) == 0.0
+    assert p.jumps() == []
+    assert p.sum_squared_jumps() == 0.0
 
 
 def test_unit_step_construction():
     p = unit_step()
-    assert jumps_of(p) == [(0.5, 1.0)]
-    assert sum_squared_jumps(p) == 1.0
+    assert p.jumps() == [(0.5, 1.0)]
+    assert p.sum_squared_jumps() == 1.0
 
 
 def test_non_monotone_grid_rejected():
@@ -44,33 +43,33 @@ def test_grid_must_start_at_zero():
 
 def test_right_continuity_and_extension():
     p = unit_step()
-    assert value_at(p, 0.5) == 1.0
-    assert value_at(p, 2.0) == 1.0  # extended past the horizon by continuity
-    assert value_at(p, 0.25) == 0.0
+    assert p.value_at(0.5) == 1.0
+    assert p.value_at(2.0) == 1.0  # extended past the horizon by continuity
+    assert p.value_at(0.25) == 0.0
 
 
 def test_left_limits():
     p = unit_step()
-    assert left_limit(p, 0.5) == 0.0
-    assert left_limit(p, 0.75) == 1.0
-    assert left_limit(p, 3.0) == 1.0
+    assert p.left_limit(0.5) == 0.0
+    assert p.left_limit(0.75) == 1.0
+    assert p.left_limit(3.0) == 1.0
     with pytest.raises(PathError):
-        left_limit(p, 0.0)
+        p.left_limit(0.0)
 
 
 def test_linear_interpolation():
     p = from_function(uniform_grid(1.0, 4), lambda t: t)
-    assert value_at(p, 0.25) == pytest.approx(0.25, abs=1e-15)
-    assert value_at(p, 0.3) == pytest.approx(0.3, abs=1e-15)
+    assert p.value_at(0.25) == pytest.approx(0.25, abs=1e-15)
+    assert p.value_at(0.3) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_linear_rule_never_crosses_marked_jump():
     # segment ends at the stored left value, then jumps
     grid = [0.0, 0.5, 1.0]
     p = make_path(grid, [0.0, 2.0, 2.0], jumps=[(1, 1.0)])
-    assert value_at(p, 0.25) == pytest.approx(0.5)
-    assert left_limit(p, 0.5) == 1.0
-    assert value_at(p, 0.5) == 2.0
+    assert p.value_at(0.25) == pytest.approx(0.5)
+    assert p.left_limit(0.5) == 1.0
+    assert p.value_at(0.5) == 2.0
 
 
 def test_pc_left_values_follow_previous_value():
@@ -90,8 +89,8 @@ def test_jump_round_trip():
     for idx, _ in jumps:
         spec.append((idx, values[idx] - rng.uniform(0.5, 1.5)))
     p = make_path(grid, values, spec)
-    assert [t for t, _ in jumps_of(p)] == [grid[i] for i, _ in spec]
-    got = {t: s for t, s in jumps_of(p)}
+    assert [t for t, _ in p.jumps()] == [grid[i] for i, _ in spec]
+    got = {t: s for t, s in p.jumps()}
     for idx, lv in spec:
         assert got[grid[idx]] == pytest.approx(values[idx] - lv)
 
@@ -120,7 +119,7 @@ def test_two_jump_sum_of_squares():
     left[3] = 0.0
     left[7] = 2.0
     p = from_arrays(grid, values, left, rule="pc")
-    assert sum_squared_jumps(p) == pytest.approx(5.0)
+    assert p.sum_squared_jumps() == pytest.approx(5.0)
 
 
 def test_refinement_changes_nothing():
@@ -130,7 +129,7 @@ def test_refinement_changes_nothing():
     assert np.array_equal(p.value_at(probes), q.value_at(probes))
     probes_pos = probes[probes > 0]
     assert np.array_equal(p.left_limit(probes_pos), q.left_limit(probes_pos))
-    assert jumps_of(q) == jumps_of(p)
+    assert q.jumps() == p.jumps()
 
 
 def test_csv_round_trip_bit_exact():
@@ -166,13 +165,13 @@ def test_jump_cancellation_in_differences():
     p = unit_step()
     z = p - p
     assert z.sup_norm() == 0.0
-    assert jumps_of(z) == []
+    assert z.jumps() == []
 
 
 def test_scalar_multiple_scales_jumps():
     p = unit_step()
     q = 3.0 * p
-    assert jumps_of(q) == [(0.5, 3.0)]
+    assert q.jumps() == [(0.5, 3.0)]
 
 
 def test_immutability():

@@ -102,13 +102,25 @@ def test_nonpositive_intensity_rejected():
 # -- jump diffusion ----------------------------------------------------------------
 
 
+def _same_path(p, q):
+    return (np.array_equal(p.grid, q.grid) and np.array_equal(p.values, q.values)
+            and np.array_equal(p.left_values, q.left_values))
+
+
 def test_jump_diffusion_degenerate_parameter_cases():
-    pure_jump, _ = simulate(SimSpec("jump_diffusion", n=128, seed=3, sigma=0.0,
-                                    drift=0.0, intensity=2.0,
-                                    jump_law=DiracLaw(1.0)))
-    cp, _ = simulate(SimSpec("compound_poisson", n=128, seed=3, intensity=2.0,
-                             jump_law=DiracLaw(1.0)))
-    assert np.allclose(pure_jump.value_at(cp.grid), cp.value_at(cp.grid))
+    for seed in range(20):
+        pure_jump, _ = simulate(SimSpec("jump_diffusion", n=128, seed=seed,
+                                        sigma=0.0, drift=0.0, intensity=2.0,
+                                        jump_law=DiracLaw(1.0)))
+        cp, _ = simulate(SimSpec("compound_poisson", n=128, seed=seed,
+                                 intensity=2.0, jump_law=DiracLaw(1.0)))
+        counting, _ = simulate(SimSpec("poisson", n=128, seed=seed, intensity=2.0))
+        assert _same_path(pure_jump, cp) and _same_path(cp, counting)
+
+        no_jumps, _ = simulate(SimSpec("jump_diffusion", n=128, seed=seed,
+                                       sigma=0.7, intensity=0.0, x0=0.5))
+        bm, _ = simulate(SimSpec("brownian", n=128, seed=seed, sigma=0.7, x0=0.5))
+        assert _same_path(no_jumps, bm)
 
     line, _ = simulate(SimSpec("jump_diffusion", n=128, seed=3, sigma=0.0,
                                drift=1.0, intensity=0.0, x0=0.5))
@@ -228,6 +240,7 @@ def test_deterministic_kind():
     ("compound_poisson", dict(intensity=2.0, jump_law=NormalLaw(0, 1))),
     ("jump_diffusion", dict(sigma=0.5, drift=0.1, intensity=2.0,
                             jump_law=NormalLaw(0, 1))),
+    ("brownian", dict(sigma=1.0, drift=2.0)),  # brownian ignores drift
 ])
 def test_refinement_reuses_coarse_noise(kind, kw):
     spec = SimSpec(kind, n=128, seed=13, **kw)
@@ -240,6 +253,9 @@ def test_refinement_reuses_coarse_noise(kind, kw):
     if g1.decomposition:
         total = sum(g1.decomposition[k].values for k in ("M_c", "M_d", "A"))
         assert np.max(np.abs(total - p1.values)) < 1e-9
+        for k in ("M_c", "M_d", "A"):
+            fine, coarse = g1.decomposition[k], g0.decomposition[k]
+            assert np.max(np.abs(fine.values[pos] - coarse.values)) < 1e-12
 
 
 def test_refinement_is_deterministic():
