@@ -10,10 +10,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ito import FUNCTION_CATALOG
+import numpy as np
+
+from .ito import FUNCTION_CATALOG, path_of_function
 from .jumps import NormalLaw
 from .paths import step_path
-from .simulate import SimSpec, simulate
+from .simulate import (KINDS, GroundTruth, SimSpec, brownian_on_grid,
+                       simulate)
+
+
+def _sim(kind, **kw):
+    """Builder (seed, n) -> (path, ground truth) simulating one spec."""
+    return lambda seed, n: simulate(SimSpec(kind, n=n, seed=seed, **kw))
+
+
+def _step(seed, n):
+    path = step_path(1.0, n, 0.5)
+    gt = GroundTruth(kind="deterministic", base_dt=1.0 / n,
+                     jump_times=path.jump_times, jump_sizes=path.jump_sizes)
+    return path, gt
+
+
+def _against_bm(make, F=None):
+    """Orthogonality builder: the path of ``make`` (or F of it) against a
+    standard Brownian test path on its grid."""
+    def build(seed, n):
+        X, gt = make(seed, n)
+        A = X if F is None else path_of_function(F, X)
+        return A, brownian_on_grid(X.grid, 1.0, seed, stream=11), gt.base_dt
+    return build
+
+
+def _self_pair(seed, n):
+    N = brownian_on_grid(np.linspace(0.0, 1.0, n + 1), 1.0, seed, stream=11)
+    return N, N, 1.0 / n
 
 
 @dataclass(frozen=True)
@@ -22,6 +52,7 @@ class Scenario:
     description: str
     anchor: str
     default_n: int
+    make: object  # (seed, n) -> (path, ground truth)
     expect_qv_converges: bool = True
     has_compensator: bool = False
     has_decomposition: bool = False
@@ -29,68 +60,46 @@ class Scenario:
     default_levels: int = 8
 
     def build(self, seed: int = 0, n: int | None = None):
-        n = n or self.default_n
-        return _BUILDERS[self.id](seed, n)
+        return self.make(seed, n or self.default_n)
 
-
-def _mk(kind, **kw):
-    def build(seed, n):
-        return simulate(SimSpec(kind, n=n, seed=seed, **kw))
-    return build
-
-
-def _mk_step(seed, n):
-    path = step_path(1.0, n, 0.5)
-    from .simulate import GroundTruth
-    gt = GroundTruth(kind="deterministic", base_dt=1.0 / n,
-                     jump_times=path.jump_times, jump_sizes=path.jump_sizes)
-    return path, gt
-
-
-_BUILDERS = {
-    "bm": _mk("brownian", sigma=1.0),
-    "poisson": _mk("poisson", intensity=2.0),
-    "cp_normal": _mk("compound_poisson", intensity=1.0, jump_law=NormalLaw(0.0, 1.0)),
-    "jump_diffusion": _mk("jump_diffusion", sigma=1.0, drift=0.0, intensity=1.0,
-                          jump_law=NormalLaw(0.0, 1.0)),
-    "fbm02": _mk("fbm", hurst=0.2),
-    "fbm08": _mk("fbm", hurst=0.8),
-    "convolution": _mk("convolution_martingale"),
-    "pdp": _mk("pdp", switch_rate=3.0),
-    "step": _mk_step,
-}
 
 SCENARIOS: dict[str, Scenario] = {
     s.id: s for s in [
         Scenario("bm", "standard Brownian motion",
                  "bracket grows linearly: [X,X](t) = t", 100000,
-                 has_decomposition=True),
+                 _sim("brownian", sigma=1.0), has_decomposition=True),
         Scenario("poisson", "Poisson counting process, intensity 2",
                  "pure-jump bracket equals the jump count; compensator 2t",
-                 50000, has_compensator=True, has_decomposition=True),
+                 50000, _sim("poisson", intensity=2.0), has_compensator=True,
+                 has_decomposition=True),
         Scenario("cp_normal", "compound Poisson, intensity 1, standard normal sizes",
-                 "bracket equals the running sum of squared jump sizes",
-                 50000, has_compensator=True, has_decomposition=True),
+                 "bracket equals the running sum of squared jump sizes", 50000,
+                 _sim("compound_poisson", intensity=1.0,
+                      jump_law=NormalLaw(0.0, 1.0)),
+                 has_compensator=True, has_decomposition=True),
         Scenario("jump_diffusion", "unit-volatility diffusion plus compound Poisson",
-                 "bracket t plus the running sum of squared jump sizes",
-                 50000, has_compensator=True, has_decomposition=True),
+                 "bracket t plus the running sum of squared jump sizes", 50000,
+                 _sim("jump_diffusion", sigma=1.0, drift=0.0, intensity=1.0,
+                      jump_law=NormalLaw(0.0, 1.0)),
+                 has_compensator=True, has_decomposition=True),
         Scenario("fbm02", "fractional Gaussian path, exponent 0.2",
                  "quadratic variation diverges: the window study must not converge",
-                 2000, expect_qv_converges=False, default_eps0=0.08,
-                 default_levels=4),
+                 2000, _sim("fbm", hurst=0.2), expect_qv_converges=False,
+                 default_eps0=0.08, default_levels=4),
         Scenario("fbm08", "fractional Gaussian path, exponent 0.8",
                  "zero quadratic variation: window estimates decay to zero",
-                 2000, expect_qv_converges=False, default_eps0=0.08,
-                 default_levels=4),
+                 2000, _sim("fbm", hurst=0.8), expect_qv_converges=False,
+                 default_eps0=0.08, default_levels=4),
         Scenario("convolution", "moving-average integral of one Brownian driver "
                  "against another", "closed-form bracket t^2 / 2", 2000,
-                 default_eps0=0.08, default_levels=4),
+                 _sim("convolution_martingale"), default_eps0=0.08,
+                 default_levels=4),
         Scenario("pdp", "piecewise deterministic path with sampled regime switches",
                  "smooth functions of the path are orthogonal to continuous "
-                 "martingales", 50000),
+                 "martingales", 50000, _sim("pdp", switch_rate=3.0)),
         Scenario("step", "deterministic unit step at t = 0.5",
                  "deterministic cadlag paths are orthogonal to continuous "
-                 "martingales; self-bracket is the step itself", 50000),
+                 "martingales; self-bracket is the step itself", 50000, _step),
     ]
 }
 
@@ -100,94 +109,45 @@ class OrthScenario:
     id: str
     description: str
     anchor: str
+    default_n: int
+    make: object  # (seed, n) -> (path A, test path N, base spacing)
     expect_decision: bool = True
     default_eps0: float = 0.05
     default_levels: int = 8
 
     def build(self, seed: int = 0, n: int | None = None):
-        return _ORTH_BUILDERS[self.id](seed, n)
+        return self.make(seed, n or self.default_n)
 
-
-def _orth_step(seed, n):
-    from .simulate import brownian_on_grid
-    n = n or 50000
-    A = step_path(1.0, n, 0.5)
-    N = brownian_on_grid(A.grid, 1.0, seed, stream=11)
-    return A, N, 1.0 / n
-
-
-def _orth_fbm(seed, n):
-    from .simulate import brownian_on_grid
-    A, gt = simulate(SimSpec("fbm", n=n or 2000, seed=seed, hurst=0.8))
-    N = brownian_on_grid(A.grid, 1.0, seed, stream=11)
-    return A, N, gt.base_dt
-
-
-def _orth_cp(seed, n):
-    from .simulate import brownian_on_grid
-    A, gt = simulate(SimSpec("compound_poisson", n=n or 50000, seed=seed,
-                             intensity=2.0, jump_law=NormalLaw(0.0, 1.0)))
-    N = brownian_on_grid(A.grid, 1.0, seed, stream=11)
-    return A, N, gt.base_dt
-
-
-def _orth_convolution(seed, n):
-    from .simulate import brownian_on_grid
-    A, gt = simulate(SimSpec("convolution_martingale", n=n or 20000, seed=seed))
-    N = brownian_on_grid(A.grid, 1.0, seed, stream=11)
-    return A, N, gt.base_dt
-
-
-def _orth_pdp(seed, n):
-    from .ito import path_of_function
-    from .simulate import brownian_on_grid
-    X, gt = simulate(SimSpec("pdp", n=n or 50000, seed=seed, switch_rate=3.0))
-    A = path_of_function(FUNCTION_CATALOG["square"], X)
-    N = brownian_on_grid(X.grid, 1.0, seed, stream=11)
-    return A, N, gt.base_dt
-
-
-def _orth_negative(seed, n):
-    from .simulate import brownian_on_grid
-    import numpy as _np
-    n = n or 50000
-    grid = _np.linspace(0.0, 1.0, n + 1)
-    N = brownian_on_grid(grid, 1.0, seed, stream=11)
-    return N, N, 1.0 / n
-
-
-_ORTH_BUILDERS = {
-    "step_bm": _orth_step,
-    "fbm_bm": _orth_fbm,
-    "cp_bm": _orth_cp,
-    "convolution_bm": _orth_convolution,
-    "pdp_bm": _orth_pdp,
-    "self": _orth_negative,
-}
 
 ORTH_SCENARIOS: dict[str, OrthScenario] = {
     s.id: s for s in [
         OrthScenario("step_bm", "deterministic step against a Brownian test path",
                      "deterministic cadlag paths are orthogonal to continuous "
-                     "martingales"),
+                     "martingales", 50000, _against_bm(_step)),
         OrthScenario("fbm_bm", "zero-quadratic-variation path against a Brownian "
                      "test path", "zero-bracket paths have vanishing covariation "
-                     "with every finite-bracket path", default_eps0=0.08,
+                     "with every finite-bracket path", 2000,
+                     _against_bm(_sim("fbm", hurst=0.8)), default_eps0=0.08,
                      default_levels=4),
         OrthScenario("cp_bm", "pure-jump path against a Brownian test path",
                      "bounded variation pure-jump paths pair to the sum of "
-                     "common jumps, which is empty for a continuous test path"),
+                     "common jumps, which is empty for a continuous test path",
+                     50000, _against_bm(_sim("compound_poisson", intensity=2.0,
+                                             jump_law=NormalLaw(0.0, 1.0)))),
         OrthScenario("convolution_bm", "moving-average martingale against an "
                      "independent Brownian test path",
-                     "martingale-orthogonal example with bracket t^2 / 2",
+                     "martingale-orthogonal example with bracket t^2 / 2", 20000,
+                     _against_bm(_sim("convolution_martingale")),
                      default_eps0=0.05, default_levels=6),
         OrthScenario("pdp_bm", "smooth function of a regime-switching path "
                      "against a Brownian test path",
                      "piecewise deterministic paths stay orthogonal under "
-                     "continuous mappings"),
+                     "continuous mappings", 50000,
+                     _against_bm(_sim("pdp", switch_rate=3.0),
+                                 FUNCTION_CATALOG["square"])),
         OrthScenario("self", "negative control: the test path against itself",
                      "self-covariation converges to the bracket, not to zero",
-                     expect_decision=False),
+                     50000, _self_pair, expect_decision=False),
     ]
 }
 
@@ -195,7 +155,6 @@ ORTH_SCENARIOS: dict[str, OrthScenario] = {
 def list_catalog(filter_text: str = "") -> str:
     """Human-readable scenario, function and process listings."""
     out = ["processes:"]
-    from .simulate import KINDS
     for k in KINDS:
         if filter_text in k:
             out.append(f"  {k}")

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jmod
-from .ito import (FunctionBundle, increment_field, linear_jump_field,
+from .ito import (FunctionBundle, NonConvergenceError, increment_field,
                   path_of_function, path_of_function_derivative,
-                  _smooth_terms, stieltjes_left, taylor_remainder_field,
-                  _validated)
+                  _has_atoms, _small_big_split, _smooth_terms, stieltjes_left,
+                  taylor_remainder_field, _validated)
 from .jumps import CompensatorSpec, X_FIELD, integrability_report
-from .paths import LINEAR, CadlagPath, PathError, constant_path, from_arrays
+from .paths import CadlagPath, PathError, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
                          covariation, forward_integral, qv_limit, ucp_limit)
 
@@ -192,33 +192,21 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
     _validated(F, X, "c01", validate)
     rep = qv_limit(X, schedule=schedule, tol=tol)
     if not rep.converged:
-        from .ito import NonConvergenceError
         raise NonConvergenceError(
             "path bracket did not converge along the schedule")
-    if X.jump_marks.size and nu is None:
-        raise ValueError("a compensator model is required for a path with jumps")
+    has_atoms = _has_atoms(X, nu)
     lhs = path_of_function(F, X)
-    f0 = float(lhs.values[0])
     M = decomp.martingale
-    integrand = path_of_function_derivative(F, X)
-    mart_int = stieltjes_left(integrand, M)
-    if X.jump_marks.size:
-        diag = integrability_report(X, F)
-        if not diag.taylor_remainder_summable:
-            raise jmod.IntegrabilityError(
-                "big-jump Taylor total is not finite for this function")
-        k_mu, k_nu = jmod.compensated_parts(increment_field(F, "small"), X, nu)
-        y_mu, y_nu = jmod.compensated_parts(linear_jump_field(F, "small"), X, nu)
-        big_mu = jmod.integrate_mu(taylor_remainder_field(F, "big"), X)
-        vbar = jmod.integrate_nu(taylor_remainder_field(F, "big"), nu, X)
-        k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
-    else:
-        k_comp = y_comp = big_mu = vbar = constant_path(X.grid)
-    gamma_vals = (lhs.values - f0 - mart_int.values - k_comp.values
-                  + y_comp.values - big_mu.values)
-    gamma_left = (lhs.left_values - f0 - mart_int.left_values
-                  - k_comp.left_values + y_comp.left_values - big_mu.left_values)
-    gamma = from_arrays(X.grid, gamma_vals, gamma_left, rule=LINEAR)
+    mart_int = stieltjes_left(path_of_function_derivative(F, X), M)
+    if has_atoms and not integrability_report(X, F).taylor_remainder_summable:
+        raise jmod.IntegrabilityError(
+            "big-jump Taylor total is not finite for this function")
+    k_mu, k_nu, y_mu, y_nu, big_mu = _small_big_split(F, X, nu)
+    vbar = (jmod.integrate_nu(taylor_remainder_field(F, "big"), nu, X)
+            if has_atoms else constant_path(X.grid))
+    k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
+    gamma = (lhs - constant_path(X.grid, lhs.values[0]) - mart_int - k_comp
+             + y_comp - big_mu)
     a_path = gamma + vbar
     m_path = lhs - a_path
     tests = test_martingales or brownian_battery(X, seed=battery_seed)
@@ -241,8 +229,7 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
     forward integral against the labeled residual component, half the second
     derivative against the continuous bracket part, and the small-jump
     compensator integral of the Taylor remainder."""
-    if not F.at_least("c12"):
-        raise ValueError(f"{F.name} is not of class c12")
+    _validated(F, X, "c12", False)
     time_term, bracket = _smooth_terms(F, X, schedule, tol)
     A = decomp.A if decomp.A is not None else constant_path(X.grid)
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
@@ -250,12 +237,8 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
     else:
         integrand = path_of_function_derivative(F, X)
         fwd = forward_integral(integrand, A, schedule.epsilons[-1])
-    if X.jump_marks.size:
-        if nu is None:
-            raise ValueError("a compensator model is required for a path with jumps")
-        small_nu = jmod.integrate_nu(taylor_remainder_field(F, "small"), nu, X)
-    else:
-        small_nu = constant_path(X.grid)
+    small_nu = (jmod.integrate_nu(taylor_remainder_field(F, "small"), nu, X)
+                if _has_atoms(X, nu) else constant_path(X.grid))
     return time_term + fwd + bracket + small_nu
 
 
@@ -331,9 +314,7 @@ def particular_wd_check(decomp: LabeledDecomposition,
     scale = max(float(np.max(np.abs(reference))), 1.0)
     passed_bracket = bracket_gap < tol * scale
 
-    if X.jump_marks.size:
-        if nu is None:
-            raise ValueError("a compensator model is required for a path with jumps")
+    if _has_atoms(X, nu):
         small = jmod.compensated_integral(X_FIELD.with_truncation("small"), X, nu)
         big = jmod.integrate_mu(X_FIELD.with_truncation("big"), X)
     else:
@@ -380,16 +361,11 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
                             tol: float = 1e-8) -> MdRepresentationReport:
     """Compare the labeled M_d against the compensated integral of the size
     field and check the atom-level jump identity dM_d = dX - (atom part)."""
-    diag = integrability_report(X)
-    if not diag.big_jumps_summable:
+    if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
     md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
-    if X.jump_marks.size:
-        if nu is None:
-            raise ValueError("a compensator model is required for a path with jumps")
-        rebuilt = jmod.compensated_integral(X_FIELD, X, nu)
-    else:
-        rebuilt = constant_path(X.grid)
+    rebuilt = (jmod.compensated_integral(X_FIELD, X, nu)
+               if _has_atoms(X, nu) else constant_path(X.grid))
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
     md_jumps = md.values - md.left_values
     x_jumps = X.values - X.left_values
@@ -434,19 +410,12 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     assumption.
     """
     lhs = path_of_function(F, X)
-    jump_abs = float(np.sum(np.abs(lhs.values[lhs.jump_marks]
-                                   - lhs.left_values[lhs.jump_marks])))
+    jump_abs = float(np.sum(np.abs(lhs.jump_sizes)))
     if not np.isfinite(jump_abs):
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
-    if X.jump_marks.size:
-        if nu is None:
-            raise ValueError("a compensator model is required for a path with jumps")
-        comp = jmod.compensated_integral(increment_field(F), X, nu)
-    else:
-        comp = constant_path(X.grid)
-    f0 = float(lhs.values[0])
-    a_path = from_arrays(X.grid, lhs.values - f0 - comp.values,
-                         lhs.left_values - f0 - comp.left_values, rule=LINEAR)
+    comp = (jmod.compensated_integral(increment_field(F), X, nu)
+            if _has_atoms(X, nu) else constant_path(X.grid))
+    a_path = lhs - constant_path(X.grid, lhs.values[0]) - comp
     tests = test_martingales or brownian_battery(X, seed=battery_seed)
     orth = orthogonality_battery(a_path, tests, schedule, orth_tol)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,

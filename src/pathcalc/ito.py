@@ -207,28 +207,45 @@ def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
     return from_arrays(grid, values, values.copy(), rule=LINEAR)
 
 
-def taylor_remainder_field(F: FunctionBundle, truncation=None,
-                           threshold=jmod.JUMP_SPLIT_THRESHOLD) -> IntegrandField:
+def taylor_remainder_field(F: FunctionBundle, truncation=None) -> IntegrandField:
     """W(s, x) = F(s, X_{s-} + x) - F(s, X_{s-}) - x dF_x(s, X_{s-})."""
     def fn(t, x, pre):
         return F.f(t, pre + x) - F.f(t, pre) - x * F.dx(t, pre)
-    return IntegrandField(fn, truncation, threshold)
+    return IntegrandField(fn, truncation)
 
 
-def increment_field(F: FunctionBundle, truncation=None,
-                    threshold=jmod.JUMP_SPLIT_THRESHOLD) -> IntegrandField:
+def increment_field(F: FunctionBundle, truncation=None) -> IntegrandField:
     """K(s, x) = F(s, X_{s-} + x) - F(s, X_{s-})."""
     def fn(t, x, pre):
         return F.f(t, pre + x) - F.f(t, pre)
-    return IntegrandField(fn, truncation, threshold)
+    return IntegrandField(fn, truncation)
 
 
-def linear_jump_field(F: FunctionBundle, truncation=None,
-                      threshold=jmod.JUMP_SPLIT_THRESHOLD) -> IntegrandField:
+def linear_jump_field(F: FunctionBundle, truncation=None) -> IntegrandField:
     """Y(s, x) = x dF_x(s, X_{s-})."""
     def fn(t, x, pre):
         return x * F.dx(t, pre)
-    return IntegrandField(fn, truncation, threshold)
+    return IntegrandField(fn, truncation)
+
+
+def _has_atoms(X: CadlagPath, nu: CompensatorSpec | None) -> bool:
+    """Whether X carries jump atoms; a path with atoms needs a compensator
+    model, and every jump term of a path without atoms is the zero path."""
+    if X.jump_marks.size and nu is None:
+        raise ValueError("a compensator model is required for a path with jumps")
+    return bool(X.jump_marks.size)
+
+
+def _small_big_split(F: FunctionBundle, X: CadlagPath,
+                     nu: CompensatorSpec | None) -> tuple[CadlagPath, ...]:
+    """(k_mu, k_nu, y_mu, y_nu, big_mu): the mu and nu sides of the
+    small-jump increment and linear fields, and the big-jump Taylor sum."""
+    if not _has_atoms(X, nu):
+        return (constant_path(X.grid),) * 5
+    k_mu, k_nu = jmod.compensated_parts(increment_field(F, "small"), X, nu)
+    y_mu, y_nu = jmod.compensated_parts(linear_jump_field(F, "small"), X, nu)
+    big_mu = jmod.integrate_mu(taylor_remainder_field(F, "big"), X)
+    return k_mu, k_nu, y_mu, y_nu, big_mu
 
 
 # -- continuous bracket part --------------------------------------------------
@@ -363,33 +380,23 @@ def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
 
 def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec,
                            schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                           tol: float = DEFAULT_TOL, validate: bool = True,
-                           threshold: float = jmod.JUMP_SPLIT_THRESHOLD) -> ItoReport:
+                           tol: float = DEFAULT_TOL, validate: bool = True) -> ItoReport:
     """Random-measure form: the jump correction is split into two compensated
     small-jump integrals, the big-jump sum, and the small-jump compensator
     integral.  The mu and nu sides of every jump term are kept separately in
     ``parts`` so the atom-level reassembly into the plain jump sum can be
     checked exactly."""
     _validated(F, X, "c12", validate)
-    diag = integrability_report(X, F, threshold)
-    if not diag.square_summable:
+    if not integrability_report(X, F).square_summable:
         raise jmod.IntegrabilityError("squared jump total is not finite")
     time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
     lhs = path_of_function(F, X)
     f0 = float(lhs.values[0])
-    if X.jump_marks.size:
-        k_mu, k_nu = jmod.compensated_parts(
-            increment_field(F, "small", threshold), X, nu)
-        y_mu, y_nu = jmod.compensated_parts(
-            linear_jump_field(F, "small", threshold), X, nu)
-        big_mu = jmod.integrate_mu(taylor_remainder_field(F, "big", threshold), X)
-        small_nu = jmod.integrate_nu(taylor_remainder_field(F, "small", threshold),
-                                     nu, X)
-    else:
-        # no atoms: the mu sides vanish and the nu sides cancel identically
-        # (the compensator remainder equals the compensated field difference),
-        # so every jump term is exactly the zero path
-        k_mu = k_nu = y_mu = y_nu = big_mu = small_nu = constant_path(X.grid)
+    k_mu, k_nu, y_mu, y_nu, big_mu = _small_big_split(F, X, nu)
+    # without atoms the mu sides vanish and the nu sides cancel identically
+    # (the compensator remainder equals the compensated field difference)
+    small_nu = (jmod.integrate_nu(taylor_remainder_field(F, "small"), nu, X)
+                if _has_atoms(X, nu) else constant_path(X.grid))
     terms = {
         "time_integral": time_term,
         "bracket_term": bracket_term,

@@ -7,6 +7,10 @@ their time-atom part is identically zero.  A user-supplied model may carry
 explicit time atoms, in which case their consistency is the caller's
 responsibility.
 
+Jumps split into small (|x| <= 1) and big at the fixed JUMP_SPLIT_THRESHOLD;
+size integrals against a compensator are computed to the fixed relative
+tolerance SIZE_QUADRATURE_RTOL = 1e-8.
+
 Set membership conditions that the theory phrases through localization are
 replaced by finite path-level totals; ``integrability_report`` states
 exactly which surrogate was checked.
@@ -15,7 +19,7 @@ exactly which surrogate was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, PathError,
                     from_arrays)
 
 JUMP_SPLIT_THRESHOLD = 1.0
+SIZE_QUADRATURE_RTOL = 1e-8
+_NU_CHUNK = 8192  # grid cells per size-quadrature batch
 
 
 class IntegrabilityError(ValueError):
@@ -234,12 +240,12 @@ class IntegrandField:
     """Field W(s, x) that may read the path's left limit at s.
 
     ``fn(t, x, x_pre)`` must broadcast over numpy arrays.  ``truncation``
-    restricts to small (|x| <= threshold) or big (|x| > threshold) jumps.
+    restricts to small (|x| <= 1) or big (|x| > 1) jumps, a fixed split;
+    integrals against a compensator use the fixed relative tolerance 1e-8.
     """
 
     fn: object
     truncation: str | None = None
-    threshold: float = JUMP_SPLIT_THRESHOLD
 
     def __post_init__(self):
         if self.truncation not in (None, "small", "big"):
@@ -248,20 +254,19 @@ class IntegrandField:
     def cut(self, x: np.ndarray) -> np.ndarray:
         if self.truncation is None:
             return np.ones(np.shape(x))
-        inside = np.abs(x) <= self.threshold
+        inside = np.abs(x) <= JUMP_SPLIT_THRESHOLD
         return np.where(inside if self.truncation == "small" else ~inside, 1.0, 0.0)
 
     def __call__(self, t, x, x_pre):
         return np.asarray(self.fn(t, x, x_pre), dtype=float) * self.cut(x)
 
-    def with_truncation(self, truncation, threshold=None) -> "IntegrandField":
-        return IntegrandField(self.fn, truncation,
-                              self.threshold if threshold is None else threshold)
+    def with_truncation(self, truncation) -> "IntegrandField":
+        return IntegrandField(self.fn, truncation)
 
 
-def field_from_size(fn, truncation=None, threshold=JUMP_SPLIT_THRESHOLD) -> IntegrandField:
+def field_from_size(fn, truncation=None) -> IntegrandField:
     """Field depending on the jump size only, e.g. x or x**2."""
-    return IntegrandField(lambda t, x, x_pre: fn(x), truncation, threshold)
+    return IntegrandField(lambda t, x, x_pre: fn(x), truncation)
 
 
 X_FIELD = field_from_size(lambda x: x)
@@ -333,7 +338,7 @@ _KG_WEIGHTS = np.column_stack((_K15_WEIGHTS, _G7_WEIGHTS))
 
 
 def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
-                   x_pre: np.ndarray, rtol: float) -> np.ndarray:
+                   x_pre: np.ndarray) -> np.ndarray:
     """g(t) = int W(t, x) 1_trunc(x) law(dx) for every time in t."""
     if law.atom is not None:
         x0 = law.atom
@@ -341,7 +346,7 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
     lo, hi = law.support
     # split at the truncation threshold so the cut is constant on each
     # segment; segments it zeroes are never evaluated
-    cuts = [c for c in (-field.threshold, field.threshold) if lo < c < hi]
+    cuts = [c for c in (-JUMP_SPLIT_THRESHOLD, JUMP_SPLIT_THRESHOLD) if lo < c < hi]
     edges = np.array([lo, *cuts, hi])
     kept = field.cut(0.5 * (edges[:-1] + edges[1:])) != 0.0
     a, b = edges[:-1][kept], edges[1:][kept]
@@ -363,31 +368,30 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
         if not np.all(np.isfinite(kron)):
             raise QuadratureError("size integral diverged")
         scale = float(np.max(np.abs(vals) @ np.abs(dens[:, 0])))
-        if float(np.max(np.abs(kron - gauss))) <= rtol * scale + floor:
+        if float(np.max(np.abs(kron - gauss))) <= SIZE_QUADRATURE_RTOL * scale + floor:
             return kron
         panels *= 2
     raise QuadratureError("size quadrature did not reach the tolerance")
 
 
-def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath,
-                 rtol: float = 1e-8, chunk: int = 8192) -> CadlagPath:
+def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> CadlagPath:
     """t -> int_0^t int W(s, x) nu(ds, dx), deterministic quadrature.
 
     Time uses left-endpoint sums on the path grid.  The size integral splits
     the density support at the truncation threshold and integrates only the
     segments the truncation keeps, with a composite Gauss-Kronrod G7/K15
     rule whose panels double until the embedded 7-point Gauss value agrees
-    with the 15-point Kronrod value to relative ``rtol``.  ``X`` supplies the
-    grid and the left-limit context for the field.
+    with the 15-point Kronrod value to relative ``SIZE_QUADRATURE_RTOL``.
+    ``X`` supplies the grid and the left-limit context for the field.
     """
     grid = X.grid
     sl = grid[:-1]
     # left limits at cell left endpoints, with X(0-) := X(0)
     pre = np.concatenate(([X.values[0]], X.left_values[1:-1]))
     g = np.empty(sl.size)
-    for a in range(0, sl.size, chunk):
-        b = min(a + chunk, sl.size)
-        g[a:b] = _size_marginal(field, nu.law, sl[a:b], pre[a:b], rtol)
+    for a in range(0, sl.size, _NU_CHUNK):
+        b = min(a + _NU_CHUNK, sl.size)
+        g[a:b] = _size_marginal(field, nu.law, sl[a:b], pre[a:b])
     rate = nu.rate_at(sl)
     values = np.concatenate(([0.0], np.cumsum(np.diff(grid) * rate * g)))
     left = values.copy()
@@ -398,7 +402,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath,
             if i >= grid.size or grid[i] != ta:
                 raise PathError("compensator time atom must sit on the grid")
             ga = _size_marginal(field, law_a, np.array([ta]),
-                                np.array([X.left_limit(ta)]), rtol)[0]
+                                np.array([X.left_limit(ta)]))[0]
             atom_add[i:] += wt * ga
         values = values + atom_add
         left = left + np.concatenate(([0.0], atom_add[:-1]))
@@ -406,18 +410,18 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath,
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,
-                         nu: CompensatorSpec, rtol: float = 1e-8) -> CadlagPath:
+                         nu: CompensatorSpec) -> CadlagPath:
     """W * (mu - nu): integrate_mu minus integrate_nu on the path grid.
 
     Requires the path-level square-integrability surrogate: the running
     total of W(s, dX_s)^2 must be finite.
     """
-    mu_part, nu_part = compensated_parts(field, X, nu, rtol)
+    mu_part, nu_part = compensated_parts(field, X, nu)
     return mu_part - nu_part
 
 
-def compensated_parts(field: IntegrandField, X: CadlagPath, nu: CompensatorSpec,
-                      rtol: float = 1e-8) -> tuple[CadlagPath, CadlagPath]:
+def compensated_parts(field: IntegrandField, X: CadlagPath,
+                      nu: CompensatorSpec) -> tuple[CadlagPath, CadlagPath]:
     """The mu and nu sides of the compensated integral, separately."""
     times, sizes, pre = _atom_context(X)
     if len(times):
@@ -426,9 +430,7 @@ def compensated_parts(field: IntegrandField, X: CadlagPath, nu: CompensatorSpec,
         if not np.isfinite(total):
             raise IntegrabilityError(
                 "square-summability surrogate failed: sum W(s, dX_s)^2 is not finite")
-    mu_part = integrate_mu(field, X)
-    nu_part = integrate_nu(field, nu, X, rtol)
-    return mu_part, nu_part
+    return integrate_mu(field, X), integrate_nu(field, nu, X)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -477,17 +479,17 @@ class IntegrabilityReport:
         }
 
 
-def integrability_report(X: CadlagPath, F=None,
-                         threshold: float = JUMP_SPLIT_THRESHOLD) -> IntegrabilityReport:
+def integrability_report(X: CadlagPath, F=None) -> IntegrabilityReport:
     """Path-level jump totals, plus the big-jump Taylor total when a
     function bundle with a first space derivative is supplied."""
     times, sizes, pre = _atom_context(X)
     sq = float(np.sum(sizes ** 2))
-    big = np.abs(sizes) > threshold
+    big = np.abs(sizes) > JUMP_SPLIT_THRESHOLD
     big_abs = float(np.sum(np.abs(sizes[big])))
     taylor = None
     if F is not None and getattr(F, "dx", None) is not None:
         tb, xb, pb = times[big], sizes[big], pre[big]
         rem = np.abs(F.f(tb, pb + xb) - F.f(tb, pb) - xb * F.dx(tb, pb))
         taylor = float(np.sum(rem))
-    return IntegrabilityReport(sq, big_abs, int(np.sum(big)), float(threshold), taylor)
+    return IntegrabilityReport(sq, big_abs, int(np.sum(big)),
+                               float(JUMP_SPLIT_THRESHOLD), taylor)

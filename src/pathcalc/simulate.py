@@ -36,6 +36,7 @@ KINDS = ("brownian", "poisson", "compound_poisson", "jump_diffusion", "fbm",
          "convolution_martingale", "pdp", "deterministic")
 
 FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
+MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
 
 
 class SimulationError(ValueError):
@@ -55,6 +56,7 @@ class SimSpec:
     jump_diffusion every Levy-Ito field (x0, sigma, drift, intensity,
     jump_law); fbm x0, sigma and hurst; pdp x0, switch_rate and regimes;
     deterministic x0 and regimes[0]; convolution_martingale nothing more.
+    intensity * T and switch_rate * T may not exceed MAX_EXPECTED_ARRIVALS.
     """
 
     kind: str
@@ -81,6 +83,11 @@ class SimSpec:
             raise SimulationError("volatility must be nonnegative")
         if self.intensity < 0.0:
             raise SimulationError("jump intensity must be nonnegative")
+        # written so that a NaN rate fails too: it would never end the draw
+        if not (self.intensity * self.T <= MAX_EXPECTED_ARRIVALS
+                and self.switch_rate * self.T <= MAX_EXPECTED_ARRIVALS):
+            raise SimulationError(
+                f"expected arrivals (rate * T) must be at most {MAX_EXPECTED_ARRIVALS:g}")
         if not 0.0 < self.hurst < 1.0:
             raise SimulationError("hurst exponent must lie in (0, 1)")
 

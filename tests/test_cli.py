@@ -128,6 +128,7 @@ def test_simulate_bad_kind_exits_2(tmp_path):
     ["qv", "--scenario", "fbm02", "--n", "5000"],
     ["qv", "--scenario", "bm", "--n", "1"],
     ["dirichlet-check", "--chain", "jump_diffusion", "--n", "1"],
+    ["simulate", "--kind", "compound_poisson", "--intensity", "1e9", "--n", "1000"],
 ])
 def test_simulation_error_exits_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2

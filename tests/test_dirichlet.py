@@ -131,6 +131,27 @@ def test_chain_rule_requires_compensator_for_jumpy_paths():
                           tol=0.05)
 
 
+_HARNESSES = {
+    "measure_form": lambda F, X, dec, s: ito.ito_terms_measure_form(F, X, None, s),
+    "chain_rule_c01": lambda F, X, dec, s: dd.chain_rule_c01(F, X, dec, None, s,
+                                                             tol=0.05),
+    "gamma_c12_reference": lambda F, X, dec, s: dd.gamma_c12_reference(
+        F, X, dec, None, s, tol=0.05),
+    "particular_wd_check": lambda F, X, dec, s: dd.particular_wd_check(dec, None, s),
+    "md_representation_check": lambda F, X, dec, s: dd.md_representation_check(
+        dec, X, None),
+    "special_wd_c0_chain": lambda F, X, dec, s: dd.special_wd_c0_chain(F, X, None, s),
+}
+
+
+@pytest.mark.parametrize("harness", list(_HARNESSES))
+def test_jumpy_path_requires_compensator(harness):
+    X, gt, dec, sched = jd_setup(n=10000)
+    assert X.jump_marks.size
+    with pytest.raises(ValueError, match="a compensator model is required"):
+        _HARNESSES[harness](FUNCTION_CATALOG["square"], X, dec, sched)
+
+
 # -- reference defect path ----------------------------------------------------------
 
 

@@ -150,11 +150,12 @@ def test_nu_matches_adaptive_quadrature_oracle(law, fname):
     X = from_arrays(grid, [0.3, -0.4, 1.2, 0.7], [0.3, -0.4, 0.5, 0.7])
     pre = [0.3, -0.4, 0.5]
     lo, hi = law.support
+    cut = jm.JUMP_SPLIT_THRESHOLD
+    breaks = [c for c in (-cut, cut) if lo < c < hi]
     nu = jm.CompensatorSpec.compound_poisson(1.0, law)
     for make in (increment_field, linear_jump_field, taylor_remainder_field):
         for truncation in (None, "small", "big"):
             field = make(F, truncation)
-            breaks = [c for c in (-field.threshold, field.threshold) if lo < c < hi]
             expected = [0.0]
             for s, x_pre, dt in zip(grid[:-1], pre, np.diff(grid)):
                 def integrand(x):

@@ -94,6 +94,17 @@ def test_jump_times_strictly_increasing_and_marked():
     assert np.array_equal(p.grid[p.jump_marks], gt.jump_times)
 
 
+def test_expected_arrival_count_is_capped():
+    cap = sim.MAX_EXPECTED_ARRIVALS
+    SimSpec("compound_poisson", intensity=cap)
+    SimSpec("pdp", switch_rate=cap / 2.0, T=2.0)
+    for kw in ({"intensity": 1e9}, {"intensity": cap, "T": 2.0},
+               {"switch_rate": 2.0 * cap}, {"intensity": float("nan")},
+               {"switch_rate": float("nan")}):
+        with pytest.raises(SimulationError, match="arrivals"):
+            SimSpec("compound_poisson", **kw)
+
+
 def test_nonpositive_intensity_rejected():
     with pytest.raises(SimulationError):
         simulate(SimSpec("poisson", n=64, seed=0, intensity=0.0))
