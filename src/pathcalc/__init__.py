@@ -7,8 +7,8 @@ orthogonal-decomposition properties.
 """
 
 from .paths import CadlagPath, make_path, step_path, uniform_grid
-from .regularize import (EpsilonSchedule, LimitReport, covariation,
-                         covariation_continuous, forward_integral,
+from .regularize import (EpsilonSchedule, LimitReport, WindowGapError,
+                         covariation, covariation_continuous, forward_integral,
                          forward_integral_rv, qv_limit, rv_ucp_gap, ucp_limit,
                          weighted_qv)
 from .simulate import GroundTruth, SimSpec
@@ -16,10 +16,10 @@ from .simulate import simulate as simulate_process
 
 __all__ = [
     "CadlagPath", "EpsilonSchedule", "GroundTruth", "LimitReport", "SimSpec",
-    "covariation", "covariation_continuous", "forward_integral",
-    "forward_integral_rv", "make_path", "qv_limit", "rv_ucp_gap",
-    "simulate_process", "step_path", "ucp_limit", "uniform_grid",
-    "weighted_qv",
+    "WindowGapError", "covariation", "covariation_continuous",
+    "forward_integral", "forward_integral_rv", "make_path", "qv_limit",
+    "rv_ucp_gap", "simulate_process", "step_path", "ucp_limit",
+    "uniform_grid", "weighted_qv",
 ]
 
 __version__ = "0.1.0"

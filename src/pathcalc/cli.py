@@ -281,7 +281,11 @@ def _tolerance(text: str) -> float:
 
 def _add_common(p, scenario=True):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
+    if scenario:
+        p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
+    else:
+        p.add_argument("--n", type=int, default=SimSpec.n,
+                       help=f"grid cells (default {SimSpec.n})")
     p.add_argument("--eps0", type=float, default=None,
                    help="largest window width; the schedule halves from here")
     p.add_argument("--levels", type=int, default=None)

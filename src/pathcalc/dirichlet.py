@@ -37,9 +37,8 @@ class LabeledDecomposition:
     """Component paths of a decomposition, each on the target path's grid.
 
     Roles: continuous martingale part M_c, purely discontinuous martingale
-    part M_d, residual A (predictable by construction when the simulator
-    says so), bounded variation part V and continuous orthogonal part
-    A_prime for the V + A_prime refinement of A.
+    part M_d, residual A, bounded variation part V and continuous orthogonal
+    part A_prime for the V + A_prime refinement of A.
     """
 
     M_c: CadlagPath | None = None
@@ -47,7 +46,6 @@ class LabeledDecomposition:
     A: CadlagPath | None = None
     V: CadlagPath | None = None
     A_prime: CadlagPath | None = None
-    a_predictable: bool = True
 
     @classmethod
     def from_ground_truth(cls, gt) -> "LabeledDecomposition":

@@ -128,7 +128,12 @@ class CadlagPath:
         if not np.all(tq >= 0.0):
             raise PathError("value_at needs t >= 0, not NaN")
         tc = np.minimum(tq, self.horizon)
-        idx = np.searchsorted(self.grid, tc, side="right") - 1
+        out = self._at_cells(tc, np.searchsorted(self.grid, tc, side="right") - 1)
+        return float(out[0]) if scalar else out
+
+    def _at_cells(self, tc: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """X at times ``tc`` in [0, T], given their cells: ``idx`` is the
+        last grid index with grid[idx] <= tc."""
         out = self.values[idx]
         if self.rule == LINEAR:
             exact = self.grid[idx] == tc
@@ -138,8 +143,7 @@ class CadlagPath:
                 frac = (tc - self.grid[lo]) / w
                 interp = self.values[lo] + frac * (self.left_values[lo + 1] - self.values[lo])
                 out = np.where(exact, out, interp)
-        out = np.asarray(out, dtype=float)
-        return float(out[0]) if scalar else out
+        return np.asarray(out, dtype=float)
 
     def left_limit(self, t):
         """X(t-); at marked jumps the stored left value.  Defined for t > 0."""

@@ -15,8 +15,12 @@ the sample mesh formed by the path grid plus the shifted jump breakpoints
 {tau - eps}.  With those breakpoints present the integrand is exactly
 piecewise constant whenever the inputs are, so the kernels are exact on
 piecewise-constant paths.  Splitting each integral at t - eps turns the
-computation into prefix sums: O(n) work for all t after an O(n log n) sort,
-which a literal O(n^2) per-t transcription (``brute_*`` below) must match to
+computation into prefix sums: per window, one O(n log n) search of the
+shifted sample points in the grid, then O(n) work for all t.  That one
+search gives both paths' values at the shifted points and, by counting, the
+bulk cells of every t.  The estimators jump only where their inputs do, so
+left limits are assembled only at the input jump rows.  A literal O(n^2)
+per-t transcription (``brute_*`` below) must match the kernels to
 floating-point reassociation accuracy.  The three split estimators are one
 window-sum kernel with different cell weights: the covariation weights the
 product of the X and Y increments by the cell width w, the weighted sum
@@ -43,6 +47,10 @@ DEFAULT_TOL = 1e-2
 
 class ScheduleError(ValueError):
     """Raised when a window schedule does not fit a path's grid."""
+
+
+class WindowGapError(RuntimeError):
+    """Raised by ``rv_ucp_gap`` when the window-gap identity fails."""
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,11 @@ class _Mesh:
     ``w`` the cell widths, ``u`` the shifted sample points.  For a cell whose
     left endpoint is an inserted breakpoint tau - eps, ``u`` is pinned to tau
     exactly so the lookup lands on the post-jump value.
+
+    The grid is searched once, for ``u``.  Those cells give ``Xu`` and
+    ``Yu`` (X and Y share the grid), and counting each u at the first node
+    at or after it gives ``jr[i]``, the number of bulk cells (u <= t_i) at
+    grid time t_i.
     """
 
     def __init__(self, X: CadlagPath, Y: CadlagPath, eps: float):
@@ -181,18 +194,23 @@ class _Mesh:
             Ys = Y.values[:-1]
         self.eps = eps
         self.grid = grid
-        self.S = S
         self.sl = sl
         self.w = np.diff(S)
         self.u = u
         self.Xs = Xs
         self.Ys = Ys
-        self.Xu = X.value_at(u)
-        self.Yu = self.Xu if Y is X else Y.value_at(u)
+        if not np.all(u >= 0.0):
+            raise PathError("shifted sample points need u >= 0, not NaN")
+        # the one search: X and Y share the grid, so the cells of u serve both
+        uc = np.minimum(u, T)
+        ridx = np.searchsorted(grid, uc, side="right")
+        self.Xu = X._at_cells(uc, ridx - 1)
+        self.Yu = self.Xu if Y is X else Y._at_cells(uc, ridx - 1)
         self.pos = pos
-        # bulk cells for value/left limit at t: shifted point u <= t / u < t
-        self.jr = np.searchsorted(u, grid, side="right")
-        self.jl = np.searchsorted(u, grid, side="left")
+        # bulk cells at t_i are those with u <= t_i: count each u at the first
+        # node at or after it (past the horizon, at grid.size)
+        lidx = ridx - (grid[ridx - 1] == u)
+        self.jr = np.cumsum(np.bincount(lidx, minlength=grid.size + 1))[:grid.size]
         self.X = X
         self.Y = Y
 
@@ -207,13 +225,13 @@ class _Mesh:
         return out
 
 
-def _estimator_path(grid: np.ndarray, vals: np.ndarray, lefts: np.ndarray,
+def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
                     jump_idx: np.ndarray) -> CadlagPath:
     # the continuous-time estimator only jumps where its inputs do; elsewhere
-    # the boundary-window algebra leaves reassociation dust, which is dropped
+    # the boundary-window algebra leaves reassociation dust, so left values
+    # are assembled (``jump_lefts``) only at the input jump rows
     left_final = vals.copy()
-    left_final[jump_idx] = lefts[jump_idx]
-    left_final[0] = vals[0]
+    left_final[jump_idx] = jump_lefts
     return from_arrays(grid, vals, left_final, rule=LINEAR)
 
 
@@ -253,20 +271,23 @@ def _window_sum(m: _Mesh, omega: np.ndarray, unit: bool = False) -> CadlagPath:
         SwB = SwA if Y is X else _cumsum0(omega * xb)
         SwAB = _cumsum0(omega * (xa * xb))
 
-    def assemble(j, Xt, Yt):
+    def assemble(p, j, Xt, Yt):
         Am = Xt - cA
-        rw = Sw[m.pos] - Sw[j]
-        ra = SwA[m.pos] - SwA[j]
+        rw = Sw[p] - Sw[j]
+        ra = SwA[p] - SwA[j]
         if unit:
             return (bulk[j] + Am * rw - ra) / m.eps
         Bm = Yt - cB
-        rb = SwB[m.pos] - SwB[j]
-        rab = SwAB[m.pos] - SwAB[j]
+        rb = SwB[p] - SwB[j]
+        rab = SwAB[p] - SwAB[j]
         return (bulk[j] + (Am * Bm * rw + rab) - (Am * rb + Bm * ra)) / m.eps
 
-    vals = assemble(m.jr, X.values, Y.values)
-    lefts = assemble(m.jl, X.left_values, Y.left_values)
-    return _estimator_path(m.grid, vals, lefts, _input_jump_indices(X, Y))
+    vals = assemble(m.pos, m.jr, X.values, Y.values)
+    # left limit at t: the bulk is the cells with u < t
+    jidx = _input_jump_indices(X, Y)
+    jl = np.searchsorted(m.u, m.grid[jidx], side="left")
+    lefts = assemble(m.pos[jidx], jl, X.left_values[jidx], Y.left_values[jidx])
+    return _estimator_path(m.grid, vals, lefts, jidx)
 
 
 def covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
@@ -325,11 +346,12 @@ def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
         return qcum[i] + (a - grid[i]) * (X.values[i] - x0)
 
     tail = np.clip(eps - grid, 0.0, None)
-    wvals = y0 * (q_at(grid) + tail * (X.values - x0)) / eps
-    wlefts = y0 * (q_at(grid) + tail * (X.left_values - x0)) / eps
-    vals = base.values + wvals
-    lefts = base.left_values + wlefts
-    return _estimator_path(grid, vals, lefts, _input_jump_indices(X, Y))
+    q = q_at(grid)
+    vals = base.values + y0 * (q + tail * (X.values - x0)) / eps
+    jidx = _input_jump_indices(X, Y)
+    lefts = (base.left_values[jidx]
+             + y0 * (q[jidx] + tail[jidx] * (X.left_values[jidx] - x0)) / eps)
+    return _estimator_path(grid, vals, lefts, jidx)
 
 
 def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
@@ -346,9 +368,9 @@ def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
 def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float, rtol: float = 1e-9) -> float:
     """Sup over grid times of (truncated minus whole-line forward estimate).
 
-    Asserts that for every grid time t >= eps the gap equals minus the
-    closed-form start-up window, raising if the identity fails beyond
-    ``rtol`` (relative to the estimate scale).
+    Checks that for every grid time t >= eps the gap equals minus the
+    closed-form start-up window, raising ``WindowGapError`` if the identity
+    fails beyond ``rtol`` (relative to the estimate scale).
     """
     ucp = forward_integral(Y, X, eps)
     rv = forward_integral_rv(Y, X, eps)
@@ -358,7 +380,7 @@ def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float, rtol: float = 1e-9) -> 
     scale = max(ucp.sup_norm(), abs(const), 1.0)
     worst = float(np.max(np.abs(diff[sel] + const))) if np.any(sel) else 0.0
     if worst > rtol * scale:
-        raise AssertionError(
+        raise WindowGapError(
             f"window-gap identity violated: |gap + {const!r}| reaches {worst!r}")
     return float(np.max(diff))
 

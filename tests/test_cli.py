@@ -120,6 +120,14 @@ def test_simulate_writes_path_and_truth(tmp_path):
     assert [t for t, _ in p.jumps()] == truth["jump_times"]
 
 
+def test_simulate_without_n_uses_its_documented_default(tmp_path):
+    from pathcalc.paths import CadlagPath
+    from pathcalc.simulate import SimSpec
+    assert run(["simulate", "--kind", "brownian", "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / "brownian_seed0_path.csv").read_text()
+    assert CadlagPath.from_csv(csv).n_points == SimSpec.n + 1 == 1001
+
+
 def test_simulate_bad_kind_exits_2(tmp_path):
     assert run(["simulate", "--kind", "weird", "--out", str(tmp_path)]) == 2
 

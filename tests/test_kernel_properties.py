@@ -152,3 +152,38 @@ def test_kernel_matches_mesh_free_oracle(case):
         vals, lefts = mesh_free_window_sums(X, Y, eps, unit)
         assert _close(est.values, vals)
         assert _close(est.left_values, lefts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(kernel_case(), pinned_case()))
+def test_mesh_counts_and_samples_match_direct_searches(case):
+    # the mesh searches the grid once; its bulk counts and shifted samples
+    # must equal separate searches, past the horizon, on nodes and on the
+    # plateaus that pinned breakpoints leave in u
+    X, Y, eps = case
+    m = reg._Mesh(X, Y, eps)
+    assert np.array_equal(m.jr, np.searchsorted(m.u, m.grid, side="right"))
+    assert m.Xu.tobytes() == X.value_at(m.u).tobytes()
+    assert m.Yu.tobytes() == Y.value_at(m.u).tobytes()
+
+
+@st.composite
+def jump_free_case(draw):
+    n = draw(st.integers(12, 70))
+    grid = uniform_grid(1.0, n)
+    none = np.zeros(0, dtype=np.intp)
+    seeds = st.integers(0, 2**32 - 1)
+    X = _path(grid, none, LINEAR, draw(seeds))
+    Y = X if draw(st.booleans()) else _path(grid, none, LINEAR, draw(seeds))
+    return X, Y, draw(st.floats(1.5 / n, 0.4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(jump_free_case())
+def test_jump_free_inputs_give_jump_free_estimates(case):
+    X, Y, eps = case
+    for est in (reg.covariation(X, Y, eps), reg.forward_integral(Y, X, eps),
+                reg.weighted_qv(Y, X, eps), reg.covariation_continuous(X, Y, eps),
+                reg.forward_integral_rv(Y, X, eps)):
+        assert np.array_equal(est.left_values, est.values)
+        assert est.jump_marks.size == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pathcalc
 import pathcalc.simulate as sim
 from pathcalc import regularize as reg
 from pathcalc.paths import (CadlagPath, constant_path, from_function,
@@ -204,6 +205,15 @@ def test_rv_gap_matches_closed_form():
     Y = from_function(X.grid, lambda t: np.cos(t) + 0.5)
     for eps in (0.04, 0.08):
         reg.rv_ucp_gap(Y, X, eps)  # raises if the identity fails
+
+
+def test_rv_gap_violation_raises_window_gap_error(monkeypatch):
+    X = jumpy_path()
+    Y = from_function(X.grid, lambda t: np.cos(t) + 0.5)
+    true_const = reg.rv_window_constant(Y, X, 0.04)
+    monkeypatch.setattr(reg, "rv_window_constant", lambda *a: true_const + 0.1)
+    with pytest.raises(pathcalc.WindowGapError, match="window-gap identity violated"):
+        reg.rv_ucp_gap(Y, X, 0.04)
 
 
 def test_rv_gap_zero_when_jump_outside_window():
