@@ -9,7 +9,8 @@ responsibility.
 
 Jumps split into small (|x| <= 1) and big at the fixed JUMP_SPLIT_THRESHOLD;
 size integrals against a compensator are computed to the fixed relative
-tolerance SIZE_QUADRATURE_RTOL = 1e-8.
+tolerance SIZE_QUADRATURE_RTOL = 1e-8 by a composite G7/K15 rule that starts
+from one panel per kept segment and doubles up to 512.
 
 Set membership conditions that the theory phrases through localization are
 replaced by finite path-level totals; ``integrability_report`` states
@@ -355,8 +356,9 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
     # relative to the L1 mass so exact cancellations still converge, with an
     # absolute floor at the field's evaluation noise
     floor = 1e-13 * (1.0 + float(np.max(np.abs(x_pre), initial=0.0)))
-    panels = 8
-    for _ in range(7):
+    # one panel per kept segment, doubled up to 512
+    panels = 1
+    for _ in range(10):
         pe = np.linspace(a, b, panels + 1, axis=1)
         half = 0.5 * (pe[:, 1:] - pe[:, :-1]).ravel()
         mid = 0.5 * (pe[:, 1:] + pe[:, :-1]).ravel()
@@ -380,8 +382,9 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     Time uses left-endpoint sums on the path grid.  The size integral splits
     the density support at the truncation threshold and integrates only the
     segments the truncation keeps, with a composite Gauss-Kronrod G7/K15
-    rule whose panels double until the embedded 7-point Gauss value agrees
-    with the 15-point Kronrod value to relative ``SIZE_QUADRATURE_RTOL``.
+    rule.  It starts from one panel per kept segment, and the panels double,
+    up to 512, until the embedded 7-point Gauss value agrees with the
+    15-point Kronrod value to relative ``SIZE_QUADRATURE_RTOL``.
     ``X`` supplies the grid and the left-limit context for the field.
     """
     grid = X.grid

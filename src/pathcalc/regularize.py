@@ -34,6 +34,7 @@ estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class EpsilonSchedule:
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ScheduleError("empty schedule")
-        if any(e <= 0.0 for e in eps):
-            raise ScheduleError("window widths must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ScheduleError("window widths must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ScheduleError("window widths must be strictly decreasing")
         object.__setattr__(self, "epsilons", eps)
@@ -192,6 +193,7 @@ class _Mesh:
                 np.maximum.accumulate(u, out=u)
             Xs = X.values[:-1]
             Ys = Y.values[:-1]
+            ins_cells = np.zeros(0, dtype=np.intp)
         self.eps = eps
         self.grid = grid
         self.sl = sl
@@ -207,6 +209,8 @@ class _Mesh:
         self.Xu = X._at_cells(uc, ridx - 1)
         self.Yu = self.Xu if Y is X else Y._at_cells(uc, ridx - 1)
         self.pos = pos
+        self.ins_cells = ins_cells
+        self.shifted = shifted
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
         lidx = ridx - (grid[ridx - 1] == u)
@@ -215,13 +219,17 @@ class _Mesh:
         self.Y = Y
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
-        """Caglad weight sampled at cell left endpoints (left limits)."""
+        """Caglad weight sampled at cell left endpoints (left limits).
+
+        A grid cell starts at a node, whose stored left value is the left
+        limit (g(0) at cell 0); only the inserted breakpoints are searched.
+        """
         if not g.same_grid(self.X):
             raise PathError("weight path must share the grid")
         out = np.empty(self.sl.size)
-        out[0] = g.value_at(0.0)
-        if self.sl.size > 1:
-            out[1:] = g.left_limit(self.sl[1:])
+        out[self.pos[:-1]] = g.left_values[:-1]
+        out[0] = g.values[0]
+        out[self.ins_cells] = g.left_limit(self.shifted)
         return out
 
 

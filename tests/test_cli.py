@@ -160,6 +160,13 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
     assert capsys.readouterr().err.count("argument --tol: expected a positive") == 2
 
 
+@pytest.mark.parametrize("eps0", ["nan", "inf"])
+def test_non_finite_eps0_exits_2(tmp_path, capsys, eps0):
+    assert run(["qv", "--scenario", "bm", "--eps0", eps0,
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

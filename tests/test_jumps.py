@@ -125,6 +125,17 @@ def test_nu_quadrature_failure_detected():
             jm.integrate_nu(blowup, nu, X)
 
 
+def test_nu_refines_an_oscillating_field_past_64_panels():
+    # cos(300 x) on [-1, 1] first meets the tolerance at 128 G7/K15 panels,
+    # so the panel doubling must run past 64 and stop below its 512 cap
+    X = two_jump_path()
+    lam = 1.5
+    nu = jm.CompensatorSpec.compound_poisson(lam, jm.UniformLaw(-1.0, 1.0))
+    got = jm.integrate_nu(jm.field_from_size(lambda x: np.cos(300.0 * x)), nu, X)
+    want = lam * X.grid * math.sin(300.0) / 300.0
+    assert np.max(np.abs(got.values - want)) <= 1e-9
+
+
 def test_kronrod_table_is_exact_and_embeds_gauss7():
     x, wk, wg = jm._K15_NODES, jm._K15_WEIGHTS, jm._G7_WEIGHTS
     for k in range(23):

@@ -167,6 +167,18 @@ def test_mesh_counts_and_samples_match_direct_searches(case):
     assert m.Yu.tobytes() == Y.value_at(m.u).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(kernel_case(), pinned_case()))
+def test_weight_samples_match_left_limits_at_cell_starts(case):
+    # grid cells read the stored left values; only the inserted breakpoints
+    # are searched, and both must equal a left-limit search at every cell
+    X, Y, eps = case
+    m = reg._Mesh(X, Y, eps)
+    for g in (X, Y):
+        want = np.concatenate(([g.value_at(0.0)], g.left_limit(m.sl[1:])))
+        assert m.weight_samples(g).tobytes() == want.tobytes()
+
+
 @st.composite
 def jump_free_case(draw):
     n = draw(st.integers(12, 70))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,13 @@ def test_schedule_construction_and_snapping():
     X = linear_path(1000)
     with pytest.raises(reg.ScheduleError):
         reg.EpsilonSchedule((0.5, 0.002)).validate_for(X, 1e-3)
+
+
+@pytest.mark.parametrize("eps", [(0.1, math.nan), (math.nan,), (math.inf, 0.1),
+                                 (0.1, -math.inf)])
+def test_schedule_rejects_non_finite_widths(eps):
+    with pytest.raises(reg.ScheduleError):
+        reg.EpsilonSchedule(eps)
 
 
 def test_schedule_grid_mismatch_in_limit_driver():
