@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jmod
-from .ito import (FunctionBundle, NonConvergenceError, increment_field,
-                  path_of_function, path_of_function_derivative,
-                  _has_atoms, _small_big_split, _smooth_terms, stieltjes_left,
+from .ito import (FunctionBundle, increment_field, path_of_function,
+                  path_of_function_derivative, _converged_bracket, _has_atoms,
+                  _small_big_split, _smooth_terms, stieltjes_left,
                   taylor_remainder_field, _validated)
 from .jumps import CompensatorSpec, X_FIELD, integrability_report
 from .paths import CadlagPath, PathError, constant_path
@@ -68,7 +68,9 @@ class LabeledDecomposition:
                  "V": self.V, "A_prime": self.A_prime}
         return {k: v for k, v in roles.items() if v is not None}
 
-    def check_sums_to(self, X: CadlagPath, atol: float = 1e-9) -> float:
+    def check_sums_to(self, X: CadlagPath) -> float:
+        """Sup gap between X and M_c + M_d + A (or + V + A_prime); raises
+        PathError when it exceeds 1e-9 of max(sup |X|, 1)."""
         keys = set(self.components())
         use = ["M_c", "M_d"] + (["A"] if "A" in keys else ["V", "A_prime"])
         total = None
@@ -78,17 +80,17 @@ class LabeledDecomposition:
                 continue
             total = p if total is None else total + p
         gap = float(np.max(np.abs(total.values - X.values)))
-        if gap > atol * max(X.sup_norm(), 1.0):
+        if gap > 1e-9 * max(X.sup_norm(), 1.0):
             raise PathError(f"components do not sum to the path (gap {gap})")
         return gap
 
 
-def brownian_battery(X: CadlagPath, count: int = BATTERY_SIZE,
-                     seed: int = 0) -> list[CadlagPath]:
-    """Independent standard Brownian test paths on X's grid, fresh streams."""
+def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
+    """BATTERY_SIZE independent standard Brownian test paths on X's grid,
+    fresh streams."""
     from .simulate import brownian_on_grid
     return [brownian_on_grid(X.grid, 1.0, seed, stream=101 + k)
-            for k in range(count)]
+            for k in range(BATTERY_SIZE)]
 
 
 # -- orthogonality ------------------------------------------------------------
@@ -176,7 +178,6 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
                    nu: CompensatorSpec | None = None,
                    schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                    tol: float = DEFAULT_TOL, orth_tol: float = ORTH_TOL,
-                   test_martingales: list[CadlagPath] | None = None,
                    battery_seed: int = 0, validate: bool = True) -> ChainRuleReport:
     """Assemble the decomposition of F(t, X_t) for F with one continuous
     space derivative and X carrying labeled martingale components.
@@ -184,14 +185,12 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
     The martingale part collects the left-limit integral against
     M_c + M_d, the compensated small-jump increment and linear fields, and
     the big-jump sum; gamma is the remaining defect, and the residual part
-    A^F = gamma + (big-jump compensator integral) is submitted to an
-    orthogonality battery of independent Brownian test paths.
+    A^F = gamma + (big-jump compensator integral) is submitted to
+    ``brownian_battery(X, battery_seed)``.  The bracket of X must converge
+    along the schedule first (NonConvergenceError otherwise).
     """
     _validated(F, X, "c01", validate)
-    rep = qv_limit(X, schedule=schedule, tol=tol)
-    if not rep.converged:
-        raise NonConvergenceError(
-            "path bracket did not converge along the schedule")
+    _converged_bracket(X, schedule, tol)
     has_atoms = _has_atoms(X, nu)
     lhs = path_of_function(F, X)
     M = decomp.martingale
@@ -207,8 +206,8 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
              + y_comp - big_mu)
     a_path = gamma + vbar
     m_path = lhs - a_path
-    tests = test_martingales or brownian_battery(X, seed=battery_seed)
-    orth = orthogonality_battery(a_path, tests, schedule, orth_tol)
+    orth = orthogonality_battery(a_path, brownian_battery(X, seed=battery_seed),
+                                 schedule, orth_tol)
     terms = {"martingale_integral": mart_int,
              "small_jump_compensated_increment": k_comp,
              "small_jump_compensated_linear": y_comp,
@@ -292,11 +291,8 @@ def particular_wd_check(decomp: LabeledDecomposition,
          else constant_path(base.grid))
     V = decomp.V if decomp.V is not None else constant_path(M.grid)
     A_prime = decomp.A_prime if decomp.A_prime is not None else constant_path(M.grid)
-    if not np.all(np.isfinite(np.abs(np.diff(V.values)))):
-        raise PathError("bounded variation component has non-finite increments")
-    total_var = float(np.sum(np.abs(np.diff(V.values))))
-    if not np.isfinite(total_var):
-        raise PathError("variation accounting failed for V")
+    if not np.isfinite(np.sum(np.abs(np.diff(V.values)))):
+        raise PathError("bounded variation component V has infinite variation")
     X = M + V + A_prime
     rep = qv_limit(X, schedule=schedule, tol=tol)
     if m_bracket is None:
@@ -355,10 +351,10 @@ class MdRepresentationReport:
 
 
 def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
-                            nu: CompensatorSpec | None,
-                            tol: float = 1e-8) -> MdRepresentationReport:
+                            nu: CompensatorSpec | None) -> MdRepresentationReport:
     """Compare the labeled M_d against the compensated integral of the size
-    field and check the atom-level jump identity dM_d = dX - (atom part)."""
+    field and check the atom-level jump identity dM_d = dX - (atom part);
+    the sup gap passes below 1e-8 of the larger sup-norm (at least 1)."""
     if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
     md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
@@ -369,7 +365,7 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     x_jumps = X.values - X.left_values
     atom_gap = float(np.max(np.abs(md_jumps - x_jumps))) if X.grid.size else 0.0
     scale = max(md.sup_norm(), X.sup_norm(), 1.0)
-    return MdRepresentationReport(sup_gap, atom_gap, tol * scale)
+    return MdRepresentationReport(sup_gap, atom_gap, 1e-8 * scale)
 
 
 # -- continuous-function chain rule -------------------------------------------
@@ -395,13 +391,11 @@ class C0ChainReport:
 
 def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
                         nu: CompensatorSpec | None = None,
-                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                        orth_tol: float = ORTH_TOL,
-                        test_martingales: list[CadlagPath] | None = None,
-                        battery_seed: int = 0) -> C0ChainReport:
+                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE) -> C0ChainReport:
     """Chain rule from continuity alone: the compensated integral of the
     untruncated increment field F(s, X_{s-} + x) - F(s, X_{s-}) is removed
-    from F(t, X_t) and the remainder is orthogonality-tested.
+    from F(t, X_t) and the remainder is tested against ``brownian_battery(X)``
+    at ORTH_TOL.
 
     Requires the running total of |jump of F(s, X_s)| to be finite on the
     path; continuity of F on the path's value set is the caller's scenario
@@ -414,7 +408,6 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     comp = (jmod.compensated_integral(increment_field(F), X, nu)
             if _has_atoms(X, nu) else constant_path(X.grid))
     a_path = lhs - constant_path(X.grid, lhs.values[0]) - comp
-    tests = test_martingales or brownian_battery(X, seed=battery_seed)
-    orth = orthogonality_battery(a_path, tests, schedule, orth_tol)
+    orth = orthogonality_battery(a_path, brownian_battery(X), schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,
                          all(r.decision for r in orth))

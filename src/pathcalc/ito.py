@@ -74,18 +74,18 @@ class FunctionBundle:
             return self.smoothness in ("c1l", "c12")
         return order[self.smoothness] >= order[smoothness]
 
-    def validate_derivatives(self, t_range, x_range, seed: int = 0,
-                             n_probes: int = 100, rtol: float = 1e-4) -> None:
+    def validate_derivatives(self, t_range, x_range) -> None:
         """Compare supplied derivatives with central finite differences at
-        random probe points; raises BundleValidationError on disagreement."""
-        rng = np.random.default_rng(seed)
-        t = rng.uniform(t_range[0], t_range[1], n_probes)
-        x = rng.uniform(x_range[0], x_range[1], n_probes)
+        100 seeded random probe points, to a relative 1e-4; raises
+        BundleValidationError on disagreement."""
+        rng = np.random.default_rng(0)
+        t = rng.uniform(t_range[0], t_range[1], 100)
+        x = rng.uniform(x_range[0], x_range[1], 100)
         span = max(abs(x_range[0]), abs(x_range[1]), 1.0)
 
         def check(name, supplied, fd):
             err = np.abs(fd - supplied)
-            bad = err > rtol * np.maximum(1.0, np.abs(supplied))
+            bad = err > 1e-4 * np.maximum(1.0, np.abs(supplied))
             if np.any(bad):
                 i = int(np.argmax(err))
                 raise BundleValidationError(
@@ -105,8 +105,8 @@ class FunctionBundle:
             check("dxx", self.dxx(t, x), fd2)
 
 
-def linear_combination(a: float, F: FunctionBundle, b: float, G: FunctionBundle,
-                       name: str | None = None) -> FunctionBundle:
+def linear_combination(a: float, F: FunctionBundle, b: float,
+                       G: FunctionBundle) -> FunctionBundle:
     """a F + b G, with the weaker smoothness class of the two."""
     order = {"c12": 3, "c1l": 2, "c01": 1, "c0": 0}
     cls = F.smoothness if order[F.smoothness] <= order[G.smoothness] else G.smoothness
@@ -117,7 +117,7 @@ def linear_combination(a: float, F: FunctionBundle, b: float, G: FunctionBundle,
         return lambda t, x: a * u(t, x) + b * v(t, x)
 
     return FunctionBundle(
-        name or f"{a:g}*{F.name}+{b:g}*{G.name}", cls,
+        f"{a:g}*{F.name}+{b:g}*{G.name}", cls,
         f=lambda t, x: a * F.f(t, x) + b * G.f(t, x),
         dt=mix(F.dt, G.dt), dx=mix(F.dx, G.dx), dxx=mix(F.dxx, G.dxx),
         holder=F.holder if cls == "c1l" else None)
@@ -251,16 +251,24 @@ def _small_big_split(F: FunctionBundle, X: CadlagPath,
 # -- continuous bracket part --------------------------------------------------
 
 
-def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                       tol: float = DEFAULT_TOL) -> CadlagPath:
-    """Estimated bracket minus the running sum of squared jumps, clipped at
-    its running maximum so the result is a nondecreasing continuous path."""
+def _converged_bracket(X: CadlagPath, schedule: EpsilonSchedule,
+                       tol: float) -> CadlagPath:
+    """The window limit of [X, X]; raises NonConvergenceError when the
+    bracket study does not converge along the schedule."""
     rep = qv_limit(X, schedule=schedule, tol=tol)
     if not rep.converged:
         raise NonConvergenceError(
             "bracket estimate did not converge along the schedule")
+    return rep.limit
+
+
+def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
+                       tol: float = DEFAULT_TOL) -> CadlagPath:
+    """Estimated bracket minus the running sum of squared jumps, clipped at
+    its running maximum so the result is a nondecreasing continuous path."""
+    bracket = _converged_bracket(X, schedule, tol)
     jump_part = jmod.integrate_mu(X_SQUARED_FIELD, X)
-    raw = rep.limit.values - jump_part.values
+    raw = bracket.values - jump_part.values
     mono = np.maximum.accumulate(np.maximum(raw, 0.0))
     mono[0] = 0.0
     return from_arrays(X.grid, mono, mono.copy(), rule=LINEAR)
@@ -380,13 +388,13 @@ def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
 
 def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec,
                            schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                           tol: float = DEFAULT_TOL, validate: bool = True) -> ItoReport:
+                           tol: float = DEFAULT_TOL) -> ItoReport:
     """Random-measure form: the jump correction is split into two compensated
     small-jump integrals, the big-jump sum, and the small-jump compensator
     integral.  The mu and nu sides of every jump term are kept separately in
     ``parts`` so the atom-level reassembly into the plain jump sum can be
     checked exactly."""
-    _validated(F, X, "c12", validate)
+    _validated(F, X, "c12", True)
     if not integrability_report(X, F).square_summable:
         raise jmod.IntegrabilityError("squared jump total is not finite")
     time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
@@ -419,7 +427,7 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
 
 def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
                   schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                  tol: float = DEFAULT_TOL, validate: bool = True) -> ItoReport:
+                  tol: float = DEFAULT_TOL) -> ItoReport:
     """Holder-derivative form for time-reversible integrators: left-point
     reference integral, half the bracket of the transformed path against X,
     and the symmetric-average jump sum.
@@ -427,7 +435,7 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
     Requires sum |dX|^(1 + holder) finite on the path; reversibility of the
     integrator is an assumption carried by the scenario, not verified here.
     """
-    _validated(F, X, "c1l", validate)
+    _validated(F, X, "c1l", True)
     lam = F.holder if F.holder is not None else 1.0
     power_sum = float(np.sum(np.abs(X.jump_sizes) ** (1.0 + lam)))
     if not np.isfinite(power_sum):

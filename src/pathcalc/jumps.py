@@ -265,9 +265,9 @@ class IntegrandField:
         return IntegrandField(self.fn, truncation)
 
 
-def field_from_size(fn, truncation=None) -> IntegrandField:
-    """Field depending on the jump size only, e.g. x or x**2."""
-    return IntegrandField(lambda t, x, x_pre: fn(x), truncation)
+def field_from_size(fn) -> IntegrandField:
+    """Untruncated field depending on the jump size only, e.g. x or x**2."""
+    return IntegrandField(lambda t, x, x_pre: fn(x))
 
 
 X_FIELD = field_from_size(lambda x: x)

@@ -26,8 +26,6 @@ import numpy as np
 PIECEWISE_CONSTANT = "pc"
 LINEAR = "linear"
 
-_RULES = (PIECEWISE_CONSTANT, LINEAR)
-
 
 class PathError(ValueError):
     """Raised when path construction data violates an invariant."""
@@ -152,23 +150,12 @@ class CadlagPath:
         tq = np.atleast_1d(t_arr)
         if not np.all(tq > 0.0):
             raise PathError("left limit needs t > 0, not NaN")
-        beyond = tq > self.horizon
         tc = np.minimum(tq, self.horizon)
+        # 0 < tc <= T puts idx in [1, n - 1], and grid[idx - 1] < tc
         idx = np.searchsorted(self.grid, tc, side="left")
-        hit = self.grid[np.minimum(idx, self.grid.size - 1)] == tc
-        out = np.where(hit, self.left_values[np.minimum(idx, self.grid.size - 1)], 0.0)
-        interior = ~hit
-        if np.any(interior):
-            cell = idx - 1
-            if self.rule == PIECEWISE_CONSTANT:
-                fill = self.values[cell]
-            else:
-                w = self.grid[cell + 1] - self.grid[cell]
-                frac = (tc - self.grid[cell]) / w
-                fill = self.values[cell] + frac * (self.left_values[cell + 1] - self.values[cell])
-            out = np.where(interior, fill, out)
-        out = np.where(beyond, self.values[-1], out)
-        out = np.asarray(out, dtype=float)
+        out = np.where(self.grid[idx] == tc, self.left_values[idx],
+                       self._at_cells(tc, idx - 1))
+        out = np.where(tq > self.horizon, self.values[-1], out)
         return float(out[0]) if scalar else out
 
     def jumps(self) -> list[tuple[float, float]]:
@@ -241,12 +228,15 @@ class CadlagPath:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, rule: str | None = None) -> "CadlagPath":
+    def from_csv(cls, text: str) -> "CadlagPath":
+        """Inverse of ``to_csv``; the rule comes from the ``# rule=`` header,
+        and is linear when there is none."""
+        rule = LINEAR
         lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if lines and lines[0][1].startswith("#"):
             header = lines.pop(0)[1]
-            if rule is None and "rule=" in header:
-                rule = header.split("rule=", 1)[1].strip()
+            if "rule=" in header:
+                rule = header.split("rule=", 1)[1].strip() or LINEAR
         if lines and lines[0][1].startswith("t,"):
             lines.pop(0)
         rows = []
@@ -259,7 +249,7 @@ class CadlagPath:
                                 f"got {ln!r}") from None
         cols = np.array(rows, dtype=float).reshape(-1, 4)
         return cls(cols[:, 0], cols[:, 1], cols[:, 2], np.nonzero(cols[:, 3])[0],
-                   rule=rule or LINEAR)
+                   rule=rule)
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,28 +320,27 @@ def from_arrays(grid, values, left_values, rule: str = LINEAR) -> CadlagPath:
     return CadlagPath(np.asarray(grid, dtype=float), values, left, marks, rule=rule)
 
 
-def constant_path(grid, c: float = 0.0, rule: str = LINEAR) -> CadlagPath:
+def constant_path(grid, c: float = 0.0) -> CadlagPath:
     grid = _as_farray(grid)
     v = np.full(grid.size, float(c))
-    return CadlagPath(grid, v, v.copy(), np.array([], dtype=np.intp), rule=rule)
+    return CadlagPath(grid, v, v.copy(), np.array([], dtype=np.intp))
 
 
-def from_function(grid, fn, rule: str = LINEAR) -> CadlagPath:
-    """Continuous path sampling a scalar function of time on the grid."""
+def from_function(grid, fn) -> CadlagPath:
+    """Continuous linear path sampling a scalar function of time on the grid."""
     grid = _as_farray(grid)
     v = np.asarray(fn(grid), dtype=float)
-    return from_arrays(grid, v, v.copy(), rule=rule)
+    return from_arrays(grid, v, v.copy())
 
 
-def step_path(T: float, n: int, step_time: float, height: float = 1.0,
-              base: float = 0.0) -> CadlagPath:
-    """Single step of the given height at step_time, on a uniform base grid."""
+def step_path(T: float, n: int, step_time: float) -> CadlagPath:
+    """Unit step from 0 to 1 at step_time, on a uniform base grid."""
     grid = np.linspace(0.0, T, n + 1)
     if step_time <= 0.0 or step_time >= T:
         raise PathError("step_time must lie in (0, T)")
     grid = np.union1d(grid, [step_time])
-    values = np.where(grid >= step_time, base + height, base)
-    left = np.where(grid > step_time, base + height, base)
+    values = np.where(grid >= step_time, 1.0, 0.0)
+    left = np.where(grid > step_time, 1.0, 0.0)
     return from_arrays(grid, values, left, rule=PIECEWISE_CONSTANT)
 
 

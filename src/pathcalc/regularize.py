@@ -77,10 +77,10 @@ class EpsilonSchedule:
         return len(self.epsilons)
 
     @classmethod
-    def geometric(cls, eps_max: float = DEFAULT_EPS_MAX, levels: int = DEFAULT_LEVELS,
-                  ratio: float = 0.5) -> "EpsilonSchedule":
-        """eps_k = eps_max * ratio^k for k = 1..levels (default 0.05 * 2^-k)."""
-        return cls(tuple(eps_max * ratio ** k for k in range(1, levels + 1)))
+    def geometric(cls, eps_max: float = DEFAULT_EPS_MAX,
+                  levels: int = DEFAULT_LEVELS) -> "EpsilonSchedule":
+        """eps_k = eps_max * 2^-k for k = 1..levels (default 0.05 * 2^-k)."""
+        return cls(tuple(eps_max * 0.5 ** k for k in range(1, levels + 1)))
 
     def snapped(self, dt: float) -> "EpsilonSchedule":
         """Round every width to a positive integer multiple of ``dt``."""
@@ -373,12 +373,12 @@ def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     return float(Y.values[0] * np.sum(widths * (X.value_at(lefts) - X.values[0])) / eps)
 
 
-def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float, rtol: float = 1e-9) -> float:
+def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     """Sup over grid times of (truncated minus whole-line forward estimate).
 
     Checks that for every grid time t >= eps the gap equals minus the
     closed-form start-up window, raising ``WindowGapError`` if the identity
-    fails beyond ``rtol`` (relative to the estimate scale).
+    fails beyond a relative 1e-9 of the estimate scale.
     """
     ucp = forward_integral(Y, X, eps)
     rv = forward_integral_rv(Y, X, eps)
@@ -387,7 +387,7 @@ def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float, rtol: float = 1e-9) -> 
     sel = X.grid >= eps
     scale = max(ucp.sup_norm(), abs(const), 1.0)
     worst = float(np.max(np.abs(diff[sel] + const))) if np.any(sel) else 0.0
-    if worst > rtol * scale:
+    if worst > 1e-9 * scale:
         raise WindowGapError(
             f"window-gap identity violated: |gap + {const!r}| reaches {worst!r}")
     return float(np.max(diff))

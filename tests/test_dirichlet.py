@@ -7,7 +7,7 @@ from pathcalc import ito
 from pathcalc import regularize as reg
 from pathcalc.ito import FUNCTION_CATALOG, linear_combination, path_of_function
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import PathError, constant_path, step_path
+from pathcalc.paths import PathError, constant_path, from_arrays, step_path
 
 
 def brownian_pair(n=50000, seed=100):
@@ -214,6 +214,14 @@ def test_particular_pure_step_bounded_variation():
     assert rep.passed_bracket
     # estimated bracket of the step is the step itself
     assert rep.bracket_gap < 1e-10
+
+
+def test_particular_rejects_overflowing_variation():
+    big = 1.7e308
+    v = np.array([0.0, big, -big, big, 0.0])
+    dec = dd.LabeledDecomposition(V=from_arrays(np.linspace(0.0, 1.0, 5), v, v))
+    with np.errstate(over="ignore"), pytest.raises(PathError, match="infinite variation"):
+        dd.particular_wd_check(dec)
 
 
 def test_particular_brownian_plus_jumps_cross_term_vanishes():

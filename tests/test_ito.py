@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pathcalc.simulate as sim
-from pathcalc import ito
+from pathcalc import dirichlet, ito
 from pathcalc import regularize as reg
 from pathcalc.ito import (FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError,
@@ -92,8 +92,12 @@ def test_qv_continuous_part_jump_diffusion_is_time():
 def test_qv_continuous_part_requires_convergence():
     X, gt = sim.simulate(sim.SimSpec("fbm", n=2000, seed=1, hurst=0.2))
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="bracket estimate did not converge"):
         ito.qv_continuous_part(X, sched)
+    # the bracket guard comes before the decomposition is read
+    with pytest.raises(NonConvergenceError, match="bracket estimate did not converge"):
+        dirichlet.chain_rule_c01(FUNCTION_CATALOG["square"], X,
+                                 dirichlet.LabeledDecomposition(), schedule=sched)
 
 
 # -- smooth-case identity ----------------------------------------------------------

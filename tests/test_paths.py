@@ -106,6 +106,18 @@ def test_value_minus_left_zero_except_at_marks():
             assert d == pytest.approx(1.0)
         else:
             assert d == 0.0
+    rng = np.random.default_rng(11)
+    grid = np.union1d(uniform_grid(1.0, 40), rng.uniform(0.0, 1.0, 20))
+    values = np.cumsum(rng.normal(size=grid.size))
+    linear = make_path(grid, values, [(i, values[i] - rng.normal()) for i in (7, 23, 41)])
+    steps = np.cumsum(np.where(rng.random(grid.size) < 0.2, rng.normal(size=grid.size), 0.0))
+    pc = from_arrays(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
+    for q in (linear, pc):
+        assert q.jump_marks.size >= 3
+        probes = np.concatenate((rng.uniform(0.0, 1.0, 200), q.grid[1:], [1.0 + 1e-9, 2.0]))
+        off = ~np.isin(probes, q.jump_times)
+        assert np.array_equal(q.left_limit(probes[off]), q.value_at(probes[off]))
+        assert np.array_equal(q.left_limit(q.jump_times), q.left_values[q.jump_marks])
 
 
 def test_two_jump_sum_of_squares():
@@ -136,15 +148,19 @@ def test_csv_round_trip_bit_exact():
     rng = np.random.default_rng(3)
     grid = uniform_grid(1.0, 31)
     values = np.cumsum(rng.normal(size=grid.size)) * np.pi / 3.0
-    p = make_path(grid, values, [(11, float(values[11] - 0.7))])
-    text = p.to_csv()
-    q = CadlagPath.from_csv(text)
-    assert np.array_equal(p.grid, q.grid)
-    assert np.array_equal(p.values, q.values)
-    assert np.array_equal(p.left_values, q.left_values)
-    assert np.array_equal(p.jump_marks, q.jump_marks)
-    assert q.rule == p.rule
-    assert q.to_csv() == text
+    linear = make_path(grid, values, [(11, float(values[11] - 0.7))])
+    steps = np.repeat(values[::4], 4)[:grid.size]
+    pc = from_arrays(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
+    assert pc.jump_marks.size == 7
+    for p in (linear, pc):
+        text = p.to_csv()
+        q = CadlagPath.from_csv(text)  # the rule comes from the "# rule=" header
+        assert np.array_equal(p.grid, q.grid)
+        assert np.array_equal(p.values, q.values)
+        assert np.array_equal(p.left_values, q.left_values)
+        assert np.array_equal(p.jump_marks, q.jump_marks)
+        assert q.rule == p.rule
+        assert q.to_csv() == text
 
 
 def test_json_round_trip():
