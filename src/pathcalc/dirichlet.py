@@ -26,7 +26,8 @@ from .ito import (FunctionBundle, increment_field, path_of_function,
 from .jumps import CompensatorSpec, X_FIELD, integrability_report
 from .paths import CadlagPath, PathError, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
-                         covariation, forward_integral, qv_limit, ucp_limit)
+                         _covariation_studies, _require_fit, covariation,
+                         forward_integral, ucp_limit)
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -70,7 +71,8 @@ class LabeledDecomposition:
 
     def check_sums_to(self, X: CadlagPath) -> float:
         """Sup gap between X and M_c + M_d + A (or + V + A_prime); raises
-        PathError when it exceeds 1e-9 of max(sup |X|, 1)."""
+        PathError when it exceeds 1e-9 of max(sup |X|, 1) or when the
+        decomposition has no components."""
         keys = set(self.components())
         use = ["M_c", "M_d"] + (["A"] if "A" in keys else ["V", "A_prime"])
         total = None
@@ -79,6 +81,8 @@ class LabeledDecomposition:
             if p is None:
                 continue
             total = p if total is None else total + p
+        if total is None:
+            raise PathError("decomposition has no components")
         gap = float(np.max(np.abs(total.values - X.values)))
         if gap > 1e-9 * max(X.sup_norm(), 1.0):
             raise PathError(f"components do not sum to the path (gap {gap})")
@@ -118,22 +122,39 @@ class OrthReport:
         }
 
 
+def _require_continuous(N: CadlagPath) -> None:
+    if N.jump_marks.size:
+        raise PathError("test martingale must be continuous (no marked jumps)")
+
+
+def _orth_report(rep, tol: float) -> OrthReport:
+    return OrthReport(rep.epsilons, rep.sup_norms, rep.sup_gaps, float(tol),
+                      bool(rep.sup_norms[-1] < tol))
+
+
 def orthogonality_test(A: CadlagPath, N: CadlagPath,
                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                        tol: float = ORTH_TOL) -> OrthReport:
     """Covariation of (A, N) along the schedule; decision true when the
     final estimate's sup-norm is below tol.  N must be continuous."""
-    if N.jump_marks.size:
-        raise PathError("test martingale must be continuous (no marked jumps)")
-    rep = ucp_limit(covariation, A, N, schedule, tol)
-    return OrthReport(rep.epsilons, rep.sup_norms, rep.sup_gaps, float(tol),
-                      bool(rep.sup_norms[-1] < tol))
+    _require_continuous(N)
+    return _orth_report(ucp_limit(covariation, A, N, schedule, tol), tol)
 
 
 def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
                           schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                           tol: float = ORTH_TOL) -> list[OrthReport]:
-    return [orthogonality_test(A, N, schedule, tol) for N in tests]
+    """``orthogonality_test(A, N)`` for every N in ``tests``, bit for bit.
+
+    Every test path must be continuous (checked before any estimate), so
+    each (A, N) pair has A's sample mesh: each window evaluates one mesh of
+    A, A's samples and A's prefix sums, and from them the covariation
+    against every test path.
+    """
+    for N in tests:
+        _require_continuous(N)
+    return [_orth_report(rep, tol)
+            for rep in _covariation_studies(A, tests, schedule, tol)]
 
 
 # -- chain rule ----------------------------------------------------------------
@@ -283,9 +304,16 @@ def particular_wd_check(decomp: LabeledDecomposition,
     [M, M] + sum (dV)^2 + 2 sum dV dM, (b) the sum is reproduced by the
     regrouping continuous martingale + drift + compensated small jumps +
     big-jump sum, and (c) the drift part alpha carries no jump atoms when
-    the compensator has no time atoms."""
-    base = next(p for p in (decomp.M_c, decomp.M_d, decomp.V, decomp.A_prime)
-                if p is not None)
+    the compensator has no time atoms.
+
+    Only the final window's bracket estimates of X and M are read, so only
+    that window is evaluated, after checking that every window fits the
+    grid.  Raises PathError when none of M_c, M_d, V and A_prime is given.
+    """
+    base = next((p for p in (decomp.M_c, decomp.M_d, decomp.V, decomp.A_prime)
+                 if p is not None), None)
+    if base is None:
+        raise PathError("decomposition has no components")
     M = (decomp.martingale
          if (decomp.M_c is not None or decomp.M_d is not None)
          else constant_path(base.grid))
@@ -294,17 +322,19 @@ def particular_wd_check(decomp: LabeledDecomposition,
     if not np.isfinite(np.sum(np.abs(np.diff(V.values)))):
         raise PathError("bounded variation component V has infinite variation")
     X = M + V + A_prime
-    rep = qv_limit(X, schedule=schedule, tol=tol)
+    # M shares X's grid, so the windows that fit X fit M
+    _require_fit(schedule, X)
+    eps = schedule.epsilons[-1]
+    bracket = covariation(X, X, eps)
     if m_bracket is None:
-        m_rep = qv_limit(M, schedule=schedule, tol=tol)
-        m_bracket = m_rep.limit
+        m_bracket = covariation(M, M, eps)
     dv = np.zeros(X.grid.size)
     dm = np.zeros(X.grid.size)
     dv[V.jump_marks] = V.jump_sizes
     dm_sizes = M.values - M.left_values
     cross = np.cumsum(dv * dv + 2.0 * dv * dm_sizes)
     reference = m_bracket.values + cross
-    bracket_gap = float(np.max(np.abs(rep.limit.values - reference)))
+    bracket_gap = float(np.max(np.abs(bracket.values - reference)))
     scale = max(float(np.max(np.abs(reference))), 1.0)
     passed_bracket = bracket_gap < tol * scale
 

@@ -22,7 +22,7 @@ from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD,
                     integrability_report)
 from .paths import LINEAR, CadlagPath, constant_path, from_arrays
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
-                         covariation, forward_integral, qv_limit)
+                         _require_fit, covariation, forward_integral, qv_limit)
 
 
 class BundleValidationError(ValueError):
@@ -254,8 +254,15 @@ def _small_big_split(F: FunctionBundle, X: CadlagPath,
 def _converged_bracket(X: CadlagPath, schedule: EpsilonSchedule,
                        tol: float) -> CadlagPath:
     """The window limit of [X, X]; raises NonConvergenceError when the
-    bracket study does not converge along the schedule."""
-    rep = qv_limit(X, schedule=schedule, tol=tol)
+    bracket study does not converge along the schedule.
+
+    The study's verdict and limit depend only on its two finest windows, so
+    after checking that every window fits the grid (ScheduleError, as
+    ``qv_limit`` raises it) only those two are evaluated.  A one-window
+    schedule has no gap to test and never converges.
+    """
+    _require_fit(schedule, X)
+    rep = qv_limit(X, schedule=EpsilonSchedule(schedule.epsilons[-2:]), tol=tol)
     if not rep.converged:
         raise NonConvergenceError(
             "bracket estimate did not converge along the schedule")
@@ -265,7 +272,11 @@ def _converged_bracket(X: CadlagPath, schedule: EpsilonSchedule,
 def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                        tol: float = DEFAULT_TOL) -> CadlagPath:
     """Estimated bracket minus the running sum of squared jumps, clipped at
-    its running maximum so the result is a nondecreasing continuous path."""
+    its running maximum so the result is a nondecreasing continuous path.
+
+    The bracket is the covariation of X with itself at the finest window,
+    evaluated with the second finest only to test convergence
+    (``_converged_bracket``)."""
     bracket = _converged_bracket(X, schedule, tol)
     jump_part = jmod.integrate_mu(X_SQUARED_FIELD, X)
     raw = bracket.values - jump_part.values

@@ -29,7 +29,8 @@ the X increment alone by w Y.
 
 All kernels are pure functions.  ``ucp_limit`` drives an estimator along a
 window schedule, streaming: it holds only the previous and the current
-estimate.
+estimate.  Covariations of one path against several continuous partners
+share that path's mesh at each window.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ class _Mesh:
     The grid is searched once, for ``u``.  Those cells give ``Xu`` and
     ``Yu`` (X and Y share the grid), and counting each u at the first node
     at or after it gives ``jr[i]``, the number of bulk cells (u <= t_i) at
-    grid time t_i.
+    grid time t_i.  ``partners`` are further continuous paths on the grid:
+    they add no breakpoint, so the same cells give their samples, kept as
+    (Ps, Pu) pairs in ``partner_samples``.
     """
 
-    def __init__(self, X: CadlagPath, Y: CadlagPath, eps: float):
+    def __init__(self, X: CadlagPath, Y: CadlagPath, eps: float, partners=()):
         if not X.same_grid(Y):
             raise PathError("paths must share a grid")
         eps = float(eps)
@@ -172,17 +175,6 @@ class _Mesh:
             if on_grid.size:
                 u[pos[on_grid]] = on_grid_tau
             np.maximum.accumulate(u, out=u)
-            Xs = np.empty(sl.size)
-            Ys = np.empty(sl.size)
-            grid_cells = np.ones(sl.size, dtype=bool)
-            grid_cells[ins_cells] = False
-            Xs[grid_cells] = X.values[:-1]
-            Xs[ins_cells] = X.value_at(shifted)
-            if Y is X:
-                Ys = Xs
-            else:
-                Ys[grid_cells] = Y.values[:-1]
-                Ys[ins_cells] = Y.value_at(shifted)
         else:
             S = grid
             pos = np.arange(grid.size)
@@ -191,32 +183,41 @@ class _Mesh:
             if on_grid.size:
                 u[on_grid] = on_grid_tau
                 np.maximum.accumulate(u, out=u)
-            Xs = X.values[:-1]
-            Ys = Y.values[:-1]
             ins_cells = np.zeros(0, dtype=np.intp)
         self.eps = eps
         self.grid = grid
         self.sl = sl
         self.w = np.diff(S)
         self.u = u
-        self.Xs = Xs
-        self.Ys = Ys
-        if not np.all(u >= 0.0):
-            raise PathError("shifted sample points need u >= 0, not NaN")
-        # the one search: X and Y share the grid, so the cells of u serve both
-        uc = np.minimum(u, T)
-        ridx = np.searchsorted(grid, uc, side="right")
-        self.Xu = X._at_cells(uc, ridx - 1)
-        self.Yu = self.Xu if Y is X else Y._at_cells(uc, ridx - 1)
         self.pos = pos
         self.ins_cells = ins_cells
         self.shifted = shifted
+        if not np.all(u >= 0.0):
+            raise PathError("shifted sample points need u >= 0, not NaN")
+        # the one search: all paths share the grid, so the cells of u serve all
+        uc = np.minimum(u, T)
+        cells = np.searchsorted(grid, uc, side="right") - 1
+        self.Xs, self.Xu = self._samples(X, uc, cells)
+        self.Ys, self.Yu = (self.Xs, self.Xu) if Y is X else self._samples(Y, uc, cells)
+        self.partner_samples = [self._samples(P, uc, cells) for P in partners]
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
-        lidx = ridx - (grid[ridx - 1] == u)
+        lidx = cells + 1 - (grid[cells] == u)
         self.jr = np.cumsum(np.bincount(lidx, minlength=grid.size + 1))[:grid.size]
         self.X = X
         self.Y = Y
+
+    def _samples(self, P: CadlagPath, uc: np.ndarray,
+                 cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P at the cell left endpoints and at the shifted points u, given
+        u capped at T and its cells; P jumps only where X or Y does."""
+        if self.ins_cells.size:
+            Ps = np.empty(self.sl.size)
+            Ps[self.pos[:-1]] = P.values[:-1]
+            Ps[self.ins_cells] = P.value_at(self.shifted)
+        else:
+            Ps = P.values[:-1]
+        return Ps, P._at_cells(uc, cells)
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
         """Caglad weight sampled at cell left endpoints (left limits).
@@ -253,61 +254,68 @@ def _input_jump_indices(X: CadlagPath, Y: CadlagPath | None = None) -> np.ndarra
 # -- kernels -----------------------------------------------------------------
 
 
-def _window_sum(m: _Mesh, omega: np.ndarray, unit: bool = False) -> CadlagPath:
-    """Window sum of omega-weighted increment products as a path over t.
+def _window_sums(m: _Mesh, omega: np.ndarray, unit: bool = False):
+    """Window sums of omega-weighted increment products on the mesh of X.
 
-    Computes (1/eps) sum over cells s of omega(s) (X(u(s) ^ t) - X(s))
-    (Y(u(s) ^ t) - Y(s)) for every grid time t on the mesh of (X, Y), or,
-    with ``unit``, of omega(s) (X(u(s) ^ t) - X(s)) alone.  Cells with
-    u(s) <= t (the bulk) are one prefix sum; the boundary cells after t - eps
-    expand into prefix sums of omega, omega a, omega b and omega a b, where
-    a and b are the factors' offsets from their start values.
+    Returns a function of a partner path Y and its samples (Ys, Yu) on mesh
+    m (m.Y, or one of m's partners) that gives, as a path over t, (1/eps) sum over cells s of
+    omega(s) (X(u(s) ^ t) - X(s)) (Y(u(s) ^ t) - Y(s)) for every grid time
+    t, or, with ``unit``, of omega(s) (X(u(s) ^ t) - X(s)) alone.  X's side
+    is computed once, so one mesh serves every partner whose jumps it holds.
+    Cells with u(s) <= t (the bulk) are one prefix sum; the boundary cells
+    after t - eps expand into prefix sums of omega, omega a, omega b and
+    omega a b, where a and b are the factors' offsets from their start
+    values.
     """
-    X, Y = m.X, m.Y
+    X = m.X
     cA = X.values[0]
     xa = m.Xs - cA
     Sw = _cumsum0(omega)
     SwA = _cumsum0(omega * xa)
-    if unit:
-        bulk = _cumsum0(omega * (m.Xu - m.Xs))
-    else:
-        cB = Y.values[0]
-        # association is kept symmetric in the two factors so that swapping
-        # them returns bit-identical values
-        bulk = _cumsum0(omega * ((m.Xu - m.Xs) * (m.Yu - m.Ys)))
-        xb = xa if Y is X else m.Ys - cB
-        SwB = SwA if Y is X else _cumsum0(omega * xb)
-        SwAB = _cumsum0(omega * (xa * xb))
-
-    def assemble(p, j, Xt, Yt):
-        Am = Xt - cA
-        rw = Sw[p] - Sw[j]
-        ra = SwA[p] - SwA[j]
-        if unit:
-            return (bulk[j] + Am * rw - ra) / m.eps
-        Bm = Yt - cB
-        rb = SwB[p] - SwB[j]
-        rab = SwAB[p] - SwAB[j]
-        return (bulk[j] + (Am * Bm * rw + rab) - (Am * rb + Bm * ra)) / m.eps
-
-    vals = assemble(m.pos, m.jr, X.values, Y.values)
     # left limit at t: the bulk is the cells with u < t
-    jidx = _input_jump_indices(X, Y)
+    jidx = _input_jump_indices(X, m.Y)
     jl = np.searchsorted(m.u, m.grid[jidx], side="left")
-    lefts = assemble(m.pos[jidx], jl, X.left_values[jidx], Y.left_values[jidx])
-    return _estimator_path(m.grid, vals, lefts, jidx)
+
+    def against(Y: CadlagPath, Ys: np.ndarray, Yu: np.ndarray) -> CadlagPath:
+        if unit:
+            bulk = _cumsum0(omega * (m.Xu - m.Xs))
+        else:
+            cB = Y.values[0]
+            # association is kept symmetric in the two factors so that
+            # swapping them returns bit-identical values
+            bulk = _cumsum0(omega * ((m.Xu - m.Xs) * (Yu - Ys)))
+            xb = xa if Y is X else Ys - cB
+            SwB = SwA if Y is X else _cumsum0(omega * xb)
+            SwAB = _cumsum0(omega * (xa * xb))
+
+        def assemble(p, j, Xt, Yt):
+            Am = Xt - cA
+            rw = Sw[p] - Sw[j]
+            ra = SwA[p] - SwA[j]
+            if unit:
+                return (bulk[j] + Am * rw - ra) / m.eps
+            Bm = Yt - cB
+            rb = SwB[p] - SwB[j]
+            rab = SwAB[p] - SwAB[j]
+            return (bulk[j] + (Am * Bm * rw + rab) - (Am * rb + Bm * ra)) / m.eps
+
+        vals = assemble(m.pos, m.jr, X.values, Y.values)
+        lefts = assemble(m.pos[jidx], jl, X.left_values[jidx], Y.left_values[jidx])
+        return _estimator_path(m.grid, vals, lefts, jidx)
+
+    return against
 
 
 def covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
     """[X, Y] window estimate as a path over t, O(n) for all grid times."""
     m = _Mesh(X, Y, eps)
-    return _window_sum(m, m.w)
+    return _window_sums(m, m.w)(Y, m.Ys, m.Yu)
 
 
 def forward_integral(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     """Window estimate of int Y d-X as a path over t, O(n) for all t."""
     m = _Mesh(X, Y, eps)
-    return _window_sum(m, m.w * m.Ys, unit=True)
+    return _window_sums(m, m.w * m.Ys, unit=True)(Y, m.Ys, m.Yu)
 
 
 def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
@@ -317,7 +325,7 @@ def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     with g identically one this is exactly ``covariation(X, X, eps)``.
     """
     m = _Mesh(X, X, eps)
-    return _window_sum(m, m.w * m.weight_samples(g))
+    return _window_sums(m, m.w * m.weight_samples(g))(X, m.Xs, m.Xu)
 
 
 def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
@@ -460,6 +468,37 @@ class LimitReport:
         }
 
 
+def _require_fit(schedule: EpsilonSchedule, X: CadlagPath) -> None:
+    """Raise ScheduleError unless every window is below X's horizon and at
+    least its smallest grid spacing."""
+    T, dt = X.horizon, X.min_spacing
+    for e in schedule:
+        if e >= T or e < dt:
+            raise ScheduleError(f"window {e} does not fit the grid")
+
+
+class _CauchyStudy:
+    """Sup-norm Cauchy bookkeeping of one estimator along a schedule; it
+    holds only the last estimate."""
+
+    def __init__(self):
+        self.last = None
+        self.norms, self.gaps = [], []
+
+    def add(self, est: CadlagPath) -> None:
+        self.norms.append(est.sup_norm())
+        if self.last is not None:
+            self.gaps.append(float(np.max(np.abs(est.values - self.last.values))))
+        self.last = est
+
+    def report(self, schedule: EpsilonSchedule, tol: float) -> LimitReport:
+        sup_norms, gaps = np.array(self.norms), np.array(self.gaps)
+        scale = max(sup_norms[-1], 1e-12)
+        converged = bool(gaps.size and gaps[-1] <= tol * scale)
+        return LimitReport(tuple(schedule.epsilons), self.last, gaps, sup_norms,
+                           float(tol), converged)
+
+
 def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath | None = None,
               schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
               tol: float = DEFAULT_TOL) -> LimitReport:
@@ -470,22 +509,11 @@ def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath | None = None,
     report keeps the last estimate and the raw norm and gap arrays so
     callers can apply their own criteria.
     """
+    _require_fit(schedule, X)
+    study = _CauchyStudy()
     for e in schedule:
-        if e >= X.horizon or e < X.min_spacing:
-            raise ScheduleError(f"window {e} does not fit the grid")
-    prev = None
-    norms, gaps = [], []
-    for e in schedule:
-        est = estimator(X, e) if Y is None else estimator(X, Y, e)
-        norms.append(est.sup_norm())
-        if prev is not None:
-            gaps.append(float(np.max(np.abs(est.values - prev.values))))
-        prev = est
-    sup_norms, gaps = np.array(norms), np.array(gaps)
-    scale = max(sup_norms[-1], 1e-12)
-    converged = bool(gaps.size and gaps[-1] <= tol * scale)
-    return LimitReport(tuple(schedule.epsilons), est, gaps, sup_norms,
-                       float(tol), converged)
+        study.add(estimator(X, e) if Y is None else estimator(X, Y, e))
+    return study.report(schedule, tol)
 
 
 def qv_limit(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
@@ -493,3 +521,26 @@ def qv_limit(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
     """Quadratic-variation study: ``covariation(X, X)`` along the schedule."""
     return ucp_limit(covariation, X, X, schedule=schedule, tol=tol)
 
+
+def _covariation_studies(X: CadlagPath, partners: list[CadlagPath],
+                         schedule: EpsilonSchedule,
+                         tol: float) -> list[LimitReport]:
+    """``ucp_limit(covariation, X, P, schedule, tol)`` for every continuous
+    P in ``partners``, bit for bit, with one mesh per window.
+
+    A continuous P adds no breakpoint, so (X, P) has the mesh of (X, X):
+    each window builds that mesh, X's samples and X's prefix sums once, and
+    reads every P's samples from the mesh's cells.  The caller checks that
+    the partners are continuous.
+    """
+    _require_fit(schedule, X)
+    for P in partners:
+        if not X.same_grid(P):
+            raise PathError("paths must share a grid")
+    studies = [_CauchyStudy() for _ in partners]
+    for e in schedule:
+        m = _Mesh(X, X, e, partners)
+        against = _window_sums(m, m.w)
+        for study, P, (Ps, Pu) in zip(studies, partners, m.partner_samples):
+            study.add(against(P, Ps, Pu))
+    return [study.report(schedule, tol) for study in studies]

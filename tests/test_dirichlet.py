@@ -59,6 +59,21 @@ def test_jumpy_test_martingale_rejected():
         dd.orthogonality_test(X, X, reg.EpsilonSchedule((0.1, 0.05)))
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_battery_rejects_a_jumpy_test_path_before_any_estimate(position, monkeypatch):
+    X, gt = sim.simulate(sim.SimSpec("poisson", n=4000, seed=0, intensity=1.0))
+    tests = dd.brownian_battery(X)
+    tests[position] = X
+
+    def no_kernel(*args):
+        raise AssertionError("kernel called before the test paths were checked")
+
+    monkeypatch.setattr(reg, "_Mesh", no_kernel)
+    monkeypatch.setattr(reg, "covariation", no_kernel)
+    with pytest.raises(PathError, match="must be continuous"):
+        dd.orthogonality_battery(X, tests, reg.EpsilonSchedule((0.1, 0.05)))
+
+
 # -- chain rule ------------------------------------------------------------------
 
 
@@ -313,3 +328,11 @@ def test_decomposition_sums_and_martingale_access():
     assert gap < 1e-10
     with pytest.raises(PathError):
         dd.LabeledDecomposition().martingale
+
+
+def test_empty_decomposition_is_rejected():
+    X, gt, dec, _ = jd_setup(n=4000)
+    with pytest.raises(PathError, match="decomposition has no components"):
+        dd.LabeledDecomposition().check_sums_to(X)
+    with pytest.raises(PathError, match="decomposition has no components"):
+        dd.particular_wd_check(dd.LabeledDecomposition())

@@ -3,6 +3,7 @@ import pytest
 
 import pathcalc.simulate as sim
 from pathcalc import dirichlet, ito
+from pathcalc import jumps as jmod
 from pathcalc import regularize as reg
 from pathcalc.ito import (FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError,
@@ -98,6 +99,73 @@ def test_qv_continuous_part_requires_convergence():
     with pytest.raises(NonConvergenceError, match="bracket estimate did not converge"):
         dirichlet.chain_rule_c01(FUNCTION_CATALOG["square"], X,
                                  dirichlet.LabeledDecomposition(), schedule=sched)
+
+
+def fbm02():
+    X, gt = sim.simulate(sim.SimSpec("fbm", n=2000, seed=1, hurst=0.2))
+    return X, reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
+
+
+@pytest.mark.parametrize("case", [brownian, lambda: jump_diffusion()[::2], fbm02],
+                         ids=["brownian", "jump_diffusion", "fbm02"])
+def test_bracket_guard_matches_the_full_study(case):
+    # the guard evaluates two windows; its verdict and limit are the full
+    # study's, bit for bit
+    X, sched = case()
+    full = reg.qv_limit(X, schedule=sched, tol=0.05)
+    if not full.converged:
+        with pytest.raises(NonConvergenceError):
+            ito.qv_continuous_part(X, sched, tol=0.05)
+        return
+    bracket = ito._converged_bracket(X, sched, 0.05)
+    assert bracket.values.tobytes() == full.limit.values.tobytes()
+    assert bracket.left_values.tobytes() == full.limit.left_values.tobytes()
+    raw = full.limit.values - jmod.integrate_mu(jmod.X_SQUARED_FIELD, X).values
+    mono = np.maximum.accumulate(np.maximum(raw, 0.0))
+    mono[0] = 0.0
+    assert ito.qv_continuous_part(X, sched, tol=0.05).values.tobytes() == mono.tobytes()
+
+
+def test_bracket_guard_evaluates_two_windows(monkeypatch):
+    X, gt, sched = jump_diffusion(n=4000)
+    dec = dirichlet.LabeledDecomposition.from_ground_truth(gt)
+    calls = []
+
+    def counting(A, B, eps):
+        calls.append(eps)
+        return covariation(A, B, eps)
+
+    covariation = reg.covariation
+    monkeypatch.setattr(reg, "covariation", counting)
+    F = FUNCTION_CATALOG["square"]
+    for run in (lambda: ito.qv_continuous_part(X, sched, tol=0.05),
+                lambda: dirichlet.gamma_c12_reference(F, X, dec, gt.compensator,
+                                                      sched, tol=0.05),
+                # the orthogonality battery makes no covariation call
+                lambda: dirichlet.chain_rule_c01(F, X, dec, gt.compensator,
+                                                 sched, tol=0.05)):
+        calls.clear()
+        run()
+        assert calls == list(sched.epsilons[-2:])
+
+
+def test_one_window_bracket_guard_never_converges():
+    X, sched = brownian(n=4000)
+    assert reg.qv_limit(X, schedule=sched, tol=0.05).converged
+    with pytest.raises(NonConvergenceError):
+        ito.qv_continuous_part(X, reg.EpsilonSchedule(sched.epsilons[-1:]), tol=0.05)
+
+
+def test_bracket_guard_checks_every_window_fits():
+    # only the coarsest window reaches the horizon, and the guard does not
+    # evaluate it: the error is the full study's all the same
+    X, sched = brownian(n=4000)
+    bad = reg.EpsilonSchedule((X.horizon,) + sched.epsilons)
+    with pytest.raises(reg.ScheduleError) as full:
+        reg.qv_limit(X, schedule=bad)
+    with pytest.raises(reg.ScheduleError) as guard:
+        ito.qv_continuous_part(X, bad)
+    assert str(guard.value) == str(full.value) == f"window {X.horizon} does not fit the grid"
 
 
 # -- smooth-case identity ----------------------------------------------------------

@@ -13,6 +13,7 @@ oracle below does not: it integrates the window sums exactly from
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from pathcalc import dirichlet as dd
 from pathcalc import regularize as reg
 from pathcalc.paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath,
                             constant_path, uniform_grid)
@@ -159,10 +160,13 @@ def test_kernel_matches_mesh_free_oracle(case):
 def test_mesh_counts_and_samples_match_direct_searches(case):
     # the mesh searches the grid once; its bulk counts and shifted samples
     # must equal separate searches, past the horizon, on nodes and on the
-    # plateaus that pinned breakpoints leave in u
+    # plateaus that pinned breakpoints leave in u, and its cell-start
+    # samples must equal direct evaluations
     X, Y, eps = case
     m = reg._Mesh(X, Y, eps)
     assert np.array_equal(m.jr, np.searchsorted(m.u, m.grid, side="right"))
+    assert m.Xs.tobytes() == X.value_at(m.sl).tobytes()
+    assert m.Ys.tobytes() == Y.value_at(m.sl).tobytes()
     assert m.Xu.tobytes() == X.value_at(m.u).tobytes()
     assert m.Yu.tobytes() == Y.value_at(m.u).tobytes()
 
@@ -199,3 +203,19 @@ def test_jump_free_inputs_give_jump_free_estimates(case):
                 reg.forward_integral_rv(Y, X, eps)):
         assert np.array_equal(est.left_values, est.values)
         assert est.jump_marks.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(kernel_case(), pinned_case()), st.integers(0, 2**32 - 1))
+def test_battery_matches_per_path_orthogonality_tests(case, seed):
+    # the battery reads every continuous test path from one mesh of A per
+    # window, A's jumps (tau - eps on a node among them) included
+    A, _, eps = case
+    none = np.zeros(0, dtype=np.intp)
+    tests = [_path(A.grid, none, LINEAR, seed + k) for k in range(3)]
+    sched = reg.EpsilonSchedule((0.5 * (1.0 + eps), eps, max(0.5 * eps, A.min_spacing)))
+    for rep, N in zip(dd.orthogonality_battery(A, tests, sched, 0.05), tests):
+        ref = dd.orthogonality_test(A, N, sched, 0.05)
+        assert rep.epsilons == ref.epsilons and rep.decision == ref.decision
+        assert rep.sup_norms.tobytes() == ref.sup_norms.tobytes()
+        assert rep.sup_gaps.tobytes() == ref.sup_gaps.tobytes()
