@@ -344,19 +344,23 @@ class ItoReport:
         }
 
 
-def _residual_paths(lhs, f0, fixed_paths, per_eps_paths):
-    """Residual sup-norm at each window of a stream of per-window term paths;
-    returns the final residual, the sup-norms and the final term path."""
+def _report(variant, F, X, fixed, name, schedule, term_at, parts=None):
+    """ItoReport of lhs = F(t, X_t) less f0 = F(0, X_0), the ``fixed`` terms
+    and the window term ``term_at(eps)``: the residual sup-norm is taken at
+    every window, the residual and ``terms[name]`` at the final one."""
+    lhs = path_of_function(F, X)
+    f0 = float(lhs.values[0])
     sups = []
-    for fp in per_eps_paths:
+    for fp in map(term_at, schedule):
         r = lhs.values - f0 - fp.values
         rl = lhs.left_values - f0 - fp.left_values
-        for q in fixed_paths:
+        for q in fixed.values():
             r = r - q.values
             rl = rl - q.left_values
         sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
     res = from_arrays(lhs.grid, r, r.copy(), rule=LINEAR)
-    return res, np.asarray(sups), fp
+    return ItoReport(variant, F.name, lhs, f0, {**fixed, name: fp}, res,
+                     np.asarray(sups), tuple(schedule.epsilons), parts or {})
 
 
 def _validated(F, X, smoothness, validate):
@@ -377,17 +381,11 @@ def ito_terms_c12(F: FunctionBundle, X: CadlagPath,
     jump correction sum."""
     _validated(F, X, "c12", validate)
     time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
-    lhs = path_of_function(F, X)
-    f0 = float(lhs.values[0])
-    jump_sum = jmod.integrate_mu(taylor_remainder_field(F), X)
     integrand = path_of_function_derivative(F, X)
-    residual, sups, forward = _residual_paths(
-        lhs, f0, [time_term, bracket_term, jump_sum],
-        (forward_integral(integrand, X, e) for e in schedule))
-    terms = {"time_integral": time_term, "forward_integral": forward,
-             "bracket_term": bracket_term, "jump_sum": jump_sum}
-    return ItoReport("c12", F.name, lhs, f0, terms, residual, sups,
-                     tuple(schedule.epsilons))
+    fixed = {"time_integral": time_term, "bracket_term": bracket_term,
+             "jump_sum": jmod.integrate_mu(taylor_remainder_field(F), X)}
+    return _report("c12", F, X, fixed, "forward_integral", schedule,
+                   lambda e: forward_integral(integrand, X, e))
 
 
 def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
@@ -409,8 +407,6 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
     if not integrability_report(X, F).square_summable:
         raise jmod.IntegrabilityError("squared jump total is not finite")
     time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
-    lhs = path_of_function(F, X)
-    f0 = float(lhs.values[0])
     k_mu, k_nu, y_mu, y_nu, big_mu = _small_big_split(F, X, nu)
     # without atoms the mu sides vanish and the nu sides cancel identically
     # (the compensator remainder equals the compensated field difference)
@@ -425,15 +421,11 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
         "small_jump_compensator": small_nu,
     }
     integrand = path_of_function_derivative(F, X)
-    residual, sups, forward = _residual_paths(
-        lhs, f0, list(terms.values()),
-        (forward_integral(integrand, X, e) for e in schedule))
-    terms["forward_integral"] = forward
     parts = {"increment_mu": k_mu, "increment_nu": k_nu, "linear_mu": y_mu,
              "linear_nu": y_nu, "big_mu": big_mu, "small_nu": small_nu,
              "jump_sum": jmod.integrate_mu(taylor_remainder_field(F), X)}
-    return ItoReport("measure_form", F.name, lhs, f0, terms, residual, sups,
-                     tuple(schedule.epsilons), parts)
+    return _report("measure_form", F, X, terms, "forward_integral", schedule,
+                   lambda e: forward_integral(integrand, X, e), parts)
 
 
 def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
@@ -452,8 +444,6 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
     if not np.isfinite(power_sum):
         raise jmod.IntegrabilityError(
             "jump sizes are not (1 + holder)-power summable")
-    lhs = path_of_function(F, X)
-    f0 = float(lhs.values[0])
     grid = X.grid
     time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
     integrand = path_of_function_derivative(F, X)
@@ -463,12 +453,7 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
         return (F.f(t, pre + x) - F.f(t, pre)
                 - 0.5 * (F.dx(t, pre + x) + F.dx(t, pre)) * x)
 
-    sym_jump = jmod.integrate_mu(IntegrandField(sym_fn), X)
-    residual, sups, bracket = _residual_paths(
-        lhs, f0, [time_term, ito_ref, sym_jump],
-        (0.5 * covariation(integrand, X, e) for e in schedule))
-    terms = {"time_integral": time_term, "reference_integral": ito_ref,
-             "half_transformed_bracket": bracket,
-             "symmetric_jump_sum": sym_jump}
-    return ItoReport("c1_holder", F.name, lhs, f0, terms, residual, sups,
-                     tuple(schedule.epsilons))
+    fixed = {"time_integral": time_term, "reference_integral": ito_ref,
+             "symmetric_jump_sum": jmod.integrate_mu(IntegrandField(sym_fn), X)}
+    return _report("c1_holder", F, X, fixed, "half_transformed_bracket", schedule,
+                   lambda e: 0.5 * covariation(integrand, X, e))

@@ -10,7 +10,8 @@ responsibility.
 Jumps split into small (|x| <= 1) and big at the fixed JUMP_SPLIT_THRESHOLD;
 size integrals against a compensator are computed to the fixed relative
 tolerance SIZE_QUADRATURE_RTOL = 1e-8 by a composite G7/K15 rule that starts
-from one panel per kept segment and doubles up to 512.
+from one panel per kept segment and doubles up to 512; it converges per batch
+of 8192 grid cells, evaluated in row blocks of about 2**15 field values.
 
 Set membership conditions that the theory phrases through localization are
 replaced by finite path-level totals; ``integrability_report`` states
@@ -30,6 +31,7 @@ from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, PathError,
 JUMP_SPLIT_THRESHOLD = 1.0
 SIZE_QUADRATURE_RTOL = 1e-8
 _NU_CHUNK = 8192  # grid cells per size-quadrature batch
+_NU_BLOCK = 1 << 15  # field values per row block of a batch
 
 
 class IntegrabilityError(ValueError):
@@ -358,6 +360,7 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
     floor = 1e-13 * (1.0 + float(np.max(np.abs(x_pre), initial=0.0)))
     # one panel per kept segment, doubled up to 512
     panels = 1
+    kg, l1 = np.empty((t.size, 2)), np.empty(t.size)
     for _ in range(10):
         pe = np.linspace(a, b, panels + 1, axis=1)
         half = 0.5 * (pe[:, 1:] - pe[:, :-1]).ravel()
@@ -365,11 +368,20 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
         x = (mid[:, None] + half[:, None] * _K15_NODES).ravel()
         weights = (half[:, None, None] * _KG_WEIGHTS).reshape(-1, 2)
         dens = law.density(x)[:, None] * weights
-        vals = field(t[:, None], x[None, :], x_pre[:, None])
-        kron, gauss = (vals @ dens).T
+        # row blocks bound the field's temporaries to about _NU_BLOCK values
+        rows = max(1, _NU_BLOCK // x.size)
+        for r in range(0, t.size, rows):
+            vals = field(t[r:r + rows, None], x[None, :], x_pre[r:r + rows, None])
+            # a field that reads neither t nor x_pre returns one row for all
+            end = t.size if vals.shape[0] < t[r:r + rows].size else r + rows
+            kg[r:end] = vals @ dens
+            l1[r:end] = np.abs(vals) @ np.abs(dens[:, 0])
+            if end == t.size:
+                break
+        kron, gauss = kg.T
         if not np.all(np.isfinite(kron)):
             raise QuadratureError("size integral diverged")
-        scale = float(np.max(np.abs(vals) @ np.abs(dens[:, 0])))
+        scale = float(np.max(l1))
         if float(np.max(np.abs(kron - gauss))) <= SIZE_QUADRATURE_RTOL * scale + floor:
             return kron
         panels *= 2
@@ -383,8 +395,11 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     the density support at the truncation threshold and integrates only the
     segments the truncation keeps, with a composite Gauss-Kronrod G7/K15
     rule.  It starts from one panel per kept segment, and the panels double,
-    up to 512, until the embedded 7-point Gauss value agrees with the
-    15-point Kronrod value to relative ``SIZE_QUADRATURE_RTOL``.
+    up to 512, until over each batch of 8192 grid cells the embedded 7-point
+    Gauss values agree with the 15-point Kronrod values to
+    ``SIZE_QUADRATURE_RTOL`` of the batch's largest L1 mass.  The field is
+    evaluated in row blocks of max(1, 2**15 // nodes) cells, each reduced at
+    once to its Kronrod, Gauss and L1 sums (one block for a size-only field).
     ``X`` supplies the grid and the left-limit context for the field.
     """
     grid = X.grid

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,94 @@ def test_nu_matches_adaptive_quadrature_oracle(law, fname):
             got = jm.integrate_nu(field, nu, X)
             assert np.max(np.abs(got.values - expected)) <= 1e-9, (make.__name__,
                                                                     truncation)
+
+
+@pytest.mark.parametrize("field", [
+    taylor_remainder_field(FUNCTION_CATALOG["sin"], "big"),
+    increment_field(FUNCTION_CATALOG["square"], "small")],
+    ids=["sin-taylor-big", "square-increment-small"])
+def test_size_marginal_is_independent_of_the_row_blocks(field, monkeypatch):
+    integrate = pytest.importorskip("scipy.integrate")
+    # the first full batch of a jump-diffusion path, as integrate_nu builds it
+    X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=jm._NU_CHUNK, seed=1,
+                                     sigma=1.0, intensity=3.0,
+                                     jump_law=jm.NormalLaw(0, 1)))
+    t = X.grid[:-1][:jm._NU_CHUNK]
+    pre = np.concatenate(([X.values[0]], X.left_values[1:-1]))[:jm._NU_CHUNK]
+    nu = gt.compensator
+    assert t.size == jm._NU_CHUNK and X.jump_marks.size
+    got = jm._size_marginal(field, nu.law, t, pre)
+    monkeypatch.setattr(jm, "_NU_BLOCK", 1)
+    one_row = jm._size_marginal(field, nu.law, t, pre)
+    assert np.max(np.abs(got - one_row)) <= 1e-14 * np.max(np.abs(one_row))
+    # rows of the first, a middle and the last block at every level
+    lo, hi = nu.law.support
+    for i in (0, 1, t.size // 2, t.size - 2, t.size - 1):
+        g, _ = integrate.quad(
+            lambda x: float(field(t[i], np.float64(x), pre[i])) * float(nu.law.density(x)),
+            lo, hi, points=[-1.0, 1.0], epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(got[i] - g) <= 1e-9, i
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda x: np.inf * x, "diverged"),
+    # 512 panels leave about 20 radians of cos(5000 x) per panel
+    (lambda x: np.cos(5000.0 * x), "did not reach the tolerance")],
+    ids=["diverged", "not-converged"])
+def test_quadrature_error_in_the_last_block_is_raised(fn, message):
+    t = uniform_grid(1.0, jm._NU_CHUNK)[:-1]
+    assert t.size > jm._NU_BLOCK // 15  # the last row is past the first block
+    pre = np.zeros(t.size)
+    pre[-1] = 1.0
+    field = jm.IntegrandField(lambda s, x, p: np.where(p > 0.5, fn(x), x * x))
+    with pytest.raises(jm.QuadratureError, match=message), \
+            np.errstate(invalid="ignore"):
+        jm._size_marginal(field, jm.UniformLaw(-1.0, 1.0), t, pre)
+
+
+def test_tolerance_scale_is_the_largest_over_every_block():
+    # the last row's L1 mass sets the tolerance of the whole batch, so the
+    # oscillating rows stop at one panel instead of refining to 128
+    t = uniform_grid(1.0, jm._NU_CHUNK)[:-1]
+    pre = np.zeros(t.size)
+    pre[-1] = 1.0
+    sizes = []
+
+    def fn(s, x, p):
+        sizes.append(x.size)
+        return np.where(p > 0.5, 1e10, np.cos(300.0 * x))
+
+    jm._size_marginal(jm.IntegrandField(fn), jm.UniformLaw(-1.0, 1.0), t, pre)
+    assert set(sizes) == {15}
+
+
+def test_size_quadrature_memory_stays_flat_past_64_panels():
+    # cos(300 x) needs 128 panels; read through x_pre, one 8192 x 1920
+    # matrix of field values would take 126 MB
+    grid = uniform_grid(1.0, jm._NU_CHUNK)
+    X = from_arrays(grid, np.sin(grid), np.sin(grid))
+    nu = jm.CompensatorSpec.compound_poisson(1.5, jm.UniformLaw(-1.0, 1.0))
+    field = jm.IntegrandField(lambda t, x, p: np.cos(300.0 * x) + 0.0 * p)
+    tracemalloc.start()
+    try:
+        got = jm.integrate_nu(field, nu, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    want = 1.5 * grid * math.sin(300.0) / 300.0
+    assert np.max(np.abs(got.values - want)) <= 1e-9
+
+
+def test_size_only_field_is_evaluated_once_per_level():
+    # its one row of values serves every row block of the batch
+    sizes = []
+    field = jm.field_from_size(lambda x: sizes.append(x.size) or np.cos(300.0 * x))
+    grid = uniform_grid(1.0, jm._NU_CHUNK)
+    X = from_arrays(grid, np.zeros(grid.size), np.zeros(grid.size))
+    nu = jm.CompensatorSpec.compound_poisson(1.0, jm.UniformLaw(-1.0, 1.0))
+    jm.integrate_nu(field, nu, X)
+    assert sizes == [15 * 2 ** k for k in range(8)]
 
 
 def test_small_field_is_never_evaluated_on_big_jumps():
