@@ -279,8 +279,19 @@ def _tolerance(text: str) -> float:
         f"expected a positive finite number, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def _add_common(p, scenario=True):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     if scenario:
         p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
     else:

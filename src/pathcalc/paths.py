@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,33 @@ def _as_farray(x) -> np.ndarray:
     if a.ndim != 1:
         raise PathError("expected a one dimensional array")
     return a
+
+
+class _SamplePlan(NamedTuple):
+    """The grid-only part of sampling paths on one grid at times in [0, T].
+
+    The k-th time lies in cell c = cells[k], the interval [grid[c],
+    grid[c + 1]].  A time on the cell's left node reads that node's value;
+    ``off`` lists the other times, and for them ``lo`` is the cell and
+    ``frac`` the time's fraction of its width.  Every path on the grid is
+    sampled from one plan through ``CadlagPath._sample``.
+    """
+
+    cells: np.ndarray
+    off: np.ndarray
+    lo: np.ndarray
+    frac: np.ndarray
+
+
+def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray) -> _SamplePlan:
+    """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``.
+
+    A time off its node lies before the last node, so lo + 1 is a node.
+    """
+    off = np.flatnonzero(grid[cells] != tc)
+    lo = cells[off]
+    frac = (tc[off] - grid[lo]) / (grid[lo + 1] - grid[lo])
+    return _SamplePlan(cells, off, lo, frac)
 
 
 @dataclass(frozen=True)
@@ -126,22 +154,18 @@ class CadlagPath:
         if not np.all(tq >= 0.0):
             raise PathError("value_at needs t >= 0, not NaN")
         tc = np.minimum(tq, self.horizon)
-        out = self._at_cells(tc, np.searchsorted(self.grid, tc, side="right") - 1)
+        cells = np.searchsorted(self.grid, tc, side="right") - 1
+        out = self._sample(_sample_plan(self.grid, tc, cells))
         return float(out[0]) if scalar else out
 
-    def _at_cells(self, tc: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """X at times ``tc`` in [0, T], given their cells: ``idx`` is the
-        last grid index with grid[idx] <= tc."""
-        out = self.values[idx]
+    def _sample(self, plan: _SamplePlan) -> np.ndarray:
+        """X at the times of ``plan`` (a plan on this path's grid): the cell
+        values, with the off-node entries interpolated under the linear rule."""
+        out = self.values[plan.cells]
         if self.rule == LINEAR:
-            exact = self.grid[idx] == tc
-            if not np.all(exact):
-                lo = np.minimum(idx, self.grid.size - 2)
-                w = self.grid[lo + 1] - self.grid[lo]
-                frac = (tc - self.grid[lo]) / w
-                interp = self.values[lo] + frac * (self.left_values[lo + 1] - self.values[lo])
-                out = np.where(exact, out, interp)
-        return np.asarray(out, dtype=float)
+            v = self.values[plan.lo]
+            out[plan.off] = v + plan.frac * (self.left_values[plan.lo + 1] - v)
+        return out
 
     def left_limit(self, t):
         """X(t-); at marked jumps the stored left value.  Defined for t > 0."""
@@ -151,11 +175,13 @@ class CadlagPath:
         if not np.all(tq > 0.0):
             raise PathError("left limit needs t > 0, not NaN")
         tc = np.minimum(tq, self.horizon)
-        # 0 < tc <= T puts idx in [1, n - 1], and grid[idx - 1] < tc
+        # 0 < tc <= T puts idx in [1, n - 1], and grid[idx - 1] < tc, so every
+        # time is off its cell's node; a node hit reads the stored left value
         idx = np.searchsorted(self.grid, tc, side="left")
-        out = np.where(self.grid[idx] == tc, self.left_values[idx],
-                       self._at_cells(tc, idx - 1))
-        out = np.where(tq > self.horizon, self.values[-1], out)
+        out = self._sample(_sample_plan(self.grid, tc, idx - 1))
+        hit = self.grid[idx] == tc
+        out[hit] = self.left_values[idx[hit]]
+        out[tq > self.horizon] = self.values[-1]
         return float(out[0]) if scalar else out
 
     def jumps(self) -> list[tuple[float, float]]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import LINEAR, CadlagPath, PathError, from_arrays
+from .paths import LINEAR, CadlagPath, PathError, _sample_plan, from_arrays
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -136,12 +136,17 @@ class _Mesh:
     left endpoint is an inserted breakpoint tau - eps, ``u`` is pinned to tau
     exactly so the lookup lands on the post-jump value.
 
-    The grid is searched once, for ``u``.  Those cells give ``Xu`` and
-    ``Yu`` (X and Y share the grid), and counting each u at the first node
-    at or after it gives ``jr[i]``, the number of bulk cells (u <= t_i) at
-    grid time t_i.  ``partners`` are further continuous paths on the grid:
-    they add no breakpoint, so the same cells give their samples, kept as
-    (Ps, Pu) pairs in ``partner_samples``.
+    The grid is searched once, for ``u``, and that search gives one sample
+    plan: the cell of every u, and the cell and fraction of each u that
+    falls strictly inside its cell.  X, Y and every partner are sampled
+    from that plan (X and Y share the grid): a path gathers its values at
+    the cells, and under the linear rule interpolates only the off-node
+    entries.  The plan is dropped once the paths are sampled.  Counting each
+    u at the first node at or after it gives ``jr[i]``, the number of bulk
+    cells (u <= t_i) at grid time t_i.  ``partners`` are further continuous
+    paths on the grid: they add no breakpoint, so the same plan gives their
+    samples, kept as (Ps, Pu) pairs in ``partner_samples``.  At the inserted
+    breakpoints every path's cell-start sample is its ``value_at``.
     """
 
     def __init__(self, X: CadlagPath, Y: CadlagPath, eps: float, partners=()):
@@ -194,12 +199,13 @@ class _Mesh:
         self.shifted = shifted
         if not np.all(u >= 0.0):
             raise PathError("shifted sample points need u >= 0, not NaN")
-        # the one search: all paths share the grid, so the cells of u serve all
+        # the one search: all paths share the grid, so one plan serves all
         uc = np.minimum(u, T)
         cells = np.searchsorted(grid, uc, side="right") - 1
-        self.Xs, self.Xu = self._samples(X, uc, cells)
-        self.Ys, self.Yu = (self.Xs, self.Xu) if Y is X else self._samples(Y, uc, cells)
-        self.partner_samples = [self._samples(P, uc, cells) for P in partners]
+        plan = _sample_plan(grid, uc, cells)
+        self.Xs, self.Xu = self._samples(X, plan)
+        self.Ys, self.Yu = (self.Xs, self.Xu) if Y is X else self._samples(Y, plan)
+        self.partner_samples = [self._samples(P, plan) for P in partners]
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
         lidx = cells + 1 - (grid[cells] == u)
@@ -207,17 +213,16 @@ class _Mesh:
         self.X = X
         self.Y = Y
 
-    def _samples(self, P: CadlagPath, uc: np.ndarray,
-                 cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _samples(self, P: CadlagPath, plan) -> tuple[np.ndarray, np.ndarray]:
         """P at the cell left endpoints and at the shifted points u, given
-        u capped at T and its cells; P jumps only where X or Y does."""
+        the plan of u capped at T; P jumps only where X or Y does."""
         if self.ins_cells.size:
             Ps = np.empty(self.sl.size)
             Ps[self.pos[:-1]] = P.values[:-1]
             Ps[self.ins_cells] = P.value_at(self.shifted)
         else:
             Ps = P.values[:-1]
-        return Ps, P._at_cells(uc, cells)
+        return Ps, P._sample(plan)
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
         """Caglad weight sampled at cell left endpoints (left limits).

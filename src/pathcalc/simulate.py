@@ -24,6 +24,7 @@ Carlo drivers may call them concurrently with distinct seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,8 +76,8 @@ class SimSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SimulationError(f"unknown process kind {self.kind!r}")
-        if self.T <= 0.0:
-            raise SimulationError("horizon must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise SimulationError("horizon must be positive and finite")
         if self.n < 2:
             raise SimulationError("need at least two grid cells")
         if self.sigma < 0.0:

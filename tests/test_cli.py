@@ -167,6 +167,43 @@ def test_non_finite_eps0_exits_2(tmp_path, capsys, eps0):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--kind", "brownian"],
+    ["qv", "--scenario", "bm"],
+    ["forward", "--scenario", "bm"],
+    ["convergence", "--scenario", "bm"],
+    ["ito-check", "--scenario", "bm"],
+    ["dirichlet-check", "--scenario", "step_bm"],
+])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command):
+    for seed in ("-1", "1.5"):
+        assert exit_code(command + ["--seed", seed, "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-1\n")
+    assert exit_code(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("argument --seed: expected a non-negative integer") == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["qv", "--scenario", "bm"],
+    ["qv", "--scenario", "step"],
+    ["dirichlet-check", "--scenario", "step_bm"],
+    ["dirichlet-check", "--scenario", "self"],
+])
+def test_zero_grid_cells_exits_2(tmp_path, capsys, command):
+    assert run(command + ["--n", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: need at least two grid cells\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_non_finite_horizon_exits_2(tmp_path, capsys, T):
+    assert run(["simulate", "--kind", "brownian", "--T", T,
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: horizon must be positive and finite\n"
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -156,19 +156,28 @@ def test_kernel_matches_mesh_free_oracle(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(kernel_case(), pinned_case()))
-def test_mesh_counts_and_samples_match_direct_searches(case):
+@given(st.one_of(kernel_case(), pinned_case()),
+       st.lists(st.tuples(st.sampled_from((PIECEWISE_CONSTANT, LINEAR)),
+                          st.integers(0, 2**32 - 1)), max_size=2))
+def test_mesh_counts_and_samples_match_direct_searches(case, partners):
     # the mesh searches the grid once; its bulk counts and shifted samples
     # must equal separate searches, past the horizon, on nodes and on the
     # plateaus that pinned breakpoints leave in u, and its cell-start
-    # samples must equal direct evaluations
+    # samples must equal direct evaluations, for X, Y and every continuous
+    # partner alike
     X, Y, eps = case
-    m = reg._Mesh(X, Y, eps)
+    none = np.zeros(0, dtype=np.intp)
+    partners = [_path(X.grid, none, rule, seed) for rule, seed in partners]
+    m = reg._Mesh(X, Y, eps, partners)
     assert np.array_equal(m.jr, np.searchsorted(m.u, m.grid, side="right"))
     assert m.Xs.tobytes() == X.value_at(m.sl).tobytes()
     assert m.Ys.tobytes() == Y.value_at(m.sl).tobytes()
     assert m.Xu.tobytes() == X.value_at(m.u).tobytes()
     assert m.Yu.tobytes() == Y.value_at(m.u).tobytes()
+    assert len(m.partner_samples) == len(partners)
+    for P, (Ps, Pu) in zip(partners, m.partner_samples):
+        assert Ps.tobytes() == P.value_at(m.sl).tobytes()
+        assert Pu.tobytes() == P.value_at(m.u).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

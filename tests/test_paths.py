@@ -120,6 +120,61 @@ def test_value_minus_left_zero_except_at_marks():
         assert np.array_equal(q.left_limit(q.jump_times), q.left_values[q.jump_marks])
 
 
+def scalar_value_at(p, t):
+    """X(t) by the documented rules, one point at a time in plain Python."""
+    grid, v, left = p.grid.tolist(), p.values.tolist(), p.left_values.tolist()
+    if t >= grid[-1]:
+        return v[-1]
+    i = max(k for k, g in enumerate(grid) if g <= t)
+    if grid[i] == t or p.rule == "pc":
+        return v[i]
+    frac = (t - grid[i]) / (grid[i + 1] - grid[i])
+    return v[i] + frac * (left[i + 1] - v[i])
+
+
+def scalar_left_limit(p, t):
+    """X(t-) for t > 0, one point at a time in plain Python."""
+    grid, v, left = p.grid.tolist(), p.values.tolist(), p.left_values.tolist()
+    if t > grid[-1]:
+        return v[-1]
+    j = min(k for k, g in enumerate(grid) if g >= t)
+    if grid[j] == t:
+        return left[j]
+    i = j - 1
+    if p.rule == "pc":
+        return v[i]
+    frac = (t - grid[i]) / (grid[i + 1] - grid[i])
+    return v[i] + frac * (left[i + 1] - v[i])
+
+
+@pytest.mark.parametrize("rule", ["linear", "pc"])
+@pytest.mark.parametrize("seed", range(4))
+def test_value_and_left_limit_match_scalar_oracle(rule, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.union1d(uniform_grid(1.0, 16), rng.uniform(0.0, 1.0, 8))
+    marks = np.unique(rng.integers(1, grid.size, 4))
+    values = np.cumsum(rng.normal(size=grid.size))
+    if rule == "pc":
+        left = np.concatenate(([values[0]], values[:-1]))
+    else:
+        left = values.copy()
+        left[marks] -= rng.uniform(0.5, 1.5, marks.size)
+    p = from_arrays(grid, values, left, rule=rule)
+    assert p.jump_marks.size
+    last = 0.5 * (grid[-2] + grid[-1])  # inside the last cell
+    probes = np.concatenate((grid, rng.uniform(0.0, 1.0, 40),
+                             [last, np.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-9, 3.0]))
+    want = np.array([scalar_value_at(p, t) for t in probes.tolist()])
+    assert p.value_at(probes).tobytes() == want.tobytes()
+    pos = probes[probes > 0.0]
+    want = np.array([scalar_left_limit(p, t) for t in pos.tolist()])
+    assert p.left_limit(pos).tobytes() == want.tobytes()
+    for t in (0.0, grid[3], last, 1.0, 3.0):
+        assert p.value_at(t) == scalar_value_at(p, t)
+    for t in (grid[3], last, 1.0, 3.0):
+        assert p.left_limit(t) == scalar_left_limit(p, t)
+
+
 def test_two_jump_sum_of_squares():
     grid = uniform_grid(1.0, 10)
     values = np.zeros(grid.size)

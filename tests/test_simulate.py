@@ -47,8 +47,9 @@ def test_spec_validation():
         SimSpec("fbm", hurst=1.2)
     with pytest.raises(SimulationError):
         SimSpec("brownian", n=1)
-    with pytest.raises(SimulationError):
-        SimSpec("poisson", T=-1.0)
+    for T in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(SimulationError, match="horizon must be positive and finite"):
+            SimSpec("poisson", T=T)
 
 
 # -- brownian -------------------------------------------------------------------
