@@ -15,22 +15,13 @@ import numpy as np
 from .ito import FUNCTION_CATALOG, path_of_function
 from .jumps import NormalLaw
 from .paths import step_path
-from .simulate import (KINDS, GroundTruth, SimSpec, SimulationError,
-                       brownian_on_grid, simulate)
+from .simulate import (KINDS, GroundTruth, SimSpec, brownian_on_grid,
+                       grid_cells, simulate)
 
 
 def _sim(kind, **kw):
     """Builder (seed, n) -> (path, ground truth) simulating one spec."""
     return lambda seed, n: simulate(SimSpec(kind, n=n, seed=seed, **kw))
-
-
-def _grid_cells(n, default_n):
-    """The grid size of a build, ``default_n`` when n is None.  Checked here
-    because the step and self builders do not go through ``SimSpec``."""
-    n = n if n is not None else default_n
-    if n < 2:
-        raise SimulationError("need at least two grid cells")
-    return n
 
 
 def _step(seed, n):
@@ -69,7 +60,8 @@ class Scenario:
     default_levels: int = 8
 
     def build(self, seed: int = 0, n: int | None = None):
-        return self.make(seed, _grid_cells(n, self.default_n))
+        # checked here: the step and self builders do not go through SimSpec
+        return self.make(seed, grid_cells(self.default_n if n is None else n))
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -125,7 +117,7 @@ class OrthScenario:
     default_levels: int = 8
 
     def build(self, seed: int = 0, n: int | None = None):
-        return self.make(seed, _grid_cells(n, self.default_n))
+        return self.make(seed, grid_cells(self.default_n if n is None else n))
 
 
 ORTH_SCENARIOS: dict[str, OrthScenario] = {

@@ -269,7 +269,7 @@ def cmd_list(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a positive finite number."""
+    """argparse type of --tol and --threshold: a positive finite number."""
     try:
         if 0.0 < float(text) < float("inf"):
             return float(text)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--fn", default="square")
     p.add_argument("--measure-form", action="store_true")
-    p.add_argument("--threshold", type=float, default=1e-2,
+    p.add_argument("--threshold", type=_tolerance, default=1e-2,
                    help="pass when relative residual is below this")
     p.set_defaults(func=cmd_ito_check)
 

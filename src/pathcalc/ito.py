@@ -105,24 +105,6 @@ class FunctionBundle:
             check("dxx", self.dxx(t, x), fd2)
 
 
-def linear_combination(a: float, F: FunctionBundle, b: float,
-                       G: FunctionBundle) -> FunctionBundle:
-    """a F + b G, with the weaker smoothness class of the two."""
-    order = {"c12": 3, "c1l": 2, "c01": 1, "c0": 0}
-    cls = F.smoothness if order[F.smoothness] <= order[G.smoothness] else G.smoothness
-
-    def mix(u, v):
-        if u is None or v is None:
-            return None
-        return lambda t, x: a * u(t, x) + b * v(t, x)
-
-    return FunctionBundle(
-        f"{a:g}*{F.name}+{b:g}*{G.name}", cls,
-        f=lambda t, x: a * F.f(t, x) + b * G.f(t, x),
-        dt=mix(F.dt, G.dt), dx=mix(F.dx, G.dx), dxx=mix(F.dxx, G.dxx),
-        holder=F.holder if cls == "c1l" else None)
-
-
 def _c(v):
     return lambda t, x: np.full(np.broadcast(np.asarray(t), np.asarray(x)).shape, v)
 

@@ -42,39 +42,6 @@ class QuadratureError(ArithmeticError):
     """Raised when the size quadrature fails to reach its tolerance."""
 
 
-# -- jump measure ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JumpMeasure:
-    """Atoms (time, size) of a path's jump measure, sorted by time."""
-
-    times: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.sizes, dtype=float)
-        if t.size != x.size:
-            raise PathError("atom times and sizes must align")
-        if t.size and (np.any(t <= 0.0) or np.any(np.diff(t) <= 0.0)):
-            raise PathError("atom times must be strictly positive and increasing")
-        if np.any(x == 0.0):
-            raise PathError("atoms must have nonzero size")
-        t.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "sizes", x)
-
-    def __len__(self):
-        return int(self.times.size)
-
-
-def jump_measure(X: CadlagPath) -> JumpMeasure:
-    """Atoms of the path's jump measure: exactly the marked jumps."""
-    return JumpMeasure(X.jump_times, X.jump_sizes)
-
-
 # -- jump size laws ----------------------------------------------------------
 
 
@@ -274,7 +241,6 @@ def field_from_size(fn) -> IntegrandField:
 
 X_FIELD = field_from_size(lambda x: x)
 X_SQUARED_FIELD = field_from_size(lambda x: x * x)
-ONE_FIELD = field_from_size(lambda x: np.ones(np.shape(x)))
 
 
 # -- integrals against mu ----------------------------------------------------

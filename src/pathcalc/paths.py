@@ -219,27 +219,6 @@ class CadlagPath:
     def __neg__(self):
         return self * -1.0
 
-    # -- refinement -------------------------------------------------------
-
-    def refined(self, extra_times) -> "CadlagPath":
-        """Insert grid points without changing the path anywhere.
-
-        Inserted points carry the interpolated value; they are continuity
-        points, so value_at and left_limit are unchanged on all of [0, T].
-        """
-        extra = _as_farray(extra_times)
-        extra = extra[(extra > 0.0) & (extra < self.horizon)]
-        extra = np.setdiff1d(extra, self.grid)
-        if extra.size == 0:
-            return self
-        new_grid = np.union1d(self.grid, extra)
-        values = self.value_at(new_grid)
-        left = values.copy()
-        old_pos = np.searchsorted(new_grid, self.grid)
-        left[old_pos] = self.left_values
-        marks = old_pos[np.isin(np.arange(self.grid.size), self.jump_marks)]
-        return CadlagPath(new_grid, values, left, marks, rule=self.rule)
-
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
@@ -350,13 +329,6 @@ def constant_path(grid, c: float = 0.0) -> CadlagPath:
     grid = _as_farray(grid)
     v = np.full(grid.size, float(c))
     return CadlagPath(grid, v, v.copy(), np.array([], dtype=np.intp))
-
-
-def from_function(grid, fn) -> CadlagPath:
-    """Continuous linear path sampling a scalar function of time on the grid."""
-    grid = _as_farray(grid)
-    v = np.asarray(fn(grid), dtype=float)
-    return from_arrays(grid, v, v.copy())
 
 
 def step_path(T: float, n: int, step_time: float) -> CadlagPath:

@@ -20,12 +20,12 @@ shifted sample points in the grid, then O(n) work for all t.  That one
 search gives both paths' values at the shifted points and, by counting, the
 bulk cells of every t.  The estimators jump only where their inputs do, so
 left limits are assembled only at the input jump rows.  A literal O(n^2)
-per-t transcription (``brute_*`` below) must match the kernels to
-floating-point reassociation accuracy.  The three split estimators are one
-window-sum kernel with different cell weights: the covariation weights the
-product of the X and Y increments by the cell width w, the weighted sum
-weights the squared X increment by w g, and the forward estimate weights
-the X increment alone by w Y.
+per-t transcription on its own breakpoint set (in the test suite) must
+match the kernels to floating-point reassociation accuracy.  The three
+split estimators are one window-sum kernel with different cell weights:
+the covariation weights the product of the X and Y increments by the cell
+width w, the weighted sum weights the squared X increment by w g, and the
+forward estimate weights the X increment alone by w Y.
 
 All kernels are pure functions.  ``ucp_limit`` drives an estimator along a
 window schedule, streaming: it holds only the previous and the current
@@ -94,10 +94,10 @@ class EpsilonSchedule:
                 out.append(e)
         return EpsilonSchedule(tuple(out))
 
-    def validate_for(self, path: CadlagPath, base_dt: float | None = None) -> None:
+    def validate_for(self, path: CadlagPath, base_dt: float) -> None:
         """Check the schedule fits the grid: eps < T, eps a multiple of the
         base spacing, and the smallest eps at least ten spacings wide."""
-        dt = float(base_dt) if base_dt else path.min_spacing
+        dt = float(base_dt)
         T = path.horizon
         for e in self.epsilons:
             if e >= T:
@@ -108,8 +108,8 @@ class EpsilonSchedule:
         if self.epsilons[-1] < 10.0 * dt - 1e-12 * dt:
             raise ScheduleError("smallest window must span at least ten grid cells")
 
-    def for_path(self, path: CadlagPath, base_dt: float | None = None) -> "EpsilonSchedule":
-        dt = float(base_dt) if base_dt else path.min_spacing
+    def for_path(self, path: CadlagPath, base_dt: float) -> "EpsilonSchedule":
+        dt = float(base_dt)
         s = self.snapped(dt)
         s.validate_for(path, dt)
         return s
@@ -404,36 +404,6 @@ def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
         raise WindowGapError(
             f"window-gap identity violated: |gap + {const!r}| reaches {worst!r}")
     return float(np.max(diff))
-
-
-# -- literal per-t transcriptions (oracles) ----------------------------------
-
-
-def brute_forward_integral(Y: CadlagPath, X: CadlagPath, eps: float) -> np.ndarray:
-    """Literal O(n^2) per-t evaluation of the forward estimate on the same
-    sample mesh; returns values at grid times."""
-    m = _Mesh(X, Y, eps)
-    out = np.zeros(m.grid.size)
-    for i in range(1, m.grid.size):
-        t = m.grid[i]
-        k = m.pos[i]
-        capped = np.where(m.u[:k] <= t, m.Xu[:k], X.values[i])
-        out[i] = np.sum(m.w[:k] * m.Ys[:k] * (capped - m.Xs[:k])) / m.eps
-    return out
-
-
-def brute_covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> np.ndarray:
-    """Literal O(n^2) per-t evaluation of the covariation estimate."""
-    m = _Mesh(X, Y, eps)
-    out = np.zeros(m.grid.size)
-    for i in range(1, m.grid.size):
-        t = m.grid[i]
-        k = m.pos[i]
-        inside = m.u[:k] <= t
-        xcap = np.where(inside, m.Xu[:k], X.values[i])
-        ycap = np.where(inside, m.Yu[:k], Y.values[i])
-        out[i] = np.sum(m.w[:k] * (xcap - m.Xs[:k]) * (ycap - m.Ys[:k])) / m.eps
-    return out
 
 
 # -- uniform-limit driver ----------------------------------------------------

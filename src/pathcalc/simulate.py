@@ -17,15 +17,15 @@ no compensator when lam = 0.
 
 Randomness comes from numpy's counter-based Philox generator seeded as
 Philox(seed=[seed, stream]); identical specs therefore reproduce bit
-identical paths, and derived draws (refinement, test batteries) use
-disjoint streams.  Generators are pure functions of their spec, so Monte
-Carlo drivers may call them concurrently with distinct seeds.
+identical paths, and derived draws (test batteries) use disjoint streams.
+Generators are pure functions of their spec, so Monte Carlo drivers may
+call them concurrently with distinct seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,21 @@ KINDS = ("brownian", "poisson", "compound_poisson", "jump_diffusion", "fbm",
 
 FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
+MAX_CELLS = 10**7  # base grid cells; ten times the largest grid in use
 
 
 class SimulationError(ValueError):
     pass
+
+
+def grid_cells(n: int) -> int:
+    """``n`` if it is a grid size a generator may build: at least two cells
+    and at most MAX_CELLS, checked before anything is allocated."""
+    if n < 2:
+        raise SimulationError("need at least two grid cells")
+    if n > MAX_CELLS:
+        raise SimulationError(f"grid cells must be at most {MAX_CELLS}")
+    return n
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -57,7 +68,8 @@ class SimSpec:
     jump_diffusion every Levy-Ito field (x0, sigma, drift, intensity,
     jump_law); fbm x0, sigma and hurst; pdp x0, switch_rate and regimes;
     deterministic x0 and regimes[0]; convolution_martingale nothing more.
-    intensity * T and switch_rate * T may not exceed MAX_EXPECTED_ARRIVALS.
+    n may not exceed MAX_CELLS, and intensity * T and switch_rate * T may not
+    exceed MAX_EXPECTED_ARRIVALS.
     """
 
     kind: str
@@ -78,8 +90,7 @@ class SimSpec:
             raise SimulationError(f"unknown process kind {self.kind!r}")
         if not 0.0 < self.T < math.inf:
             raise SimulationError("horizon must be positive and finite")
-        if self.n < 2:
-            raise SimulationError("need at least two grid cells")
+        grid_cells(self.n)
         if self.sigma < 0.0:
             raise SimulationError("volatility must be nonnegative")
         if self.intensity < 0.0:
@@ -354,50 +365,3 @@ def brownian_on_grid(grid: np.ndarray, sigma: float, seed: int,
     """Standard Brownian path on an arbitrary existing grid (test batteries)."""
     w = _brownian_values(_rng(seed, stream), np.asarray(grid, dtype=float), sigma)
     return from_arrays(grid, w, w.copy(), rule=LINEAR)
-
-
-# -- refinement ---------------------------------------------------------------
-
-
-def refine_doubling(spec: SimSpec, path: CadlagPath, gt: GroundTruth):
-    """Double the base grid reusing the coarse path's driving noise.
-
-    Coarse grid values are kept exactly; Brownian content is filled in at
-    the new points by bridge sampling from a stream derived from the seed,
-    pure-jump content refines deterministically.  Returns (path, gt) on the
-    doubled grid.
-    """
-    if spec.kind not in _LEVY_ITO_KINDS:
-        raise SimulationError(f"refinement not supported for kind {spec.kind!r}")
-    sigma, drift, *_ = _levy_ito_fields(spec)
-    fine_spec = replace(spec, n=2 * spec.n)
-    times, sizes = gt.jump_times, gt.jump_sizes
-    fine = _merge_jump_times(uniform_grid(spec.T, fine_spec.n), times)
-    if sigma is None:
-        return path.refined(fine), replace(
-            gt, base_dt=fine_spec.base_dt,
-            decomposition={k: p.refined(fine) for k, p in gt.decomposition.items()},
-            bracket=gt.bracket.refined(fine))
-    new_pts = np.setdiff1d(fine, path.grid)
-    jv, _ = atom_cumsum(path.grid, times, sizes)
-    d_old = path.values - jv - (spec.x0 + drift * path.grid)
-    lo = np.searchsorted(path.grid, new_pts, side="right") - 1
-    a, b = path.grid[lo], path.grid[lo + 1]
-    mean = d_old[lo] + (new_pts - a) / (b - a) * (d_old[lo + 1] - d_old[lo])
-    var = sigma ** 2 * (new_pts - a) * (b - new_pts) / (b - a)
-    rng = _rng(spec.seed, stream=1)
-    d_new = mean + np.sqrt(var) * rng.standard_normal(new_pts.size)
-    jv_new, _ = atom_cumsum(new_pts, times, sizes)
-    vals_new = d_new + jv_new + spec.x0 + drift * new_pts
-    values = np.empty(fine.size)
-    left = np.empty(fine.size)
-    old_pos = np.searchsorted(fine, path.grid)
-    new_pos = np.searchsorted(fine, new_pts)
-    values[old_pos] = path.values
-    values[new_pos] = vals_new
-    left[old_pos] = path.left_values
-    left[new_pos] = vals_new
-    new_path = from_arrays(fine, values, left, rule=LINEAR)
-    jvf, _ = atom_cumsum(fine, times, sizes)
-    w = new_path.values - jvf - (spec.x0 + drift * fine)
-    return new_path, _levy_ito_truth(fine_spec, fine, w, times, sizes)[1]

@@ -152,12 +152,16 @@ def exit_code(argv):
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
-    assert exit_code(["qv", "--scenario", "poisson", "--tol", tol,
-                      "--out", str(tmp_path)]) == 2
+    # --tol and ito-check's --threshold take the same type
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"scenario=poisson\ntol={tol}\n")
-    assert exit_code(["qv", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.count("argument --tol: expected a positive") == 2
+    for command, key in ((["qv"], "tol"),
+                         (["ito-check", "--fn", "identity"], "threshold")):
+        assert exit_code(command + ["--scenario", "poisson", f"--{key}", tol,
+                                    "--out", str(tmp_path)]) == 2
+        cfg.write_text(f"scenario=poisson\n{key}={tol}\n")
+        assert exit_code(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"argument --{key}: expected a positive") == 2
 
 
 @pytest.mark.parametrize("eps0", ["nan", "inf"])
@@ -194,6 +198,17 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command):
 def test_zero_grid_cells_exits_2(tmp_path, capsys, command):
     assert run(command + ["--n", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: need at least two grid cells\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--kind", "brownian"],
+    ["qv", "--scenario", "step"],  # its builder does not go through SimSpec
+])
+def test_grid_cells_over_the_cap_exit_2(tmp_path, capsys, command):
+    # rejected before the 745 GiB grid is allocated
+    assert run(command + ["--n", "100000000000", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: grid cells must be at most 10000000\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -5,9 +5,11 @@ import pathcalc.simulate as sim
 from pathcalc import dirichlet as dd
 from pathcalc import ito
 from pathcalc import regularize as reg
-from pathcalc.ito import FUNCTION_CATALOG, linear_combination, path_of_function
+from pathcalc.ito import FUNCTION_CATALOG, path_of_function
 from pathcalc.jumps import NormalLaw
 from pathcalc.paths import PathError, constant_path, from_arrays, step_path
+
+from oracles import linear_combination
 
 
 def brownian_pair(n=50000, seed=100):

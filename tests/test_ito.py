@@ -6,10 +6,11 @@ from pathcalc import dirichlet, ito
 from pathcalc import jumps as jmod
 from pathcalc import regularize as reg
 from pathcalc.ito import (FUNCTION_CATALOG, BundleValidationError,
-                          FunctionBundle, NonConvergenceError,
-                          linear_combination)
+                          FunctionBundle, NonConvergenceError)
 from pathcalc.jumps import NormalLaw
 from pathcalc.paths import constant_path, from_arrays, uniform_grid
+
+from oracles import linear_combination
 
 SCHED_1E5 = reg.EpsilonSchedule.geometric(0.05, 8).snapped(1e-5)
 

@@ -9,7 +9,9 @@ from pathcalc import jumps as jm
 from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, increment_field,
                           linear_jump_field, taylor_remainder_field)
-from pathcalc.paths import from_arrays, step_path, uniform_grid
+from pathcalc.paths import from_arrays, uniform_grid
+
+from oracles import ONE_FIELD
 
 
 def two_jump_path():
@@ -18,24 +20,6 @@ def two_jump_path():
     v = np.where(grid >= 0.3, 0.5, 0.0) + np.where(grid >= 0.7, 2.0, 0.0)
     l = np.where(grid > 0.3, 0.5, 0.0) + np.where(grid > 0.7, 2.0, 0.0)
     return from_arrays(grid, v, l, rule="pc")
-
-
-def test_jump_measure_atoms():
-    assert len(jm.jump_measure(step_path(1.0, 10, 0.5))) == 1
-    X = two_jump_path()
-    m = jm.jump_measure(X)
-    assert np.allclose(m.times, [0.3, 0.7])
-    assert np.allclose(m.sizes, [0.5, 2.0])
-    flat = from_arrays(uniform_grid(1.0, 4), np.zeros(5), np.zeros(5))
-    assert len(jm.jump_measure(flat)) == 0
-
-
-def test_jump_measure_matches_simulator_log():
-    X, gt = sim.simulate(sim.SimSpec("compound_poisson", n=256, seed=4,
-                                     intensity=3.0, jump_law=jm.NormalLaw(0, 1)))
-    m = jm.jump_measure(X)
-    assert np.array_equal(m.times, gt.jump_times)
-    assert np.allclose(m.sizes, gt.jump_sizes)
 
 
 # -- integrals against the jump measure ------------------------------------------
@@ -59,7 +43,7 @@ def test_integrate_mu_big_jump_truncation():
 
 def test_integrate_mu_counting_field():
     X, gt = sim.simulate(sim.SimSpec("poisson", n=128, seed=2, intensity=3.0))
-    N = jm.integrate_mu(jm.ONE_FIELD, X)
+    N = jm.integrate_mu(ONE_FIELD, X)
     assert np.array_equal(N.values, X.values)
 
 

@@ -5,9 +5,12 @@ placed where the sample mesh has its edge cases: at tau with tau - eps
 exactly on a grid node (dyadic grids keep that subtraction exact), within
 eps of 0 (tau - eps falls outside the horizon) and within eps of T.
 
-The ``brute_*`` oracles share the kernels' sample mesh.  The mesh-free
-oracle below does not: it integrates the window sums exactly from
-``value_at`` and ``left_limit`` alone, so it also sees a fault in the mesh.
+Neither oracle shares the kernels' sample mesh: both read the paths only
+through ``value_at`` and ``left_limit``, so they also see a fault in the
+mesh.  The ``brute_*`` oracles of oracles.py build their own breakpoint set
+and keep the kernels' left-endpoint rule, so they cover linear paths too.
+The mesh-free oracle below integrates the window sums exactly, which it can
+do only on piecewise-constant paths.
 """
 
 import numpy as np
@@ -17,6 +20,8 @@ from pathcalc import dirichlet as dd
 from pathcalc import regularize as reg
 from pathcalc.paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath,
                             constant_path, uniform_grid)
+
+from oracles import brute_covariation, brute_forward_integral, rel_error
 
 
 def _path(grid, marks, rule, seed):
@@ -66,25 +71,6 @@ def kernel_case(draw, rules=(PIECEWISE_CONSTANT, LINEAR)):
     return (*_draw_pair(draw, grid, jumps, rules), eps)
 
 
-def _close(kernel, brute):
-    scale = max(1.0, float(np.max(np.abs(brute))))
-    return float(np.max(np.abs(kernel - brute))) / scale <= 1e-12
-
-
-@settings(max_examples=150, deadline=None)
-@given(kernel_case())
-def test_kernel_matches_oracles_and_unit_weight(case):
-    X, Y, eps = case
-    assert _close(reg.covariation(X, Y, eps).values,
-                  reg.brute_covariation(X, Y, eps))
-    assert _close(reg.forward_integral(Y, X, eps).values,
-                  reg.brute_forward_integral(Y, X, eps))
-    W = reg.weighted_qv(constant_path(X.grid, 1.0), X, eps)
-    C = reg.covariation(X, X, eps)
-    assert np.array_equal(W.values, C.values)
-    assert np.array_equal(W.left_values, C.left_values)
-
-
 def _pin_cases():
     # (n, k, i) on uniform_grid(1, n) with eps = grid[k] where grid[i] - eps
     # rounds onto a node from which node + eps falls short of grid[i], so
@@ -110,6 +96,25 @@ def pinned_case(draw):
     grid = uniform_grid(1.0, n)
     jumps = {i} | set(draw(st.lists(st.integers(1, n), max_size=2)))
     return (*_draw_pair(draw, grid, jumps, (PIECEWISE_CONSTANT,)), float(grid[k]))
+
+
+def _close(kernel, oracle):
+    return rel_error(kernel, oracle) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(kernel_case(), pinned_case()))
+def test_kernel_matches_oracles_and_unit_weight(case):
+    X, Y, eps = case
+    for est, (vals, lefts) in (
+            (reg.covariation(X, Y, eps), brute_covariation(X, Y, eps)),
+            (reg.forward_integral(Y, X, eps), brute_forward_integral(Y, X, eps))):
+        assert _close(est.values, vals)
+        assert _close(est.left_values, lefts)
+    W = reg.weighted_qv(constant_path(X.grid, 1.0), X, eps)
+    C = reg.covariation(X, X, eps)
+    assert np.array_equal(W.values, C.values)
+    assert np.array_equal(W.left_values, C.left_values)
 
 
 def mesh_free_window_sums(X, Y, eps, unit):

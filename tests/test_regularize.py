@@ -6,8 +6,10 @@ import pytest
 import pathcalc
 import pathcalc.simulate as sim
 from pathcalc import regularize as reg
-from pathcalc.paths import (CadlagPath, constant_path, from_function,
-                            step_path, uniform_grid)
+from pathcalc.paths import CadlagPath, constant_path, step_path, uniform_grid
+
+from oracles import (brute_covariation, brute_forward_integral, from_function,
+                     rel_error)
 
 
 def linear_path(n=100, T=1.0):
@@ -103,20 +105,20 @@ def test_covariation_constant_is_zero():
 def test_forward_kernel_matches_bruteforce(eps):
     X = jumpy_path()
     Y = from_function(X.grid, lambda t: np.sin(3 * t) + 1.0)
-    kernel = reg.forward_integral(Y, X, eps).values
-    brute = reg.brute_forward_integral(Y, X, eps)
-    scale = max(1.0, float(np.max(np.abs(brute))))
-    assert np.max(np.abs(kernel - brute)) / scale < 1e-12
+    kernel = reg.forward_integral(Y, X, eps)
+    vals, lefts = brute_forward_integral(Y, X, eps)
+    assert rel_error(kernel.values, vals) < 1e-12
+    assert rel_error(kernel.left_values, lefts) < 1e-12
 
 
 @pytest.mark.parametrize("eps", [0.03, 0.05, 0.0777, 0.11])
 def test_covariation_kernel_matches_bruteforce(eps):
     X = jumpy_path()
     Y = jumpy_path(seed=5)
-    kernel = reg.covariation(X, Y, eps).values
-    brute = reg.brute_covariation(X, Y, eps)
-    scale = max(1.0, float(np.max(np.abs(brute))))
-    assert np.max(np.abs(kernel - brute)) / scale < 1e-12
+    kernel = reg.covariation(X, Y, eps)
+    vals, lefts = brute_covariation(X, Y, eps)
+    assert rel_error(kernel.values, vals) < 1e-12
+    assert rel_error(kernel.left_values, lefts) < 1e-12
 
 
 # -- algebraic invariants -------------------------------------------------------

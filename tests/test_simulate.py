@@ -47,6 +47,9 @@ def test_spec_validation():
         SimSpec("fbm", hurst=1.2)
     with pytest.raises(SimulationError):
         SimSpec("brownian", n=1)
+    SimSpec("brownian", n=sim.MAX_CELLS)
+    with pytest.raises(SimulationError, match="at most"):
+        SimSpec("brownian", n=sim.MAX_CELLS + 1)
     for T in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(SimulationError, match="horizon must be positive and finite"):
             SimSpec("poisson", T=T)
@@ -241,38 +244,3 @@ def test_deterministic_kind():
     assert np.allclose(X.values, np.sin(X.grid))
     with pytest.raises(SimulationError):
         simulate(SimSpec("deterministic", n=64, seed=0))
-
-
-# -- refinement -------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind,kw", [
-    ("brownian", dict(sigma=1.0)),
-    ("poisson", dict(intensity=3.0)),
-    ("compound_poisson", dict(intensity=2.0, jump_law=NormalLaw(0, 1))),
-    ("jump_diffusion", dict(sigma=0.5, drift=0.1, intensity=2.0,
-                            jump_law=NormalLaw(0, 1))),
-    ("brownian", dict(sigma=1.0, drift=2.0)),  # brownian ignores drift
-])
-def test_refinement_reuses_coarse_noise(kind, kw):
-    spec = SimSpec(kind, n=128, seed=13, **kw)
-    p0, g0 = simulate(spec)
-    p1, g1 = sim.refine_doubling(spec, p0, g0)
-    pos = np.searchsorted(p1.grid, p0.grid)
-    assert np.array_equal(p1.grid[pos], p0.grid)
-    assert np.array_equal(p1.values[pos], p0.values)
-    assert np.array_equal(g1.jump_times, g0.jump_times)
-    if g1.decomposition:
-        total = sum(g1.decomposition[k].values for k in ("M_c", "M_d", "A"))
-        assert np.max(np.abs(total - p1.values)) < 1e-9
-        for k in ("M_c", "M_d", "A"):
-            fine, coarse = g1.decomposition[k], g0.decomposition[k]
-            assert np.max(np.abs(fine.values[pos] - coarse.values)) < 1e-12
-
-
-def test_refinement_is_deterministic():
-    spec = SimSpec("brownian", n=64, seed=21)
-    p0, g0 = simulate(spec)
-    a, _ = sim.refine_doubling(spec, p0, g0)
-    b, _ = sim.refine_doubling(spec, p0, g0)
-    assert np.array_equal(a.values, b.values)
