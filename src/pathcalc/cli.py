@@ -75,15 +75,16 @@ def _residual_csv(path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _schedule(args, path, base_dt, scenario) -> EpsilonSchedule:
-    """The geometric schedule of the flags (or the scenario defaults),
-    snapped to the base spacing and checked against the path's grid."""
+def _schedule(args, scenario) -> EpsilonSchedule:
+    """The geometric schedule of the flags (or the scenario defaults).
+
+    It is built before the path, so a bad schedule exits 2 before any
+    simulation; ``for_path`` then snaps it to the base spacing and checks
+    it against the path's grid (``main`` maps its ScheduleError to exit 2).
+    """
     eps0 = args.eps0 if args.eps0 is not None else scenario.default_eps0
     levels = args.levels if args.levels is not None else scenario.default_levels
-    try:
-        return EpsilonSchedule.geometric(eps0, levels).for_path(path, base_dt)
-    except ScheduleError as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    return EpsilonSchedule.geometric(eps0, levels)
 
 
 def _scenario(args):
@@ -128,8 +129,9 @@ def cmd_simulate(args) -> int:
 
 def _run_limit(args, estimator_name: str):
     sc = _scenario(args)
+    sched = _schedule(args, sc)
     X, gt = sc.build(seed=args.seed, n=args.n)
-    sched = _schedule(args, X, gt.base_dt, sc)
+    sched = sched.for_path(X, gt.base_dt)
     if estimator_name == "qv":
         rep = qv_limit(X, schedule=sched, tol=args.tol)
     else:
@@ -178,9 +180,10 @@ def cmd_convergence(args) -> int:
 
 def cmd_ito_check(args) -> int:
     sc = _scenario(args)
+    sched = _schedule(args, sc)
     X, gt = sc.build(seed=args.seed, n=args.n)
     F = _function(args.fn)
-    sched = _schedule(args, X, gt.base_dt, sc)
+    sched = sched.for_path(X, gt.base_dt)
     try:
         if args.measure_form:
             if gt.compensator is None:
@@ -222,8 +225,9 @@ def cmd_dirichlet_check(args) -> int:
     sc = ORTH_SCENARIOS.get(args.scenario)
     if sc is None:
         raise CliError(f"unknown scenario {args.scenario!r}", EXIT_BAD_CONFIG)
+    sched = _schedule(args, sc)
     A, N, base_dt = sc.build(seed=args.seed, n=args.n)
-    sched = _schedule(args, A, base_dt, sc)
+    sched = sched.for_path(A, base_dt)
     rep = dd.orthogonality_test(A, N, sched, tol=args.tol)
     out = _out_dir(args)
     payload = rep.to_json_dict()
@@ -243,9 +247,10 @@ def _run_chain_check(args) -> int:
     if sc is None or not sc.has_decomposition:
         raise CliError(f"no labeled decomposition for scenario {args.chain!r}",
                        EXIT_BAD_CONFIG)
+    sched = _schedule(args, sc)
     X, gt = sc.build(seed=args.seed, n=args.n)
     F = _function(args.fn)
-    sched = _schedule(args, X, gt.base_dt, sc)
+    sched = sched.for_path(X, gt.base_dt)
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.chain_rule_c01(F, X, dec, gt.compensator, sched,
                             tol=max(args.tol, 0.05), orth_tol=args.tol,

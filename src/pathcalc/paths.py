@@ -100,12 +100,10 @@ class CadlagPath:
         if marks.size:
             if marks[0] < 1 or marks[-1] >= grid.size or np.any(np.diff(marks) <= 0):
                 raise PathError("jump marks must be sorted, unique indices in [1, n]")
-        mask = np.zeros(grid.size, dtype=bool)
-        mask[marks] = True
-        jumps = values - left
-        if np.any(jumps[marks] == 0.0):
+        if np.any(values[marks] == left[marks]):
             raise PathError("marked jump with zero size")
-        if np.any(jumps[~mask] != 0.0):
+        # every mark differs, so any further difference is unmarked
+        if np.count_nonzero(values != left) != marks.size:
             raise PathError("left_values differ from values at an unmarked index")
         if self.rule == PIECEWISE_CONSTANT:
             if not np.array_equal(left[1:], values[:-1]):

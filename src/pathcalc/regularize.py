@@ -15,17 +15,19 @@ the sample mesh formed by the path grid plus the shifted jump breakpoints
 {tau - eps}.  With those breakpoints present the integrand is exactly
 piecewise constant whenever the inputs are, so the kernels are exact on
 piecewise-constant paths.  Splitting each integral at t - eps turns the
-computation into prefix sums: per window, one O(n log n) search of the
-shifted sample points in the grid, then O(n) work for all t.  That one
-search gives both paths' values at the shifted points and, by counting, the
-bulk cells of every t.  The estimators jump only where their inputs do, so
-left limits are assembled only at the input jump rows.  A literal O(n^2)
-per-t transcription on its own breakpoint set (in the test suite) must
-match the kernels to floating-point reassociation accuracy.  The three
-split estimators are one window-sum kernel with different cell weights:
-the covariation weights the product of the X and Y increments by the cell
-width w, the weighted sum weights the squared X increment by w g, and the
-forward estimate weights the X increment alone by w Y.
+computation into prefix sums: per window, one location of the shifted
+sample points in the grid, then O(n) work for all t.  The location is a
+bucket walk, O(n) when the grid's nodes are spread evenly, with a binary
+search only for points in crowded buckets.  It gives both paths' values at
+the shifted points and, by counting, the bulk cells of every t.  The
+estimators jump only where their inputs do, so left limits are assembled
+only at the input jump rows.  A literal O(n^2) per-t transcription on its
+own breakpoint set (in the test suite) must match the kernels to
+floating-point reassociation accuracy.  The three split estimators are
+one window-sum kernel with different cell weights: the covariation weights
+the product of the X and Y increments by the cell width w, the weighted
+sum weights the squared X increment by w g, and the forward estimate
+weights the X increment alone by w Y.
 
 All kernels are pure functions.  ``ucp_limit`` drives an estimator along a
 window schedule, streaming: it holds only the previous and the current
@@ -40,11 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import LINEAR, CadlagPath, PathError, _sample_plan, from_arrays
+from .paths import LINEAR, CadlagPath, PathError, _sample_plan
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
 DEFAULT_TOL = 1e-2
+# 0.5 ** 1075 is 0.0: no geometric schedule with more levels has positive widths
+MAX_LEVELS = 1074
 
 
 class ScheduleError(ValueError):
@@ -80,7 +84,13 @@ class EpsilonSchedule:
     @classmethod
     def geometric(cls, eps_max: float = DEFAULT_EPS_MAX,
                   levels: int = DEFAULT_LEVELS) -> "EpsilonSchedule":
-        """eps_k = eps_max * 2^-k for k = 1..levels (default 0.05 * 2^-k)."""
+        """eps_k = eps_max * 2^-k for k = 1..levels (default 0.05 * 2^-k).
+
+        ``levels`` outside [1, MAX_LEVELS] is rejected before any width is
+        built.
+        """
+        if not 1 <= levels <= MAX_LEVELS:
+            raise ScheduleError(f"levels must be between 1 and {MAX_LEVELS}")
         return cls(tuple(eps_max * 0.5 ** k for k in range(1, levels + 1)))
 
     def snapped(self, dt: float) -> "EpsilonSchedule":
@@ -128,6 +138,38 @@ def _cumsum0(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# steps of the bucket walk before the times still moving are binary-searched;
+# a bucket of a uniform grid holds at most two nodes
+_LOCATE_ROUNDS = 4
+
+
+def _locate(grid: np.ndarray, tc: np.ndarray) -> np.ndarray:
+    """Cell of every time tc in [0, T], ``searchsorted(grid, tc, "right") - 1``.
+
+    Nodes and times fall in buckets floor(t / T * n), a map monotone in t,
+    so every node of a later bucket than a time's lies after that time.
+    Each time starts at the last node of its own bucket (found by one count
+    and one prefix sum over the nodes), and all times step back together
+    while their node lies after them.  The few still moving after
+    ``_LOCATE_ROUNDS`` steps, in buckets crowded by clustered nodes, are
+    binary-searched, so any grid stays exact and O(n log n).
+    """
+    n = grid.size - 1
+    T = grid[-1]
+    # t / T <= 1 first: no overflow even for a tiny horizon
+    ends = np.cumsum(np.bincount((grid / T * n).astype(np.intp)))
+    cells = ends[(tc / T * n).astype(np.intp)] - 1
+    moving = np.flatnonzero(grid[cells] > tc)
+    for _ in range(_LOCATE_ROUNDS):
+        if not moving.size:
+            return cells
+        c = cells[moving] - 1
+        cells[moving] = c
+        moving = moving[grid[c] > tc[moving]]
+    cells[moving] = np.searchsorted(grid, tc[moving], side="right") - 1
+    return cells
+
+
 class _Mesh:
     """Shared sample mesh for one (X, Y, eps) kernel evaluation.
 
@@ -136,9 +178,9 @@ class _Mesh:
     left endpoint is an inserted breakpoint tau - eps, ``u`` is pinned to tau
     exactly so the lookup lands on the post-jump value.
 
-    The grid is searched once, for ``u``, and that search gives one sample
-    plan: the cell of every u, and the cell and fraction of each u that
-    falls strictly inside its cell.  X, Y and every partner are sampled
+    ``u`` is located in the grid once, by ``_locate``, and that gives one
+    sample plan: the cell of every u, and the cell and fraction of each u
+    that falls strictly inside its cell.  X, Y and every partner are sampled
     from that plan (X and Y share the grid): a path gathers its values at
     the cells, and under the linear rule interpolates only the off-node
     entries.  The plan is dropped once the paths are sampled.  Counting each
@@ -154,10 +196,10 @@ class _Mesh:
             raise PathError("paths must share a grid")
         eps = float(eps)
         T = X.horizon
-        if eps >= T:
-            raise ValueError("window width must be below the horizon")
-        if eps <= 0.0 or eps < X.min_spacing:
-            raise ValueError("window width must cover at least one grid cell")
+        # one range test, which NaN fails too
+        if not X.min_spacing <= eps < T:
+            raise ValueError("window width must cover at least one grid cell "
+                             "and lie below the horizon")
         grid = X.grid
         taus = np.union1d(X.jump_times, Y.jump_times)
         shifted = taus - eps
@@ -199,9 +241,9 @@ class _Mesh:
         self.shifted = shifted
         if not np.all(u >= 0.0):
             raise PathError("shifted sample points need u >= 0, not NaN")
-        # the one search: all paths share the grid, so one plan serves all
+        # the one location: all paths share the grid, so one plan serves all
         uc = np.minimum(u, T)
-        cells = np.searchsorted(grid, uc, side="right") - 1
+        cells = _locate(grid, uc)
         plan = _sample_plan(grid, uc, cells)
         self.Xs, self.Xu = self._samples(X, plan)
         self.Ys, self.Yu = (self.Xs, self.Xu) if Y is X else self._samples(Y, plan)
@@ -243,10 +285,12 @@ def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
                     jump_idx: np.ndarray) -> CadlagPath:
     # the continuous-time estimator only jumps where its inputs do; elsewhere
     # the boundary-window algebra leaves reassociation dust, so left values
-    # are assembled (``jump_lefts``) only at the input jump rows
+    # are assembled (``jump_lefts``) only at the input jump rows, and the
+    # marks are the rows among them where the estimate moves
     left_final = vals.copy()
     left_final[jump_idx] = jump_lefts
-    return from_arrays(grid, vals, left_final, rule=LINEAR)
+    marks = jump_idx[jump_lefts != vals[jump_idx]]
+    return CadlagPath(grid, vals, left_final, marks, rule=LINEAR)
 
 
 def _input_jump_indices(X: CadlagPath, Y: CadlagPath | None = None) -> np.ndarray:
@@ -299,8 +343,8 @@ def _window_sums(m: _Mesh, omega: np.ndarray, unit: bool = False):
             ra = SwA[p] - SwA[j]
             if unit:
                 return (bulk[j] + Am * rw - ra) / m.eps
-            Bm = Yt - cB
-            rb = SwB[p] - SwB[j]
+            Bm = Am if Y is X else Yt - cB
+            rb = ra if Y is X else SwB[p] - SwB[j]
             rab = SwAB[p] - SwAB[j]
             return (bulk[j] + (Am * Bm * rw + rab) - (Am * rb + Bm * ra)) / m.eps
 
@@ -340,7 +384,8 @@ def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPa
     m = _Mesh(X, Y, eps)
     bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (m.Yu - m.Ys))
     vals = bulk[m.pos] / m.eps
-    return from_arrays(m.grid, vals, vals.copy(), rule=LINEAR)
+    return CadlagPath(m.grid, vals, vals.copy(), np.zeros(0, dtype=np.intp),
+                      rule=LINEAR)
 
 
 def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -209,6 +210,22 @@ def test_grid_cells_over_the_cap_exit_2(tmp_path, capsys, command):
     # rejected before the 745 GiB grid is allocated
     assert run(command + ["--n", "100000000000", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: grid cells must be at most 10000000\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("levels", ["0", "1075", "1000000"])
+def test_levels_out_of_range_exit_2_before_building_widths(tmp_path, capsys, levels):
+    # a million levels used to build a million widths (a 39 MiB peak) first
+    tracemalloc.start()
+    try:
+        code = run(["qv", "--scenario", "poisson", "--levels", levels,
+                    "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    assert capsys.readouterr().err == "error: levels must be between 1 and 1074\n"
     assert not any(tmp_path.iterdir())
 
 

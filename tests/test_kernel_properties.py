@@ -233,3 +233,55 @@ def test_battery_matches_per_path_orthogonality_tests(case, seed):
         assert rep.epsilons == ref.epsilons and rep.decision == ref.decision
         assert rep.sup_norms.tobytes() == ref.sup_norms.tobytes()
         assert rep.sup_gaps.tobytes() == ref.sup_gaps.tobytes()
+
+
+@st.composite
+def locate_case(draw):
+    """A grid and query times in [0, T]: 0, T, every node, each node's
+    neighbours one ulp away, times past T capped at T and random times."""
+    n = draw(st.integers(2, 300))
+    T = draw(st.sampled_from([1.0, 0.7, 3.0, 1e-3, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "jump_nodes", "random", "clustered"]))
+    grid = uniform_grid(T, n)
+    if kind == "jump_nodes":
+        grid = np.union1d(grid, rng.uniform(0.0, T, draw(st.integers(1, 5))))
+    elif kind == "random":
+        grid = np.unique(np.concatenate(([0.0, T], rng.uniform(0.0, T, n))))
+    elif kind == "clustered":
+        # enough nodes packed into a sliver that one bucket holds more than
+        # the walk's rounds, so the binary-search fallback runs
+        m = draw(st.integers(2 * reg._LOCATE_ROUNDS + 4, 60))
+        width = T / (4.0 * (n + m))
+        start = rng.uniform(0.0, T - width)
+        grid = np.union1d(grid, start + width * np.sort(rng.uniform(0.0, 1.0, m)))
+        buckets = np.bincount((grid / T * (grid.size - 1)).astype(np.intp))
+        assert buckets.max() > reg._LOCATE_ROUNDS + 1
+    q = np.concatenate(([0.0, T], grid, np.nextafter(grid, -np.inf),
+                        np.nextafter(grid, np.inf), [np.nextafter(T, np.inf), 2 * T],
+                        rng.uniform(0.0, T, 50)))
+    return grid, np.minimum(np.maximum(q, 0.0), T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(locate_case())
+def test_locate_matches_binary_search(case):
+    grid, tc = case
+    want = np.searchsorted(grid, tc, side="right") - 1
+    assert reg._locate(grid, tc).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_case(), st.sampled_from((PIECEWISE_CONSTANT, LINEAR)),
+       st.integers(0, 2**32 - 1))
+def test_covariation_with_itself_equals_that_with_a_copy(case, rule, seed):
+    # (X, X) reuses X's gathers and sums for the second factor; an equal but
+    # distinct copy takes the general route and must give the same bytes
+    X, _, eps = case
+    for P in (X, _path(X.grid, np.zeros(0, dtype=np.intp), rule, seed)):
+        Pc = CadlagPath(P.grid.copy(), P.values.copy(), P.left_values.copy(),
+                        P.jump_marks.copy(), rule=P.rule)
+        same, copy = reg.covariation(P, P, eps), reg.covariation(P, Pc, eps)
+        for a, b in ((same.values, copy.values), (same.left_values, copy.left_values),
+                     (same.jump_marks, copy.jump_marks)):
+            assert a.tobytes() == b.tobytes()

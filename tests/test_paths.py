@@ -33,6 +33,20 @@ def test_zero_size_jump_rejected():
         make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], jumps=[(1, 1.0)])
 
 
+@pytest.mark.parametrize("values, left, marks, message", [
+    ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [], "unmarked index"),  # at index 0
+    ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], [], "unmarked index"),
+    ([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [1], "unmarked index"),  # beside a mark
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1], "zero size"),
+    # as many differences as marks, but not at the mark
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [1], "zero size"),
+])
+def test_constructor_rejects_unmarked_and_empty_jumps(values, left, marks, message):
+    with pytest.raises(PathError, match=message):
+        CadlagPath(np.array([0.0, 0.5, 1.0]), np.array(values), np.array(left),
+                   np.array(marks, dtype=np.intp))
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(PathError):
         make_path([0.0, 0.5, 1.0], [0.0, 1.0])

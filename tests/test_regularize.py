@@ -339,6 +339,17 @@ def test_window_width_validation():
         reg.covariation(X, X, 0.001)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_window_width_outside_the_grid_range_is_a_value_error(eps):
+    # a NaN width must not reach the mesh and fail there as a PathError
+    X = linear_path(50)
+    for estimate in (lambda: reg.covariation(X, X, eps),
+                     lambda: reg.forward_integral(constant_path(X.grid, 1.0), X, eps)):
+        with pytest.raises(ValueError, match="^window width must cover") as err:
+            estimate()
+        assert type(err.value) is ValueError
+
+
 def test_schedule_construction_and_snapping():
     with pytest.raises(reg.ScheduleError):
         reg.EpsilonSchedule((0.1, 0.2))
@@ -349,6 +360,11 @@ def test_schedule_construction_and_snapping():
     X = linear_path(1000)
     with pytest.raises(reg.ScheduleError):
         reg.EpsilonSchedule((0.5, 0.002)).validate_for(X, 1e-3)
+    # 2^-1074 is the last positive power; more levels are rejected up front
+    assert reg.EpsilonSchedule.geometric(1e300, reg.MAX_LEVELS).epsilons[-1] > 0.0
+    for levels in (0, -3, reg.MAX_LEVELS + 1, 10**12):
+        with pytest.raises(reg.ScheduleError, match="levels must be between"):
+            reg.EpsilonSchedule.geometric(0.05, levels)
 
 
 @pytest.mark.parametrize("eps", [(0.1, math.nan), (math.nan,), (math.inf, 0.1),
