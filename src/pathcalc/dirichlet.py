@@ -10,6 +10,9 @@ labeled decomposition of X plus its compensator model, define the residual
 part by subtraction, and submit the residual to an orthogonality battery of
 independent Brownian test paths.  Predictability of labeled components is
 established by construction in the simulators, not inferred from data.
+``chain_rule_c01`` and ``gamma_c12_reference`` are views of the expansion
+of F(t, X_t) in ``ito``; ``jump_identities`` reads them and the measure
+form off one expansion.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jmod
-from .ito import (FunctionBundle, increment_field, path_of_function,
-                  path_of_function_derivative, _converged_bracket, _has_atoms,
-                  _small_big_split, _smooth_terms, stieltjes_left,
-                  taylor_remainder_field, _validated)
-from .jumps import CompensatorSpec, X_FIELD, integrability_report
+from .ito import (FunctionBundle, ItoReport, increment_field, path_of_function,
+                  _Expansion, _measure_form, stieltjes_left)
+from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms,
+                    integrability_report)
 from .paths import CadlagPath, PathError, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
                          _covariation_studies, _require_fit, covariation,
@@ -210,25 +212,31 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
     ``brownian_battery(X, battery_seed)``.  The bracket of X must converge
     along the schedule first (NonConvergenceError otherwise).
     """
-    _validated(F, X, "c01", validate)
-    _converged_bracket(X, schedule, tol)
-    has_atoms = _has_atoms(X, nu)
-    lhs = path_of_function(F, X)
+    return _chain_rule(_Expansion(F, X, nu, schedule, tol), decomp, orth_tol,
+                       battery_seed, validate)
+
+
+def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
+                battery_seed: int, validate: bool) -> ChainRuleReport:
+    F, X = ex.F, ex.X
+    ex.require("c01", validate)
+    ex.bracket  # the bracket guard comes before the decomposition is read
+    has_atoms = _has_atoms(X, ex.nu)
+    lhs = ex.lhs
     M = decomp.martingale
-    mart_int = stieltjes_left(path_of_function_derivative(F, X), M)
+    mart_int = stieltjes_left(ex.dx_path, M)
     if has_atoms and not integrability_report(X, F).taylor_remainder_summable:
         raise jmod.IntegrabilityError(
             "big-jump Taylor total is not finite for this function")
-    k_mu, k_nu, y_mu, y_nu, big_mu = _small_big_split(F, X, nu)
-    vbar = (jmod.integrate_nu(taylor_remainder_field(F, "big"), nu, X)
-            if has_atoms else constant_path(X.grid))
+    k_mu, k_nu, y_mu, y_nu, big_mu = ex.split
+    vbar = ex.big_nu
     k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
     gamma = (lhs - constant_path(X.grid, lhs.values[0]) - mart_int - k_comp
              + y_comp - big_mu)
     a_path = gamma + vbar
     m_path = lhs - a_path
     orth = orthogonality_battery(a_path, brownian_battery(X, seed=battery_seed),
-                                 schedule, orth_tol)
+                                 ex.schedule, orth_tol)
     terms = {"martingale_integral": mart_int,
              "small_jump_compensated_increment": k_comp,
              "small_jump_compensated_linear": y_comp,
@@ -247,17 +255,34 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
     forward integral against the labeled residual component, half the second
     derivative against the continuous bracket part, and the small-jump
     compensator integral of the Taylor remainder."""
-    _validated(F, X, "c12", False)
-    time_term, bracket = _smooth_terms(F, X, schedule, tol)
+    return _gamma_reference(_Expansion(F, X, nu, schedule, tol), decomp)
+
+
+def _gamma_reference(ex: _Expansion, decomp: LabeledDecomposition) -> CadlagPath:
+    X = ex.X
+    ex.require("c12", False)
+    time_term, bracket = ex.smooth_terms()
     A = decomp.A if decomp.A is not None else constant_path(X.grid)
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
         fwd = constant_path(X.grid)
     else:
-        integrand = path_of_function_derivative(F, X)
-        fwd = forward_integral(integrand, A, schedule.epsilons[-1])
-    small_nu = (jmod.integrate_nu(taylor_remainder_field(F, "small"), nu, X)
-                if _has_atoms(X, nu) else constant_path(X.grid))
-    return time_term + fwd + bracket + small_nu
+        fwd = forward_integral(ex.dx_path, A, ex.schedule.epsilons[-1])
+    return time_term + fwd + bracket + ex.small_nu
+
+
+def jump_identities(F: FunctionBundle, X: CadlagPath,
+                    decomp: LabeledDecomposition,
+                    nu: CompensatorSpec | None = None,
+                    schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
+                    tol: float = DEFAULT_TOL
+                    ) -> tuple[ItoReport, ChainRuleReport, CadlagPath]:
+    """``ito_terms_measure_form``, ``chain_rule_c01`` (at its defaults) and
+    ``gamma_c12_reference`` of the same inputs, bit for bit, from one
+    expansion of F(t, X_t), so the pieces they share are built once; the
+    first error raised is the one the three calls in sequence would raise."""
+    ex = _Expansion(F, X, nu, schedule, tol)
+    return (_measure_form(ex), _chain_rule(ex, decomp, ORTH_TOL, 0, True),
+            _gamma_reference(ex, decomp))
 
 
 # -- particular decomposition checks ------------------------------------------
@@ -338,11 +363,10 @@ def particular_wd_check(decomp: LabeledDecomposition,
     scale = max(float(np.max(np.abs(reference))), 1.0)
     passed_bracket = bracket_gap < tol * scale
 
-    if _has_atoms(X, nu):
-        small = jmod.compensated_integral(X_FIELD.with_truncation("small"), X, nu)
-        big = jmod.integrate_mu(X_FIELD.with_truncation("big"), X)
-    else:
-        small = big = constant_path(X.grid)
+    small = _if_atoms(X, nu, lambda: jmod.compensated_integral(
+        X_FIELD.with_truncation("small"), X, nu))
+    big = _if_atoms(X, nu, lambda: jmod.integrate_mu(
+        X_FIELD.with_truncation("big"), X))
     mc = decomp.M_c if decomp.M_c is not None else constant_path(X.grid)
     alpha = X - mc - small - big
     rhs = mc + alpha + small + big
@@ -388,12 +412,11 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
     md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
-    rebuilt = (jmod.compensated_integral(X_FIELD, X, nu)
-               if _has_atoms(X, nu) else constant_path(X.grid))
+    rebuilt = _if_atoms(X, nu, lambda: jmod.compensated_integral(X_FIELD, X, nu))
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
     md_jumps = md.values - md.left_values
     x_jumps = X.values - X.left_values
-    atom_gap = float(np.max(np.abs(md_jumps - x_jumps))) if X.grid.size else 0.0
+    atom_gap = float(np.max(np.abs(md_jumps - x_jumps)))
     scale = max(md.sup_norm(), X.sup_norm(), 1.0)
     return MdRepresentationReport(sup_gap, atom_gap, 1e-8 * scale)
 
@@ -435,8 +458,8 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     jump_abs = float(np.sum(np.abs(lhs.jump_sizes)))
     if not np.isfinite(jump_abs):
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
-    comp = (jmod.compensated_integral(increment_field(F), X, nu)
-            if _has_atoms(X, nu) else constant_path(X.grid))
+    comp = _if_atoms(X, nu, lambda: jmod.compensated_integral(
+        increment_field(F), X, nu))
     a_path = lhs - constant_path(X.grid, lhs.values[0]) - comp
     orth = orthogonality_battery(a_path, brownian_battery(X), schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,

@@ -9,18 +9,24 @@ the symmetric average of the space derivative at both jump endpoints.
 Every report carries the named term paths, the pointwise residual against
 F(t, X_t) - F(0, X_0), and the residual sup-norm along the window schedule;
 the residual is assembled by construction, never fitted.
+
+Every harness, here and in ``dirichlet``, is a view of one expansion of
+F(t, X_t) per call (``_Expansion``): its pieces (F(t, X_t), dF_x, the
+guarded bracket, the time and bracket terms, the jump sums, the small/big
+split and the compensator integrals) are built when first read, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import jumps as jmod
-from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD,
+from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     integrability_report)
-from .paths import LINEAR, CadlagPath, constant_path, from_arrays
+from .paths import LINEAR, CadlagPath, from_arrays
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
                          _require_fit, covariation, forward_integral, qv_limit)
 
@@ -154,6 +160,13 @@ def path_of_function(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
     return from_arrays(X.grid, values, left, rule=LINEAR)
 
 
+def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
+    """The path t -> dF_x(t, X_t) with left limits dF_x(t, X_{t-})."""
+    values = np.asarray(F.dx(X.grid, X.values), dtype=float)
+    left = np.asarray(F.dx(X.grid, X.left_values), dtype=float)
+    return from_arrays(X.grid, values, left, rule=LINEAR)
+
+
 def pre_jump_samples(X: CadlagPath) -> np.ndarray:
     """X(t-) at every grid time, with X(0-) := X(0)."""
     return np.concatenate(([X.values[0]], X.left_values[1:]))
@@ -210,26 +223,6 @@ def linear_jump_field(F: FunctionBundle, truncation=None) -> IntegrandField:
     return IntegrandField(fn, truncation)
 
 
-def _has_atoms(X: CadlagPath, nu: CompensatorSpec | None) -> bool:
-    """Whether X carries jump atoms; a path with atoms needs a compensator
-    model, and every jump term of a path without atoms is the zero path."""
-    if X.jump_marks.size and nu is None:
-        raise ValueError("a compensator model is required for a path with jumps")
-    return bool(X.jump_marks.size)
-
-
-def _small_big_split(F: FunctionBundle, X: CadlagPath,
-                     nu: CompensatorSpec | None) -> tuple[CadlagPath, ...]:
-    """(k_mu, k_nu, y_mu, y_nu, big_mu): the mu and nu sides of the
-    small-jump increment and linear fields, and the big-jump Taylor sum."""
-    if not _has_atoms(X, nu):
-        return (constant_path(X.grid),) * 5
-    k_mu, k_nu = jmod.compensated_parts(increment_field(F, "small"), X, nu)
-    y_mu, y_nu = jmod.compensated_parts(linear_jump_field(F, "small"), X, nu)
-    big_mu = jmod.integrate_mu(taylor_remainder_field(F, "big"), X)
-    return k_mu, k_nu, y_mu, y_nu, big_mu
-
-
 # -- continuous bracket part --------------------------------------------------
 
 
@@ -259,26 +252,117 @@ def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDU
     The bracket is the covariation of X with itself at the finest window,
     evaluated with the second finest only to test convergence
     (``_converged_bracket``)."""
-    bracket = _converged_bracket(X, schedule, tol)
-    jump_part = jmod.integrate_mu(X_SQUARED_FIELD, X)
-    raw = bracket.values - jump_part.values
-    mono = np.maximum.accumulate(np.maximum(raw, 0.0))
-    mono[0] = 0.0
-    return from_arrays(X.grid, mono, mono.copy(), rule=LINEAR)
+    return _Expansion(None, X, None, schedule, tol).qvc
 
 
-def _smooth_terms(F: FunctionBundle, X: CadlagPath, schedule: EpsilonSchedule,
-                 tol: float) -> tuple[CadlagPath, CadlagPath]:
-    """The two terms every smooth-case identity shares: the time integral of
-    dF_t(s, X_s), and half of dF_xx(s, X_{s-}) integrated against the
-    continuous bracket part."""
-    qvc = qv_continuous_part(X, schedule, tol)
-    grid = X.grid
-    time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
-    d2 = np.asarray(F.dxx(grid, pre_jump_samples(X)), dtype=float)
-    bracket_term = 0.5 * stieltjes_left(
-        from_arrays(grid, d2, d2.copy(), rule=LINEAR), qvc)
-    return time_term, bracket_term
+# -- the expansion of F(t, X_t) -----------------------------------------------
+
+
+class _Expansion:
+    """The expansion of F(t, X_t) for one harness call: each piece is built
+    when first read and kept for the rest of the call, so a view builds only
+    the pieces it reads, and views that share one expansion build each
+    piece once.  ``nu`` may be None for a path without jump atoms."""
+
+    def __init__(self, F, X, nu, schedule, tol):
+        self.F, self.X, self.nu, self.schedule, self.tol = F, X, nu, schedule, tol
+
+    def require(self, smoothness, validate=True):
+        """ValueError unless F is of class ``smoothness``; with ``validate``,
+        F's derivatives are checked on the range of X (BundleValidationError)."""
+        F, X = self.F, self.X
+        if not F.at_least(smoothness):
+            raise ValueError(f"{F.name} is not of class {smoothness}")
+        if validate:
+            lo = float(min(np.min(X.values), np.min(X.left_values)))
+            hi = float(max(np.max(X.values), np.max(X.left_values)))
+            pad = 0.1 * max(hi - lo, 1.0)
+            F.validate_derivatives((0.0, X.horizon), (lo - pad, hi + pad))
+
+    @cached_property
+    def lhs(self):
+        return path_of_function(self.F, self.X)
+
+    @cached_property
+    def dx_path(self):
+        return path_of_function_derivative(self.F, self.X)
+
+    @cached_property
+    def bracket(self):
+        return _converged_bracket(self.X, self.schedule, self.tol)
+
+    @cached_property
+    def qvc(self):
+        """The continuous bracket part (``qv_continuous_part``)."""
+        raw = self.bracket.values - jmod.integrate_mu(X_SQUARED_FIELD, self.X).values
+        mono = np.maximum.accumulate(np.maximum(raw, 0.0))
+        mono[0] = 0.0
+        return from_arrays(self.X.grid, mono, mono.copy(), rule=LINEAR)
+
+    @cached_property
+    def time_term(self):
+        """The time integral of dF_t(s, X_s)."""
+        grid = self.X.grid
+        return time_integral(np.asarray(self.F.dt(grid, self.X.values), dtype=float),
+                             grid)
+
+    @cached_property
+    def bracket_term(self):
+        """Half of dF_xx(s, X_{s-}) against the continuous bracket part."""
+        grid = self.X.grid
+        d2 = np.asarray(self.F.dxx(grid, pre_jump_samples(self.X)), dtype=float)
+        return 0.5 * stieltjes_left(from_arrays(grid, d2, d2.copy(), rule=LINEAR),
+                                    self.qvc)
+
+    def smooth_terms(self):
+        """(time term, bracket term), read after the continuous bracket part
+        so that the bracket guard raises first."""
+        self.qvc
+        return self.time_term, self.bracket_term
+
+    @cached_property
+    def jump_sum(self):
+        return jmod.integrate_mu(taylor_remainder_field(self.F), self.X)
+
+    @cached_property
+    def split(self):
+        """(k_mu, k_nu, y_mu, y_nu, big_mu): the mu and nu sides of the
+        small-jump increment and linear fields, and the big-jump Taylor sum."""
+        F, X, nu = self.F, self.X, self.nu
+        return _if_atoms(X, nu, lambda: (
+            *jmod.compensated_parts(increment_field(F, "small"), X, nu),
+            *jmod.compensated_parts(linear_jump_field(F, "small"), X, nu),
+            jmod.integrate_mu(taylor_remainder_field(F, "big"), X)), 5)
+
+    @cached_property
+    def small_nu(self):
+        return _if_atoms(self.X, self.nu, lambda: jmod.integrate_nu(
+            taylor_remainder_field(self.F, "small"), self.nu, self.X))
+
+    @cached_property
+    def big_nu(self):
+        return _if_atoms(self.X, self.nu, lambda: jmod.integrate_nu(
+            taylor_remainder_field(self.F, "big"), self.nu, self.X))
+
+    def report(self, variant, fixed, name, term_at, parts=None):
+        """ItoReport of lhs = F(t, X_t) less f0 = F(0, X_0), the ``fixed``
+        terms and the window term ``term_at(eps)``: the residual sup-norm is
+        taken at every window, the residual and ``terms[name]`` at the final
+        one."""
+        lhs = self.lhs
+        f0 = float(lhs.values[0])
+        sups = []
+        for fp in map(term_at, self.schedule):
+            r = lhs.values - f0 - fp.values
+            rl = lhs.left_values - f0 - fp.left_values
+            for q in fixed.values():
+                r = r - q.values
+                rl = rl - q.left_values
+            sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
+        res = from_arrays(lhs.grid, r, r.copy(), rule=LINEAR)
+        return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
+                         np.asarray(sups), tuple(self.schedule.epsilons),
+                         parts or {})
 
 
 # -- reports ------------------------------------------------------------------
@@ -326,55 +410,20 @@ class ItoReport:
         }
 
 
-def _report(variant, F, X, fixed, name, schedule, term_at, parts=None):
-    """ItoReport of lhs = F(t, X_t) less f0 = F(0, X_0), the ``fixed`` terms
-    and the window term ``term_at(eps)``: the residual sup-norm is taken at
-    every window, the residual and ``terms[name]`` at the final one."""
-    lhs = path_of_function(F, X)
-    f0 = float(lhs.values[0])
-    sups = []
-    for fp in map(term_at, schedule):
-        r = lhs.values - f0 - fp.values
-        rl = lhs.left_values - f0 - fp.left_values
-        for q in fixed.values():
-            r = r - q.values
-            rl = rl - q.left_values
-        sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
-    res = from_arrays(lhs.grid, r, r.copy(), rule=LINEAR)
-    return ItoReport(variant, F.name, lhs, f0, {**fixed, name: fp}, res,
-                     np.asarray(sups), tuple(schedule.epsilons), parts or {})
-
-
-def _validated(F, X, smoothness, validate):
-    if not F.at_least(smoothness):
-        raise ValueError(f"{F.name} is not of class {smoothness}")
-    if validate:
-        lo = float(min(np.min(X.values), np.min(X.left_values)))
-        hi = float(max(np.max(X.values), np.max(X.left_values)))
-        pad = 0.1 * max(hi - lo, 1.0)
-        F.validate_derivatives((0.0, X.horizon), (lo - pad, hi + pad))
-
-
 def ito_terms_c12(F: FunctionBundle, X: CadlagPath,
                   schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                   tol: float = DEFAULT_TOL, validate: bool = True) -> ItoReport:
     """Smooth-case identity: time integral, forward integral of dF_x(s, X_s),
     half the second derivative against the continuous bracket part, and the
     jump correction sum."""
-    _validated(F, X, "c12", validate)
-    time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
-    integrand = path_of_function_derivative(F, X)
+    ex = _Expansion(F, X, None, schedule, tol)
+    ex.require("c12", validate)
+    time_term, bracket_term = ex.smooth_terms()
+    integrand = ex.dx_path
     fixed = {"time_integral": time_term, "bracket_term": bracket_term,
-             "jump_sum": jmod.integrate_mu(taylor_remainder_field(F), X)}
-    return _report("c12", F, X, fixed, "forward_integral", schedule,
-                   lambda e: forward_integral(integrand, X, e))
-
-
-def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
-    """The path t -> dF_x(t, X_t) with left limits dF_x(t, X_{t-})."""
-    values = np.asarray(F.dx(X.grid, X.values), dtype=float)
-    left = np.asarray(F.dx(X.grid, X.left_values), dtype=float)
-    return from_arrays(X.grid, values, left, rule=LINEAR)
+             "jump_sum": ex.jump_sum}
+    return ex.report("c12", fixed, "forward_integral",
+                     lambda e: forward_integral(integrand, X, e))
 
 
 def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec,
@@ -385,15 +434,18 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
     integral.  The mu and nu sides of every jump term are kept separately in
     ``parts`` so the atom-level reassembly into the plain jump sum can be
     checked exactly."""
-    _validated(F, X, "c12", True)
-    if not integrability_report(X, F).square_summable:
+    return _measure_form(_Expansion(F, X, nu, schedule, tol))
+
+
+def _measure_form(ex: _Expansion) -> ItoReport:
+    ex.require("c12")
+    if not integrability_report(ex.X, ex.F).square_summable:
         raise jmod.IntegrabilityError("squared jump total is not finite")
-    time_term, bracket_term = _smooth_terms(F, X, schedule, tol)
-    k_mu, k_nu, y_mu, y_nu, big_mu = _small_big_split(F, X, nu)
+    time_term, bracket_term = ex.smooth_terms()
+    k_mu, k_nu, y_mu, y_nu, big_mu = ex.split
     # without atoms the mu sides vanish and the nu sides cancel identically
     # (the compensator remainder equals the compensated field difference)
-    small_nu = (jmod.integrate_nu(taylor_remainder_field(F, "small"), nu, X)
-                if _has_atoms(X, nu) else constant_path(X.grid))
+    small_nu = ex.small_nu
     terms = {
         "time_integral": time_term,
         "bracket_term": bracket_term,
@@ -402,12 +454,12 @@ def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec
         "big_jump_sum": big_mu,
         "small_jump_compensator": small_nu,
     }
-    integrand = path_of_function_derivative(F, X)
+    integrand = ex.dx_path
     parts = {"increment_mu": k_mu, "increment_nu": k_nu, "linear_mu": y_mu,
              "linear_nu": y_nu, "big_mu": big_mu, "small_nu": small_nu,
-             "jump_sum": jmod.integrate_mu(taylor_remainder_field(F), X)}
-    return _report("measure_form", F, X, terms, "forward_integral", schedule,
-                   lambda e: forward_integral(integrand, X, e), parts)
+             "jump_sum": ex.jump_sum}
+    return ex.report("measure_form", terms, "forward_integral",
+                     lambda e: forward_integral(integrand, ex.X, e), parts)
 
 
 def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
@@ -420,15 +472,15 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
     Requires sum |dX|^(1 + holder) finite on the path; reversibility of the
     integrator is an assumption carried by the scenario, not verified here.
     """
-    _validated(F, X, "c1l", True)
+    ex = _Expansion(F, X, None, schedule, tol)
+    ex.require("c1l")
     lam = F.holder if F.holder is not None else 1.0
     power_sum = float(np.sum(np.abs(X.jump_sizes) ** (1.0 + lam)))
     if not np.isfinite(power_sum):
         raise jmod.IntegrabilityError(
             "jump sizes are not (1 + holder)-power summable")
-    grid = X.grid
-    time_term = time_integral(np.asarray(F.dt(grid, X.values), dtype=float), grid)
-    integrand = path_of_function_derivative(F, X)
+    time_term = ex.time_term
+    integrand = ex.dx_path
     ito_ref = stieltjes_left(integrand, X)
 
     def sym_fn(t, x, pre):
@@ -437,5 +489,5 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
 
     fixed = {"time_integral": time_term, "reference_integral": ito_ref,
              "symmetric_jump_sum": jmod.integrate_mu(IntegrandField(sym_fn), X)}
-    return _report("c1_holder", F, X, fixed, "half_transformed_bracket", schedule,
-                   lambda e: 0.5 * covariation(integrand, X, e))
+    return ex.report("c1_holder", fixed, "half_transformed_bracket",
+                     lambda e: 0.5 * covariation(integrand, X, e))

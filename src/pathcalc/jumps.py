@@ -21,12 +21,12 @@ exactly which surrogate was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, PathError,
-                    from_arrays)
+                    constant_path, from_arrays)
 
 JUMP_SPLIT_THRESHOLD = 1.0
 SIZE_QUADRATURE_RTOL = 1e-8
@@ -70,6 +70,10 @@ class DiracLaw(JumpLaw):
 
     location: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.location):
+            raise ValueError(f"jump law {self.describe()} needs a finite location")
+
     @property
     def atom(self):
         return float(self.location)
@@ -94,6 +98,8 @@ class NormalLaw(JumpLaw):
     scale: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
+            raise ValueError(f"jump law {self.describe()} needs finite parameters")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -121,10 +127,10 @@ class UniformLaw(JumpLaw):
     hi: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"jump law {self.describe()} needs finite bounds")
         if self.hi <= self.lo:
             raise ValueError("need lo < hi")
-        if self.lo <= 0.0 <= self.hi and self.lo == 0.0 == self.hi:
-            raise ValueError("degenerate support")
 
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
@@ -144,17 +150,21 @@ class UniformLaw(JumpLaw):
         return f"uniform({self.lo:g},{self.hi:g})"
 
 
+_LAWS = {"dirac": DiracLaw, "normal": NormalLaw, "uniform": UniformLaw}
+
+
 def parse_jump_law(text: str) -> JumpLaw:
-    """Parse 'dirac:c', 'normal:loc,scale' or 'uniform:lo,hi'."""
+    """Parse 'dirac:c', 'normal:loc,scale' or 'uniform:lo,hi'; omitted
+    trailing parameters take the law's defaults."""
     name, _, args = text.partition(":")
     vals = [float(v) for v in args.split(",")] if args else []
-    if name == "dirac":
-        return DiracLaw(*(vals or [1.0]))
-    if name == "normal":
-        return NormalLaw(*(vals or [0.0, 1.0]))
-    if name == "uniform":
-        return UniformLaw(*(vals or [-1.0, 1.0]))
-    raise ValueError(f"unknown jump law {text!r}")
+    law = _LAWS.get(name)
+    if law is None:
+        raise ValueError(f"unknown jump law {text!r}")
+    if len(vals) > len(fields(law)):
+        raise ValueError(f"jump law {text!r} has {len(vals)} parameters; "
+                         f"{name} takes at most {len(fields(law))}")
+    return law(*vals)
 
 
 # -- compensators ------------------------------------------------------------
@@ -415,6 +425,24 @@ def compensated_parts(field: IntegrandField, X: CadlagPath,
             raise IntegrabilityError(
                 "square-summability surrogate failed: sum W(s, dX_s)^2 is not finite")
     return integrate_mu(field, X), integrate_nu(field, nu, X)
+
+
+def _has_atoms(X: CadlagPath, nu: CompensatorSpec | None) -> bool:
+    """Whether X carries jump atoms; a path with atoms needs a compensator
+    model, and every jump term of a path without atoms is the zero path."""
+    if X.jump_marks.size and nu is None:
+        raise ValueError("a compensator model is required for a path with jumps")
+    return bool(X.jump_marks.size)
+
+
+def _if_atoms(X: CadlagPath, nu: CompensatorSpec | None, build, count: int = 1):
+    """``build()``, the jump-measure or compensator integral(s) of X, when X
+    carries jump atoms; otherwise the zero path on X's grid, or a tuple of
+    ``count`` of them for a ``build`` that returns ``count`` paths."""
+    if _has_atoms(X, nu):
+        return build()
+    zero = constant_path(X.grid)
+    return zero if count == 1 else (zero,) * count
 
 
 # -- diagnostics -------------------------------------------------------------

@@ -144,6 +144,17 @@ def test_simulation_error_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("law", ["uniform:0,inf", "uniform:-inf,0", "normal:1,2,3",
+                                 "dirac:1,2", "normal:0,nan", "dirac:inf"])
+def test_bad_jump_law_exits_2_naming_the_law(tmp_path, capsys, law):
+    assert run(["simulate", "--kind", "compound_poisson", "--n", "100",
+                "--jump-law", law, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert law.partition(":")[0] in err
+    assert not any(tmp_path.iterdir())
+
+
 def exit_code(argv):
     try:
         return run(argv)

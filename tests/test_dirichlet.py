@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import pathcalc.simulate as sim
 from pathcalc import dirichlet as dd
 from pathcalc import ito
 from pathcalc import regularize as reg
-from pathcalc.ito import FUNCTION_CATALOG, path_of_function
+from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, BundleValidationError,
+                          FunctionBundle, NonConvergenceError, path_of_function)
 from pathcalc.jumps import NormalLaw
 from pathcalc.paths import PathError, constant_path, from_arrays, step_path
 
@@ -167,6 +170,96 @@ def test_jumpy_path_requires_compensator(harness):
     assert X.jump_marks.size
     with pytest.raises(ValueError, match="a compensator model is required"):
         _HARNESSES[harness](FUNCTION_CATALOG["square"], X, dec, sched)
+
+
+# -- one expansion for the three jump harnesses -------------------------------------
+
+
+def ji_case(kind, seed):
+    """(X, decomposition, compensator, schedule) at n=4000; the Brownian case
+    has no compensator model."""
+    if kind == "brownian":
+        X, gt = sim.simulate(sim.SimSpec("brownian", n=4000, seed=seed))
+    else:
+        # intensity 3 gives every seed used here jumps; intensity 1 lets
+        # seed 5 have none
+        intensity = 1.0 if kind == "jumpless" else 3.0
+        X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=4000, seed=seed,
+                                         sigma=1.0, intensity=intensity,
+                                         jump_law=NormalLaw(0, 1)))
+    assert bool(X.jump_marks.size) == (kind == "jump_diffusion")
+    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+    nu = None if kind == "brownian" else gt.compensator
+    return X, dd.LabeledDecomposition.from_ground_truth(gt), nu, sched
+
+
+def in_sequence(F, X, dec, nu, sched):
+    return (ito.ito_terms_measure_form(F, X, nu, sched, tol=0.05),
+            dd.chain_rule_c01(F, X, dec, nu, sched, tol=0.05),
+            dd.gamma_c12_reference(F, X, dec, nu, sched, tol=0.05))
+
+
+def path_bytes(p):
+    return (p.grid.tobytes(), p.values.tobytes(), p.left_values.tobytes(),
+            np.asarray(p.jump_marks).tobytes(), p.rule)
+
+
+def identity_bytes(rep, chain, ref):
+    """Every output of the three harnesses, as bytes, in their own order."""
+    return {
+        "report": json.dumps(rep.to_json_dict()),
+        "lhs": path_bytes(rep.lhs),
+        "residual": path_bytes(rep.residual),
+        "residual_sups": rep.residual_sup_by_eps.tobytes(),
+        "terms": [(k, path_bytes(p)) for k, p in rep.terms.items()],
+        "parts": [(k, path_bytes(p)) for k, p in rep.parts.items()],
+        "chain": json.dumps(chain.to_json_dict()),
+        "chain_paths": [path_bytes(getattr(chain, a))
+                        for a in ("lhs", "gamma", "a_path", "m_path", "vbar")],
+        "chain_terms": [(k, path_bytes(p)) for k, p in chain.terms.items()],
+        "orth": [(r.sup_norms.tobytes(), r.sup_gaps.tobytes())
+                 for r in chain.orth_reports],
+        "reference": path_bytes(ref),
+    }
+
+
+@pytest.mark.parametrize("kind, seed, name", [
+    *(("jump_diffusion", s, f) for s in (1, 2) for f in C12_SUITE),
+    *(("jumpless", 5, f) for f in C12_SUITE),
+    ("brownian", 2, "identity"),
+])
+def test_jump_identities_equals_the_three_harnesses_in_sequence(kind, seed, name):
+    X, dec, nu, sched = ji_case(kind, seed)
+    F = FUNCTION_CATALOG[name]
+    one = dd.jump_identities(F, X, dec, nu, sched, tol=0.05)
+    assert identity_bytes(*one) == identity_bytes(*in_sequence(F, X, dec, nu, sched))
+
+
+_WRONG_DX = FunctionBundle(
+    "wrong_dx", "c12", f=lambda t, x: np.asarray(x) ** 2 + 0.0 * np.asarray(t),
+    dt=lambda t, x: np.zeros(np.broadcast(t, x).shape),
+    dx=lambda t, x: 2.5 * np.asarray(x),
+    dxx=lambda t, x: np.full(np.broadcast(t, x).shape, 2.0))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("one_window", NonConvergenceError),
+    ("no_compensator", ValueError),
+    ("wrong_dx", BundleValidationError),
+])
+def test_jump_identities_raises_the_first_error_of_the_sequence(case, error):
+    X, dec, nu, sched = ji_case("jump_diffusion", 1)
+    F = _WRONG_DX if case == "wrong_dx" else FUNCTION_CATALOG["square"]
+    if case == "one_window":
+        sched = reg.EpsilonSchedule(sched.epsilons[-1:])
+    if case == "no_compensator":
+        nu = None
+    with pytest.raises(error) as seq:
+        in_sequence(F, X, dec, nu, sched)
+    with pytest.raises(error) as one:
+        dd.jump_identities(F, X, dec, nu, sched, tol=0.05)
+    assert type(one.value) is type(seq.value)
+    assert str(one.value) == str(seq.value)
 
 
 # -- reference defect path ----------------------------------------------------------

@@ -128,26 +128,42 @@ def test_bracket_guard_matches_the_full_study(case):
 
 
 def test_bracket_guard_evaluates_two_windows(monkeypatch):
+    # and each harness builds only the compensator integrals it reads: the
+    # three jump harnesses share 4 distinct ones, which jump_identities
+    # builds once each
     X, gt, sched = jump_diffusion(n=4000)
+    assert X.jump_marks.size
     dec = dirichlet.LabeledDecomposition.from_ground_truth(gt)
+    nu = gt.compensator
     calls = []
+    nu_calls = []
 
     def counting(A, B, eps):
         calls.append(eps)
         return covariation(A, B, eps)
 
+    def counting_nu(field, nu, X):
+        nu_calls.append(field)
+        return integrate_nu(field, nu, X)
+
     covariation = reg.covariation
+    integrate_nu = jmod.integrate_nu
     monkeypatch.setattr(reg, "covariation", counting)
+    monkeypatch.setattr(jmod, "integrate_nu", counting_nu)
     F = FUNCTION_CATALOG["square"]
-    for run in (lambda: ito.qv_continuous_part(X, sched, tol=0.05),
-                lambda: dirichlet.gamma_c12_reference(F, X, dec, gt.compensator,
-                                                      sched, tol=0.05),
-                # the orthogonality battery makes no covariation call
-                lambda: dirichlet.chain_rule_c01(F, X, dec, gt.compensator,
-                                                 sched, tol=0.05)):
+    for run, nu_count in (
+            (lambda: ito.qv_continuous_part(X, sched, tol=0.05), 0),
+            (lambda: ito.ito_terms_measure_form(F, X, nu, sched, tol=0.05), 3),
+            (lambda: dirichlet.gamma_c12_reference(F, X, dec, nu, sched,
+                                                   tol=0.05), 1),
+            # the orthogonality battery makes no covariation call
+            (lambda: dirichlet.chain_rule_c01(F, X, dec, nu, sched, tol=0.05), 3),
+            (lambda: dirichlet.jump_identities(F, X, dec, nu, sched, tol=0.05), 4)):
         calls.clear()
+        nu_calls.clear()
         run()
         assert calls == list(sched.epsilons[-2:])
+        assert len(nu_calls) == nu_count
 
 
 def test_one_window_bracket_guard_never_converges():

@@ -379,3 +379,21 @@ def test_jump_law_parsing():
     assert isinstance(jm.parse_jump_law("uniform:-1,3"), jm.UniformLaw)
     with pytest.raises(ValueError):
         jm.parse_jump_law("cauchy:0,1")
+
+
+def test_jump_law_parsing_takes_at_most_the_laws_parameters():
+    assert jm.parse_jump_law("normal:2") == jm.NormalLaw(2.0, 1.0)
+    assert jm.parse_jump_law("uniform") == jm.UniformLaw(-1.0, 1.0)
+    with pytest.raises(ValueError, match="'uniform:0,1,2' has 3 parameters; "
+                                         "uniform takes at most 2"):
+        jm.parse_jump_law("uniform:0,1,2")
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: jm.DiracLaw(v), lambda v: jm.NormalLaw(v, 1.0),
+    lambda v: jm.NormalLaw(0.0, v), lambda v: jm.UniformLaw(v, 1.0),
+    lambda v: jm.UniformLaw(-1.0, v)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_jump_laws_reject_non_finite_parameters(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
