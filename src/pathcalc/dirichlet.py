@@ -201,7 +201,7 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
                    nu: CompensatorSpec | None = None,
                    schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                    tol: float = DEFAULT_TOL, orth_tol: float = ORTH_TOL,
-                   battery_seed: int = 0, validate: bool = True) -> ChainRuleReport:
+                   battery_seed: int = 0) -> ChainRuleReport:
     """Assemble the decomposition of F(t, X_t) for F with one continuous
     space derivative and X carrying labeled martingale components.
 
@@ -213,13 +213,13 @@ def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
     along the schedule first (NonConvergenceError otherwise).
     """
     return _chain_rule(_Expansion(F, X, nu, schedule, tol), decomp, orth_tol,
-                       battery_seed, validate)
+                       battery_seed)
 
 
 def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
-                battery_seed: int, validate: bool) -> ChainRuleReport:
+                battery_seed: int) -> ChainRuleReport:
     F, X = ex.F, ex.X
-    ex.require("c01", validate)
+    ex.require("c01")
     ex.bracket  # the bracket guard comes before the decomposition is read
     has_atoms = _has_atoms(X, ex.nu)
     lhs = ex.lhs
@@ -281,7 +281,7 @@ def jump_identities(F: FunctionBundle, X: CadlagPath,
     expansion of F(t, X_t), so the pieces they share are built once; the
     first error raised is the one the three calls in sequence would raise."""
     ex = _Expansion(F, X, nu, schedule, tol)
-    return (_measure_form(ex), _chain_rule(ex, decomp, ORTH_TOL, 0, True),
+    return (_measure_form(ex), _chain_rule(ex, decomp, ORTH_TOL, 0),
             _gamma_reference(ex, decomp))
 
 
@@ -322,8 +322,7 @@ class ParticularWDReport:
 def particular_wd_check(decomp: LabeledDecomposition,
                         nu: CompensatorSpec | None = None,
                         schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                        tol: float = ORTH_TOL,
-                        m_bracket: CadlagPath | None = None) -> ParticularWDReport:
+                        tol: float = ORTH_TOL) -> ParticularWDReport:
     """Checks for the martingale + bounded variation + continuous orthogonal
     splitting: (a) the estimated bracket of the sum matches
     [M, M] + sum (dV)^2 + 2 sum dV dM, (b) the sum is reproduced by the
@@ -351,10 +350,8 @@ def particular_wd_check(decomp: LabeledDecomposition,
     _require_fit(schedule, X)
     eps = schedule.epsilons[-1]
     bracket = covariation(X, X, eps)
-    if m_bracket is None:
-        m_bracket = covariation(M, M, eps)
+    m_bracket = covariation(M, M, eps)
     dv = np.zeros(X.grid.size)
-    dm = np.zeros(X.grid.size)
     dv[V.jump_marks] = V.jump_sizes
     dm_sizes = M.values - M.left_values
     cross = np.cumsum(dv * dv + 2.0 * dv * dm_sizes)

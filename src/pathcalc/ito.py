@@ -26,7 +26,7 @@ import numpy as np
 from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     integrability_report)
-from .paths import LINEAR, CadlagPath, from_arrays
+from .paths import LINEAR, CadlagPath
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
                          _require_fit, covariation, forward_integral, qv_limit)
 
@@ -157,19 +157,14 @@ def path_of_function(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
     F(t, X_{t-}) (F is continuous in time)."""
     values = np.asarray(F.f(X.grid, X.values), dtype=float)
     left = np.asarray(F.f(X.grid, X.left_values), dtype=float)
-    return from_arrays(X.grid, values, left, rule=LINEAR)
+    return CadlagPath(X.grid, values, left, rule=LINEAR)
 
 
 def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
     """The path t -> dF_x(t, X_t) with left limits dF_x(t, X_{t-})."""
     values = np.asarray(F.dx(X.grid, X.values), dtype=float)
     left = np.asarray(F.dx(X.grid, X.left_values), dtype=float)
-    return from_arrays(X.grid, values, left, rule=LINEAR)
-
-
-def pre_jump_samples(X: CadlagPath) -> np.ndarray:
-    """X(t-) at every grid time, with X(0-) := X(0)."""
-    return np.concatenate(([X.values[0]], X.left_values[1:]))
+    return CadlagPath(X.grid, values, left, rule=LINEAR)
 
 
 def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
@@ -193,13 +188,13 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     left = values.copy()
     if marks.size:
         left[marks] = values[marks] - jump_contrib[marks]
-    return from_arrays(G.grid, values, left, rule=LINEAR)
+    return CadlagPath(G.grid, values, left, rule=LINEAR)
 
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
     """Running left-endpoint quadrature of a sampled integrand."""
     values = np.concatenate(([0.0], np.cumsum(np.diff(grid) * h_samples[:-1])))
-    return from_arrays(grid, values, values.copy(), rule=LINEAR)
+    return CadlagPath(grid, values, values.copy(), rule=LINEAR)
 
 
 def taylor_remainder_field(F: FunctionBundle, truncation=None) -> IntegrandField:
@@ -297,7 +292,7 @@ class _Expansion:
         raw = self.bracket.values - jmod.integrate_mu(X_SQUARED_FIELD, self.X).values
         mono = np.maximum.accumulate(np.maximum(raw, 0.0))
         mono[0] = 0.0
-        return from_arrays(self.X.grid, mono, mono.copy(), rule=LINEAR)
+        return CadlagPath(self.X.grid, mono, mono.copy(), rule=LINEAR)
 
     @cached_property
     def time_term(self):
@@ -310,8 +305,8 @@ class _Expansion:
     def bracket_term(self):
         """Half of dF_xx(s, X_{s-}) against the continuous bracket part."""
         grid = self.X.grid
-        d2 = np.asarray(self.F.dxx(grid, pre_jump_samples(self.X)), dtype=float)
-        return 0.5 * stieltjes_left(from_arrays(grid, d2, d2.copy(), rule=LINEAR),
+        d2 = np.asarray(self.F.dxx(grid, self.X.left_values), dtype=float)
+        return 0.5 * stieltjes_left(CadlagPath(grid, d2, d2.copy(), rule=LINEAR),
                                     self.qvc)
 
     def smooth_terms(self):
@@ -359,7 +354,7 @@ class _Expansion:
                 r = r - q.values
                 rl = rl - q.left_values
             sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
-        res = from_arrays(lhs.grid, r, r.copy(), rule=LINEAR)
+        res = CadlagPath(lhs.grid, r, r.copy(), rule=LINEAR)
         return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
                          np.asarray(sups), tuple(self.schedule.epsilons),
                          parts or {})
@@ -412,12 +407,12 @@ class ItoReport:
 
 def ito_terms_c12(F: FunctionBundle, X: CadlagPath,
                   schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-                  tol: float = DEFAULT_TOL, validate: bool = True) -> ItoReport:
+                  tol: float = DEFAULT_TOL) -> ItoReport:
     """Smooth-case identity: time integral, forward integral of dF_x(s, X_s),
     half the second derivative against the continuous bracket part, and the
     jump correction sum."""
     ex = _Expansion(F, X, None, schedule, tol)
-    ex.require("c12", validate)
+    ex.require("c12")
     time_term, bracket_term = ex.smooth_terms()
     integrand = ex.dx_path
     fixed = {"time_integral": time_term, "bracket_term": bracket_term,

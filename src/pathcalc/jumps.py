@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, PathError,
-                    constant_path, from_arrays)
+                    constant_path)
 
 JUMP_SPLIT_THRESHOLD = 1.0
 SIZE_QUADRATURE_RTOL = 1e-8
@@ -157,10 +157,14 @@ def parse_jump_law(text: str) -> JumpLaw:
     """Parse 'dirac:c', 'normal:loc,scale' or 'uniform:lo,hi'; omitted
     trailing parameters take the law's defaults."""
     name, _, args = text.partition(":")
-    vals = [float(v) for v in args.split(",")] if args else []
     law = _LAWS.get(name)
     if law is None:
         raise ValueError(f"unknown jump law {text!r}")
+    try:
+        vals = [float(v) for v in args.split(",")] if args else []
+    except ValueError:
+        raise ValueError(
+            f"jump law {text!r} has a parameter that is not a number") from None
     if len(vals) > len(fields(law)):
         raise ValueError(f"jump law {text!r} has {len(vals)} parameters; "
                          f"{name} takes at most {len(fields(law))}")
@@ -281,7 +285,7 @@ def integrate_mu(field: IntegrandField, X: CadlagPath) -> CadlagPath:
     if contrib.size and not np.all(np.isfinite(contrib)):
         raise IntegrabilityError("field not finite at an atom")
     values, left = atom_cumsum(X.grid, times, contrib)
-    return from_arrays(X.grid, values, left, rule=PIECEWISE_CONSTANT)
+    return CadlagPath(X.grid, values, left, rule=PIECEWISE_CONSTANT)
 
 
 # -- integrals against nu ----------------------------------------------------
@@ -380,8 +384,8 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     """
     grid = X.grid
     sl = grid[:-1]
-    # left limits at cell left endpoints, with X(0-) := X(0)
-    pre = np.concatenate(([X.values[0]], X.left_values[1:-1]))
+    # left limits at cell left endpoints (X(0-) = X(0))
+    pre = X.left_values[:-1]
     g = np.empty(sl.size)
     for a in range(0, sl.size, _NU_CHUNK):
         b = min(a + _NU_CHUNK, sl.size)
@@ -400,7 +404,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
             atom_add[i:] += wt * ga
         values = values + atom_add
         left = left + np.concatenate(([0.0], atom_add[:-1]))
-    return from_arrays(grid, values, left, rule=LINEAR)
+    return CadlagPath(grid, values, left, rule=LINEAR)
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,

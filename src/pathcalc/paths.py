@@ -1,9 +1,11 @@
 """Cadlag path containers with exact jump bookkeeping.
 
 A path lives on a finite grid 0 = t_0 < ... < t_n = T, is right-continuous
-with left limits, and is extended to [T, inf) by its final value.  Jumps are
-first class: every discontinuity is a marked grid index whose left limit is
-stored exactly.  Nothing is ever inferred from large increments.
+with left limits, is extended to [T, inf) by its final value and before 0 by
+X(0), so X(0-) = X(0).  Jumps are first class: the path jumps exactly at the
+grid indices where its stored left limit differs from its value, and the
+constructor derives these jump marks itself.  Nothing is ever inferred from
+large increments.
 
 Two interpolation rules are supported between grid points:
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,22 +72,21 @@ def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray) -> _Sample
 class CadlagPath:
     """Right-continuous path on [0, T] with stored left limits.
 
-    ``values[i]`` is X(t_i) and ``left_values[i]`` is X(t_i-).  The two may
-    differ only at indices listed in ``jump_marks``.  Evaluation beyond the
-    horizon returns X(T).
+    ``values[i]`` is X(t_i) and ``left_values[i]`` is X(t_i-), with
+    X(0-) = X(0).  ``jump_marks``, the indices where the two differ, is
+    derived on construction.  Evaluation beyond the horizon returns X(T).
     """
 
     grid: np.ndarray
     values: np.ndarray
     left_values: np.ndarray
-    jump_marks: np.ndarray
+    jump_marks: np.ndarray = field(init=False)
     rule: str = LINEAR
 
     def __post_init__(self):
         grid = _as_farray(self.grid)
         values = _as_farray(self.values)
         left = _as_farray(self.left_values)
-        marks = np.asarray(self.jump_marks, dtype=np.intp)
         if grid.size < 2:
             raise PathError("grid needs at least two points")
         if grid[0] != 0.0:
@@ -97,14 +98,9 @@ class CadlagPath:
             raise PathError("grid, values and left_values must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise PathError("grid must be strictly increasing")
-        if marks.size:
-            if marks[0] < 1 or marks[-1] >= grid.size or np.any(np.diff(marks) <= 0):
-                raise PathError("jump marks must be sorted, unique indices in [1, n]")
-        if np.any(values[marks] == left[marks]):
-            raise PathError("marked jump with zero size")
-        # every mark differs, so any further difference is unmarked
-        if np.count_nonzero(values != left) != marks.size:
-            raise PathError("left_values differ from values at an unmarked index")
+        marks = np.flatnonzero(values != left)
+        if marks.size and marks[0] == 0:
+            raise PathError("left_values[0] differs from values[0], but X(0-) = X(0)")
         if self.rule == PIECEWISE_CONSTANT:
             if not np.array_equal(left[1:], values[:-1]):
                 raise PathError(
@@ -200,7 +196,7 @@ class CadlagPath:
         values = fn(self.values, other.values)
         left = fn(self.left_values, other.left_values)
         rule = LINEAR if LINEAR in (self.rule, other.rule) else PIECEWISE_CONSTANT
-        return from_arrays(self.grid, values, left, rule=rule)
+        return CadlagPath(self.grid, values, left, rule=rule)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -210,7 +206,7 @@ class CadlagPath:
 
     def __mul__(self, scalar):
         c = float(scalar)
-        return from_arrays(self.grid, c * self.values, c * self.left_values, rule=self.rule)
+        return CadlagPath(self.grid, c * self.values, c * self.left_values, rule=self.rule)
 
     __rmul__ = __mul__
 
@@ -251,8 +247,8 @@ class CadlagPath:
                 raise PathError(f"CSV line {no}: expected t,value,left_value,is_jump, "
                                 f"got {ln!r}") from None
         cols = np.array(rows, dtype=float).reshape(-1, 4)
-        return cls(cols[:, 0], cols[:, 1], cols[:, 2], np.nonzero(cols[:, 3])[0],
-                   rule=rule)
+        return _declared(cls(cols[:, 0], cols[:, 1], cols[:, 2], rule=rule),
+                         np.flatnonzero(cols[:, 3]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -270,12 +266,22 @@ class CadlagPath:
     @classmethod
     def from_json(cls, text: str) -> "CadlagPath":
         d = json.loads(text)
-        return cls(np.array(d["grid"]), np.array(d["values"]),
-                   np.array(d["left_values"]), np.array(d["jump_marks"], dtype=np.intp),
-                   rule=d.get("rule", LINEAR))
+        return _declared(cls(np.array(d["grid"]), np.array(d["values"]),
+                             np.array(d["left_values"]), rule=d.get("rule", LINEAR)),
+                         d["jump_marks"])
 
 
 # -- constructors ----------------------------------------------------------
+
+
+def _declared(path: CadlagPath, marks) -> CadlagPath:
+    """``path``, whose input also declared its jump indices ``marks``; a
+    PathError unless they are the indices where the path jumps (compared as
+    floats, so a fractional index is no index)."""
+    if not np.array_equal(np.asarray(marks, dtype=float), path.jump_marks):
+        raise PathError("declared jumps are not the indices where values and "
+                        "left_values differ")
+    return path
 
 
 def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
@@ -284,7 +290,8 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
     ``jumps`` is a sequence of (index, left_value) pairs.  Under the pc rule
     left limits are always the previous grid value, so a supplied left_value
     must agree with it; under the linear rule the left_value is the endpoint
-    of the incoming segment.
+    of the incoming segment.  A listed jump of size zero, or a pc value
+    change that is not listed, is a PathError.
     """
     grid = _as_farray(grid)
     values = _as_farray(values)
@@ -306,27 +313,16 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
             raise PathError("pc jump left_value must equal the previous grid value")
         left[i] = float(left_value)
         marks.append(i)
-    marks = np.array(sorted(set(marks)), dtype=np.intp)
+    marks = sorted(set(marks))
     if len(marks) != len(jumps):
         raise PathError("duplicate jump indices")
-    return CadlagPath(grid, values, left, marks, rule=rule)
-
-
-def from_arrays(grid, values, left_values, rule: str = LINEAR) -> CadlagPath:
-    """Path from raw arrays; jump marks are the indices where values != left."""
-    values = _as_farray(values)
-    left = _as_farray(left_values)
-    marks = np.nonzero(values != left)[0]
-    marks = marks[marks >= 1]
-    left = left.copy()
-    left[0] = values[0]
-    return CadlagPath(np.asarray(grid, dtype=float), values, left, marks, rule=rule)
+    return _declared(CadlagPath(grid, values, left, rule=rule), marks)
 
 
 def constant_path(grid, c: float = 0.0) -> CadlagPath:
     grid = _as_farray(grid)
     v = np.full(grid.size, float(c))
-    return CadlagPath(grid, v, v.copy(), np.array([], dtype=np.intp))
+    return CadlagPath(grid, v, v.copy())
 
 
 def step_path(T: float, n: int, step_time: float) -> CadlagPath:
@@ -337,7 +333,7 @@ def step_path(T: float, n: int, step_time: float) -> CadlagPath:
     grid = np.union1d(grid, [step_time])
     values = np.where(grid >= step_time, 1.0, 0.0)
     left = np.where(grid > step_time, 1.0, 0.0)
-    return from_arrays(grid, values, left, rule=PIECEWISE_CONSTANT)
+    return CadlagPath(grid, values, left, rule=PIECEWISE_CONSTANT)
 
 
 def uniform_grid(T: float, n: int) -> np.ndarray:

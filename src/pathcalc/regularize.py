@@ -270,13 +270,13 @@ class _Mesh:
         """Caglad weight sampled at cell left endpoints (left limits).
 
         A grid cell starts at a node, whose stored left value is the left
-        limit (g(0) at cell 0); only the inserted breakpoints are searched.
+        limit (g(0-) = g(0) at cell 0); only the inserted breakpoints are
+        searched.
         """
         if not g.same_grid(self.X):
             raise PathError("weight path must share the grid")
         out = np.empty(self.sl.size)
         out[self.pos[:-1]] = g.left_values[:-1]
-        out[0] = g.values[0]
         out[self.ins_cells] = g.left_limit(self.shifted)
         return out
 
@@ -285,12 +285,10 @@ def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
                     jump_idx: np.ndarray) -> CadlagPath:
     # the continuous-time estimator only jumps where its inputs do; elsewhere
     # the boundary-window algebra leaves reassociation dust, so left values
-    # are assembled (``jump_lefts``) only at the input jump rows, and the
-    # marks are the rows among them where the estimate moves
+    # are assembled (``jump_lefts``) only at the input jump rows
     left_final = vals.copy()
     left_final[jump_idx] = jump_lefts
-    marks = jump_idx[jump_lefts != vals[jump_idx]]
-    return CadlagPath(grid, vals, left_final, marks, rule=LINEAR)
+    return CadlagPath(grid, vals, left_final, rule=LINEAR)
 
 
 def _input_jump_indices(X: CadlagPath, Y: CadlagPath | None = None) -> np.ndarray:
@@ -384,8 +382,7 @@ def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPa
     m = _Mesh(X, Y, eps)
     bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (m.Yu - m.Ys))
     vals = bulk[m.pos] / m.eps
-    return CadlagPath(m.grid, vals, vals.copy(), np.zeros(0, dtype=np.intp),
-                      rule=LINEAR)
+    return CadlagPath(m.grid, vals, vals.copy(), rule=LINEAR)
 
 
 def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:

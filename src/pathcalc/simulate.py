@@ -31,7 +31,7 @@ import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, constant_path,
-                    from_arrays, uniform_grid)
+                    uniform_grid)
 
 KINDS = ("brownian", "poisson", "compound_poisson", "jump_diffusion", "fbm",
          "convolution_martingale", "pdp", "deterministic")
@@ -68,8 +68,9 @@ class SimSpec:
     jump_diffusion every Levy-Ito field (x0, sigma, drift, intensity,
     jump_law); fbm x0, sigma and hurst; pdp x0, switch_rate and regimes;
     deterministic x0 and regimes[0]; convolution_martingale nothing more.
-    n may not exceed MAX_CELLS, and intensity * T and switch_rate * T may not
-    exceed MAX_EXPECTED_ARRIVALS.
+    x0, sigma and drift must be finite, sigma, intensity and switch_rate
+    nonnegative; n may not exceed MAX_CELLS, and intensity * T and
+    switch_rate * T may not exceed MAX_EXPECTED_ARRIVALS.
     """
 
     kind: str
@@ -93,8 +94,13 @@ class SimSpec:
         grid_cells(self.n)
         if self.sigma < 0.0:
             raise SimulationError("volatility must be nonnegative")
+        for name in ("x0", "sigma", "drift"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name} must be finite")
         if self.intensity < 0.0:
             raise SimulationError("jump intensity must be nonnegative")
+        if self.switch_rate < 0.0:
+            raise SimulationError("switch rate must be nonnegative")
         # written so that a NaN rate fails too: it would never end the draw
         if not (self.intensity * self.T <= MAX_EXPECTED_ARRIVALS
                 and self.switch_rate * self.T <= MAX_EXPECTED_ARRIVALS):
@@ -216,20 +222,20 @@ def _levy_ito_truth(spec: SimSpec, grid, w, times, sizes):
     smooth = spec.x0 + drift * grid
     comp_drift = lam * (law.mean() if lam > 0 else 0.0) * grid
     cont = smooth if w is None else smooth + w
-    path = from_arrays(grid, cont + jv, cont + jl,
-                       rule=PIECEWISE_CONSTANT if w is None else LINEAR)
+    path = CadlagPath(grid, cont + jv, cont + jl,
+                      rule=PIECEWISE_CONSTANT if w is None else LINEAR)
     a = smooth + comp_drift
     # closed-form bracket: sigma^2 t plus the running sum of squared jumps
     qv = (0.0 if w is None else sigma ** 2) * grid
     sq, sql = atom_cumsum(grid, times, sizes ** 2)
     gt = GroundTruth(
         kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
-        bracket=from_arrays(grid, qv + sq, qv + sql, rule=LINEAR),
+        bracket=CadlagPath(grid, qv + sq, qv + sql, rule=LINEAR),
         decomposition={
             "M_c": (constant_path(grid) if w is None
-                    else from_arrays(grid, w, w.copy(), rule=LINEAR)),
-            "M_d": from_arrays(grid, jv - comp_drift, jl - comp_drift, rule=LINEAR),
-            "A": from_arrays(grid, a, a.copy(), rule=LINEAR),
+                    else CadlagPath(grid, w, w.copy(), rule=LINEAR)),
+            "M_d": CadlagPath(grid, jv - comp_drift, jl - comp_drift, rule=LINEAR),
+            "A": CadlagPath(grid, a, a.copy(), rule=LINEAR),
         },
         compensator=comp, assumes_reversible=w is not None,
     )
@@ -256,12 +262,12 @@ def fbm(spec: SimSpec):
     L = np.linalg.cholesky(cov)
     z = _rng(spec.seed).standard_normal(t.size)
     values = np.concatenate(([0.0], L @ z)) * spec.sigma + spec.x0
-    path = from_arrays(grid, values, values.copy(), rule=LINEAR)
+    path = CadlagPath(grid, values, values.copy(), rule=LINEAR)
     if H > 0.5:
         bracket, divergent = constant_path(grid), False
     elif H == 0.5:
-        bracket, divergent = from_arrays(grid, spec.sigma ** 2 * grid,
-                                         spec.sigma ** 2 * grid, rule=LINEAR), False
+        bracket, divergent = CadlagPath(grid, spec.sigma ** 2 * grid,
+                                        spec.sigma ** 2 * grid, rule=LINEAR), False
     else:
         bracket, divergent = None, True
     gt = GroundTruth(kind="fbm", base_dt=spec.base_dt,
@@ -283,11 +289,11 @@ def convolution_martingale(spec: SimSpec):
     conv = np.convolve(B, dW)
     values = conv[: grid.size].copy()
     values[0] = 0.0
-    path = from_arrays(grid, values, values.copy(), rule=LINEAR)
+    path = CadlagPath(grid, values, values.copy(), rule=LINEAR)
     gt = GroundTruth(kind="convolution_martingale", base_dt=spec.base_dt,
                      jump_times=np.zeros(0), jump_sizes=np.zeros(0),
-                     bracket=from_arrays(grid, 0.5 * grid ** 2,
-                                         0.5 * grid ** 2, rule=LINEAR))
+                     bracket=CadlagPath(grid, 0.5 * grid ** 2,
+                                        0.5 * grid ** 2, rule=LINEAR))
     return path, gt
 
 
@@ -325,7 +331,7 @@ def pdp(spec: SimSpec):
     values = spec.x0 + values
     left = spec.x0 + left
     left[0] = values[0]
-    path = from_arrays(grid, values, left, rule=LINEAR)
+    path = CadlagPath(grid, values, left, rule=LINEAR)
     gt = GroundTruth(kind="pdp", base_dt=spec.base_dt,
                      jump_times=path.jump_times, jump_sizes=path.jump_sizes,
                      regime_bounds=switches)
@@ -340,7 +346,7 @@ def deterministic(spec: SimSpec):
         raise SimulationError("deterministic kind needs one regime function")
     grid = uniform_grid(spec.T, spec.n)
     values = spec.x0 + np.asarray(spec.regimes[0](grid), dtype=float)
-    path = from_arrays(grid, values, values.copy(), rule=LINEAR)
+    path = CadlagPath(grid, values, values.copy(), rule=LINEAR)
     gt = GroundTruth(kind="deterministic", base_dt=spec.base_dt,
                      jump_times=np.zeros(0), jump_sizes=np.zeros(0))
     return path, gt
@@ -364,4 +370,4 @@ def brownian_on_grid(grid: np.ndarray, sigma: float, seed: int,
                      stream: int = 7) -> CadlagPath:
     """Standard Brownian path on an arbitrary existing grid (test batteries)."""
     w = _brownian_values(_rng(seed, stream), np.asarray(grid, dtype=float), sigma)
-    return from_arrays(grid, w, w.copy(), rule=LINEAR)
+    return CadlagPath(grid, w, w.copy(), rule=LINEAR)

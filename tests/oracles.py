@@ -12,7 +12,7 @@ import numpy as np
 
 from pathcalc.ito import FunctionBundle
 from pathcalc.jumps import field_from_size
-from pathcalc.paths import from_arrays
+from pathcalc.paths import CadlagPath
 
 
 def _cells(X, Y, eps):
@@ -79,7 +79,7 @@ def rel_error(kernel, brute):
 def from_function(grid, fn):
     """Continuous linear path sampling a scalar function of time on the grid."""
     v = np.asarray(fn(np.asarray(grid, dtype=float)), dtype=float)
-    return from_arrays(grid, v, v.copy())
+    return CadlagPath(grid, v, v.copy())
 
 
 def linear_combination(a, F, b, G):

@@ -47,8 +47,7 @@ def _random_paths(count: int = 20):
             values[i:] += s
         left = values.copy()
         left[marks] -= sizes
-        out.append(CadlagPath(grid, values, left, np.asarray(marks, dtype=np.intp),
-                              rule="linear"))
+        out.append(CadlagPath(grid, values, left, rule="linear"))
     return out
 
 
@@ -261,8 +260,7 @@ def test_criterion_8_chain_rule_oracle_and_linearity():
     Fm = linear_combination(2.0, Fa, -3.0, Fb)
     ga = dd.chain_rule_c01(Fa, X, dec, gt.compensator, sched, tol=tol).gamma
     gb = dd.chain_rule_c01(Fb, X, dec, gt.compensator, sched, tol=tol).gamma
-    gm = dd.chain_rule_c01(Fm, X, dec, gt.compensator, sched, tol=tol,
-                           validate=False).gamma
+    gm = dd.chain_rule_c01(Fm, X, dec, gt.compensator, sched, tol=tol).gamma
     lin = float(np.max(np.abs(gm.values - (2.0 * ga.values - 3.0 * gb.values))))
     lin_rel = lin / max(1.0, gm.sup_norm())
     ok = worst_gap < 2.0 * tol and lin_rel < 1e-10

@@ -155,6 +155,24 @@ def test_bad_jump_law_exits_2_naming_the_law(tmp_path, capsys, law):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--jump-law", "normal:abc"], "jump law 'normal:abc'"),
+    (["--sigma", "nan"], "sigma must be finite"),
+    (["--sigma", "inf"], "sigma must be finite"),
+    (["--drift", "inf"], "drift must be finite"),
+    (["--drift", "nan"], "drift must be finite"),
+    (["--kind", "pdp", "--switch-rate", "-1"], "switch rate must be nonnegative"),
+])
+def test_bad_simulate_input_exits_2_naming_it(tmp_path, capsys, recwarn, flags, names):
+    assert run(["simulate", "--kind", "jump_diffusion", "--n", "100", *flags,
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+    assert not recwarn.list
+    assert not any(tmp_path.iterdir())
+
+
 def exit_code(argv):
     try:
         return run(argv)

@@ -10,7 +10,7 @@ from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError, path_of_function)
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import PathError, constant_path, from_arrays, step_path
+from pathcalc.paths import CadlagPath, PathError, step_path
 
 from oracles import linear_combination
 
@@ -129,8 +129,7 @@ def test_defect_is_linear_in_the_function():
     Fm = linear_combination(2.0, Fa, -3.0, Fb)
     ga = dd.chain_rule_c01(Fa, X, dec, gt.compensator, sched, tol=0.05).gamma
     gb = dd.chain_rule_c01(Fb, X, dec, gt.compensator, sched, tol=0.05).gamma
-    gm = dd.chain_rule_c01(Fm, X, dec, gt.compensator, sched, tol=0.05,
-                           validate=False).gamma
+    gm = dd.chain_rule_c01(Fm, X, dec, gt.compensator, sched, tol=0.05).gamma
     mix = 2.0 * ga.values - 3.0 * gb.values
     assert np.max(np.abs(gm.values - mix)) < 1e-10 * max(1.0, gm.sup_norm())
 
@@ -319,8 +318,7 @@ def test_particular_pure_step_bounded_variation():
     dec = dd.LabeledDecomposition(V=V)
     nu = CompensatorSpec.user_supplied(0.0, DiracLaw(1.0))
     sched = reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / 20000)
-    rep = dd.particular_wd_check(dec, nu, sched, tol=0.05,
-                                 m_bracket=constant_path(V.grid))
+    rep = dd.particular_wd_check(dec, nu, sched, tol=0.05)
     assert rep.passed_bracket
     # estimated bracket of the step is the step itself
     assert rep.bracket_gap < 1e-10
@@ -329,7 +327,7 @@ def test_particular_pure_step_bounded_variation():
 def test_particular_rejects_overflowing_variation():
     big = 1.7e308
     v = np.array([0.0, big, -big, big, 0.0])
-    dec = dd.LabeledDecomposition(V=from_arrays(np.linspace(0.0, 1.0, 5), v, v))
+    dec = dd.LabeledDecomposition(V=CadlagPath(np.linspace(0.0, 1.0, 5), v, v))
     with np.errstate(over="ignore"), pytest.raises(PathError, match="infinite variation"):
         dd.particular_wd_check(dec)
 

@@ -8,7 +8,7 @@ from pathcalc import regularize as reg
 from pathcalc.ito import (FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError)
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import constant_path, from_arrays, uniform_grid
+from pathcalc.paths import CadlagPath, constant_path, uniform_grid
 
 from oracles import linear_combination
 
@@ -33,7 +33,7 @@ def two_step_path():
     g = np.union1d(uniform_grid(1.0, 200), [0.03, 0.6])
     v = np.where(g >= 0.03, 0.1, 0.0) + np.where(g >= 0.6, 1.0, 0.0)
     l = np.where(g > 0.03, 0.1, 0.0) + np.where(g > 0.6, 1.0, 0.0)
-    return from_arrays(g, v, l, rule="pc")
+    return CadlagPath(g, v, l, rule="pc")
 
 
 # -- bundles -------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_report_linearity_in_function():
     Fm = linear_combination(2.0, Fa, -1.5, Fb)
     ra = ito.ito_terms_c12(Fa, X, sched, tol=0.05)
     rb = ito.ito_terms_c12(Fb, X, sched, tol=0.05)
-    rm = ito.ito_terms_c12(Fm, X, sched, tol=0.05, validate=False)
+    rm = ito.ito_terms_c12(Fm, X, sched, tol=0.05)
     for key in ("time_integral", "forward_integral", "bracket_term", "jump_sum"):
         mix = 2.0 * ra.terms[key].values - 1.5 * rb.terms[key].values
         assert np.max(np.abs(rm.terms[key].values - mix)) < 1e-10

@@ -9,7 +9,7 @@ from pathcalc import jumps as jm
 from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, increment_field,
                           linear_jump_field, taylor_remainder_field)
-from pathcalc.paths import from_arrays, uniform_grid
+from pathcalc.paths import CadlagPath, uniform_grid
 
 from oracles import ONE_FIELD
 
@@ -19,7 +19,7 @@ def two_jump_path():
     grid = np.union1d(uniform_grid(1.0, 50), [0.3, 0.7])
     v = np.where(grid >= 0.3, 0.5, 0.0) + np.where(grid >= 0.7, 2.0, 0.0)
     l = np.where(grid > 0.3, 0.5, 0.0) + np.where(grid > 0.7, 2.0, 0.0)
-    return from_arrays(grid, v, l, rule="pc")
+    return CadlagPath(grid, v, l, rule="pc")
 
 
 # -- integrals against the jump measure ------------------------------------------
@@ -143,7 +143,7 @@ def test_nu_matches_adaptive_quadrature_oracle(law, fname):
     integrate = pytest.importorskip("scipy.integrate")
     F = FUNCTION_CATALOG[fname]
     grid = np.array([0.0, 0.25, 0.5, 1.0])
-    X = from_arrays(grid, [0.3, -0.4, 1.2, 0.7], [0.3, -0.4, 0.5, 0.7])
+    X = CadlagPath(grid, [0.3, -0.4, 1.2, 0.7], [0.3, -0.4, 0.5, 0.7])
     pre = [0.3, -0.4, 0.5]
     lo, hi = law.support
     cut = jm.JUMP_SPLIT_THRESHOLD
@@ -227,7 +227,7 @@ def test_size_quadrature_memory_stays_flat_past_64_panels():
     # cos(300 x) needs 128 panels; read through x_pre, one 8192 x 1920
     # matrix of field values would take 126 MB
     grid = uniform_grid(1.0, jm._NU_CHUNK)
-    X = from_arrays(grid, np.sin(grid), np.sin(grid))
+    X = CadlagPath(grid, np.sin(grid), np.sin(grid))
     nu = jm.CompensatorSpec.compound_poisson(1.5, jm.UniformLaw(-1.0, 1.0))
     field = jm.IntegrandField(lambda t, x, p: np.cos(300.0 * x) + 0.0 * p)
     tracemalloc.start()
@@ -246,7 +246,7 @@ def test_size_only_field_is_evaluated_once_per_level():
     sizes = []
     field = jm.field_from_size(lambda x: sizes.append(x.size) or np.cos(300.0 * x))
     grid = uniform_grid(1.0, jm._NU_CHUNK)
-    X = from_arrays(grid, np.zeros(grid.size), np.zeros(grid.size))
+    X = CadlagPath(grid, np.zeros(grid.size), np.zeros(grid.size))
     nu = jm.CompensatorSpec.compound_poisson(1.0, jm.UniformLaw(-1.0, 1.0))
     jm.integrate_nu(field, nu, X)
     assert sizes == [15 * 2 ** k for k in range(8)]

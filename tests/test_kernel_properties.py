@@ -39,7 +39,7 @@ def _path(grid, marks, rule, seed):
         values = np.cumsum(steps)
         left = values.copy()
         left[marks] -= sizes
-    return CadlagPath(grid, values, left, marks, rule=rule)
+    return CadlagPath(grid, values, left, rule=rule)
 
 
 def _draw_pair(draw, grid, x_jumps, rules):
@@ -280,7 +280,7 @@ def test_covariation_with_itself_equals_that_with_a_copy(case, rule, seed):
     X, _, eps = case
     for P in (X, _path(X.grid, np.zeros(0, dtype=np.intp), rule, seed)):
         Pc = CadlagPath(P.grid.copy(), P.values.copy(), P.left_values.copy(),
-                        P.jump_marks.copy(), rule=P.rule)
+                        rule=P.rule)
         same, copy = reg.covariation(P, P, eps), reg.covariation(P, Pc, eps)
         for a, b in ((same.values, copy.values), (same.left_values, copy.left_values),
                      (same.jump_marks, copy.jump_marks)):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pathcalc.paths import (CadlagPath, PathError, constant_path, from_arrays,
-                            make_path, uniform_grid)
+from pathcalc.paths import (CadlagPath, PathError, constant_path, make_path,
+                            uniform_grid)
 
 from oracles import from_function
 
@@ -33,18 +36,80 @@ def test_zero_size_jump_rejected():
         make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], jumps=[(1, 1.0)])
 
 
-@pytest.mark.parametrize("values, left, marks, message", [
-    ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [], "unmarked index"),  # at index 0
-    ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], [], "unmarked index"),
-    ([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [1], "unmarked index"),  # beside a mark
-    ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1], "zero size"),
-    # as many differences as marks, but not at the mark
-    ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [1], "zero size"),
+def test_constructor_rejects_a_jump_at_time_zero():
+    with pytest.raises(PathError, match=r"X\(0-\) = X\(0\)"):
+        CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 1.0]),
+                   np.array([0.0, 1.0, 1.0]))
+
+
+@st.composite
+def path_arrays(draw):
+    """(grid, values, left_values, rule) of a path whose values change at a
+    drawn set of indices, some of them by a jump of round-off size."""
+    n = draw(st.integers(2, 40))
+    grid = np.linspace(0.0, 1.0, n)
+    rule = draw(st.sampled_from(("pc", "linear")))
+    changed = draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+    sizes = draw(st.lists(st.sampled_from((1.0, -0.3, 1e-300, 5e-324)),
+                          min_size=n, max_size=n))
+    steps = np.zeros(n)
+    for i in changed:
+        steps[i] = sizes[i]
+    if rule == "pc":
+        values = 0.25 + np.cumsum(steps)
+        left = np.concatenate(([values[0]], values[:-1]))
+    else:
+        values = np.linspace(0.0, 1.0, n) + steps
+        left = values - steps
+    return grid, values, left, rule
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_arrays(), st.sampled_from((-np.inf, np.inf)))
+def test_jump_marks_are_the_indices_where_values_and_left_values_differ(case, toward):
+    grid, values, left, rule = case
+    p = CadlagPath(grid, values, left, rule=rule)
+    assert np.array_equal(p.jump_marks, np.flatnonzero(values != left))
+    assert p.jump_marks.dtype == np.intp
+    moved = left.copy()
+    moved[0] = np.nextafter(left[0], toward)  # X(0-) one ulp off X(0)
+    with pytest.raises(PathError, match=r"X\(0-\) = X\(0\)"):
+        CadlagPath(grid, values, moved, rule=rule)
+
+
+def _csv(rows):
+    return "t,value,left_value,is_jump\n" + "".join(
+        f"{t!r},{v!r},{lv!r},{j}\n" for t, v, lv, j in rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.0, 0.0, 0.0, 0), (0.5, 1.0, 0.0, 0), (1.0, 1.0, 1.0, 0)],  # undeclared
+    [(0.0, 0.0, 0.0, 0), (0.5, 1.0, 1.0, 1), (1.0, 1.0, 1.0, 0)],  # zero size
+    [(0.0, 0.0, 0.0, 1), (0.5, 1.0, 0.5, 1), (1.0, 1.0, 1.0, 0)],  # at t = 0
 ])
-def test_constructor_rejects_unmarked_and_empty_jumps(values, left, marks, message):
-    with pytest.raises(PathError, match=message):
-        CadlagPath(np.array([0.0, 0.5, 1.0]), np.array(values), np.array(left),
-                   np.array(marks, dtype=np.intp))
+def test_csv_rejects_declared_jumps_that_disagree_with_the_values(rows):
+    with pytest.raises(PathError, match="declared jumps"):
+        CadlagPath.from_csv(_csv(rows))
+    CadlagPath.from_csv(_csv([(t, v, lv, int(v != lv)) for t, v, lv, _ in rows]))
+
+
+@pytest.mark.parametrize("left, marks", [
+    ([0.0, 0.5, 2.0], []),  # undeclared
+    ([0.0, 1.0, 2.0], [1]),  # zero size
+    ([0.0, 0.5, 2.0], [1, 2]),  # one declared jump has zero size
+    ([0.0, 0.5, 1.5], [2, 1]),  # unsorted
+    ([0.0, 0.5, 1.5], [1, 1, 2]),  # repeated
+    ([0.0, 0.5, 2.0], [1, 3]),  # past the grid
+    ([0.0, 0.5, 2.0], [1.5]),  # not an index
+])
+def test_json_rejects_declared_jumps_that_disagree_with_the_values(left, marks):
+    d = {"schema_version": 1, "rule": "linear", "grid": [0.0, 0.5, 1.0],
+         "values": [0.0, 1.0, 2.0], "left_values": left, "jump_marks": marks}
+    with pytest.raises(PathError, match="declared jumps"):
+        CadlagPath.from_json(json.dumps(d))
+    d["jump_marks"] = np.flatnonzero(np.array(d["values"]) != left).tolist()
+    text = json.dumps(d, sort_keys=True)
+    assert CadlagPath.from_json(text).to_json() == text
 
 
 def test_mismatched_lengths_rejected():
@@ -127,7 +192,7 @@ def test_value_minus_left_zero_except_at_marks():
     values = np.cumsum(rng.normal(size=grid.size))
     linear = make_path(grid, values, [(i, values[i] - rng.normal()) for i in (7, 23, 41)])
     steps = np.cumsum(np.where(rng.random(grid.size) < 0.2, rng.normal(size=grid.size), 0.0))
-    pc = from_arrays(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
+    pc = CadlagPath(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
     for q in (linear, pc):
         assert q.jump_marks.size >= 3
         probes = np.concatenate((rng.uniform(0.0, 1.0, 200), q.grid[1:], [1.0 + 1e-9, 2.0]))
@@ -175,7 +240,7 @@ def test_value_and_left_limit_match_scalar_oracle(rule, seed):
     else:
         left = values.copy()
         left[marks] -= rng.uniform(0.5, 1.5, marks.size)
-    p = from_arrays(grid, values, left, rule=rule)
+    p = CadlagPath(grid, values, left, rule=rule)
     assert p.jump_marks.size
     last = 0.5 * (grid[-2] + grid[-1])  # inside the last cell
     probes = np.concatenate((grid, rng.uniform(0.0, 1.0, 40),
@@ -201,7 +266,7 @@ def test_two_jump_sum_of_squares():
     left[8:] += -1.0
     left[3] = 0.0
     left[7] = 2.0
-    p = from_arrays(grid, values, left, rule="pc")
+    p = CadlagPath(grid, values, left, rule="pc")
     assert p.sum_squared_jumps() == pytest.approx(5.0)
 
 
@@ -211,7 +276,7 @@ def test_csv_round_trip_bit_exact():
     values = np.cumsum(rng.normal(size=grid.size)) * np.pi / 3.0
     linear = make_path(grid, values, [(11, float(values[11] - 0.7))])
     steps = np.repeat(values[::4], 4)[:grid.size]
-    pc = from_arrays(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
+    pc = CadlagPath(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
     assert pc.jump_marks.size == 7
     for p in (linear, pc):
         text = p.to_csv()
@@ -261,11 +326,11 @@ def test_immutability():
 def test_non_finite_input_rejected(bad):
     grid = [0.0, 0.5, 1.0]
     with pytest.raises(PathError, match="finite"):
-        from_arrays(grid, [0.0, bad, 1.0], [0.0, bad, 1.0])
+        CadlagPath(grid, [0.0, bad, 1.0], [0.0, bad, 1.0])
     with pytest.raises(PathError, match="finite"):
-        from_arrays(grid, [0.0, bad, 1.0], [0.0, 0.0, 1.0])
+        CadlagPath(grid, [0.0, bad, 1.0], [0.0, 0.0, 1.0])
     with pytest.raises(PathError, match="finite"):
-        from_arrays([0.0, bad, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        CadlagPath([0.0, bad, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_nan_time_rejected():

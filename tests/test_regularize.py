@@ -41,7 +41,7 @@ def jumpy_path(seed=0, n=257):
     i7 = int(np.searchsorted(grid, 0.77))
     left[i4] -= 1.5
     left[i7] += 0.8
-    return CadlagPath(grid, values, left, np.array([i4, i7]), rule="linear")
+    return CadlagPath(grid, values, left, rule="linear")
 
 
 # -- frozen closed forms ------------------------------------------------------

@@ -53,6 +53,15 @@ def test_spec_validation():
     for T in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(SimulationError, match="horizon must be positive and finite"):
             SimSpec("poisson", T=T)
+    for name in ("x0", "sigma", "drift"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            if name == "sigma" and bad < 0.0:
+                continue  # a negative volatility is rejected as such
+            with pytest.raises(SimulationError, match=f"^{name} must be finite$"):
+                SimSpec("jump_diffusion", **{name: bad})
+    with pytest.raises(SimulationError, match="switch rate must be nonnegative"):
+        SimSpec("pdp", switch_rate=-1.0)
+    SimSpec("pdp", switch_rate=0.0)
 
 
 # -- brownian -------------------------------------------------------------------
