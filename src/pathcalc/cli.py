@@ -29,7 +29,8 @@ from .catalog import ORTH_SCENARIOS, SCENARIOS, list_catalog
 from .ito import FUNCTION_CATALOG
 from .jumps import parse_jump_law
 from .regularize import (DEFAULT_TOL, EpsilonSchedule, ScheduleError,
-                         forward_integral, qv_limit, ucp_limit)
+                         forward_integral, qv_limit, residual_verdict,
+                         ucp_limit)
 from .simulate import SimSpec, SimulationError, simulate
 
 EXIT_OK = 0
@@ -87,11 +88,11 @@ def _schedule(args, scenario) -> EpsilonSchedule:
     return EpsilonSchedule.geometric(eps0, levels)
 
 
-def _scenario(args):
+def _scenario(args, catalog=SCENARIOS):
     if args.scenario is None:
         raise CliError("a scenario is required (flag or config file)",
                        EXIT_BAD_CONFIG)
-    sc = SCENARIOS.get(args.scenario)
+    sc = catalog.get(args.scenario)
     if sc is None:
         raise CliError(f"unknown scenario {args.scenario!r}", EXIT_BAD_CONFIG)
     return sc
@@ -128,30 +129,30 @@ def cmd_simulate(args) -> int:
 
 
 def _run_limit(args, estimator_name: str):
+    """The ``qv`` or ``forward`` window study, its CSV and JSON written."""
     sc = _scenario(args)
     sched = _schedule(args, sc)
     X, gt = sc.build(seed=args.seed, n=args.n)
     sched = sched.for_path(X, gt.base_dt)
     if estimator_name == "qv":
         rep = qv_limit(X, schedule=sched, tol=args.tol)
+        stem = f"{args.scenario}_qv"
+        extra = {"expected_converged": sc.expect_qv_converges}
     else:
         Y = imod.path_of_function(_function(args.fn), X)
         rep = ucp_limit(lambda A, B, e: forward_integral(B, A, e), X, Y,
                         schedule=sched, tol=args.tol)
+        stem, extra = f"{args.scenario}_forward_{args.fn}", {"integrand": args.fn}
+    out = _out_dir(args)
+    _write_text(out / f"{stem}_convergence.csv",
+                _convergence_csv(rep.epsilons, rep.sup_gaps))
+    _write_text(out / f"{stem}_limit.csv", rep.limit.to_csv())
+    _write_json(out / f"{stem}_report.json", rep.to_json_dict(scenario=sc.id, **extra))
     return sc, rep
 
 
 def cmd_qv(args) -> int:
     sc, rep = _run_limit(args, "qv")
-    out = _out_dir(args)
-    stem = f"{args.scenario}_qv"
-    _write_text(out / f"{stem}_convergence.csv",
-                _convergence_csv(rep.epsilons, rep.sup_gaps))
-    _write_text(out / f"{stem}_limit.csv", rep.limit.to_csv())
-    payload = rep.to_json_dict()
-    payload["scenario"] = sc.id
-    payload["expected_converged"] = sc.expect_qv_converges
-    _write_json(out / f"{stem}_report.json", payload)
     status = "converged" if rep.converged else "did not converge"
     expected = "" if rep.converged == sc.expect_qv_converges else " (unexpected)"
     print(f"{sc.id}: window study {status}{expected}; final gap "
@@ -161,15 +162,6 @@ def cmd_qv(args) -> int:
 
 def cmd_forward(args) -> int:
     sc, rep = _run_limit(args, "forward")
-    out = _out_dir(args)
-    stem = f"{args.scenario}_forward_{args.fn}"
-    _write_text(out / f"{stem}_convergence.csv",
-                _convergence_csv(rep.epsilons, rep.sup_gaps))
-    _write_text(out / f"{stem}_limit.csv", rep.limit.to_csv())
-    payload = rep.to_json_dict()
-    payload["scenario"] = sc.id
-    payload["integrand"] = args.fn
-    _write_json(out / f"{stem}_report.json", payload)
     print(f"{sc.id}: forward study {'converged' if rep.converged else 'did not converge'}")
     return EXIT_OK if rep.converged else EXIT_CHECK_FAILED
 
@@ -201,39 +193,29 @@ def cmd_ito_check(args) -> int:
         raise CliError(str(exc), EXIT_BAD_CONFIG)
     out = _out_dir(args)
     stem = f"{args.scenario}_ito_{args.fn}"
+    verdict = residual_verdict(rep.relative_residual, args.threshold)
     _write_text(out / f"{stem}_residual.csv", _residual_csv(rep.residual))
-    payload = rep.to_json_dict()
-    payload["scenario"] = sc.id
-    payload["threshold"] = args.threshold
-    _write_json(out / f"{stem}_report.json", payload)
+    _write_json(out / f"{stem}_report.json",
+                rep.to_json_dict(scenario=sc.id, verdict=verdict))
     if args.measure_form:
-        diag = jmod.integrability_report(X, F)
-        _write_json(out / f"{stem}_integrability.json", diag.to_json_dict())
-    rel = rep.relative_residual()
-    ok = rel < args.threshold
-    print(f"{sc.id}/{args.fn}: relative residual {rel:.3g} "
-          f"({'pass' if ok else 'fail'} at {args.threshold:g})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        _write_json(out / f"{stem}_integrability.json",
+                    jmod.integrability_report(X, F).to_json_dict())
+    print(f"{sc.id}/{args.fn}: relative residual {verdict.statistic:.3g} "
+          f"({'pass' if verdict.passed else 'fail'} at {args.threshold:g})")
+    return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
 
 
 def cmd_dirichlet_check(args) -> int:
     if args.chain:
         return _run_chain_check(args)
-    if args.scenario is None:
-        raise CliError("a scenario is required (flag or config file)",
-                       EXIT_BAD_CONFIG)
-    sc = ORTH_SCENARIOS.get(args.scenario)
-    if sc is None:
-        raise CliError(f"unknown scenario {args.scenario!r}", EXIT_BAD_CONFIG)
+    sc = _scenario(args, ORTH_SCENARIOS)
     sched = _schedule(args, sc)
     A, N, base_dt = sc.build(seed=args.seed, n=args.n)
     sched = sched.for_path(A, base_dt)
     rep = dd.orthogonality_test(A, N, sched, tol=args.tol)
-    out = _out_dir(args)
-    payload = rep.to_json_dict()
-    payload["scenario"] = sc.id
-    payload["expected_decision"] = sc.expect_decision
-    _write_json(out / f"{args.scenario}_orth_report.json", payload)
+    _write_json(_out_dir(args) / f"{args.scenario}_orth_report.json",
+                rep.to_json_dict(scenario=sc.id,
+                                 expected_decision=sc.expect_decision))
     expected = "" if rep.decision == sc.expect_decision else " (unexpected)"
     print(f"{sc.id}: orthogonal={rep.decision}{expected}; final estimate "
           f"sup-norm {rep.sup_norms[-1]:.3g}")
@@ -255,10 +237,8 @@ def _run_chain_check(args) -> int:
     rep = dd.chain_rule_c01(F, X, dec, gt.compensator, sched,
                             tol=max(args.tol, 0.05), orth_tol=args.tol,
                             battery_seed=args.seed)
-    out = _out_dir(args)
-    payload = rep.to_json_dict()
-    payload["scenario"] = sc.id
-    _write_json(out / f"{sc.id}_chain_{args.fn}_report.json", payload)
+    _write_json(_out_dir(args) / f"{sc.id}_chain_{args.fn}_report.json",
+                rep.to_json_dict(scenario=sc.id))
     print(f"{sc.id}/{args.fn}: residual part "
           f"{'orthogonal' if rep.decision else 'not orthogonal'} "
           f"across {len(rep.orth_reports)} test paths at tol {args.tol:g}")

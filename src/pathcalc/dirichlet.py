@@ -27,9 +27,10 @@ from .ito import (FunctionBundle, ItoReport, increment_field, path_of_function,
 from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms,
                     integrability_report)
 from .paths import CadlagPath, PathError, constant_path
-from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
-                         _covariation_studies, _require_fit, covariation,
-                         forward_integral, ucp_limit)
+from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
+                         _covariation_studies, _require_fit, alpha_atoms_verdict,
+                         bracket_verdict, covariation, forward_integral, md_verdict,
+                         orthogonality_verdict, ucp_limit)
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -103,25 +104,17 @@ def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
 
 
 @dataclass
-class OrthReport:
+class OrthReport(Report, kind="orthogonality_report"):
     """Decay diagnostics of the covariation estimate against one test path."""
 
     epsilons: tuple
     sup_norms: np.ndarray
     sup_gaps: np.ndarray
-    tol: float
-    decision: bool
+    verdict: Verdict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "orthogonality_report",
-            "epsilons": list(self.epsilons),
-            "sup_norms": self.sup_norms.tolist(),
-            "sup_gaps": self.sup_gaps.tolist(),
-            "tol": self.tol,
-            "decision": self.decision,
-        }
+    @property
+    def decision(self) -> bool:
+        return self.verdict.passed
 
 
 def _require_continuous(N: CadlagPath) -> None:
@@ -130,8 +123,8 @@ def _require_continuous(N: CadlagPath) -> None:
 
 
 def _orth_report(rep, tol: float) -> OrthReport:
-    return OrthReport(rep.epsilons, rep.sup_norms, rep.sup_gaps, float(tol),
-                      bool(rep.sup_norms[-1] < tol))
+    return OrthReport(rep.epsilons, rep.sup_norms, rep.sup_gaps,
+                      orthogonality_verdict(rep.sup_norms[-1], tol))
 
 
 def orthogonality_test(A: CadlagPath, N: CadlagPath,
@@ -163,7 +156,7 @@ def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
 
 
 @dataclass
-class ChainRuleReport:
+class ChainRuleReport(Report, kind="chain_rule_report"):
     """Decomposition F(t, X_t) = M^F + A^F with the defect path Gamma.
 
     ``gamma`` is F(t, X_t) minus the four explicit terms (initial value,
@@ -182,18 +175,6 @@ class ChainRuleReport:
     terms: dict
     orth_reports: list
     decision: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "chain_rule_report",
-            "function": self.function,
-            "decision": self.decision,
-            "orth": [r.to_json_dict() for r in self.orth_reports],
-            "terms": sorted(self.terms),
-            "gamma_sup": self.gamma.sup_norm(),
-            "a_sup": self.a_path.sup_norm(),
-        }
 
 
 def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
@@ -289,34 +270,24 @@ def jump_identities(F: FunctionBundle, X: CadlagPath,
 
 
 @dataclass
-class ParticularWDReport:
-    """Bracket identity and regrouping checks for X = M + V + A_prime."""
+class ParticularWDReport(Report, kind="particular_decomposition_report"):
+    """Bracket identity and drift-atom checks for X = M + V + A_prime."""
 
-    bracket_gap: float
-    bracket_tol: float
-    reassembly_gap: float
-    alpha_jump_max: float
+    bracket: Verdict
+    alpha_atoms: Verdict
     alpha_drift_variation: float
-    passed_bracket: bool
-    passed_reassembly: bool
-    passed_alpha_atoms: bool
+
+    @property
+    def passed_bracket(self) -> bool:
+        return self.bracket.passed
+
+    @property
+    def passed_alpha_atoms(self) -> bool:
+        return self.alpha_atoms.passed
 
     @property
     def passed(self) -> bool:
-        return (self.passed_bracket and self.passed_reassembly
-                and self.passed_alpha_atoms)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "particular_decomposition_report",
-            "bracket_gap": self.bracket_gap,
-            "bracket_tol": self.bracket_tol,
-            "reassembly_gap": self.reassembly_gap,
-            "alpha_jump_max": self.alpha_jump_max,
-            "alpha_drift_variation": self.alpha_drift_variation,
-            "passed": self.passed,
-        }
+        return self.passed_bracket and self.passed_alpha_atoms
 
 
 def particular_wd_check(decomp: LabeledDecomposition,
@@ -325,10 +296,10 @@ def particular_wd_check(decomp: LabeledDecomposition,
                         tol: float = ORTH_TOL) -> ParticularWDReport:
     """Checks for the martingale + bounded variation + continuous orthogonal
     splitting: (a) the estimated bracket of the sum matches
-    [M, M] + sum (dV)^2 + 2 sum dV dM, (b) the sum is reproduced by the
-    regrouping continuous martingale + drift + compensated small jumps +
-    big-jump sum, and (c) the drift part alpha carries no jump atoms when
-    the compensator has no time atoms.
+    [M, M] + sum (dV)^2 + 2 sum dV dM (``bracket_verdict``), and (b) the
+    drift part alpha = X - M_c - compensated small jumps - big-jump sum
+    carries no jump atoms when the compensator has no time atoms
+    (``alpha_atoms_verdict``).
 
     Only the final window's bracket estimates of X and M are read, so only
     that window is evaluated, after checking that every window fits the
@@ -358,7 +329,6 @@ def particular_wd_check(decomp: LabeledDecomposition,
     reference = m_bracket.values + cross
     bracket_gap = float(np.max(np.abs(bracket.values - reference)))
     scale = max(float(np.max(np.abs(reference))), 1.0)
-    passed_bracket = bracket_gap < tol * scale
 
     small = _if_atoms(X, nu, lambda: jmod.compensated_integral(
         X_FIELD.with_truncation("small"), X, nu))
@@ -366,46 +336,38 @@ def particular_wd_check(decomp: LabeledDecomposition,
         X_FIELD.with_truncation("big"), X))
     mc = decomp.M_c if decomp.M_c is not None else constant_path(X.grid)
     alpha = X - mc - small - big
-    rhs = mc + alpha + small + big
-    reassembly_gap = float(np.max(np.abs(rhs.values - X.values)))
     alpha_jump_max = float(np.max(np.abs(alpha.values - alpha.left_values)))
     drift = alpha - A_prime
-    alpha_drift_variation = float(np.sum(np.abs(np.diff(drift.values))))
-    # with time atoms in the compensator the drift may legitimately jump
-    atoms_ok = (alpha_jump_max < 1e-9 * scale) or bool(nu and nu.atoms)
     return ParticularWDReport(
-        bracket_gap=bracket_gap, bracket_tol=tol * scale,
-        reassembly_gap=reassembly_gap, alpha_jump_max=alpha_jump_max,
-        alpha_drift_variation=alpha_drift_variation,
-        passed_bracket=passed_bracket,
-        passed_reassembly=reassembly_gap < 1e-9 * scale,
-        passed_alpha_atoms=atoms_ok)
+        bracket_verdict(bracket_gap, tol, scale),
+        alpha_atoms_verdict(alpha_jump_max, scale, bool(nu and nu.atoms)),
+        float(np.sum(np.abs(np.diff(drift.values)))))
 
 
 @dataclass
-class MdRepresentationReport:
+class MdRepresentationReport(Report, kind="md_representation_report"):
     """Gap between the labeled purely discontinuous martingale part and the
-    compensated size integral rebuilt from the jump measure."""
+    compensated size integral rebuilt from the jump measure.
 
-    sup_gap: float
+    ``atom_gap_max``, the largest |dM_d - dX|, is reported but not judged:
+    with time atoms in the compensator dM_d = dX - (atom part), which this
+    check does not rebuild, so a nonzero gap is no failure there.  Without
+    time atoms it should read zero.
+    """
+
+    verdict: Verdict
     atom_gap_max: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.sup_gap < self.tol
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, "kind": "md_representation_report",
-                "sup_gap": self.sup_gap, "atom_gap_max": self.atom_gap_max,
-                "tol": self.tol, "passed": self.passed}
+        return self.verdict.passed
 
 
 def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
                             nu: CompensatorSpec | None) -> MdRepresentationReport:
     """Compare the labeled M_d against the compensated integral of the size
-    field and check the atom-level jump identity dM_d = dX - (atom part);
-    the sup gap passes below 1e-8 of the larger sup-norm (at least 1)."""
+    field, and report the atom-level jump gap |dM_d - dX|; the sup gap
+    passes below 1e-8 of the larger sup-norm (at least 1)."""
     if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
     md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
@@ -415,14 +377,14 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     x_jumps = X.values - X.left_values
     atom_gap = float(np.max(np.abs(md_jumps - x_jumps)))
     scale = max(md.sup_norm(), X.sup_norm(), 1.0)
-    return MdRepresentationReport(sup_gap, atom_gap, 1e-8 * scale)
+    return MdRepresentationReport(md_verdict(sup_gap, scale), atom_gap)
 
 
 # -- continuous-function chain rule -------------------------------------------
 
 
 @dataclass
-class C0ChainReport:
+class C0ChainReport(Report, kind="c0_chain_report"):
     """Decomposition of F(t, X_t) built without any space derivative."""
 
     function: str
@@ -431,12 +393,6 @@ class C0ChainReport:
     jump_abs_total: float
     orth_reports: list
     decision: bool
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, "kind": "c0_chain_report",
-                "function": self.function, "decision": self.decision,
-                "jump_abs_total": self.jump_abs_total,
-                "orth": [r.to_json_dict() for r in self.orth_reports]}
 
 
 def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
@@ -450,6 +406,11 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     Requires the running total of |jump of F(s, X_s)| to be finite on the
     path; continuity of F on the path's value set is the caller's scenario
     assumption.
+
+    It takes no decomposition of X, so its battery of independent Brownian
+    paths carries no signal about X's own martingale part: the decision
+    cannot see a missing compensator, as the raw F(t, X_t) - F(0, X_0)
+    passes that battery too.
     """
     lhs = path_of_function(F, X)
     jump_abs = float(np.sum(np.abs(lhs.jump_sizes)))

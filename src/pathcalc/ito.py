@@ -27,7 +27,7 @@ from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     integrability_report)
 from .paths import LINEAR, CadlagPath
-from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule,
+from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
                          _require_fit, covariation, forward_integral, qv_limit)
 
 
@@ -364,7 +364,7 @@ class _Expansion:
 
 
 @dataclass
-class ItoReport:
+class ItoReport(Report, kind="ito_report"):
     """Named terms of one identity variant plus the assembled residual.
 
     ``terms`` holds signed paths: the residual is
@@ -387,22 +387,9 @@ class ItoReport:
     def final_residual_sup(self) -> float:
         return float(self.residual_sup_by_eps[-1])
 
+    @property
     def relative_residual(self) -> float:
         return self.final_residual_sup / max(self.lhs.sup_norm(), 1e-12)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "ito_report",
-            "variant": self.variant,
-            "function": self.function,
-            "initial_value": self.initial_value,
-            "epsilons": list(self.epsilons),
-            "residual_sup_by_eps": self.residual_sup_by_eps.tolist(),
-            "final_residual_sup": self.final_residual_sup,
-            "relative_residual": self.relative_residual(),
-            "terms": sorted(self.terms),
-        }
 
 
 def ito_terms_c12(F: FunctionBundle, X: CadlagPath,

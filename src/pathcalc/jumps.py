@@ -27,6 +27,7 @@ import numpy as np
 
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, PathError,
                     constant_path)
+from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
 SIZE_QUADRATURE_RTOL = 1e-8
@@ -453,7 +454,7 @@ def _if_atoms(X: CadlagPath, nu: CompensatorSpec | None, build, count: int = 1):
 
 
 @dataclass
-class IntegrabilityReport:
+class IntegrabilityReport(Report, kind="integrability_report"):
     """Finite path-level totals standing in for localized integrability.
 
     Every total is a single-path surrogate: finiteness on one realization,
@@ -479,20 +480,6 @@ class IntegrabilityReport:
         if self.taylor_big_jump_total is None:
             return False
         return bool(np.isfinite(self.taylor_big_jump_total))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "integrability_report",
-            "threshold": self.threshold,
-            "squared_jump_total": self.squared_jump_total,
-            "big_jump_abs_total": self.big_jump_abs_total,
-            "big_jump_count": self.big_jump_count,
-            "taylor_big_jump_total": self.taylor_big_jump_total,
-            "square_summable": self.square_summable,
-            "big_jumps_summable": self.big_jumps_summable,
-            "taylor_remainder_summable": self.taylor_remainder_summable,
-        }
 
 
 def integrability_report(X: CadlagPath, F=None) -> IntegrabilityReport:

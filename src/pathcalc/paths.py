@@ -265,10 +265,15 @@ class CadlagPath:
 
     @classmethod
     def from_json(cls, text: str) -> "CadlagPath":
-        d = json.loads(text)
-        return _declared(cls(np.array(d["grid"]), np.array(d["values"]),
-                             np.array(d["left_values"]), rule=d.get("rule", LINEAR)),
-                         d["jump_marks"])
+        """Inverse of ``to_json``; PathError for text that is not such an object."""
+        try:
+            d = json.loads(text)
+            arrays = [np.array(d[k]) for k in ("grid", "values", "left_values")]
+            marks = d["jump_marks"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise PathError("path JSON must be an object with grid, values, "
+                            f"left_values and jump_marks ({exc!r})") from None
+        return _declared(cls(*arrays, rule=d.get("rule", LINEAR)), marks)
 
 
 # -- constructors ----------------------------------------------------------

@@ -38,7 +38,7 @@ share that path's mesh at each window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -448,11 +448,99 @@ def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     return float(np.max(diff))
 
 
+# -- verdicts and report JSON --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One pass/fail decision: ``statistic`` (None: nothing to compare) set
+    against ``threshold`` by ``rule``, whose one helper below builds it."""
+
+    rule: str
+    statistic: float | None
+    threshold: float
+    passed: bool
+
+
+def _below(rule: str, statistic, threshold) -> Verdict:
+    statistic, threshold = float(statistic), float(threshold)
+    return Verdict(rule, statistic, threshold, statistic < threshold)
+
+
+def cauchy_verdict(gaps: np.ndarray, norms: np.ndarray, tol: float) -> Verdict:
+    """Last sup-norm gap <= tol * max(final sup-norm, 1e-12); a schedule of
+    one window has no gap and never passes."""
+    threshold = float(tol * max(norms[-1], 1e-12))
+    gap = float(gaps[-1]) if gaps.size else None
+    return Verdict("cauchy", gap, threshold, gap is not None and gap <= threshold)
+
+
+def orthogonality_verdict(final_norm: float, tol: float) -> Verdict:
+    """Final covariation sup-norm < tol."""
+    return _below("orthogonality", final_norm, tol)
+
+
+def bracket_verdict(gap: float, tol: float, scale: float) -> Verdict:
+    """Bracket identity gap < tol * scale."""
+    return _below("bracket", gap, tol * scale)
+
+
+def alpha_atoms_verdict(jump_max: float, scale: float, time_atoms: bool) -> Verdict:
+    """Largest jump of the drift part < 1e-9 * scale; with time atoms in the
+    compensator the drift may jump, so the rule is waived (always passes)."""
+    v = _below("alpha_atoms", jump_max, 1e-9 * scale)
+    return replace(v, rule="alpha_atoms_waived", passed=True) if time_atoms else v
+
+
+def md_verdict(sup_gap: float, scale: float) -> Verdict:
+    """Sup gap of the rebuilt purely discontinuous part < 1e-8 * scale."""
+    return _below("md_representation", sup_gap, 1e-8 * scale)
+
+
+def residual_verdict(relative_residual: float, threshold: float) -> Verdict:
+    """Relative identity residual < threshold (``ito-check``)."""
+    return _below("relative_residual", relative_residual, threshold)
+
+
+class Report:
+    """Base of the report dataclasses; ``kind=`` in the class line names one in JSON."""
+
+    def __init_subclass__(cls, kind: str, **kw):
+        super().__init_subclass__(**kw)
+        cls.kind = kind
+
+    def to_json_dict(self, **extra) -> dict:
+        """The one report serializer: schema_version, kind, every dataclass
+        field and property, and ``extra``.  Arrays and tuples become lists,
+        verdicts and reports dicts, and a path (CSV carries it) its sup-norm."""
+        names = [f.name for f in fields(self)]
+        names += [k for k, v in vars(type(self)).items() if isinstance(v, property)]
+        items = {**{k: getattr(self, k) for k in names}, **extra}
+        return {"schema_version": 2, "kind": self.kind,
+                **{k: _json_value(v) for k, v in items.items()}}
+
+
+def _json_value(v):
+    if isinstance(v, Report):
+        return v.to_json_dict()
+    if isinstance(v, Verdict):
+        return asdict(v)
+    if isinstance(v, CadlagPath):
+        return {"sup_norm": v.sup_norm()}
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
 # -- uniform-limit driver ----------------------------------------------------
 
 
 @dataclass
-class LimitReport:
+class LimitReport(Report, kind="limit_report"):
     """Convergence diagnostics of an estimator along a window schedule.
 
     ``converged`` is a Cauchy test along the sampled schedule only (final
@@ -467,22 +555,15 @@ class LimitReport:
     sup_gaps: np.ndarray
     sup_norms: np.ndarray
     tol: float
-    converged: bool
+    verdict: Verdict
+
+    @property
+    def converged(self) -> bool:
+        return self.verdict.passed
 
     @property
     def gaps_increasing(self) -> bool:
         return bool(np.all(np.diff(self.sup_gaps) >= 0.0))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "limit_report",
-            "epsilons": list(self.epsilons),
-            "sup_gaps": self.sup_gaps.tolist(),
-            "sup_norms": self.sup_norms.tolist(),
-            "tol": self.tol,
-            "converged": self.converged,
-        }
 
 
 def _require_fit(schedule: EpsilonSchedule, X: CadlagPath) -> None:
@@ -510,10 +591,8 @@ class _CauchyStudy:
 
     def report(self, schedule: EpsilonSchedule, tol: float) -> LimitReport:
         sup_norms, gaps = np.array(self.norms), np.array(self.gaps)
-        scale = max(sup_norms[-1], 1e-12)
-        converged = bool(gaps.size and gaps[-1] <= tol * scale)
         return LimitReport(tuple(schedule.epsilons), self.last, gaps, sup_norms,
-                           float(tol), converged)
+                           float(tol), cauchy_verdict(gaps, sup_norms, tol))
 
 
 def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath | None = None,

@@ -17,7 +17,7 @@ checkouts whose totals agree give byte-identical outputs on every case:
 * ``errors``      the type and message of every rejected input below;
 * ``declared``    the type only of inputs whose declared jumps disagree
                   with their values (their messages may be reworded);
-* ``cli``         exit code, stdout, stderr and artifacts of 10 commands,
+* ``cli``         exit code, stdout, stderr and artifacts of 11 commands,
                   with the output directory scrubbed from the output.
 
 A path contributes its grid, values, left values, jump marks and rule, a
@@ -250,19 +250,25 @@ def errors_group(fp: Fingerprint, cases) -> None:
         fp.add("declared", (name, _rejection(fn)[0]))
 
 
+# --levels keeps the smallest window ten cells wide on these short grids, so
+# every study command gets as far as writing its report
 CLI_COMMANDS = (
     ("list",),
     ("simulate", "--kind", "compound_poisson", "--intensity", "2",
      "--jump-law", "normal:0,1", "--n", "1000", "--seed", "3"),
     ("simulate", "--kind", "pdp", "--n", "500", "--seed", "2"),
-    ("qv", "--scenario", "bm", "--n", "4000"),
-    ("qv", "--scenario", "fbm02", "--n", "1000"),
-    ("forward", "--scenario", "bm", "--fn", "identity", "--n", "4000"),
-    ("convergence", "--scenario", "poisson", "--op", "qv", "--n", "4000"),
+    ("qv", "--scenario", "bm", "--n", "4000", "--levels", "4"),
+    ("qv", "--scenario", "fbm02", "--n", "1000", "--levels", "2"),
+    ("forward", "--scenario", "bm", "--fn", "identity", "--n", "4000",
+     "--levels", "4"),
+    ("convergence", "--scenario", "poisson", "--op", "qv", "--n", "4000",
+     "--levels", "4"),
     ("ito-check", "--scenario", "poisson", "--fn", "identity", "--measure-form",
-     "--n", "4000"),
-    ("dirichlet-check", "--scenario", "step_bm", "--n", "4000"),
-    ("dirichlet-check", "--scenario", "pdp_bm", "--n", "4000"),
+     "--n", "4000", "--levels", "4"),
+    ("dirichlet-check", "--scenario", "step_bm", "--n", "4000", "--levels", "4"),
+    ("dirichlet-check", "--scenario", "pdp_bm", "--n", "4000", "--levels", "4"),
+    ("dirichlet-check", "--chain", "poisson", "--fn", "square", "--n", "4000",
+     "--levels", "4"),
 )
 
 

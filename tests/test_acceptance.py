@@ -164,7 +164,7 @@ def test_criterion_5_identity_residuals_and_reassembly():
     for name, X, gt, sched in _criterion5_cases():
         for fname in ("identity", "square", "tx", "sin"):
             rep = ito.ito_terms_c12(FUNCTION_CATALOG[fname], X, sched, tol=0.05)
-            rel = rep.relative_residual()
+            rel = rep.relative_residual
             if rel > worst_rel:
                 worst_rel, worst_case = rel, f"{fname} on {name}"
     # measure-form reassembly at atom level, nu side removed exactly

@@ -41,7 +41,7 @@ def test_qv_writes_artifacts_and_passes(tmp_path):
                 "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "poisson_qv_report.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["converged"] is True
     conv = (tmp_path / "poisson_qv_convergence.csv").read_text()
     assert conv.splitlines()[0] == "epsilon,sup_gap"

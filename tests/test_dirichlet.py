@@ -309,7 +309,7 @@ def test_particular_zero_qv_perturbation_of_brownian():
     dec = dd.LabeledDecomposition(M_c=M, A_prime=fb)
     rep = dd.particular_wd_check(dec, None, sched, tol=0.1)
     assert rep.passed
-    assert rep.alpha_jump_max == 0.0
+    assert rep.alpha_atoms.statistic == 0.0
 
 
 def test_particular_pure_step_bounded_variation():
@@ -321,7 +321,7 @@ def test_particular_pure_step_bounded_variation():
     rep = dd.particular_wd_check(dec, nu, sched, tol=0.05)
     assert rep.passed_bracket
     # estimated bracket of the step is the step itself
-    assert rep.bracket_gap < 1e-10
+    assert rep.bracket.statistic < 1e-10
 
 
 def test_particular_rejects_overflowing_variation():
@@ -341,8 +341,7 @@ def test_particular_brownian_plus_jumps_cross_term_vanishes():
     dec = dd.LabeledDecomposition(M_c=M, V=Xcp)
     rep = dd.particular_wd_check(dec, gtcp.compensator, sched, tol=0.1)
     assert rep.passed
-    assert rep.reassembly_gap == 0.0
-    assert rep.alpha_jump_max < 1e-12
+    assert rep.alpha_atoms.statistic < 1e-12
 
 
 # -- martingale-part representation -----------------------------------------------------
@@ -353,7 +352,7 @@ def test_md_representation_compensated_poisson():
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.md_representation_check(dec, X, gt.compensator)
     assert rep.passed
-    assert rep.sup_gap < 1e-10
+    assert rep.verdict.statistic < 1e-10
     assert rep.atom_gap_max < 1e-12
 
 
@@ -361,7 +360,7 @@ def test_md_representation_continuous_path_both_sides_zero():
     X, gt, _ = brownian_pair(n=2000, seed=1)
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.md_representation_check(dec, X, None)
-    assert rep.passed and rep.sup_gap == 0.0
+    assert rep.passed and rep.verdict.statistic == 0.0
 
 
 def test_md_representation_normal_jumps_atomwise():

@@ -208,7 +208,7 @@ def test_identity_residual_decays_on_brownian():
 def test_square_on_brownian_residual_small():
     X, sched = brownian()
     rep = ito.ito_terms_c12(FUNCTION_CATALOG["square"], X, sched, tol=0.05)
-    assert rep.relative_residual() < 1e-2
+    assert rep.relative_residual < 1e-2
 
 
 def test_tx_on_constant_path_is_exact():
@@ -272,7 +272,7 @@ def test_measure_form_poisson_identity_function():
     # the linear function
     mart = rep.terms["small_jump_compensated_increment"]
     assert np.max(np.abs(mart.values - (X.values - 2.0 * X.grid))) < 1e-10
-    assert rep.relative_residual() < 1e-10
+    assert rep.relative_residual < 1e-10
 
 
 def test_measure_form_reduces_to_plain_form_for_continuous_path():

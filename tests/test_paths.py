@@ -112,6 +112,19 @@ def test_json_rejects_declared_jumps_that_disagree_with_the_values(left, marks):
     assert CadlagPath.from_json(text).to_json() == text
 
 
+_JSON_PATH = {"grid": [0.0, 1.0], "values": [0.0, 0.0], "left_values": [0.0, 0.0],
+              "jump_marks": []}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[0.0, 1.0]",
+    *(json.dumps({k: v for k, v in _JSON_PATH.items() if k != key}) for key in _JSON_PATH),
+], ids=["not json", "list", *(f"no {key}" for key in _JSON_PATH)])
+def test_json_rejects_documents_that_are_not_paths(text):
+    with pytest.raises(PathError, match="must be an object with grid"):
+        CadlagPath.from_json(text)
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(PathError):
         make_path([0.0, 0.5, 1.0], [0.0, 1.0])
