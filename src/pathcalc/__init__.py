@@ -7,19 +7,17 @@ orthogonal-decomposition properties.
 """
 
 from .paths import CadlagPath, make_path, step_path, uniform_grid
-from .regularize import (EpsilonSchedule, LimitReport, WindowGapError,
-                         covariation, covariation_continuous, forward_integral,
-                         forward_integral_rv, qv_limit, rv_ucp_gap, ucp_limit,
-                         weighted_qv)
+from .regularize import (EpsilonSchedule, LimitReport, covariation,
+                         covariation_continuous, forward_integral,
+                         forward_integral_rv, qv_limit, ucp_limit, weighted_qv)
 from .simulate import GroundTruth, SimSpec
 from .simulate import simulate as simulate_process
 
 __all__ = [
     "CadlagPath", "EpsilonSchedule", "GroundTruth", "LimitReport", "SimSpec",
-    "WindowGapError", "covariation", "covariation_continuous",
-    "forward_integral", "forward_integral_rv", "make_path", "qv_limit",
-    "rv_ucp_gap", "simulate_process", "step_path", "ucp_limit",
-    "uniform_grid", "weighted_qv",
+    "covariation", "covariation_continuous", "forward_integral",
+    "forward_integral_rv", "make_path", "qv_limit", "simulate_process",
+    "step_path", "ucp_limit", "uniform_grid", "weighted_qv",
 ]
 
 __version__ = "0.1.0"

@@ -54,7 +54,6 @@ class Scenario:
     default_n: int
     make: object  # (seed, n) -> (path, ground truth)
     expect_qv_converges: bool = True
-    has_compensator: bool = False
     has_decomposition: bool = False
     default_eps0: float = 0.05
     default_levels: int = 8
@@ -71,18 +70,17 @@ SCENARIOS: dict[str, Scenario] = {
                  _sim("brownian", sigma=1.0), has_decomposition=True),
         Scenario("poisson", "Poisson counting process, intensity 2",
                  "pure-jump bracket equals the jump count; compensator 2t",
-                 50000, _sim("poisson", intensity=2.0), has_compensator=True,
-                 has_decomposition=True),
+                 50000, _sim("poisson", intensity=2.0), has_decomposition=True),
         Scenario("cp_normal", "compound Poisson, intensity 1, standard normal sizes",
                  "bracket equals the running sum of squared jump sizes", 50000,
                  _sim("compound_poisson", intensity=1.0,
                       jump_law=NormalLaw(0.0, 1.0)),
-                 has_compensator=True, has_decomposition=True),
+                 has_decomposition=True),
         Scenario("jump_diffusion", "unit-volatility diffusion plus compound Poisson",
                  "bracket t plus the running sum of squared jump sizes", 50000,
                  _sim("jump_diffusion", sigma=1.0, drift=0.0, intensity=1.0,
                       jump_law=NormalLaw(0.0, 1.0)),
-                 has_compensator=True, has_decomposition=True),
+                 has_decomposition=True),
         Scenario("fbm02", "fractional Gaussian path, exponent 0.2",
                  "quadratic variation diverges: the window study must not converge",
                  2000, _sim("fbm", hurst=0.2), expect_qv_converges=False,

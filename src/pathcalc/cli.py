@@ -81,7 +81,7 @@ def _schedule(args, scenario) -> EpsilonSchedule:
 
     It is built before the path, so a bad schedule exits 2 before any
     simulation; ``for_path`` then snaps it to the base spacing and checks
-    it against the path's grid (``main`` maps its ScheduleError to exit 2).
+    that it fits the path's grid (``main`` maps its ScheduleError to exit 2).
     """
     eps0 = args.eps0 if args.eps0 is not None else scenario.default_eps0
     levels = args.levels if args.levels is not None else scenario.default_levels
@@ -276,16 +276,18 @@ def _seed(text: str) -> int:
 
 
 def _add_common(p, scenario=True):
+    """The flags of every subcommand but ``list``; with ``scenario``, also
+    the window-study flags, which ``simulate`` does not read."""
     p.add_argument("--seed", type=_seed, default=0)
     if scenario:
         p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
+        p.add_argument("--eps0", type=float, default=None,
+                       help="largest window width; the schedule halves from here")
+        p.add_argument("--levels", type=int, default=None)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     else:
         p.add_argument("--n", type=int, default=SimSpec.n,
                        help=f"grid cells (default {SimSpec.n})")
-    p.add_argument("--eps0", type=float, default=None,
-                   help="largest window width; the schedule halves from here")
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV} or .)")
     p.add_argument("--config", default=None, help="flat key=value defaults file")
     if scenario:

@@ -67,30 +67,6 @@ class LabeledDecomposition:
             return self.M_c
         return self.M_c + self.M_d
 
-    def components(self) -> dict:
-        roles = {"M_c": self.M_c, "M_d": self.M_d, "A": self.A,
-                 "V": self.V, "A_prime": self.A_prime}
-        return {k: v for k, v in roles.items() if v is not None}
-
-    def check_sums_to(self, X: CadlagPath) -> float:
-        """Sup gap between X and M_c + M_d + A (or + V + A_prime); raises
-        PathError when it exceeds 1e-9 of max(sup |X|, 1) or when the
-        decomposition has no components."""
-        keys = set(self.components())
-        use = ["M_c", "M_d"] + (["A"] if "A" in keys else ["V", "A_prime"])
-        total = None
-        for k in use:
-            p = self.components().get(k)
-            if p is None:
-                continue
-            total = p if total is None else total + p
-        if total is None:
-            raise PathError("decomposition has no components")
-        gap = float(np.max(np.abs(total.values - X.values)))
-        if gap > 1e-9 * max(X.sup_norm(), 1.0):
-            raise PathError(f"components do not sum to the path (gap {gap})")
-        return gap
-
 
 def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
     """BATTERY_SIZE independent standard Brownian test paths on X's grid,

@@ -221,24 +221,6 @@ def linear_jump_field(F: FunctionBundle, truncation=None) -> IntegrandField:
 # -- continuous bracket part --------------------------------------------------
 
 
-def _converged_bracket(X: CadlagPath, schedule: EpsilonSchedule,
-                       tol: float) -> CadlagPath:
-    """The window limit of [X, X]; raises NonConvergenceError when the
-    bracket study does not converge along the schedule.
-
-    The study's verdict and limit depend only on its two finest windows, so
-    after checking that every window fits the grid (ScheduleError, as
-    ``qv_limit`` raises it) only those two are evaluated.  A one-window
-    schedule has no gap to test and never converges.
-    """
-    _require_fit(schedule, X)
-    rep = qv_limit(X, schedule=EpsilonSchedule(schedule.epsilons[-2:]), tol=tol)
-    if not rep.converged:
-        raise NonConvergenceError(
-            "bracket estimate did not converge along the schedule")
-    return rep.limit
-
-
 def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                        tol: float = DEFAULT_TOL) -> CadlagPath:
     """Estimated bracket minus the running sum of squared jumps, clipped at
@@ -246,7 +228,7 @@ def qv_continuous_part(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDU
 
     The bracket is the covariation of X with itself at the finest window,
     evaluated with the second finest only to test convergence
-    (``_converged_bracket``)."""
+    (``_Expansion.bracket``)."""
     return _Expansion(None, X, None, schedule, tol).qvc
 
 
@@ -257,9 +239,12 @@ class _Expansion:
     """The expansion of F(t, X_t) for one harness call: each piece is built
     when first read and kept for the rest of the call, so a view builds only
     the pieces it reads, and views that share one expansion build each
-    piece once.  ``nu`` may be None for a path without jump atoms."""
+    piece once.  ``nu`` may be None for a path without jump atoms.  The
+    schedule is checked to fit X's grid (ScheduleError) before anything
+    else, so every view rejects a bad schedule first."""
 
     def __init__(self, F, X, nu, schedule, tol):
+        _require_fit(schedule, X)
         self.F, self.X, self.nu, self.schedule, self.tol = F, X, nu, schedule, tol
 
     def require(self, smoothness, validate=True):
@@ -284,7 +269,16 @@ class _Expansion:
 
     @cached_property
     def bracket(self):
-        return _converged_bracket(self.X, self.schedule, self.tol)
+        """The window limit of [X, X]; NonConvergenceError when the bracket
+        study does not converge along the schedule.  Its verdict and limit
+        depend only on the two finest windows, so only those are evaluated;
+        a one-window schedule has no gap to test and never converges."""
+        rep = qv_limit(self.X, schedule=EpsilonSchedule(self.schedule.epsilons[-2:]),
+                       tol=self.tol)
+        if not rep.converged:
+            raise NonConvergenceError(
+                "bracket estimate did not converge along the schedule")
+        return rep.limit
 
     @cached_property
     def qvc(self):

@@ -55,10 +55,6 @@ class ScheduleError(ValueError):
     """Raised when a window schedule does not fit a path's grid."""
 
 
-class WindowGapError(RuntimeError):
-    """Raised by ``rv_ucp_gap`` when the window-gap identity fails."""
-
-
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Strictly decreasing window widths driving a convergence study."""
@@ -104,25 +100,24 @@ class EpsilonSchedule:
                 out.append(e)
         return EpsilonSchedule(tuple(out))
 
-    def validate_for(self, path: CadlagPath, base_dt: float) -> None:
-        """Check the schedule fits the grid: eps < T, eps a multiple of the
-        base spacing, and the smallest eps at least ten spacings wide."""
-        dt = float(base_dt)
-        T = path.horizon
-        for e in self.epsilons:
-            if e >= T:
-                raise ScheduleError(f"window {e} is not below the horizon {T}")
-            k = e / dt
-            if abs(k - round(k)) > 1e-6:
-                raise ScheduleError(f"window {e} is not a multiple of spacing {dt}")
-        if self.epsilons[-1] < 10.0 * dt - 1e-12 * dt:
-            raise ScheduleError("smallest window must span at least ten grid cells")
-
     def for_path(self, path: CadlagPath, base_dt: float) -> "EpsilonSchedule":
+        """The schedule snapped to ``base_dt``, checked to fit the path's grid
+        (``_require_fit``) with the smallest window ten spacings wide."""
         dt = float(base_dt)
         s = self.snapped(dt)
-        s.validate_for(path, dt)
+        _require_fit(s, path)
+        if s.epsilons[-1] < 10.0 * dt - 1e-12 * dt:
+            raise ScheduleError("smallest window must span at least ten grid cells")
         return s
+
+
+def _require_fit(schedule: EpsilonSchedule, X: CadlagPath) -> None:
+    """The one schedule-fit rule: raise ScheduleError unless every window is
+    below X's horizon and at least its smallest grid spacing."""
+    T, dt = X.horizon, X.min_spacing
+    for e in schedule:
+        if e >= T or e < dt:
+            raise ScheduleError(f"window {e} does not fit the grid")
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule.geometric()
@@ -239,8 +234,6 @@ class _Mesh:
         self.pos = pos
         self.ins_cells = ins_cells
         self.shifted = shifted
-        if not np.all(u >= 0.0):
-            raise PathError("shifted sample points need u >= 0, not NaN")
         # the one location: all paths share the grid, so one plan serves all
         uc = np.minimum(u, T)
         cells = _locate(grid, uc)
@@ -428,26 +421,6 @@ def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     return float(Y.values[0] * np.sum(widths * (X.value_at(lefts) - X.values[0])) / eps)
 
 
-def rv_ucp_gap(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
-    """Sup over grid times of (truncated minus whole-line forward estimate).
-
-    Checks that for every grid time t >= eps the gap equals minus the
-    closed-form start-up window, raising ``WindowGapError`` if the identity
-    fails beyond a relative 1e-9 of the estimate scale.
-    """
-    ucp = forward_integral(Y, X, eps)
-    rv = forward_integral_rv(Y, X, eps)
-    diff = ucp.values - rv.values
-    const = rv_window_constant(Y, X, eps)
-    sel = X.grid >= eps
-    scale = max(ucp.sup_norm(), abs(const), 1.0)
-    worst = float(np.max(np.abs(diff[sel] + const))) if np.any(sel) else 0.0
-    if worst > 1e-9 * scale:
-        raise WindowGapError(
-            f"window-gap identity violated: |gap + {const!r}| reaches {worst!r}")
-    return float(np.max(diff))
-
-
 # -- verdicts and report JSON --------------------------------------------------
 
 
@@ -566,15 +539,6 @@ class LimitReport(Report, kind="limit_report"):
         return bool(np.all(np.diff(self.sup_gaps) >= 0.0))
 
 
-def _require_fit(schedule: EpsilonSchedule, X: CadlagPath) -> None:
-    """Raise ScheduleError unless every window is below X's horizon and at
-    least its smallest grid spacing."""
-    T, dt = X.horizon, X.min_spacing
-    for e in schedule:
-        if e >= T or e < dt:
-            raise ScheduleError(f"window {e} does not fit the grid")
-
-
 class _CauchyStudy:
     """Sup-norm Cauchy bookkeeping of one estimator along a schedule; it
     holds only the last estimate."""
@@ -595,12 +559,12 @@ class _CauchyStudy:
                            float(tol), cauchy_verdict(gaps, sup_norms, tol))
 
 
-def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath | None = None,
+def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath,
               schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
               tol: float = DEFAULT_TOL) -> LimitReport:
     """Run ``estimator`` along the schedule and test sup-norm Cauchy decay.
 
-    ``estimator`` is called as estimator(X, eps) or estimator(X, Y, eps).
+    ``estimator`` is called as estimator(X, Y, eps).
     Estimates stream: only the previous and the current one are held.  The
     report keeps the last estimate and the raw norm and gap arrays so
     callers can apply their own criteria.
@@ -608,7 +572,7 @@ def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath | None = None,
     _require_fit(schedule, X)
     study = _CauchyStudy()
     for e in schedule:
-        study.add(estimator(X, e) if Y is None else estimator(X, Y, e))
+        study.add(estimator(X, Y, e))
     return study.report(schedule, tol)
 
 

@@ -313,8 +313,6 @@ def pdp(spec: SimSpec):
     regimes = spec.regimes or _default_regimes()
     rng = _rng(spec.seed)
     switches = _sample_arrivals(rng, spec.switch_rate, spec.T)
-    if switches.size and np.any(np.diff(switches) <= 0.0):
-        raise SimulationError("switch times must be strictly increasing")
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), switches)
     reg_idx = np.searchsorted(switches, grid, side="right")
     values = np.empty(grid.size)

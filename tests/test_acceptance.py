@@ -153,8 +153,7 @@ def _criterion5_cases():
     }
     for name, (spec, levels) in specs.items():
         X, gt = sim.simulate(spec)
-        sched = reg.EpsilonSchedule.geometric(0.05, levels).snapped(gt.base_dt)
-        sched.validate_for(X, gt.base_dt)
+        sched = reg.EpsilonSchedule.geometric(0.05, levels).for_path(X, gt.base_dt)
         yield name, X, gt, sched
 
 

@@ -36,6 +36,15 @@ def test_bad_schedule_exits_2(tmp_path):
     assert code == 2
 
 
+def test_window_past_the_horizon_exits_2_naming_it(tmp_path, capsys):
+    # windows 2.0 and 1.0 on a horizon of 1.0: the first does not fit
+    code = run(["qv", "--scenario", "bm", "--n", "1000", "--eps0", "4",
+                "--levels", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: window 2.0 does not fit the grid\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_qv_writes_artifacts_and_passes(tmp_path):
     code = run(["qv", "--scenario", "poisson", "--tol", "0.05",
                 "--out", str(tmp_path)])
@@ -127,6 +136,22 @@ def test_simulate_without_n_uses_its_documented_default(tmp_path):
     assert run(["simulate", "--kind", "brownian", "--out", str(tmp_path)]) == 0
     csv = (tmp_path / "brownian_seed0_path.csv").read_text()
     assert CadlagPath.from_csv(csv).n_points == SimSpec.n + 1 == 1001
+
+
+@pytest.mark.parametrize("flag", [["--tol", "0.1"], ["--eps0", "0.1"],
+                                  ["--levels", "3"]])
+def test_simulate_has_no_window_study_flags(tmp_path, capsys, flag):
+    assert exit_code(["simulate", "--kind", "brownian", *flag,
+                      "--out", str(tmp_path)]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # a config key the subcommand lacks is ignored, as before
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[0][2:]}={flag[1]}\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--kind", "brownian", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    assert (out / "brownian_seed0_path.csv").exists()
 
 
 def test_simulate_bad_kind_exits_2(tmp_path):

@@ -416,15 +416,12 @@ def test_reextracting_the_labeled_components():
 
 def test_decomposition_sums_and_martingale_access():
     X, gt, dec, _ = jd_setup(n=4000)
-    gap = dec.check_sums_to(X)
-    assert gap < 1e-10
+    total = dec.M_c + dec.M_d + dec.A
+    assert np.max(np.abs(total.values - X.values)) < 1e-10
     with pytest.raises(PathError):
         dd.LabeledDecomposition().martingale
 
 
 def test_empty_decomposition_is_rejected():
-    X, gt, dec, _ = jd_setup(n=4000)
-    with pytest.raises(PathError, match="decomposition has no components"):
-        dd.LabeledDecomposition().check_sums_to(X)
     with pytest.raises(PathError, match="decomposition has no components"):
         dd.particular_wd_check(dd.LabeledDecomposition())

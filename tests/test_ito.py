@@ -118,7 +118,7 @@ def test_bracket_guard_matches_the_full_study(case):
         with pytest.raises(NonConvergenceError):
             ito.qv_continuous_part(X, sched, tol=0.05)
         return
-    bracket = ito._converged_bracket(X, sched, 0.05)
+    bracket = ito._Expansion(None, X, None, sched, 0.05).bracket
     assert bracket.values.tobytes() == full.limit.values.tobytes()
     assert bracket.left_values.tobytes() == full.limit.left_values.tobytes()
     raw = full.limit.values - jmod.integrate_mu(jmod.X_SQUARED_FIELD, X).values
@@ -173,16 +173,43 @@ def test_one_window_bracket_guard_never_converges():
         ito.qv_continuous_part(X, reg.EpsilonSchedule(sched.epsilons[-1:]), tol=0.05)
 
 
-def test_bracket_guard_checks_every_window_fits():
-    # only the coarsest window reaches the horizon, and the guard does not
-    # evaluate it: the error is the full study's all the same
+_EMPTY = dirichlet.LabeledDecomposition()
+_HARNESSES = {
+    "ito_terms_c12": lambda X, s: ito.ito_terms_c12(FUNCTION_CATALOG["square"], X, s),
+    "ito_terms_measure_form": lambda X, s: ito.ito_terms_measure_form(
+        FUNCTION_CATALOG["square"], X, None, s),
+    "ito_c1_lambda": lambda X, s: ito.ito_c1_lambda(FUNCTION_CATALOG["xabs_sqrt"], X, s),
+    "chain_rule_c01": lambda X, s: dirichlet.chain_rule_c01(
+        FUNCTION_CATALOG["square"], X, _EMPTY, schedule=s),
+    "gamma_c12_reference": lambda X, s: dirichlet.gamma_c12_reference(
+        FUNCTION_CATALOG["square"], X, _EMPTY, schedule=s),
+    "qv_continuous_part": lambda X, s: ito.qv_continuous_part(X, s),
+}
+
+
+@pytest.mark.parametrize("harness", list(_HARNESSES))
+def test_bracket_guard_checks_every_window_fits(monkeypatch, harness):
+    # only the coarsest window reaches the horizon: every harness rejects the
+    # schedule as the full study does, before any kernel is evaluated
     X, sched = brownian(n=4000)
     bad = reg.EpsilonSchedule((X.horizon,) + sched.epsilons)
     with pytest.raises(reg.ScheduleError) as full:
         reg.qv_limit(X, schedule=bad)
+    calls = []
+
+    def counting(kernel):
+        def run(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return run
+
+    for kernel in (reg.covariation, reg.forward_integral):
+        for mod in (reg, ito, dirichlet):
+            monkeypatch.setattr(mod, kernel.__name__, counting(kernel))
     with pytest.raises(reg.ScheduleError) as guard:
-        ito.qv_continuous_part(X, bad)
+        _HARNESSES[harness](X, bad)
     assert str(guard.value) == str(full.value) == f"window {X.horizon} does not fit the grid"
+    assert calls == []
 
 
 # -- smooth-case identity ----------------------------------------------------------

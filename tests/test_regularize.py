@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import pathcalc
 import pathcalc.simulate as sim
 from pathcalc import regularize as reg
 from pathcalc.paths import CadlagPath, constant_path, step_path, uniform_grid
@@ -204,27 +203,27 @@ def test_rv_variant_equals_truncated_when_start_value_zero():
     assert np.max(np.abs(a.values - b.values)) < 1e-14
 
 
+def rv_gap(Y, X, eps):
+    """Truncated minus whole-line forward estimate at every grid time."""
+    return reg.forward_integral(Y, X, eps).values - reg.forward_integral_rv(Y, X, eps).values
+
+
 def test_rv_gap_matches_closed_form():
+    # from t = eps on, the gap is minus the closed-form start-up window
     X = jumpy_path()
     Y = from_function(X.grid, lambda t: np.cos(t) + 0.5)
     for eps in (0.04, 0.08):
-        reg.rv_ucp_gap(Y, X, eps)  # raises if the identity fails
-
-
-def test_rv_gap_violation_raises_window_gap_error(monkeypatch):
-    X = jumpy_path()
-    Y = from_function(X.grid, lambda t: np.cos(t) + 0.5)
-    true_const = reg.rv_window_constant(Y, X, 0.04)
-    monkeypatch.setattr(reg, "rv_window_constant", lambda *a: true_const + 0.1)
-    with pytest.raises(pathcalc.WindowGapError, match="window-gap identity violated"):
-        reg.rv_ucp_gap(Y, X, 0.04)
+        gap = rv_gap(Y, X, eps)
+        const = reg.rv_window_constant(Y, X, eps)
+        assert const != 0.0
+        scale = max(reg.forward_integral(Y, X, eps).sup_norm(), abs(const), 1.0)
+        assert np.max(np.abs(gap[X.grid >= eps] + const)) <= 1e-9 * scale
 
 
 def test_rv_gap_zero_when_jump_outside_window():
     S = step_path(1.0, 100, 0.5)
     Y = constant_path(S.grid, 1.0)
-    gap = reg.rv_ucp_gap(Y, S, 0.1)
-    assert gap == pytest.approx(0.0, abs=1e-15)
+    assert np.max(rv_gap(Y, S, 0.1)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rv_gap_decays_for_continuous_start():
@@ -359,7 +358,7 @@ def test_schedule_construction_and_snapping():
     assert all(abs(e / 1e-3 - round(e / 1e-3)) < 1e-9 for e in s.epsilons)
     X = linear_path(1000)
     with pytest.raises(reg.ScheduleError):
-        reg.EpsilonSchedule((0.5, 0.002)).validate_for(X, 1e-3)
+        reg.EpsilonSchedule((0.5, 0.002)).for_path(X, 1e-3)
     # 2^-1074 is the last positive power; more levels are rejected up front
     assert reg.EpsilonSchedule.geometric(1e300, reg.MAX_LEVELS).epsilons[-1] > 0.0
     for levels in (0, -3, reg.MAX_LEVELS + 1, 10**12):
