@@ -30,7 +30,7 @@ from .paths import CadlagPath, PathError, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
                          _covariation_studies, _require_fit, alpha_atoms_verdict,
                          bracket_verdict, covariation, forward_integral, md_verdict,
-                         orthogonality_verdict, ucp_limit)
+                         orthogonality_verdict)
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -107,9 +107,10 @@ def orthogonality_test(A: CadlagPath, N: CadlagPath,
                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                        tol: float = ORTH_TOL) -> OrthReport:
     """Covariation of (A, N) along the schedule; decision true when the
-    final estimate's sup-norm is below tol.  N must be continuous."""
+    final estimate's sup-norm is below tol.  N must be continuous; the
+    study is ``ucp_limit(covariation, A, N)``, bit for bit."""
     _require_continuous(N)
-    return _orth_report(ucp_limit(covariation, A, N, schedule, tol), tol)
+    return _orth_report(_covariation_studies(A, [N], schedule, tol)[0], tol)
 
 
 def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
@@ -118,9 +119,9 @@ def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
     """``orthogonality_test(A, N)`` for every N in ``tests``, bit for bit.
 
     Every test path must be continuous (checked before any estimate), so
-    each (A, N) pair has A's sample mesh: each window evaluates one mesh of
-    A, A's samples and A's prefix sums, and from them the covariation
-    against every test path.
+    each (A, N) pair has A's sample mesh: one study of A does the grid work
+    once, and each window evaluates one mesh of A and A's samples, and from
+    them the covariation against every test path.
     """
     for N in tests:
         _require_continuous(N)

@@ -96,7 +96,8 @@ class CadlagPath:
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))
                 and np.all(np.isfinite(left))):
             raise PathError("grid, values and left_values must be finite")
-        if np.any(np.diff(grid) <= 0.0):
+        spacing = np.diff(grid)
+        if np.any(spacing <= 0.0):
             raise PathError("grid must be strictly increasing")
         marks = np.flatnonzero(values != left)
         if marks.size and marks[0] == 0:
@@ -112,6 +113,9 @@ class CadlagPath:
                           ("left_values", left), ("jump_marks", marks)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # read on every window of a study: taken once, and no field, so it
+        # stays out of equality and repr
+        object.__setattr__(self, "_min_spacing", float(spacing.min()))
 
     # -- basic geometry -------------------------------------------------
 
@@ -125,7 +129,7 @@ class CadlagPath:
 
     @property
     def min_spacing(self) -> float:
-        return float(np.min(np.diff(self.grid)))
+        return self._min_spacing
 
     @property
     def jump_times(self) -> np.ndarray:

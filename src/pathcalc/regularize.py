@@ -15,30 +15,39 @@ the sample mesh formed by the path grid plus the shifted jump breakpoints
 {tau - eps}.  With those breakpoints present the integrand is exactly
 piecewise constant whenever the inputs are, so the kernels are exact on
 piecewise-constant paths.  Splitting each integral at t - eps turns the
-computation into prefix sums: per window, one location of the shifted
-sample points in the grid, then O(n) work for all t.  The location is a
+computation into prefix sums, and the work into a per-study part
+(``_Study``) and a per-window part (``_Mesh``).  Once per study, for all
+windows: the grid's bucket index for locating points and, at the first
+window that inserts no breakpoint, the grid's cells and the covariation's
+eps-free prefix sums.  Once per window: one location of the shifted sample
+points in the grid, which gives the paths' values there and, by counting,
+the bulk cells of every t; the bulk prefix sum; and the O(n) assembly for
+all t, in place in one accumulator.  A window that inserts a breakpoint
+inside a grid cell builds its own cells and sums.  The location is a
 bucket walk, O(n) when the grid's nodes are spread evenly, with a binary
-search only for points in crowded buckets.  It gives both paths' values at
-the shifted points and, by counting, the bulk cells of every t.  The
-estimators jump only where their inputs do, so left limits are assembled
-only at the input jump rows.  A literal O(n^2) per-t transcription on its
-own breakpoint set (in the test suite) must match the kernels to
-floating-point reassociation accuracy.  The three split estimators are
+search only for points in crowded buckets.  The estimators jump only where
+their inputs do, so left limits are assembled only at the input jump rows.
+A literal O(n^2) per-t transcription on its own breakpoint set (in the
+test suite) must match the kernels to floating-point reassociation
+accuracy.  The three split estimators are
 one window-sum kernel with different cell weights: the covariation weights
 the product of the X and Y increments by the cell width w, the weighted
 sum weights the squared X increment by w g, and the forward estimate
 weights the X increment alone by w Y.
 
-All kernels are pure functions.  ``ucp_limit`` drives an estimator along a
-window schedule, streaming: it holds only the previous and the current
-estimate.  Covariations of one path against several continuous partners
-share that path's mesh at each window.
+All kernels are pure functions; each is a study of one window.
+``ucp_limit`` drives any estimator along a window schedule, streaming: it
+holds only the previous and the current estimate.  ``qv_limit`` and the
+orthogonality tests drive the covariation through ``_covariation_studies``
+instead, one study for all windows, which gives the same bits; its partners
+share X's mesh at each window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -138,22 +147,25 @@ def _cumsum0(a: np.ndarray) -> np.ndarray:
 _LOCATE_ROUNDS = 4
 
 
-def _locate(grid: np.ndarray, tc: np.ndarray) -> np.ndarray:
-    """Cell of every time tc in [0, T], ``searchsorted(grid, tc, "right") - 1``.
-
-    Nodes and times fall in buckets floor(t / T * n), a map monotone in t,
-    so every node of a later bucket than a time's lies after that time.
-    Each time starts at the last node of its own bucket (found by one count
-    and one prefix sum over the nodes), and all times step back together
-    while their node lies after them.  The few still moving after
-    ``_LOCATE_ROUNDS`` steps, in buckets crowded by clustered nodes, are
-    binary-searched, so any grid stays exact and O(n log n).
-    """
-    n = grid.size - 1
-    T = grid[-1]
+def _buckets(grid: np.ndarray) -> np.ndarray:
+    """Bucket index of ``grid`` for ``_locate``: ends[b] counts the nodes in
+    buckets 0..b, where a time t falls in bucket floor(t / T * n)."""
     # t / T <= 1 first: no overflow even for a tiny horizon
-    ends = np.cumsum(np.bincount((grid / T * n).astype(np.intp)))
-    cells = ends[(tc / T * n).astype(np.intp)] - 1
+    return np.cumsum(np.bincount((grid / grid[-1] * (grid.size - 1)).astype(np.intp)))
+
+
+def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray) -> np.ndarray:
+    """Cell of every time tc in [0, T], ``searchsorted(grid, tc, "right") - 1``,
+    given the grid's bucket index ``ends = _buckets(grid)``.
+
+    The bucket map is monotone in t, so every node of a later bucket than a
+    time's lies after that time.  Each time starts at the last node of its
+    own bucket, and all times step back together while their node lies
+    after them.  The few still moving after ``_LOCATE_ROUNDS`` steps, in
+    buckets crowded by clustered nodes, are binary-searched, so any grid
+    stays exact and O(n log n).
+    """
+    cells = ends[(tc / grid[-1] * (grid.size - 1)).astype(np.intp)] - 1
     moving = np.flatnonzero(grid[cells] > tc)
     for _ in range(_LOCATE_ROUNDS):
         if not moving.size:
@@ -165,38 +177,89 @@ def _locate(grid: np.ndarray, tc: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _input_jump_indices(X: CadlagPath, *others: CadlagPath) -> np.ndarray:
+    idx = X.jump_marks
+    for P in others:
+        if P is not X:
+            idx = np.union1d(idx, P.jump_marks).astype(np.intp)
+    return idx
+
+
+class _Study:
+    """The per-study part of the sample mesh: the work on X's grid that no
+    window width changes, done once for X against its ``partners``.
+
+    A study lives for one call: a limit study, or the one window of a
+    standalone kernel.  Its jump rows ``jidx`` and times ``taus`` are those
+    of X and every partner.  ``ends`` is the grid's bucket index, shared by
+    every window's ``_locate`` (which always searches the plain grid).  A
+    window that inserts no breakpoint has the plain grid's cells, starts
+    ``sl`` and widths ``w``, and the covariation's eps-free prefix sums
+    ``sums``.  The widths and the sums are built at the first window that
+    reads them, so a study whose windows all insert breakpoints builds
+    neither.  On the plain grid the cell-start samples of X and the
+    partners are their values, read in place.
+    """
+
+    def __init__(self, X: CadlagPath, partners: list[CadlagPath]):
+        for P in partners:
+            if not X.same_grid(P):
+                raise PathError("paths must share a grid")
+        self.X = X
+        self.partners = partners
+        self.grid = X.grid
+        self.sl = X.grid[:-1]
+        self.jidx = _input_jump_indices(X, *partners)
+        self.taus = X.grid[self.jidx]
+        self.ends = _buckets(X.grid)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return np.diff(self.grid)
+
+    @cached_property
+    def sums(self) -> "_Sums":
+        return _Sums(self.w, self.X, self.X.values[:-1],
+                     [(P, P.values[:-1]) for P in self.partners])
+
+
 class _Mesh:
-    """Shared sample mesh for one (X, Y, eps) kernel evaluation.
+    """The per-window part of the sample mesh: all that depends on eps.
 
     ``sl`` are the cell left endpoints (grid plus shifted jump breakpoints),
-    ``w`` the cell widths, ``u`` the shifted sample points.  For a cell whose
-    left endpoint is an inserted breakpoint tau - eps, ``u`` is pinned to tau
-    exactly so the lookup lands on the post-jump value.
+    ``w`` the cell widths, ``u`` the shifted sample points, and ``rows``
+    and ``jump_rows`` the mesh rows of the grid times and of the study's
+    jump rows.  A window where some tau - eps falls strictly inside a grid
+    cell inserts it as a breakpoint and builds its own cells.  Any other
+    window (every window of a jump-free study, and windows whose tau - eps
+    fall on nodes or outside (0, T)) is ``plain``: it takes the study's
+    cells, whose rows are the grid's.  For a cell whose left endpoint is a
+    shifted breakpoint tau - eps, inserted or on a node, ``u`` is pinned to
+    tau exactly so the lookup lands on the post-jump value.
 
     ``u`` is located in the grid once, by ``_locate``, and that gives one
     sample plan: the cell of every u, and the cell and fraction of each u
-    that falls strictly inside its cell.  X, Y and every partner are sampled
-    from that plan (X and Y share the grid): a path gathers its values at
-    the cells, and under the linear rule interpolates only the off-node
-    entries.  The plan is dropped once the paths are sampled.  Counting each
-    u at the first node at or after it gives ``jr[i]``, the number of bulk
-    cells (u <= t_i) at grid time t_i.  ``partners`` are further continuous
-    paths on the grid: they add no breakpoint, so the same plan gives their
-    samples, kept as (Ps, Pu) pairs in ``partner_samples``.  At the inserted
-    breakpoints every path's cell-start sample is its ``value_at``.
+    that falls strictly inside its cell.  X and every partner of the study
+    are sampled from that plan (they share the grid): a path gathers its
+    values at the cells, and under the linear rule interpolates only the
+    off-node entries.  The plan is dropped once the paths are sampled.
+    ``samples[k]`` is the k-th partner's pair of samples at the cell starts
+    and at u, and (Xs, Xu) is X's.  At the inserted breakpoints every
+    path's cell-start sample is its ``value_at``.  Counting each u at the
+    first node at or after it gives ``jr[i]``, the number of bulk cells
+    (u <= t_i) at grid time t_i.
     """
 
-    def __init__(self, X: CadlagPath, Y: CadlagPath, eps: float, partners=()):
-        if not X.same_grid(Y):
-            raise PathError("paths must share a grid")
+    def __init__(self, study: _Study, eps: float):
+        X = study.X
         eps = float(eps)
         T = X.horizon
         # one range test, which NaN fails too
         if not X.min_spacing <= eps < T:
             raise ValueError("window width must cover at least one grid cell "
                              "and lie below the horizon")
-        grid = X.grid
-        taus = np.union1d(X.jump_times, Y.jump_times)
+        grid = study.grid
+        taus = study.taus
         shifted = taus - eps
         keep = (shifted > 0.0) & (shifted < T)
         taus, shifted = taus[keep], shifted[keep]
@@ -207,53 +270,57 @@ class _Mesh:
             hit = grid[np.minimum(ins, grid.size - 1)] == shifted
             on_grid, on_grid_tau = ins[hit], taus[hit]
             taus, shifted, ins = taus[~hit], shifted[~hit], ins[~hit]
-        if shifted.size:
-            S = np.insert(grid, ins, shifted)
-            pos = np.arange(grid.size) + np.searchsorted(shifted, grid, side="left")
-            ins_cells = ins + np.arange(shifted.size)
-            sl = S[:-1]
-            u = sl + eps
-            u[ins_cells] = taus
-            if on_grid.size:
-                u[pos[on_grid]] = on_grid_tau
-            np.maximum.accumulate(u, out=u)
-        else:
-            S = grid
-            pos = np.arange(grid.size)
-            sl = S[:-1]
+        self.plain = not shifted.size
+        if self.plain:
+            sl, w, rows = study.sl, study.w, slice(None)
             u = sl + eps
             if on_grid.size:
                 u[on_grid] = on_grid_tau
                 np.maximum.accumulate(u, out=u)
             ins_cells = np.zeros(0, dtype=np.intp)
+        else:
+            S = np.insert(grid, ins, shifted)
+            pos = np.arange(grid.size) + np.searchsorted(shifted, grid, side="left")
+            ins_cells = ins + np.arange(shifted.size)
+            sl, w, rows = S[:-1], np.diff(S), pos
+            u = sl + eps
+            u[ins_cells] = taus
+            if on_grid.size:
+                u[pos[on_grid]] = on_grid_tau
+            np.maximum.accumulate(u, out=u)
+        self.study = study
         self.eps = eps
         self.grid = grid
         self.sl = sl
-        self.w = np.diff(S)
+        self.w = w
         self.u = u
-        self.pos = pos
+        self.rows = rows
+        self.jump_rows = study.jidx if self.plain else rows[study.jidx]
         self.ins_cells = ins_cells
         self.shifted = shifted
         # the one location: all paths share the grid, so one plan serves all
         uc = np.minimum(u, T)
-        cells = _locate(grid, uc)
+        cells = _locate(grid, study.ends, uc)
         plan = _sample_plan(grid, uc, cells)
         self.Xs, self.Xu = self._samples(X, plan)
-        self.Ys, self.Yu = (self.Xs, self.Xu) if Y is X else self._samples(Y, plan)
-        self.partner_samples = [self._samples(P, plan) for P in partners]
+        self.samples = [(self.Xs, self.Xu) if P is X else self._samples(P, plan)
+                        for P in study.partners]
+        del plan, uc
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
-        lidx = cells + 1 - (grid[cells] == u)
-        self.jr = np.cumsum(np.bincount(lidx, minlength=grid.size + 1))[:grid.size]
+        on_node = grid[cells] == u
+        cells += 1
+        cells -= on_node
+        jr = np.bincount(cells, minlength=grid.size + 1)
+        self.jr = np.cumsum(jr, out=jr)[:grid.size]
         self.X = X
-        self.Y = Y
 
     def _samples(self, P: CadlagPath, plan) -> tuple[np.ndarray, np.ndarray]:
         """P at the cell left endpoints and at the shifted points u, given
-        the plan of u capped at T; P jumps only where X or Y does."""
+        the plan of u capped at T; P jumps only where the study's paths do."""
         if self.ins_cells.size:
             Ps = np.empty(self.sl.size)
-            Ps[self.pos[:-1]] = P.values[:-1]
+            Ps[self.rows[:-1]] = P.values[:-1]
             Ps[self.ins_cells] = P.value_at(self.shifted)
         else:
             Ps = P.values[:-1]
@@ -268,10 +335,42 @@ class _Mesh:
         """
         if not g.same_grid(self.X):
             raise PathError("weight path must share the grid")
+        if self.plain:
+            return g.left_values[:-1].copy()
         out = np.empty(self.sl.size)
-        out[self.pos[:-1]] = g.left_values[:-1]
+        out[self.rows[:-1]] = g.left_values[:-1]
         out[self.ins_cells] = g.left_limit(self.shifted)
         return out
+
+
+class _Sums:
+    """Prefix sums over a mesh's cells for the window sums of X.
+
+    With a = X(s) - X(0) at the cell starts s, ``Sw`` and ``SwA`` sum the
+    cell weight omega and omega a.  For each (Y, Ys) of ``factors``, a
+    partner and its cell-start samples, with b = Y(s) - Y(0),
+    ``factors[k]`` holds Y - Y(0) at the grid times (``Bm``) and the sums
+    of omega b and omega a b.  ``Am`` is X - X(0) at the grid times.  None
+    of them depends on eps where the cells and omega do not: the
+    covariation's sums on the plain grid are the study's.
+    """
+
+    def __init__(self, omega: np.ndarray, X: CadlagPath, Xs: np.ndarray, factors):
+        self.omega = omega
+        cA = X.values[0]
+        xa = Xs - cA
+        self.Sw = _cumsum0(omega)
+        self.SwA = _cumsum0(omega * xa)
+        self.Am = X.values - cA
+        self.factors = []
+        for Y, Ys in factors:
+            if Y is X:
+                Bm, xb, SwB = self.Am, xa, self.SwA
+            else:
+                cB = Y.values[0]
+                Bm, xb = Y.values - cB, Ys - cB
+                SwB = _cumsum0(omega * xb)
+            self.factors.append((Bm, SwB, _cumsum0(omega * (xa * xb))))
 
 
 def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
@@ -284,63 +383,89 @@ def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
     return CadlagPath(grid, vals, left_final, rule=LINEAR)
 
 
-def _input_jump_indices(X: CadlagPath, Y: CadlagPath | None = None) -> np.ndarray:
-    idx = X.jump_marks
-    if Y is not None and Y is not X:
-        idx = np.union1d(idx, Y.jump_marks).astype(np.intp)
-    return idx
-
-
 # -- kernels -----------------------------------------------------------------
 
 
-def _window_sums(m: _Mesh, omega: np.ndarray, unit: bool = False):
+def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     """Window sums of omega-weighted increment products on the mesh of X.
 
-    Returns a function of a partner path Y and its samples (Ys, Yu) on mesh
-    m (m.Y, or one of m's partners) that gives, as a path over t, (1/eps) sum over cells s of
-    omega(s) (X(u(s) ^ t) - X(s)) (Y(u(s) ^ t) - Y(s)) for every grid time
-    t, or, with ``unit``, of omega(s) (X(u(s) ^ t) - X(s)) alone.  X's side
-    is computed once, so one mesh serves every partner whose jumps it holds.
-    Cells with u(s) <= t (the bulk) are one prefix sum; the boundary cells
-    after t - eps expand into prefix sums of omega, omega a, omega b and
-    omega a b, where a and b are the factors' offsets from their start
-    values.
+    Returns a function of k that gives, for the study's k-th partner Y, as
+    a path over t, (1/eps) sum over cells s of omega(s) (X(u(s) ^ t) - X(s))
+    (Y(u(s) ^ t) - Y(s)) for every grid time t, or, with ``unit``, of
+    omega(s) (X(u(s) ^ t) - X(s)) alone.  ``omega`` None is the cell width,
+    the covariation's weight.  X's side is computed once, so one mesh
+    serves every partner.  Cells with u(s) <= t (the bulk) are one prefix
+    sum per partner, the only sum that depends on eps; the boundary cells
+    after t - eps expand into the prefix sums of ``_Sums``, which on a
+    plain mesh of the covariation are the study's.  Each estimate is
+    assembled in place in one accumulator, and the bulk is gone before the
+    grid rows' buffers are taken.
     """
+    study = m.study
     X = m.X
-    cA = X.values[0]
-    xa = m.Xs - cA
-    Sw = _cumsum0(omega)
-    SwA = _cumsum0(omega * xa)
+    if omega is None and m.plain:
+        sums = study.sums
+    else:
+        factors = () if unit else [(P, Ps) for P, (Ps, _)
+                                   in zip(study.partners, m.samples)]
+        sums = _Sums(m.w if omega is None else omega, X, m.Xs, factors)
+    omega, Sw, SwA, Am = sums.omega, sums.Sw, sums.SwA, sums.Am
+    jidx = study.jidx
     # left limit at t: the bulk is the cells with u < t
-    jidx = _input_jump_indices(X, m.Y)
     jl = np.searchsorted(m.u, m.grid[jidx], side="left")
+    Al = X.left_values[jidx] - X.values[0]
 
-    def against(Y: CadlagPath, Ys: np.ndarray, Yu: np.ndarray) -> CadlagPath:
+    def against(k: int) -> CadlagPath:
+        Y = study.partners[k]
+        bulk = np.empty(m.sl.size + 1)
+        bulk[0] = 0.0
+        d = np.subtract(m.Xu, m.Xs, out=bulk[1:])
         if unit:
-            bulk = _cumsum0(omega * (m.Xu - m.Xs))
+            d *= omega
         else:
-            cB = Y.values[0]
+            Ys, Yu = m.samples[k]
             # association is kept symmetric in the two factors so that
             # swapping them returns bit-identical values
-            bulk = _cumsum0(omega * ((m.Xu - m.Xs) * (Yu - Ys)))
-            xb = xa if Y is X else Ys - cB
-            SwB = SwA if Y is X else _cumsum0(omega * xb)
-            SwAB = _cumsum0(omega * (xa * xb))
+            d *= d if Y is X else Yu - Ys
+            d *= omega
+            Bm, SwB, SwAB = sums.factors[k]
+        np.cumsum(d, out=d)
 
-        def assemble(p, j, Xt, Yt):
-            Am = Xt - cA
-            rw = Sw[p] - Sw[j]
-            ra = SwA[p] - SwA[j]
+        def assemble(acc, p, j, Am, Bm):
+            # bulk[j] is in acc; with r. = S.[p] - S.[j] this is
+            # (bulk[j] + (Am Bm rw + rab) - (Am rb + Bm ra)) / eps, or with
+            # ``unit`` (bulk[j] + Am rw - ra) / eps
+            r = np.empty(j.size)
+
+            def span(S):
+                # j counts cells, so it is in range and "clip" never acts;
+                # it spares the buffered copy that "raise" makes with out=
+                np.take(S, j, out=r, mode="clip")
+                return np.subtract(S[p], r, out=r)
+
             if unit:
-                return (bulk[j] + Am * rw - ra) / m.eps
-            Bm = Am if Y is X else Yt - cB
-            rb = ra if Y is X else SwB[p] - SwB[j]
-            rab = SwAB[p] - SwAB[j]
-            return (bulk[j] + (Am * Bm * rw + rab) - (Am * rb + Bm * ra)) / m.eps
+                acc += np.multiply(span(Sw), Am, out=r)
+                acc -= span(SwA)
+            else:
+                q = np.multiply(Am, Bm)
+                q *= span(Sw)
+                q += span(SwAB)
+                acc += q
+                np.multiply(Am, span(SwB), out=q)
+                if Y is X:
+                    # Am rb + Bm ra with Bm = Am and rb = ra, bit for bit
+                    q += q
+                else:
+                    q += np.multiply(span(SwA), Bm, out=r)
+                acc -= q
+            acc /= m.eps
+            return acc
 
-        vals = assemble(m.pos, m.jr, X.values, Y.values)
-        lefts = assemble(m.pos[jidx], jl, X.left_values[jidx], Y.left_values[jidx])
+        Bl = Al if unit or Y is X else Y.left_values[jidx] - Y.values[0]
+        lefts = assemble(bulk[jl], m.jump_rows, jl, Al, Bl)
+        vals = bulk[m.jr]
+        del bulk, d
+        vals = assemble(vals, m.rows, m.jr, Am, None if unit else Bm)
         return _estimator_path(m.grid, vals, lefts, jidx)
 
     return against
@@ -348,14 +473,13 @@ def _window_sums(m: _Mesh, omega: np.ndarray, unit: bool = False):
 
 def covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
     """[X, Y] window estimate as a path over t, O(n) for all grid times."""
-    m = _Mesh(X, Y, eps)
-    return _window_sums(m, m.w)(Y, m.Ys, m.Yu)
+    return _window_sums(_Mesh(_Study(X, [Y]), eps))(0)
 
 
 def forward_integral(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     """Window estimate of int Y d-X as a path over t, O(n) for all t."""
-    m = _Mesh(X, Y, eps)
-    return _window_sums(m, m.w * m.Ys, unit=True)(Y, m.Ys, m.Yu)
+    m = _Mesh(_Study(X, [Y]), eps)
+    return _window_sums(m, m.w * m.samples[0][0], unit=True)(0)
 
 
 def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
@@ -364,17 +488,18 @@ def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     ``g`` carries caglad weights: it is sampled through its left limits, so
     with g identically one this is exactly ``covariation(X, X, eps)``.
     """
-    m = _Mesh(X, X, eps)
-    return _window_sums(m, m.w * m.weight_samples(g))(X, m.Xs, m.Xu)
+    m = _Mesh(_Study(X, [X]), eps)
+    return _window_sums(m, m.w * m.weight_samples(g))(0)
 
 
 def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
     """Untruncated window estimate C(eps): X(s + eps) without the ^ t cap,
     using the extension of the paths past the horizon by continuity.  The
     result is continuous in t."""
-    m = _Mesh(X, Y, eps)
-    bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (m.Yu - m.Ys))
-    vals = bulk[m.pos] / m.eps
+    m = _Mesh(_Study(X, [Y]), eps)
+    Ys, Yu = m.samples[0]
+    bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (Yu - Ys))
+    vals = bulk[m.rows] / m.eps
     return CadlagPath(m.grid, vals, vals.copy(), rule=LINEAR)
 
 
@@ -550,7 +675,8 @@ class _CauchyStudy:
     def add(self, est: CadlagPath) -> None:
         self.norms.append(est.sup_norm())
         if self.last is not None:
-            self.gaps.append(float(np.max(np.abs(est.values - self.last.values))))
+            gap = est.values - self.last.values
+            self.gaps.append(float(np.max(np.abs(gap, out=gap))))
         self.last = est
 
     def report(self, schedule: EpsilonSchedule, tol: float) -> LimitReport:
@@ -578,29 +704,31 @@ def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath,
 
 def qv_limit(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
              tol: float = DEFAULT_TOL) -> LimitReport:
-    """Quadratic-variation study: ``covariation(X, X)`` along the schedule."""
-    return ucp_limit(covariation, X, X, schedule=schedule, tol=tol)
+    """Quadratic-variation study: ``ucp_limit(covariation, X, X)``, bit for
+    bit, with the grid work done once for the whole schedule."""
+    return _covariation_studies(X, [X], schedule, tol)[0]
 
 
 def _covariation_studies(X: CadlagPath, partners: list[CadlagPath],
                          schedule: EpsilonSchedule,
                          tol: float) -> list[LimitReport]:
-    """``ucp_limit(covariation, X, P, schedule, tol)`` for every continuous
-    P in ``partners``, bit for bit, with one mesh per window.
+    """``ucp_limit(covariation, X, P, schedule, tol)`` for every P in
+    ``partners``, bit for bit, from one study of X.
 
-    A continuous P adds no breakpoint, so (X, P) has the mesh of (X, X):
-    each window builds that mesh, X's samples and X's prefix sums once, and
-    reads every P's samples from the mesh's cells.  The caller checks that
-    the partners are continuous.
+    The partner rule: every partner's jump marks must lie within X's, so
+    X itself qualifies, and so does any continuous path; the callers check
+    it.  Then (X, P) has the mesh of (X, X).  The grid work that no window
+    width changes (``_Study``) is done once; each window builds only its
+    eps part (``_Mesh``), X's samples and X's side of the sums once, and
+    reads every P's samples from the window's one plan.
     """
     _require_fit(schedule, X)
-    for P in partners:
-        if not X.same_grid(P):
-            raise PathError("paths must share a grid")
+    study = _Study(X, partners)
     studies = [_CauchyStudy() for _ in partners]
     for e in schedule:
-        m = _Mesh(X, X, e, partners)
-        against = _window_sums(m, m.w)
-        for study, P, (Ps, Pu) in zip(studies, partners, m.partner_samples):
-            study.add(against(P, Ps, Pu))
-    return [study.report(schedule, tol) for study in studies]
+        against = _window_sums(_Mesh(study, e))
+        for k, cs in enumerate(studies):
+            cs.add(against(k))
+        # the window's arrays go before the next window allocates
+        del against
+    return [cs.report(schedule, tol) for cs in studies]

@@ -138,17 +138,20 @@ def test_bracket_guard_evaluates_two_windows(monkeypatch):
     calls = []
     nu_calls = []
 
-    def counting(A, B, eps):
-        calls.append(eps)
-        return covariation(A, B, eps)
+    def counting(study, eps):
+        # every window of a kernel builds one mesh; a window of the bracket
+        # study is one of X against X alone
+        if study.X is X and len(study.partners) == 1 and study.partners[0] is X:
+            calls.append(eps)
+        return Mesh(study, eps)
 
     def counting_nu(field, nu, X):
         nu_calls.append(field)
         return integrate_nu(field, nu, X)
 
-    covariation = reg.covariation
+    Mesh = reg._Mesh
     integrate_nu = jmod.integrate_nu
-    monkeypatch.setattr(reg, "covariation", counting)
+    monkeypatch.setattr(reg, "_Mesh", counting)
     monkeypatch.setattr(jmod, "integrate_nu", counting_nu)
     F = FUNCTION_CATALOG["square"]
     for run, nu_count in (
@@ -156,7 +159,7 @@ def test_bracket_guard_evaluates_two_windows(monkeypatch):
             (lambda: ito.ito_terms_measure_form(F, X, nu, sched, tol=0.05), 3),
             (lambda: dirichlet.gamma_c12_reference(F, X, dec, nu, sched,
                                                    tol=0.05), 1),
-            # the orthogonality battery makes no covariation call
+            # the orthogonality battery's windows are studies of A, not of X
             (lambda: dirichlet.chain_rule_c01(F, X, dec, nu, sched, tol=0.05), 3),
             (lambda: dirichlet.jump_identities(F, X, dec, nu, sched, tol=0.05), 4)):
         calls.clear()

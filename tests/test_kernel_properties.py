@@ -173,14 +173,12 @@ def test_mesh_counts_and_samples_match_direct_searches(case, partners):
     X, Y, eps = case
     none = np.zeros(0, dtype=np.intp)
     partners = [_path(X.grid, none, rule, seed) for rule, seed in partners]
-    m = reg._Mesh(X, Y, eps, partners)
+    m = reg._Mesh(reg._Study(X, [Y] + partners), eps)
     assert np.array_equal(m.jr, np.searchsorted(m.u, m.grid, side="right"))
     assert m.Xs.tobytes() == X.value_at(m.sl).tobytes()
-    assert m.Ys.tobytes() == Y.value_at(m.sl).tobytes()
     assert m.Xu.tobytes() == X.value_at(m.u).tobytes()
-    assert m.Yu.tobytes() == Y.value_at(m.u).tobytes()
-    assert len(m.partner_samples) == len(partners)
-    for P, (Ps, Pu) in zip(partners, m.partner_samples):
+    assert len(m.samples) == 1 + len(partners)
+    for P, (Ps, Pu) in zip([Y] + partners, m.samples):
         assert Ps.tobytes() == P.value_at(m.sl).tobytes()
         assert Pu.tobytes() == P.value_at(m.u).tobytes()
 
@@ -191,7 +189,7 @@ def test_weight_samples_match_left_limits_at_cell_starts(case):
     # grid cells read the stored left values; only the inserted breakpoints
     # are searched, and both must equal a left-limit search at every cell
     X, Y, eps = case
-    m = reg._Mesh(X, Y, eps)
+    m = reg._Mesh(reg._Study(X, [Y]), eps)
     for g in (X, Y):
         want = np.concatenate(([g.value_at(0.0)], g.left_limit(m.sl[1:])))
         assert m.weight_samples(g).tobytes() == want.tobytes()
@@ -268,7 +266,7 @@ def locate_case(draw):
 def test_locate_matches_binary_search(case):
     grid, tc = case
     want = np.searchsorted(grid, tc, side="right") - 1
-    assert reg._locate(grid, tc).tobytes() == want.tobytes()
+    assert reg._locate(grid, reg._buckets(grid), tc).tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,3 +283,51 @@ def test_covariation_with_itself_equals_that_with_a_copy(case, rule, seed):
         for a, b in ((same.values, copy.values), (same.left_values, copy.left_values),
                      (same.jump_marks, copy.jump_marks)):
             assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def mixed_schedule_case(draw):
+    """A path with jumps and a schedule whose windows mix the mesh kinds.
+
+    On a dyadic grid tau - eps is exact: eps = k/n shifts every jump onto a
+    node, eps = (k + 1/2)/n shifts the last jump strictly inside a cell (an
+    inserted breakpoint), and eps at or past the last jump time shifts every
+    jump to or below 0.
+    """
+    n = draw(st.sampled_from([16, 32, 64]))
+    grid = uniform_grid(1.0, n)
+    marks = sorted(set(draw(st.lists(st.integers(2, n // 2), min_size=1, max_size=3))))
+    last = marks[-1]
+    X = _path(grid, np.array(marks, dtype=np.intp),
+              draw(st.sampled_from((PIECEWISE_CONSTANT, LINEAR))),
+              draw(st.integers(0, 2**32 - 1)))
+    on_node = st.integers(1, n - 1).map(lambda k: k / n)
+    mid_cell = st.integers(1, last - 1).map(lambda k: (k + 0.5) / n)
+    past = st.integers(last, n - 1).map(lambda k: k / n)
+    widths = {draw(on_node), draw(mid_cell), draw(past)}
+    widths |= set(draw(st.lists(st.one_of(on_node, mid_cell, past), max_size=3)))
+    return X, reg.EpsilonSchedule(tuple(sorted(widths, reverse=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_schedule_case(), st.integers(0, 2**32 - 1))
+def test_study_windows_match_fresh_kernel_calls(case, seed):
+    # a study shares its grid work across windows; no window may see state
+    # left by an earlier one, whichever mesh kind either of them built
+    X, sched = case
+    none = np.zeros(0, dtype=np.intp)
+    partners = [X] + [_path(X.grid, none, LINEAR, seed + k) for k in range(2)]
+    eps = sched.epsilons
+    for k in range(len(eps)):
+        prefix = reg.EpsilonSchedule(eps[:k + 1])
+        for rep, P in zip(reg._covariation_studies(X, partners, prefix, 0.05), partners):
+            fresh = reg.covariation(X, P, eps[k])
+            assert rep.limit.values.tobytes() == fresh.values.tobytes()
+            assert rep.limit.left_values.tobytes() == fresh.left_values.tobytes()
+    for rep, P in zip(reg._covariation_studies(X, partners, sched, 0.05), partners):
+        ests = [reg.covariation(X, P, e) for e in eps]
+        norms = np.array([E.sup_norm() for E in ests])
+        gaps = np.array([np.max(np.abs(b.values - a.values))
+                         for a, b in zip(ests, ests[1:])])
+        assert rep.sup_norms.tobytes() == norms.tobytes()
+        assert rep.sup_gaps.tobytes() == gaps.tobytes()
