@@ -28,9 +28,9 @@ from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms,
                     integrability_report)
 from .paths import CadlagPath, PathError, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
-                         _covariation_studies, _require_fit, alpha_atoms_verdict,
-                         bracket_verdict, covariation, forward_integral, md_verdict,
-                         orthogonality_verdict)
+                         _limits, _require_fit, _require_tol, _windows,
+                         alpha_atoms_verdict, bracket_verdict, covariation,
+                         forward_integral, md_verdict, orthogonality_verdict)
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -93,40 +93,26 @@ class OrthReport(Report, kind="orthogonality_report"):
         return self.verdict.passed
 
 
-def _require_continuous(N: CadlagPath) -> None:
-    if N.jump_marks.size:
-        raise PathError("test martingale must be continuous (no marked jumps)")
-
-
-def _orth_report(rep, tol: float) -> OrthReport:
-    return OrthReport(rep.epsilons, rep.sup_norms, rep.sup_gaps,
-                      orthogonality_verdict(rep.sup_norms[-1], tol))
-
-
 def orthogonality_test(A: CadlagPath, N: CadlagPath,
                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                        tol: float = ORTH_TOL) -> OrthReport:
     """Covariation of (A, N) along the schedule; decision true when the
     final estimate's sup-norm is below tol.  N must be continuous; the
     study is ``ucp_limit(covariation, A, N)``, bit for bit."""
-    _require_continuous(N)
-    return _orth_report(_covariation_studies(A, [N], schedule, tol)[0], tol)
+    return orthogonality_battery(A, [N], schedule, tol)[0]
 
 
 def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
                           schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                           tol: float = ORTH_TOL) -> list[OrthReport]:
-    """``orthogonality_test(A, N)`` for every N in ``tests``, bit for bit.
-
-    Every test path must be continuous (checked before any estimate), so
-    each (A, N) pair has A's sample mesh: one study of A does the grid work
-    once, and each window evaluates one mesh of A and A's samples, and from
-    them the covariation against every test path.
-    """
-    for N in tests:
-        _require_continuous(N)
-    return [_orth_report(rep, tol)
-            for rep in _covariation_studies(A, tests, schedule, tol)]
+    """``orthogonality_test(A, N)`` for every N in ``tests``, bit for bit,
+    from one ``_windows`` study of A: every test path must be continuous
+    (PathError before any estimate), so each (A, N) has A's mesh."""
+    if any(N.jump_marks.size for N in tests):
+        raise PathError("test martingale must be continuous (no marked jumps)")
+    return [OrthReport(r.epsilons, r.sup_norms, r.sup_gaps,
+                       orthogonality_verdict(r.sup_norms[-1], tol))
+            for r in _limits(_windows(A, tests, schedule), schedule, tol)]
 
 
 # -- chain rule ----------------------------------------------------------------
@@ -280,8 +266,10 @@ def particular_wd_check(decomp: LabeledDecomposition,
 
     Only the final window's bracket estimates of X and M are read, so only
     that window is evaluated, after checking that every window fits the
-    grid.  Raises PathError when none of M_c, M_d, V and A_prime is given.
+    grid.  Raises ValueError for a tolerance that is not a positive finite
+    number and PathError when none of M_c, M_d, V and A_prime is given.
     """
+    _require_tol(tol)
     base = next((p for p in (decomp.M_c, decomp.M_d, decomp.V, decomp.A_prime)
                  if p is not None), None)
     if base is None:

@@ -28,7 +28,7 @@ from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     integrability_report)
 from .paths import LINEAR, CadlagPath
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
-                         _require_fit, covariation, forward_integral, qv_limit)
+                         _forward_sums, _require_fit, _windows, qv_limit)
 
 
 class BundleValidationError(ValueError):
@@ -333,15 +333,20 @@ class _Expansion:
         return _if_atoms(self.X, self.nu, lambda: jmod.integrate_nu(
             taylor_remainder_field(self.F, "big"), self.nu, self.X))
 
-    def report(self, variant, fixed, name, term_at, parts=None):
+    def forward_windows(self):
+        """The forward integral of dF_x(s, X_s) against X, window by window."""
+        return (f for f, in _windows(self.X, [self.dx_path], self.schedule,
+                                     _forward_sums))
+
+    def report(self, variant, fixed, name, windows, parts=None):
         """ItoReport of lhs = F(t, X_t) less f0 = F(0, X_0), the ``fixed``
-        terms and the window term ``term_at(eps)``: the residual sup-norm is
-        taken at every window, the residual and ``terms[name]`` at the final
-        one."""
+        terms and the window term, one path per window of the schedule in
+        ``windows``: the residual sup-norm is taken at every window, the
+        residual and ``terms[name]`` at the final one."""
         lhs = self.lhs
         f0 = float(lhs.values[0])
         sups = []
-        for fp in map(term_at, self.schedule):
+        for fp in windows:
             r = lhs.values - f0 - fp.values
             rl = lhs.left_values - f0 - fp.left_values
             for q in fixed.values():
@@ -395,11 +400,9 @@ def ito_terms_c12(F: FunctionBundle, X: CadlagPath,
     ex = _Expansion(F, X, None, schedule, tol)
     ex.require("c12")
     time_term, bracket_term = ex.smooth_terms()
-    integrand = ex.dx_path
     fixed = {"time_integral": time_term, "bracket_term": bracket_term,
              "jump_sum": ex.jump_sum}
-    return ex.report("c12", fixed, "forward_integral",
-                     lambda e: forward_integral(integrand, X, e))
+    return ex.report("c12", fixed, "forward_integral", ex.forward_windows())
 
 
 def ito_terms_measure_form(F: FunctionBundle, X: CadlagPath, nu: CompensatorSpec,
@@ -430,12 +433,11 @@ def _measure_form(ex: _Expansion) -> ItoReport:
         "big_jump_sum": big_mu,
         "small_jump_compensator": small_nu,
     }
-    integrand = ex.dx_path
     parts = {"increment_mu": k_mu, "increment_nu": k_nu, "linear_mu": y_mu,
              "linear_nu": y_nu, "big_mu": big_mu, "small_nu": small_nu,
              "jump_sum": ex.jump_sum}
     return ex.report("measure_form", terms, "forward_integral",
-                     lambda e: forward_integral(integrand, ex.X, e), parts)
+                     ex.forward_windows(), parts)
 
 
 def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
@@ -466,4 +468,4 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
     fixed = {"time_integral": time_term, "reference_integral": ito_ref,
              "symmetric_jump_sum": jmod.integrate_mu(IntegrandField(sym_fn), X)}
     return ex.report("c1_holder", fixed, "half_transformed_bracket",
-                     lambda e: 0.5 * covariation(integrand, X, e))
+                     (0.5 * c for c, in _windows(integrand, [X], ex.schedule)))

@@ -35,12 +35,12 @@ the product of the X and Y increments by the cell width w, the weighted
 sum weights the squared X increment by w g, and the forward estimate
 weights the X increment alone by w Y.
 
-All kernels are pure functions; each is a study of one window.
-``ucp_limit`` drives any estimator along a window schedule, streaming: it
-holds only the previous and the current estimate.  ``qv_limit`` and the
-orthogonality tests drive the covariation through ``_covariation_studies``
-instead, one study for all windows, which gives the same bits; its partners
-share X's mesh at each window.
+All kernels are pure functions; each is a study of one window.  A study
+of many windows runs through one driver, ``_windows``, which yields every
+window's estimates against all partners from one study, bit for bit those
+of fresh kernel calls.  ``_limits`` is the one sup-norm Cauchy bookkeeping
+over such a stream (``qv_limit``, the orthogonality tests) or over any
+estimator's calls (``ucp_limit``); it holds only the previous window.
 """
 
 from __future__ import annotations
@@ -118,6 +118,23 @@ class EpsilonSchedule:
         if s.epsilons[-1] < 10.0 * dt - 1e-12 * dt:
             raise ScheduleError("smallest window must span at least ten grid cells")
         return s
+
+
+def _require_tol(tol: float) -> None:
+    """ValueError unless ``tol`` is positive and finite: an infinite or NaN
+    tolerance would pass every test, and one of 0 or less fail nearly all."""
+    if not 0.0 < float(tol) < math.inf:
+        raise ValueError(f"tolerance {tol} must be positive and finite")
+
+
+def _require_width(X: CadlagPath, eps: float) -> float:
+    """The kernels' window-width rule: ``eps`` as a float, ValueError unless
+    X's smallest grid spacing <= eps < X's horizon (which NaN fails)."""
+    eps = float(eps)
+    if not X.min_spacing <= eps < X.horizon:
+        raise ValueError("window width must cover at least one grid cell "
+                         "and lie below the horizon")
+    return eps
 
 
 def _require_fit(schedule: EpsilonSchedule, X: CadlagPath) -> None:
@@ -252,12 +269,8 @@ class _Mesh:
 
     def __init__(self, study: _Study, eps: float):
         X = study.X
-        eps = float(eps)
+        eps = _require_width(X, eps)
         T = X.horizon
-        # one range test, which NaN fails too
-        if not X.min_spacing <= eps < T:
-            raise ValueError("window width must cover at least one grid cell "
-                             "and lie below the horizon")
         grid = study.grid
         taus = study.taus
         shifted = taus - eps
@@ -476,10 +489,15 @@ def covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
     return _window_sums(_Mesh(_Study(X, [Y]), eps))(0)
 
 
+def _forward_sums(m: _Mesh):
+    """``_window_sums`` of the forward estimate: the X increment weighted by
+    the cell width times the study's first partner, the integrand Y."""
+    return _window_sums(m, m.w * m.samples[0][0], unit=True)
+
+
 def forward_integral(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     """Window estimate of int Y d-X as a path over t, O(n) for all t."""
-    m = _Mesh(_Study(X, [Y]), eps)
-    return _window_sums(m, m.w * m.samples[0][0], unit=True)(0)
+    return _forward_sums(_Mesh(_Study(X, [Y]), eps))(0)
 
 
 def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
@@ -537,8 +555,9 @@ def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
 
 def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     """Closed-form start-up gap Y(0+) (1/eps) int_0^eps [X(s) - X(0+)] ds,
-    under the shared left-endpoint quadrature."""
-    eps = float(eps)
+    under the shared left-endpoint quadrature; the width obeys the kernels'
+    rule (``_require_width``)."""
+    eps = _require_width(X, eps)
     grid = X.grid
     edges = np.union1d(grid[grid < eps], [eps])
     lefts = edges[:-1]
@@ -664,71 +683,60 @@ class LimitReport(Report, kind="limit_report"):
         return bool(np.all(np.diff(self.sup_gaps) >= 0.0))
 
 
-class _CauchyStudy:
-    """Sup-norm Cauchy bookkeeping of one estimator along a schedule; it
-    holds only the last estimate."""
+def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedule,
+             kernel=_window_sums):
+    """The one window driver: per window of ``schedule`` (which must fit X,
+    ``_require_fit``), the ``kernel`` estimates of X against every partner,
+    bit for bit ``covariation(X, P, eps)`` (``_window_sums``) or
+    ``forward_integral(P, X, eps)`` (``_forward_sums``).  The partner rule,
+    which the callers check: every partner's jump marks lie within X's (X
+    itself and continuous paths qualify), so (X, P) has the mesh of (X, X).
+    The grid work (``_Study``) is done once, each window's ``_Mesh`` and X's
+    side of the sums once per window."""
+    _require_fit(schedule, X)
+    study = _Study(X, partners)
+    for e in schedule:
+        against = kernel(_Mesh(study, e))
+        yield [against(k) for k in range(len(partners))]
+        # dropped after the window is read and before the next one allocates;
+        # dropped before the yield, it raised qv_limit's page faults by 65%
+        del against
 
-    def __init__(self):
-        self.last = None
-        self.norms, self.gaps = [], []
 
-    def add(self, est: CadlagPath) -> None:
-        self.norms.append(est.sup_norm())
-        if self.last is not None:
-            gap = est.values - self.last.values
-            self.gaps.append(float(np.max(np.abs(gap, out=gap))))
-        self.last = est
+def _sup_gap(a: CadlagPath, b: CadlagPath) -> float:
+    d = b.values - a.values
+    return float(np.max(np.abs(d, out=d)))
 
-    def report(self, schedule: EpsilonSchedule, tol: float) -> LimitReport:
-        sup_norms, gaps = np.array(self.norms), np.array(self.gaps)
-        return LimitReport(tuple(schedule.epsilons), self.last, gaps, sup_norms,
-                           float(tol), cauchy_verdict(gaps, sup_norms, tol))
+
+def _limits(windows, schedule: EpsilonSchedule, tol: float) -> list[LimitReport]:
+    """The one sup-norm Cauchy bookkeeping: a LimitReport per partner of the
+    stream ``windows`` of per-window estimate lists, holding only the
+    previous list.  The tolerance is checked before any estimate is made."""
+    _require_tol(tol)
+    last, norms, gaps = None, [], []
+    for ests in windows:
+        norms.append([E.sup_norm() for E in ests])
+        if last is not None:
+            gaps.append([_sup_gap(a, b) for a, b in zip(last, ests)])
+        last = ests
+    norms, gaps = np.array(norms).T, np.array(gaps).reshape(-1, len(last)).T
+    return [LimitReport(tuple(schedule.epsilons), E, g, s, float(tol),
+                        cauchy_verdict(g, s, tol))
+            for E, g, s in zip(last, gaps, norms)]
 
 
 def ucp_limit(estimator, X: CadlagPath, Y: CadlagPath,
               schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
               tol: float = DEFAULT_TOL) -> LimitReport:
-    """Run ``estimator`` along the schedule and test sup-norm Cauchy decay.
-
-    ``estimator`` is called as estimator(X, Y, eps).
-    Estimates stream: only the previous and the current one are held.  The
-    report keeps the last estimate and the raw norm and gap arrays so
-    callers can apply their own criteria.
-    """
+    """Run ``estimator``, called as estimator(X, Y, eps), along the schedule
+    and test sup-norm Cauchy decay.  Estimates stream through ``_limits``:
+    only the previous and the current one are held."""
     _require_fit(schedule, X)
-    study = _CauchyStudy()
-    for e in schedule:
-        study.add(estimator(X, Y, e))
-    return study.report(schedule, tol)
+    return _limits(([estimator(X, Y, e)] for e in schedule), schedule, tol)[0]
 
 
 def qv_limit(X: CadlagPath, schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
              tol: float = DEFAULT_TOL) -> LimitReport:
     """Quadratic-variation study: ``ucp_limit(covariation, X, X)``, bit for
     bit, with the grid work done once for the whole schedule."""
-    return _covariation_studies(X, [X], schedule, tol)[0]
-
-
-def _covariation_studies(X: CadlagPath, partners: list[CadlagPath],
-                         schedule: EpsilonSchedule,
-                         tol: float) -> list[LimitReport]:
-    """``ucp_limit(covariation, X, P, schedule, tol)`` for every P in
-    ``partners``, bit for bit, from one study of X.
-
-    The partner rule: every partner's jump marks must lie within X's, so
-    X itself qualifies, and so does any continuous path; the callers check
-    it.  Then (X, P) has the mesh of (X, X).  The grid work that no window
-    width changes (``_Study``) is done once; each window builds only its
-    eps part (``_Mesh``), X's samples and X's side of the sums once, and
-    reads every P's samples from the window's one plan.
-    """
-    _require_fit(schedule, X)
-    study = _Study(X, partners)
-    studies = [_CauchyStudy() for _ in partners]
-    for e in schedule:
-        against = _window_sums(_Mesh(study, e))
-        for k, cs in enumerate(studies):
-            cs.add(against(k))
-        # the window's arrays go before the next window allocates
-        del against
-    return [cs.report(schedule, tol) for cs in studies]
+    return _limits(_windows(X, [X], schedule), schedule, tol)[0]

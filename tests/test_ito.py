@@ -193,26 +193,61 @@ _HARNESSES = {
 @pytest.mark.parametrize("harness", list(_HARNESSES))
 def test_bracket_guard_checks_every_window_fits(monkeypatch, harness):
     # only the coarsest window reaches the horizon: every harness rejects the
-    # schedule as the full study does, before any kernel is evaluated
+    # schedule as the full study does, before any kernel window is built
     X, sched = brownian(n=4000)
     bad = reg.EpsilonSchedule((X.horizon,) + sched.epsilons)
     with pytest.raises(reg.ScheduleError) as full:
         reg.qv_limit(X, schedule=bad)
-    calls = []
+    windows = []
 
-    def counting(kernel):
-        def run(*args):
-            calls.append(kernel.__name__)
-            return kernel(*args)
-        return run
+    def counting(study, eps):
+        # every kernel window of every kind builds one mesh
+        windows.append(eps)
+        return Mesh(study, eps)
 
-    for kernel in (reg.covariation, reg.forward_integral):
-        for mod in (reg, ito, dirichlet):
-            monkeypatch.setattr(mod, kernel.__name__, counting(kernel))
+    Mesh = reg._Mesh
+    monkeypatch.setattr(reg, "_Mesh", counting)
     with pytest.raises(reg.ScheduleError) as guard:
         _HARNESSES[harness](X, bad)
     assert str(guard.value) == str(full.value) == f"window {X.horizon} does not fit the grid"
-    assert calls == []
+    assert windows == []
+
+
+_FORWARD_TERM = ("forward_integral",
+                 lambda ex, e: reg.forward_integral(ex.dx_path, ex.X, e))
+_WINDOW_TERMS = {
+    "ito_terms_c12": _FORWARD_TERM,
+    "ito_terms_measure_form": _FORWARD_TERM,
+    "ito_c1_lambda": ("half_transformed_bracket",
+                      lambda ex, e: 0.5 * reg.covariation(ex.dx_path, ex.X, e)),
+}
+
+
+@pytest.mark.parametrize("harness", list(_WINDOW_TERMS))
+def test_report_window_term_is_one_study(monkeypatch, harness):
+    # the window term of a report is one study for all windows, besides the
+    # bracket guard's study of X against X alone; its final window is the
+    # fresh kernel call's, bit for bit
+    name, fresh = _WINDOW_TERMS[harness]
+    X, sched = brownian(n=4000)
+    studies = []
+
+    def counting(P, partners):
+        study = Study(P, partners)
+        if not (P is X and len(partners) == 1 and partners[0] is X):
+            studies.append(study)
+        return study
+
+    Study = reg._Study
+    monkeypatch.setattr(reg, "_Study", counting)
+    F = FUNCTION_CATALOG["xabs_sqrt" if harness == "ito_c1_lambda" else "square"]
+    run = getattr(ito, harness)
+    rep = run(F, X, None, sched, 0.05) if "measure" in harness else run(F, X, sched, 0.05)
+    assert len(studies) == 1
+    monkeypatch.undo()
+    last = fresh(ito._Expansion(F, X, None, sched, 0.05), sched.epsilons[-1])
+    assert rep.terms[name].values.tobytes() == last.values.tobytes()
+    assert rep.terms[name].left_values.tobytes() == last.left_values.tobytes()
 
 
 # -- smooth-case identity ----------------------------------------------------------

@@ -317,17 +317,23 @@ def test_study_windows_match_fresh_kernel_calls(case, seed):
     X, sched = case
     none = np.zeros(0, dtype=np.intp)
     partners = [X] + [_path(X.grid, none, LINEAR, seed + k) for k in range(2)]
-    eps = sched.epsilons
-    for k in range(len(eps)):
-        prefix = reg.EpsilonSchedule(eps[:k + 1])
-        for rep, P in zip(reg._covariation_studies(X, partners, prefix, 0.05), partners):
-            fresh = reg.covariation(X, P, eps[k])
-            assert rep.limit.values.tobytes() == fresh.values.tobytes()
-            assert rep.limit.left_values.tobytes() == fresh.left_values.tobytes()
-    for rep, P in zip(reg._covariation_studies(X, partners, sched, 0.05), partners):
-        ests = [reg.covariation(X, P, e) for e in eps]
-        norms = np.array([E.sup_norm() for E in ests])
-        gaps = np.array([np.max(np.abs(b.values - a.values))
-                         for a, b in zip(ests, ests[1:])])
-        assert rep.sup_norms.tobytes() == norms.tobytes()
-        assert rep.sup_gaps.tobytes() == gaps.tobytes()
+    # the covariation study takes every partner at once, the forward study
+    # one integrand
+    studies = [(reg._window_sums, partners, lambda P, e: reg.covariation(X, P, e))]
+    studies += [(reg._forward_sums, [P], lambda P, e: reg.forward_integral(P, X, e))
+                for P in partners]
+    for kernel, ps, fresh in studies:
+        for e, ests in zip(sched, reg._windows(X, ps, sched, kernel)):
+            for E, P in zip(ests, ps, strict=True):
+                F = fresh(P, e)
+                assert E.values.tobytes() == F.values.tobytes()
+                assert E.left_values.tobytes() == F.left_values.tobytes()
+        reps = reg._limits(reg._windows(X, ps, sched, kernel), sched, 0.05)
+        for rep, P in zip(reps, ps, strict=True):
+            ests = [fresh(P, e) for e in sched]
+            norms = np.array([E.sup_norm() for E in ests])
+            gaps = np.array([np.max(np.abs(b.values - a.values))
+                             for a, b in zip(ests, ests[1:])])
+            assert rep.limit.values.tobytes() == ests[-1].values.tobytes()
+            assert rep.sup_norms.tobytes() == norms.tobytes()
+            assert rep.sup_gaps.tobytes() == gaps.tobytes()

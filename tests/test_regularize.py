@@ -342,8 +342,10 @@ def test_window_width_validation():
 def test_window_width_outside_the_grid_range_is_a_value_error(eps):
     # a NaN width must not reach the mesh and fail there as a PathError
     X = linear_path(50)
+    Y = constant_path(X.grid, 1.0)
     for estimate in (lambda: reg.covariation(X, X, eps),
-                     lambda: reg.forward_integral(constant_path(X.grid, 1.0), X, eps)):
+                     lambda: reg.forward_integral(Y, X, eps),
+                     lambda: reg.rv_window_constant(Y, X, eps)):
         with pytest.raises(ValueError, match="^window width must cover") as err:
             estimate()
         assert type(err.value) is ValueError

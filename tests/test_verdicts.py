@@ -1,6 +1,7 @@
 """Verdict helpers and the verdicts that reports write to JSON."""
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 
 import pathcalc.simulate as sim
 from pathcalc import dirichlet as dd
+from pathcalc import ito
 from pathcalc import jumps as jmod
 from pathcalc import regularize as reg
 from pathcalc.cli import main
 from pathcalc.ito import FUNCTION_CATALOG
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import step_path
+from pathcalc.paths import step_path, uniform_grid
 
 N = 4000
 SCHED = reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / N)
@@ -54,6 +56,36 @@ def test_verdict_helper_special_cases():
     for s in (0.0, 1e-9 * 3.0, 1.0):
         v = reg.alpha_atoms_verdict(s, 3.0, True)
         assert (v.rule, v.statistic, v.passed) == ("alpha_atoms_waived", s, True)
+
+
+# every entry point whose verdict compares with a tolerance, called on
+# Brownian paths X and W
+TOL_ENTRIES = {
+    "qv_limit": lambda X, W, tol: reg.qv_limit(X, SCHED, tol),
+    "ucp_limit": lambda X, W, tol: reg.ucp_limit(reg.covariation, X, W, SCHED, tol),
+    "orthogonality_test": lambda X, W, tol: dd.orthogonality_test(X, W, SCHED, tol),
+    "orthogonality_battery": lambda X, W, tol: dd.orthogonality_battery(
+        X, [W, X], SCHED, tol),
+    "bracket guard": lambda X, W, tol: ito.ito_terms_c12(
+        FUNCTION_CATALOG["square"], X, SCHED, tol),
+    "particular_wd_check": lambda X, W, tol: dd.particular_wd_check(
+        dd.LabeledDecomposition(M_c=X, A_prime=W), None, SCHED, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", TOL_ENTRIES)
+def test_tolerance_that_is_not_positive_and_finite_is_rejected(monkeypatch, entry, tol):
+    # an infinite or NaN tolerance passes any statistic, 0 or less none:
+    # either way the check is rejected before any estimate is made
+    X, W = (sim.brownian_on_grid(uniform_grid(1.0, N), 1.0, seed) for seed in (1, 2))
+
+    def no_estimate(*args):
+        raise AssertionError("estimate made before the tolerance was checked")
+
+    monkeypatch.setattr(reg, "_Mesh", no_estimate)
+    with pytest.raises(ValueError, match="must be positive and finite$"):
+        TOL_ENTRIES[entry](X, W, tol)
 
 
 def _check(doc, verdict, statistic, threshold, passed):
