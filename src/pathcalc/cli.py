@@ -28,9 +28,9 @@ from . import jumps as jmod
 from .catalog import ORTH_SCENARIOS, SCENARIOS, list_catalog
 from .ito import FUNCTION_CATALOG
 from .jumps import parse_jump_law
-from .regularize import (DEFAULT_TOL, EpsilonSchedule, ScheduleError,
-                         forward_integral, qv_limit, residual_verdict,
-                         ucp_limit)
+from .paths import _csv
+from .regularize import (DEFAULT_TOL, EpsilonSchedule, ScheduleError, _forward_sums,
+                         _limits, _windows, qv_limit, residual_verdict)
 from .simulate import SimSpec, SimulationError, simulate
 
 EXIT_OK = 0
@@ -62,18 +62,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _convergence_csv(epsilons, gaps) -> str:
-    lines = ["epsilon,sup_gap"]
-    lines += [f"{float(e)!r},{float(g)!r}" for e, g in zip(epsilons[1:], gaps)]
-    return "\n".join(lines) + "\n"
-
-
-def _residual_csv(path) -> str:
-    lines = ["t,residual"]
-    lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(path.grid, path.values)]
-    return "\n".join(lines) + "\n"
 
 
 def _schedule(args, scenario) -> EpsilonSchedule:
@@ -139,13 +127,13 @@ def _run_limit(args, estimator_name: str):
         stem = f"{args.scenario}_qv"
         extra = {"expected_converged": sc.expect_qv_converges}
     else:
+        # F(t, X_t) jumps only where X does, so it is a partner of X's study
         Y = imod.path_of_function(_function(args.fn), X)
-        rep = ucp_limit(lambda A, B, e: forward_integral(B, A, e), X, Y,
-                        schedule=sched, tol=args.tol)
+        rep = _limits(_windows(X, [Y], sched, _forward_sums), sched, args.tol)[0]
         stem, extra = f"{args.scenario}_forward_{args.fn}", {"integrand": args.fn}
     out = _out_dir(args)
     _write_text(out / f"{stem}_convergence.csv",
-                _convergence_csv(rep.epsilons, rep.sup_gaps))
+                _csv("epsilon,sup_gap", rep.epsilons[1:], rep.sup_gaps))
     _write_text(out / f"{stem}_limit.csv", rep.limit.to_csv())
     _write_json(out / f"{stem}_report.json", rep.to_json_dict(scenario=sc.id, **extra))
     return sc, rep
@@ -194,7 +182,8 @@ def cmd_ito_check(args) -> int:
     out = _out_dir(args)
     stem = f"{args.scenario}_ito_{args.fn}"
     verdict = residual_verdict(rep.relative_residual, args.threshold)
-    _write_text(out / f"{stem}_residual.csv", _residual_csv(rep.residual))
+    _write_text(out / f"{stem}_residual.csv",
+                _csv("t,residual", rep.residual.grid, rep.residual.values))
     _write_json(out / f"{stem}_report.json",
                 rep.to_json_dict(scenario=sc.id, verdict=verdict))
     if args.measure_form:

@@ -10,9 +10,9 @@ labeled decomposition of X plus its compensator model, define the residual
 part by subtraction, and submit the residual to an orthogonality battery of
 independent Brownian test paths.  Predictability of labeled components is
 established by construction in the simulators, not inferred from data.
-``chain_rule_c01`` and ``gamma_c12_reference`` are views of the expansion
-of F(t, X_t) in ``ito``; ``jump_identities`` reads them and the measure
-form off one expansion.
+``chain_rule_c01``, ``gamma_c12_reference`` and ``special_wd_c0_chain``
+are views of the expansion of F(t, X_t) in ``ito``; ``jump_identities``
+reads the first two and the measure form off one expansion.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jumps as jmod
-from .ito import (FunctionBundle, ItoReport, increment_field, path_of_function,
-                  _Expansion, _measure_form, stieltjes_left)
-from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms,
+from .ito import FunctionBundle, ItoReport, _Expansion, _measure_form, stieltjes_left
+from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms, increment_field,
                     integrability_report)
 from .paths import CadlagPath, PathError, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
@@ -204,7 +203,7 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
 
 def _gamma_reference(ex: _Expansion, decomp: LabeledDecomposition) -> CadlagPath:
     X = ex.X
-    ex.require("c12", False)
+    ex.require("c12")
     time_term, bracket = ex.smooth_terms()
     A = decomp.A if decomp.A is not None else constant_path(X.grid)
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
@@ -377,13 +376,14 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     cannot see a missing compensator, as the raw F(t, X_t) - F(0, X_0)
     passes that battery too.
     """
-    lhs = path_of_function(F, X)
+    ex = _Expansion(F, X, nu, schedule, ORTH_TOL)
+    lhs = ex.lhs
     jump_abs = float(np.sum(np.abs(lhs.jump_sizes)))
     if not np.isfinite(jump_abs):
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
     comp = _if_atoms(X, nu, lambda: jmod.compensated_integral(
         increment_field(F), X, nu))
     a_path = lhs - constant_path(X.grid, lhs.values[0]) - comp
-    orth = orthogonality_battery(a_path, brownian_battery(X), schedule, ORTH_TOL)
+    orth = orthogonality_battery(a_path, brownian_battery(X), ex.schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,
                          all(r.decision for r in orth))

@@ -11,9 +11,11 @@ F(t, X_t) - F(0, X_0), and the residual sup-norm along the window schedule;
 the residual is assembled by construction, never fitted.
 
 Every harness, here and in ``dirichlet``, is a view of one expansion of
-F(t, X_t) per call (``_Expansion``): its pieces (F(t, X_t), dF_x, the
-guarded bracket, the time and bracket terms, the jump sums, the small/big
-split and the compensator integrals) are built when first read, once.
+F(t, X_t) per call (``_Expansion``), which checks the schedule and the
+tolerance before anything else and F's derivatives once: its pieces
+(F(t, X_t), dF_x, the guarded bracket, the time and bracket terms, the jump
+sums, the small/big split and the compensator integrals) are built when
+first read, once.  The jump fields of F are built in ``jumps``.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import numpy as np
 
 from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
-                    integrability_report)
-from .paths import LINEAR, CadlagPath
+                    increment_field, integrability_report, linear_jump_field,
+                    taylor_remainder_field)
+from .paths import LINEAR, CadlagPath, _require_shared_grid
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
-                         _forward_sums, _require_fit, _windows, qv_limit)
+                         _forward_sums, _require_fit, _require_tol, _windows,
+                         qv_limit)
 
 
 class BundleValidationError(ValueError):
@@ -152,19 +156,22 @@ C12_SUITE = ("identity", "square", "tx", "sin")
 # -- path assembly helpers ----------------------------------------------------
 
 
+def _along(fn, X: CadlagPath) -> CadlagPath:
+    """The path t -> fn(t, X_t) on X's grid, with left limits fn(t, X_{t-})."""
+    values = np.asarray(fn(X.grid, X.values), dtype=float)
+    left = np.asarray(fn(X.grid, X.left_values), dtype=float)
+    return CadlagPath(X.grid, values, left, rule=LINEAR)
+
+
 def path_of_function(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
     """The path t -> F(t, X_t) on X's grid, with exact left limits
     F(t, X_{t-}) (F is continuous in time)."""
-    values = np.asarray(F.f(X.grid, X.values), dtype=float)
-    left = np.asarray(F.f(X.grid, X.left_values), dtype=float)
-    return CadlagPath(X.grid, values, left, rule=LINEAR)
+    return _along(F.f, X)
 
 
 def path_of_function_derivative(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
     """The path t -> dF_x(t, X_t) with left limits dF_x(t, X_{t-})."""
-    values = np.asarray(F.dx(X.grid, X.values), dtype=float)
-    left = np.asarray(F.dx(X.grid, X.left_values), dtype=float)
-    return CadlagPath(X.grid, values, left, rule=LINEAR)
+    return _along(F.dx, X)
 
 
 def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
@@ -174,8 +181,7 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     grid value of H, and each marked jump of G contributes H(t-) dG exactly,
     which makes the sum exact when G is a pure-jump path.
     """
-    if not H.same_grid(G):
-        raise ValueError("integrand and integrator must share a grid")
+    _require_shared_grid(H, G)
     cont_incr = G.left_values[1:] - G.values[:-1]
     cont = np.concatenate(([0.0], np.cumsum(H.values[:-1] * cont_incr)))
     jump_contrib = np.zeros(G.grid.size)
@@ -195,27 +201,6 @@ def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
     """Running left-endpoint quadrature of a sampled integrand."""
     values = np.concatenate(([0.0], np.cumsum(np.diff(grid) * h_samples[:-1])))
     return CadlagPath(grid, values, values.copy(), rule=LINEAR)
-
-
-def taylor_remainder_field(F: FunctionBundle, truncation=None) -> IntegrandField:
-    """W(s, x) = F(s, X_{s-} + x) - F(s, X_{s-}) - x dF_x(s, X_{s-})."""
-    def fn(t, x, pre):
-        return F.f(t, pre + x) - F.f(t, pre) - x * F.dx(t, pre)
-    return IntegrandField(fn, truncation)
-
-
-def increment_field(F: FunctionBundle, truncation=None) -> IntegrandField:
-    """K(s, x) = F(s, X_{s-} + x) - F(s, X_{s-})."""
-    def fn(t, x, pre):
-        return F.f(t, pre + x) - F.f(t, pre)
-    return IntegrandField(fn, truncation)
-
-
-def linear_jump_field(F: FunctionBundle, truncation=None) -> IntegrandField:
-    """Y(s, x) = x dF_x(s, X_{s-})."""
-    def fn(t, x, pre):
-        return x * F.dx(t, pre)
-    return IntegrandField(fn, truncation)
 
 
 # -- continuous bracket part --------------------------------------------------
@@ -243,21 +228,25 @@ class _Expansion:
     schedule is checked to fit X's grid (ScheduleError) before anything
     else, so every view rejects a bad schedule first."""
 
+    checked = False  # F's derivatives, on the first ``require``
+
     def __init__(self, F, X, nu, schedule, tol):
         _require_fit(schedule, X)
+        _require_tol(tol)
         self.F, self.X, self.nu, self.schedule, self.tol = F, X, nu, schedule, tol
 
-    def require(self, smoothness, validate=True):
-        """ValueError unless F is of class ``smoothness``; with ``validate``,
-        F's derivatives are checked on the range of X (BundleValidationError)."""
+    def require(self, smoothness):
+        """ValueError unless F is of class ``smoothness``; the first call
+        checks F's derivatives on the range of X (BundleValidationError)."""
         F, X = self.F, self.X
         if not F.at_least(smoothness):
             raise ValueError(f"{F.name} is not of class {smoothness}")
-        if validate:
+        if not self.checked:
             lo = float(min(np.min(X.values), np.min(X.left_values)))
             hi = float(max(np.max(X.values), np.max(X.left_values)))
             pad = 0.1 * max(hi - lo, 1.0)
             F.validate_derivatives((0.0, X.horizon), (lo - pad, hi + pad))
+            self.checked = True
 
     @cached_property
     def lhs(self):

@@ -13,9 +13,11 @@ tolerance SIZE_QUADRATURE_RTOL = 1e-8 by a composite G7/K15 rule that starts
 from one panel per kept segment and doubles up to 512; it converges per batch
 of 8192 grid cells, evaluated in row blocks of about 2**15 field values.
 
-Set membership conditions that the theory phrases through localization are
-replaced by finite path-level totals; ``integrability_report`` states
-exactly which surrogate was checked.
+The fields of a function bundle F (``increment_field``,
+``linear_jump_field``, ``taylor_remainder_field``) live next to
+``IntegrandField``.  Set membership conditions that the theory phrases
+through localization are replaced by finite path-level totals;
+``integrability_report`` states exactly which surrogate was checked.
 """
 
 from __future__ import annotations
@@ -189,16 +191,21 @@ class CompensatorSpec:
     law: JumpLaw
     atoms: tuple = ()
 
+    def __post_init__(self):
+        # the one rate rule for a constant rate: finite, and positive but for
+        # a user-supplied model, which may carry time atoms alone
+        user = self.kind == "user_supplied"
+        if not (callable(self.rate) or 0.0 < float(self.rate) < math.inf
+                or user and float(self.rate) == 0.0):
+            raise ValueError(f"{self.kind} rate {self.rate} must be finite and "
+                             f"{'nonnegative' if user else 'positive'}")
+
     @classmethod
     def poisson(cls, lam: float) -> "CompensatorSpec":
-        if lam <= 0:
-            raise ValueError("intensity must be positive")
         return cls("poisson", float(lam), DiracLaw(1.0))
 
     @classmethod
     def compound_poisson(cls, lam: float, law: JumpLaw) -> "CompensatorSpec":
-        if lam <= 0:
-            raise ValueError("intensity must be positive")
         return cls("compound_poisson", float(lam), law)
 
     @classmethod
@@ -258,6 +265,27 @@ X_FIELD = field_from_size(lambda x: x)
 X_SQUARED_FIELD = field_from_size(lambda x: x * x)
 
 
+def taylor_remainder_field(F, truncation=None) -> IntegrandField:
+    """W(s, x) = F(s, X_{s-} + x) - F(s, X_{s-}) - x dF_x(s, X_{s-})."""
+    def fn(t, x, pre):
+        return F.f(t, pre + x) - F.f(t, pre) - x * F.dx(t, pre)
+    return IntegrandField(fn, truncation)
+
+
+def increment_field(F, truncation=None) -> IntegrandField:
+    """K(s, x) = F(s, X_{s-} + x) - F(s, X_{s-})."""
+    def fn(t, x, pre):
+        return F.f(t, pre + x) - F.f(t, pre)
+    return IntegrandField(fn, truncation)
+
+
+def linear_jump_field(F, truncation=None) -> IntegrandField:
+    """Y(s, x) = x dF_x(s, X_{s-})."""
+    def fn(t, x, pre):
+        return x * F.dx(t, pre)
+    return IntegrandField(fn, truncation)
+
+
 # -- integrals against mu ----------------------------------------------------
 
 
@@ -268,15 +296,8 @@ def _atom_context(X: CadlagPath):
 def atom_cumsum(grid: np.ndarray, times: np.ndarray, sizes: np.ndarray):
     """Right-continuous running sum of atom sizes on the grid, and its left
     limits: the sums over atoms at times <= t and < t."""
-    values = np.zeros(grid.size)
-    left = np.zeros(grid.size)
-    if times.size:
-        cum = np.cumsum(sizes)
-        idx = np.searchsorted(times, grid, side="right")
-        values = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        idxl = np.searchsorted(times, grid, side="left")
-        left = np.where(idxl > 0, cum[np.maximum(idxl - 1, 0)], 0.0)
-    return values, left
+    cum = np.concatenate(([0.0], np.cumsum(sizes)))
+    return tuple(cum[np.searchsorted(times, grid, side=s)] for s in ("right", "left"))
 
 
 def integrate_mu(field: IntegrandField, X: CadlagPath) -> CadlagPath:
@@ -491,8 +512,7 @@ def integrability_report(X: CadlagPath, F=None) -> IntegrabilityReport:
     big_abs = float(np.sum(np.abs(sizes[big])))
     taylor = None
     if F is not None and getattr(F, "dx", None) is not None:
-        tb, xb, pb = times[big], sizes[big], pre[big]
-        rem = np.abs(F.f(tb, pb + xb) - F.f(tb, pb) - xb * F.dx(tb, pb))
-        taylor = float(np.sum(rem))
+        rem = taylor_remainder_field(F)(times[big], sizes[big], pre[big])
+        taylor = float(np.sum(np.abs(rem)))
     return IntegrabilityReport(sq, big_abs, int(np.sum(big)),
                                float(JUMP_SPLIT_THRESHOLD), taylor)

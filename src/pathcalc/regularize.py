@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .paths import LINEAR, CadlagPath, PathError, _sample_plan
+from .paths import LINEAR, CadlagPath, _require_shared_grid, _sample_plan
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -219,9 +219,7 @@ class _Study:
     """
 
     def __init__(self, X: CadlagPath, partners: list[CadlagPath]):
-        for P in partners:
-            if not X.same_grid(P):
-                raise PathError("paths must share a grid")
+        _require_shared_grid(X, *partners)
         self.X = X
         self.partners = partners
         self.grid = X.grid
@@ -257,7 +255,7 @@ class _Mesh:
     ``u`` is located in the grid once, by ``_locate``, and that gives one
     sample plan: the cell of every u, and the cell and fraction of each u
     that falls strictly inside its cell.  X and every partner of the study
-    are sampled from that plan (they share the grid): a path gathers its
+    are sampled from that plan (they lie on one grid): a path gathers its
     values at the cells, and under the linear rule interpolates only the
     off-node entries.  The plan is dropped once the paths are sampled.
     ``samples[k]`` is the k-th partner's pair of samples at the cell starts
@@ -311,7 +309,7 @@ class _Mesh:
         self.jump_rows = study.jidx if self.plain else rows[study.jidx]
         self.ins_cells = ins_cells
         self.shifted = shifted
-        # the one location: all paths share the grid, so one plan serves all
+        # the one location: all paths lie on one grid, so one plan serves all
         uc = np.minimum(u, T)
         cells = _locate(grid, study.ends, uc)
         plan = _sample_plan(grid, uc, cells)
@@ -328,16 +326,20 @@ class _Mesh:
         self.jr = np.cumsum(jr, out=jr)[:grid.size]
         self.X = X
 
+    def _at_cell_starts(self, nodes: np.ndarray, at_inserted) -> np.ndarray:
+        """A path's ``nodes`` (values or left values) at the cell starts, with
+        the matching evaluator ``at_inserted`` at the inserted breakpoints."""
+        if self.plain:
+            return nodes[:-1]
+        out = np.empty(self.sl.size)
+        out[self.rows[:-1]] = nodes[:-1]
+        out[self.ins_cells] = at_inserted(self.shifted)
+        return out
+
     def _samples(self, P: CadlagPath, plan) -> tuple[np.ndarray, np.ndarray]:
         """P at the cell left endpoints and at the shifted points u, given
         the plan of u capped at T; P jumps only where the study's paths do."""
-        if self.ins_cells.size:
-            Ps = np.empty(self.sl.size)
-            Ps[self.rows[:-1]] = P.values[:-1]
-            Ps[self.ins_cells] = P.value_at(self.shifted)
-        else:
-            Ps = P.values[:-1]
-        return Ps, P._sample(plan)
+        return self._at_cell_starts(P.values, P.value_at), P._sample(plan)
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
         """Caglad weight sampled at cell left endpoints (left limits).
@@ -346,14 +348,8 @@ class _Mesh:
         limit (g(0-) = g(0) at cell 0); only the inserted breakpoints are
         searched.
         """
-        if not g.same_grid(self.X):
-            raise PathError("weight path must share the grid")
-        if self.plain:
-            return g.left_values[:-1].copy()
-        out = np.empty(self.sl.size)
-        out[self.rows[:-1]] = g.left_values[:-1]
-        out[self.ins_cells] = g.left_limit(self.shifted)
-        return out
+        _require_shared_grid(self.X, g)
+        return self._at_cell_starts(g.left_values, g.left_limit)
 
 
 class _Sums:

@@ -202,8 +202,9 @@ def _levy_ito_fields(spec: SimSpec):
 
 
 def _levy_ito(spec: SimSpec):
-    """x0 + drift t + sigma W + compound Poisson, exact jump-time grid."""
-    sigma, _, lam, law, _ = _levy_ito_fields(spec)
+    """x0 + drift t + sigma W + J, J the sum of the compound Poisson jumps,
+    on an exact jump-time grid, and its ground truth."""
+    sigma, drift, lam, law, comp = _levy_ito_fields(spec)
     rng = _rng(spec.seed)
     times = _sample_arrivals(rng, lam, spec.T)
     sizes = law.sample(rng, times.size)
@@ -211,13 +212,6 @@ def _levy_ito(spec: SimSpec):
     times, sizes = times[keep], sizes[keep]
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), times)
     w = None if sigma is None else _brownian_values(rng, grid, sigma)
-    return _levy_ito_truth(spec, grid, w, times, sizes)
-
-
-def _levy_ito_truth(spec: SimSpec, grid, w, times, sizes):
-    """Path x0 + drift t + w + J on grid, J the sum of the jumps, and its
-    ground truth.  w is sigma W on the grid, None for a pure-jump kind."""
-    sigma, drift, lam, law, comp = _levy_ito_fields(spec)
     jv, jl = atom_cumsum(grid, times, sizes)
     smooth = spec.x0 + drift * grid
     comp_drift = lam * (law.mean() if lam > 0 else 0.0) * grid
@@ -305,6 +299,18 @@ def _default_regimes():
     )
 
 
+def _regime_values(regimes, switches, grid, side: str) -> np.ndarray:
+    """The regime functions on the grid, regime k after k switches before
+    (``side`` "left", left limits) or at or before ("right") each time."""
+    reg_idx = np.searchsorted(switches, grid, side=side)
+    out = np.empty(grid.size)
+    for k in range(int(reg_idx.max()) + 1):
+        sel = reg_idx == k
+        if np.any(sel):
+            out[sel] = np.asarray(regimes[k % len(regimes)](grid[sel]))
+    return out
+
+
 def pdp(spec: SimSpec):
     """Piecewise deterministic path: regime functions switched at sampled
     increasing times, each switch a marked jump."""
@@ -314,20 +320,8 @@ def pdp(spec: SimSpec):
     rng = _rng(spec.seed)
     switches = _sample_arrivals(rng, spec.switch_rate, spec.T)
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), switches)
-    reg_idx = np.searchsorted(switches, grid, side="right")
-    values = np.empty(grid.size)
-    left = np.empty(grid.size)
-    for k in range(int(reg_idx.max()) + 1):
-        sel = reg_idx == k
-        if np.any(sel):
-            values[sel] = np.asarray(regimes[k % len(regimes)](grid[sel]))
-    reg_idx_left = np.searchsorted(switches, grid, side="left")
-    for k in range(int(reg_idx_left.max()) + 1):
-        sel = reg_idx_left == k
-        if np.any(sel):
-            left[sel] = np.asarray(regimes[k % len(regimes)](grid[sel]))
-    values = spec.x0 + values
-    left = spec.x0 + left
+    values = spec.x0 + _regime_values(regimes, switches, grid, "right")
+    left = spec.x0 + _regime_values(regimes, switches, grid, "left")
     left[0] = values[0]
     path = CadlagPath(grid, values, left, rule=LINEAR)
     gt = GroundTruth(kind="pdp", base_dt=spec.base_dt,

@@ -72,6 +72,8 @@ def test_qv_single_level_reports_no_convergence(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().out
     report = json.loads((tmp_path / "fbm02_qv_report.json").read_text())
     assert report["converged"] is False
+    # one window has no gap: the convergence table is its header alone
+    assert (tmp_path / "fbm02_qv_convergence.csv").read_text() == "epsilon,sup_gap\n"
 
 
 def test_ito_check_pass_and_residual_csv(tmp_path):

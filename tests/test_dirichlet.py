@@ -261,6 +261,23 @@ def test_jump_identities_raises_the_first_error_of_the_sequence(case, error):
     assert str(one.value) == str(seq.value)
 
 
+def test_gamma_reference_checks_the_derivatives():
+    # as every other view of the expansion does: dx = 2.5 x for f = x^2
+    X, dec, nu, sched = ji_case("jump_diffusion", 1)
+    with pytest.raises(BundleValidationError):
+        dd.gamma_c12_reference(_WRONG_DX, X, dec, nu, sched, tol=0.05)
+
+
+def test_jump_identities_checks_the_derivatives_once(monkeypatch):
+    X, dec, nu, sched = ji_case("jump_diffusion", 1)
+    checked = []
+    validate = FunctionBundle.validate_derivatives
+    monkeypatch.setattr(FunctionBundle, "validate_derivatives",
+                        lambda F, *ranges: checked.append(F.name) or validate(F, *ranges))
+    dd.jump_identities(FUNCTION_CATALOG["square"], X, dec, nu, sched, tol=0.05)
+    assert checked == ["square"]
+
+
 # -- reference defect path ----------------------------------------------------------
 
 

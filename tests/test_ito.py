@@ -213,6 +213,21 @@ def test_bracket_guard_checks_every_window_fits(monkeypatch, harness):
     assert windows == []
 
 
+def test_c0_chain_checks_the_schedule_before_the_compensator(monkeypatch):
+    # special_wd_c0_chain is a view of the expansion too: a schedule that
+    # does not fit raises before the compensator quadrature starts
+    X, gt, sched = jump_diffusion(n=2000)
+    assert X.jump_marks.size
+    bad = reg.EpsilonSchedule((X.horizon,) + sched.epsilons)
+    calls = []
+    integrate_nu = jmod.integrate_nu
+    monkeypatch.setattr(jmod, "integrate_nu",
+                        lambda *args: calls.append(args) or integrate_nu(*args))
+    with pytest.raises(reg.ScheduleError, match="does not fit the grid"):
+        dirichlet.special_wd_c0_chain(FUNCTION_CATALOG["sin"], X, gt.compensator, bad)
+    assert calls == []
+
+
 _FORWARD_TERM = ("forward_integral",
                  lambda ex, e: reg.forward_integral(ex.dx_path, ex.X, e))
 _WINDOW_TERMS = {

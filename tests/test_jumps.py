@@ -289,6 +289,25 @@ def test_user_supplied_time_atom():
     assert got.left_limit(0.3) == 0.0
 
 
+_MODELS = {
+    "poisson": jm.CompensatorSpec.poisson,
+    "compound_poisson": lambda rate: jm.CompensatorSpec.compound_poisson(
+        rate, jm.NormalLaw(0, 1)),
+    "user_supplied": lambda rate: jm.CompensatorSpec.user_supplied(
+        rate, jm.DiracLaw(1.0)),
+}
+
+
+@pytest.mark.parametrize("model, rate", [
+    *((m, r) for m in _MODELS for r in (math.nan, math.inf, -math.inf, -1.0)),
+    ("poisson", 0.0), ("compound_poisson", 0.0)])
+def test_constant_rate_is_finite_and_positive(model, rate):
+    # only a user-supplied model may have rate 0, for time atoms alone
+    # (test_user_supplied_time_atom)
+    with pytest.raises(ValueError, match=f"^{model} rate .* must be finite and"):
+        _MODELS[model](rate)
+
+
 # -- compensated integrals ----------------------------------------------------------
 
 

@@ -302,6 +302,27 @@ def test_csv_round_trip_bit_exact():
         assert q.to_csv() == text
 
 
+def test_csv_writes_every_value_as_its_repr():
+    # the edges of the float64 range, and the sign of zero, as Python's repr
+    # writes them; the jump column as the ints 0 and 1
+    big = 1.7976931348623157e308
+    grid = [0.0, 5e-324, 1.0, 2.0]
+    values = [-0.0, 5e-324, big, -big]
+    left = [-0.0, 5e-324, 0.0, -big]
+    p = CadlagPath(grid, values, left)
+    text = p.to_csv()
+    assert text.splitlines() == [
+        "# rule=linear", "t,value,left_value,is_jump",
+        "0.0,-0.0,-0.0,0",
+        "5e-324,5e-324,5e-324,0",
+        "1.0,1.7976931348623157e+308,0.0,1",
+        "2.0,-1.7976931348623157e+308,-1.7976931348623157e+308,0"]
+    q = CadlagPath.from_csv(text)
+    for a in ("grid", "values", "left_values", "jump_marks"):
+        assert getattr(q, a).tobytes() == getattr(p, a).tobytes()
+    assert q.to_csv() == text
+
+
 def test_json_round_trip():
     p = unit_step()
     q = CadlagPath.from_json(p.to_json())

@@ -68,6 +68,8 @@ TOL_ENTRIES = {
         X, [W, X], SCHED, tol),
     "bracket guard": lambda X, W, tol: ito.ito_terms_c12(
         FUNCTION_CATALOG["square"], X, SCHED, tol),
+    "ito_c1_lambda": lambda X, W, tol: ito.ito_c1_lambda(
+        FUNCTION_CATALOG["xabs_sqrt"], X, SCHED, tol),
     "particular_wd_check": lambda X, W, tol: dd.particular_wd_check(
         dd.LabeledDecomposition(M_c=X, A_prime=W), None, SCHED, tol),
 }
