@@ -30,7 +30,7 @@ from .ito import FUNCTION_CATALOG
 from .jumps import parse_jump_law
 from .paths import _csv
 from .regularize import (DEFAULT_TOL, EpsilonSchedule, ScheduleError, _forward_sums,
-                         _limits, _windows, qv_limit, residual_verdict)
+                         _limits, _require_tol, _windows, qv_limit, residual_verdict)
 from .simulate import SimSpec, SimulationError, simulate
 
 EXIT_OK = 0
@@ -245,12 +245,11 @@ def cmd_list(args) -> int:
 def _tolerance(text: str) -> float:
     """argparse type of --tol and --threshold: a positive finite number."""
     try:
-        if 0.0 < float(text) < float("inf"):
-            return float(text)
+        _require_tol(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a positive finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}") from None
+    return float(text)
 
 
 def _seed(text: str) -> int:

@@ -186,21 +186,19 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     cont = np.concatenate(([0.0], np.cumsum(H.values[:-1] * cont_incr)))
     jump_contrib = np.zeros(G.grid.size)
     marks = G.jump_marks
-    if marks.size:
-        jump_contrib[marks] = H.left_values[marks] * (
-            G.values[marks] - G.left_values[marks])
+    jump_contrib[marks] = H.left_values[marks] * (
+        G.values[marks] - G.left_values[marks])
     jump_cum = np.cumsum(jump_contrib)
     values = cont + jump_cum
-    left = values.copy()
-    if marks.size:
-        left[marks] = values[marks] - jump_contrib[marks]
+    left = values.copy() if marks.size else values
+    left[marks] = values[marks] - jump_contrib[marks]
     return CadlagPath(G.grid, values, left, rule=LINEAR)
 
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
     """Running left-endpoint quadrature of a sampled integrand."""
     values = np.concatenate(([0.0], np.cumsum(np.diff(grid) * h_samples[:-1])))
-    return CadlagPath(grid, values, values.copy(), rule=LINEAR)
+    return CadlagPath(grid, values)
 
 
 # -- continuous bracket part --------------------------------------------------
@@ -275,7 +273,7 @@ class _Expansion:
         raw = self.bracket.values - jmod.integrate_mu(X_SQUARED_FIELD, self.X).values
         mono = np.maximum.accumulate(np.maximum(raw, 0.0))
         mono[0] = 0.0
-        return CadlagPath(self.X.grid, mono, mono.copy(), rule=LINEAR)
+        return CadlagPath(self.X.grid, mono)
 
     @cached_property
     def time_term(self):
@@ -289,8 +287,7 @@ class _Expansion:
         """Half of dF_xx(s, X_{s-}) against the continuous bracket part."""
         grid = self.X.grid
         d2 = np.asarray(self.F.dxx(grid, self.X.left_values), dtype=float)
-        return 0.5 * stieltjes_left(CadlagPath(grid, d2, d2.copy(), rule=LINEAR),
-                                    self.qvc)
+        return 0.5 * stieltjes_left(CadlagPath(grid, d2), self.qvc)
 
     def smooth_terms(self):
         """(time term, bracket term), read after the continuous bracket part
@@ -342,7 +339,7 @@ class _Expansion:
                 r = r - q.values
                 rl = rl - q.left_values
             sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
-        res = CadlagPath(lhs.grid, r, r.copy(), rule=LINEAR)
+        res = CadlagPath(lhs.grid, r)
         return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
                          np.asarray(sups), tuple(self.schedule.epsilons),
                          parts or {})

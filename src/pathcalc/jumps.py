@@ -199,6 +199,8 @@ class CompensatorSpec:
                 or user and float(self.rate) == 0.0):
             raise ValueError(f"{self.kind} rate {self.rate} must be finite and "
                              f"{'nonnegative' if user else 'positive'}")
+        if not all(0.0 <= float(wt) < math.inf for _, _, wt in self.atoms):
+            raise ValueError("time atom weights must be finite and nonnegative")
 
     @classmethod
     def poisson(cls, lam: float) -> "CompensatorSpec":
@@ -214,7 +216,10 @@ class CompensatorSpec:
 
     def rate_at(self, t: np.ndarray) -> np.ndarray:
         if callable(self.rate):
-            return np.asarray(self.rate(t), dtype=float)
+            rate = np.asarray(self.rate(t), dtype=float)
+            if np.all((rate >= 0.0) & (rate < math.inf)):
+                return rate
+            raise ValueError("rate function values must be finite and nonnegative")
         return np.full(np.shape(t), float(self.rate))
 
     def to_json_dict(self) -> dict:
@@ -413,8 +418,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
         b = min(a + _NU_CHUNK, sl.size)
         g[a:b] = _size_marginal(field, nu.law, sl[a:b], pre[a:b])
     rate = nu.rate_at(sl)
-    values = np.concatenate(([0.0], np.cumsum(np.diff(grid) * rate * g)))
-    left = values.copy()
+    values = left = np.concatenate(([0.0], np.cumsum(np.diff(grid) * rate * g)))
     if nu.atoms:
         atom_add = np.zeros(grid.size)
         for (ta, law_a, wt) in nu.atoms:

@@ -73,19 +73,21 @@ class CadlagPath:
 
     ``values[i]`` is X(t_i) and ``left_values[i]`` is X(t_i-), with
     X(0-) = X(0).  ``jump_marks``, the indices where the two differ, is
-    derived on construction.  Evaluation beyond the horizon returns X(T).
+    derived on construction.  A path built from a grid and values alone is
+    continuous: it holds one read-only array as both values and left
+    values.  Evaluation beyond the horizon returns X(T).
     """
 
     grid: np.ndarray
     values: np.ndarray
-    left_values: np.ndarray
+    left_values: np.ndarray | None = None
     jump_marks: np.ndarray = field(init=False)
     rule: str = LINEAR
 
     def __post_init__(self):
         grid = _as_farray(self.grid)
         values = _as_farray(self.values)
-        left = _as_farray(self.left_values)
+        left = values if self.left_values is None else _as_farray(self.left_values)
         if grid.size < 2:
             raise PathError("grid needs at least two points")
         if grid[0] != 0.0:
@@ -194,6 +196,8 @@ class CadlagPath:
     # -- arithmetic (shared grid) ---------------------------------------
 
     def _combine(self, other, fn) -> "CadlagPath":
+        if not isinstance(other, CadlagPath):
+            return NotImplemented
         _require_shared_grid(self, other)
         values = fn(self.values, other.values)
         left = fn(self.left_values, other.left_values)
@@ -346,8 +350,7 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
 
 def constant_path(grid, c: float = 0.0) -> CadlagPath:
     grid = _as_farray(grid)
-    v = np.full(grid.size, float(c))
-    return CadlagPath(grid, v, v.copy())
+    return CadlagPath(grid, np.full(grid.size, float(c)))
 
 
 def step_path(T: float, n: int, step_time: float) -> CadlagPath:

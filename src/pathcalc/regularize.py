@@ -387,9 +387,9 @@ def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
     # the continuous-time estimator only jumps where its inputs do; elsewhere
     # the boundary-window algebra leaves reassociation dust, so left values
     # are assembled (``jump_lefts``) only at the input jump rows
-    left_final = vals.copy()
-    left_final[jump_idx] = jump_lefts
-    return CadlagPath(grid, vals, left_final, rule=LINEAR)
+    left = vals.copy() if jump_idx.size else vals
+    left[jump_idx] = jump_lefts
+    return CadlagPath(grid, vals, left, rule=LINEAR)
 
 
 # -- kernels -----------------------------------------------------------------
@@ -514,7 +514,7 @@ def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPa
     Ys, Yu = m.samples[0]
     bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (Yu - Ys))
     vals = bulk[m.rows] / m.eps
-    return CadlagPath(m.grid, vals, vals.copy(), rule=LINEAR)
+    return CadlagPath(m.grid, vals)
 
 
 def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:

@@ -226,10 +226,9 @@ def _levy_ito(spec: SimSpec):
         kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
         bracket=CadlagPath(grid, qv + sq, qv + sql, rule=LINEAR),
         decomposition={
-            "M_c": (constant_path(grid) if w is None
-                    else CadlagPath(grid, w, w.copy(), rule=LINEAR)),
+            "M_c": constant_path(grid) if w is None else CadlagPath(grid, w),
             "M_d": CadlagPath(grid, jv - comp_drift, jl - comp_drift, rule=LINEAR),
-            "A": CadlagPath(grid, a, a.copy(), rule=LINEAR),
+            "A": CadlagPath(grid, a),
         },
         compensator=comp, assumes_reversible=w is not None,
     )
@@ -256,12 +255,11 @@ def fbm(spec: SimSpec):
     L = np.linalg.cholesky(cov)
     z = _rng(spec.seed).standard_normal(t.size)
     values = np.concatenate(([0.0], L @ z)) * spec.sigma + spec.x0
-    path = CadlagPath(grid, values, values.copy(), rule=LINEAR)
+    path = CadlagPath(grid, values)
     if H > 0.5:
         bracket, divergent = constant_path(grid), False
     elif H == 0.5:
-        bracket, divergent = CadlagPath(grid, spec.sigma ** 2 * grid,
-                                        spec.sigma ** 2 * grid, rule=LINEAR), False
+        bracket, divergent = CadlagPath(grid, spec.sigma ** 2 * grid), False
     else:
         bracket, divergent = None, True
     gt = GroundTruth(kind="fbm", base_dt=spec.base_dt,
@@ -283,11 +281,10 @@ def convolution_martingale(spec: SimSpec):
     conv = np.convolve(B, dW)
     values = conv[: grid.size].copy()
     values[0] = 0.0
-    path = CadlagPath(grid, values, values.copy(), rule=LINEAR)
+    path = CadlagPath(grid, values)
     gt = GroundTruth(kind="convolution_martingale", base_dt=spec.base_dt,
                      jump_times=np.zeros(0), jump_sizes=np.zeros(0),
-                     bracket=CadlagPath(grid, 0.5 * grid ** 2,
-                                        0.5 * grid ** 2, rule=LINEAR))
+                     bracket=CadlagPath(grid, 0.5 * grid ** 2))
     return path, gt
 
 
@@ -338,7 +335,7 @@ def deterministic(spec: SimSpec):
         raise SimulationError("deterministic kind needs one regime function")
     grid = uniform_grid(spec.T, spec.n)
     values = spec.x0 + np.asarray(spec.regimes[0](grid), dtype=float)
-    path = CadlagPath(grid, values, values.copy(), rule=LINEAR)
+    path = CadlagPath(grid, values)
     gt = GroundTruth(kind="deterministic", base_dt=spec.base_dt,
                      jump_times=np.zeros(0), jump_sizes=np.zeros(0))
     return path, gt
@@ -362,4 +359,4 @@ def brownian_on_grid(grid: np.ndarray, sigma: float, seed: int,
                      stream: int = 7) -> CadlagPath:
     """Standard Brownian path on an arbitrary existing grid (test batteries)."""
     w = _brownian_values(_rng(seed, stream), np.asarray(grid, dtype=float), sigma)
-    return CadlagPath(grid, w, w.copy(), rule=LINEAR)
+    return CadlagPath(grid, w)

@@ -308,6 +308,22 @@ def test_constant_rate_is_finite_and_positive(model, rate):
         _MODELS[model](rate)
 
 
+@pytest.mark.parametrize("weight", [-2.0, math.inf, math.nan])
+def test_time_atom_weight_is_finite_and_nonnegative(weight):
+    with pytest.raises(ValueError, match="time atom weights must be finite"):
+        jm.CompensatorSpec.user_supplied(0.0, jm.DiracLaw(1.0),
+                                         atoms=((0.3, jm.DiracLaw(1.0), weight),))
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan])
+def test_rate_function_values_are_finite_and_nonnegative(rate):
+    # a rate function is evaluated only on the grid, so it is checked there
+    nu = jm.CompensatorSpec.user_supplied(lambda t: np.full(np.shape(t), rate),
+                                          jm.DiracLaw(1.0))
+    with pytest.raises(ValueError, match="rate function values must be finite"):
+        jm.integrate_nu(jm.X_SQUARED_FIELD, nu, two_jump_path())
+
+
 # -- compensated integrals ----------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcalc.paths import (CadlagPath, PathError, constant_path, make_path,
-                            uniform_grid)
+                            step_path, uniform_grid)
 
 from oracles import from_function
 
@@ -335,6 +335,16 @@ def test_arithmetic_requires_shared_grid():
     q = constant_path(uniform_grid(1.0, 7), 1.0)
     with pytest.raises(PathError):
         _ = p + q
+    with pytest.raises(PathError, match="paths must share a grid"):
+        _ = p + step_path(1.0, 7, 0.5)
+
+
+@pytest.mark.parametrize("other", [1.0, "a"])
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_arithmetic_with_a_non_path_is_a_type_error(op, other):
+    # a path adds only paths; scale by a number with *
+    with pytest.raises(TypeError):
+        _ = unit_step() + other if op == "add" else unit_step() - other
 
 
 def test_jump_cancellation_in_differences():
