@@ -37,12 +37,12 @@ def _against_bm(make, F=None):
     def build(seed, n):
         X, gt = make(seed, n)
         A = X if F is None else path_of_function(F, X)
-        return A, brownian_on_grid(X.grid, 1.0, seed, stream=11), gt.base_dt
+        return A, brownian_on_grid(X.grid, seed, stream=11), gt.base_dt
     return build
 
 
 def _self_pair(seed, n):
-    N = brownian_on_grid(np.linspace(0.0, 1.0, n + 1), 1.0, seed, stream=11)
+    N = brownian_on_grid(np.linspace(0.0, 1.0, n + 1), seed, stream=11)
     return N, N, 1.0 / n
 
 

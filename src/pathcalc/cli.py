@@ -176,8 +176,7 @@ def cmd_ito_check(args) -> int:
     except imod.NonConvergenceError as exc:
         print(f"{sc.id}: {exc}")
         return EXIT_CHECK_FAILED
-    except (jmod.IntegrabilityError, jmod.QuadratureError,
-            imod.BundleValidationError, ValueError) as exc:
+    except (jmod.QuadratureError, ValueError) as exc:
         raise CliError(str(exc), EXIT_BAD_CONFIG)
     out = _out_dir(args)
     stem = f"{args.scenario}_ito_{args.fn}"

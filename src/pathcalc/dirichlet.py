@@ -30,6 +30,7 @@ from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
                          _limits, _require_fit, _require_tol, _windows,
                          alpha_atoms_verdict, bracket_verdict, covariation,
                          forward_integral, md_verdict, orthogonality_verdict)
+from .simulate import brownian_on_grid
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -70,8 +71,7 @@ class LabeledDecomposition:
 def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
     """BATTERY_SIZE independent standard Brownian test paths on X's grid,
     fresh streams."""
-    from .simulate import brownian_on_grid
-    return [brownian_on_grid(X.grid, 1.0, seed, stream=101 + k)
+    return [brownian_on_grid(X.grid, seed, stream=101 + k)
             for k in range(BATTERY_SIZE)]
 
 

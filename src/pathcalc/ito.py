@@ -29,7 +29,7 @@ from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
-from .paths import LINEAR, CadlagPath, _require_shared_grid
+from .paths import CadlagPath, _require_shared_grid
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
                          _forward_sums, _require_fit, _require_tol, _windows,
                          qv_limit)
@@ -56,8 +56,8 @@ class FunctionBundle:
     """Scalar function F(t, x) with the derivatives its class provides.
 
     Classes: ``c12`` (dt, dx, dxx), ``c01`` (dx), ``c1l`` (dt, dx with an
-    x-Holder dx of exponent ``holder``), ``c0`` (none).  All evaluators must
-    broadcast over numpy arrays.
+    x-Holder dx of exponent ``holder``, 1 by default as for ``c12``), ``c0``
+    (none).  All evaluators must broadcast over numpy arrays.
     """
 
     name: str
@@ -75,7 +75,7 @@ class FunctionBundle:
             if getattr(self, attr) is None:
                 raise ValueError(
                     f"class {self.smoothness} requires evaluator {attr!r}")
-        if self.smoothness == "c1l" and self.holder is None:
+        if self.smoothness in ("c1l", "c12") and self.holder is None:
             object.__setattr__(self, "holder", 1.0)
 
     def at_least(self, smoothness: str) -> bool:
@@ -160,7 +160,7 @@ def _along(fn, X: CadlagPath) -> CadlagPath:
     """The path t -> fn(t, X_t) on X's grid, with left limits fn(t, X_{t-})."""
     values = np.asarray(fn(X.grid, X.values), dtype=float)
     left = np.asarray(fn(X.grid, X.left_values), dtype=float)
-    return CadlagPath(X.grid, values, left, rule=LINEAR)
+    return CadlagPath(X.grid, values, left)
 
 
 def path_of_function(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
@@ -192,7 +192,7 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     values = cont + jump_cum
     left = values.copy() if marks.size else values
     left[marks] = values[marks] - jump_contrib[marks]
-    return CadlagPath(G.grid, values, left, rule=LINEAR)
+    return CadlagPath(G.grid, values, left)
 
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
@@ -328,7 +328,7 @@ class _Expansion:
         """ItoReport of lhs = F(t, X_t) less f0 = F(0, X_0), the ``fixed``
         terms and the window term, one path per window of the schedule in
         ``windows``: the residual sup-norm is taken at every window, the
-        residual and ``terms[name]`` at the final one."""
+        residual (with its left limits) and ``terms[name]`` at the final one."""
         lhs = self.lhs
         f0 = float(lhs.values[0])
         sups = []
@@ -339,7 +339,7 @@ class _Expansion:
                 r = r - q.values
                 rl = rl - q.left_values
             sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
-        res = CadlagPath(lhs.grid, r)
+        res = CadlagPath(lhs.grid, r, rl if np.any(rl != r) else None)
         return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
                          np.asarray(sups), tuple(self.schedule.epsilons),
                          parts or {})
@@ -353,9 +353,9 @@ class ItoReport(Report, kind="ito_report"):
     """Named terms of one identity variant plus the assembled residual.
 
     ``terms`` holds signed paths: the residual is
-    lhs - initial_value - sum(terms) pointwise by construction, evaluated at
-    the final window width; ``residual_sup_by_eps`` tracks the sup-norm of
-    the same assembly as the window shrinks along the schedule.
+    lhs - initial_value - sum(terms) pointwise by construction, left limits
+    included, at the final window width; ``residual_sup_by_eps`` tracks the
+    sup-norm of the same assembly as the window shrinks along the schedule.
     """
 
     variant: str
@@ -438,8 +438,7 @@ def ito_c1_lambda(F: FunctionBundle, X: CadlagPath,
     """
     ex = _Expansion(F, X, None, schedule, tol)
     ex.require("c1l")
-    lam = F.holder if F.holder is not None else 1.0
-    power_sum = float(np.sum(np.abs(X.jump_sizes) ** (1.0 + lam)))
+    power_sum = float(np.sum(np.abs(X.jump_sizes) ** (1.0 + F.holder)))
     if not np.isfinite(power_sum):
         raise jmod.IntegrabilityError(
             "jump sizes are not (1 + holder)-power summable")

@@ -27,8 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, PathError,
-                    constant_path)
+from .paths import PIECEWISE_CONSTANT, CadlagPath, PathError, constant_path
 from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
@@ -430,7 +429,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
             atom_add[i:] += wt * ga
         values = values + atom_add
         left = left + np.concatenate(([0.0], atom_add[:-1]))
-    return CadlagPath(grid, values, left, rule=LINEAR)
+    return CadlagPath(grid, values, left)
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,

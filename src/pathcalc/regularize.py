@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .paths import LINEAR, CadlagPath, _require_shared_grid, _sample_plan
+from .paths import CadlagPath, _require_shared_grid, _sample_plan
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -389,7 +389,7 @@ def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
     # are assembled (``jump_lefts``) only at the input jump rows
     left = vals.copy() if jump_idx.size else vals
     left[jump_idx] = jump_lefts
-    return CadlagPath(grid, vals, left, rule=LINEAR)
+    return CadlagPath(grid, vals, left)
 
 
 # -- kernels -----------------------------------------------------------------
@@ -684,9 +684,11 @@ def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedul
     """The one window driver: per window of ``schedule`` (which must fit X,
     ``_require_fit``), the ``kernel`` estimates of X against every partner,
     bit for bit ``covariation(X, P, eps)`` (``_window_sums``) or
-    ``forward_integral(P, X, eps)`` (``_forward_sums``).  The partner rule,
-    which the callers check: every partner's jump marks lie within X's (X
-    itself and continuous paths qualify), so (X, P) has the mesh of (X, X).
+    ``forward_integral(P, X, eps)`` (``_forward_sums``).  The mesh takes the
+    marks of X and of every partner, so one partner always gets the mesh of
+    (X, P), even one that jumps off X's marks (``ito_c1_lambda``: Y against
+    X = dF_x(Y)).  With two or more, the callers check that every partner's
+    marks lie within X's (the battery checks its test paths are continuous).
     The grid work (``_Study``) is done once, each window's ``_Mesh`` and X's
     side of the sums once per window."""
     _require_fit(schedule, X)

@@ -25,16 +25,13 @@ call them concurrently with distinct seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, constant_path,
                     uniform_grid)
-
-KINDS = ("brownian", "poisson", "compound_poisson", "jump_diffusion", "fbm",
-         "convolution_martingale", "pdp", "deterministic")
 
 FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
@@ -116,12 +113,12 @@ class SimSpec:
 
 @dataclass
 class GroundTruth:
-    """Oracle metadata emitted alongside a simulated path."""
+    """Oracle metadata of a simulated path; its jump log is empty by default."""
 
     kind: str
     base_dt: float
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
+    jump_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    jump_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0))
     bracket: CadlagPath | None = None
     bracket_divergent: bool = False
     decomposition: dict | None = None
@@ -224,10 +221,10 @@ def _levy_ito(spec: SimSpec):
     sq, sql = atom_cumsum(grid, times, sizes ** 2)
     gt = GroundTruth(
         kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
-        bracket=CadlagPath(grid, qv + sq, qv + sql, rule=LINEAR),
+        bracket=CadlagPath(grid, qv + sq, qv + sql),
         decomposition={
             "M_c": constant_path(grid) if w is None else CadlagPath(grid, w),
-            "M_d": CadlagPath(grid, jv - comp_drift, jl - comp_drift, rule=LINEAR),
+            "M_d": CadlagPath(grid, jv - comp_drift, jl - comp_drift),
             "A": CadlagPath(grid, a),
         },
         compensator=comp, assumes_reversible=w is not None,
@@ -235,14 +232,12 @@ def _levy_ito(spec: SimSpec):
     return path, gt
 
 
-def fbm(spec: SimSpec):
+def _fbm(spec: SimSpec):
     """Exact-covariance fractional Gaussian path via dense Cholesky.
 
     Covariance 0.5 (s^2H + t^2H - |t - s|^2H).  Ground truth: the bracket is
     the zero path for H > 1/2, t for H = 1/2, and divergent for H < 1/2.
     """
-    if spec.kind != "fbm":
-        raise SimulationError("spec kind mismatch")
     if spec.n > FBM_MAX_CELLS:
         raise SimulationError(
             f"exact-covariance sampling is limited to n <= {FBM_MAX_CELLS}")
@@ -263,16 +258,13 @@ def fbm(spec: SimSpec):
     else:
         bracket, divergent = None, True
     gt = GroundTruth(kind="fbm", base_dt=spec.base_dt,
-                     jump_times=np.zeros(0), jump_sizes=np.zeros(0),
                      bracket=bracket, bracket_divergent=divergent)
     return path, gt
 
 
-def convolution_martingale(spec: SimSpec):
+def _convolution_martingale(spec: SimSpec):
     """Discretized moving average X(t_i) = sum_{j<i} B(t_i - t_j) dW_j from
     two independent Brownian drivers; known bracket t^2 / 2."""
-    if spec.kind != "convolution_martingale":
-        raise SimulationError("spec kind mismatch")
     grid = uniform_grid(spec.T, spec.n)
     rng = _rng(spec.seed)
     dt = spec.base_dt
@@ -283,7 +275,6 @@ def convolution_martingale(spec: SimSpec):
     values[0] = 0.0
     path = CadlagPath(grid, values)
     gt = GroundTruth(kind="convolution_martingale", base_dt=spec.base_dt,
-                     jump_times=np.zeros(0), jump_sizes=np.zeros(0),
                      bracket=CadlagPath(grid, 0.5 * grid ** 2))
     return path, gt
 
@@ -308,11 +299,9 @@ def _regime_values(regimes, switches, grid, side: str) -> np.ndarray:
     return out
 
 
-def pdp(spec: SimSpec):
+def _pdp(spec: SimSpec):
     """Piecewise deterministic path: regime functions switched at sampled
     increasing times, each switch a marked jump."""
-    if spec.kind != "pdp":
-        raise SimulationError("spec kind mismatch")
     regimes = spec.regimes or _default_regimes()
     rng = _rng(spec.seed)
     switches = _sample_arrivals(rng, spec.switch_rate, spec.T)
@@ -320,34 +309,32 @@ def pdp(spec: SimSpec):
     values = spec.x0 + _regime_values(regimes, switches, grid, "right")
     left = spec.x0 + _regime_values(regimes, switches, grid, "left")
     left[0] = values[0]
-    path = CadlagPath(grid, values, left, rule=LINEAR)
+    path = CadlagPath(grid, values, left)
     gt = GroundTruth(kind="pdp", base_dt=spec.base_dt,
                      jump_times=path.jump_times, jump_sizes=path.jump_sizes,
                      regime_bounds=switches)
     return path, gt
 
 
-def deterministic(spec: SimSpec):
+def _deterministic(spec: SimSpec):
     """Deterministic continuous path sampling spec.regimes[0] on the grid."""
-    if spec.kind != "deterministic":
-        raise SimulationError("spec kind mismatch")
     if not spec.regimes:
         raise SimulationError("deterministic kind needs one regime function")
     grid = uniform_grid(spec.T, spec.n)
     values = spec.x0 + np.asarray(spec.regimes[0](grid), dtype=float)
     path = CadlagPath(grid, values)
-    gt = GroundTruth(kind="deterministic", base_dt=spec.base_dt,
-                     jump_times=np.zeros(0), jump_sizes=np.zeros(0))
+    gt = GroundTruth(kind="deterministic", base_dt=spec.base_dt)
     return path, gt
 
 
 _GENERATORS = {
     **dict.fromkeys(_LEVY_ITO_KINDS, _levy_ito),
-    "fbm": fbm,
-    "convolution_martingale": convolution_martingale,
-    "pdp": pdp,
-    "deterministic": deterministic,
+    "fbm": _fbm,
+    "convolution_martingale": _convolution_martingale,
+    "pdp": _pdp,
+    "deterministic": _deterministic,
 }
+KINDS = tuple(_GENERATORS)
 
 
 def simulate(spec: SimSpec):
@@ -355,8 +342,8 @@ def simulate(spec: SimSpec):
     return _GENERATORS[spec.kind](spec)
 
 
-def brownian_on_grid(grid: np.ndarray, sigma: float, seed: int,
-                     stream: int = 7) -> CadlagPath:
-    """Standard Brownian path on an arbitrary existing grid (test batteries)."""
-    w = _brownian_values(_rng(seed, stream), np.asarray(grid, dtype=float), sigma)
+def brownian_on_grid(grid: np.ndarray, seed: int, stream: int = 7) -> CadlagPath:
+    """Standard Brownian path (W_0 = 0, unit volatility) on an arbitrary
+    existing grid, from Philox stream ``stream`` of ``seed`` (test batteries)."""
+    w = _brownian_values(_rng(seed, stream), np.asarray(grid, dtype=float), 1.0)
     return CadlagPath(grid, w)

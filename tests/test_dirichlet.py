@@ -52,7 +52,7 @@ def test_pure_jump_integral_path_is_orthogonal_to_brownian():
                                      intensity=2.0, jump_law=NormalLaw(0, 1)))
     from pathcalc.jumps import X_SQUARED_FIELD, integrate_mu
     A = integrate_mu(X_SQUARED_FIELD, X)
-    N = sim.brownian_on_grid(X.grid, 1.0, 55)
+    N = sim.brownian_on_grid(X.grid, 55)
     sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
     rep = dd.orthogonality_test(A, N, sched, tol=0.05)
     assert rep.decision
@@ -321,7 +321,7 @@ def test_reference_time_independent_function_drops_terms():
 
 def test_particular_zero_qv_perturbation_of_brownian():
     fb, gtf = sim.simulate(sim.SimSpec("fbm", n=2000, seed=8, hurst=0.8))
-    M = sim.brownian_on_grid(fb.grid, 1.0, 77)
+    M = sim.brownian_on_grid(fb.grid, 77)
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gtf.base_dt)
     dec = dd.LabeledDecomposition(M_c=M, A_prime=fb)
     rep = dd.particular_wd_check(dec, None, sched, tol=0.1)
@@ -353,7 +353,7 @@ def test_particular_brownian_plus_jumps_cross_term_vanishes():
     Xcp, gtcp = sim.simulate(sim.SimSpec("compound_poisson", n=20000, seed=31,
                                          intensity=2.0,
                                          jump_law=NormalLaw(0, 0.6)))
-    M = sim.brownian_on_grid(Xcp.grid, 1.0, 78)
+    M = sim.brownian_on_grid(Xcp.grid, 78)
     sched = reg.EpsilonSchedule.geometric(0.05, 6).snapped(gtcp.base_dt)
     dec = dd.LabeledDecomposition(M_c=M, V=Xcp)
     rep = dd.particular_wd_check(dec, gtcp.compensator, sched, tol=0.1)
@@ -413,7 +413,7 @@ def test_c0_chain_on_regime_switching_path():
     X, gt = sim.simulate(sim.SimSpec("pdp", n=50000, seed=9, switch_rate=3.0))
     sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
     FX = path_of_function(FUNCTION_CATALOG["square"], X)
-    N = sim.brownian_on_grid(X.grid, 1.0, 91)
+    N = sim.brownian_on_grid(X.grid, 91)
     rep = dd.orthogonality_test(FX, N, sched, tol=0.05)
     assert rep.decision
     # the defect shrinks with the window

@@ -326,6 +326,25 @@ def test_residual_decay_along_schedule():
         assert rep.final_residual_sup < 0.05 * max(1.0, rep.lhs.sup_norm())
 
 
+@pytest.mark.parametrize("name", ["square", "sin"])
+def test_residual_keeps_its_left_limits(name):
+    # the residual is the assembly at its left limits too: its sup-norm is
+    # the reported final one, and at each jump its left value is
+    # lhs - F(0, X_0) - window term - fixed terms, in the report's order
+    X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=20000, seed=2, intensity=3.0,
+                                     jump_law=NormalLaw(0, 1)))
+    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+    rep = ito.ito_terms_c12(FUNCTION_CATALOG[name], X, sched, tol=0.05)
+    *fixed, window = rep.terms
+    rl = rep.lhs.left_values - rep.initial_value - rep.terms[window].left_values
+    for key in fixed:
+        rl = rl - rep.terms[key].left_values
+    marks = X.jump_marks
+    assert marks.size
+    assert rep.residual.sup_norm() == rep.final_residual_sup
+    assert rep.residual.left_values[marks].tobytes() == rl[marks].tobytes()
+
+
 # -- bracket jump identity ----------------------------------------------------------
 
 

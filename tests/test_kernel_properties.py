@@ -322,6 +322,10 @@ def test_study_windows_match_fresh_kernel_calls(case, seed):
     studies = [(reg._window_sums, partners, lambda P, e: reg.covariation(X, P, e))]
     studies += [(reg._forward_sums, [P], lambda P, e: reg.forward_integral(P, X, e))
                 for P in partners]
+    # a single partner may jump off X's marks (X's lie in [2, n/2]): the
+    # study's mesh takes its marks too, as a fresh covariation does
+    off = _path(X.grid, np.array([X.grid.size // 2 + 1]), LINEAR, seed + 2)
+    studies.append((reg._window_sums, [off], lambda P, e: reg.covariation(X, P, e)))
     for kernel, ps, fresh in studies:
         for e, ests in zip(sched, reg._windows(X, ps, sched, kernel)):
             for E, P in zip(ests, ps, strict=True):

@@ -19,7 +19,7 @@ from pathcalc.paths import CadlagPath, constant_path, step_path, uniform_grid
 SRC = Path(__file__).resolve().parents[1] / "src" / "pathcalc"
 
 GRID = uniform_grid(1.0, 400)
-W = sim.brownian_on_grid(GRID, 1.0, 3)
+W = sim.brownian_on_grid(GRID, 3)
 STEP = step_path(1.0, 40, 0.3)
 
 
@@ -47,8 +47,7 @@ JUMP_FREE = {
     "covariation": lambda: reg.covariation(W, W, 0.05),
     "integrate_nu": lambda: jm.integrate_nu(jm.X_FIELD, jm.CompensatorSpec.poisson(2.0),
                                             STEP),
-    "stieltjes_left": lambda: ito.stieltjes_left(STEP, sim.brownian_on_grid(STEP.grid,
-                                                                            1.0, 4)),
+    "stieltjes_left": lambda: ito.stieltjes_left(STEP, sim.brownian_on_grid(STEP.grid, 4)),
     "ito_residual": _residual,
     "brownian M_c": lambda: _brownian_part("M_c"),
     "brownian A": lambda: _brownian_part("A"),
@@ -73,7 +72,7 @@ def _digest(P):
 # values, left values and marks of each estimate on the step path, recorded
 # before continuous paths held one array: a path that jumps keeps its own
 # left array, with the same bytes
-WS = sim.brownian_on_grid(STEP.grid, 1.0, 3)
+WS = sim.brownian_on_grid(STEP.grid, 3)
 STEP_ESTIMATES = {
     "covariation": (lambda: reg.covariation(STEP, STEP, 0.1), "15a728bdab01c42b"),
     "forward_integral": (lambda: reg.forward_integral(WS, STEP, 0.1), "1bd9f9d3d273115b"),
@@ -93,24 +92,26 @@ def test_paths_that_jump_keep_their_left_array(case):
     assert _digest(P) == digest
 
 
-# -- guard: no call site restates the rule -------------------------------------
+# -- guard: no call site restates the one-array rule or the default rule ------
 
 
 def _restated(tree: ast.Module) -> list[int]:
     """Lines of ``CadlagPath(...)`` calls whose left values are ``<expr>.copy()``
-    or the same expression as their values."""
+    or the same expression as their values, or whose rule is the default,
+    ``LINEAR`` or ``"linear"``."""
     lines = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CadlagPath"):
             continue
-        args = dict(zip(("grid", "values", "left_values"), node.args))
+        args = dict(zip(("grid", "values", "left_values", "rule"), node.args))
         args.update((k.arg, k.value) for k in node.keywords if k.arg)
-        values, left = args.get("values"), args.get("left_values")
-        if left is None:
-            continue
+        values, left, rule = args.get("values"), args.get("left_values"), args.get("rule")
         copied = (isinstance(left, ast.Call) and not left.args
                   and getattr(left.func, "attr", None) == "copy")
-        if copied or ast.dump(left) == ast.dump(values):
+        same = left is not None and ast.dump(left) == ast.dump(values)
+        linear = (getattr(rule, "id", None) == "LINEAR"
+                  or getattr(rule, "value", None) == "linear")
+        if copied or same or linear:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -126,5 +127,8 @@ def test_guard_sees_a_restated_rule():
                      "c = CadlagPath(g, values=v, left_values=v.copy())\n"
                      "d = CadlagPath(g, v, left)\n"
                      "e = CadlagPath(g, v)\n"
-                     "f = CadlagPath(g, v, w.copy())\n")
-    assert _restated(tree) == [1, 2, 4, 7]
+                     "f = CadlagPath(g, v, w.copy())\n"
+                     "h = CadlagPath(g, v, left, rule=LINEAR)\n"
+                     "i = CadlagPath(g, v, left, \"linear\")\n"
+                     "j = CadlagPath(g, v, left, rule=PIECEWISE_CONSTANT)\n")
+    assert _restated(tree) == [1, 2, 4, 7, 8, 9]

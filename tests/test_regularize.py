@@ -304,7 +304,7 @@ def test_ucp_limit_rough_path_does_not_converge():
 def test_zero_qv_path_pairs_to_zero_with_finite_qv_path():
     # finite-bracket path against a vanishing-bracket path: estimates decay
     A, gta = sim.simulate(sim.SimSpec("fbm", n=2000, seed=5, hurst=0.8))
-    X = sim.brownian_on_grid(A.grid, 1.0, 21)
+    X = sim.brownian_on_grid(A.grid, 21)
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gta.base_dt)
     rep = reg.ucp_limit(reg.covariation, X, A, schedule=sched, tol=0.05)
     assert rep.sup_norms[-1] < 0.05

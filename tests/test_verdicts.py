@@ -80,7 +80,7 @@ TOL_ENTRIES = {
 def test_tolerance_that_is_not_positive_and_finite_is_rejected(monkeypatch, entry, tol):
     # an infinite or NaN tolerance passes any statistic, 0 or less none:
     # either way the check is rejected before any estimate is made
-    X, W = (sim.brownian_on_grid(uniform_grid(1.0, N), 1.0, seed) for seed in (1, 2))
+    X, W = (sim.brownian_on_grid(uniform_grid(1.0, N), seed) for seed in (1, 2))
 
     def no_estimate(*args):
         raise AssertionError("estimate made before the tolerance was checked")
