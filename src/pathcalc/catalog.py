@@ -15,6 +15,7 @@ import numpy as np
 from .ito import FUNCTION_CATALOG, path_of_function
 from .jumps import NormalLaw
 from .paths import step_path
+from .regularize import DEFAULT_EPS_MAX, DEFAULT_LEVELS
 from .simulate import (KINDS, GroundTruth, SimSpec, brownian_on_grid,
                        grid_cells, simulate)
 
@@ -55,8 +56,8 @@ class Scenario:
     make: object  # (seed, n) -> (path, ground truth)
     expect_qv_converges: bool = True
     has_decomposition: bool = False
-    default_eps0: float = 0.05
-    default_levels: int = 8
+    default_eps0: float = DEFAULT_EPS_MAX
+    default_levels: int = DEFAULT_LEVELS
 
     def build(self, seed: int = 0, n: int | None = None):
         # checked here: the step and self builders do not go through SimSpec
@@ -111,8 +112,8 @@ class OrthScenario:
     default_n: int
     make: object  # (seed, n) -> (path A, test path N, base spacing)
     expect_decision: bool = True
-    default_eps0: float = 0.05
-    default_levels: int = 8
+    default_eps0: float = DEFAULT_EPS_MAX
+    default_levels: int = DEFAULT_LEVELS
 
     def build(self, seed: int = 0, n: int | None = None):
         return self.make(seed, grid_cells(self.default_n if n is None else n))

@@ -1,8 +1,9 @@
 """Command-line front door.
 
-Subcommands: simulate, qv, forward, convergence, ito-check, dirichlet-check,
-list.  Configuration is a flat key=value file plus flag overrides; flags
-win, and a switch takes true or false.  Artifacts are CSV (paths:
+Subcommands: simulate, qv, forward, convergence (the qv or forward study,
+by --op), ito-check, dirichlet-check, list.  Configuration is a flat
+key=value file plus flag overrides; flags win, and a switch takes true or
+false.  Artifacts are CSV (paths and the identity residual:
 t,value,left_value,is_jump; convergence tables: epsilon,sup_gap) and JSON
 reports carrying a schema_version field.
 Identical configuration, seeds included, produces byte-identical reports.
@@ -116,13 +117,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_limit(args, estimator_name: str):
-    """The ``qv`` or ``forward`` window study, its CSV and JSON written."""
+def cmd_study(args) -> int:
+    """The ``qv`` or ``forward`` window study, its CSVs and JSON written.
+    ``qv`` and ``forward`` have no ``op`` default on purpose: ``_parse_args``
+    would then pass a config file's ``op`` key on to them, which they ignore."""
+    op = getattr(args, "op", args.command)
     sc = _scenario(args)
     sched = _schedule(args, sc)
     X, gt = sc.build(seed=args.seed, n=args.n)
     sched = sched.for_path(X, gt.base_dt)
-    if estimator_name == "qv":
+    if op == "qv":
         rep = qv_limit(X, schedule=sched, tol=args.tol)
         stem = f"{args.scenario}_qv"
         extra = {"expected_converged": sc.expect_qv_converges}
@@ -136,26 +140,14 @@ def _run_limit(args, estimator_name: str):
                 _csv("epsilon,sup_gap", rep.epsilons[1:], rep.sup_gaps))
     _write_text(out / f"{stem}_limit.csv", rep.limit.to_csv())
     _write_json(out / f"{stem}_report.json", rep.to_json_dict(scenario=sc.id, **extra))
-    return sc, rep
-
-
-def cmd_qv(args) -> int:
-    sc, rep = _run_limit(args, "qv")
     status = "converged" if rep.converged else "did not converge"
-    expected = "" if rep.converged == sc.expect_qv_converges else " (unexpected)"
-    print(f"{sc.id}: window study {status}{expected}; final gap "
-          f"{rep.sup_gaps[-1] if rep.sup_gaps.size else 0.0:.3g}")
+    if op == "qv":
+        expected = "" if rep.converged == sc.expect_qv_converges else " (unexpected)"
+        print(f"{sc.id}: window study {status}{expected}; final gap "
+              f"{rep.sup_gaps[-1] if rep.sup_gaps.size else 0.0:.3g}")
+    else:
+        print(f"{sc.id}: forward study {status}")
     return EXIT_OK if rep.converged else EXIT_CHECK_FAILED
-
-
-def cmd_forward(args) -> int:
-    sc, rep = _run_limit(args, "forward")
-    print(f"{sc.id}: forward study {'converged' if rep.converged else 'did not converge'}")
-    return EXIT_OK if rep.converged else EXIT_CHECK_FAILED
-
-
-def cmd_convergence(args) -> int:
-    return cmd_qv(args) if args.op == "qv" else cmd_forward(args)
 
 
 def cmd_ito_check(args) -> int:
@@ -181,8 +173,7 @@ def cmd_ito_check(args) -> int:
     out = _out_dir(args)
     stem = f"{args.scenario}_ito_{args.fn}"
     verdict = residual_verdict(rep.relative_residual, args.threshold)
-    _write_text(out / f"{stem}_residual.csv",
-                _csv("t,residual", rep.residual.grid, rep.residual.values))
+    _write_text(out / f"{stem}_residual.csv", rep.residual.to_csv())
     _write_json(out / f"{stem}_report.json",
                 rep.to_json_dict(scenario=sc.id, verdict=verdict))
     if args.measure_form:
@@ -302,19 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qv", help="quadratic variation window study")
     _add_common(p)
-    p.set_defaults(func=cmd_qv)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("forward", help="forward integral window study")
     _add_common(p)
     p.add_argument("--fn", default="identity",
                    help="catalog function F; the integrand is F(t, X_t)")
-    p.set_defaults(func=cmd_forward)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("convergence", help="emit (epsilon, sup_gap) for qv or forward")
     _add_common(p)
     p.add_argument("--op", choices=("qv", "forward"), default="qv")
     p.add_argument("--fn", default="identity")
-    p.set_defaults(func=cmd_convergence)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("ito-check", help="term-by-term identity verification")
     _add_common(p)
@@ -330,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the full chain-rule decomposition for a main "
                         "catalog scenario with labeled parts")
     p.add_argument("--fn", default="square")
-    p.set_defaults(func=cmd_dirichlet_check, tol=0.05)
+    p.set_defaults(func=cmd_dirichlet_check, tol=dd.ORTH_TOL)
 
     p = sub.add_parser("list", help="print the catalogs")
     p.add_argument("filter", nargs="?", default="")

@@ -45,8 +45,8 @@ class NonConvergenceError(RuntimeError):
 
 # -- function bundles ---------------------------------------------------------
 
-SMOOTHNESS_CLASSES = ("c12", "c01", "c1l", "c0")
-
+# the evaluators each class requires, and so the class lattice: a class is
+# at least another when it requires all the other does (``at_least``)
 _REQUIRED = {"c12": ("dt", "dx", "dxx"), "c01": ("dx",), "c1l": ("dt", "dx"),
              "c0": ()}
 
@@ -69,7 +69,7 @@ class FunctionBundle:
     holder: float | None = None
 
     def __post_init__(self):
-        if self.smoothness not in SMOOTHNESS_CLASSES:
+        if self.smoothness not in _REQUIRED:
             raise ValueError(f"unknown smoothness class {self.smoothness!r}")
         for attr in _REQUIRED[self.smoothness]:
             if getattr(self, attr) is None:
@@ -79,10 +79,7 @@ class FunctionBundle:
             object.__setattr__(self, "holder", 1.0)
 
     def at_least(self, smoothness: str) -> bool:
-        order = {"c0": 0, "c01": 1, "c1l": 1, "c12": 2}
-        if smoothness == "c1l":
-            return self.smoothness in ("c1l", "c12")
-        return order[self.smoothness] >= order[smoothness]
+        return set(_REQUIRED[smoothness]) <= set(_REQUIRED[self.smoothness])
 
     def validate_derivatives(self, t_range, x_range) -> None:
         """Compare supplied derivatives with central finite differences at

@@ -317,8 +317,8 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
     """Build a validated path from grid values and an explicit jump list.
 
     ``jumps`` is a sequence of (index, left_value) pairs.  Under the pc rule
-    left limits are always the previous grid value, so a supplied left_value
-    must agree with it; under the linear rule the left_value is the endpoint
+    left limits are always the previous grid value, and the constructor
+    rejects any other left_value; under the linear rule it is the endpoint
     of the incoming segment.  A listed jump of size zero, or a pc value
     change that is not listed, is a PathError.
     """
@@ -338,8 +338,6 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
         i = int(idx)
         if i < 1 or i >= grid.size:
             raise PathError(f"jump index {i} outside (0, n]")
-        if rule == PIECEWISE_CONSTANT and float(left_value) != values[i - 1]:
-            raise PathError("pc jump left_value must equal the previous grid value")
         left[i] = float(left_value)
         marks.append(i)
     marks = sorted(set(marks))

@@ -127,22 +127,12 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tolerance {tol} must be positive and finite")
 
 
-def _require_width(X: CadlagPath, eps: float) -> float:
-    """The kernels' window-width rule: ``eps`` as a float, ValueError unless
-    X's smallest grid spacing <= eps < X's horizon (which NaN fails)."""
-    eps = float(eps)
-    if not X.min_spacing <= eps < X.horizon:
-        raise ValueError("window width must cover at least one grid cell "
-                         "and lie below the horizon")
-    return eps
-
-
-def _require_fit(schedule: EpsilonSchedule, X: CadlagPath) -> None:
-    """The one schedule-fit rule: raise ScheduleError unless every window is
-    below X's horizon and at least its smallest grid spacing."""
-    T, dt = X.horizon, X.min_spacing
-    for e in schedule:
-        if e >= T or e < dt:
+def _require_fit(widths, X: CadlagPath) -> None:
+    """The one window-fit rule, for a schedule or a single kernel's
+    ``(eps,)``: raise ScheduleError unless every width is at least X's
+    smallest grid spacing and below its horizon (which NaN fails)."""
+    for e in widths:
+        if not X.min_spacing <= float(e) < X.horizon:
             raise ScheduleError(f"window {e} does not fit the grid")
 
 
@@ -262,12 +252,13 @@ class _Mesh:
     and at u, and (Xs, Xu) is X's.  At the inserted breakpoints every
     path's cell-start sample is its ``value_at``.  Counting each u at the
     first node at or after it gives ``jr[i]``, the number of bulk cells
-    (u <= t_i) at grid time t_i.
+    (u <= t_i) at grid time t_i.  The width obeys ``_require_fit``.
     """
 
     def __init__(self, study: _Study, eps: float):
         X = study.X
-        eps = _require_width(X, eps)
+        _require_fit((eps,), X)
+        eps = float(eps)
         T = X.horizon
         grid = study.grid
         taus = study.taus
@@ -552,8 +543,9 @@ def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
 def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     """Closed-form start-up gap Y(0+) (1/eps) int_0^eps [X(s) - X(0+)] ds,
     under the shared left-endpoint quadrature; the width obeys the kernels'
-    rule (``_require_width``)."""
-    eps = _require_width(X, eps)
+    rule (``_require_fit``)."""
+    _require_fit((eps,), X)
+    eps = float(eps)
     grid = X.grid
     edges = np.union1d(grid[grid < eps], [eps])
     lefts = edges[:-1]

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from pathcalc.cli import main
+from pathcalc.paths import CadlagPath
 
 
 def run(args):
@@ -81,9 +82,21 @@ def test_ito_check_pass_and_residual_csv(tmp_path):
                 "--n", "50000", "--tol", "0.05", "--out", str(tmp_path)])
     assert code == 0
     res = (tmp_path / "bm_ito_square_residual.csv").read_text()
-    assert res.splitlines()[0] == "t,residual"
+    assert res.splitlines()[1] == "t,value,left_value,is_jump"
     report = json.loads((tmp_path / "bm_ito_square_report.json").read_text())
     assert report["relative_residual"] < 1e-2
+
+
+def test_ito_check_residual_csv_keeps_left_limits(tmp_path):
+    # the sup-norm is taken over values and left values: a CSV of the values
+    # alone read 0.01458 on this path against the report's 0.02526
+    assert run(["ito-check", "--scenario", "jump_diffusion", "--fn", "square",
+                "--tol", "0.05", "--out", str(tmp_path)]) == 0
+    residual = CadlagPath.from_csv(
+        (tmp_path / "jump_diffusion_ito_square_residual.csv").read_text())
+    report = json.loads((tmp_path / "jump_diffusion_ito_square_report.json").read_text())
+    assert residual.sup_norm() == report["final_residual_sup"]
+    assert residual.jump_marks.size
 
 
 def test_ito_check_measure_form(tmp_path):
@@ -362,3 +375,24 @@ def test_convergence_subcommand_dispatch(tmp_path):
                 "--tol", "0.05", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "poisson_qv_convergence.csv").exists()
+
+
+@pytest.mark.parametrize("op", ["qv", "forward"])
+def test_convergence_op_is_the_op_subcommand(tmp_path, capsys, op):
+    flags = ["--scenario", "poisson", "--n", "4000", "--levels", "4"]
+    outputs = []
+    for argv in (["convergence", "--op", op], [op]):
+        out = tmp_path / argv[0]
+        code = main([*argv, *flags, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((code, files, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 3
+
+
+def test_an_op_key_in_a_qv_config_is_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario=poisson\nn=4000\nlevels=4\nop=forward\n")
+    assert run(["qv", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".cfg") == [
+        "poisson_qv_convergence.csv", "poisson_qv_limit.csv", "poisson_qv_report.json"]

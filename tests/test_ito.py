@@ -62,6 +62,20 @@ def test_bundle_class_requirements():
         FunctionBundle("f", "weird", f=lambda t, x: x, dx=lambda t, x: x)
 
 
+# at_least(row, column): c01 and c1l are incomparable, c12 is above both
+_AT_LEAST = {"c12": {"c12": True, "c01": True, "c1l": True, "c0": True},
+             "c01": {"c12": False, "c01": True, "c1l": False, "c0": True},
+             "c1l": {"c12": False, "c01": True, "c1l": True, "c0": True},
+             "c0": {"c12": False, "c01": False, "c1l": False, "c0": True}}
+
+
+@pytest.mark.parametrize("cls", sorted(_AT_LEAST))
+def test_class_lattice(cls):
+    ev = lambda t, x: x  # noqa: E731
+    F = FunctionBundle("f", cls, f=ev, dt=ev, dx=ev, dxx=ev)
+    assert {other: F.at_least(other) for other in _AT_LEAST} == _AT_LEAST[cls]
+
+
 def test_wrong_class_rejected_by_harness():
     X, sched = brownian(n=4000)
     with pytest.raises(ValueError):

@@ -339,16 +339,20 @@ def test_window_width_validation():
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
-def test_window_width_outside_the_grid_range_is_a_value_error(eps):
-    # a NaN width must not reach the mesh and fail there as a PathError
+def test_every_kernel_takes_the_one_window_fit_rule(eps):
+    # one rule for a schedule and a single kernel's width; a NaN width must
+    # not reach the mesh and fail there as a PathError
     X = linear_path(50)
     Y = constant_path(X.grid, 1.0)
-    for estimate in (lambda: reg.covariation(X, X, eps),
+    for estimate in (lambda: reg._require_fit((eps,), X),
+                     lambda: reg.covariation(X, X, eps),
                      lambda: reg.forward_integral(Y, X, eps),
-                     lambda: reg.rv_window_constant(Y, X, eps)):
-        with pytest.raises(ValueError, match="^window width must cover") as err:
+                     lambda: reg.rv_window_constant(Y, X, eps),
+                     lambda: reg.weighted_qv(Y, X, eps),
+                     lambda: reg.covariation_continuous(X, Y, eps),
+                     lambda: reg.forward_integral_rv(Y, X, eps)):
+        with pytest.raises(reg.ScheduleError, match="does not fit the grid$"):
             estimate()
-        assert type(err.value) is ValueError
 
 
 def test_schedule_construction_and_snapping():
