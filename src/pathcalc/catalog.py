@@ -55,7 +55,6 @@ class Scenario:
     default_n: int
     make: object  # (seed, n) -> (path, ground truth)
     expect_qv_converges: bool = True
-    has_decomposition: bool = False
     default_eps0: float = DEFAULT_EPS_MAX
     default_levels: int = DEFAULT_LEVELS
 
@@ -68,20 +67,18 @@ SCENARIOS: dict[str, Scenario] = {
     s.id: s for s in [
         Scenario("bm", "standard Brownian motion",
                  "bracket grows linearly: [X,X](t) = t", 100000,
-                 _sim("brownian", sigma=1.0), has_decomposition=True),
+                 _sim("brownian", sigma=1.0)),
         Scenario("poisson", "Poisson counting process, intensity 2",
                  "pure-jump bracket equals the jump count; compensator 2t",
-                 50000, _sim("poisson", intensity=2.0), has_decomposition=True),
+                 50000, _sim("poisson", intensity=2.0)),
         Scenario("cp_normal", "compound Poisson, intensity 1, standard normal sizes",
                  "bracket equals the running sum of squared jump sizes", 50000,
                  _sim("compound_poisson", intensity=1.0,
-                      jump_law=NormalLaw(0.0, 1.0)),
-                 has_decomposition=True),
+                      jump_law=NormalLaw(0.0, 1.0))),
         Scenario("jump_diffusion", "unit-volatility diffusion plus compound Poisson",
                  "bracket t plus the running sum of squared jump sizes", 50000,
                  _sim("jump_diffusion", sigma=1.0, drift=0.0, intensity=1.0,
-                      jump_law=NormalLaw(0.0, 1.0)),
-                 has_decomposition=True),
+                      jump_law=NormalLaw(0.0, 1.0))),
         Scenario("fbm02", "fractional Gaussian path, exponent 0.2",
                  "quadratic variation diverges: the window study must not converge",
                  2000, _sim("fbm", hurst=0.2), expect_qv_converges=False,

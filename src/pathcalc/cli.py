@@ -8,9 +8,10 @@ t,value,left_value,is_jump; convergence tables: epsilon,sup_gap) and JSON
 reports carrying a schema_version field.
 Identical configuration, seeds included, produces byte-identical reports.
 
-Exit codes: 0 all requested checks pass, 1 check failure (including
-expected failures, which the catalog flags as such), 2 unknown scenario or
-bad configuration, 3 I/O failure.
+Exit codes, set by ``main`` alone: 0 all requested checks pass, 1 check
+failure (expected ones, which the catalog flags, and a bracket guard that does
+not converge), 2 unknown scenario or any other rejected input (one ``error:``
+line on stderr, never a traceback), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .catalog import ORTH_SCENARIOS, SCENARIOS, list_catalog
 from .ito import FUNCTION_CATALOG
 from .jumps import parse_jump_law
 from .paths import _csv
-from .regularize import (DEFAULT_TOL, EpsilonSchedule, ScheduleError, _forward_sums,
-                         _limits, _require_tol, _windows, qv_limit, residual_verdict)
-from .simulate import SimSpec, SimulationError, simulate
+from .regularize import (DEFAULT_TOL, EpsilonSchedule, _forward_sums, _limits,
+                         _require_tol, _windows, qv_limit, residual_verdict)
+from .simulate import SimSpec, simulate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,17 +99,14 @@ def _function(name):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        law = parse_jump_law(args.jump_law) if args.jump_law else None
-        spec = SimSpec(args.kind, T=args.T, n=args.n, seed=args.seed,
-                       sigma=args.sigma, drift=args.drift,
-                       intensity=args.intensity, jump_law=law,
-                       hurst=args.hurst, switch_rate=args.switch_rate,
-                       regimes=((lambda t: np.asarray(t)),)
-                       if args.kind == "deterministic" else ())
-        path, gt = simulate(spec)
-    except (SimulationError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    law = parse_jump_law(args.jump_law) if args.jump_law else None
+    spec = SimSpec(args.kind, T=args.T, n=args.n, seed=args.seed,
+                   sigma=args.sigma, drift=args.drift,
+                   intensity=args.intensity, jump_law=law,
+                   hurst=args.hurst, switch_rate=args.switch_rate,
+                   regimes=((lambda t: np.asarray(t)),)
+                   if args.kind == "deterministic" else ())
+    path, gt = simulate(spec)
     out = _out_dir(args)
     stem = f"{args.kind}_seed{args.seed}"
     _write_text(out / f"{stem}_path.csv", path.to_csv())
@@ -156,20 +154,14 @@ def cmd_ito_check(args) -> int:
     X, gt = sc.build(seed=args.seed, n=args.n)
     F = _function(args.fn)
     sched = sched.for_path(X, gt.base_dt)
-    try:
-        if args.measure_form:
-            if gt.compensator is None:
-                raise CliError(
-                    f"scenario {sc.id} has no compensator model", EXIT_BAD_CONFIG)
-            rep = imod.ito_terms_measure_form(F, X, gt.compensator,
-                                              schedule=sched, tol=args.tol)
-        else:
-            rep = imod.ito_terms_c12(F, X, schedule=sched, tol=args.tol)
-    except imod.NonConvergenceError as exc:
-        print(f"{sc.id}: {exc}")
-        return EXIT_CHECK_FAILED
-    except (jmod.QuadratureError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_BAD_CONFIG)
+    if args.measure_form:
+        if gt.compensator is None:
+            raise CliError(
+                f"scenario {sc.id} has no compensator model", EXIT_BAD_CONFIG)
+        rep = imod.ito_terms_measure_form(F, X, gt.compensator,
+                                          schedule=sched, tol=args.tol)
+    else:
+        rep = imod.ito_terms_c12(F, X, schedule=sched, tol=args.tol)
     out = _out_dir(args)
     stem = f"{args.scenario}_ito_{args.fn}"
     verdict = residual_verdict(rep.relative_residual, args.threshold)
@@ -205,11 +197,12 @@ def _run_chain_check(args) -> int:
     """Full decomposition of F(t, X_t) for a scenario with labeled parts,
     with the residual component submitted to the orthogonality battery."""
     sc = SCENARIOS.get(args.chain)
-    if sc is None or not sc.has_decomposition:
+    if sc is not None:
+        sched = _schedule(args, sc)
+        X, gt = sc.build(seed=args.seed, n=args.n)
+    if sc is None or gt.decomposition is None:
         raise CliError(f"no labeled decomposition for scenario {args.chain!r}",
                        EXIT_BAD_CONFIG)
-    sched = _schedule(args, sc)
-    X, gt = sc.build(seed=args.seed, n=args.n)
     F = _function(args.fn)
     sched = sched.for_path(X, gt.base_dt)
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
@@ -379,10 +372,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(ap, argv)
         return args.func(args)
+    except imod.NonConvergenceError as exc:
+        # a failed check, not bad input: the chain check names its --chain
+        print(f"{getattr(args, 'chain', None) or args.scenario}: {exc}")
+        return EXIT_CHECK_FAILED
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ScheduleError, SimulationError) as exc:
+    except (ValueError, jmod.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

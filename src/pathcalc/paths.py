@@ -353,7 +353,7 @@ def constant_path(grid, c: float = 0.0) -> CadlagPath:
 
 def step_path(T: float, n: int, step_time: float) -> CadlagPath:
     """Unit step from 0 to 1 at step_time, on a uniform base grid."""
-    grid = np.linspace(0.0, T, n + 1)
+    grid = uniform_grid(T, n)
     if step_time <= 0.0 or step_time >= T:
         raise PathError("step_time must lie in (0, T)")
     grid = np.union1d(grid, [step_time])

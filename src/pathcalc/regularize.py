@@ -100,9 +100,10 @@ class EpsilonSchedule:
 
     def snapped(self, dt: float) -> "EpsilonSchedule":
         """Round every width to a positive integer multiple of ``dt``."""
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ScheduleError("spacing must be positive")
-        snapped = [max(round(e / dt), 1) * dt for e in self.epsilons]
+        # rint rounds half to even, as round does, and keeps an overflow inf
+        snapped = [max(float(np.rint(e / dt)), 1.0) * dt for e in self.epsilons]
         out = []
         for e in snapped:
             if not out or e < out[-1]:

@@ -1,8 +1,12 @@
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import pathcalc.cli as cli
+from pathcalc.catalog import SCENARIOS
 from pathcalc.cli import main
 from pathcalc.paths import CadlagPath
 
@@ -396,3 +400,73 @@ def test_an_op_key_in_a_qv_config_is_ignored(tmp_path):
     assert run(["qv", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".cfg") == [
         "poisson_qv_convergence.csv", "poisson_qv_limit.csv", "poisson_qv_report.json"]
+
+
+NOT_CONVERGED = "bracket estimate did not converge along the schedule"
+
+# (argv, exit code, the one line printed): a failed check prints its line on
+# stdout, rejected input its error line on stderr
+BAD_INPUT = [
+    ("qv --scenario bm --n 1000 --eps0 1e308 --levels 1", 2,
+     "error: window widths must be positive and finite"),
+    ("dirichlet-check --chain bm --n 1000 --levels 3 --eps0 0.4 --seed 1", 1,
+     f"bm: {NOT_CONVERGED}"),
+    ("dirichlet-check --chain jump_diffusion --n 1000 --levels 2 --eps0 0.4", 1,
+     f"jump_diffusion: {NOT_CONVERGED}"),
+    ("dirichlet-check --chain cp_normal --fn xabs_sqrt --n 2000 --levels 2 "
+     "--eps0 0.2", 1, f"cp_normal: {NOT_CONVERGED}"),
+    ("dirichlet-check --chain poisson --n 1000 --levels 2 --eps0 0.4", 1,
+     f"poisson: {NOT_CONVERGED}"),
+    ("qv --scenario bm --eps0 nan", 2,
+     "error: window widths must be positive and finite"),
+    ("qv --scenario bm --config missing.cfg", 2, "error: cannot read config"),
+    ("ito-check --scenario poisson --fn rough_time --n 1000 --levels 2", 2,
+     "error: rough_time is not of class c12"),
+    ("ito-check --scenario fbm08 --measure-form --n 500 --levels 2", 2,
+     "error: scenario fbm08 has no compensator model"),
+    ("simulate --kind compound_poisson --n 100 --jump-law normal:0,0", 2,
+     "error: scale must be positive"),
+    ("dirichlet-check --scenario fbm_bm --n 5000", 2,
+     "error: exact-covariance sampling is limited to n <= 4096"),
+    ("dirichlet-check --scenario nope", 2, "error: unknown scenario 'nope'"),
+    ("forward --scenario bm --n 1000 --levels 2 --fn nope", 2,
+     "error: unknown function 'nope'"),
+    ("convergence --scenario poisson --op forward --fn nope --n 1000 --levels 2", 2,
+     "error: unknown function 'nope'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", BAD_INPUT, ids=[c[0] for c in BAD_INPUT])
+def test_no_bad_input_escapes_main(tmp_path, monkeypatch, capsys, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split() + ["--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert (out, err) == (line + "\n", "")
+    else:
+        assert out == "" and err.startswith(line) and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["pdp", "step", "nope"])
+def test_chain_without_labeled_parts_exits_2(tmp_path, capsys, name):
+    assert run(["dirichlet-check", "--chain", name, "--out", str(tmp_path)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: no labeled decomposition for scenario {name!r}\n")
+
+
+def test_the_levy_ito_scenarios_are_the_ones_with_labeled_parts():
+    labeled = {name for name, sc in SCENARIOS.items()
+               if sc.build(n=1000)[1].decomposition is not None}
+    assert labeled == {"bm", "poisson", "cp_normal", "jump_diffusion"}
+
+
+def test_main_alone_maps_errors_to_exit_codes():
+    # the commands raise; main turns what they raise into an exit code
+    # (_write_text and _read_config turn an OSError into a CliError)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                and (f.name.startswith("cmd_") or f.name == "_run_chain_check")]
+    assert len(commands) == 6
+    assert [f.name for f in commands
+            if any(isinstance(node, ast.Try) for node in ast.walk(f))] == []

@@ -339,6 +339,13 @@ def test_arithmetic_requires_shared_grid():
         _ = p + step_path(1.0, 7, 0.5)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_step_path_takes_the_one_grid_rule(n):
+    with pytest.raises(PathError, match="need at least two grid cells"):
+        step_path(1.0, n, 0.5)
+    assert step_path(1.0, 2, 0.5).horizon == 1.0
+
+
 @pytest.mark.parametrize("other", [1.0, "a"])
 @pytest.mark.parametrize("op", ["add", "sub"])
 def test_arithmetic_with_a_non_path_is_a_type_error(op, other):

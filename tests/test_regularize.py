@@ -379,6 +379,18 @@ def test_schedule_rejects_non_finite_widths(eps):
         reg.EpsilonSchedule(eps)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_snapping_to_a_spacing_that_is_not_positive_is_a_schedule_error(dt):
+    with pytest.raises(reg.ScheduleError, match="spacing must be positive"):
+        reg.EpsilonSchedule((0.1,)).snapped(dt)
+
+
+def test_snapping_a_width_whose_cell_count_overflows_is_a_schedule_error():
+    # 5e307 / 1e-3 is inf: no integer number of cells, so no finite width
+    with pytest.raises(reg.ScheduleError, match="positive and finite"):
+        reg.EpsilonSchedule((5e307,)).snapped(1e-3)
+
+
 def test_schedule_grid_mismatch_in_limit_driver():
     X = linear_path(20)  # spacing 0.05, smallest window below it
     with pytest.raises(reg.ScheduleError):
