@@ -29,7 +29,7 @@ from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
-from .paths import CadlagPath, _require_shared_grid
+from .paths import CadlagPath, _cumsum0, _jumping_at, _require_shared_grid
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
                          _forward_sums, _require_fit, _require_tol, _windows,
                          qv_limit)
@@ -154,10 +154,11 @@ C12_SUITE = ("identity", "square", "tx", "sin")
 
 
 def _along(fn, X: CadlagPath) -> CadlagPath:
-    """The path t -> fn(t, X_t) on X's grid, with left limits fn(t, X_{t-})."""
+    """The path t -> fn(t, X_t) on X's grid, with left limits fn(t, X_{t-}),
+    evaluated at X's jump rows only: elsewhere X_{t-} is X_t."""
+    m = X.jump_marks
     values = np.asarray(fn(X.grid, X.values), dtype=float)
-    left = np.asarray(fn(X.grid, X.left_values), dtype=float)
-    return CadlagPath(X.grid, values, left)
+    return _jumping_at(X.grid, values, m, fn(X.grid[m], X.left_values[m]))
 
 
 def path_of_function(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
@@ -180,22 +181,17 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     """
     _require_shared_grid(H, G)
     cont_incr = G.left_values[1:] - G.values[:-1]
-    cont = np.concatenate(([0.0], np.cumsum(H.values[:-1] * cont_incr)))
+    cont = _cumsum0(H.values[:-1] * cont_incr)
     jump_contrib = np.zeros(G.grid.size)
     marks = G.jump_marks
-    jump_contrib[marks] = H.left_values[marks] * (
-        G.values[marks] - G.left_values[marks])
-    jump_cum = np.cumsum(jump_contrib)
-    values = cont + jump_cum
-    left = values.copy() if marks.size else values
-    left[marks] = values[marks] - jump_contrib[marks]
-    return CadlagPath(G.grid, values, left)
+    jump_contrib[marks] = H.left_values[marks] * G.jump_sizes
+    values = cont + np.cumsum(jump_contrib)
+    return _jumping_at(G.grid, values, marks, values[marks] - jump_contrib[marks])
 
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
     """Running left-endpoint quadrature of a sampled integrand."""
-    values = np.concatenate(([0.0], np.cumsum(np.diff(grid) * h_samples[:-1])))
-    return CadlagPath(grid, values)
+    return CadlagPath(grid, _cumsum0(np.diff(grid) * h_samples[:-1]))
 
 
 # -- continuous bracket part --------------------------------------------------

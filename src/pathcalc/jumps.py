@@ -27,7 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .paths import PIECEWISE_CONSTANT, CadlagPath, PathError, constant_path
+from .paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, _cumsum0, _jumping_at,
+                    constant_path)
 from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
@@ -298,10 +299,10 @@ def _atom_context(X: CadlagPath):
 
 
 def atom_cumsum(grid: np.ndarray, times: np.ndarray, sizes: np.ndarray):
-    """Right-continuous running sum of atom sizes on the grid, and its left
-    limits: the sums over atoms at times <= t and < t."""
-    cum = np.concatenate(([0.0], np.cumsum(sizes)))
-    return tuple(cum[np.searchsorted(times, grid, side=s)] for s in ("right", "left"))
+    """The sum of the atom sizes at times <= t for every grid t, and its left
+    limits at the atoms' own rows; the atoms lie at increasing grid times."""
+    cum = _cumsum0(sizes)
+    return cum[np.searchsorted(times, grid, side="right")], cum[:-1]
 
 
 def integrate_mu(field: IntegrandField, X: CadlagPath) -> CadlagPath:
@@ -310,8 +311,8 @@ def integrate_mu(field: IntegrandField, X: CadlagPath) -> CadlagPath:
     contrib = field(times, sizes, pre) if len(times) else np.zeros(0)
     if contrib.size and not np.all(np.isfinite(contrib)):
         raise IntegrabilityError("field not finite at an atom")
-    values, left = atom_cumsum(X.grid, times, contrib)
-    return CadlagPath(X.grid, values, left, rule=PIECEWISE_CONSTANT)
+    values, lefts = atom_cumsum(X.grid, times, contrib)
+    return _jumping_at(X.grid, values, X.jump_marks, lefts, PIECEWISE_CONSTANT)
 
 
 # -- integrals against nu ----------------------------------------------------
@@ -417,7 +418,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
         b = min(a + _NU_CHUNK, sl.size)
         g[a:b] = _size_marginal(field, nu.law, sl[a:b], pre[a:b])
     rate = nu.rate_at(sl)
-    values = left = np.concatenate(([0.0], np.cumsum(np.diff(grid) * rate * g)))
+    values = left = _cumsum0(np.diff(grid) * rate * g)
     if nu.atoms:
         atom_add = np.zeros(grid.size)
         for (ta, law_a, wt) in nu.atoms:

@@ -303,6 +303,24 @@ def _csv(header: str, *columns) -> str:
 # -- constructors ----------------------------------------------------------
 
 
+def _cumsum0(a: np.ndarray) -> np.ndarray:
+    """The running sum of ``a`` after a leading zero, written in one array."""
+    out = np.empty(a.size + 1)
+    out[0] = 0.0
+    np.cumsum(a, out=out[1:])
+    return out
+
+
+def _jumping_at(grid, values: np.ndarray, rows, lefts, rule: str = LINEAR) -> CadlagPath:
+    """The path whose left values are its ``values`` but ``lefts`` at the grid
+    ``rows``; without a row nothing is copied, and the path holds one array."""
+    left = values
+    if len(rows):
+        left = values.copy()
+        left[rows] = lefts
+    return CadlagPath(grid, values, left, rule)
+
+
 def _declared(path: CadlagPath, marks) -> CadlagPath:
     """``path``, whose input also declared its jump indices ``marks``; a
     PathError unless they are the indices where the path jumps (compared as
@@ -335,9 +353,12 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
         left = values.copy()
     marks = []
     for idx, left_value in jumps:
+        # the range first: NaN fails it, and a huge int is never made a float
+        if not 1 <= idx < grid.size:
+            raise PathError(f"jump index {idx} outside (0, n]")
+        if not float(idx).is_integer():
+            raise PathError(f"jump index {idx} is not a whole number")
         i = int(idx)
-        if i < 1 or i >= grid.size:
-            raise PathError(f"jump index {i} outside (0, n]")
         left[i] = float(left_value)
         marks.append(i)
     marks = sorted(set(marks))
@@ -358,8 +379,8 @@ def step_path(T: float, n: int, step_time: float) -> CadlagPath:
         raise PathError("step_time must lie in (0, T)")
     grid = np.union1d(grid, [step_time])
     values = np.where(grid >= step_time, 1.0, 0.0)
-    left = np.where(grid > step_time, 1.0, 0.0)
-    return CadlagPath(grid, values, left, rule=PIECEWISE_CONSTANT)
+    return _jumping_at(grid, values, [np.searchsorted(grid, step_time)], 0.0,
+                       PIECEWISE_CONSTANT)
 
 
 def uniform_grid(T: float, n: int) -> np.ndarray:

@@ -26,7 +26,8 @@ all t, in place in one accumulator.  A window that inserts a breakpoint
 inside a grid cell builds its own cells and sums.  The location is a
 bucket walk, O(n) when the grid's nodes are spread evenly, with a binary
 search only for points in crowded buckets.  The estimators jump only where
-their inputs do, so left limits are assembled only at the input jump rows.
+their inputs do, so left limits are assembled only at the input jump rows:
+elsewhere the boundary-window algebra would leave reassociation dust.
 A literal O(n^2) per-t transcription on its own breakpoint set (in the
 test suite) must match the kernels to floating-point reassociation
 accuracy.  The three split estimators are
@@ -51,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .paths import CadlagPath, _require_shared_grid, _sample_plan
+from .paths import CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _sample_plan
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -141,13 +142,6 @@ DEFAULT_SCHEDULE = EpsilonSchedule.geometric()
 
 
 # -- sample mesh -------------------------------------------------------------
-
-
-def _cumsum0(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size + 1)
-    out[0] = 0.0
-    np.cumsum(a, out=out[1:])
-    return out
 
 
 # steps of the bucket walk before the times still moving are binary-searched;
@@ -374,16 +368,6 @@ class _Sums:
             self.factors.append((Bm, SwB, _cumsum0(omega * (xa * xb))))
 
 
-def _estimator_path(grid: np.ndarray, vals: np.ndarray, jump_lefts: np.ndarray,
-                    jump_idx: np.ndarray) -> CadlagPath:
-    # the continuous-time estimator only jumps where its inputs do; elsewhere
-    # the boundary-window algebra leaves reassociation dust, so left values
-    # are assembled (``jump_lefts``) only at the input jump rows
-    left = vals.copy() if jump_idx.size else vals
-    left[jump_idx] = jump_lefts
-    return CadlagPath(grid, vals, left)
-
-
 # -- kernels -----------------------------------------------------------------
 
 
@@ -467,7 +451,7 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
         vals = bulk[m.jr]
         del bulk, d
         vals = assemble(vals, m.rows, m.jr, Am, None if unit else Bm)
-        return _estimator_path(m.grid, vals, lefts, jidx)
+        return _jumping_at(m.grid, vals, jidx, lefts)
 
     return against
 
@@ -538,7 +522,7 @@ def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     jidx = _input_jump_indices(X, Y)
     lefts = (base.left_values[jidx]
              + y0 * (q[jidx] + tail[jidx] * (X.left_values[jidx] - x0)) / eps)
-    return _estimator_path(grid, vals, lefts, jidx)
+    return _jumping_at(grid, vals, jidx, lefts)
 
 
 def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:

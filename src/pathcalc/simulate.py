@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
-from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, constant_path,
-                    uniform_grid)
+from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, _cumsum0, _jumping_at,
+                    constant_path, uniform_grid)
 
 FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
@@ -43,13 +43,16 @@ class SimulationError(ValueError):
 
 
 def grid_cells(n: int) -> int:
-    """``n`` if it is a grid size a generator may build: at least two cells
-    and at most MAX_CELLS, checked before anything is allocated."""
+    """``n`` as an int if a generator may build a grid of n cells: a whole
+    number from 2 to MAX_CELLS, checked before anything is allocated."""
     if n < 2:
         raise SimulationError("need at least two grid cells")
     if n > MAX_CELLS:
         raise SimulationError(f"grid cells must be at most {MAX_CELLS}")
-    return n
+    # after the range, which a huge int fails before it is made a float
+    if not float(n).is_integer():
+        raise SimulationError(f"grid cells must be a whole number, not {n!r}")
+    return int(n)
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -88,7 +91,7 @@ class SimSpec:
             raise SimulationError(f"unknown process kind {self.kind!r}")
         if not 0.0 < self.T < math.inf:
             raise SimulationError("horizon must be positive and finite")
-        grid_cells(self.n)
+        object.__setattr__(self, "n", grid_cells(self.n))
         if self.sigma < 0.0:
             raise SimulationError("volatility must be nonnegative")
         for name in ("x0", "sigma", "drift"):
@@ -173,7 +176,7 @@ def _sample_arrivals(rng, lam: float, T: float) -> np.ndarray:
 
 def _brownian_values(rng, grid: np.ndarray, sigma: float) -> np.ndarray:
     incr = rng.standard_normal(grid.size - 1) * (sigma * np.sqrt(np.diff(grid)))
-    return np.concatenate(([0.0], np.cumsum(incr)))
+    return _cumsum0(incr)
 
 
 # -- generators --------------------------------------------------------------
@@ -208,23 +211,24 @@ def _levy_ito(spec: SimSpec):
     keep = sizes != 0.0
     times, sizes = times[keep], sizes[keep]
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), times)
+    rows = np.searchsorted(grid, times)
     w = None if sigma is None else _brownian_values(rng, grid, sigma)
     jv, jl = atom_cumsum(grid, times, sizes)
     smooth = spec.x0 + drift * grid
     comp_drift = lam * (law.mean() if lam > 0 else 0.0) * grid
     cont = smooth if w is None else smooth + w
-    path = CadlagPath(grid, cont + jv, cont + jl,
-                      rule=PIECEWISE_CONSTANT if w is None else LINEAR)
+    path = _jumping_at(grid, cont + jv, rows, cont[rows] + jl,
+                       PIECEWISE_CONSTANT if w is None else LINEAR)
     a = smooth + comp_drift
     # closed-form bracket: sigma^2 t plus the running sum of squared jumps
     qv = (0.0 if w is None else sigma ** 2) * grid
     sq, sql = atom_cumsum(grid, times, sizes ** 2)
     gt = GroundTruth(
         kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
-        bracket=CadlagPath(grid, qv + sq, qv + sql),
+        bracket=_jumping_at(grid, qv + sq, rows, qv[rows] + sql),
         decomposition={
             "M_c": constant_path(grid) if w is None else CadlagPath(grid, w),
-            "M_d": CadlagPath(grid, jv - comp_drift, jl - comp_drift),
+            "M_d": _jumping_at(grid, jv - comp_drift, rows, jl - comp_drift[rows]),
             "A": CadlagPath(grid, a),
         },
         compensator=comp, assumes_reversible=w is not None,
@@ -269,7 +273,7 @@ def _convolution_martingale(spec: SimSpec):
     rng = _rng(spec.seed)
     dt = spec.base_dt
     dW = rng.standard_normal(spec.n) * np.sqrt(dt)
-    B = np.concatenate(([0.0], np.cumsum(rng.standard_normal(spec.n) * np.sqrt(dt))))
+    B = _cumsum0(rng.standard_normal(spec.n) * np.sqrt(dt))
     conv = np.convolve(B, dW)
     values = conv[: grid.size].copy()
     values[0] = 0.0
@@ -292,7 +296,7 @@ def _regime_values(regimes, switches, grid, side: str) -> np.ndarray:
     (``side`` "left", left limits) or at or before ("right") each time."""
     reg_idx = np.searchsorted(switches, grid, side=side)
     out = np.empty(grid.size)
-    for k in range(int(reg_idx.max()) + 1):
+    for k in range(int(reg_idx.max(initial=0)) + 1):
         sel = reg_idx == k
         if np.any(sel):
             out[sel] = np.asarray(regimes[k % len(regimes)](grid[sel]))
@@ -306,10 +310,10 @@ def _pdp(spec: SimSpec):
     rng = _rng(spec.seed)
     switches = _sample_arrivals(rng, spec.switch_rate, spec.T)
     grid = _merge_jump_times(uniform_grid(spec.T, spec.n), switches)
+    rows = np.searchsorted(grid, switches)
     values = spec.x0 + _regime_values(regimes, switches, grid, "right")
-    left = spec.x0 + _regime_values(regimes, switches, grid, "left")
-    left[0] = values[0]
-    path = CadlagPath(grid, values, left)
+    lefts = spec.x0 + _regime_values(regimes, switches, grid[rows], "left")
+    path = _jumping_at(grid, values, rows, lefts)
     gt = GroundTruth(kind="pdp", base_dt=spec.base_dt,
                      jump_times=path.jump_times, jump_sizes=path.jump_sizes,
                      regime_bounds=switches)

@@ -1,7 +1,8 @@
 """A continuous path holds one array: ``CadlagPath(grid, values)`` takes its
 left values to be its values, and the library builds every jump-free path
-that way.  A builder that writes left values at jump rows copies only when
-there is a jump row."""
+that way.  A builder that knows its jump rows writes left values only there,
+through the one builder ``paths._jumping_at``, which copies only when there
+is a jump row; no other module copies values to write left values."""
 
 import ast
 import hashlib
@@ -35,8 +36,12 @@ def _poisson_qvc():
     return ito.qv_continuous_part(X, sched, tol=0.05)
 
 
+def _brownian():
+    return sim.simulate(sim.SimSpec("brownian", n=1000, seed=1))
+
+
 def _brownian_part(name):
-    return sim.simulate(sim.SimSpec("brownian", n=1000, seed=1))[1].decomposition[name]
+    return _brownian()[1].decomposition[name]
 
 
 JUMP_FREE = {
@@ -51,6 +56,13 @@ JUMP_FREE = {
     "ito_residual": _residual,
     "brownian M_c": lambda: _brownian_part("M_c"),
     "brownian A": lambda: _brownian_part("A"),
+    "brownian M_d": lambda: _brownian_part("M_d"),
+    "brownian": lambda: _brownian()[0],
+    "brownian bracket": lambda: _brownian()[1].bracket,
+    "integrate_mu": lambda: jm.integrate_mu(jm.X_FIELD, W),
+    "path_of_function": lambda: ito.path_of_function(ito.FUNCTION_CATALOG["square"], W),
+    "pdp without a switch": lambda: sim.simulate(
+        sim.SimSpec("pdp", n=128, seed=1, switch_rate=0.0))[0],
     "fbm": lambda: sim.simulate(sim.SimSpec("fbm", n=256, seed=1, hurst=0.7))[0],
     "brownian_on_grid": lambda: W,
 }
@@ -69,8 +81,9 @@ def _digest(P):
                           + P.jump_marks.astype(np.int64).tobytes()).hexdigest()[:16]
 
 
-# values, left values and marks of each estimate on the step path, recorded
-# before continuous paths held one array: a path that jumps keeps its own
+# values, left values and marks of each estimate on the step path and of a
+# Poisson path, recorded before continuous paths held one array and before
+# left values were written at jump rows only: a path that jumps keeps its own
 # left array, with the same bytes
 WS = sim.brownian_on_grid(STEP.grid, 3)
 STEP_ESTIMATES = {
@@ -80,7 +93,14 @@ STEP_ESTIMATES = {
     "forward_integral_rv": (lambda: reg.forward_integral_rv(
         WS + constant_path(STEP.grid, 1.0), STEP, 0.1), "833fe4f0c086155e"),
     "stieltjes_left": (lambda: ito.stieltjes_left(WS, STEP), "83e312598910b7c5"),
+    "integrate_mu": (lambda: jm.integrate_mu(jm.X_FIELD, STEP), "dacc8bc24bdf94b5"),
+    "path_of_function": (lambda: ito.path_of_function(ito.FUNCTION_CATALOG["sin"], STEP),
+                         "27944f7e2f74028b"),
+    "poisson": (lambda: sim.simulate(sim.SimSpec("poisson", n=50, seed=5,
+                                                 intensity=3.0))[0], "7b0eff198b7e2fad"),
 }
+# the step jumps at row 12, the Poisson path at its arrivals
+MARKS = {"poisson": [32, 40, 43, 48]}
 
 
 @pytest.mark.parametrize("case", STEP_ESTIMATES)
@@ -88,7 +108,7 @@ def test_paths_that_jump_keep_their_left_array(case):
     build, digest = STEP_ESTIMATES[case]
     P = build()
     assert P.left_values is not P.values
-    assert P.jump_marks.tolist() == [12]
+    assert P.jump_marks.tolist() == MARKS.get(case, [12])
     assert _digest(P) == digest
 
 
@@ -132,3 +152,35 @@ def test_guard_sees_a_restated_rule():
                      "i = CadlagPath(g, v, left, \"linear\")\n"
                      "j = CadlagPath(g, v, left, rule=PIECEWISE_CONSTANT)\n")
     assert _restated(tree) == [1, 2, 4, 7, 8, 9]
+
+
+# -- guard: only ``paths`` copies values to write left values ------------------
+
+
+def _copies_when_it_jumps(tree: ast.Module) -> list[int]:
+    """Lines of ``<v>.copy() if <cond> else <v>``, the copy-when-it-jumps idiom
+    of a builder that writes left values at its jump rows."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.IfExp) and isinstance(node.body, ast.Call)):
+            continue
+        call = node.body
+        if (not call.args and getattr(call.func, "attr", None) == "copy"
+                and ast.dump(call.func.value) == ast.dump(node.orelse)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "paths.py"))
+def test_only_paths_copies_values_to_write_left_values(module):
+    assert _copies_when_it_jumps(ast.parse((SRC / module).read_text())) == [], module
+
+
+def test_guard_sees_a_copy_when_it_jumps():
+    tree = ast.parse("left = vals.copy() if jump_idx.size else vals\n"
+                     "values = conv[: grid.size].copy()\n"
+                     "a = v.copy() if c else w\n"
+                     "b = (2 * v).copy() if marks.size else 2 * v\n"
+                     "d = v.copy(order) if c else v\n")
+    assert _copies_when_it_jumps(tree) == [1, 4]

@@ -36,6 +36,20 @@ def test_zero_size_jump_rejected():
         make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], jumps=[(1, 1.0)])
 
 
+@pytest.mark.parametrize("idx,message", [
+    (1.5, "not a whole number"), (float("inf"), "outside"), (float("nan"), "outside"),
+    pytest.param(10 ** 400, "outside", id="beyond-float")])
+def test_make_path_rejects_a_jump_index_that_is_not_a_whole_number(idx, message):
+    with pytest.raises(PathError, match=f"jump index .* {message}"):
+        make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], jumps=[(idx, 0.5)])
+
+
+@pytest.mark.parametrize("idx", [1, 1.0, np.int64(1)])
+def test_make_path_takes_a_whole_jump_index_of_any_type(idx):
+    p = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], jumps=[(idx, 0.5)])
+    assert p.jumps() == [(0.5, 0.5)]
+
+
 def test_constructor_rejects_a_jump_at_time_zero():
     with pytest.raises(PathError, match=r"X\(0-\) = X\(0\)"):
         CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 1.0]),

@@ -64,6 +64,22 @@ def test_spec_validation():
     SimSpec("pdp", switch_rate=0.0)
 
 
+@pytest.mark.parametrize("n,message", [
+    (2.5, "whole number"), (1000.5, "whole number"), (float("nan"), "whole number"),
+    (float("inf"), "at most"), pytest.param(10 ** 400, "at most", id="beyond-float")])
+def test_grid_cells_that_are_not_a_whole_number_are_rejected(n, message):
+    with pytest.raises(SimulationError, match=message):
+        SimSpec("brownian", n=n)
+
+
+@pytest.mark.parametrize("n", [8, np.int64(8), 8.0])
+@pytest.mark.parametrize("kind", ["brownian", "convolution_martingale"])
+def test_whole_grid_cells_of_any_number_type_pass(kind, n):
+    spec = SimSpec(kind, n=n)
+    assert spec.n == 8 and type(spec.n) is int
+    assert simulate(spec)[0].n_points == 9
+
+
 # -- brownian -------------------------------------------------------------------
 
 
