@@ -1,9 +1,10 @@
 """Built-in scenario and function catalogs for the CLI and the test suite.
 
 Each scenario carries an ``anchor`` string naming the ground truth it
-exercises, a builder returning (path, ground_truth), and expectation flags
-used by the command-line checks (an expected failure is still reported as a
-failure exit code; the flag documents that the outcome is the asserted one).
+exercises, a builder and an ``expect`` flag used by the command-line checks
+(an expected failure is still reported as a failure exit code; the flag
+documents that the outcome is the asserted one).  ``SCENARIOS`` builders
+return (path, ground truth), ``ORTH_SCENARIOS`` builders (A, N, base spacing).
 """
 
 from __future__ import annotations
@@ -49,12 +50,16 @@ def _self_pair(seed, n):
 
 @dataclass(frozen=True)
 class Scenario:
+    """``build`` returns (path, ground truth) in ``SCENARIOS``, where
+    ``expect`` is whether the qv study converges, and (A, N, base spacing) in
+    ``ORTH_SCENARIOS``, where it is the orthogonality decision."""
+
     id: str
     description: str
     anchor: str
     default_n: int
-    make: object  # (seed, n) -> (path, ground truth)
-    expect_qv_converges: bool = True
+    make: object
+    expect: bool = True
     default_eps0: float = DEFAULT_EPS_MAX
     default_levels: int = DEFAULT_LEVELS
 
@@ -81,11 +86,11 @@ SCENARIOS: dict[str, Scenario] = {
                       jump_law=NormalLaw(0.0, 1.0))),
         Scenario("fbm02", "fractional Gaussian path, exponent 0.2",
                  "quadratic variation diverges: the window study must not converge",
-                 2000, _sim("fbm", hurst=0.2), expect_qv_converges=False,
+                 2000, _sim("fbm", hurst=0.2), expect=False,
                  default_eps0=0.08, default_levels=4),
         Scenario("fbm08", "fractional Gaussian path, exponent 0.8",
                  "zero quadratic variation: window estimates decay to zero",
-                 2000, _sim("fbm", hurst=0.8), expect_qv_converges=False,
+                 2000, _sim("fbm", hurst=0.8), expect=False,
                  default_eps0=0.08, default_levels=4),
         Scenario("convolution", "moving-average integral of one Brownian driver "
                  "against another", "closed-form bracket t^2 / 2", 2000,
@@ -101,50 +106,39 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-@dataclass(frozen=True)
-class OrthScenario:
-    id: str
-    description: str
-    anchor: str
-    default_n: int
-    make: object  # (seed, n) -> (path A, test path N, base spacing)
-    expect_decision: bool = True
-    default_eps0: float = DEFAULT_EPS_MAX
-    default_levels: int = DEFAULT_LEVELS
-
-    def build(self, seed: int = 0, n: int | None = None):
-        return self.make(seed, grid_cells(self.default_n if n is None else n))
+# the benchmark tracer names catalog:OrthScenario.build
+OrthScenario = Scenario
 
 
-ORTH_SCENARIOS: dict[str, OrthScenario] = {
+ORTH_SCENARIOS: dict[str, Scenario] = {
     s.id: s for s in [
-        OrthScenario("step_bm", "deterministic step against a Brownian test path",
-                     "deterministic cadlag paths are orthogonal to continuous "
-                     "martingales", 50000, _against_bm(_step)),
-        OrthScenario("fbm_bm", "zero-quadratic-variation path against a Brownian "
-                     "test path", "zero-bracket paths have vanishing covariation "
-                     "with every finite-bracket path", 2000,
-                     _against_bm(_sim("fbm", hurst=0.8)), default_eps0=0.08,
-                     default_levels=4),
-        OrthScenario("cp_bm", "pure-jump path against a Brownian test path",
-                     "bounded variation pure-jump paths pair to the sum of "
-                     "common jumps, which is empty for a continuous test path",
-                     50000, _against_bm(_sim("compound_poisson", intensity=2.0,
-                                             jump_law=NormalLaw(0.0, 1.0)))),
-        OrthScenario("convolution_bm", "moving-average martingale against an "
-                     "independent Brownian test path",
-                     "martingale-orthogonal example with bracket t^2 / 2", 20000,
-                     _against_bm(_sim("convolution_martingale")),
-                     default_eps0=0.05, default_levels=6),
-        OrthScenario("pdp_bm", "smooth function of a regime-switching path "
-                     "against a Brownian test path",
-                     "piecewise deterministic paths stay orthogonal under "
-                     "continuous mappings", 50000,
-                     _against_bm(_sim("pdp", switch_rate=3.0),
-                                 FUNCTION_CATALOG["square"])),
-        OrthScenario("self", "negative control: the test path against itself",
-                     "self-covariation converges to the bracket, not to zero",
-                     50000, _self_pair, expect_decision=False),
+        Scenario("step_bm", "deterministic step against a Brownian test path",
+                 "deterministic cadlag paths are orthogonal to continuous "
+                 "martingales", 50000, _against_bm(_step)),
+        Scenario("fbm_bm", "zero-quadratic-variation path against a Brownian "
+                 "test path", "zero-bracket paths have vanishing covariation "
+                 "with every finite-bracket path", 2000,
+                 _against_bm(_sim("fbm", hurst=0.8)), default_eps0=0.08,
+                 default_levels=4),
+        Scenario("cp_bm", "pure-jump path against a Brownian test path",
+                 "bounded variation pure-jump paths pair to the sum of "
+                 "common jumps, which is empty for a continuous test path",
+                 50000, _against_bm(_sim("compound_poisson", intensity=2.0,
+                                         jump_law=NormalLaw(0.0, 1.0)))),
+        Scenario("convolution_bm", "moving-average martingale against an "
+                 "independent Brownian test path",
+                 "martingale-orthogonal example with bracket t^2 / 2", 20000,
+                 _against_bm(_sim("convolution_martingale")),
+                 default_eps0=0.05, default_levels=6),
+        Scenario("pdp_bm", "smooth function of a regime-switching path "
+                 "against a Brownian test path",
+                 "piecewise deterministic paths stay orthogonal under "
+                 "continuous mappings", 50000,
+                 _against_bm(_sim("pdp", switch_rate=3.0),
+                             FUNCTION_CATALOG["square"])),
+        Scenario("self", "negative control: the test path against itself",
+                 "self-covariation converges to the bracket, not to zero",
+                 50000, _self_pair, expect=False),
     ]
 }
 
@@ -160,15 +154,14 @@ def list_catalog(filter_text: str = "") -> str:
         line = f"  {name:12s} class {F.smoothness}"
         if filter_text in line:
             out.append(line)
-    out.append("scenarios:")
-    for s in SCENARIOS.values():
-        line = f"  {s.id:16s} {s.description} -> {s.anchor}"
-        if filter_text in line:
-            out.append(line)
-    out.append("orthogonality scenarios:")
-    for s in ORTH_SCENARIOS.values():
-        flag = "" if s.expect_decision else " [expected negative]"
-        line = f"  {s.id:16s} {s.description} -> {s.anchor}{flag}"
-        if filter_text in line:
-            out.append(line)
+    # only an orthogonality scenario's expect=False is a negative control
+    for title, catalog, negative in (
+            ("scenarios", SCENARIOS, ""),
+            ("orthogonality scenarios", ORTH_SCENARIOS, " [expected negative]")):
+        out.append(f"{title}:")
+        for s in catalog.values():
+            flag = "" if s.expect else negative
+            line = f"  {s.id:16s} {s.description} -> {s.anchor}{flag}"
+            if filter_text in line:
+                out.append(line)
     return "\n".join(out) + "\n"

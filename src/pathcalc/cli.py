@@ -66,16 +66,16 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _schedule(args, scenario) -> EpsilonSchedule:
-    """The geometric schedule of the flags (or the scenario defaults).
-
-    It is built before the path, so a bad schedule exits 2 before any
-    simulation; ``for_path`` then snaps it to the base spacing and checks
-    that it fits the path's grid (``main`` maps its ScheduleError to exit 2).
-    """
-    eps0 = args.eps0 if args.eps0 is not None else scenario.default_eps0
-    levels = args.levels if args.levels is not None else scenario.default_levels
-    return EpsilonSchedule.geometric(eps0, levels)
+def _run(args, sc):
+    """What ``sc`` builds, and the geometric schedule of the flags (or the
+    scenario defaults) fitted to it.  The schedule is made first, so a bad one
+    exits 2 before any simulation (``main`` maps a ScheduleError to exit 2)."""
+    eps0 = args.eps0 if args.eps0 is not None else sc.default_eps0
+    levels = args.levels if args.levels is not None else sc.default_levels
+    sched = EpsilonSchedule.geometric(eps0, levels)
+    built = sc.build(seed=args.seed, n=args.n)
+    base_dt = built[2] if len(built) == 3 else built[1].base_dt
+    return built, sched.for_path(built[0], base_dt)
 
 
 def _scenario(args, catalog=SCENARIOS):
@@ -121,13 +121,11 @@ def cmd_study(args) -> int:
     would then pass a config file's ``op`` key on to them, which they ignore."""
     op = getattr(args, "op", args.command)
     sc = _scenario(args)
-    sched = _schedule(args, sc)
-    X, gt = sc.build(seed=args.seed, n=args.n)
-    sched = sched.for_path(X, gt.base_dt)
+    (X, gt), sched = _run(args, sc)
     if op == "qv":
         rep = qv_limit(X, schedule=sched, tol=args.tol)
         stem = f"{args.scenario}_qv"
-        extra = {"expected_converged": sc.expect_qv_converges}
+        extra = {"expected_converged": sc.expect}
     else:
         # F(t, X_t) jumps only where X does, so it is a partner of X's study
         Y = imod.path_of_function(_function(args.fn), X)
@@ -140,7 +138,7 @@ def cmd_study(args) -> int:
     _write_json(out / f"{stem}_report.json", rep.to_json_dict(scenario=sc.id, **extra))
     status = "converged" if rep.converged else "did not converge"
     if op == "qv":
-        expected = "" if rep.converged == sc.expect_qv_converges else " (unexpected)"
+        expected = "" if rep.converged == sc.expect else " (unexpected)"
         print(f"{sc.id}: window study {status}{expected}; final gap "
               f"{rep.sup_gaps[-1] if rep.sup_gaps.size else 0.0:.3g}")
     else:
@@ -150,10 +148,8 @@ def cmd_study(args) -> int:
 
 def cmd_ito_check(args) -> int:
     sc = _scenario(args)
-    sched = _schedule(args, sc)
-    X, gt = sc.build(seed=args.seed, n=args.n)
+    (X, gt), sched = _run(args, sc)
     F = _function(args.fn)
-    sched = sched.for_path(X, gt.base_dt)
     if args.measure_form:
         if gt.compensator is None:
             raise CliError(
@@ -180,14 +176,12 @@ def cmd_dirichlet_check(args) -> int:
     if args.chain:
         return _run_chain_check(args)
     sc = _scenario(args, ORTH_SCENARIOS)
-    sched = _schedule(args, sc)
-    A, N, base_dt = sc.build(seed=args.seed, n=args.n)
-    sched = sched.for_path(A, base_dt)
+    (A, N, _), sched = _run(args, sc)
     rep = dd.orthogonality_test(A, N, sched, tol=args.tol)
     _write_json(_out_dir(args) / f"{args.scenario}_orth_report.json",
                 rep.to_json_dict(scenario=sc.id,
-                                 expected_decision=sc.expect_decision))
-    expected = "" if rep.decision == sc.expect_decision else " (unexpected)"
+                                 expected_decision=sc.expect))
+    expected = "" if rep.decision == sc.expect else " (unexpected)"
     print(f"{sc.id}: orthogonal={rep.decision}{expected}; final estimate "
           f"sup-norm {rep.sup_norms[-1]:.3g}")
     return EXIT_OK if rep.decision else EXIT_CHECK_FAILED
@@ -198,13 +192,11 @@ def _run_chain_check(args) -> int:
     with the residual component submitted to the orthogonality battery."""
     sc = SCENARIOS.get(args.chain)
     if sc is not None:
-        sched = _schedule(args, sc)
-        X, gt = sc.build(seed=args.seed, n=args.n)
+        (X, gt), sched = _run(args, sc)
     if sc is None or gt.decomposition is None:
         raise CliError(f"no labeled decomposition for scenario {args.chain!r}",
                        EXIT_BAD_CONFIG)
     F = _function(args.fn)
-    sched = sched.for_path(X, gt.base_dt)
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.chain_rule_c01(F, X, dec, gt.compensator, sched,
                             tol=max(args.tol, 0.05), orth_tol=args.tol,

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import tracemalloc
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import pathcalc.cli as cli
-from pathcalc.catalog import SCENARIOS
+from pathcalc.catalog import ORTH_SCENARIOS, SCENARIOS
 from pathcalc.cli import main
 from pathcalc.paths import CadlagPath
+from pathcalc.regularize import EpsilonSchedule
 
 
 def run(args):
@@ -29,6 +31,18 @@ def test_list_filter(capsys):
     out = capsys.readouterr().out
     assert "convolution" in out
     assert "poisson" not in out.split("scenarios:")[-1].split("orth")[0]
+
+
+def test_list_flags_only_the_negative_control(capsys):
+    # fbm02 and fbm08 expect no convergence, but only an orthogonality
+    # scenario that expects no decision is a negative control
+    assert run(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines
+            if line.endswith(" [expected negative]")] == ["self"]
+    for name in ("fbm02", "fbm08"):
+        [line] = [line for line in lines if line.split()[:1] == [name]]
+        assert line.endswith(f"-> {SCENARIOS[name].anchor}")
 
 
 def test_unknown_scenario_exits_2(tmp_path, capsys):
@@ -470,3 +484,44 @@ def test_main_alone_maps_errors_to_exit_codes():
     assert len(commands) == 6
     assert [f.name for f in commands
             if any(isinstance(node, ast.Try) for node in ast.walk(f))] == []
+
+
+@pytest.mark.parametrize("sc", [*SCENARIOS.values(), *ORTH_SCENARIOS.values()],
+                         ids=lambda sc: sc.id)
+def test_run_fits_the_schedule_at_the_build_base_spacing(sc):
+    # every flag at its default, as the README runs each command
+    args = argparse.Namespace(seed=0, n=None, eps0=None, levels=None)
+    built, sched = cli._run(args, sc)
+    base_dt = built[1].base_dt if sc.id in SCENARIOS else built[2]
+    assert base_dt == 1.0 / sc.default_n
+    assert sched == EpsilonSchedule.geometric(
+        sc.default_eps0, sc.default_levels).for_path(built[0], base_dt)
+
+
+# -- guard: one run set-up ------------------------------------------------------
+
+
+def _set_up_outside_run(tree: ast.Module) -> list[str]:
+    """Names of the top-level statements other than ``_run`` that build a
+    scenario, make a geometric schedule or fit one to a path."""
+    return sorted({getattr(stmt, "name", "<module>") for stmt in tree.body
+                   if getattr(stmt, "name", None) != "_run"
+                   for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None)
+                   in ("build", "geometric", "for_path")})
+
+
+def test_only_run_sets_up_a_run():
+    assert _set_up_outside_run(ast.parse(Path(cli.__file__).read_text())) == []
+
+
+def test_guard_sees_a_set_up_outside_run():
+    tree = ast.parse("def _run(args, sc):\n"
+                     "    s = EpsilonSchedule.geometric(1, 2)\n"
+                     "    return s.for_path(*sc.build(n=args.n))\n"
+                     "def cmd_a(args):\n"
+                     "    X, gt = SCENARIOS['bm'].build()\n"
+                     "def cmd_b(args):\n"
+                     "    return _run(args, sc), build_parser()\n"
+                     "sched = sched.for_path(X, dt)\n")
+    assert _set_up_outside_run(tree) == ["<module>", "cmd_a"]
