@@ -243,7 +243,9 @@ def _add_common(p, scenario=True):
     the window-study flags, which ``simulate`` does not read."""
     p.add_argument("--seed", type=_seed, default=0)
     if scenario:
-        p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
+        p.add_argument("--n", type=int, default=None, help="grid cells (scenario default, "
+                       "the only grid its default schedule fits: with a smaller --n, set "
+                       "--eps0/--levels so the smallest snapped window spans ten cells)")
         p.add_argument("--eps0", type=float, default=None,
                        help="largest window width; the schedule halves from here")
         p.add_argument("--levels", type=int, default=None)

@@ -25,7 +25,7 @@ from . import jumps as jmod
 from .ito import FunctionBundle, ItoReport, _Expansion, _measure_form, stieltjes_left
 from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms, increment_field,
                     integrability_report)
-from .paths import CadlagPath, PathError, constant_path
+from .paths import CadlagPath, PathError, _require_shared_grid, constant_path
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
                          _limits, _require_fit, _require_tol, _windows,
                          alpha_atoms_verdict, bracket_verdict, covariation,
@@ -204,8 +204,9 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
 def _gamma_reference(ex: _Expansion, decomp: LabeledDecomposition) -> CadlagPath:
     X = ex.X
     ex.require("c12")
-    time_term, bracket = ex.smooth_terms()
     A = decomp.A if decomp.A is not None else constant_path(X.grid)
+    _require_shared_grid(X, A)
+    time_term, bracket = ex.smooth_terms()
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
         fwd = constant_path(X.grid)
     else:
@@ -335,6 +336,7 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
     md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
+    _require_shared_grid(X, md)
     rebuilt = _if_atoms(X, nu, lambda: jmod.compensated_integral(X_FIELD, X, nu))
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
     md_jumps = md.values - md.left_values

@@ -326,13 +326,16 @@ class _Expansion:
         f0 = float(lhs.values[0])
         sups = []
         for fp in windows:
-            r = lhs.values - f0 - fp.values
-            rl = lhs.left_values - f0 - fp.left_values
-            for q in fixed.values():
+            terms = (fp, *fixed.values())
+            # left values differ from values only at some term's marks
+            rows = np.unique(np.concatenate([P.jump_marks for P in (lhs, *terms)]))
+            r, rl = lhs.values - f0, lhs.left_values[rows] - f0
+            for q in terms:
                 r = r - q.values
-                rl = rl - q.left_values
-            sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl)))))
-        res = CadlagPath(lhs.grid, r, rl if np.any(rl != r) else None)
+                rl = rl - q.left_values[rows]
+            sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl), initial=0.0))))
+        jumps = rl != r[rows]
+        res = _jumping_at(lhs.grid, r, rows[jumps], rl[jumps])
         return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
                          np.asarray(sups), tuple(self.schedule.epsilons),
                          parts or {})

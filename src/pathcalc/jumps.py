@@ -418,19 +418,19 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
         b = min(a + _NU_CHUNK, sl.size)
         g[a:b] = _size_marginal(field, nu.law, sl[a:b], pre[a:b])
     rate = nu.rate_at(sl)
-    values = left = _cumsum0(np.diff(grid) * rate * g)
-    if nu.atoms:
-        atom_add = np.zeros(grid.size)
-        for (ta, law_a, wt) in nu.atoms:
-            i = np.searchsorted(grid, ta)
-            if i >= grid.size or grid[i] != ta:
-                raise PathError("compensator time atom must sit on the grid")
-            ga = _size_marginal(field, law_a, np.array([ta]),
-                                np.array([X.left_limit(ta)]))[0]
-            atom_add[i:] += wt * ga
-        values = values + atom_add
-        left = left + np.concatenate(([0.0], atom_add[:-1]))
-    return CadlagPath(grid, values, left)
+    values = _cumsum0(np.diff(grid) * rate * g)
+    if not nu.atoms:
+        return CadlagPath(grid, values)
+    atom_add = np.zeros(grid.size)
+    rows = np.searchsorted(grid, [ta for ta, _, _ in nu.atoms])
+    for i, (ta, law_a, wt) in zip(rows, nu.atoms):
+        if i >= grid.size or grid[i] != ta:
+            raise PathError("compensator time atom must sit on the grid")
+        ga = _size_marginal(field, law_a, np.array([ta]),
+                            np.array([X.left_limit(ta)]))[0]
+        atom_add[i:] += wt * ga
+    rows = np.unique(rows)  # all >= 1: an atom at t = 0 fails X.left_limit above
+    return _jumping_at(grid, values + atom_add, rows, values[rows] + atom_add[rows - 1])
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,

@@ -191,7 +191,8 @@ class CadlagPath:
         return float(np.sum(self.jump_sizes ** 2))
 
     def sup_norm(self) -> float:
-        return float(max(np.max(np.abs(self.values)), np.max(np.abs(self.left_values))))
+        left = self.left_values[self.jump_marks]  # elsewhere they are the values
+        return float(max(np.max(np.abs(self.values)), np.max(np.abs(left), initial=0.0)))
 
     # -- arithmetic (shared grid) ---------------------------------------
 
@@ -199,10 +200,10 @@ class CadlagPath:
         if not isinstance(other, CadlagPath):
             return NotImplemented
         _require_shared_grid(self, other)
-        values = fn(self.values, other.values)
-        left = fn(self.left_values, other.left_values)
+        rows = np.union1d(self.jump_marks, other.jump_marks)
         rule = LINEAR if LINEAR in (self.rule, other.rule) else PIECEWISE_CONSTANT
-        return CadlagPath(self.grid, values, left, rule=rule)
+        return _jumping_at(self.grid, fn(self.values, other.values), rows,
+                           fn(self.left_values[rows], other.left_values[rows]), rule)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -211,8 +212,8 @@ class CadlagPath:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
-        c = float(scalar)
-        return CadlagPath(self.grid, c * self.values, c * self.left_values, rule=self.rule)
+        c, m = float(scalar), self.jump_marks
+        return _jumping_at(self.grid, c * self.values, m, c * self.left_values[m], self.rule)
 
     __rmul__ = __mul__
 
@@ -270,8 +271,8 @@ class CadlagPath:
         """Inverse of ``to_json``; PathError for text that is not such an object."""
         try:
             d = json.loads(text)
-            arrays = [np.array(d[k]) for k in ("grid", "values", "left_values")]
-            marks = d["jump_marks"]
+            arrays = [np.array(d[k], dtype=float) for k in ("grid", "values", "left_values")]
+            marks = np.array(d["jump_marks"], dtype=float)
         except (ValueError, TypeError, KeyError) as exc:
             raise PathError("path JSON must be an object with grid, values, "
                             f"left_values and jump_marks ({exc!r})") from None
@@ -345,12 +346,8 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
     jumps = list(jumps)
     if grid.size != values.size:
         raise PathError("grid and values lengths differ")
-    if rule == PIECEWISE_CONSTANT:
-        left = np.empty_like(values)
-        left[0] = values[0]
-        left[1:] = values[:-1]
-    else:
-        left = values.copy()
+    left = (np.concatenate((values[:1], values[:-1])) if rule == PIECEWISE_CONSTANT
+            else values.copy())
     marks = []
     for idx, left_value in jumps:
         # the range first: NaN fails it, and a huge int is never made a float

@@ -10,7 +10,8 @@ from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError, path_of_function)
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import CadlagPath, PathError, step_path
+from pathcalc.paths import (CadlagPath, PathError, constant_path, step_path,
+                            uniform_grid)
 
 from oracles import linear_combination
 
@@ -316,6 +317,15 @@ def test_reference_time_independent_function_drops_terms():
     assert np.max(np.abs(ref.values - qvc.values)) < 1e-10
 
 
+def test_reference_rejects_a_part_on_another_grid():
+    # a constant A takes the reference's shortcut, which read no grid
+    X, gt, sched = brownian_pair(n=2000, seed=1)
+    dec = dd.LabeledDecomposition(M_c=gt.decomposition["M_c"],
+                                  A=constant_path(uniform_grid(1.0, 10)))
+    with pytest.raises(PathError, match="paths must share a grid"):
+        dd.gamma_c12_reference(FUNCTION_CATALOG["square"], X, dec, None, sched, tol=0.05)
+
+
 # -- particular decomposition ---------------------------------------------------------
 
 
@@ -387,6 +397,21 @@ def test_md_representation_normal_jumps_atomwise():
     rep = dd.md_representation_check(dec, X, gt.compensator)
     assert rep.passed
     assert rep.atom_gap_max < 1e-12
+
+
+_OTHER_GRID = {
+    "shorter": lambda M_d: sim.simulate(sim.SimSpec(
+        "poisson", n=2000, seed=5, intensity=2.0))[1].decomposition["M_d"],
+    "same length": lambda M_d: CadlagPath(np.sqrt(M_d.grid), M_d.values, M_d.left_values),
+}
+
+
+@pytest.mark.parametrize("grid", _OTHER_GRID)
+def test_md_representation_rejects_an_M_d_on_another_grid(grid):
+    X, gt = sim.simulate(sim.SimSpec("poisson", n=4000, seed=5, intensity=2.0))
+    dec = dd.LabeledDecomposition(M_d=_OTHER_GRID[grid](gt.decomposition["M_d"]))
+    with pytest.raises(PathError, match="paths must share a grid"):
+        dd.md_representation_check(dec, X, gt.compensator)
 
 
 # -- continuity-only chain rule ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """A continuous path holds one array: ``CadlagPath(grid, values)`` takes its
 left values to be its values, and the library builds every jump-free path
-that way.  A builder that knows its jump rows writes left values only there,
-through the one builder ``paths._jumping_at``, which copies only when there
-is a jump row; no other module copies values to write left values."""
+that way.  Every derived path, sums, differences and multiples included,
+writes left values only at its jump rows, through the one builder
+``paths._jumping_at``, which copies only when there is a jump row; no other
+module copies values to write left values, and only the builder and the
+readers of paths given from outside hand left values to the constructor."""
 
 import ast
 import hashlib
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import pathcalc.simulate as sim
+from pathcalc import dirichlet as dd
 from pathcalc import ito
 from pathcalc import jumps as jm
 from pathcalc import regularize as reg
@@ -44,6 +47,18 @@ def _brownian_part(name):
     return _brownian()[1].decomposition[name]
 
 
+def _square_on_brownian(harness):
+    X, gt = _brownian()
+    F, sched = ito.FUNCTION_CATALOG["square"], reg.EpsilonSchedule((0.2, 0.1))
+    if harness == "ito_terms_c12":
+        return ito.ito_terms_c12(F, X, sched, tol=0.5).terms["bracket_term"]
+    dec = dd.LabeledDecomposition.from_ground_truth(gt)
+    return dd.chain_rule_c01(F, X, dec, None, sched, tol=0.5).a_path
+
+
+V = sim.brownian_on_grid(GRID, 5)
+
+
 JUMP_FREE = {
     "constant_path": lambda: constant_path(GRID, 2.0),
     "time_integral": lambda: ito.time_integral(np.cos(GRID), GRID),
@@ -65,6 +80,12 @@ JUMP_FREE = {
         sim.SimSpec("pdp", n=128, seed=1, switch_rate=0.0))[0],
     "fbm": lambda: sim.simulate(sim.SimSpec("fbm", n=256, seed=1, hurst=0.7))[0],
     "brownian_on_grid": lambda: W,
+    "W + V": lambda: W + V,
+    "W - V": lambda: W - V,
+    "-W": lambda: -W,
+    "2.5 * W": lambda: 2.5 * W,
+    "bracket_term": lambda: _square_on_brownian("ito_terms_c12"),
+    "chain_rule a_path": lambda: _square_on_brownian("chain_rule_c01"),
 }
 
 
@@ -98,9 +119,22 @@ STEP_ESTIMATES = {
                          "27944f7e2f74028b"),
     "poisson": (lambda: sim.simulate(sim.SimSpec("poisson", n=50, seed=5,
                                                  intensity=3.0))[0], "7b0eff198b7e2fad"),
+    "STEP + WS": (lambda: STEP + WS, "36081e8a676ba4d2"),
+    "-STEP": (lambda: -STEP, "5c4de87cdd430c11"),
+    "0.5 * poisson": (lambda: 0.5 * sim.simulate(sim.SimSpec("poisson", n=50, seed=5,
+                                                             intensity=3.0))[0],
+                      "88fa14086ec4fe0a"),
+    # a time-dependent rate and two time atoms, listed out of time order
+    "integrate_nu with two atoms": (lambda: jm.integrate_nu(
+        jm.X_SQUARED_FIELD, jm.CompensatorSpec.user_supplied(
+            lambda t: 1.0 + np.asarray(t), jm.NormalLaw(0, 1),
+            atoms=((STEP.grid[30], jm.DiracLaw(2.0), 0.5),
+                   (STEP.grid[20], jm.DiracLaw(-1.0), 1.0))), STEP), "385584c5c1896c49"),
 }
-# the step jumps at row 12, the Poisson path at its arrivals
-MARKS = {"poisson": [32, 40, 43, 48]}
+# the step jumps at row 12, the Poisson path at its arrivals, the compensator
+# at its time atoms
+MARKS = {"poisson": [32, 40, 43, 48], "0.5 * poisson": [32, 40, 43, 48],
+         "integrate_nu with two atoms": [20, 30]}
 
 
 @pytest.mark.parametrize("case", STEP_ESTIMATES)
@@ -184,3 +218,53 @@ def test_guard_sees_a_copy_when_it_jumps():
                      "b = (2 * v).copy() if marks.size else 2 * v\n"
                      "d = v.copy(order) if c else v\n")
     assert _copies_when_it_jumps(tree) == [1, 4]
+
+
+# -- guard: one builder writes left values, the readers pass them through -----
+
+# functions that may hand left values to the constructor: the builder, and the
+# three readers of left values given from outside
+LEFT_VALUE_WRITERS = {"paths.py": {"_jumping_at", "make_path", "from_csv", "from_json"}}
+
+
+def _left_value_writers(node: ast.AST, name: str = "<module>",
+                        klass: str = "") -> list[str]:
+    """Names of the functions that call ``CadlagPath(...)``, or ``cls(...)`` in
+    its class, with left values: a third positional argument, a
+    ``left_values=`` keyword or a starred argument."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            found += _left_value_writers(child, name, child.name)
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _left_value_writers(child, child.name, klass)
+            continue
+        callee = getattr(getattr(child, "func", None), "id", None)
+        if (isinstance(child, ast.Call)
+                and (callee == "CadlagPath" or (callee == "cls" and klass == "CadlagPath"))
+                and (len(child.args) > 2
+                     or any(isinstance(a, ast.Starred) for a in child.args)
+                     or any(k.arg in ("left_values", None) for k in child.keywords))):
+            found.append(name)
+        found += _left_value_writers(child, name, klass)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_the_builder_and_readers_pass_left_values(module):
+    found = set(_left_value_writers(ast.parse((SRC / module).read_text())))
+    assert found <= LEFT_VALUE_WRITERS.get(module, set()), module
+
+
+def test_guard_sees_left_values_passed_to_the_constructor():
+    tree = ast.parse("def a(g, v, left):\n    return CadlagPath(g, v, left)\n"
+                     "def b(g, v, left):\n    return CadlagPath(g, v, left_values=left)\n"
+                     "def c(arrays):\n    return CadlagPath(*arrays, rule=r)\n"
+                     "def d(g, v, kw):\n    return CadlagPath(g, v, **kw)\n"
+                     "def e(g, v):\n    return CadlagPath(g, v, rule=r)\n"
+                     "def f(g, v, rows, lefts):\n    return _jumping_at(g, v, rows, lefts)\n"
+                     "def h(g, v):\n    return cls(g, v)\n"
+                     "class Spec:\n    def k(cls, a, b, c):\n        return cls(a, b, c)\n"
+                     "class CadlagPath:\n    def m(cls, a, b, c):\n        return cls(a, b, c)\n")
+    assert _left_value_writers(tree) == ["a", "b", "c", "d", "m"]

@@ -139,9 +139,22 @@ def test_json_rejects_documents_that_are_not_paths(text):
         CadlagPath.from_json(text)
 
 
+@pytest.mark.parametrize("key", _JSON_PATH)
+def test_json_rejects_arrays_that_are_not_numbers(key):
+    bad = "ab" if key == "jump_marks" else ["a", "b"]
+    with pytest.raises(PathError, match="must be an object with grid"):
+        CadlagPath.from_json(json.dumps({**_JSON_PATH, key: bad}))
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(PathError):
         make_path([0.0, 0.5, 1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("rule", ["pc", "linear"])
+def test_make_path_rejects_an_empty_grid(rule):
+    with pytest.raises(PathError, match="at least two points"):
+        make_path([], [], rule=rule)
 
 
 def test_grid_must_start_at_zero():
