@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ito import FUNCTION_CATALOG, path_of_function
 from .jumps import NormalLaw
-from .paths import step_path
-from .regularize import DEFAULT_EPS_MAX, DEFAULT_LEVELS
+from .paths import step_path, uniform_grid
+from .regularize import DEFAULT_EPS_MAX, _default_levels
 from .simulate import (KINDS, GroundTruth, SimSpec, brownian_on_grid,
                        grid_cells, simulate)
 
@@ -44,7 +42,7 @@ def _against_bm(make, F=None):
 
 
 def _self_pair(seed, n):
-    N = brownian_on_grid(np.linspace(0.0, 1.0, n + 1), seed, stream=11)
+    N = brownian_on_grid(uniform_grid(1.0, n), seed, stream=11)
     return N, N, 1.0 / n
 
 
@@ -61,7 +59,11 @@ class Scenario:
     make: object
     expect: bool = True
     default_eps0: float = DEFAULT_EPS_MAX
-    default_levels: int = DEFAULT_LEVELS
+
+    @property
+    def default_levels(self) -> int:
+        """A run's level count without ``--levels``, on the default grid."""
+        return _default_levels(self.default_eps0, 1.0 / self.default_n)
 
     def build(self, seed: int = 0, n: int | None = None):
         # checked here: the step and self builders do not go through SimSpec
@@ -71,31 +73,25 @@ class Scenario:
 SCENARIOS: dict[str, Scenario] = {
     s.id: s for s in [
         Scenario("bm", "standard Brownian motion",
-                 "bracket grows linearly: [X,X](t) = t", 100000,
-                 _sim("brownian", sigma=1.0)),
+                 "bracket grows linearly: [X,X](t) = t", 100000, _sim("brownian")),
         Scenario("poisson", "Poisson counting process, intensity 2",
                  "pure-jump bracket equals the jump count; compensator 2t",
                  50000, _sim("poisson", intensity=2.0)),
         Scenario("cp_normal", "compound Poisson, intensity 1, standard normal sizes",
                  "bracket equals the running sum of squared jump sizes", 50000,
-                 _sim("compound_poisson", intensity=1.0,
-                      jump_law=NormalLaw(0.0, 1.0))),
+                 _sim("compound_poisson", jump_law=NormalLaw())),
         Scenario("jump_diffusion", "unit-volatility diffusion plus compound Poisson",
                  "bracket t plus the running sum of squared jump sizes", 50000,
-                 _sim("jump_diffusion", sigma=1.0, drift=0.0, intensity=1.0,
-                      jump_law=NormalLaw(0.0, 1.0))),
+                 _sim("jump_diffusion", jump_law=NormalLaw())),
         Scenario("fbm02", "fractional Gaussian path, exponent 0.2",
                  "quadratic variation diverges: the window study must not converge",
-                 2000, _sim("fbm", hurst=0.2), expect=False,
-                 default_eps0=0.08, default_levels=4),
+                 2000, _sim("fbm", hurst=0.2), expect=False, default_eps0=0.08),
         Scenario("fbm08", "fractional Gaussian path, exponent 0.8",
                  "zero quadratic variation: window estimates decay to zero",
-                 2000, _sim("fbm", hurst=0.8), expect=False,
-                 default_eps0=0.08, default_levels=4),
+                 2000, _sim("fbm", hurst=0.8), expect=False, default_eps0=0.08),
         Scenario("convolution", "moving-average integral of one Brownian driver "
                  "against another", "closed-form bracket t^2 / 2", 2000,
-                 _sim("convolution_martingale"), default_eps0=0.08,
-                 default_levels=4),
+                 _sim("convolution_martingale"), default_eps0=0.08),
         Scenario("pdp", "piecewise deterministic path with sampled regime switches",
                  "smooth functions of the path are orthogonal to continuous "
                  "martingales", 50000, _sim("pdp", switch_rate=3.0)),
@@ -114,28 +110,23 @@ ORTH_SCENARIOS: dict[str, Scenario] = {
     s.id: s for s in [
         Scenario("step_bm", "deterministic step against a Brownian test path",
                  "deterministic cadlag paths are orthogonal to continuous "
-                 "martingales", 50000, _against_bm(_step)),
+                 "martingales", 50000, _against_bm(SCENARIOS["step"].make)),
         Scenario("fbm_bm", "zero-quadratic-variation path against a Brownian "
                  "test path", "zero-bracket paths have vanishing covariation "
                  "with every finite-bracket path", 2000,
-                 _against_bm(_sim("fbm", hurst=0.8)), default_eps0=0.08,
-                 default_levels=4),
+                 _against_bm(SCENARIOS["fbm08"].make), default_eps0=0.08),
         Scenario("cp_bm", "pure-jump path against a Brownian test path",
                  "bounded variation pure-jump paths pair to the sum of "
                  "common jumps, which is empty for a continuous test path",
                  50000, _against_bm(_sim("compound_poisson", intensity=2.0,
-                                         jump_law=NormalLaw(0.0, 1.0)))),
-        Scenario("convolution_bm", "moving-average martingale against an "
-                 "independent Brownian test path",
-                 "martingale-orthogonal example with bracket t^2 / 2", 20000,
-                 _against_bm(_sim("convolution_martingale")),
-                 default_eps0=0.05, default_levels=6),
-        Scenario("pdp_bm", "smooth function of a regime-switching path "
-                 "against a Brownian test path",
-                 "piecewise deterministic paths stay orthogonal under "
-                 "continuous mappings", 50000,
-                 _against_bm(_sim("pdp", switch_rate=3.0),
-                             FUNCTION_CATALOG["square"])),
+                                         jump_law=NormalLaw()))),
+        Scenario("convolution_bm", "moving-average martingale against an independent "
+                 "Brownian test path", "martingale-orthogonal example with bracket t^2 / 2",
+                 20000, _against_bm(SCENARIOS["convolution"].make)),
+        Scenario("pdp_bm", "smooth function of a regime-switching path against a "
+                 "Brownian test path", "piecewise deterministic paths stay orthogonal "
+                 "under continuous mappings", 50000,
+                 _against_bm(SCENARIOS["pdp"].make, FUNCTION_CATALOG["square"])),
         Scenario("self", "negative control: the test path against itself",
                  "self-covariation converges to the bracket, not to zero",
                  50000, _self_pair, expect=False),
@@ -145,11 +136,7 @@ ORTH_SCENARIOS: dict[str, Scenario] = {
 
 def list_catalog(filter_text: str = "") -> str:
     """Human-readable scenario, function and process listings."""
-    out = ["processes:"]
-    for k in KINDS:
-        if filter_text in k:
-            out.append(f"  {k}")
-    out.append("functions:")
+    out = ["processes:", *(f"  {k}" for k in KINDS if filter_text in k), "functions:"]
     for name, F in FUNCTION_CATALOG.items():
         line = f"  {name:12s} class {F.smoothness}"
         if filter_text in line:

@@ -31,8 +31,9 @@ from .catalog import ORTH_SCENARIOS, SCENARIOS, list_catalog
 from .ito import FUNCTION_CATALOG
 from .jumps import parse_jump_law
 from .paths import _csv
-from .regularize import (DEFAULT_TOL, EpsilonSchedule, _forward_sums, _limits,
-                         _require_tol, _windows, qv_limit, residual_verdict)
+from .regularize import (DEFAULT_LEVELS, DEFAULT_TOL, EpsilonSchedule, _default_levels,
+                         _forward_sums, _limits, _require_tol, _windows, qv_limit,
+                         residual_verdict)
 from .simulate import SimSpec, simulate
 
 EXIT_OK = 0
@@ -67,14 +68,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _run(args, sc):
-    """What ``sc`` builds, and the geometric schedule of the flags (or the
-    scenario defaults) fitted to it.  The schedule is made first, so a bad one
-    exits 2 before any simulation (``main`` maps a ScheduleError to exit 2)."""
+    """What ``sc`` builds, and the geometric schedule of the flags (or the scenario
+    defaults, keeping the halvings that span ten base cells) fitted to it.  A bad
+    ``eps0`` or level count exits 2 (a ScheduleError) before any simulation."""
     eps0 = args.eps0 if args.eps0 is not None else sc.default_eps0
-    levels = args.levels if args.levels is not None else sc.default_levels
-    sched = EpsilonSchedule.geometric(eps0, levels)
+    sched = EpsilonSchedule.geometric(
+        eps0, DEFAULT_LEVELS if args.levels is None else args.levels)
     built = sc.build(seed=args.seed, n=args.n)
     base_dt = built[2] if len(built) == 3 else built[1].base_dt
+    if args.levels is None:
+        sched = EpsilonSchedule.geometric(eps0, _default_levels(eps0, base_dt))
     return built, sched.for_path(built[0], base_dt)
 
 
@@ -243,9 +246,7 @@ def _add_common(p, scenario=True):
     the window-study flags, which ``simulate`` does not read."""
     p.add_argument("--seed", type=_seed, default=0)
     if scenario:
-        p.add_argument("--n", type=int, default=None, help="grid cells (scenario default, "
-                       "the only grid its default schedule fits: with a smaller --n, set "
-                       "--eps0/--levels so the smallest snapped window spans ten cells)")
+        p.add_argument("--n", type=int, default=None, help="grid cells (scenario default)")
         p.add_argument("--eps0", type=float, default=None,
                        help="largest window width; the schedule halves from here")
         p.add_argument("--levels", type=int, default=None)

@@ -29,7 +29,7 @@ from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
-from .paths import CadlagPath, _cumsum0, _jumping_at, _require_shared_grid
+from .paths import CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _union_marks
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
                          _forward_sums, _require_fit, _require_tol, _windows,
                          qv_limit)
@@ -328,7 +328,7 @@ class _Expansion:
         for fp in windows:
             terms = (fp, *fixed.values())
             # left values differ from values only at some term's marks
-            rows = np.unique(np.concatenate([P.jump_marks for P in (lhs, *terms)]))
+            rows = _union_marks(lhs, *terms)
             r, rl = lhs.values - f0, lhs.left_values[rows] - f0
             for q in terms:
                 r = r - q.values

@@ -23,6 +23,7 @@ through localization are replaced by finite path-level totals;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -199,6 +200,8 @@ class CompensatorSpec:
                 or user and float(self.rate) == 0.0):
             raise ValueError(f"{self.kind} rate {self.rate} must be finite and "
                              f"{'nonnegative' if user else 'positive'}")
+        if not all(isinstance(t, numbers.Real) and math.isfinite(t) for t, _, _ in self.atoms):
+            raise ValueError("time atom times must be finite real numbers")
         if not all(0.0 <= float(wt) < math.inf for _, _, wt in self.atoms):
             raise ValueError("time atom weights must be finite and nonnegative")
 

@@ -200,7 +200,7 @@ class CadlagPath:
         if not isinstance(other, CadlagPath):
             return NotImplemented
         _require_shared_grid(self, other)
-        rows = np.union1d(self.jump_marks, other.jump_marks)
+        rows = _union_marks(self, other)
         rule = LINEAR if LINEAR in (self.rule, other.rule) else PIECEWISE_CONSTANT
         return _jumping_at(self.grid, fn(self.values, other.values), rows,
                            fn(self.left_values[rows], other.left_values[rows]), rule)
@@ -284,6 +284,13 @@ def _require_shared_grid(P: CadlagPath, *others: CadlagPath) -> None:
     for Q in others:
         if not P.same_grid(Q):
             raise PathError("paths must share a grid")
+
+
+def _union_marks(*paths: CadlagPath) -> np.ndarray:
+    """The sorted union of the paths' jump marks: one path's own, uncopied."""
+    if all(P is paths[0] for P in paths):
+        return paths[0].jump_marks
+    return np.unique(np.concatenate([P.jump_marks for P in paths]))
 
 
 # rows per block, each block joined into one string: on a 1e5-point path

@@ -52,7 +52,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .paths import CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _sample_plan
+from .paths import (CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _sample_plan,
+                    _union_marks)
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -117,7 +118,7 @@ class EpsilonSchedule:
         dt = float(base_dt)
         s = self.snapped(dt)
         _require_fit(s, path)
-        if s.epsilons[-1] < 10.0 * dt - 1e-12 * dt:
+        if not _spans_ten_cells(s.epsilons[-1], dt):
             raise ScheduleError("smallest window must span at least ten grid cells")
         return s
 
@@ -136,6 +137,18 @@ def _require_fit(widths, X: CadlagPath) -> None:
     for e in widths:
         if not X.min_spacing <= float(e) < X.horizon:
             raise ScheduleError(f"window {e} does not fit the grid")
+
+
+def _spans_ten_cells(eps: float, dt: float) -> bool:
+    """The smallest-window rule: a width snapped to ``dt`` spans ten cells."""
+    return eps >= 10.0 * dt - 1e-12 * dt
+
+
+def _default_levels(eps0: float, dt: float) -> int:
+    """How many of the DEFAULT_LEVELS halvings of ``eps0``, snapped to ``dt``,
+    span ten cells; at least 1, so a grid too coarse still fails ``for_path``."""
+    widths = EpsilonSchedule.geometric(eps0).snapped(dt)
+    return max(1, sum(_spans_ten_cells(e, dt) for e in widths))
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule.geometric()
@@ -179,14 +192,6 @@ def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _input_jump_indices(X: CadlagPath, *others: CadlagPath) -> np.ndarray:
-    idx = X.jump_marks
-    for P in others:
-        if P is not X:
-            idx = np.union1d(idx, P.jump_marks).astype(np.intp)
-    return idx
-
-
 class _Study:
     """The per-study part of the sample mesh: the work on X's grid that no
     window width changes, done once for X against its ``partners``.
@@ -209,7 +214,7 @@ class _Study:
         self.partners = partners
         self.grid = X.grid
         self.sl = X.grid[:-1]
-        self.jidx = _input_jump_indices(X, *partners)
+        self.jidx = _union_marks(X, *partners)
         self.taus = X.grid[self.jidx]
         self.ends = _buckets(X.grid)
 
@@ -519,7 +524,7 @@ def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     tail = np.clip(eps - grid, 0.0, None)
     q = q_at(grid)
     vals = base.values + y0 * (q + tail * (X.values - x0)) / eps
-    jidx = _input_jump_indices(X, Y)
+    jidx = _union_marks(X, Y)
     lefts = (base.left_values[jidx]
              + y0 * (q[jidx] + tail[jidx] * (X.left_values[jidx] - x0)) / eps)
     return _jumping_at(grid, vals, jidx, lefts)

@@ -1,16 +1,20 @@
 import argparse
 import ast
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import pathcalc.catalog as catalog
 import pathcalc.cli as cli
-from pathcalc.catalog import ORTH_SCENARIOS, SCENARIOS
+from pathcalc.catalog import ORTH_SCENARIOS, SCENARIOS, Scenario
 from pathcalc.cli import main
+from pathcalc.jumps import NormalLaw
 from pathcalc.paths import CadlagPath
-from pathcalc.regularize import EpsilonSchedule
+from pathcalc.regularize import DEFAULT_LEVELS, EpsilonSchedule
+from pathcalc.simulate import SimSpec
 
 
 def run(args):
@@ -496,6 +500,80 @@ def test_run_fits_the_schedule_at_the_build_base_spacing(sc):
     assert base_dt == 1.0 / sc.default_n
     assert sched == EpsilonSchedule.geometric(
         sc.default_eps0, sc.default_levels).for_path(built[0], base_dt)
+
+
+@pytest.mark.parametrize("sc", [*SCENARIOS.values(), *ORTH_SCENARIOS.values()],
+                         ids=lambda sc: sc.id)
+def test_run_without_levels_fits_a_smaller_grid(sc):
+    # the halvings of default_eps0 that span ten cells: 0.025 and 0.0125 of
+    # 0.05, and 0.04, 0.02 and 0.01 of 0.08
+    args = argparse.Namespace(seed=0, n=1000, eps0=None, levels=None)
+    built, sched = cli._run(args, sc)
+    levels = 3 if sc.default_eps0 == 0.08 else 2
+    assert levels <= DEFAULT_LEVELS
+    assert sched == EpsilonSchedule.geometric(sc.default_eps0, levels).snapped(1e-3)
+    assert round(sched.epsilons[-1] * 1000) >= 10
+
+
+def test_qv_on_a_smaller_grid_runs_without_levels(tmp_path, capsys):
+    code = run(["qv", "--scenario", "bm", "--n", "1000", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    report = json.loads((tmp_path / "bm_qv_report.json").read_text())
+    assert report["converged"] is (code == 0)
+    assert capsys.readouterr().err == ""
+
+
+def test_explicit_levels_too_fine_for_the_grid_exit_2(tmp_path, capsys):
+    code = run(["qv", "--scenario", "bm", "--n", "1000", "--levels", "8",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: smallest window must span at least ten grid cells\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_default_levels_are_the_halvings_the_default_grid_resolves():
+    levels = {sc.id: sc.default_levels
+              for sc in [*SCENARIOS.values(), *ORTH_SCENARIOS.values()]}
+    assert levels == {**dict.fromkeys(levels, 8), "fbm02": 4, "fbm08": 4,
+                      "convolution": 4, "fbm_bm": 4, "convolution_bm": 6}
+
+
+# -- guard: no restated defaults in the catalog ---------------------------------
+
+
+def _restated_defaults(tree: ast.Module) -> list[str]:
+    """``callee.field`` for every literal argument of a ``_sim``, ``Scenario``
+    or ``NormalLaw`` call that equals the field's default (a ``_sim`` keyword
+    sets a SimSpec field)."""
+    callees = {"_sim": SimSpec, "Scenario": Scenario, "NormalLaw": NormalLaw}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in callees):
+            continue
+        fs = dataclasses.fields(callees[node.func.id])
+        defaults = {f.name: f.default for f in fs}
+        for name, value in [*zip([f.name for f in fs], node.args),
+                            *((k.arg, k.value) for k in node.keywords)]:
+            try:
+                restated = ast.literal_eval(value) == defaults.get(name, dataclasses.MISSING)
+            except ValueError:  # not a literal
+                continue
+            if restated:
+                found.append(f"{node.func.id}.{name}")
+    return sorted(found)
+
+
+def test_catalog_restates_no_default():
+    assert _restated_defaults(ast.parse(Path(catalog.__file__).read_text())) == []
+
+
+def test_guard_sees_a_restated_default():
+    tree = ast.parse("_sim('brownian', sigma=1.0, drift=0.5)\n"
+                     "Scenario('a', 'b', 'c', 10, f, expect=True, default_eps0=0.08)\n"
+                     "NormalLaw(0, 2.0)\n"
+                     "NormalLaw(scale=DEFAULT)\n")
+    assert _restated_defaults(tree) == ["NormalLaw.loc", "Scenario.expect", "_sim.sigma"]
 
 
 # -- guard: one run set-up ------------------------------------------------------

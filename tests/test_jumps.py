@@ -315,6 +315,22 @@ def test_time_atom_weight_is_finite_and_nonnegative(weight):
                                          atoms=((0.3, jm.DiracLaw(1.0), weight),))
 
 
+@pytest.mark.parametrize("time", [None, np.array([0.5]), "0.5", math.nan, math.inf],
+                         ids=["None", "array", "str", "nan", "inf"])
+def test_time_atom_time_is_a_finite_real_scalar(time):
+    # checked where the weights are; each used to build and fail in integrate_nu
+    with pytest.raises(ValueError, match="^time atom times must be finite real numbers$"):
+        jm.CompensatorSpec.user_supplied(1.0, jm.DiracLaw(1.0),
+                                         atoms=((time, jm.DiracLaw(1.0), 1.0),))
+
+
+@pytest.mark.parametrize("time", [0, np.float64(0.5), np.int64(1)])
+def test_time_atom_time_may_be_a_numpy_scalar(time):
+    nu = jm.CompensatorSpec.user_supplied(1.0, jm.DiracLaw(1.0),
+                                          atoms=((time, jm.DiracLaw(1.0), 1.0),))
+    assert nu.atoms[0][0] == time
+
+
 @pytest.mark.parametrize("rate", [-1.0, math.nan])
 def test_rate_function_values_are_finite_and_nonnegative(rate):
     # a rate function is evaluated only on the grid, so it is checked there

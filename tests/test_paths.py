@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcalc.paths import (CadlagPath, PathError, constant_path, make_path,
+from pathcalc.paths import (CadlagPath, PathError, _union_marks, constant_path, make_path,
                             step_path, uniform_grid)
 
 from oracles import from_function
@@ -24,6 +24,15 @@ def test_unit_step_construction():
     p = unit_step()
     assert p.jumps() == [(0.5, 1.0)]
     assert p.sum_squared_jumps() == 1.0
+
+
+def test_union_of_marks_is_sorted_and_one_path_keeps_its_own():
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    a = make_path(grid, [0.0, 1.0, 1.0, 2.0, 2.0], jumps=[(3, 1.0), (1, 0.0)])
+    b = make_path(grid, [0.0, 0.0, 1.0, 2.0, 2.0], jumps=[(2, 0.0), (3, 1.0)])
+    assert _union_marks(a, b, a).tolist() == [1, 2, 3]
+    assert _union_marks(a, b).dtype == np.intp
+    assert _union_marks(a) is _union_marks(a, a) is a.jump_marks
 
 
 def test_non_monotone_grid_rejected():
