@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dirichlet as dd
 from . import ito as imod
 from . import jumps as jmod
@@ -107,7 +105,7 @@ def cmd_simulate(args) -> int:
                    sigma=args.sigma, drift=args.drift,
                    intensity=args.intensity, jump_law=law,
                    hurst=args.hurst, switch_rate=args.switch_rate,
-                   regimes=((lambda t: np.asarray(t)),)
+                   regimes=(lambda t: t,)
                    if args.kind == "deterministic" else ())
     path, gt = simulate(spec)
     out = _out_dir(args)

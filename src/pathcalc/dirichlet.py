@@ -67,6 +67,11 @@ class LabeledDecomposition:
             return self.M_c
         return self.M_c + self.M_d
 
+    def _part(self, role: str, grid) -> CadlagPath:
+        """The labeled ``role`` component, or the zero path on ``grid``."""
+        P = getattr(self, role)
+        return P if P is not None else constant_path(grid)
+
 
 def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
     """BATTERY_SIZE independent standard Brownian test paths on X's grid,
@@ -204,7 +209,7 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
 def _gamma_reference(ex: _Expansion, decomp: LabeledDecomposition) -> CadlagPath:
     X = ex.X
     ex.require("c12")
-    A = decomp.A if decomp.A is not None else constant_path(X.grid)
+    A = decomp._part("A", X.grid)
     _require_shared_grid(X, A)
     time_term, bracket = ex.smooth_terms()
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
@@ -277,8 +282,7 @@ def particular_wd_check(decomp: LabeledDecomposition,
     M = (decomp.martingale
          if (decomp.M_c is not None or decomp.M_d is not None)
          else constant_path(base.grid))
-    V = decomp.V if decomp.V is not None else constant_path(M.grid)
-    A_prime = decomp.A_prime if decomp.A_prime is not None else constant_path(M.grid)
+    V, A_prime = decomp._part("V", M.grid), decomp._part("A_prime", M.grid)
     if not np.isfinite(np.sum(np.abs(np.diff(V.values)))):
         raise PathError("bounded variation component V has infinite variation")
     X = M + V + A_prime
@@ -299,8 +303,7 @@ def particular_wd_check(decomp: LabeledDecomposition,
         X_FIELD.with_truncation("small"), X, nu))
     big = _if_atoms(X, nu, lambda: jmod.integrate_mu(
         X_FIELD.with_truncation("big"), X))
-    mc = decomp.M_c if decomp.M_c is not None else constant_path(X.grid)
-    alpha = X - mc - small - big
+    alpha = X - decomp._part("M_c", X.grid) - small - big
     alpha_jump_max = float(np.max(np.abs(alpha.values - alpha.left_values)))
     drift = alpha - A_prime
     return ParticularWDReport(
@@ -335,7 +338,7 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     passes below 1e-8 of the larger sup-norm (at least 1)."""
     if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
-    md = decomp.M_d if decomp.M_d is not None else constant_path(X.grid)
+    md = decomp._part("M_d", X.grid)
     _require_shared_grid(X, md)
     rebuilt = _if_atoms(X, nu, lambda: jmod.compensated_integral(X_FIELD, X, nu))
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))

@@ -29,7 +29,8 @@ from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
-from .paths import CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _union_marks
+from .paths import (CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _samples,
+                    _union_marks)
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
                          _forward_sums, _require_fit, _require_tol, _windows,
                          qv_limit)
@@ -57,7 +58,8 @@ class FunctionBundle:
 
     Classes: ``c12`` (dt, dx, dxx), ``c01`` (dx), ``c1l`` (dt, dx with an
     x-Holder dx of exponent ``holder``, 1 by default as for ``c12``), ``c0``
-    (none).  All evaluators must broadcast over numpy arrays.
+    (none).  An evaluator is its formula on numpy arrays t and x: it may
+    return a scalar, such as ``dxx=lambda t, x: 2.0``, or an array that broadcasts.
     """
 
     name: str
@@ -112,39 +114,26 @@ class FunctionBundle:
             check("dxx", self.dxx(t, x), fd2)
 
 
-def _c(v):
-    return lambda t, x: np.full(np.broadcast(np.asarray(t), np.asarray(x)).shape, v)
-
-
 FUNCTION_CATALOG: dict[str, FunctionBundle] = {
-    "identity": FunctionBundle("identity", "c12",
-                               f=lambda t, x: np.asarray(x, dtype=float) + 0.0 * np.asarray(t),
-                               dt=_c(0.0), dx=_c(1.0), dxx=_c(0.0)),
-    "square": FunctionBundle("square", "c12",
-                             f=lambda t, x: np.asarray(x) ** 2 + 0.0 * np.asarray(t),
-                             dt=_c(0.0), dx=lambda t, x: 2.0 * np.asarray(x),
-                             dxx=_c(2.0)),
-    "tx": FunctionBundle("tx", "c12",
-                         f=lambda t, x: np.asarray(t) * np.asarray(x),
-                         dt=lambda t, x: np.asarray(x) + 0.0 * np.asarray(t),
-                         dx=lambda t, x: np.asarray(t) + 0.0 * np.asarray(x),
-                         dxx=_c(0.0)),
-    "sin": FunctionBundle("sin", "c12",
-                          f=lambda t, x: np.sin(x) + 0.0 * np.asarray(t),
-                          dt=_c(0.0), dx=lambda t, x: np.cos(x) + 0.0 * np.asarray(t),
-                          dxx=lambda t, x: -np.sin(x) + 0.0 * np.asarray(t)),
+    # identity's dx is shaped like x, not the number 1.0: a number makes the
+    # small-jump linear field x dF_x size-only, which the size quadrature
+    # sums in another order, so its last bits would move
+    "identity": FunctionBundle("identity", "c12", f=lambda t, x: x, dt=lambda t, x: 0.0,
+                               dx=lambda t, x: np.ones_like(x), dxx=lambda t, x: 0.0),
+    "square": FunctionBundle("square", "c12", f=lambda t, x: x ** 2, dt=lambda t, x: 0.0,
+                             dx=lambda t, x: 2.0 * x, dxx=lambda t, x: 2.0),
+    "tx": FunctionBundle("tx", "c12", f=lambda t, x: t * x, dt=lambda t, x: x,
+                         dx=lambda t, x: t, dxx=lambda t, x: 0.0),
+    "sin": FunctionBundle("sin", "c12", f=lambda t, x: np.sin(x), dt=lambda t, x: 0.0,
+                          dx=lambda t, x: np.cos(x), dxx=lambda t, x: -np.sin(x)),
     # space-smooth but rough in time: not differentiable in t at sin zeroes
-    "rough_time": FunctionBundle(
-        "rough_time", "c01",
-        f=lambda t, x: np.asarray(x) * np.sqrt(np.abs(np.sin(8.0 * np.asarray(t)))),
-        dx=lambda t, x: np.sqrt(np.abs(np.sin(8.0 * np.asarray(t)))) + 0.0 * np.asarray(x)),
+    "rough_time": FunctionBundle("rough_time", "c01",
+                                 f=lambda t, x: x * np.sqrt(np.abs(np.sin(8.0 * t))),
+                                 dx=lambda t, x: np.sqrt(np.abs(np.sin(8.0 * t)))),
     # first derivative only 1/2-Holder at the origin
-    "xabs_sqrt": FunctionBundle(
-        "xabs_sqrt", "c1l",
-        f=lambda t, x: np.asarray(x) * np.sqrt(np.abs(x)) + 0.0 * np.asarray(t),
-        dt=_c(0.0),
-        dx=lambda t, x: 1.5 * np.sqrt(np.abs(x)) + 0.0 * np.asarray(t),
-        holder=0.5),
+    "xabs_sqrt": FunctionBundle("xabs_sqrt", "c1l", f=lambda t, x: x * np.sqrt(np.abs(x)),
+                                dt=lambda t, x: 0.0,
+                                dx=lambda t, x: 1.5 * np.sqrt(np.abs(x)), holder=0.5),
 }
 
 C12_SUITE = ("identity", "square", "tx", "sin")
@@ -157,7 +146,7 @@ def _along(fn, X: CadlagPath) -> CadlagPath:
     """The path t -> fn(t, X_t) on X's grid, with left limits fn(t, X_{t-}),
     evaluated at X's jump rows only: elsewhere X_{t-} is X_t."""
     m = X.jump_marks
-    values = np.asarray(fn(X.grid, X.values), dtype=float)
+    values = _samples(fn(X.grid, X.values), X.grid.shape)
     return _jumping_at(X.grid, values, m, fn(X.grid[m], X.left_values[m]))
 
 
@@ -272,14 +261,13 @@ class _Expansion:
     def time_term(self):
         """The time integral of dF_t(s, X_s)."""
         grid = self.X.grid
-        return time_integral(np.asarray(self.F.dt(grid, self.X.values), dtype=float),
-                             grid)
+        return time_integral(_samples(self.F.dt(grid, self.X.values), grid.shape), grid)
 
     @cached_property
     def bracket_term(self):
         """Half of dF_xx(s, X_{s-}) against the continuous bracket part."""
         grid = self.X.grid
-        d2 = np.asarray(self.F.dxx(grid, self.X.left_values), dtype=float)
+        d2 = _samples(self.F.dxx(grid, self.X.left_values), grid.shape)
         return 0.5 * stieltjes_left(CadlagPath(grid, d2), self.qvc)
 
     def smooth_terms(self):

@@ -17,7 +17,8 @@ The fields of a function bundle F (``increment_field``,
 ``linear_jump_field``, ``taylor_remainder_field``) live next to
 ``IntegrandField``.  Set membership conditions that the theory phrases
 through localization are replaced by finite path-level totals;
-``integrability_report`` states exactly which surrogate was checked.
+``integrability_report`` states exactly which surrogate was checked.  On a
+finite path each total is a finite sum: its gate fires only on float overflow.
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ class CompensatorSpec:
             raise ValueError("time atom times must be finite real numbers")
         if not all(0.0 <= float(wt) < math.inf for _, _, wt in self.atoms):
             raise ValueError("time atom weights must be finite and nonnegative")
+        if not all(isinstance(law, JumpLaw)
+                   for law in (self.law, *(law for _, law, _ in self.atoms))):
+            raise ValueError("compensator laws must be JumpLaw instances")
 
     @classmethod
     def poisson(cls, lam: float) -> "CompensatorSpec":
@@ -217,13 +221,13 @@ class CompensatorSpec:
     def user_supplied(cls, rate, law: JumpLaw, atoms: tuple = ()) -> "CompensatorSpec":
         return cls("user_supplied", rate, law, tuple(atoms))
 
-    def rate_at(self, t: np.ndarray) -> np.ndarray:
+    def rate_at(self, t: np.ndarray) -> np.ndarray | float:
         if callable(self.rate):
             rate = np.asarray(self.rate(t), dtype=float)
             if np.all((rate >= 0.0) & (rate < math.inf)):
                 return rate
             raise ValueError("rate function values must be finite and nonnegative")
-        return np.full(np.shape(t), float(self.rate))
+        return float(self.rate)
 
     def to_json_dict(self) -> dict:
         rate = "callable" if callable(self.rate) else float(self.rate)

@@ -319,6 +319,13 @@ def _cumsum0(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _samples(v, shape) -> np.ndarray:
+    """An evaluator's result ``v`` (a scalar, or an array that broadcasts) as
+    a float array of ``shape``; copied only when it has to broadcast."""
+    a = np.asarray(v, dtype=float)
+    return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+
+
 def _jumping_at(grid, values: np.ndarray, rows, lefts, rule: str = LINEAR) -> CadlagPath:
     """The path whose left values are its ``values`` but ``lefts`` at the grid
     ``rows``; without a row nothing is copied, and the path holds one array."""

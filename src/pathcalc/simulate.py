@@ -31,7 +31,7 @@ import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, _cumsum0, _jumping_at,
-                    constant_path, uniform_grid)
+                    _samples, constant_path, uniform_grid)
 
 FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
@@ -284,11 +284,7 @@ def _convolution_martingale(spec: SimSpec):
 
 
 def _default_regimes():
-    return (
-        lambda t: np.sin(2.0 * np.asarray(t)),
-        lambda t: 1.0 + 0.5 * np.asarray(t),
-        lambda t: -0.5 + np.asarray(t) ** 2,
-    )
+    return (lambda t: np.sin(2.0 * t), lambda t: 1.0 + 0.5 * t, lambda t: -0.5 + t ** 2)
 
 
 def _regime_values(regimes, switches, grid, side: str) -> np.ndarray:
@@ -299,7 +295,7 @@ def _regime_values(regimes, switches, grid, side: str) -> np.ndarray:
     for k in range(int(reg_idx.max(initial=0)) + 1):
         sel = reg_idx == k
         if np.any(sel):
-            out[sel] = np.asarray(regimes[k % len(regimes)](grid[sel]))
+            out[sel] = regimes[k % len(regimes)](grid[sel])
     return out
 
 
@@ -325,7 +321,7 @@ def _deterministic(spec: SimSpec):
     if not spec.regimes:
         raise SimulationError("deterministic kind needs one regime function")
     grid = uniform_grid(spec.T, spec.n)
-    values = spec.x0 + np.asarray(spec.regimes[0](grid), dtype=float)
+    values = spec.x0 + _samples(spec.regimes[0](grid), grid.shape)
     path = CadlagPath(grid, values)
     gt = GroundTruth(kind="deterministic", base_dt=spec.base_dt)
     return path, gt

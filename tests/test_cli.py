@@ -451,6 +451,9 @@ BAD_INPUT = [
      "error: unknown function 'nope'"),
     ("convergence --scenario poisson --op forward --fn nope --n 1000 --levels 2", 2,
      "error: unknown function 'nope'"),
+    ("qv --n 1000", 2, "error: a scenario is required (flag or config file)"),
+    ("simulate --kind poisson --n 100 --intensity -1", 2,
+     "error: jump intensity must be nonnegative"),
 ]
 
 
@@ -464,6 +467,31 @@ def test_no_bad_input_escapes_main(tmp_path, monkeypatch, capsys, argv, code, li
     else:
         assert out == "" and err.startswith(line) and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+# (the text of the file run.cfg, argv, exit code, the error line): input read
+# from a file, or an --out that cannot be written (a path under a regular file)
+FILE_INPUT = [
+    ("scenario=bm\nlevels\n", "qv --config run.cfg", 2,
+     "error: bad config line: 'levels'"),
+    ("# comment\n\nscenario=nope\n", "qv --config run.cfg", 2,
+     "error: unknown scenario 'nope'"),
+    ("", "simulate --kind brownian --n 100 --out run.cfg/out", 3,
+     "error: cannot write run.cfg/out/brownian_seed0_path.csv"),
+]
+
+
+@pytest.mark.parametrize("config, argv, code, line", FILE_INPUT,
+                         ids=[c[1] for c in FILE_INPUT])
+def test_no_bad_file_input_escapes_main(tmp_path, monkeypatch, capsys, config, argv,
+                                        code, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config)
+    argv = argv.split()
+    assert run(argv if "--out" in argv else argv + ["--out", "out"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(line) and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize("name", ["pdp", "step", "nope"])

@@ -1,3 +1,7 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -457,3 +461,136 @@ def test_holder_form_on_rough_derivative_function():
     X, sched = brownian(n=50000, seed=14)
     rep = ito.ito_c1_lambda(FUNCTION_CATALOG["xabs_sqrt"], X, sched, tol=0.05)
     assert rep.final_residual_sup < 0.05 * max(1.0, rep.lhs.sup_norm())
+
+
+# -- formulas: an evaluator may return a plain number --------------------------
+
+
+def _shape(t, x):
+    return np.broadcast(t, x).shape
+
+
+# F = 2x + t and F = 2, each written as its formula and padded to the shape
+# of its arguments; F = 2x + t is an array already, so the continuous chain
+# rule, which reads F alone, takes F = 2
+FORMULA = {
+    "2x+t": FunctionBundle("2x+t", "c12", f=lambda t, x: 2.0 * x + t,
+                           dt=lambda t, x: 1.0, dx=lambda t, x: 2.0,
+                           dxx=lambda t, x: 0.0),
+    "2": FunctionBundle("2", "c0", f=lambda t, x: 2.0),
+}
+PADDED = {
+    "2x+t": FunctionBundle("2x+t", "c12", f=lambda t, x: 2.0 * x + t,
+                           dt=lambda t, x: np.ones(_shape(t, x)),
+                           dx=lambda t, x: np.full(_shape(t, x), 2.0),
+                           dxx=lambda t, x: np.zeros(_shape(t, x))),
+    "2": FunctionBundle("2", "c0", f=lambda t, x: np.full(_shape(t, x), 2.0)),
+}
+
+_ON_FORMULAS = {
+    "ito_terms_c12": ("2x+t", lambda F, X, gt, dec, s: ito.ito_terms_c12(
+        F, X, s, tol=0.05)),
+    "ito_terms_measure_form": ("2x+t", lambda F, X, gt, dec, s: ito.ito_terms_measure_form(
+        F, X, gt.compensator, s, tol=0.05)),
+    "ito_c1_lambda": ("2x+t", lambda F, X, gt, dec, s: ito.ito_c1_lambda(
+        F, X, s, tol=0.05)),
+    "chain_rule_c01": ("2x+t", lambda F, X, gt, dec, s: dirichlet.chain_rule_c01(
+        F, X, dec, gt.compensator, s, tol=0.05)),
+    "gamma_c12_reference": ("2x+t", lambda F, X, gt, dec, s: dirichlet.gamma_c12_reference(
+        F, X, dec, gt.compensator, s, tol=0.05)),
+    "special_wd_c0_chain": ("2", lambda F, X, gt, dec, s: dirichlet.special_wd_c0_chain(
+        F, X, gt.compensator, s)),
+    "jump_identities": ("2x+t", lambda F, X, gt, dec, s: dirichlet.jump_identities(
+        F, X, dec, gt.compensator, s, tol=0.05)),
+}
+
+
+def _assert_close(a, b, where="result"):
+    """Equal decisions, names and marks; paths and numbers within 1e-12."""
+    assert type(a) is type(b), where
+    if isinstance(a, CadlagPath):
+        assert np.array_equal(a.grid, b.grid) and np.array_equal(a.jump_marks, b.jump_marks)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12, where
+        assert np.max(np.abs(a.left_values - b.left_values)) <= 1e-12, where
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_close(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            _assert_close(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (u, v) in enumerate(zip(a, b)):
+            _assert_close(u, v, f"{where}[{i}]")
+    elif isinstance(a, (float, np.ndarray)):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12), where
+    else:
+        assert a == b, where
+
+
+@pytest.mark.parametrize("harness", _ON_FORMULAS)
+def test_an_evaluator_may_return_a_plain_number(harness):
+    X, gt, sched = jump_diffusion(n=4000)
+    dec = dirichlet.LabeledDecomposition.from_ground_truth(gt)
+    name, run = _ON_FORMULAS[harness]
+    _assert_close(run(FORMULA[name], X, gt, dec, sched),
+                  run(PADDED[name], X, gt, dec, sched))
+
+
+# -- guard: the catalog's evaluators are their formulas -------------------------
+
+
+def _padded(tree: ast.Module) -> list[str]:
+    """``bundle.evaluator`` for each evaluator of a ``FunctionBundle`` call
+    (in ito.py, the catalog's) that pads its result to the shape of its
+    arguments, with a ``0.0 *`` term, ``np.full``, ``np.broadcast`` or
+    ``np.asarray`` of an argument; and the name of each module function that
+    builds an evaluator and pads it."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def pads(ev):
+        params = {a.arg for a in ev.args.args}
+        for n in ast.walk(ev.body):
+            attr = getattr(getattr(n, "func", None), "attr", None)
+            if (attr in ("full", "broadcast")
+                    or attr == "asarray" and any(getattr(a, "id", None) in params
+                                                 for a in n.args)
+                    or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                    and 0.0 in (getattr(n.left, "value", None),
+                                getattr(n.right, "value", None))):
+                return True
+        return False
+
+    found = set()
+    for bundle in ast.walk(tree):
+        if getattr(getattr(bundle, "func", None), "id", None) != "FunctionBundle":
+            continue
+        for kw in bundle.keywords:
+            ev = kw.value
+            if isinstance(ev, ast.Lambda) and pads(ev):
+                found.add(f"{bundle.args[0].value}.{kw.arg}")
+            built_by = funcs.get(getattr(getattr(ev, "func", None), "id", None))
+            if built_by and any(pads(n) for n in ast.walk(built_by)
+                                if isinstance(n, ast.Lambda)):
+                found.add(built_by.name)
+    return sorted(found)
+
+
+def test_catalog_evaluators_are_their_formulas():
+    assert _padded(ast.parse(Path(ito.__file__).read_text())) == []
+
+
+def test_guard_sees_a_padded_evaluator():
+    tree = ast.parse(
+        "def _c(v):\n"
+        "    return lambda t, x: np.full(np.broadcast(t, x).shape, v)\n"
+        "def _k(v):\n"
+        "    return lambda t, x: v\n"
+        "FUNCTION_CATALOG: dict = {\n"
+        "    'a': FunctionBundle('a', 'c12', f=lambda t, x: x + 0.0 * t, dt=_c(0.0),\n"
+        "                        dx=lambda t, x: np.ones_like(x), dxx=_k(0.0)),\n"
+        "    'b': FunctionBundle('b', 'c01', f=lambda t, x: np.asarray(x) ** 2,\n"
+        "                        dx=lambda t, x: 2.0 * np.asarray(t + x)),\n"
+        "}\n")
+    assert _padded(tree) == ["_c", "a.f", "b.f"]

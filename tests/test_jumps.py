@@ -331,6 +331,17 @@ def test_time_atom_time_may_be_a_numpy_scalar(time):
     assert nu.atoms[0][0] == time
 
 
+@pytest.mark.parametrize("law, atoms", [
+    (None, ()), ("normal:0,1", ()), (jm.DiracLaw(1.0), ((0.5, None, 1.0),)),
+    (jm.DiracLaw(1.0), ((0.5, jm.DiracLaw, 1.0),))],
+    ids=["law None", "law text", "atom law None", "atom law class"])
+def test_compensator_laws_are_jump_laws(law, atoms):
+    # checked where the rate and the atoms are; None used to build and fail
+    # in integrate_nu
+    with pytest.raises(ValueError, match="^compensator laws must be JumpLaw instances$"):
+        jm.CompensatorSpec.user_supplied(1.0, law, atoms)
+
+
 @pytest.mark.parametrize("rate", [-1.0, math.nan])
 def test_rate_function_values_are_finite_and_nonnegative(rate):
     # a rate function is evaluated only on the grid, so it is checked there

@@ -269,3 +269,10 @@ def test_deterministic_kind():
     assert np.allclose(X.values, np.sin(X.grid))
     with pytest.raises(SimulationError):
         simulate(SimSpec("deterministic", n=64, seed=0))
+
+
+def test_a_constant_regime_builds_a_deterministic_path():
+    # a regime is its formula: a plain number is broadcast to the grid
+    X, _ = simulate(SimSpec("deterministic", n=10, x0=1.0, regimes=(lambda t: 1.5,)))
+    assert X.values.tolist() == [2.5] * 11
+    assert X.jump_marks.size == 0
