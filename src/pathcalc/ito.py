@@ -86,13 +86,21 @@ class FunctionBundle:
     def validate_derivatives(self, t_range, x_range) -> None:
         """Compare supplied derivatives with central finite differences at
         100 seeded random probe points, to a relative 1e-4; raises
-        BundleValidationError on disagreement."""
+        BundleValidationError on disagreement, and where a supplied value or
+        a finite difference is not finite, since nothing is compared there."""
         rng = np.random.default_rng(0)
         t = rng.uniform(t_range[0], t_range[1], 100)
         x = rng.uniform(x_range[0], x_range[1], 100)
         span = max(abs(x_range[0]), abs(x_range[1]), 1.0)
 
         def check(name, supplied, fd):
+            supplied, fd = _samples(supplied, t.shape), _samples(fd, t.shape)
+            lost = ~(np.isfinite(supplied) & np.isfinite(fd))
+            if np.any(lost):
+                i = int(np.argmax(lost))
+                raise BundleValidationError(
+                    f"{self.name}: {name} or its finite difference is not finite "
+                    f"at (t={t[i]:.4g}, x={x[i]:.4g})")
             err = np.abs(fd - supplied)
             bad = err > 1e-4 * np.maximum(1.0, np.abs(supplied))
             if np.any(bad):
@@ -147,7 +155,7 @@ def _along(fn, X: CadlagPath) -> CadlagPath:
     evaluated at X's jump rows only: elsewhere X_{t-} is X_t."""
     m = X.jump_marks
     values = _samples(fn(X.grid, X.values), X.grid.shape)
-    return _jumping_at(X.grid, values, m, fn(X.grid[m], X.left_values[m]))
+    return _jumping_at(X, values, m, fn(X.grid[m], X.left_values[m]))
 
 
 def path_of_function(F: FunctionBundle, X: CadlagPath) -> CadlagPath:
@@ -175,7 +183,7 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     marks = G.jump_marks
     jump_contrib[marks] = H.left_values[marks] * G.jump_sizes
     values = cont + np.cumsum(jump_contrib)
-    return _jumping_at(G.grid, values, marks, values[marks] - jump_contrib[marks])
+    return _jumping_at(G, values, marks, values[marks] - jump_contrib[marks])
 
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
@@ -255,7 +263,7 @@ class _Expansion:
         raw = self.bracket.values - jmod.integrate_mu(X_SQUARED_FIELD, self.X).values
         mono = np.maximum.accumulate(np.maximum(raw, 0.0))
         mono[0] = 0.0
-        return CadlagPath(self.X.grid, mono)
+        return _jumping_at(self.X, mono)
 
     @cached_property
     def time_term(self):
@@ -268,7 +276,7 @@ class _Expansion:
         """Half of dF_xx(s, X_{s-}) against the continuous bracket part."""
         grid = self.X.grid
         d2 = _samples(self.F.dxx(grid, self.X.left_values), grid.shape)
-        return 0.5 * stieltjes_left(CadlagPath(grid, d2), self.qvc)
+        return 0.5 * stieltjes_left(_jumping_at(self.X, d2), self.qvc)
 
     def smooth_terms(self):
         """(time term, bracket term), read after the continuous bracket part
@@ -323,7 +331,7 @@ class _Expansion:
                 rl = rl - q.left_values[rows]
             sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl), initial=0.0))))
         jumps = rl != r[rows]
-        res = _jumping_at(lhs.grid, r, rows[jumps], rl[jumps])
+        res = _jumping_at(lhs, r, rows[jumps], rl[jumps])
         return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
                          np.asarray(sups), tuple(self.schedule.epsilons),
                          parts or {})

@@ -319,7 +319,7 @@ def integrate_mu(field: IntegrandField, X: CadlagPath) -> CadlagPath:
     if contrib.size and not np.all(np.isfinite(contrib)):
         raise IntegrabilityError("field not finite at an atom")
     values, lefts = atom_cumsum(X.grid, times, contrib)
-    return _jumping_at(X.grid, values, X.jump_marks, lefts, PIECEWISE_CONSTANT)
+    return _jumping_at(X, values, X.jump_marks, lefts, PIECEWISE_CONSTANT)
 
 
 # -- integrals against nu ----------------------------------------------------
@@ -427,7 +427,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     rate = nu.rate_at(sl)
     values = _cumsum0(np.diff(grid) * rate * g)
     if not nu.atoms:
-        return CadlagPath(grid, values)
+        return _jumping_at(X, values)
     atom_add = np.zeros(grid.size)
     rows = np.searchsorted(grid, [ta for ta, _, _ in nu.atoms])
     for i, (ta, law_a, wt) in zip(rows, nu.atoms):
@@ -437,7 +437,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
                             np.array([X.left_limit(ta)]))[0]
         atom_add[i:] += wt * ga
     rows = np.unique(rows)  # all >= 1: an atom at t = 0 fails X.left_limit above
-    return _jumping_at(grid, values + atom_add, rows, values[rows] + atom_add[rows - 1])
+    return _jumping_at(X, values + atom_add, rows, values[rows] + atom_add[rows - 1])
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,

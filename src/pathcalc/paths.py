@@ -40,6 +40,32 @@ def _as_farray(x) -> np.ndarray:
     return a
 
 
+_NOT_FINITE = "grid, values and left_values must be finite"
+
+
+def _set_fields(P, grid, min_spacing: float, values, left, marks, rule: str):
+    """The checks on a path's marks and rule, then its fields, each read-only.
+
+    ``_min_spacing`` is read on every window of a study, so it is taken once,
+    and it is no field, so it stays out of equality and repr.
+    """
+    if marks.size and marks[0] == 0:
+        raise PathError("left_values[0] differs from values[0], but X(0-) = X(0)")
+    if rule == PIECEWISE_CONSTANT:
+        if not np.array_equal(left[1:], values[:-1]):
+            raise PathError(
+                "piecewise-constant left limits are determined by the previous value"
+            )
+    elif rule != LINEAR:
+        raise PathError(f"unknown interpolation rule {rule!r}")
+    for name, arr in (("grid", grid), ("values", values),
+                      ("left_values", left), ("jump_marks", marks)):
+        arr.setflags(write=False)
+        object.__setattr__(P, name, arr)
+    object.__setattr__(P, "rule", rule)
+    object.__setattr__(P, "_min_spacing", min_spacing)
+
+
 class _SamplePlan(NamedTuple):
     """The grid-only part of sampling paths on one grid at times in [0, T].
 
@@ -56,12 +82,16 @@ class _SamplePlan(NamedTuple):
     frac: np.ndarray
 
 
-def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray) -> _SamplePlan:
-    """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``.
+def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray,
+                 out: np.ndarray | None = None) -> _SamplePlan:
+    """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``; the
+    cells' nodes are gathered into ``out`` when given.
 
     A time off its node lies before the last node, so lo + 1 is a node.
     """
-    off = np.flatnonzero(grid[cells] != tc)
+    # the cells are in range, so "clip" never acts; it spares the buffered
+    # copy that "raise" makes with out=
+    off = np.flatnonzero(np.take(grid, cells, out=out, mode="clip") != tc)
     lo = cells[off]
     frac = (tc[off] - grid[lo]) / (grid[lo + 1] - grid[lo])
     return _SamplePlan(cells, off, lo, frac)
@@ -76,6 +106,11 @@ class CadlagPath:
     derived on construction.  A path built from a grid and values alone is
     continuous: it holds one read-only array as both values and left
     values.  Evaluation beyond the horizon returns X(T).
+
+    The constructor validates a fresh grid: it starts at 0, is finite and
+    strictly increasing.  A path derived from another one (sums, estimates,
+    ground-truth pieces) is built by ``_jumping_at``, which shares that
+    path's grid and its smallest spacing and checks only the new samples.
     """
 
     grid: np.ndarray
@@ -96,27 +131,12 @@ class CadlagPath:
             raise PathError("grid, values and left_values lengths differ")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))
                 and np.all(np.isfinite(left))):
-            raise PathError("grid, values and left_values must be finite")
+            raise PathError(_NOT_FINITE)
         spacing = np.diff(grid)
         if np.any(spacing <= 0.0):
             raise PathError("grid must be strictly increasing")
-        marks = np.flatnonzero(values != left)
-        if marks.size and marks[0] == 0:
-            raise PathError("left_values[0] differs from values[0], but X(0-) = X(0)")
-        if self.rule == PIECEWISE_CONSTANT:
-            if not np.array_equal(left[1:], values[:-1]):
-                raise PathError(
-                    "piecewise-constant left limits are determined by the previous value"
-                )
-        elif self.rule != LINEAR:
-            raise PathError(f"unknown interpolation rule {self.rule!r}")
-        for name, arr in (("grid", grid), ("values", values),
-                          ("left_values", left), ("jump_marks", marks)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        # read on every window of a study: taken once, and no field, so it
-        # stays out of equality and repr
-        object.__setattr__(self, "_min_spacing", float(spacing.min()))
+        _set_fields(self, grid, float(spacing.min()), values, left,
+                    np.flatnonzero(values != left), self.rule)
 
     # -- basic geometry -------------------------------------------------
 
@@ -141,7 +161,8 @@ class CadlagPath:
         return self.values[self.jump_marks] - self.left_values[self.jump_marks]
 
     def same_grid(self, other: "CadlagPath") -> bool:
-        return self.grid.shape == other.grid.shape and np.array_equal(self.grid, other.grid)
+        return self.grid is other.grid or (self.grid.shape == other.grid.shape
+                                           and np.array_equal(self.grid, other.grid))
 
     # -- evaluation ------------------------------------------------------
 
@@ -157,10 +178,13 @@ class CadlagPath:
         out = self._sample(_sample_plan(self.grid, tc, cells))
         return float(out[0]) if scalar else out
 
-    def _sample(self, plan: _SamplePlan) -> np.ndarray:
-        """X at the times of ``plan`` (a plan on this path's grid): the cell
-        values, with the off-node entries interpolated under the linear rule."""
-        out = self.values[plan.cells]
+    def _sample(self, plan: _SamplePlan, out: np.ndarray | None = None) -> np.ndarray:
+        """X at the times of ``plan`` (a plan on this path's grid), written in
+        ``out`` when given: the cell values, with the off-node entries
+        interpolated under the linear rule."""
+        # the cells are in range, so "clip" never acts; it spares the
+        # buffered copy that "raise" makes with out=
+        out = np.take(self.values, plan.cells, out=out, mode="clip")
         if self.rule == LINEAR:
             v = self.values[plan.lo]
             out[plan.off] = v + plan.frac * (self.left_values[plan.lo + 1] - v)
@@ -191,8 +215,9 @@ class CadlagPath:
         return float(np.sum(self.jump_sizes ** 2))
 
     def sup_norm(self) -> float:
-        left = self.left_values[self.jump_marks]  # elsewhere they are the values
-        return float(max(np.max(np.abs(self.values)), np.max(np.abs(left), initial=0.0)))
+        v, left = self.values, self.left_values[self.jump_marks]  # elsewhere the values
+        # max |v| is the larger of max v and -min v, read without an |v| array
+        return float(max(abs(max(v.max(), -v.min())), np.max(np.abs(left), initial=0.0)))
 
     # -- arithmetic (shared grid) ---------------------------------------
 
@@ -202,7 +227,7 @@ class CadlagPath:
         _require_shared_grid(self, other)
         rows = _union_marks(self, other)
         rule = LINEAR if LINEAR in (self.rule, other.rule) else PIECEWISE_CONSTANT
-        return _jumping_at(self.grid, fn(self.values, other.values), rows,
+        return _jumping_at(self, fn(self.values, other.values), rows,
                            fn(self.left_values[rows], other.left_values[rows]), rule)
 
     def __add__(self, other):
@@ -213,7 +238,7 @@ class CadlagPath:
 
     def __mul__(self, scalar):
         c, m = float(scalar), self.jump_marks
-        return _jumping_at(self.grid, c * self.values, m, c * self.left_values[m], self.rule)
+        return _jumping_at(self, c * self.values, m, c * self.left_values[m], self.rule)
 
     __rmul__ = __mul__
 
@@ -326,14 +351,30 @@ def _samples(v, shape) -> np.ndarray:
     return a if a.shape == shape else np.broadcast_to(a, shape).copy()
 
 
-def _jumping_at(grid, values: np.ndarray, rows, lefts, rule: str = LINEAR) -> CadlagPath:
-    """The path whose left values are its ``values`` but ``lefts`` at the grid
-    ``rows``; without a row nothing is copied, and the path holds one array."""
+def _jumping_at(base: CadlagPath, values, rows=(), lefts=(), rule: str = LINEAR) -> CadlagPath:
+    """The one builder of derived paths: the path on ``base``'s grid whose
+    left values are its ``values`` but ``lefts`` at the sorted distinct grid
+    ``rows``; without a row nothing is copied, and the path holds one array.
+
+    The grid was validated when ``base`` was built, so the path shares it and
+    its smallest spacing, and only the new samples are checked: the values
+    and the lefts at the rows are finite, and the rule holds.  The jump marks
+    are the rows whose left differs from the value.
+    """
+    values = _as_farray(values)
+    rows = np.asarray(rows, dtype=np.intp)
+    if values.size != base.grid.size:
+        raise PathError("grid, values and left_values lengths differ")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(lefts))):
+        raise PathError(_NOT_FINITE)
     left = values
-    if len(rows):
+    if rows.size:
         left = values.copy()
         left[rows] = lefts
-    return CadlagPath(grid, values, left, rule)
+    P = object.__new__(CadlagPath)
+    _set_fields(P, base.grid, base.min_spacing, values, left,
+                rows[values[rows] != lefts], rule)
+    return P
 
 
 def _declared(path: CadlagPath, marks) -> CadlagPath:
@@ -390,8 +431,8 @@ def step_path(T: float, n: int, step_time: float) -> CadlagPath:
         raise PathError("step_time must lie in (0, T)")
     grid = np.union1d(grid, [step_time])
     values = np.where(grid >= step_time, 1.0, 0.0)
-    return _jumping_at(grid, values, [np.searchsorted(grid, step_time)], 0.0,
-                       PIECEWISE_CONSTANT)
+    return _jumping_at(constant_path(grid), values, [np.searchsorted(grid, step_time)],
+                       0.0, PIECEWISE_CONSTANT)
 
 
 def uniform_grid(T: float, n: int) -> np.ndarray:

@@ -17,13 +17,15 @@ piecewise constant whenever the inputs are, so the kernels are exact on
 piecewise-constant paths.  Splitting each integral at t - eps turns the
 computation into prefix sums, and the work into a per-study part
 (``_Study``) and a per-window part (``_Mesh``).  Once per study, for all
-windows: the grid's bucket index for locating points and, at the first
-window that inserts no breakpoint, the grid's cells and the covariation's
-eps-free prefix sums.  Once per window: one location of the shifted sample
-points in the grid, which gives the paths' values there and, by counting,
-the bulk cells of every t; the bulk prefix sum; and the O(n) assembly for
-all t, in place in one accumulator.  A window that inserts a breakpoint
-inside a grid cell builds its own cells and sums.  The location is a
+windows: the grid's bucket index for locating points, the window-sized
+scratch buffers that every window writes in place (``_Scratch``) and, at
+the first window that inserts no breakpoint, the grid's cells and the
+covariation's eps-free prefix sums.  Once per window: one location of the
+shifted sample points in the grid, which gives the paths' values there
+and, by counting, the bulk cells of every t; the bulk prefix sum; and the
+O(n) assembly for all t, in place in one accumulator, the one fresh array
+of an estimate.  A window that inserts a breakpoint inside a grid cell
+builds its own cells and sums.  The location is a
 bucket walk, O(n) when the grid's nodes are spread evenly, with a binary
 search only for points in crowded buckets.  The estimators jump only where
 their inputs do, so left limits are assembled only at the input jump rows:
@@ -169,7 +171,8 @@ def _buckets(grid: np.ndarray) -> np.ndarray:
     return np.cumsum(np.bincount((grid / grid[-1] * (grid.size - 1)).astype(np.intp)))
 
 
-def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray) -> np.ndarray:
+def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray,
+            scratch: "_Scratch | None" = None) -> np.ndarray:
     """Cell of every time tc in [0, T], ``searchsorted(grid, tc, "right") - 1``,
     given the grid's bucket index ``ends = _buckets(grid)``.
 
@@ -178,10 +181,21 @@ def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray) -> np.ndarray:
     own bucket, and all times step back together while their node lies
     after them.  The few still moving after ``_LOCATE_ROUNDS`` steps, in
     buckets crowded by clustered nodes, are binary-searched, so any grid
-    stays exact and O(n log n).
+    stays exact and O(n log n).  The cells and the steps' gathers are
+    written in ``scratch`` (a study's, or fresh buffers), which also holds
+    the cells returned.
     """
-    cells = ends[(tc / grid[-1] * (grid.size - 1)).astype(np.intp)] - 1
-    moving = np.flatnonzero(grid[cells] > tc)
+    s = scratch or _Scratch(tc.size, 0)
+    f, bucket, cells, mask = (b[:tc.size] for b in (s.floats, s.ints, s.cells, s.mask))
+    np.divide(tc, grid[-1], out=f)
+    f *= grid.size - 1
+    np.copyto(bucket, f, casting="unsafe")  # truncates, as astype(np.intp)
+    # every index is in range, so "clip" never acts; it spares the buffered
+    # copy that "raise" makes with out=
+    np.take(ends, bucket, out=cells, mode="clip")
+    cells -= 1
+    np.take(grid, cells, out=f, mode="clip")
+    moving = np.flatnonzero(np.greater(f, tc, out=mask))
     for _ in range(_LOCATE_ROUNDS):
         if not moving.size:
             return cells
@@ -190,6 +204,38 @@ def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray) -> np.ndarray:
         moving = moving[grid[c] > tc[moving]]
     cells[moving] = np.searchsorted(grid, tc[moving], side="right") - 1
     return cells
+
+
+class _Scratch:
+    """Window-sized buffers that every window of one study writes in turn.
+
+    One block of rows of ``words`` entries each, the most a window needs:
+    the grid's points, one inserted breakpoint per jump row of the study,
+    and one count past the horizon.  Taken in one allocation, the block is
+    freed in one, which keeps its pages in the process for the next study
+    instead of handing n-sized arrays back to the OS window by window.
+
+    A window first builds its mesh: ``u`` and ``uc`` hold the shifted
+    points and their copy clipped at T, ``cells`` their cells, ``floats``,
+    ``ints`` and ``mask`` the gathers and tests of the location, and
+    ``shifted[k]`` the k-th of ``partners`` sample sets at u.  The bulk
+    cells at every grid time are counted into ``counts``, over the dead
+    ``ints`` and ``mask``.  The assembly reads u only to search the left
+    limits' bulk, and the samples and counts throughout; it writes the bulk
+    prefix sum ``bulk`` and its temporaries ``r``, ``q`` and ``s`` over the
+    rows of ``uc``, ``floats``, ``cells`` and ``u``.  No estimate a window
+    returns lies in the block.
+    """
+
+    def __init__(self, words: int, partners: int):
+        rows = np.empty((5 + partners, words))
+        self.u = self.s = rows[0]
+        self.ints = self.counts = rows[1].view(np.intp)
+        self.mask = rows[1].view(bool)[:words]
+        self.uc = self.bulk = rows[2]
+        self.floats = self.r = rows[3]
+        self.cells, self.q = rows[4].view(np.intp), rows[4]
+        self.shifted = list(rows[5:])
 
 
 class _Study:
@@ -206,6 +252,17 @@ class _Study:
     reads them, so a study whose windows all insert breakpoints builds
     neither.  On the plain grid the cell-start samples of X and the
     partners are their values, read in place.
+
+    The study owns its windows' buffers, ``scratch`` (``_Scratch``): the
+    shifted points and their clipped copy, the cells, the bin counts, the
+    samples at the shifted points, the bulk prefix sum and the assembly's
+    temporaries, sized to the grid plus the most breakpoints a window
+    inserts.  Every window writes them in place, so a covariation window
+    on the plain grid allocates no n-sized array but the estimates it
+    returns and its sample plan's off-node entries.  A mesh that inserts
+    breakpoints also builds its cells and samples, and the forward and
+    weighted kernels their cell weights and sums.  Nothing outlives the
+    call.
     """
 
     def __init__(self, X: CadlagPath, partners: list[CadlagPath]):
@@ -217,6 +274,8 @@ class _Study:
         self.jidx = _union_marks(X, *partners)
         self.taus = X.grid[self.jidx]
         self.ends = _buckets(X.grid)
+        others = sum(P is not X for P in partners)
+        self.scratch = _Scratch(X.grid.size + self.jidx.size + 1, 1 + others)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -253,6 +312,13 @@ class _Mesh:
     path's cell-start sample is its ``value_at``.  Counting each u at the
     first node at or after it gives ``jr[i]``, the number of bulk cells
     (u <= t_i) at grid time t_i.  The width obeys ``_require_fit``.
+
+    ``u``, ``jr``, the samples at u and the location's work lie in the
+    study's scratch, written in place, so they hold this window's values
+    only until its estimates are assembled.  Of the mesh, a plain window
+    allocates only the sample plan's off-node entries; one that inserts
+    breakpoints also builds its own cells, their widths and rows, and its
+    cell-start samples.
     """
 
     def __init__(self, study: _Study, eps: float):
@@ -273,9 +339,11 @@ class _Mesh:
             on_grid, on_grid_tau = ins[hit], taus[hit]
             taus, shifted, ins = taus[~hit], shifted[~hit], ins[~hit]
         self.plain = not shifted.size
+        buf = study.scratch
+        u = buf.u[:grid.size - 1 + shifted.size]
         if self.plain:
             sl, w, rows = study.sl, study.w, slice(None)
-            u = sl + eps
+            np.add(sl, eps, out=u)
             if on_grid.size:
                 u[on_grid] = on_grid_tau
                 np.maximum.accumulate(u, out=u)
@@ -285,7 +353,7 @@ class _Mesh:
             pos = np.arange(grid.size) + np.searchsorted(shifted, grid, side="left")
             ins_cells = ins + np.arange(shifted.size)
             sl, w, rows = S[:-1], np.diff(S), pos
-            u = sl + eps
+            np.add(sl, eps, out=u)
             u[ins_cells] = taus
             if on_grid.size:
                 u[pos[on_grid]] = on_grid_tau
@@ -301,19 +369,24 @@ class _Mesh:
         self.ins_cells = ins_cells
         self.shifted = shifted
         # the one location: all paths lie on one grid, so one plan serves all
-        uc = np.minimum(u, T)
-        cells = _locate(grid, study.ends, uc)
-        plan = _sample_plan(grid, uc, cells)
-        self.Xs, self.Xu = self._samples(X, plan)
-        self.samples = [(self.Xs, self.Xu) if P is X else self._samples(P, plan)
+        uc = np.minimum(u, T, out=buf.uc[:u.size])
+        cells = _locate(grid, study.ends, uc, buf)
+        plan = _sample_plan(grid, uc, cells, buf.floats[:u.size])
+        # X's samples at u take the first row, each other partner's the next
+        outs = iter(buf.shifted)
+        self.Xs, self.Xu = self._samples(X, plan, next(outs))
+        self.samples = [(self.Xs, self.Xu) if P is X else self._samples(P, plan, next(outs))
                         for P in study.partners]
         del plan, uc
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
-        on_node = grid[cells] == u
+        on_node = np.equal(np.take(grid, cells, out=buf.floats[:u.size], mode="clip"), u,
+                           out=buf.mask[:u.size])
         cells += 1
         cells -= on_node
-        jr = np.bincount(cells, minlength=grid.size + 1)
+        jr = buf.counts
+        jr.fill(0)
+        np.add.at(jr, cells, 1)
         self.jr = np.cumsum(jr, out=jr)[:grid.size]
         self.X = X
 
@@ -327,10 +400,12 @@ class _Mesh:
         out[self.ins_cells] = at_inserted(self.shifted)
         return out
 
-    def _samples(self, P: CadlagPath, plan) -> tuple[np.ndarray, np.ndarray]:
-        """P at the cell left endpoints and at the shifted points u, given
-        the plan of u capped at T; P jumps only where the study's paths do."""
-        return self._at_cell_starts(P.values, P.value_at), P._sample(plan)
+    def _samples(self, P: CadlagPath, plan, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P at the cell left endpoints and at the shifted points u, the
+        latter written in ``out``, given the plan of u capped at T; P jumps
+        only where the study's paths do."""
+        return (self._at_cell_starts(P.values, P.value_at),
+                P._sample(plan, out[:plan.cells.size]))
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
         """Caglad weight sampled at cell left endpoints (left limits).
@@ -387,12 +462,14 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     serves every partner.  Cells with u(s) <= t (the bulk) are one prefix
     sum per partner, the only sum that depends on eps; the boundary cells
     after t - eps expand into the prefix sums of ``_Sums``, which on a
-    plain mesh of the covariation are the study's.  Each estimate is
-    assembled in place in one accumulator, and the bulk is gone before the
-    grid rows' buffers are taken.
+    plain mesh of the covariation are the study's.  The bulk prefix sum and
+    the assembly's temporaries are the study's scratch; each estimate is
+    assembled in place in one accumulator, a fresh array that the window
+    returns.
     """
     study = m.study
     X = m.X
+    buf = study.scratch
     if omega is None and m.plain:
         sums = study.sums
     else:
@@ -407,7 +484,7 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
 
     def against(k: int) -> CadlagPath:
         Y = study.partners[k]
-        bulk = np.empty(m.sl.size + 1)
+        bulk = buf.bulk[:m.sl.size + 1]
         bulk[0] = 0.0
         d = np.subtract(m.Xu, m.Xs, out=bulk[1:])
         if unit:
@@ -416,7 +493,7 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             Ys, Yu = m.samples[k]
             # association is kept symmetric in the two factors so that
             # swapping them returns bit-identical values
-            d *= d if Y is X else Yu - Ys
+            d *= d if Y is X else np.subtract(Yu, Ys, out=buf.q[:d.size])
             d *= omega
             Bm, SwB, SwAB = sums.factors[k]
         np.cumsum(d, out=d)
@@ -425,19 +502,21 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             # bulk[j] is in acc; with r. = S.[p] - S.[j] this is
             # (bulk[j] + (Am Bm rw + rab) - (Am rb + Bm ra)) / eps, or with
             # ``unit`` (bulk[j] + Am rw - ra) / eps
-            r = np.empty(j.size)
+            r, q, s = buf.r[:j.size], buf.q[:j.size], buf.s[:j.size]
 
             def span(S):
-                # j counts cells, so it is in range and "clip" never acts;
-                # it spares the buffered copy that "raise" makes with out=
+                # j counts cells and p holds mesh rows, so both are in range
+                # and "clip" never acts; it spares the buffered copy that
+                # "raise" makes with out=
                 np.take(S, j, out=r, mode="clip")
-                return np.subtract(S[p], r, out=r)
+                Sp = S[p] if isinstance(p, slice) else np.take(S, p, out=s, mode="clip")
+                return np.subtract(Sp, r, out=r)
 
             if unit:
                 acc += np.multiply(span(Sw), Am, out=r)
                 acc -= span(SwA)
             else:
-                q = np.multiply(Am, Bm)
+                np.multiply(Am, Bm, out=q)
                 q *= span(Sw)
                 q += span(SwAB)
                 acc += q
@@ -453,10 +532,8 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
 
         Bl = Al if unit or Y is X else Y.left_values[jidx] - Y.values[0]
         lefts = assemble(bulk[jl], m.jump_rows, jl, Al, Bl)
-        vals = bulk[m.jr]
-        del bulk, d
-        vals = assemble(vals, m.rows, m.jr, Am, None if unit else Bm)
-        return _jumping_at(m.grid, vals, jidx, lefts)
+        vals = assemble(bulk[m.jr], m.rows, m.jr, Am, None if unit else Bm)
+        return _jumping_at(X, vals, jidx, lefts)
 
     return against
 
@@ -495,7 +572,7 @@ def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPa
     Ys, Yu = m.samples[0]
     bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (Yu - Ys))
     vals = bulk[m.rows] / m.eps
-    return CadlagPath(m.grid, vals)
+    return _jumping_at(X, vals)
 
 
 def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
@@ -527,7 +604,7 @@ def forward_integral_rv(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     jidx = _union_marks(X, Y)
     lefts = (base.left_values[jidx]
              + y0 * (q[jidx] + tail[jidx] * (X.left_values[jidx] - x0)) / eps)
-    return _jumping_at(grid, vals, jidx, lefts)
+    return _jumping_at(X, vals, jidx, lefts)
 
 
 def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
@@ -672,32 +749,38 @@ def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedul
     X = dF_x(Y)).  With two or more, the callers check that every partner's
     marks lie within X's (the battery checks its test paths are continuous).
     The grid work (``_Study``) is done once, each window's ``_Mesh`` and X's
-    side of the sums once per window."""
+    side of the sums once per window, in the study's buffers: a window's
+    only fresh n-sized arrays are the estimates it yields."""
     _require_fit(schedule, X)
     study = _Study(X, partners)
     for e in schedule:
         against = kernel(_Mesh(study, e))
         yield [against(k) for k in range(len(partners))]
-        # dropped after the window is read and before the next one allocates;
-        # dropped before the yield, it raised qv_limit's page faults by 65%
+        # dropped after the window is read, so the arrays a mesh builds for
+        # itself (those of inserted breakpoints) go before the next one's
         del against
 
 
-def _sup_gap(a: CadlagPath, b: CadlagPath) -> float:
-    d = b.values - a.values
+def _sup_gap(a: CadlagPath, b: CadlagPath, out: np.ndarray) -> float:
+    """The sup-norm of b - a on the grid, the difference written in ``out``."""
+    d = np.subtract(b.values, a.values, out=out)
     return float(np.max(np.abs(d, out=d)))
 
 
 def _limits(windows, schedule: EpsilonSchedule, tol: float) -> list[LimitReport]:
     """The one sup-norm Cauchy bookkeeping: a LimitReport per partner of the
     stream ``windows`` of per-window estimate lists, holding only the
-    previous list.  The tolerance is checked before any estimate is made."""
+    previous list and one gap buffer.  The tolerance is checked before any
+    estimate is made."""
     _require_tol(tol)
-    last, norms, gaps = None, [], []
+    last, norms, gaps, gap = None, [], [], None
     for ests in windows:
         norms.append([E.sup_norm() for E in ests])
         if last is not None:
-            gaps.append([_sup_gap(a, b) for a, b in zip(last, ests)])
+            if gap is None:
+                # every gap of the call: all its estimates lie on one grid
+                gap = np.empty(ests[0].values.size)
+            gaps.append([_sup_gap(a, b, gap) for a, b in zip(last, ests)])
         last = ests
     norms, gaps = np.array(norms).T, np.array(gaps).reshape(-1, len(last)).T
     return [LimitReport(tuple(schedule.epsilons), E, g, s, float(tol),

@@ -217,19 +217,20 @@ def _levy_ito(spec: SimSpec):
     smooth = spec.x0 + drift * grid
     comp_drift = lam * (law.mean() if lam > 0 else 0.0) * grid
     cont = smooth if w is None else smooth + w
-    path = _jumping_at(grid, cont + jv, rows, cont[rows] + jl,
+    # the one check of the fresh grid; every other piece shares it
+    A = CadlagPath(grid, smooth + comp_drift)
+    path = _jumping_at(A, cont + jv, rows, cont[rows] + jl,
                        PIECEWISE_CONSTANT if w is None else LINEAR)
-    a = smooth + comp_drift
     # closed-form bracket: sigma^2 t plus the running sum of squared jumps
     qv = (0.0 if w is None else sigma ** 2) * grid
     sq, sql = atom_cumsum(grid, times, sizes ** 2)
     gt = GroundTruth(
         kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
-        bracket=_jumping_at(grid, qv + sq, rows, qv[rows] + sql),
+        bracket=_jumping_at(A, qv + sq, rows, qv[rows] + sql),
         decomposition={
-            "M_c": constant_path(grid) if w is None else CadlagPath(grid, w),
-            "M_d": _jumping_at(grid, jv - comp_drift, rows, jl - comp_drift[rows]),
-            "A": CadlagPath(grid, a),
+            "M_c": _jumping_at(A, np.zeros(grid.size) if w is None else w),
+            "M_d": _jumping_at(A, jv - comp_drift, rows, jl - comp_drift[rows]),
+            "A": A,
         },
         compensator=comp, assumes_reversible=w is not None,
     )
@@ -256,9 +257,9 @@ def _fbm(spec: SimSpec):
     values = np.concatenate(([0.0], L @ z)) * spec.sigma + spec.x0
     path = CadlagPath(grid, values)
     if H > 0.5:
-        bracket, divergent = constant_path(grid), False
+        bracket, divergent = _jumping_at(path, np.zeros(grid.size)), False
     elif H == 0.5:
-        bracket, divergent = CadlagPath(grid, spec.sigma ** 2 * grid), False
+        bracket, divergent = _jumping_at(path, spec.sigma ** 2 * grid), False
     else:
         bracket, divergent = None, True
     gt = GroundTruth(kind="fbm", base_dt=spec.base_dt,
@@ -279,7 +280,7 @@ def _convolution_martingale(spec: SimSpec):
     values[0] = 0.0
     path = CadlagPath(grid, values)
     gt = GroundTruth(kind="convolution_martingale", base_dt=spec.base_dt,
-                     bracket=CadlagPath(grid, 0.5 * grid ** 2))
+                     bracket=_jumping_at(path, 0.5 * grid ** 2))
     return path, gt
 
 
@@ -309,7 +310,7 @@ def _pdp(spec: SimSpec):
     rows = np.searchsorted(grid, switches)
     values = spec.x0 + _regime_values(regimes, switches, grid, "right")
     lefts = spec.x0 + _regime_values(regimes, switches, grid[rows], "left")
-    path = _jumping_at(grid, values, rows, lefts)
+    path = _jumping_at(constant_path(grid), values, rows, lefts)
     gt = GroundTruth(kind="pdp", base_dt=spec.base_dt,
                      jump_times=path.jump_times, jump_sizes=path.jump_sizes,
                      regime_bounds=switches)

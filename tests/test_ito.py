@@ -59,6 +59,23 @@ def test_wrong_derivative_is_caught():
         bad.validate_derivatives((0, 1), (-2, 2))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_probe_without_a_finite_difference_fails_validation():
+    # where F(x + h) overflows, every finite difference is inf or NaN and no
+    # comparison can fail, so such a probe must fail by itself, named
+    wrong = FunctionBundle("square", "c12", f=lambda t, x: x ** 2, dt=lambda t, x: 0.0,
+                           dx=lambda t, x: 3.0 * x, dxx=lambda t, x: 7.0)
+    with pytest.raises(BundleValidationError, match=r"not finite at \(t=.*, x=.*\)"):
+        wrong.validate_derivatives((0.0, 1.0), (0.0, 1e200))
+    with pytest.raises(BundleValidationError, match="disagrees"):
+        wrong.validate_derivatives((0.0, 1.0), (0.0, 2.0))
+    # a supplied derivative that is not finite fails too
+    blows_up = FunctionBundle("square", "c12", f=lambda t, x: x ** 2, dt=lambda t, x: 0.0,
+                              dx=lambda t, x: 2.0 * x, dxx=lambda t, x: np.inf)
+    with pytest.raises(BundleValidationError, match="dxx or its finite difference"):
+        blows_up.validate_derivatives((0.0, 1.0), (-2.0, 2.0))
+
+
 def test_bundle_class_requirements():
     with pytest.raises(ValueError):
         FunctionBundle("f", "c12", f=lambda t, x: x)

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcalc.paths import (CadlagPath, PathError, _union_marks, constant_path, make_path,
-                            step_path, uniform_grid)
+from pathcalc.paths import (CadlagPath, PathError, _require_shared_grid, _union_marks,
+                            constant_path, make_path, step_path, uniform_grid)
 
 from oracles import from_function
 
@@ -437,3 +438,76 @@ def test_csv_malformed_row_names_the_line(row):
     lines[3] = row
     with pytest.raises(PathError, match="line 4"):
         CadlagPath.from_csv("\n".join(lines))
+
+
+# -- derived paths share their grid and check only their samples -------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_derived_arithmetic_that_overflows_is_rejected():
+    # a derived path checks its values everywhere and its lefts at its rows
+    P = make_path([0.0, 0.5, 1.0], [1.2, 1.5, 1.5], [(1, 1.3)])
+    assert np.all(np.isfinite((P * 1e308).values))
+    with pytest.raises(PathError, match="must be finite"):
+        P * 1e308 + P * 1e308
+    # finite values, a left limit that overflows at the jump row
+    Q = make_path([0.0, 0.5, 1.0], [0.5, 0.5, 0.5], [(1, 1.6)])
+    with pytest.raises(PathError, match="must be finite"):
+        Q * 1e308 + Q * 1e308
+
+
+def test_derived_paths_hold_the_grid_they_come_from():
+    P = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [(1, 0.0)])
+    for D in (P + P, P - 2.0 * P, -P):
+        assert D.grid is P.grid
+        assert D.min_spacing == P.min_spacing
+        assert D.same_grid(P) and P.same_grid(D)
+
+
+def test_the_shared_grid_rule_compares_another_grid_array_by_value():
+    P = make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [(1, 0.0)])
+    equal = CadlagPath(P.grid.copy(), [2.0, 3.0, 4.0])
+    assert equal.grid is not P.grid
+    _require_shared_grid(P, equal)
+    assert (P + equal).values.tolist() == [2.0, 4.0, 5.0]
+    nudged = CadlagPath([0.0, np.nextafter(0.5, 1.0), 1.0], [2.0, 3.0, 4.0])
+    with pytest.raises(PathError, match="share a grid"):
+        _require_shared_grid(P, nudged)
+    with pytest.raises(PathError, match="share a grid"):
+        P + nudged
+
+
+def _every_path(obj, out):
+    if isinstance(obj, CadlagPath):
+        out.append(obj)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _every_path(v, out)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _every_path(v, out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            _every_path(getattr(obj, f.name), out)
+    return out
+
+
+def test_marks_from_rows_are_the_indices_where_values_and_lefts_differ(monkeypatch):
+    # every path of the fingerprint's paths, kernels and identities groups:
+    # the builder marks the rows whose left differs, which must be every
+    # index where the two arrays differ
+    import fingerprint
+
+    seen = []
+    monkeypatch.setattr(fingerprint.Fingerprint, "add",
+                        lambda self, group, obj: _every_path(obj, seen))
+    fp, cases = fingerprint.Fingerprint(), fingerprint._paths()
+    for group in (fingerprint.paths_group, fingerprint.kernels_group,
+                  fingerprint.identities_group):
+        group(fp, cases)
+    assert len(seen) > 500
+    assert sum(P.jump_marks.size > 0 for P in seen) > 200
+    for P in seen:
+        want = np.flatnonzero(P.values != P.left_values)
+        assert P.jump_marks.dtype == want.dtype
+        assert np.array_equal(P.jump_marks, want)

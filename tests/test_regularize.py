@@ -5,7 +5,7 @@ import pytest
 
 import pathcalc.simulate as sim
 from pathcalc import regularize as reg
-from pathcalc.paths import CadlagPath, constant_path, step_path, uniform_grid
+from pathcalc.paths import CadlagPath, PathError, constant_path, step_path, uniform_grid
 
 from oracles import (brute_covariation, brute_forward_integral, from_function,
                      rel_error)
@@ -395,3 +395,63 @@ def test_schedule_grid_mismatch_in_limit_driver():
     X = linear_path(20)  # spacing 0.05, smallest window below it
     with pytest.raises(reg.ScheduleError):
         reg.qv_limit(X, schedule=reg.EpsilonSchedule((0.2, 0.01)))
+
+
+# -- a study's buffers ---------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_estimate_that_overflows_is_rejected():
+    W = sim.brownian_on_grid(uniform_grid(1.0, 400), 3)
+    with pytest.raises(PathError, match="must be finite"):
+        reg.covariation(1e160 * W, 1e160 * W, 0.05)
+
+
+# a jump-free study has plain meshes only; a jump at 0.503 on a grid of
+# 1/200 cells puts 0.503 - eps strictly inside a cell for every width below
+STUDY_CASES = {"plain": lambda: sim.brownian_on_grid(uniform_grid(1.0, 200), 5),
+               "inserted": lambda: (step_path(1.0, 200, 0.503)
+                                    + sim.brownian_on_grid(step_path(1.0, 200, 0.503).grid,
+                                                           5))}
+
+
+@pytest.mark.parametrize("kernel", ["_window_sums", "_forward_sums"])
+@pytest.mark.parametrize("case", STUDY_CASES)
+def test_study_estimates_own_their_arrays(monkeypatch, case, kernel):
+    # every window writes the study's scratch in place: what it yields must
+    # lie in no buffer of the study nor in another window's estimate, and
+    # keep its bits once the study has finished
+    X = STUDY_CASES[case]()
+    partners = [X, sim.brownian_on_grid(X.grid, 6)]
+    sched = reg.EpsilonSchedule((0.1, 0.05, 0.025, 0.0125))
+    studies, plain = [], []
+    Study, Mesh = reg._Study, reg._Mesh
+
+    def study(*args):
+        studies.append(Study(*args))
+        return studies[-1]
+
+    def mesh(*args):
+        m = Mesh(*args)
+        plain.append(m.plain)
+        return m
+
+    monkeypatch.setattr(reg, "_Study", study)
+    monkeypatch.setattr(reg, "_Mesh", mesh)
+    kept = []
+    for ests in reg._windows(X, partners, sched, getattr(reg, kernel)):
+        kept.append([(E, E.values.copy(), E.left_values.copy()) for E in ests])
+    assert plain == [case == "plain"] * len(sched)
+    (s,) = studies
+    buffers = [b for b in vars(s.scratch).values() if isinstance(b, np.ndarray)]
+    buffers += s.scratch.shifted
+    for window, after in zip(kept, kept[1:] + [[]]):
+        for E, _, _ in window:
+            for arr in (E.values, E.left_values):
+                assert not any(np.shares_memory(arr, b) for b in buffers)
+                assert not any(np.shares_memory(arr, F.values)
+                               or np.shares_memory(arr, F.left_values) for F, _, _ in after)
+    for window in kept:
+        for E, values, lefts in window:
+            assert E.values.tobytes() == values.tobytes()
+            assert E.left_values.tobytes() == lefts.tobytes()
