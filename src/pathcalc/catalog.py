@@ -15,7 +15,7 @@ from .ito import FUNCTION_CATALOG, path_of_function
 from .jumps import NormalLaw
 from .paths import step_path, uniform_grid
 from .regularize import DEFAULT_EPS_MAX, _default_levels
-from .simulate import (KINDS, GroundTruth, SimSpec, brownian_on_grid,
+from .simulate import (KINDS, GroundTruth, SimSpec, _brownian_along, brownian_on_grid,
                        grid_cells, simulate)
 
 
@@ -37,7 +37,7 @@ def _against_bm(make, F=None):
     def build(seed, n):
         X, gt = make(seed, n)
         A = X if F is None else path_of_function(F, X)
-        return A, brownian_on_grid(X.grid, seed, stream=11), gt.base_dt
+        return A, _brownian_along(X, seed, stream=11), gt.base_dt
     return build
 
 

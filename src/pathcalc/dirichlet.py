@@ -25,12 +25,12 @@ from . import jumps as jmod
 from .ito import FunctionBundle, ItoReport, _Expansion, _measure_form, stieltjes_left
 from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms, increment_field,
                     integrability_report)
-from .paths import CadlagPath, PathError, _require_shared_grid, constant_path
+from .paths import CadlagPath, PathError, _constant_on, _require_shared_grid
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
                          _limits, _require_fit, _require_tol, _windows,
                          alpha_atoms_verdict, bracket_verdict, covariation,
                          forward_integral, md_verdict, orthogonality_verdict)
-from .simulate import brownian_on_grid
+from .simulate import _brownian_along
 
 ORTH_TOL = 0.05
 BATTERY_SIZE = 3
@@ -67,16 +67,16 @@ class LabeledDecomposition:
             return self.M_c
         return self.M_c + self.M_d
 
-    def _part(self, role: str, grid) -> CadlagPath:
-        """The labeled ``role`` component, or the zero path on ``grid``."""
+    def _part(self, role: str, base: CadlagPath) -> CadlagPath:
+        """The labeled ``role`` component, or the zero path on ``base``'s grid."""
         P = getattr(self, role)
-        return P if P is not None else constant_path(grid)
+        return P if P is not None else _constant_on(base)
 
 
 def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
     """BATTERY_SIZE independent standard Brownian test paths on X's grid,
     fresh streams."""
-    return [brownian_on_grid(X.grid, seed, stream=101 + k)
+    return [_brownian_along(X, seed, stream=101 + k)
             for k in range(BATTERY_SIZE)]
 
 
@@ -179,7 +179,7 @@ def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
     k_mu, k_nu, y_mu, y_nu, big_mu = ex.split
     vbar = ex.big_nu
     k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
-    gamma = (lhs - constant_path(X.grid, lhs.values[0]) - mart_int - k_comp
+    gamma = (lhs - _constant_on(X, lhs.values[0]) - mart_int - k_comp
              + y_comp - big_mu)
     a_path = gamma + vbar
     m_path = lhs - a_path
@@ -209,11 +209,11 @@ def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
 def _gamma_reference(ex: _Expansion, decomp: LabeledDecomposition) -> CadlagPath:
     X = ex.X
     ex.require("c12")
-    A = decomp._part("A", X.grid)
+    A = decomp._part("A", X)
     _require_shared_grid(X, A)
     time_term, bracket = ex.smooth_terms()
     if float(np.max(np.abs(A.values - A.values[0]))) == 0.0:
-        fwd = constant_path(X.grid)
+        fwd = _constant_on(X)
     else:
         fwd = forward_integral(ex.dx_path, A, ex.schedule.epsilons[-1])
     return time_term + fwd + bracket + ex.small_nu
@@ -281,8 +281,8 @@ def particular_wd_check(decomp: LabeledDecomposition,
         raise PathError("decomposition has no components")
     M = (decomp.martingale
          if (decomp.M_c is not None or decomp.M_d is not None)
-         else constant_path(base.grid))
-    V, A_prime = decomp._part("V", M.grid), decomp._part("A_prime", M.grid)
+         else _constant_on(base))
+    V, A_prime = decomp._part("V", M), decomp._part("A_prime", M)
     if not np.isfinite(np.sum(np.abs(np.diff(V.values)))):
         raise PathError("bounded variation component V has infinite variation")
     X = M + V + A_prime
@@ -303,7 +303,7 @@ def particular_wd_check(decomp: LabeledDecomposition,
         X_FIELD.with_truncation("small"), X, nu))
     big = _if_atoms(X, nu, lambda: jmod.integrate_mu(
         X_FIELD.with_truncation("big"), X))
-    alpha = X - decomp._part("M_c", X.grid) - small - big
+    alpha = X - decomp._part("M_c", X) - small - big
     alpha_jump_max = float(np.max(np.abs(alpha.values - alpha.left_values)))
     drift = alpha - A_prime
     return ParticularWDReport(
@@ -338,7 +338,7 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     passes below 1e-8 of the larger sup-norm (at least 1)."""
     if not integrability_report(X).big_jumps_summable:
         raise jmod.IntegrabilityError("big-jump total is not finite")
-    md = decomp._part("M_d", X.grid)
+    md = decomp._part("M_d", X)
     _require_shared_grid(X, md)
     rebuilt = _if_atoms(X, nu, lambda: jmod.compensated_integral(X_FIELD, X, nu))
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
@@ -388,7 +388,7 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
     comp = _if_atoms(X, nu, lambda: jmod.compensated_integral(
         increment_field(F), X, nu))
-    a_path = lhs - constant_path(X.grid, lhs.values[0]) - comp
+    a_path = lhs - _constant_on(X, lhs.values[0]) - comp
     orth = orthogonality_battery(a_path, brownian_battery(X), ex.schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,
                          all(r.decision for r in orth))

@@ -188,7 +188,12 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
     """Running left-endpoint quadrature of a sampled integrand."""
-    return CadlagPath(grid, _cumsum0(np.diff(grid) * h_samples[:-1]))
+    return CadlagPath(grid, _riemann(h_samples, grid))
+
+
+def _riemann(h_samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The values of ``time_integral``."""
+    return _cumsum0(np.diff(grid) * h_samples[:-1])
 
 
 # -- continuous bracket part --------------------------------------------------
@@ -269,7 +274,8 @@ class _Expansion:
     def time_term(self):
         """The time integral of dF_t(s, X_s)."""
         grid = self.X.grid
-        return time_integral(_samples(self.F.dt(grid, self.X.values), grid.shape), grid)
+        h = _samples(self.F.dt(grid, self.X.values), grid.shape)
+        return _jumping_at(self.X, _riemann(h, grid))
 
     @cached_property
     def bracket_term(self):

@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, _cumsum0, _jumping_at,
-                    constant_path)
+from .paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, _constant_on, _cumsum0,
+                    _jumping_at)
 from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
@@ -478,7 +478,7 @@ def _if_atoms(X: CadlagPath, nu: CompensatorSpec | None, build, count: int = 1):
     ``count`` of them for a ``build`` that returns ``count`` paths."""
     if _has_atoms(X, nu):
         return build()
-    zero = constant_path(X.grid)
+    zero = _constant_on(X)
     return zero if count == 1 else (zero,) * count
 
 

@@ -83,18 +83,27 @@ class _SamplePlan(NamedTuple):
 
 
 def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray,
-                 out: np.ndarray | None = None) -> _SamplePlan:
+                 out: np.ndarray | None = None, tol: float = 0.0) -> _SamplePlan:
     """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``; the
     cells' nodes are gathered into ``out`` when given.
 
-    A time off its node lies before the last node, so lo + 1 is a node.
+    A time off its node lies before the last node, so lo + 1 is a node.  A
+    time within ``tol`` of its cell's node, or else of the next node, is
+    that node: it is written over in ``tc``, and its cell in ``cells``.
     """
     # the cells are in range, so "clip" never acts; it spares the buffered
     # copy that "raise" makes with out=
     off = np.flatnonzero(np.take(grid, cells, out=out, mode="clip") != tc)
     lo = cells[off]
-    frac = (tc[off] - grid[lo]) / (grid[lo + 1] - grid[lo])
-    return _SamplePlan(cells, off, lo, frac)
+    t, left, right = tc[off], grid[lo], grid[lo + 1]
+    if tol:
+        down = t - left <= tol
+        up = ~down & (right - t <= tol)
+        cells[off[up]] += 1
+        tc[off[down]], tc[off[up]] = left[down], right[up]
+        keep = ~(down | up)
+        off, lo, t, left, right = (a[keep] for a in (off, lo, t, left, right))
+    return _SamplePlan(cells, off, lo, (t - left) / (right - left))
 
 
 @dataclass(frozen=True)
@@ -422,6 +431,11 @@ def make_path(grid, values, jumps=(), rule: str = LINEAR) -> CadlagPath:
 def constant_path(grid, c: float = 0.0) -> CadlagPath:
     grid = _as_farray(grid)
     return CadlagPath(grid, np.full(grid.size, float(c)))
+
+
+def _constant_on(base: CadlagPath, c: float = 0.0) -> CadlagPath:
+    """``constant_path`` on the grid of ``base``, derived from it."""
+    return _jumping_at(base, np.full(base.grid.size, float(c)))
 
 
 def step_path(T: float, n: int, step_time: float) -> CadlagPath:

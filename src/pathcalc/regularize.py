@@ -17,15 +17,25 @@ piecewise constant whenever the inputs are, so the kernels are exact on
 piecewise-constant paths.  Splitting each integral at t - eps turns the
 computation into prefix sums, and the work into a per-study part
 (``_Study``) and a per-window part (``_Mesh``).  Once per study, for all
-windows: the grid's bucket index for locating points, the window-sized
-scratch buffers that every window writes in place (``_Scratch``) and, at
-the first window that inserts no breakpoint, the grid's cells and the
-covariation's eps-free prefix sums.  Once per window: one location of the
-shifted sample points in the grid, which gives the paths' values there
-and, by counting, the bulk cells of every t; the bulk prefix sum; and the
-O(n) assembly for all t, in place in one accumulator, the one fresh array
-of an estimate.  A window that inserts a breakpoint inside a grid cell
-builds its own cells and sums.  The location is a
+windows: the window-sized scratch buffers that every window writes in
+place (``_Scratch``), at the first window that inserts no breakpoint the
+grid's cells and the covariation's eps-free prefix sums, and at the first
+window that locates points the grid's bucket index.  Once per window: the
+paths' values at the shifted sample points and the bulk cells of every t;
+the bulk prefix sum; and the O(n) assembly for all t, in place in one
+accumulator, the one fresh array of an estimate.
+
+One snap rule holds for every window: a shifted time, a sample point
+t_i + eps or a breakpoint tau - eps, within ``_SNAP_ULPS`` ulps of T of a
+grid node is that node.  A window that inserts no breakpoint and whose
+shifted points all snap to the node k cells on (``_cells_on``, one O(n)
+comparison) is read by index: the samples are the paths' values k nodes
+on and the bulk counts max(0, i - k + 1).  On a uniform grid that is every
+window of a schedule snapped to its spacing.  Every other window locates
+its shifted points in the grid once, which gives the samples and, by
+counting, the bulk cells, and snaps them by the same rule, so where both
+apply the two give the same bits.  A window that inserts a breakpoint
+inside a grid cell also builds its own cells and sums.  The location is a
 bucket walk, O(n) when the grid's nodes are spread evenly, with a binary
 search only for points in crowded buckets.  The estimators jump only where
 their inputs do, so left limits are assembled only at the input jump rows:
@@ -159,6 +169,10 @@ DEFAULT_SCHEDULE = EpsilonSchedule.geometric()
 # -- sample mesh -------------------------------------------------------------
 
 
+# a shifted time (a sample point t_i + eps or a breakpoint tau - eps) this
+# many ulps of T or closer to a grid node is that node
+_SNAP_ULPS = 4
+
 # steps of the bucket walk before the times still moving are binary-searched;
 # a bucket of a uniform grid holds at most two nodes
 _LOCATE_ROUNDS = 4
@@ -220,7 +234,9 @@ class _Scratch:
     ``ints`` and ``mask`` the gathers and tests of the location, and
     ``shifted[k]`` the k-th of ``partners`` sample sets at u.  The bulk
     cells at every grid time are counted into ``counts``, over the dead
-    ``ints`` and ``mask``.  The assembly reads u only to search the left
+    ``ints`` and ``mask``.  A window read by index writes only ``u`` and
+    the sample sets, after its lattice test in ``floats``.  The
+    assembly reads u only to search the left
     limits' bulk, and the samples and counts throughout; it writes the bulk
     prefix sum ``bulk`` and its temporaries ``r``, ``q`` and ``s`` over the
     rows of ``uc``, ``floats``, ``cells`` and ``u``.  No estimate a window
@@ -244,13 +260,17 @@ class _Study:
 
     A study lives for one call: a limit study, or the one window of a
     standalone kernel.  Its jump rows ``jidx`` and times ``taus`` are those
-    of X and every partner.  ``ends`` is the grid's bucket index, shared by
-    every window's ``_locate`` (which always searches the plain grid).  A
-    window that inserts no breakpoint has the plain grid's cells, starts
-    ``sl`` and widths ``w``, and the covariation's eps-free prefix sums
-    ``sums``.  The widths and the sums are built at the first window that
-    reads them, so a study whose windows all insert breakpoints builds
-    neither.  On the plain grid the cell-start samples of X and the
+    of X and every partner.  ``tol`` is the snap rule's distance,
+    ``_SNAP_ULPS`` ulps of T, or 0 (nothing snaps) on a grid whose nodes
+    lie 2 tol apart or closer, where a time could snap to either of two.
+    ``ends`` is the grid's bucket index, shared by every located window's
+    ``_locate`` (which always searches the plain grid).  A window that
+    inserts no breakpoint has the plain grid's cells, starts ``sl`` and
+    widths ``w``, and the covariation's eps-free prefix sums ``sums``.  The
+    bucket index, the widths and the sums are built at the first window
+    that reads them, so a study whose windows are all read by index builds
+    no bucket index, and one whose windows all insert breakpoints neither
+    widths nor sums.  On the plain grid the cell-start samples of X and the
     partners are their values, read in place.
 
     The study owns its windows' buffers, ``scratch`` (``_Scratch``): the
@@ -258,11 +278,11 @@ class _Study:
     samples at the shifted points, the bulk prefix sum and the assembly's
     temporaries, sized to the grid plus the most breakpoints a window
     inserts.  Every window writes them in place, so a covariation window
-    on the plain grid allocates no n-sized array but the estimates it
-    returns and its sample plan's off-node entries.  A mesh that inserts
-    breakpoints also builds its cells and samples, and the forward and
-    weighted kernels their cell weights and sums.  Nothing outlives the
-    call.
+    read by index allocates no n-sized array but the estimates it returns,
+    and a located one on the plain grid also its sample plan's off-node
+    entries.  A mesh that inserts breakpoints also builds its cells and
+    samples, and the forward and weighted kernels their cell weights and
+    sums.  Nothing outlives the call.
     """
 
     def __init__(self, X: CadlagPath, partners: list[CadlagPath]):
@@ -273,7 +293,8 @@ class _Study:
         self.sl = X.grid[:-1]
         self.jidx = _union_marks(X, *partners)
         self.taus = X.grid[self.jidx]
-        self.ends = _buckets(X.grid)
+        tol = _SNAP_ULPS * float(np.spacing(X.horizon))
+        self.tol = tol if X.min_spacing > 2.0 * tol else 0.0
         others = sum(P is not X for P in partners)
         self.scratch = _Scratch(X.grid.size + self.jidx.size + 1, 1 + others)
 
@@ -282,9 +303,28 @@ class _Study:
         return np.diff(self.grid)
 
     @cached_property
+    def ends(self) -> np.ndarray:
+        return _buckets(self.grid)
+
+    @cached_property
     def sums(self) -> "_Sums":
         return _Sums(self.w, self.X, self.X.values[:-1],
                      [(P, P.values[:-1]) for P in self.partners])
+
+
+def _cells_on(study: _Study, u: np.ndarray, eps: float, on_grid: np.ndarray,
+              taus: np.ndarray) -> int | None:
+    """The k for which a plain window's shifted points ``u`` (t_i + eps)
+    up to the horizon all snap to t_{i+k}, and the jumps ``taus`` whose
+    tau - eps snapped to the nodes ``on_grid`` lie k cells after them; None
+    when there is no such k.  One O(n) comparison."""
+    grid, tol = study.grid, study.tol
+    k = int(np.searchsorted(grid, eps - tol))
+    m = grid.size - k
+    d = np.subtract(u[:m], grid[k:], out=study.scratch.floats[:m])
+    if d.max() > tol or -d.min() > tol or np.any(on_grid >= m):
+        return None
+    return k if np.array_equal(grid[on_grid + k], taus) else None
 
 
 class _Mesh:
@@ -301,24 +341,33 @@ class _Mesh:
     shifted breakpoint tau - eps, inserted or on a node, ``u`` is pinned to
     tau exactly so the lookup lands on the post-jump value.
 
-    ``u`` is located in the grid once, by ``_locate``, and that gives one
-    sample plan: the cell of every u, and the cell and fraction of each u
-    that falls strictly inside its cell.  X and every partner of the study
-    are sampled from that plan (they lie on one grid): a path gathers its
-    values at the cells, and under the linear rule interpolates only the
-    off-node entries.  The plan is dropped once the paths are sampled.
-    ``samples[k]`` is the k-th partner's pair of samples at the cell starts
-    and at u, and (Xs, Xu) is X's.  At the inserted breakpoints every
-    path's cell-start sample is its ``value_at``.  Counting each u at the
-    first node at or after it gives ``jr[i]``, the number of bulk cells
-    (u <= t_i) at grid time t_i.  The width obeys ``_require_fit``.
+    The snap rule: a breakpoint tau - eps or a shifted point u within the
+    study's ``tol`` of a grid node is that node, so a breakpoint an ulp off
+    a node is on it (the window stays plain), and a u an ulp off a node
+    reads the node's value.  ``samples[k]`` is the k-th partner's pair of
+    samples at the cell starts and at u, and (Xs, Xu) is X's; ``jr[i]`` is
+    the number of bulk cells (u <= t_i) at grid time t_i.  A plain window
+    whose every u up to T snaps to the node k cells after its cell start
+    (``_cells_on``) is read by index (``_on_lattice``, ``k`` is that
+    count, None on other windows), and ``at_bulk`` reads a prefix sum at
+    its bulk counts by slices, not by a gather.  Any other window
+    is located (``_located``): ``u`` is located in the grid once, by
+    ``_locate``, and that gives one sample plan: the cell of every u, and
+    the cell and fraction of each u that falls strictly inside its cell
+    after the snap.  X and every partner of the study are sampled from that
+    plan (they lie on one grid): a path gathers its values at the cells,
+    and under the linear rule interpolates only the off-node entries.  The
+    plan is dropped once the paths are sampled.  Counting each u at the
+    first node at or after it gives ``jr``.  At the inserted breakpoints
+    every path's cell-start sample is its ``value_at``.  The width obeys
+    ``_require_fit``.
 
     ``u``, ``jr``, the samples at u and the location's work lie in the
     study's scratch, written in place, so they hold this window's values
-    only until its estimates are assembled.  Of the mesh, a plain window
-    allocates only the sample plan's off-node entries; one that inserts
-    breakpoints also builds its own cells, their widths and rows, and its
-    cell-start samples.
+    only until its estimates are assembled.  Of the mesh, a window read by
+    index allocates nothing n-sized, a located plain window only the sample
+    plan's off-node entries, and one that inserts breakpoints also its own
+    cells, their widths and rows, and its cell-start samples.
     """
 
     def __init__(self, study: _Study, eps: float):
@@ -327,24 +376,30 @@ class _Mesh:
         eps = float(eps)
         T = X.horizon
         grid = study.grid
+        tol = study.tol
         taus = study.taus
         shifted = taus - eps
-        keep = (shifted > 0.0) & (shifted < T)
+        keep = (shifted > -tol) & (shifted < T)
         taus, shifted = taus[keep], shifted[keep]
         on_grid = np.zeros(0, dtype=np.intp)
         on_grid_tau = np.zeros(0)
         if shifted.size:
+            # the snap rule: tau - eps within tol of a node is that node, the
+            # node before it first (shifted < T, so ins is a node)
             ins = np.searchsorted(grid, shifted)
-            hit = grid[np.minimum(ins, grid.size - 1)] == shifted
-            on_grid, on_grid_tau = ins[hit], taus[hit]
+            below = (ins > 0) & (shifted - grid[ins - 1] <= tol)
+            hit = below | (grid[ins] - shifted <= tol)
+            on_grid, on_grid_tau = (ins - below)[hit], taus[hit]
             taus, shifted, ins = taus[~hit], shifted[~hit], ins[~hit]
         self.plain = not shifted.size
         buf = study.scratch
         u = buf.u[:grid.size - 1 + shifted.size]
+        k = None
         if self.plain:
             sl, w, rows = study.sl, study.w, slice(None)
             np.add(sl, eps, out=u)
-            if on_grid.size:
+            k = _cells_on(study, u, eps, on_grid, on_grid_tau)
+            if k is None and on_grid.size:
                 u[on_grid] = on_grid_tau
                 np.maximum.accumulate(u, out=u)
             ins_cells = np.zeros(0, dtype=np.intp)
@@ -368,16 +423,58 @@ class _Mesh:
         self.jump_rows = study.jidx if self.plain else rows[study.jidx]
         self.ins_cells = ins_cells
         self.shifted = shifted
-        # the one location: all paths lie on one grid, so one plan serves all
+        self.X = X
+        self.k = k
+        if k is None:
+            self._located(study, u)
+        else:
+            self._on_lattice(study, u, k)
+
+    def _on_lattice(self, study: _Study, u: np.ndarray, k: int) -> None:
+        """The shifted points of a window that moves every node k cells on:
+        u is ``grid[k:]``, followed by the points past T, so every path's
+        samples at u are its values from node k on, then X(T), and t_i has
+        max(0, i - k + 1) bulk cells."""
+        grid, buf = study.grid, study.scratch
+        m = grid.size - k
+        u[:m] = grid[k:]
+
+        def samples(P, out):
+            out = out[:u.size]
+            out[:m] = P.values[k:]
+            out[m:] = P.values[-1]
+            return P.values[:-1], out
+
+        outs = iter(buf.shifted)
+        self.Xs, self.Xu = samples(self.X, next(outs))
+        self.samples = [(self.Xs, self.Xu) if P is self.X else samples(P, next(outs))
+                        for P in study.partners]
+
+    def _located(self, study: _Study, u: np.ndarray) -> None:
+        """The shifted points of any other window, located in the grid once,
+        which gives one sample plan: the cell of every u, and the cell and
+        fraction of each u off its cell's node.  The snap rule moves a u
+        within tol of a node onto it first."""
+        grid, buf, tol, T = study.grid, study.scratch, study.tol, self.X.horizon
+        # u is sorted, and past T it holds only nodes + eps (every pin is a
+        # jump time), more than 2 tol apart: at most the first is within tol
+        past = int(np.searchsorted(u, T, side="right"))
+        if past < u.size and u[past] - T <= tol:
+            u[past] = T
         uc = np.minimum(u, T, out=buf.uc[:u.size])
         cells = _locate(grid, study.ends, uc, buf)
-        plan = _sample_plan(grid, uc, cells, buf.floats[:u.size])
+        # the one location: all paths lie on one grid, so one plan serves all
+        plan = _sample_plan(grid, uc, cells, buf.floats[:u.size], tol)
+        # the plan snapped points up to T only, where u is uc
+        u[:past] = uc[:past]
+        del uc
         # X's samples at u take the first row, each other partner's the next
         outs = iter(buf.shifted)
+        X = self.X
         self.Xs, self.Xu = self._samples(X, plan, next(outs))
         self.samples = [(self.Xs, self.Xu) if P is X else self._samples(P, plan, next(outs))
                         for P in study.partners]
-        del plan, uc
+        del plan
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
         on_node = np.equal(np.take(grid, cells, out=buf.floats[:u.size], mode="clip"), u,
@@ -388,7 +485,24 @@ class _Mesh:
         jr.fill(0)
         np.add.at(jr, cells, 1)
         self.jr = np.cumsum(jr, out=jr)[:grid.size]
-        self.X = X
+
+    @cached_property
+    def jr(self) -> np.ndarray:
+        """The bulk counts of a window read by index, built only when read:
+        ``at_bulk`` reads sums at them by slices.  A located window sets
+        them when it counts."""
+        return np.maximum(np.arange(1 - self.k, self.grid.size + 1 - self.k), 0)
+
+    def at_bulk(self, S: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``S[jr]``, written in ``out``: on a window read by index, a run of
+        S[0] and a slice."""
+        if self.k is None:
+            # jr counts cells, so it is in range and "clip" never acts; it
+            # spares the buffered copy that "raise" makes with out=
+            return np.take(S, self.jr, out=out, mode="clip")
+        out[:self.k] = S[0]
+        out[self.k:] = S[1:out.size - self.k + 1]
+        return out
 
     def _at_cell_starts(self, nodes: np.ndarray, at_inserted) -> np.ndarray:
         """A path's ``nodes`` (values or left values) at the cell starts, with
@@ -462,8 +576,9 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     serves every partner.  Cells with u(s) <= t (the bulk) are one prefix
     sum per partner, the only sum that depends on eps; the boundary cells
     after t - eps expand into the prefix sums of ``_Sums``, which on a
-    plain mesh of the covariation are the study's.  The bulk prefix sum and
-    the assembly's temporaries are the study's scratch; each estimate is
+    plain mesh of the covariation are the study's; the sums are read at
+    the bulk counts by ``_Mesh.at_bulk``.  The bulk prefix sum and the
+    assembly's temporaries are the study's scratch; each estimate is
     assembled in place in one accumulator, a fresh array that the window
     returns.
     """
@@ -482,6 +597,10 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     jl = np.searchsorted(m.u, m.grid[jidx], side="left")
     Al = X.left_values[jidx] - X.values[0]
 
+    def at_left(S, out):
+        # jl counts cells, so "clip" never acts (see ``_Mesh.at_bulk``)
+        return np.take(S, jl, out=out, mode="clip")
+
     def against(k: int) -> CadlagPath:
         Y = study.partners[k]
         bulk = buf.bulk[:m.sl.size + 1]
@@ -498,19 +617,18 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             Bm, SwB, SwAB = sums.factors[k]
         np.cumsum(d, out=d)
 
-        def assemble(acc, p, j, Am, Bm):
-            # bulk[j] is in acc; with r. = S.[p] - S.[j] this is
+        def assemble(acc, p, at, Am, Bm):
+            # bulk[j] is in acc, ``at(S, out)`` writes S[j]; with
+            # r. = S.[p] - S.[j] this is
             # (bulk[j] + (Am Bm rw + rab) - (Am rb + Bm ra)) / eps, or with
             # ``unit`` (bulk[j] + Am rw - ra) / eps
-            r, q, s = buf.r[:j.size], buf.q[:j.size], buf.s[:j.size]
+            r, q, s = buf.r[:acc.size], buf.q[:acc.size], buf.s[:acc.size]
 
             def span(S):
-                # j counts cells and p holds mesh rows, so both are in range
-                # and "clip" never acts; it spares the buffered copy that
-                # "raise" makes with out=
-                np.take(S, j, out=r, mode="clip")
+                # p holds mesh rows, so it is in range and "clip" never
+                # acts; it spares the buffered copy that "raise" makes with out=
                 Sp = S[p] if isinstance(p, slice) else np.take(S, p, out=s, mode="clip")
-                return np.subtract(Sp, r, out=r)
+                return np.subtract(Sp, at(S, r), out=r)
 
             if unit:
                 acc += np.multiply(span(Sw), Am, out=r)
@@ -531,8 +649,9 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             return acc
 
         Bl = Al if unit or Y is X else Y.left_values[jidx] - Y.values[0]
-        lefts = assemble(bulk[jl], m.jump_rows, jl, Al, Bl)
-        vals = assemble(bulk[m.jr], m.rows, m.jr, Am, None if unit else Bm)
+        lefts = assemble(bulk[jl], m.jump_rows, at_left, Al, Bl)
+        vals = assemble(m.at_bulk(bulk, np.empty(m.grid.size)), m.rows, m.at_bulk, Am,
+                        None if unit else Bm)
         return _jumping_at(X, vals, jidx, lefts)
 
     return against

@@ -348,3 +348,8 @@ def brownian_on_grid(grid: np.ndarray, seed: int, stream: int = 7) -> CadlagPath
     existing grid, from Philox stream ``stream`` of ``seed`` (test batteries)."""
     w = _brownian_values(_rng(seed, stream), np.asarray(grid, dtype=float), 1.0)
     return CadlagPath(grid, w)
+
+
+def _brownian_along(base: CadlagPath, seed: int, stream: int = 7) -> CadlagPath:
+    """``brownian_on_grid`` on the grid of ``base``, derived from it."""
+    return _jumping_at(base, _brownian_values(_rng(seed, stream), base.grid, 1.0))

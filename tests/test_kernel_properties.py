@@ -14,12 +14,13 @@ do only on piecewise-constant paths.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcalc import dirichlet as dd
 from pathcalc import regularize as reg
 from pathcalc.paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath,
-                            constant_path, uniform_grid)
+                            constant_path, step_path, uniform_grid)
 
 from oracles import brute_covariation, brute_forward_integral, rel_error
 
@@ -292,9 +293,11 @@ def mixed_schedule_case(draw):
     On a dyadic grid tau - eps is exact: eps = k/n shifts every jump onto a
     node, eps = (k + 1/2)/n shifts the last jump strictly inside a cell (an
     inserted breakpoint), and eps at or past the last jump time shifts every
-    jump to or below 0.
+    jump to or below 0.  On the other grids tau - eps and t_i + eps of a
+    whole-cell width may miss their node by an ulp, which the snap rule
+    takes as the node.
     """
-    n = draw(st.sampled_from([16, 32, 64]))
+    n = draw(st.sampled_from([16, 32, 64, 10, 100, 1000]))
     grid = uniform_grid(1.0, n)
     marks = sorted(set(draw(st.lists(st.integers(2, n // 2), min_size=1, max_size=3))))
     last = marks[-1]
@@ -341,3 +344,118 @@ def test_study_windows_match_fresh_kernel_calls(case, seed):
             assert rep.limit.values.tobytes() == ests[-1].values.tobytes()
             assert rep.sup_norms.tobytes() == norms.tobytes()
             assert rep.sup_gaps.tobytes() == gaps.tobytes()
+
+
+# -- the snap rule -------------------------------------------------------------
+
+
+def _miss_cases():
+    # (n, k), the first k of each even n, where the unit step at 0.5 on
+    # uniform_grid(1, n) has 0.5 - eps, eps = k / n, off every node by at
+    # most an ulp but not on one
+    out = []
+    for n in range(12, 41, 2):
+        grid = uniform_grid(1.0, n)
+        for k in range(2, n // 2):
+            gap = np.min(np.abs(grid - (0.5 - k / n)))
+            if 0.0 < gap <= np.spacing(1.0):
+                out.append((n, k))
+                break
+    return out
+
+
+@pytest.mark.parametrize("n, k", _miss_cases())
+def test_a_breakpoint_an_ulp_off_a_node_is_that_node(n, k):
+    # the parent built each of these windows with a cell an ulp wide
+    X = step_path(1.0, n, 0.5)
+    eps = k / n
+    assert reg._Mesh(reg._Study(X, [X]), eps).plain
+    for est, unit in ((reg.covariation(X, X, eps), False),
+                      (reg.forward_integral(X, X, eps), True)):
+        vals, lefts = mesh_free_window_sums(X, X, eps, unit)
+        assert _close(est.values, vals)
+        assert _close(est.left_values, lefts)
+
+
+def test_step_study_windows_are_plain_and_exact():
+    # tau - eps lands 5.6e-17 from a node on 6 of the 8 snapped windows; the
+    # window sums of a unit step at tau are exactly 1{t >= tau} once eps < tau
+    X = step_path(1.0, 100_000, 0.5)
+    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(1e-5)
+    study = reg._Study(X, [X])
+    assert all(reg._Mesh(study, e).plain for e in sched)
+    want = (X.grid >= 0.5).astype(float)
+    (jump,) = X.jump_marks
+    for (E,) in reg._windows(X, [X], sched):
+        assert _close(E.values, want)
+        assert abs(E.left_values[jump]) <= 1e-12
+
+
+def _index_cases():
+    for n in (10, 100, 1000):
+        for T in (1.0, 0.7, 3.0):
+            grid = uniform_grid(T, n)
+            marks = np.array(sorted({n // 3, n // 2, n - 1}), dtype=np.intp)
+            for rule in (PIECEWISE_CONSTANT, LINEAR):
+                X = _path(grid, marks, rule, n + int(10 * T))
+                for k in sorted({1, 2, n // 7, n // 2, n - 1}):
+                    for eps in (k * (T / n), k * T / n, grid[k]):
+                        yield X, float(eps)
+
+
+def test_index_windows_give_the_located_windows_bits(monkeypatch):
+    # where every shifted point snaps to the node k cells on, reading the
+    # paths by index is a shortcut of locating and snapping, bit for bit
+    on_lattice = reg._cells_on
+    used = 0
+    for X, eps in _index_cases():
+        none = np.zeros(0, dtype=np.intp)
+        Y = _path(X.grid, none, LINEAR, 7)
+        g = _path(X.grid, none, LINEAR, 8)
+        out, ks = {}, []
+
+        def recorded(*args):
+            ks.append(on_lattice(*args))
+            return ks[-1]
+
+        for side, rule in (("index", recorded), ("located", lambda *a: None)):
+            monkeypatch.setattr(reg, "_cells_on", rule)
+            m = reg._Mesh(reg._Study(X, [X, Y]), eps)
+            ests = [reg.covariation(X, Y, eps), reg.covariation(X, X, eps),
+                    reg.forward_integral(Y, X, eps), reg.weighted_qv(g, X, eps),
+                    reg.covariation_continuous(X, Y, eps)]
+            out[side] = ([m.u.copy(), m.jr.copy(), m.Xs, m.Xu.copy(),
+                          *[a.copy() for pair in m.samples for a in pair]]
+                         + [a for E in ests for a in (E.values, E.left_values, E.jump_marks)])
+        monkeypatch.undo()
+        # the mesh and the five kernels' meshes are all index windows or none
+        assert len(set(ks)) == 1
+        if ks[0] is None:
+            continue
+        used += 1
+        for a, b in zip(out["index"], out["located"], strict=True):
+            assert a.tobytes() == b.tobytes()
+    assert used > 100
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_a_width_off_a_whole_cell_count_is_interpolated(n):
+    # 1e-9 cells is far past the snap tolerance: no shifted point or
+    # breakpoint moves, and the points between nodes are interpolated
+    grid = uniform_grid(1.0, n)
+    X = _path(grid, np.array([n // 2], dtype=np.intp), LINEAR, n)
+    for k in (1, 3, n // 4):
+        eps = (k + 1e-9) * (1.0 / n)
+        m = reg._Mesh(reg._Study(X, [X]), eps)
+        assert not m.plain
+        assert m.shifted.tobytes() == (grid[n // 2] - np.array([eps])).tobytes()
+        u = m.sl + eps
+        u[m.ins_cells] = grid[n // 2]
+        assert m.u.tobytes() == u.tobytes()
+        assert m.Xu.tobytes() == X.value_at(u).tobytes()
+        C = _path(grid, np.zeros(0, dtype=np.intp), LINEAR, n + 1)
+        m = reg._Mesh(reg._Study(C, [C]), eps)
+        assert m.plain
+        assert m.u.tobytes() == (grid[:-1] + eps).tobytes()
+        assert m.Xu.tobytes() == C.value_at(grid[:-1] + eps).tobytes()
+        assert np.all(m.Xu[:n - k] != C.values[k:n])
