@@ -83,27 +83,18 @@ class _SamplePlan(NamedTuple):
 
 
 def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray,
-                 out: np.ndarray | None = None, tol: float = 0.0) -> _SamplePlan:
+                 out: np.ndarray | None = None) -> _SamplePlan:
     """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``; the
     cells' nodes are gathered into ``out`` when given.
 
-    A time off its node lies before the last node, so lo + 1 is a node.  A
-    time within ``tol`` of its cell's node, or else of the next node, is
-    that node: it is written over in ``tc``, and its cell in ``cells``.
+    A time off its node lies before the last node, so lo + 1 is a node.
     """
     # the cells are in range, so "clip" never acts; it spares the buffered
     # copy that "raise" makes with out=
     off = np.flatnonzero(np.take(grid, cells, out=out, mode="clip") != tc)
     lo = cells[off]
-    t, left, right = tc[off], grid[lo], grid[lo + 1]
-    if tol:
-        down = t - left <= tol
-        up = ~down & (right - t <= tol)
-        cells[off[up]] += 1
-        tc[off[down]], tc[off[up]] = left[down], right[up]
-        keep = ~(down | up)
-        off, lo, t, left, right = (a[keep] for a in (off, lo, t, left, right))
-    return _SamplePlan(cells, off, lo, (t - left) / (right - left))
+    frac = (tc[off] - grid[lo]) / (grid[lo + 1] - grid[lo])
+    return _SamplePlan(cells, off, lo, frac)
 
 
 @dataclass(frozen=True)

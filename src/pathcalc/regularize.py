@@ -234,13 +234,12 @@ class _Scratch:
     ``ints`` and ``mask`` the gathers and tests of the location, and
     ``shifted[k]`` the k-th of ``partners`` sample sets at u.  The bulk
     cells at every grid time are counted into ``counts``, over the dead
-    ``ints`` and ``mask``.  A window read by index writes only ``u`` and
-    the sample sets, after its lattice test in ``floats``.  The
-    assembly reads u only to search the left
-    limits' bulk, and the samples and counts throughout; it writes the bulk
-    prefix sum ``bulk`` and its temporaries ``r``, ``q`` and ``s`` over the
-    rows of ``uc``, ``floats``, ``cells`` and ``u``.  No estimate a window
-    returns lies in the block.
+    ``ints`` and ``mask``.  A window read by index writes only ``u``, the
+    sample sets and the counts, after its lattice test in ``floats``.  The
+    assembly reads u only to search the left limits' bulk, and the samples
+    and counts throughout; it writes the bulk prefix sum ``bulk`` and its
+    temporaries ``r``, ``q`` and ``s`` over the rows of ``uc``, ``floats``,
+    ``cells`` and ``u``.  No estimate a window returns lies in the block.
     """
 
     def __init__(self, words: int, partners: int):
@@ -279,8 +278,8 @@ class _Study:
     temporaries, sized to the grid plus the most breakpoints a window
     inserts.  Every window writes them in place, so a covariation window
     read by index allocates no n-sized array but the estimates it returns,
-    and a located one on the plain grid also its sample plan's off-node
-    entries.  A mesh that inserts breakpoints also builds its cells and
+    and a located one on the plain grid also the off-node entries of its
+    snap and its sample plan.  A mesh that inserts breakpoints also builds its cells and
     samples, and the forward and weighted kernels their cell weights and
     sums.  Nothing outlives the call.
     """
@@ -327,6 +326,24 @@ def _cells_on(study: _Study, u: np.ndarray, eps: float, on_grid: np.ndarray,
     return k if np.array_equal(grid[on_grid + k], taus) else None
 
 
+def _snap(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray, tol: float,
+          out: np.ndarray) -> None:
+    """The snap rule on times ``tc`` in [0, T] located at ``cells``: a time
+    within ``tol`` of its cell's node, or else of the next node, is that
+    node, written over in ``tc`` and its cell in ``cells``.  The cells'
+    nodes are gathered into ``out``.  A time off its node lies before the
+    last node, so its cell + 1 is a node."""
+    # the cells are in range, so "clip" never acts; it spares the buffered
+    # copy that "raise" makes with out=
+    off = np.flatnonzero(np.take(grid, cells, out=out, mode="clip") != tc)
+    lo = cells[off]
+    t, left, right = tc[off], grid[lo], grid[lo + 1]
+    down = t - left <= tol
+    up = ~down & (right - t <= tol)
+    cells[off[up]] += 1
+    tc[off[down]], tc[off[up]] = left[down], right[up]
+
+
 class _Mesh:
     """The per-window part of the sample mesh: all that depends on eps.
 
@@ -348,26 +365,27 @@ class _Mesh:
     samples at the cell starts and at u, and (Xs, Xu) is X's; ``jr[i]`` is
     the number of bulk cells (u <= t_i) at grid time t_i.  A plain window
     whose every u up to T snaps to the node k cells after its cell start
-    (``_cells_on``) is read by index (``_on_lattice``, ``k`` is that
-    count, None on other windows), and ``at_bulk`` reads a prefix sum at
-    its bulk counts by slices, not by a gather.  Any other window
-    is located (``_located``): ``u`` is located in the grid once, by
-    ``_locate``, and that gives one sample plan: the cell of every u, and
-    the cell and fraction of each u that falls strictly inside its cell
-    after the snap.  X and every partner of the study are sampled from that
-    plan (they lie on one grid): a path gathers its values at the cells,
-    and under the linear rule interpolates only the off-node entries.  The
-    plan is dropped once the paths are sampled.  Counting each u at the
-    first node at or after it gives ``jr``.  At the inserted breakpoints
-    every path's cell-start sample is its ``value_at``.  The width obeys
-    ``_require_fit``.
+    (``_cells_on``) is read by index (``_on_lattice``; ``k`` is that
+    count, None on any other window): its samples are slices of the paths'
+    values and ``jr[i]`` is max(0, i - k + 1).  Any other window is
+    located (``_located``): ``u`` is located in the grid once, by
+    ``_locate``, and snapped (``_snap``), and that gives one sample plan:
+    the cell of every u, and the cell and fraction of each u that falls
+    strictly inside its cell.  X and every partner of the study
+    are sampled from that plan (they lie on one grid): a path gathers its
+    values at the cells, and under the linear rule interpolates only the
+    off-node entries.  The plan is dropped once the paths are sampled.
+    Counting each u at the first node at or after it gives ``jr``.  At the
+    inserted breakpoints every path's cell-start sample is its
+    ``value_at``.  The width obeys ``_require_fit``.
 
     ``u``, ``jr``, the samples at u and the location's work lie in the
     study's scratch, written in place, so they hold this window's values
     only until its estimates are assembled.  Of the mesh, a window read by
-    index allocates nothing n-sized, a located plain window only the sample
-    plan's off-node entries, and one that inserts breakpoints also its own
-    cells, their widths and rows, and its cell-start samples.
+    index allocates nothing n-sized, a located plain window only the
+    off-node entries of its snap and its sample plan, and one that inserts
+    breakpoints also its own cells, their widths and rows, and its
+    cell-start samples.
     """
 
     def __init__(self, study: _Study, eps: float):
@@ -449,6 +467,11 @@ class _Mesh:
         self.Xs, self.Xu = samples(self.X, next(outs))
         self.samples = [(self.Xs, self.Xu) if P is self.X else samples(P, next(outs))
                         for P in study.partners]
+        # one u at each node from k on, counted as a located window counts
+        jr = buf.counts[:grid.size]
+        jr[:k] = 0
+        jr[k:] = 1
+        self.jr = np.cumsum(jr, out=jr)
 
     def _located(self, study: _Study, u: np.ndarray) -> None:
         """The shifted points of any other window, located in the grid once,
@@ -463,18 +486,19 @@ class _Mesh:
             u[past] = T
         uc = np.minimum(u, T, out=buf.uc[:u.size])
         cells = _locate(grid, study.ends, uc, buf)
+        if tol:
+            _snap(grid, uc, cells, tol, buf.floats[:u.size])
+            # the snap moved points up to T only, where u is uc
+            u[:past] = uc[:past]
         # the one location: all paths lie on one grid, so one plan serves all
-        plan = _sample_plan(grid, uc, cells, buf.floats[:u.size], tol)
-        # the plan snapped points up to T only, where u is uc
-        u[:past] = uc[:past]
-        del uc
+        plan = _sample_plan(grid, uc, cells, buf.floats[:u.size])
         # X's samples at u take the first row, each other partner's the next
         outs = iter(buf.shifted)
         X = self.X
         self.Xs, self.Xu = self._samples(X, plan, next(outs))
         self.samples = [(self.Xs, self.Xu) if P is X else self._samples(P, plan, next(outs))
                         for P in study.partners]
-        del plan
+        del plan, uc
         # bulk cells at t_i are those with u <= t_i: count each u at the first
         # node at or after it (past the horizon, at grid.size)
         on_node = np.equal(np.take(grid, cells, out=buf.floats[:u.size], mode="clip"), u,
@@ -485,24 +509,6 @@ class _Mesh:
         jr.fill(0)
         np.add.at(jr, cells, 1)
         self.jr = np.cumsum(jr, out=jr)[:grid.size]
-
-    @cached_property
-    def jr(self) -> np.ndarray:
-        """The bulk counts of a window read by index, built only when read:
-        ``at_bulk`` reads sums at them by slices.  A located window sets
-        them when it counts."""
-        return np.maximum(np.arange(1 - self.k, self.grid.size + 1 - self.k), 0)
-
-    def at_bulk(self, S: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``S[jr]``, written in ``out``: on a window read by index, a run of
-        S[0] and a slice."""
-        if self.k is None:
-            # jr counts cells, so it is in range and "clip" never acts; it
-            # spares the buffered copy that "raise" makes with out=
-            return np.take(S, self.jr, out=out, mode="clip")
-        out[:self.k] = S[0]
-        out[self.k:] = S[1:out.size - self.k + 1]
-        return out
 
     def _at_cell_starts(self, nodes: np.ndarray, at_inserted) -> np.ndarray:
         """A path's ``nodes`` (values or left values) at the cell starts, with
@@ -565,6 +571,19 @@ class _Sums:
 # -- kernels -----------------------------------------------------------------
 
 
+def _at_counts(S: np.ndarray, j: np.ndarray, k: int | None, out: np.ndarray) -> np.ndarray:
+    """``S[j]`` written in ``out``, for bulk counts ``j``.  On a window read
+    by index, ``k`` cells wide, j[i] is max(0, i - k + 1): that is a run of
+    S[0] and a slice of S, copied rather than gathered."""
+    if k is None:
+        # j counts cells, so it is in range and "clip" never acts; it
+        # spares the buffered copy that "raise" makes with out=
+        return np.take(S, j, out=out, mode="clip")
+    out[:k] = S[0]
+    out[k:] = S[1:out.size - k + 1]
+    return out
+
+
 def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     """Window sums of omega-weighted increment products on the mesh of X.
 
@@ -576,11 +595,10 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     serves every partner.  Cells with u(s) <= t (the bulk) are one prefix
     sum per partner, the only sum that depends on eps; the boundary cells
     after t - eps expand into the prefix sums of ``_Sums``, which on a
-    plain mesh of the covariation are the study's; the sums are read at
-    the bulk counts by ``_Mesh.at_bulk``.  The bulk prefix sum and the
-    assembly's temporaries are the study's scratch; each estimate is
-    assembled in place in one accumulator, a fresh array that the window
-    returns.
+    plain mesh of the covariation are the study's, read at the bulk counts
+    by ``_at_counts``.  The bulk prefix sum and the assembly's temporaries
+    are the study's scratch; each estimate is assembled in place in one
+    accumulator, a fresh array that the window returns.
     """
     study = m.study
     X = m.X
@@ -596,10 +614,6 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
     # left limit at t: the bulk is the cells with u < t
     jl = np.searchsorted(m.u, m.grid[jidx], side="left")
     Al = X.left_values[jidx] - X.values[0]
-
-    def at_left(S, out):
-        # jl counts cells, so "clip" never acts (see ``_Mesh.at_bulk``)
-        return np.take(S, jl, out=out, mode="clip")
 
     def against(k: int) -> CadlagPath:
         Y = study.partners[k]
@@ -617,18 +631,17 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             Bm, SwB, SwAB = sums.factors[k]
         np.cumsum(d, out=d)
 
-        def assemble(acc, p, at, Am, Bm):
-            # bulk[j] is in acc, ``at(S, out)`` writes S[j]; with
-            # r. = S.[p] - S.[j] this is
+        def assemble(acc, p, j, k, Am, Bm):
+            # bulk[j] is in acc; with r. = S.[p] - S.[j] this is
             # (bulk[j] + (Am Bm rw + rab) - (Am rb + Bm ra)) / eps, or with
             # ``unit`` (bulk[j] + Am rw - ra) / eps
-            r, q, s = buf.r[:acc.size], buf.q[:acc.size], buf.s[:acc.size]
+            r, q, s = buf.r[:j.size], buf.q[:j.size], buf.s[:j.size]
 
             def span(S):
                 # p holds mesh rows, so it is in range and "clip" never
                 # acts; it spares the buffered copy that "raise" makes with out=
                 Sp = S[p] if isinstance(p, slice) else np.take(S, p, out=s, mode="clip")
-                return np.subtract(Sp, at(S, r), out=r)
+                return np.subtract(Sp, _at_counts(S, j, k, r), out=r)
 
             if unit:
                 acc += np.multiply(span(Sw), Am, out=r)
@@ -649,9 +662,9 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             return acc
 
         Bl = Al if unit or Y is X else Y.left_values[jidx] - Y.values[0]
-        lefts = assemble(bulk[jl], m.jump_rows, at_left, Al, Bl)
-        vals = assemble(m.at_bulk(bulk, np.empty(m.grid.size)), m.rows, m.at_bulk, Am,
-                        None if unit else Bm)
+        lefts = assemble(bulk[jl], m.jump_rows, jl, None, Al, Bl)
+        vals = assemble(_at_counts(bulk, m.jr, m.k, np.empty(m.jr.size)), m.rows, m.jr, m.k,
+                        Am, None if unit else Bm)
         return _jumping_at(X, vals, jidx, lefts)
 
     return against
@@ -854,7 +867,15 @@ class LimitReport(Report, kind="limit_report"):
 
     @property
     def gaps_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.sup_gaps) >= 0.0))
+        """No sup gap falls along the schedule.  A gap within round-off counts
+        as 0: the difference of two sums of n nonnegative terms of total at
+        most |E| (the largest sup-norm) is off by at most 2 n u |E|, with u
+        the unit round-off, half of ``np.finfo(float).eps``.  So estimates
+        that converge exactly, whose gaps are all round-off, read as gaps of
+        exactly 0 do, not as the order of their last bits."""
+        roundoff = self.limit.grid.size * np.finfo(float).eps * float(np.max(self.sup_norms))
+        gaps = np.where(self.sup_gaps <= roundoff, 0.0, self.sup_gaps)
+        return bool(np.all(np.diff(gaps) >= 0.0))
 
 
 def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedule,

@@ -301,6 +301,26 @@ def test_ucp_limit_rough_path_does_not_converge():
     assert rep.sup_gaps[-1] > 1.5 * rep.sup_gaps[0]
 
 
+@pytest.mark.parametrize("gaps, increasing", [
+    # the sup gaps of a Poisson path's qv study at n=4000, whose estimates
+    # converge exactly: their order is the order of the last bits
+    ((7.46e-13, 7.37e-13, 8.62e-13), True),
+    ((0.0, 0.0, 0.0), True),
+    ((7.46e-13, 0.05), True),
+    ((0.05, 7.46e-13), False),
+    ((0.05, 0.03, 0.04), False),
+    ((0.03, 0.05), True),
+])
+def test_gaps_at_round_off_count_as_zero(gaps, increasing):
+    # round-off of two 4001-term sums of total 4 is at most 3.6e-12
+    limit = constant_path(uniform_grid(1.0, 4000), 4.0)
+    rep = reg.LimitReport(epsilons=tuple(0.1 * 0.5 ** k for k in range(len(gaps) + 1)),
+                          limit=limit, sup_gaps=np.array(gaps),
+                          sup_norms=np.full(len(gaps) + 1, 4.0), tol=0.01,
+                          verdict=reg.Verdict("cauchy", gaps[-1], 0.04, gaps[-1] < 0.04))
+    assert rep.gaps_increasing is increasing
+
+
 def test_zero_qv_path_pairs_to_zero_with_finite_qv_path():
     # finite-bracket path against a vanishing-bracket path: estimates decay
     A, gta = sim.simulate(sim.SimSpec("fbm", n=2000, seed=5, hurst=0.8))
