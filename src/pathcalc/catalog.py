@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .ito import FUNCTION_CATALOG, path_of_function
 from .jumps import NormalLaw
 from .paths import step_path, uniform_grid
-from .regularize import DEFAULT_EPS_MAX, _default_levels
+from .regularize import DEFAULT_EPS_MAX
 from .simulate import (KINDS, GroundTruth, SimSpec, _brownian_along, brownian_on_grid,
                        grid_cells, simulate)
 
@@ -59,11 +59,6 @@ class Scenario:
     make: object
     expect: bool = True
     default_eps0: float = DEFAULT_EPS_MAX
-
-    @property
-    def default_levels(self) -> int:
-        """A run's level count without ``--levels``, on the default grid."""
-        return _default_levels(self.default_eps0, 1.0 / self.default_n)
 
     def build(self, seed: int = 0, n: int | None = None):
         # checked here: the step and self builders do not go through SimSpec

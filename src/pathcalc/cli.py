@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dirichlet as dd
@@ -137,14 +138,14 @@ def cmd_study(args) -> int:
                 _csv("epsilon,sup_gap", rep.epsilons[1:], rep.sup_gaps))
     _write_text(out / f"{stem}_limit.csv", rep.limit.to_csv())
     _write_json(out / f"{stem}_report.json", rep.to_json_dict(scenario=sc.id, **extra))
-    status = "converged" if rep.converged else "did not converge"
+    status = "converged" if rep.passed else "did not converge"
     if op == "qv":
-        expected = "" if rep.converged == sc.expect else " (unexpected)"
+        expected = "" if rep.passed == sc.expect else " (unexpected)"
         print(f"{sc.id}: window study {status}{expected}; final gap "
               f"{rep.sup_gaps[-1] if rep.sup_gaps.size else 0.0:.3g}")
     else:
         print(f"{sc.id}: forward study {status}")
-    return EXIT_OK if rep.converged else EXIT_CHECK_FAILED
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def cmd_ito_check(args) -> int:
@@ -153,24 +154,22 @@ def cmd_ito_check(args) -> int:
     F = _function(args.fn)
     if args.measure_form:
         if gt.compensator is None:
-            raise CliError(
-                f"scenario {sc.id} has no compensator model", EXIT_BAD_CONFIG)
+            raise CliError(f"scenario {sc.id} has no compensator model", EXIT_BAD_CONFIG)
         rep = imod.ito_terms_measure_form(F, X, gt.compensator,
                                           schedule=sched, tol=args.tol)
     else:
         rep = imod.ito_terms_c12(F, X, schedule=sched, tol=args.tol)
+    rep = replace(rep, verdicts=(residual_verdict(rep.relative_residual, args.threshold),))
     out = _out_dir(args)
     stem = f"{args.scenario}_ito_{args.fn}"
-    verdict = residual_verdict(rep.relative_residual, args.threshold)
     _write_text(out / f"{stem}_residual.csv", rep.residual.to_csv())
-    _write_json(out / f"{stem}_report.json",
-                rep.to_json_dict(scenario=sc.id, verdict=verdict))
+    _write_json(out / f"{stem}_report.json", rep.to_json_dict(scenario=sc.id))
     if args.measure_form:
         _write_json(out / f"{stem}_integrability.json",
                     jmod.integrability_report(X, F).to_json_dict())
-    print(f"{sc.id}/{args.fn}: relative residual {verdict.statistic:.3g} "
-          f"({'pass' if verdict.passed else 'fail'} at {args.threshold:g})")
-    return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
+    print(f"{sc.id}/{args.fn}: relative residual {rep.relative_residual:.3g} "
+          f"({'pass' if rep.passed else 'fail'} at {args.threshold:g})")
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def cmd_dirichlet_check(args) -> int:
@@ -180,12 +179,11 @@ def cmd_dirichlet_check(args) -> int:
     (A, N, _), sched = _run(args, sc)
     rep = dd.orthogonality_test(A, N, sched, tol=args.tol)
     _write_json(_out_dir(args) / f"{args.scenario}_orth_report.json",
-                rep.to_json_dict(scenario=sc.id,
-                                 expected_decision=sc.expect))
-    expected = "" if rep.decision == sc.expect else " (unexpected)"
-    print(f"{sc.id}: orthogonal={rep.decision}{expected}; final estimate "
+                rep.to_json_dict(scenario=sc.id, expected_decision=sc.expect))
+    expected = "" if rep.passed == sc.expect else " (unexpected)"
+    print(f"{sc.id}: orthogonal={rep.passed}{expected}; final estimate "
           f"sup-norm {rep.sup_norms[-1]:.3g}")
-    return EXIT_OK if rep.decision else EXIT_CHECK_FAILED
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def _run_chain_check(args) -> int:
@@ -205,9 +203,9 @@ def _run_chain_check(args) -> int:
     _write_json(_out_dir(args) / f"{sc.id}_chain_{args.fn}_report.json",
                 rep.to_json_dict(scenario=sc.id))
     print(f"{sc.id}/{args.fn}: residual part "
-          f"{'orthogonal' if rep.decision else 'not orthogonal'} "
+          f"{'orthogonal' if rep.passed else 'not orthogonal'} "
           f"across {len(rep.orth_reports)} test paths at tol {args.tol:g}")
-    return EXIT_OK if rep.decision else EXIT_CHECK_FAILED
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def cmd_list(args) -> int:
@@ -367,7 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except imod.NonConvergenceError as exc:
         # a failed check, not bad input: the chain check names its --chain
-        print(f"{getattr(args, 'chain', None) or args.scenario}: {exc}")
+        v = exc.verdict
+        gap = "no gap" if v.statistic is None else f"gap {v.statistic:.3g}"
+        print(f"{getattr(args, 'chain', None) or args.scenario}: {exc} "
+              f"({v.rule} {gap}, threshold {v.threshold:.3g})")
         return EXIT_CHECK_FAILED
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .ito import FunctionBundle, ItoReport, _Expansion, _measure_form, stieltjes
 from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms, increment_field,
                     integrability_report)
 from .paths import CadlagPath, PathError, _constant_on, _require_shared_grid
-from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report, Verdict,
+from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, Decision, EpsilonSchedule, Verdict,
                          _limits, _require_fit, _require_tol, _windows,
                          alpha_atoms_verdict, bracket_verdict, covariation,
                          forward_integral, md_verdict, orthogonality_verdict)
@@ -84,24 +84,20 @@ def brownian_battery(X: CadlagPath, seed: int = 0) -> list[CadlagPath]:
 
 
 @dataclass
-class OrthReport(Report, kind="orthogonality_report"):
+class OrthReport(Decision, kind="orthogonality_report"):
     """Decay diagnostics of the covariation estimate against one test path."""
 
     epsilons: tuple
     sup_norms: np.ndarray
     sup_gaps: np.ndarray
-    verdict: Verdict
-
-    @property
-    def decision(self) -> bool:
-        return self.verdict.passed
+    verdicts: tuple[Verdict, ...]
 
 
 def orthogonality_test(A: CadlagPath, N: CadlagPath,
                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
                        tol: float = ORTH_TOL) -> OrthReport:
-    """Covariation of (A, N) along the schedule; decision true when the
-    final estimate's sup-norm is below tol.  N must be continuous; the
+    """Covariation of (A, N) along the schedule; passed when the final
+    estimate's sup-norm is below tol.  N must be continuous; the
     study is ``ucp_limit(covariation, A, N)``, bit for bit."""
     return orthogonality_battery(A, [N], schedule, tol)[0]
 
@@ -115,7 +111,7 @@ def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
     if any(N.jump_marks.size for N in tests):
         raise PathError("test martingale must be continuous (no marked jumps)")
     return [OrthReport(r.epsilons, r.sup_norms, r.sup_gaps,
-                       orthogonality_verdict(r.sup_norms[-1], tol))
+                       (orthogonality_verdict(r.sup_norms[-1], tol),))
             for r in _limits(_windows(A, tests, schedule), schedule, tol)]
 
 
@@ -123,14 +119,14 @@ def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
 
 
 @dataclass
-class ChainRuleReport(Report, kind="chain_rule_report"):
+class ChainRuleReport(Decision, kind="chain_rule_report"):
     """Decomposition F(t, X_t) = M^F + A^F with the defect path Gamma.
 
     ``gamma`` is F(t, X_t) minus the four explicit terms (initial value,
     martingale integral, two compensated small-jump integrals, big-jump
     sum); ``a_path`` regroups it with the big-jump compensator integral so
     that a_path is predictable for predictable inputs.  ``terms`` keeps each
-    signed piece for linearity checks.
+    signed piece for linearity checks.  ``verdicts`` are the battery's.
     """
 
     function: str
@@ -141,7 +137,10 @@ class ChainRuleReport(Report, kind="chain_rule_report"):
     vbar: CadlagPath
     terms: dict
     orth_reports: list
-    decision: bool
+    verdicts: tuple[Verdict, ...]
+
+    # read-only alias of ``passed`` for the benchmark's op checks
+    decision = Decision.passed
 
 
 def chain_rule_c01(F: FunctionBundle, X: CadlagPath,
@@ -191,7 +190,7 @@ def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
              "big_jump_sum": big_mu,
              "big_jump_compensator": vbar}
     return ChainRuleReport(F.name, lhs, m_path, a_path, gamma, vbar, terms,
-                           orth, all(r.decision for r in orth))
+                           orth, tuple(v for r in orth for v in r.verdicts))
 
 
 def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
@@ -238,24 +237,12 @@ def jump_identities(F: FunctionBundle, X: CadlagPath,
 
 
 @dataclass
-class ParticularWDReport(Report, kind="particular_decomposition_report"):
-    """Bracket identity and drift-atom checks for X = M + V + A_prime."""
+class ParticularWDReport(Decision, kind="particular_decomposition_report"):
+    """Bracket identity and drift-atom verdicts for X = M + V + A_prime.
+    ``alpha_drift_variation``, the variation of alpha - A_prime, is unjudged."""
 
-    bracket: Verdict
-    alpha_atoms: Verdict
+    verdicts: tuple[Verdict, ...]
     alpha_drift_variation: float
-
-    @property
-    def passed_bracket(self) -> bool:
-        return self.bracket.passed
-
-    @property
-    def passed_alpha_atoms(self) -> bool:
-        return self.alpha_atoms.passed
-
-    @property
-    def passed(self) -> bool:
-        return self.passed_bracket and self.passed_alpha_atoms
 
 
 def particular_wd_check(decomp: LabeledDecomposition,
@@ -266,8 +253,8 @@ def particular_wd_check(decomp: LabeledDecomposition,
     splitting: (a) the estimated bracket of the sum matches
     [M, M] + sum (dV)^2 + 2 sum dV dM (``bracket_verdict``), and (b) the
     drift part alpha = X - M_c - compensated small jumps - big-jump sum
-    carries no jump atoms when the compensator has no time atoms
-    (``alpha_atoms_verdict``).
+    jumps only at the compensator's time atoms (``alpha_atoms_verdict``):
+    there it may jump, since those jumps are predictable.
 
     Only the final window's bracket estimates of X and M are read, so only
     that window is evaluated, after checking that every window fits the
@@ -289,14 +276,10 @@ def particular_wd_check(decomp: LabeledDecomposition,
     # M shares X's grid, so the windows that fit X fit M
     _require_fit(schedule, X)
     eps = schedule.epsilons[-1]
-    bracket = covariation(X, X, eps)
-    m_bracket = covariation(M, M, eps)
-    dv = np.zeros(X.grid.size)
-    dv[V.jump_marks] = V.jump_sizes
-    dm_sizes = M.values - M.left_values
-    cross = np.cumsum(dv * dv + 2.0 * dv * dm_sizes)
-    reference = m_bracket.values + cross
-    bracket_gap = float(np.max(np.abs(bracket.values - reference)))
+    dv = V.values - V.left_values
+    cross = np.cumsum(dv * dv + 2.0 * dv * (M.values - M.left_values))
+    reference = covariation(M, M, eps).values + cross
+    bracket_gap = float(np.max(np.abs(covariation(X, X, eps).values - reference)))
     scale = max(float(np.max(np.abs(reference))), 1.0)
 
     small = _if_atoms(X, nu, lambda: jmod.compensated_integral(
@@ -304,31 +287,28 @@ def particular_wd_check(decomp: LabeledDecomposition,
     big = _if_atoms(X, nu, lambda: jmod.integrate_mu(
         X_FIELD.with_truncation("big"), X))
     alpha = X - decomp._part("M_c", X) - small - big
-    alpha_jump_max = float(np.max(np.abs(alpha.values - alpha.left_values)))
-    drift = alpha - A_prime
+    alpha_jumps = np.abs(alpha.values - alpha.left_values)
+    if nu is not None:
+        alpha_jumps[jmod._atom_rows(nu, X.grid)] = 0.0
     return ParticularWDReport(
-        bracket_verdict(bracket_gap, tol, scale),
-        alpha_atoms_verdict(alpha_jump_max, scale, bool(nu and nu.atoms)),
-        float(np.sum(np.abs(np.diff(drift.values)))))
+        (bracket_verdict(bracket_gap, tol, scale),
+         alpha_atoms_verdict(float(np.max(alpha_jumps)), scale)),
+        float(np.sum(np.abs(np.diff((alpha - A_prime).values)))))
 
 
 @dataclass
-class MdRepresentationReport(Report, kind="md_representation_report"):
+class MdRepresentationReport(Decision, kind="md_representation_report"):
     """Gap between the labeled purely discontinuous martingale part and the
     compensated size integral rebuilt from the jump measure.
 
-    ``atom_gap_max``, the largest |dM_d - dX|, is reported but not judged:
-    with time atoms in the compensator dM_d = dX - (atom part), which this
-    check does not rebuild, so a nonzero gap is no failure there.  Without
-    time atoms it should read zero.
+    ``atom_gap_max``, the largest |dM_d - dX|, is unjudged (no verdict reads
+    it): with time atoms in the compensator dM_d = dX - (atom part), which
+    this check does not rebuild, so a nonzero gap is no failure there.
+    Without time atoms it should read zero.
     """
 
-    verdict: Verdict
+    verdicts: tuple[Verdict, ...]
     atom_gap_max: float
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict.passed
 
 
 def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
@@ -342,26 +322,25 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
     _require_shared_grid(X, md)
     rebuilt = _if_atoms(X, nu, lambda: jmod.compensated_integral(X_FIELD, X, nu))
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
-    md_jumps = md.values - md.left_values
-    x_jumps = X.values - X.left_values
-    atom_gap = float(np.max(np.abs(md_jumps - x_jumps)))
+    atom_gaps = np.abs((md.values - md.left_values) - (X.values - X.left_values))
     scale = max(md.sup_norm(), X.sup_norm(), 1.0)
-    return MdRepresentationReport(md_verdict(sup_gap, scale), atom_gap)
+    return MdRepresentationReport((md_verdict(sup_gap, scale),), float(np.max(atom_gaps)))
 
 
 # -- continuous-function chain rule -------------------------------------------
 
 
 @dataclass
-class C0ChainReport(Report, kind="c0_chain_report"):
-    """Decomposition of F(t, X_t) built without any space derivative."""
+class C0ChainReport(Decision, kind="c0_chain_report"):
+    """Decomposition of F(t, X_t) built without any space derivative;
+    ``verdicts`` are the battery's."""
 
     function: str
     a_path: CadlagPath
     compensated: CadlagPath
     jump_abs_total: float
     orth_reports: list
-    decision: bool
+    verdicts: tuple[Verdict, ...]
 
 
 def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
@@ -377,7 +356,7 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     assumption.
 
     It takes no decomposition of X, so its battery of independent Brownian
-    paths carries no signal about X's own martingale part: the decision
+    paths carries no signal about X's own martingale part: its verdicts
     cannot see a missing compensator, as the raw F(t, X_t) - F(0, X_0)
     passes that battery too.
     """
@@ -391,4 +370,4 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     a_path = lhs - _constant_on(X, lhs.values[0]) - comp
     orth = orthogonality_battery(a_path, brownian_battery(X), ex.schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,
-                         all(r.decision for r in orth))
+                         tuple(v for r in orth for v in r.verdicts))

@@ -31,7 +31,7 @@ from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     taylor_remainder_field)
 from .paths import (CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _samples,
                     _union_marks)
-from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, EpsilonSchedule, Report,
+from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, Decision, EpsilonSchedule, Verdict,
                          _forward_sums, _require_fit, _require_tol, _windows,
                          qv_limit)
 
@@ -41,7 +41,12 @@ class BundleValidationError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A required bracket estimate did not converge along the schedule."""
+    """A required bracket estimate did not converge along the schedule;
+    ``verdict`` is the bracket study's Cauchy verdict."""
+
+    def __init__(self, verdict: Verdict):
+        super().__init__("bracket estimate did not converge along the schedule")
+        self.verdict = verdict
 
 
 # -- function bundles ---------------------------------------------------------
@@ -257,9 +262,8 @@ class _Expansion:
         a one-window schedule has no gap to test and never converges."""
         rep = qv_limit(self.X, schedule=EpsilonSchedule(self.schedule.epsilons[-2:]),
                        tol=self.tol)
-        if not rep.converged:
-            raise NonConvergenceError(
-                "bracket estimate did not converge along the schedule")
+        if not rep.passed:
+            raise NonConvergenceError(rep.verdicts[0])
         return rep.limit
 
     @cached_property
@@ -347,13 +351,14 @@ class _Expansion:
 
 
 @dataclass
-class ItoReport(Report, kind="ito_report"):
+class ItoReport(Decision, kind="ito_report"):
     """Named terms of one identity variant plus the assembled residual.
 
     ``terms`` holds signed paths: the residual is
     lhs - initial_value - sum(terms) pointwise by construction, left limits
     included, at the final window width; ``residual_sup_by_eps`` tracks the
     sup-norm of the same assembly as the window shrinks along the schedule.
+    No harness sets a verdict; ``ito-check`` adds its ``residual_verdict``.
     """
 
     variant: str
@@ -365,6 +370,7 @@ class ItoReport(Report, kind="ito_report"):
     residual_sup_by_eps: np.ndarray
     epsilons: tuple
     parts: dict = field(default_factory=dict)
+    verdicts: tuple[Verdict, ...] = ()
 
     @property
     def final_residual_sup(self) -> float:

@@ -429,15 +429,22 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     if not nu.atoms:
         return _jumping_at(X, values)
     atom_add = np.zeros(grid.size)
-    rows = np.searchsorted(grid, [ta for ta, _, _ in nu.atoms])
+    rows = _atom_rows(nu, grid)
     for i, (ta, law_a, wt) in zip(rows, nu.atoms):
-        if i >= grid.size or grid[i] != ta:
-            raise PathError("compensator time atom must sit on the grid")
         ga = _size_marginal(field, law_a, np.array([ta]),
                             np.array([X.left_limit(ta)]))[0]
         atom_add[i:] += wt * ga
     rows = np.unique(rows)  # all >= 1: an atom at t = 0 fails X.left_limit above
     return _jumping_at(X, values + atom_add, rows, values[rows] + atom_add[rows - 1])
+
+
+def _atom_rows(nu: CompensatorSpec, grid: np.ndarray) -> np.ndarray:
+    """The grid rows of ``nu.atoms``; PathError for an atom off the grid."""
+    rows = np.searchsorted(grid, [ta for ta, _, _ in nu.atoms])
+    for i, (ta, _, _) in zip(rows, nu.atoms):
+        if i >= grid.size or grid[i] != ta:
+            raise PathError("compensator time atom must sit on the grid")
+    return rows
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,
@@ -509,9 +516,8 @@ class IntegrabilityReport(Report, kind="integrability_report"):
 
     @property
     def taylor_remainder_summable(self) -> bool:
-        if self.taylor_big_jump_total is None:
-            return False
-        return bool(np.isfinite(self.taylor_big_jump_total))
+        total = self.taylor_big_jump_total
+        return total is not None and bool(np.isfinite(total))
 
 
 def integrability_report(X: CadlagPath, F=None) -> IntegrabilityReport:

@@ -59,7 +59,7 @@ estimator's calls (``ucp_limit``); it holds only the previous window.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -789,11 +789,10 @@ def bracket_verdict(gap: float, tol: float, scale: float) -> Verdict:
     return _below("bracket", gap, tol * scale)
 
 
-def alpha_atoms_verdict(jump_max: float, scale: float, time_atoms: bool) -> Verdict:
-    """Largest jump of the drift part < 1e-9 * scale; with time atoms in the
-    compensator the drift may jump, so the rule is waived (always passes)."""
-    v = _below("alpha_atoms", jump_max, 1e-9 * scale)
-    return replace(v, rule="alpha_atoms_waived", passed=True) if time_atoms else v
+def alpha_atoms_verdict(jump_max: float, scale: float) -> Verdict:
+    """Largest jump of the drift part off the compensator's time atoms
+    < 1e-9 * scale."""
+    return _below("alpha_atoms", jump_max, 1e-9 * scale)
 
 
 def md_verdict(sup_gap: float, scale: float) -> Verdict:
@@ -809,19 +808,32 @@ def residual_verdict(relative_residual: float, threshold: float) -> Verdict:
 class Report:
     """Base of the report dataclasses; ``kind=`` in the class line names one in JSON."""
 
-    def __init_subclass__(cls, kind: str, **kw):
+    def __init_subclass__(cls, kind: str | None = None, **kw):
         super().__init_subclass__(**kw)
-        cls.kind = kind
+        if kind is not None:
+            cls.kind = kind
 
     def to_json_dict(self, **extra) -> dict:
         """The one report serializer: schema_version, kind, every dataclass
         field and property, and ``extra``.  Arrays and tuples become lists,
-        verdicts and reports dicts, and a path (CSV carries it) its sup-norm."""
-        names = [f.name for f in fields(self)]
-        names += [k for k, v in vars(type(self)).items() if isinstance(v, property)]
+        verdicts and reports dicts, and a path (CSV carries it) its sup-norm.
+        An alias, a property bound under a second name, is written once."""
+        props = {v: k for c in type(self).__mro__ for k, v in vars(c).items()
+                 if isinstance(v, property)}
+        names = [f.name for f in fields(self)] + list(props.values())
         items = {**{k: getattr(self, k) for k in names}, **extra}
-        return {"schema_version": 2, "kind": self.kind,
+        return {"schema_version": 3, "kind": self.kind,
                 **{k: _json_value(v) for k, v in items.items()}}
+
+
+class Decision(Report):
+    """Base of the reports that decide, by their tuple of ``verdicts``: the one
+    pass rule is at least one verdict, and every one passes (no verdict: nothing
+    was compared, as in a one-window Cauchy study)."""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
 
 def _json_value(v):
@@ -844,10 +856,10 @@ def _json_value(v):
 
 
 @dataclass
-class LimitReport(Report, kind="limit_report"):
+class LimitReport(Decision, kind="limit_report"):
     """Convergence diagnostics of an estimator along a window schedule.
 
-    ``converged`` is a Cauchy test along the sampled schedule only (final
+    ``passed`` is a Cauchy test along the sampled schedule only (final
     sup-norm gap below tol relative to the last estimate); it is a surrogate
     for the limit notion, and non-convergence is a first-class outcome.  A
     schedule of one window has no gap to test and never converges.  Only
@@ -859,20 +871,20 @@ class LimitReport(Report, kind="limit_report"):
     sup_gaps: np.ndarray
     sup_norms: np.ndarray
     tol: float
-    verdict: Verdict
+    verdicts: tuple[Verdict, ...]
 
-    @property
-    def converged(self) -> bool:
-        return self.verdict.passed
+    # read-only alias of ``passed`` for the benchmark's op checks
+    converged = Decision.passed
 
     @property
     def gaps_increasing(self) -> bool:
-        """No sup gap falls along the schedule.  A gap within round-off counts
-        as 0: the difference of two sums of n nonnegative terms of total at
-        most |E| (the largest sup-norm) is off by at most 2 n u |E|, with u
-        the unit round-off, half of ``np.finfo(float).eps``.  So estimates
-        that converge exactly, whose gaps are all round-off, read as gaps of
-        exactly 0 do, not as the order of their last bits."""
+        """No sup gap falls along the schedule; unjudged, as no verdict reads
+        it.  A gap within round-off counts as 0: the difference of two sums
+        of n nonnegative terms of total at most |E| (the largest sup-norm) is
+        off by at most 2 n u |E|, with u the unit round-off, half of
+        ``np.finfo(float).eps``.  So estimates that converge exactly, whose
+        gaps are all round-off, read as gaps of exactly 0 do, not as the
+        order of their last bits."""
         roundoff = self.limit.grid.size * np.finfo(float).eps * float(np.max(self.sup_norms))
         gaps = np.where(self.sup_gaps <= roundoff, 0.0, self.sup_gaps)
         return bool(np.all(np.diff(gaps) >= 0.0))
@@ -924,7 +936,7 @@ def _limits(windows, schedule: EpsilonSchedule, tol: float) -> list[LimitReport]
         last = ests
     norms, gaps = np.array(norms).T, np.array(gaps).reshape(-1, len(last)).T
     return [LimitReport(tuple(schedule.epsilons), E, g, s, float(tol),
-                        cauchy_verdict(g, s, tol))
+                        (cauchy_verdict(g, s, tol),))
             for E, g, s in zip(last, gaps, norms)]
 
 

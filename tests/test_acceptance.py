@@ -89,7 +89,7 @@ def test_criterion_2_brownian_bracket_accuracy():
         X, _ = sim.simulate(sim.SimSpec("brownian", n=100000, seed=seed))
         rep = reg.qv_limit(X, schedule=sched, tol=0.05)
         sup = float(np.max(np.abs(rep.limit.values - X.grid)))
-        hits += rep.converged and sup < 0.05
+        hits += rep.passed and sup < 0.05
     elapsed = time.perf_counter() - t0
     ok = hits >= 90 and elapsed < 60.0
     _report(2, ok, f"sup|bracket - t| < 0.05 on {hits}/100 seeds "
@@ -196,8 +196,8 @@ def test_criterion_6_start_window_identity_on_catalog():
     worst = 0.0
     for sc in SCENARIOS.values():
         X, gt = sc.build(seed=1)
-        sched = reg.EpsilonSchedule.geometric(
-            sc.default_eps0, sc.default_levels).snapped(gt.base_dt)
+        levels = reg._default_levels(sc.default_eps0, 1 / sc.default_n)
+        sched = reg.EpsilonSchedule.geometric(sc.default_eps0, levels).snapped(gt.base_dt)
         ones = constant_path(X.grid, 1.0)
         for eps in sched.epsilons:
             for Y in (X, ones):
@@ -218,10 +218,10 @@ def test_criterion_7_orthogonality_suite():
     for name in ("step_bm", "cp_bm", "pdp_bm", "self"):
         sc = ORTH_SCENARIOS[name]
         A, N, base_dt = sc.build(seed=3)
-        sched = reg.EpsilonSchedule.geometric(
-            sc.default_eps0, sc.default_levels).snapped(base_dt)
+        levels = reg._default_levels(sc.default_eps0, 1 / sc.default_n)
+        sched = reg.EpsilonSchedule.geometric(sc.default_eps0, levels).snapped(base_dt)
         rep = dd.orthogonality_test(A, N, sched, tol=0.05)
-        results[name] = rep.decision
+        results[name] = rep.passed
     ok = (results["step_bm"] and results["cp_bm"] and results["pdp_bm"]
           and not results["self"])
     _report(7, ok, f"decisions at tol 0.05: step+bm={results['step_bm']}, "
@@ -276,7 +276,7 @@ def test_criterion_9_rough_time_function_battery():
     rep = dd.chain_rule_c01(FUNCTION_CATALOG["rough_time"], X, dec,
                             gt.compensator, sched, tol=0.05, orth_tol=0.05)
     norms = [float(r.sup_norms[-1]) for r in rep.orth_reports]
-    ok = rep.decision and len(rep.orth_reports) >= 3
+    ok = rep.passed and len(rep.orth_reports) >= 3
     _report(9, ok, f"residual part of the rough-in-time function passes a "
                    f"{len(rep.orth_reports)}-martingale battery at tol 0.05 "
                    f"(final norms {np.round(norms, 4).tolist()})")
@@ -286,6 +286,6 @@ def test_criterion_10_expected_failure_is_reported():
     X, gt = sim.simulate(sim.SimSpec("fbm", n=2000, seed=1, hurst=0.2))
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
     rep = reg.qv_limit(X, schedule=sched, tol=0.05)
-    ok = (not rep.converged) and rep.gaps_increasing
+    ok = (not rep.passed) and rep.gaps_increasing
     _report(10, ok, f"rough-path study flags non-convergence with growing "
                     f"gaps {np.round(rep.sup_gaps, 2).tolist()}")

@@ -13,7 +13,7 @@ from pathcalc.catalog import ORTH_SCENARIOS, SCENARIOS, Scenario
 from pathcalc.cli import main
 from pathcalc.jumps import NormalLaw
 from pathcalc.paths import CadlagPath
-from pathcalc.regularize import DEFAULT_LEVELS, EpsilonSchedule
+from pathcalc.regularize import DEFAULT_LEVELS, EpsilonSchedule, _default_levels
 from pathcalc.simulate import SimSpec
 
 
@@ -73,8 +73,8 @@ def test_qv_writes_artifacts_and_passes(tmp_path):
                 "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "poisson_qv_report.json").read_text())
-    assert report["schema_version"] == 2
-    assert report["converged"] is True
+    assert report["schema_version"] == 3
+    assert report["passed"] is True
     conv = (tmp_path / "poisson_qv_convergence.csv").read_text()
     assert conv.splitlines()[0] == "epsilon,sup_gap"
     assert (tmp_path / "poisson_qv_limit.csv").exists()
@@ -84,7 +84,7 @@ def test_qv_rough_scenario_reports_expected_failure(tmp_path):
     code = run(["qv", "--scenario", "fbm02", "--out", str(tmp_path)])
     assert code == 1
     report = json.loads((tmp_path / "fbm02_qv_report.json").read_text())
-    assert report["converged"] is False
+    assert report["passed"] is False
     assert report["expected_converged"] is False
 
 
@@ -94,7 +94,7 @@ def test_qv_single_level_reports_no_convergence(tmp_path, capsys):
     assert code == 1
     assert "did not converge" in capsys.readouterr().out
     report = json.loads((tmp_path / "fbm02_qv_report.json").read_text())
-    assert report["converged"] is False
+    assert report["passed"] is False
     # one window has no gap: the convergence table is its header alone
     assert (tmp_path / "fbm02_qv_convergence.csv").read_text() == "epsilon,sup_gap\n"
 
@@ -137,7 +137,7 @@ def test_dirichlet_check_positive_and_negative(tmp_path):
     assert run(["dirichlet-check", "--scenario", "self",
                 "--out", str(tmp_path)]) == 1
     rep = json.loads((tmp_path / "self_orth_report.json").read_text())
-    assert rep["decision"] is False
+    assert rep["passed"] is False
     assert rep["expected_decision"] is False
 
 
@@ -148,7 +148,7 @@ def test_dirichlet_chain_mode(tmp_path):
     rep = json.loads(
         (tmp_path / "poisson_chain_square_report.json").read_text())
     assert rep["kind"] == "chain_rule_report"
-    assert rep["decision"] is True
+    assert rep["passed"] is True
 
 
 def test_simulate_writes_path_and_truth(tmp_path):
@@ -420,6 +420,7 @@ def test_an_op_key_in_a_qv_config_is_ignored(tmp_path):
         "poisson_qv_convergence.csv", "poisson_qv_limit.csv", "poisson_qv_report.json"]
 
 
+# the bracket guard's message; main prints its verdict's statistic and threshold after it
 NOT_CONVERGED = "bracket estimate did not converge along the schedule"
 
 # (argv, exit code, the one line printed): a failed check prints its line on
@@ -428,13 +429,16 @@ BAD_INPUT = [
     ("qv --scenario bm --n 1000 --eps0 1e308 --levels 1", 2,
      "error: window widths must be positive and finite"),
     ("dirichlet-check --chain bm --n 1000 --levels 3 --eps0 0.4 --seed 1", 1,
-     f"bm: {NOT_CONVERGED}"),
+     f"bm: {NOT_CONVERGED} (cauchy gap 0.246, threshold 0.0547)"),
     ("dirichlet-check --chain jump_diffusion --n 1000 --levels 2 --eps0 0.4", 1,
-     f"jump_diffusion: {NOT_CONVERGED}"),
+     f"jump_diffusion: {NOT_CONVERGED} (cauchy gap 0.917, threshold 0.231)"),
     ("dirichlet-check --chain cp_normal --fn xabs_sqrt --n 2000 --levels 2 "
-     "--eps0 0.2", 1, f"cp_normal: {NOT_CONVERGED}"),
+     "--eps0 0.2", 1, f"cp_normal: {NOT_CONVERGED} (cauchy gap 0.494, threshold 0.18)"),
     ("dirichlet-check --chain poisson --n 1000 --levels 2 --eps0 0.4", 1,
-     f"poisson: {NOT_CONVERGED}"),
+     f"poisson: {NOT_CONVERGED} (cauchy gap 0.518, threshold 0.198)"),
+    # one window: the guard's study has no gap to compare
+    ("ito-check --scenario poisson --n 1000 --levels 1", 1,
+     f"poisson: {NOT_CONVERGED} (cauchy no gap, threshold 0.04)"),
     ("qv --scenario bm --eps0 nan", 2,
      "error: window widths must be positive and finite"),
     ("qv --scenario bm --config missing.cfg", 2, "error: cannot read config"),
@@ -526,8 +530,8 @@ def test_run_fits_the_schedule_at_the_build_base_spacing(sc):
     built, sched = cli._run(args, sc)
     base_dt = built[1].base_dt if sc.id in SCENARIOS else built[2]
     assert base_dt == 1.0 / sc.default_n
-    assert sched == EpsilonSchedule.geometric(
-        sc.default_eps0, sc.default_levels).for_path(built[0], base_dt)
+    levels = _default_levels(sc.default_eps0, 1 / sc.default_n)
+    assert sched == EpsilonSchedule.geometric(sc.default_eps0, levels).for_path(built[0], base_dt)
 
 
 @pytest.mark.parametrize("sc", [*SCENARIOS.values(), *ORTH_SCENARIOS.values()],
@@ -547,7 +551,7 @@ def test_qv_on_a_smaller_grid_runs_without_levels(tmp_path, capsys):
     code = run(["qv", "--scenario", "bm", "--n", "1000", "--out", str(tmp_path)])
     assert code in (0, 1)
     report = json.loads((tmp_path / "bm_qv_report.json").read_text())
-    assert report["converged"] is (code == 0)
+    assert report["passed"] is (code == 0)
     assert capsys.readouterr().err == ""
 
 
@@ -561,7 +565,7 @@ def test_explicit_levels_too_fine_for_the_grid_exit_2(tmp_path, capsys):
 
 
 def test_default_levels_are_the_halvings_the_default_grid_resolves():
-    levels = {sc.id: sc.default_levels
+    levels = {sc.id: _default_levels(sc.default_eps0, 1 / sc.default_n)
               for sc in [*SCENARIOS.values(), *ORTH_SCENARIOS.values()]}
     assert levels == {**dict.fromkeys(levels, 8), "fbm02": 4, "fbm08": 4,
                       "convolution": 4, "fbm_bm": 4, "convolution_bm": 6}

@@ -9,7 +9,7 @@ from pathcalc import ito
 from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError, path_of_function)
-from pathcalc.jumps import NormalLaw
+from pathcalc.jumps import CompensatorSpec, DiracLaw, NormalLaw
 from pathcalc.paths import (CadlagPath, PathError, constant_path, step_path,
                             uniform_grid)
 
@@ -36,14 +36,14 @@ def test_deterministic_step_is_orthogonal_to_brownian():
     N, _, sched = brownian_pair()
     A = step_path(1.0, 50000, 0.5)
     rep = dd.orthogonality_test(A, N, sched, tol=0.05)
-    assert rep.decision
+    assert rep.passed
     assert rep.sup_norms[-1] < 0.05
 
 
 def test_self_pairing_is_not_orthogonal():
     N, _, sched = brownian_pair()
     rep = dd.orthogonality_test(N, N, sched, tol=0.05)
-    assert not rep.decision
+    assert not rep.passed
     # the estimate approaches the bracket of the test path, about t
     assert 0.8 < rep.sup_norms[-1] < 1.3
 
@@ -56,7 +56,7 @@ def test_pure_jump_integral_path_is_orthogonal_to_brownian():
     N = sim.brownian_on_grid(X.grid, 55)
     sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
     rep = dd.orthogonality_test(A, N, sched, tol=0.05)
-    assert rep.decision
+    assert rep.passed
 
 
 def test_jumpy_test_martingale_rejected():
@@ -92,7 +92,7 @@ def test_identity_function_reproduces_the_decomposition():
     mart = gt.decomposition["M_c"].values + gt.decomposition["M_d"].values
     assert np.max(np.abs(rep.m_path.values
                          - (X.values[0] + mart - mart[0]))) < 1e-7
-    assert rep.decision
+    assert rep.passed
 
 
 @pytest.mark.parametrize("name", ["identity", "square", "tx", "sin"])
@@ -121,7 +121,7 @@ def test_rough_time_function_beyond_smooth_class():
     rep = dd.chain_rule_c01(FUNCTION_CATALOG["rough_time"], X, dec,
                             gt.compensator, sched, tol=0.05)
     assert len(rep.orth_reports) >= 3
-    assert rep.decision
+    assert rep.passed
 
 
 def test_defect_is_linear_in_the_function():
@@ -336,19 +336,42 @@ def test_particular_zero_qv_perturbation_of_brownian():
     dec = dd.LabeledDecomposition(M_c=M, A_prime=fb)
     rep = dd.particular_wd_check(dec, None, sched, tol=0.1)
     assert rep.passed
-    assert rep.alpha_atoms.statistic == 0.0
+    assert rep.verdicts[1].statistic == 0.0
 
 
 def test_particular_pure_step_bounded_variation():
     V = step_path(1.0, 20000, 0.5)
-    from pathcalc.jumps import CompensatorSpec, DiracLaw
     dec = dd.LabeledDecomposition(V=V)
     nu = CompensatorSpec.user_supplied(0.0, DiracLaw(1.0))
     sched = reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / 20000)
     rep = dd.particular_wd_check(dec, nu, sched, tol=0.05)
-    assert rep.passed_bracket
+    assert rep.verdicts[0].passed
     # estimated bracket of the step is the step itself
-    assert rep.bracket.statistic < 1e-10
+    assert rep.verdicts[0].statistic < 1e-10
+
+
+STEP_ATOM = CompensatorSpec.user_supplied(0.0, DiracLaw(1.0),
+                                         atoms=((0.5, DiracLaw(1.0), 1.0),))
+
+
+def test_particular_drift_may_jump_at_a_time_atom_only():
+    # the step at 0.5 is predictable: the compensator's time atom carries it,
+    # so the drift's jump there is exempt and every other row is judged
+    sched = reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / 4000)
+    rep = dd.particular_wd_check(dd.LabeledDecomposition(V=step_path(1.0, 4000, 0.5)),
+                                 STEP_ATOM, sched, tol=0.05)
+    assert rep.passed
+    assert (rep.verdicts[1].rule, rep.verdicts[1].statistic) == ("alpha_atoms", 0.0)
+
+
+def test_particular_drift_jump_off_the_time_atom_fails():
+    # a jump at 0.3 labeled continuous martingale: alpha jumps by 1 at 0.3,
+    # off the atom at 0.5, and the drift-atom rule sees it
+    sched = reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / 4000)
+    rep = dd.particular_wd_check(dd.LabeledDecomposition(M_c=step_path(1.0, 4000, 0.3)),
+                                 STEP_ATOM, sched, tol=0.05)
+    assert not rep.verdicts[1].passed and not rep.passed
+    assert rep.verdicts[1].statistic == 1.0
 
 
 def test_particular_rejects_overflowing_variation():
@@ -368,7 +391,7 @@ def test_particular_brownian_plus_jumps_cross_term_vanishes():
     dec = dd.LabeledDecomposition(M_c=M, V=Xcp)
     rep = dd.particular_wd_check(dec, gtcp.compensator, sched, tol=0.1)
     assert rep.passed
-    assert rep.alpha_atoms.statistic < 1e-12
+    assert rep.verdicts[1].statistic < 1e-12
 
 
 # -- martingale-part representation -----------------------------------------------------
@@ -379,7 +402,7 @@ def test_md_representation_compensated_poisson():
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.md_representation_check(dec, X, gt.compensator)
     assert rep.passed
-    assert rep.verdict.statistic < 1e-10
+    assert rep.verdicts[0].statistic < 1e-10
     assert rep.atom_gap_max < 1e-12
 
 
@@ -387,7 +410,7 @@ def test_md_representation_continuous_path_both_sides_zero():
     X, gt, _ = brownian_pair(n=2000, seed=1)
     dec = dd.LabeledDecomposition.from_ground_truth(gt)
     rep = dd.md_representation_check(dec, X, None)
-    assert rep.passed and rep.verdict.statistic == 0.0
+    assert rep.passed and rep.verdicts[0].statistic == 0.0
 
 
 def test_md_representation_normal_jumps_atomwise():
@@ -423,7 +446,7 @@ def test_c0_chain_identity_on_poisson_recovers_drift():
     rep = dd.special_wd_c0_chain(FUNCTION_CATALOG["identity"], X,
                                  gt.compensator, sched)
     assert np.max(np.abs(rep.a_path.values - 2.0 * X.grid)) < 1e-10
-    assert rep.decision
+    assert rep.passed
 
 
 def test_c0_chain_continuous_path_keeps_whole_increment():
@@ -440,7 +463,7 @@ def test_c0_chain_on_regime_switching_path():
     FX = path_of_function(FUNCTION_CATALOG["square"], X)
     N = sim.brownian_on_grid(X.grid, 91)
     rep = dd.orthogonality_test(FX, N, sched, tol=0.05)
-    assert rep.decision
+    assert rep.passed
     # the defect shrinks with the window
     assert rep.sup_norms[-1] < rep.sup_norms[0]
 

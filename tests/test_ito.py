@@ -149,7 +149,7 @@ def test_bracket_guard_matches_the_full_study(case):
     # study's, bit for bit
     X, sched = case()
     full = reg.qv_limit(X, schedule=sched, tol=0.05)
-    if not full.converged:
+    if not full.passed:
         with pytest.raises(NonConvergenceError):
             ito.qv_continuous_part(X, sched, tol=0.05)
         return
@@ -206,7 +206,7 @@ def test_bracket_guard_evaluates_two_windows(monkeypatch):
 
 def test_one_window_bracket_guard_never_converges():
     X, sched = brownian(n=4000)
-    assert reg.qv_limit(X, schedule=sched, tol=0.05).converged
+    assert reg.qv_limit(X, schedule=sched, tol=0.05).passed
     with pytest.raises(NonConvergenceError):
         ito.qv_continuous_part(X, reg.EpsilonSchedule(sched.epsilons[-1:]), tol=0.05)
 

@@ -229,7 +229,7 @@ def test_battery_matches_per_path_orthogonality_tests(case, seed):
     sched = reg.EpsilonSchedule((0.5 * (1.0 + eps), eps, max(0.5 * eps, A.min_spacing)))
     for rep, N in zip(dd.orthogonality_battery(A, tests, sched, 0.05), tests):
         ref = dd.orthogonality_test(A, N, sched, 0.05)
-        assert rep.epsilons == ref.epsilons and rep.decision == ref.decision
+        assert rep.epsilons == ref.epsilons and rep.passed == ref.passed
         assert rep.sup_norms.tobytes() == ref.sup_norms.tobytes()
         assert rep.sup_gaps.tobytes() == ref.sup_gaps.tobytes()
 

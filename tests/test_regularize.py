@@ -154,7 +154,7 @@ def test_converged_qv_limit_is_nondecreasing():
     X, gt = sim.simulate(sim.SimSpec("brownian", n=50000, seed=11))
     sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
     rep = reg.qv_limit(X, schedule=sched, tol=0.05)
-    assert rep.converged
+    assert rep.passed
     worst_dip = -float(np.min(np.diff(rep.limit.values)))
     assert worst_dip <= rep.sup_gaps[-1]
 
@@ -272,14 +272,14 @@ def test_ucp_limit_brownian_bracket():
     X, gt = sim.simulate(sim.SimSpec("brownian", n=100000, seed=0))
     sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
     rep = reg.qv_limit(X, schedule=sched, tol=0.05)
-    assert rep.converged
+    assert rep.passed
     assert float(np.max(np.abs(rep.limit.values - X.grid))) < 0.05
 
 
 def test_ucp_limit_constant_converges_to_zero():
     X = constant_path(uniform_grid(1.0, 256), 3.0)
     rep = reg.qv_limit(X, schedule=reg.EpsilonSchedule((0.2, 0.1, 0.05)))
-    assert rep.converged
+    assert rep.passed
     assert rep.limit.sup_norm() == 0.0
     assert np.all(rep.sup_gaps == 0.0)
 
@@ -289,14 +289,14 @@ def test_single_window_does_not_converge():
     X = constant_path(uniform_grid(1.0, 256), 3.0)
     rep = reg.qv_limit(X, schedule=reg.EpsilonSchedule((0.1,)))
     assert rep.sup_gaps.size == 0
-    assert not rep.converged
+    assert not rep.passed
 
 
 def test_ucp_limit_rough_path_does_not_converge():
     X, gt = sim.simulate(sim.SimSpec("fbm", n=2000, seed=1, hurst=0.2))
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
     rep = reg.qv_limit(X, schedule=sched, tol=0.05)
-    assert not rep.converged
+    assert not rep.passed
     assert rep.gaps_increasing
     assert rep.sup_gaps[-1] > 1.5 * rep.sup_gaps[0]
 
@@ -317,7 +317,7 @@ def test_gaps_at_round_off_count_as_zero(gaps, increasing):
     rep = reg.LimitReport(epsilons=tuple(0.1 * 0.5 ** k for k in range(len(gaps) + 1)),
                           limit=limit, sup_gaps=np.array(gaps),
                           sup_norms=np.full(len(gaps) + 1, 4.0), tol=0.01,
-                          verdict=reg.Verdict("cauchy", gaps[-1], 0.04, gaps[-1] < 0.04))
+                          verdicts=(reg.Verdict("cauchy", gaps[-1], 0.04, gaps[-1] < 0.04),))
     assert rep.gaps_increasing is increasing
 
 

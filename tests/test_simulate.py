@@ -209,7 +209,7 @@ def test_fbm_rough_exponent_qv_grows():
     X, gt = simulate(SimSpec("fbm", n=2000, seed=2, hurst=0.2))
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
     rep = reg.qv_limit(X, schedule=sched, tol=0.05)
-    assert not rep.converged
+    assert not rep.passed
     assert np.all(np.diff(rep.sup_norms) > 0)
     assert gt.bracket_divergent
 

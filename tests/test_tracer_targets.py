@@ -1,5 +1,6 @@
 """Every function the benchmark's span tracer wraps exists under its name,
-and every schedule it reads has a length.
+every report attribute its op checks read exists, and every schedule it
+reads has a length.
 
 ``perfbench/tracer.py`` names its targets as strings in ``LAYERS``; a rename
 in pathcalc would otherwise surface only when a ``--trace`` run fails.  The
@@ -7,6 +8,7 @@ table is read with ``ast``, so perfbench is neither imported nor changed.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 from pathcalc.regularize import EpsilonSchedule
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _layers() -> dict:
@@ -49,6 +52,22 @@ def test_tracer_target_resolves(target):
 def test_check_rejects_a_target_the_tracer_cannot_wrap(target):
     # a private generator, a misspelling, a missing and an inherited method
     assert not _resolves(target)
+
+
+# the report attributes that the benchmark's op checks (and the tracer's
+# limit spans) read; a rename would otherwise crash a benchmark run
+OP_READS = ["regularize:LimitReport.converged", "dirichlet:ChainRuleReport.decision",
+            "dirichlet:ChainRuleReport.gamma", "ito:ItoReport.parts"]
+
+
+@pytest.mark.parametrize("target", OP_READS)
+def test_report_attribute_an_op_check_reads_exists(target):
+    modname, attr = target.split(":")
+    clsname, attr = attr.split(".")
+    cls = getattr(importlib.import_module(f"pathcalc.{modname}"), clsname)
+    assert (attr in {f.name for f in dataclasses.fields(cls)}
+            or isinstance(getattr(cls, attr, None), property))
+    assert f".{attr}" in WORKLOADS.read_text()
 
 
 def test_a_schedule_has_a_length():
