@@ -19,34 +19,39 @@ computation into prefix sums, and the work into a per-study part
 (``_Study``) and a per-window part (``_Mesh``).  Once per study, for all
 windows: the window-sized scratch buffers that every window writes in
 place (``_Scratch``), at the first window that inserts no breakpoint the
-grid's cells and the covariation's eps-free prefix sums, and at the first
-window that locates points the grid's bucket index.  Once per window: the
-paths' values at the shifted sample points and the bulk cells of every t;
-the bulk prefix sum; and the O(n) assembly for all t, in place in one
-accumulator, the one fresh array of an estimate.
+grid's cells and the eps-free prefix sums of the covariation and of the
+forward estimate, and the nodes off the base lattice that its windows
+learn.  Once per window: the paths' values at the shifted sample points
+and the bulk cells of every t; the bulk prefix sum; and the O(n) assembly
+for all t, in place in one accumulator, the one fresh array of an
+estimate.
 
 One snap rule holds for every window: a shifted time, a sample point
 t_i + eps or a breakpoint tau - eps, within ``_SNAP_ULPS`` ulps of T of a
-grid node is that node.  A window that inserts no breakpoint and whose
-shifted points all snap to the node k cells on (``_cells_on``, one O(n)
-comparison) is read by index: the samples are the paths' values k nodes
-on and the bulk counts max(0, i - k + 1).  On a uniform grid that is every
-window of a schedule snapped to its spacing.  Every other window locates
-its shifted points in the grid once, which gives the samples and, by
-counting, the bulk cells, and snaps them by the same rule, so where both
-apply the two give the same bits.  A window that inserts a breakpoint
-inside a grid cell also builds its own cells and sums.  The location is a
-bucket walk, O(n) when the grid's nodes are spread evenly, with a binary
-search only for points in crowded buckets.  The estimators jump only where
-their inputs do, so left limits are assembled only at the input jump rows:
-elsewhere the boundary-window algebra would leave reassociation dust.
-A literal O(n^2) per-t transcription on its own breakpoint set (in the
-test suite) must match the kernels to floating-point reassociation
-accuracy.  The three split estimators are
-one window-sum kernel with different cell weights: the covariation weights
-the product of the X and Y increments by the cell width w, the weighted
-sum weights the squared X increment by w g, and the forward estimate
-weights the X increment alone by w Y.
+grid node is that node.  A window is read by index when its cells up to
+T fall into a few runs whose shifted points all snap to the node a fixed
+count of rows on (``_cell_runs``, one O(n) comparison): the samples are
+slices of the paths' values, the bulk counts and the mesh rows runs read
+by slices, and only the points of the cuts between runs are located.  On
+a uniform grid that is one run per window of a schedule snapped to its
+spacing; on a grid that is that lattice plus inserted jump times (every
+simulated jump grid) the runs change their count at the jump nodes, and
+the cuts are the cells that start at one, whose points tau + eps are off
+the lattice.  This holds for windows that insert breakpoints tau - eps
+too, whose points are pinned to the nodes tau.  Every other window
+locates its shifted points in the grid once, by binary search, which
+gives the samples and, by counting, the bulk cells, and snaps them by the
+same rule, so where both apply the two give the same bits.  A window that
+inserts a breakpoint inside a grid cell also builds its own cells and
+sums.  The estimators jump only where their inputs do, so left limits
+are assembled only at the input jump rows: elsewhere the boundary-window
+algebra would leave reassociation dust.  A literal O(n^2) per-t
+transcription on its own breakpoint set (in the test suite) must match
+the kernels to floating-point reassociation accuracy.  The three split
+estimators are one window-sum kernel with different cell weights: the
+covariation weights the product of the X and Y increments by the cell
+width w, the weighted sum weights the squared X increment by w g, and
+the forward estimate weights the X increment alone by w Y.
 
 All kernels are pure functions; each is a study of one window.  A study
 of many windows runs through one driver, ``_windows``, which yields every
@@ -58,6 +63,7 @@ estimator's calls (``ucp_limit``); it holds only the previous window.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -173,51 +179,44 @@ DEFAULT_SCHEDULE = EpsilonSchedule.geometric()
 # many ulps of T or closer to a grid node is that node
 _SNAP_ULPS = 4
 
-# steps of the bucket walk before the times still moving are binary-searched;
-# a bucket of a uniform grid holds at most two nodes
-_LOCATE_ROUNDS = 4
+# the most nodes off the base lattice, beyond its jump rows, that a study
+# learns before it locates every window
+_OFF_NODES = 32
 
 
-def _buckets(grid: np.ndarray) -> np.ndarray:
-    """Bucket index of ``grid`` for ``_locate``: ends[b] counts the nodes in
-    buckets 0..b, where a time t falls in bucket floor(t / T * n)."""
-    # t / T <= 1 first: no overflow even for a tiny horizon
-    return np.cumsum(np.bincount((grid / grid[-1] * (grid.size - 1)).astype(np.intp)))
-
-
-def _locate(grid: np.ndarray, ends: np.ndarray, tc: np.ndarray,
-            scratch: "_Scratch | None" = None) -> np.ndarray:
-    """Cell of every time tc in [0, T], ``searchsorted(grid, tc, "right") - 1``,
-    given the grid's bucket index ``ends = _buckets(grid)``.
-
-    The bucket map is monotone in t, so every node of a later bucket than a
-    time's lies after that time.  Each time starts at the last node of its
-    own bucket, and all times step back together while their node lies
-    after them.  The few still moving after ``_LOCATE_ROUNDS`` steps, in
-    buckets crowded by clustered nodes, are binary-searched, so any grid
-    stays exact and O(n log n).  The cells and the steps' gathers are
-    written in ``scratch`` (a study's, or fresh buffers), which also holds
-    the cells returned.
-    """
-    s = scratch or _Scratch(tc.size, 0)
-    f, bucket, cells, mask = (b[:tc.size] for b in (s.floats, s.ints, s.cells, s.mask))
-    np.divide(tc, grid[-1], out=f)
-    f *= grid.size - 1
-    np.copyto(bucket, f, casting="unsafe")  # truncates, as astype(np.intp)
-    # every index is in range, so "clip" never acts; it spares the buffered
-    # copy that "raise" makes with out=
-    np.take(ends, bucket, out=cells, mode="clip")
+def _locate(grid: np.ndarray, tc: np.ndarray) -> np.ndarray:
+    """Cell of every time tc in [0, T]: the last node at or before it."""
+    cells = np.searchsorted(grid, tc, side="right")
     cells -= 1
-    np.take(grid, cells, out=f, mode="clip")
-    moving = np.flatnonzero(np.greater(f, tc, out=mask))
-    for _ in range(_LOCATE_ROUNDS):
-        if not moving.size:
-            return cells
-        c = cells[moving] - 1
-        cells[moving] = c
-        moving = moving[grid[c] > tc[moving]]
-    cells[moving] = np.searchsorted(grid, tc[moving], side="right") - 1
     return cells
+
+
+def _read(S: np.ndarray, j, out: np.ndarray) -> np.ndarray:
+    """``S[j]`` written in ``out``, for an index j: an array, gathered, or
+    runs, a tuple of (lo, hi, d, slope) that give j[i] = i + d on [lo, hi)
+    where ``slope`` and j[i] = d elsewhere, read as a slice copy or a fill
+    per run."""
+    if isinstance(j, np.ndarray):
+        # j is in range, so "clip" never acts; it spares the buffered copy
+        # that "raise" makes with out=
+        return np.take(S, j, out=out, mode="clip")
+    for lo, hi, d, slope in j:
+        out[lo:hi] = S[lo + d:hi + d] if slope else S[d]
+    return out
+
+
+def _at(S: np.ndarray, j, out: np.ndarray) -> np.ndarray:
+    """``_read``, but one run of consecutive indices is S's own slice."""
+    if not isinstance(j, np.ndarray) and len(j) == 1 and j[0][3]:
+        lo, hi, d, _ = j[0]
+        return S[lo + d:hi + d]
+    return _read(S, j, out)
+
+
+def _rows_at(ins: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Mesh rows of grid ``nodes``, given the nodes ``ins`` that each
+    inserted breakpoint lies before."""
+    return nodes + np.searchsorted(ins, nodes, side="right")
 
 
 class _Scratch:
@@ -229,27 +228,27 @@ class _Scratch:
     freed in one, which keeps its pages in the process for the next study
     instead of handing n-sized arrays back to the OS window by window.
 
-    A window first builds its mesh: ``u`` and ``uc`` hold the shifted
-    points and their copy clipped at T, ``cells`` their cells, ``floats``,
-    ``ints`` and ``mask`` the gathers and tests of the location, and
-    ``shifted[k]`` the k-th of ``partners`` sample sets at u.  The bulk
-    cells at every grid time are counted into ``counts``, over the dead
-    ``ints`` and ``mask``.  A window read by index writes only ``u``, the
-    sample sets and the counts, after its lattice test in ``floats``.  The
-    assembly reads u only to search the left limits' bulk, and the samples
-    and counts throughout; it writes the bulk prefix sum ``bulk`` and its
-    temporaries ``r``, ``q`` and ``s`` over the rows of ``uc``, ``floats``,
-    ``cells`` and ``u``.  No estimate a window returns lies in the block.
+    A window first builds its mesh: ``u`` holds the shifted points,
+    ``shifted[k]`` the k-th of ``partners`` sample sets at u, and
+    ``counts`` the bulk cells at every grid time.  A window read by index
+    writes the nodes its runs' points snap to in ``uc`` and their distance
+    from u in ``floats``.  A located one writes u clipped at T in ``uc``,
+    the gathers of its snap and sample plan in ``floats``, and its node
+    test in ``mask``, over the dead counts.  The assembly reads u only to
+    search the left limits' bulk, and the samples and counts throughout;
+    it writes the bulk prefix sum ``bulk`` and its temporaries ``r``,
+    ``q`` and ``s`` over the rows of ``uc``, ``floats``, the spare row and
+    ``u``.  No estimate a window returns lies in the block.
     """
 
     def __init__(self, words: int, partners: int):
         rows = np.empty((5 + partners, words))
         self.u = self.s = rows[0]
-        self.ints = self.counts = rows[1].view(np.intp)
+        self.counts = rows[1].view(np.intp)
         self.mask = rows[1].view(bool)[:words]
         self.uc = self.bulk = rows[2]
         self.floats = self.r = rows[3]
-        self.cells, self.q = rows[4].view(np.intp), rows[4]
+        self.q = rows[4]
         self.shifted = list(rows[5:])
 
 
@@ -262,26 +261,29 @@ class _Study:
     of X and every partner.  ``tol`` is the snap rule's distance,
     ``_SNAP_ULPS`` ulps of T, or 0 (nothing snaps) on a grid whose nodes
     lie 2 tol apart or closer, where a time could snap to either of two.
-    ``ends`` is the grid's bucket index, shared by every located window's
-    ``_locate`` (which always searches the plain grid).  A window that
-    inserts no breakpoint has the plain grid's cells, starts ``sl`` and
-    widths ``w``, and the covariation's eps-free prefix sums ``sums``.  The
-    bucket index, the widths and the sums are built at the first window
-    that reads them, so a study whose windows are all read by index builds
-    no bucket index, and one whose windows all insert breakpoints neither
-    widths nor sums.  On the plain grid the cell-start samples of X and the
-    partners are their values, read in place.
+    ``off`` are the nodes off the base lattice that are no jump row of the
+    study, as a path's jump times are on the grid of a part that does not
+    jump there, learned by its windows read by index (``_cell_runs``);
+    None once a window found no runs, and every later window is located.
+    A window that inserts no breakpoint has the plain grid's cells, starts
+    ``sl`` and widths ``w``, the covariation's eps-free prefix sums
+    ``sums`` and the forward estimate's ``forward_sums``, each built at the
+    first window that reads it, so a study whose windows all insert
+    breakpoints builds neither widths nor sums.  On the plain grid the
+    cell-start samples of X and the partners are their values, read in
+    place.
 
     The study owns its windows' buffers, ``scratch`` (``_Scratch``): the
-    shifted points and their clipped copy, the cells, the bin counts, the
-    samples at the shifted points, the bulk prefix sum and the assembly's
+    shifted points, their nodes or cells, the bin counts, the samples at
+    the shifted points, the bulk prefix sum and the assembly's
     temporaries, sized to the grid plus the most breakpoints a window
     inserts.  Every window writes them in place, so a covariation window
-    read by index allocates no n-sized array but the estimates it returns,
-    and a located one on the plain grid also the off-node entries of its
-    snap and its sample plan.  A mesh that inserts breakpoints also builds its cells and
-    samples, and the forward and weighted kernels their cell weights and
-    sums.  Nothing outlives the call.
+    read by index on the plain grid allocates no n-sized array but the
+    estimates it returns, and a located one only the cells of its location
+    and the off-node entries of its snap and its sample plan.  A mesh that
+    inserts breakpoints also builds its cells and cell-start samples, and
+    the forward and weighted kernels their cell weights and sums.  Nothing
+    outlives the call.
     """
 
     def __init__(self, X: CadlagPath, partners: list[CadlagPath]):
@@ -296,34 +298,124 @@ class _Study:
         self.tol = tol if X.min_spacing > 2.0 * tol else 0.0
         others = sum(P is not X for P in partners)
         self.scratch = _Scratch(X.grid.size + self.jidx.size + 1, 1 + others)
+        self.off = np.zeros(0, dtype=np.intp)
 
     @cached_property
     def w(self) -> np.ndarray:
         return np.diff(self.grid)
 
     @cached_property
-    def ends(self) -> np.ndarray:
-        return _buckets(self.grid)
-
-    @cached_property
     def sums(self) -> "_Sums":
         return _Sums(self.w, self.X, self.X.values[:-1],
                      [(P, P.values[:-1]) for P in self.partners])
 
+    @cached_property
+    def forward_sums(self) -> "_Sums":
+        return _Sums(self.w * self.partners[0].values[:-1], self.X, self.X.values[:-1], ())
 
-def _cells_on(study: _Study, u: np.ndarray, eps: float, on_grid: np.ndarray,
-              taus: np.ndarray) -> int | None:
-    """The k for which a plain window's shifted points ``u`` (t_i + eps)
-    up to the horizon all snap to t_{i+k}, and the jumps ``taus`` whose
-    tau - eps snapped to the nodes ``on_grid`` lie k cells after them; None
-    when there is no such k.  One O(n) comparison."""
+
+def _cell_runs(study: _Study, u: np.ndarray, past: int, ins: np.ndarray,
+               ins_cells: np.ndarray) -> tuple[tuple, tuple] | None:
+    """The runs of a window's cells up to the horizon, [0, ``past``), and
+    its cuts: a run (a, b, o, True) when the shifted point of every cell c
+    in [a, b) snaps to node c + o, which is then written in u; a cut, a
+    cell that starts at a node off the base lattice, whose point is
+    located.  None when no such runs are found, and u is left as it was.
+
+    On a grid that is a lattice plus inserted nodes, with eps a whole
+    number of lattice cells, the point of a cell that starts at a lattice
+    node, or at a breakpoint tau - eps pinned to tau, is a node, and the
+    count of rows it moves on changes only at an inserted node v: the cell
+    that starts at v is cut, and past v a run starts (a point pinned to v
+    continues its run).  The inserted nodes are the study's jump rows and
+    the nodes it learned, ``_Study.off`` (``ins`` and ``ins_cells`` give
+    their rows): where a run's points miss, the first of each stretch of
+    misses names one, the node the run predicted if the point lies on the
+    node after it, or else the node its cell starts at.  One O(n)
+    comparison against the snap distance, repeated only after learning;
+    a study that learns more than ``_OFF_NODES`` nodes, or none from a
+    window that misses, locates every window from then on."""
+    grid, tol, buf = study.grid, study.tol, study.scratch
+    while study.off is not None:
+        off = study.off
+        cuts = _rows_at(ins, np.union1d(study.jidx, off) if off.size else study.jidx)
+        cuts = cuts[cuts < past]
+        cut = set(cuts.tolist())
+        # a run starts after each cut and at the first point past each
+        # learned node
+        starts = sorted({0, *(cuts + 1).tolist(),
+                         *np.searchsorted(u[:past], grid[off], side="right").tolist()}
+                        - cut - {past})
+        bounds = sorted(cut.union(starts, [past]))
+        stops = [bounds[bisect.bisect_right(bounds, a)] for a in starts]
+        a = np.array(starts)
+        # the first node within tol of a run's first point, or past it; a
+        # run's cells that would read past the last node miss
+        o = np.searchsorted(grid, u[a] - tol) - a
+        ends = np.minimum(stops, grid.size - o).tolist()
+        runs = tuple(zip(starts, ends, o.tolist(), [True] * a.size))
+        nodes = _read(grid, runs, buf.uc[:past])
+        for lo, hi in zip(ends, stops):
+            nodes[lo:hi] = np.inf
+        nodes[cuts] = u[cuts]
+        d = np.subtract(u[:past], nodes, out=buf.floats[:past])
+        if d.max() <= tol and -d.min() <= tol:
+            u[:past] = nodes
+            return runs, tuple(cuts.tolist())
+        study.off = _learned(study, u, np.abs(d, out=d) > tol, a, o, ins_cells)
+    return None
+
+
+def _learned(study: _Study, u: np.ndarray, miss: np.ndarray, a: np.ndarray, o: np.ndarray,
+             ins_cells: np.ndarray) -> np.ndarray | None:
+    """The study's off-lattice nodes with those that the stretches of
+    ``miss`` name (``_cell_runs``), for runs starting at cells ``a`` that
+    move ``o`` rows on; None when they name none or too many.  Cell 0
+    starts at node 0, on any lattice."""
     grid, tol = study.grid, study.tol
-    k = int(np.searchsorted(grid, eps - tol))
-    m = grid.size - k
-    d = np.subtract(u[:m], grid[k:], out=study.scratch.floats[:m])
-    if d.max() > tol or -d.min() > tol or np.any(on_grid >= m):
+    f = np.flatnonzero(miss[1:] > miss[:-1]) + 1
+    if miss[0] or study.off.size + f.size > _OFF_NODES:
         return None
-    return k if np.array_equal(grid[on_grid + k], taus) else None
+    x = np.minimum(np.searchsorted(grid, u[f] - tol), grid.size - 1)
+    on_node = np.abs(grid[x] - u[f]) <= tol
+    named = np.where(on_node, f + o[np.searchsorted(a, f, side="right") - 1],
+                     f - np.searchsorted(ins_cells, f))
+    named = named[named < grid.size]
+    new = np.setdiff1d(named, np.union1d(study.off, study.jidx))
+    return np.union1d(study.off, new) if new.size else None
+
+
+def _count_runs(pieces, past: int, n: int) -> tuple:
+    """The bulk counts at the n grid times as runs (``_read``), given the
+    ``pieces`` of cells (a, b, s), in cell order, whose points count at the
+    nodes s, s + 1, ..., and ``past``, the first cell whose point counts
+    past T.
+
+    The counts at t_i are the cells whose node is i or less, a prefix of
+    the cells: those of a piece up to node i, or all before the first
+    piece that starts after i.  A run that continues the one before it
+    extends it."""
+    runs = []
+
+    def add(lo, hi, d, slope):
+        if runs and runs[-1][1] == lo:
+            plo, _, pd, pslope = runs[-1]
+            # the run before, continued over [lo, hi), gives these counts
+            if (slope == pslope and d == pd
+                    or hi - lo == 1 and lo * slope + d == lo * pslope + pd):
+                runs[-1] = (plo, hi, pd, pslope)
+                return
+        runs.append((lo, hi, d, slope))
+
+    lo = 0
+    for a, b, s in [*pieces, (past, past, n)]:
+        if s > lo:
+            add(lo, s, a, False)
+        hi = s + b - a - 1
+        if hi > s:
+            add(s, hi, a + 1 - s, True)
+        lo = hi
+    return tuple(runs)
 
 
 def _snap(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray, tol: float,
@@ -349,43 +441,54 @@ class _Mesh:
 
     ``sl`` are the cell left endpoints (grid plus shifted jump breakpoints),
     ``w`` the cell widths, ``u`` the shifted sample points, and ``rows``
-    and ``jump_rows`` the mesh rows of the grid times and of the study's
-    jump rows.  A window where some tau - eps falls strictly inside a grid
-    cell inserts it as a breakpoint and builds its own cells.  Any other
-    window (every window of a jump-free study, and windows whose tau - eps
-    fall on nodes or outside (0, T)) is ``plain``: it takes the study's
-    cells, whose rows are the grid's.  For a cell whose left endpoint is a
-    shifted breakpoint tau - eps, inserted or on a node, ``u`` is pinned to
-    tau exactly so the lookup lands on the post-jump value.
+    (runs, see ``_read``) and ``jump_rows`` the mesh rows of the grid times
+    and of the study's jump rows.  A window where some tau - eps falls
+    strictly inside a grid cell inserts it as a breakpoint and builds its
+    own cells; node i is then row i plus the breakpoints inserted before
+    it.  Any other window (every window of a jump-free study, and windows
+    whose tau - eps fall on nodes or outside (0, T)) is ``plain``: it takes
+    the study's cells, whose rows are the grid's.  For a cell whose left
+    endpoint is a shifted breakpoint tau - eps, inserted or on a node,
+    ``u`` is pinned to tau exactly so the lookup lands on the post-jump
+    value.
 
     The snap rule: a breakpoint tau - eps or a shifted point u within the
     study's ``tol`` of a grid node is that node, so a breakpoint an ulp off
     a node is on it (the window stays plain), and a u an ulp off a node
-    reads the node's value.  ``samples[k]`` is the k-th partner's pair of
-    samples at the cell starts and at u, and (Xs, Xu) is X's; ``jr[i]`` is
-    the number of bulk cells (u <= t_i) at grid time t_i.  A plain window
-    whose every u up to T snaps to the node k cells after its cell start
-    (``_cells_on``) is read by index (``_on_lattice``; ``k`` is that
-    count, None on any other window): its samples are slices of the paths'
-    values and ``jr[i]`` is max(0, i - k + 1).  Any other window is
-    located (``_located``): ``u`` is located in the grid once, by
-    ``_locate``, and snapped (``_snap``), and that gives one sample plan:
-    the cell of every u, and the cell and fraction of each u that falls
-    strictly inside its cell.  X and every partner of the study
-    are sampled from that plan (they lie on one grid): a path gathers its
-    values at the cells, and under the linear rule interpolates only the
-    off-node entries.  The plan is dropped once the paths are sampled.
-    Counting each u at the first node at or after it gives ``jr``.  At the
-    inserted breakpoints every path's cell-start sample is its
-    ``value_at``.  The width obeys ``_require_fit``.
+    reads the node's value; a u within tol past T is T.  ``samples[k]`` is
+    the k-th partner's pair of samples at the cell starts and at u, and
+    (Xs, Xu) is X's; ``jr[i]`` is the number of bulk cells (u <= t_i) at
+    grid time t_i, which ``jruns`` holds as runs on a window read by index.
+
+    A window is read by index (``_by_index``) when the cells up to T, cut
+    at the cells that start at a node off the lattice (a jump row of the
+    study, or one it learned), fall into runs of cells whose points all
+    snap to the node a fixed count of rows on (``_cell_runs``).  On a
+    uniform grid that is one run; on a grid that is the lattice plus
+    inserted jump times, about one per jump: a cell that starts at a
+    lattice node, or at a breakpoint tau - eps, reaches a node by index,
+    and only the points tau + eps of the cuts are located.  The samples
+    are then slices of the paths' values, and the bulk counts runs
+    (``_count_runs``).  Plain windows and windows that insert breakpoints
+    alike take this route.  Any other window is located (``_located``):
+    every u is located in the grid once, by ``_locate``, and snapped
+    (``_snap``).  The location gives one sample plan, the cell of every u
+    and the cell and fraction of each u that falls strictly inside its
+    cell, from which X and every partner of the study are sampled (they lie
+    on one grid): a path gathers its values at the cells, and under the
+    linear rule interpolates only the off-node entries.  Counting each u at
+    the first node at or after it gives ``jr``.  Where both routes apply
+    they give the same bits.  At the inserted breakpoints every path's
+    cell-start sample is its ``value_at``.  The width obeys
+    ``_require_fit``.
 
     ``u``, ``jr``, the samples at u and the location's work lie in the
     study's scratch, written in place, so they hold this window's values
     only until its estimates are assembled.  Of the mesh, a window read by
-    index allocates nothing n-sized, a located plain window only the
+    index allocates nothing n-sized, a located one only its cells and the
     off-node entries of its snap and its sample plan, and one that inserts
-    breakpoints also its own cells, their widths and rows, and its
-    cell-start samples.
+    breakpoints also its own cells and their widths, and its cell-start
+    samples.
     """
 
     def __init__(self, study: _Study, eps: float):
@@ -399,7 +502,7 @@ class _Mesh:
         shifted = taus - eps
         keep = (shifted > -tol) & (shifted < T)
         taus, shifted = taus[keep], shifted[keep]
-        on_grid = np.zeros(0, dtype=np.intp)
+        on_grid = ins = np.zeros(0, dtype=np.intp)
         on_grid_tau = np.zeros(0)
         if shifted.size:
             # the snap rule: tau - eps within tol of a node is that node, the
@@ -410,82 +513,88 @@ class _Mesh:
             on_grid, on_grid_tau = (ins - below)[hit], taus[hit]
             taus, shifted, ins = taus[~hit], shifted[~hit], ins[~hit]
         self.plain = not shifted.size
-        buf = study.scratch
-        u = buf.u[:grid.size - 1 + shifted.size]
-        k = None
+        ins_cells = ins + np.arange(shifted.size)
         if self.plain:
-            sl, w, rows = study.sl, study.w, slice(None)
-            np.add(sl, eps, out=u)
-            k = _cells_on(study, u, eps, on_grid, on_grid_tau)
-            if k is None and on_grid.size:
-                u[on_grid] = on_grid_tau
-                np.maximum.accumulate(u, out=u)
-            ins_cells = np.zeros(0, dtype=np.intp)
+            sl, w = study.sl, study.w
         else:
             S = np.insert(grid, ins, shifted)
-            pos = np.arange(grid.size) + np.searchsorted(shifted, grid, side="left")
-            ins_cells = ins + np.arange(shifted.size)
-            sl, w, rows = S[:-1], np.diff(S), pos
-            np.add(sl, eps, out=u)
-            u[ins_cells] = taus
-            if on_grid.size:
-                u[pos[on_grid]] = on_grid_tau
-            np.maximum.accumulate(u, out=u)
+            sl, w = S[:-1], np.diff(S)
+        edges = [0, *ins.tolist(), grid.size]
+        self.rows = tuple((lo, hi, d, True) for d, (lo, hi) in enumerate(zip(edges, edges[1:]))
+                          if hi > lo)
+        u = study.scratch.u[:sl.size]
+        np.add(sl, eps, out=u)
+        pins = np.concatenate((ins_cells, _rows_at(ins, on_grid)))
+        if pins.size:
+            u[pins] = np.concatenate((taus, on_grid_tau))
+            # u is sorted between the pins, so a running max moves it only
+            # if a pin breaks the order next to it
+            if (np.any(u[np.maximum(pins - 1, 0)] > u[pins])
+                    or np.any(u[pins] > u[np.minimum(pins + 1, u.size - 1)])):
+                np.maximum.accumulate(u, out=u)
+        # u is sorted, and past T it holds only nodes + eps (every pin is a
+        # jump time), more than 2 tol apart: at most the first is within tol
+        past = int(np.searchsorted(u, T, side="right"))
+        if past < u.size and u[past] - T <= tol:
+            u[past] = T
+            past += 1
         self.study = study
         self.eps = eps
         self.grid = grid
         self.sl = sl
         self.w = w
         self.u = u
-        self.rows = rows
-        self.jump_rows = study.jidx if self.plain else rows[study.jidx]
+        self.jump_rows = _rows_at(ins, study.jidx)
         self.ins_cells = ins_cells
         self.shifted = shifted
         self.X = X
-        self.k = k
-        if k is None:
-            self._located(study, u)
+        runs = _cell_runs(study, u, past, ins, ins_cells)
+        if runs is None:
+            self._located(study, u, past)
         else:
-            self._on_lattice(study, u, k)
+            self._by_index(study, u, runs[0], np.array(runs[1], dtype=np.intp), past)
 
-    def _on_lattice(self, study: _Study, u: np.ndarray, k: int) -> None:
-        """The shifted points of a window that moves every node k cells on:
-        u is ``grid[k:]``, followed by the points past T, so every path's
-        samples at u are its values from node k on, then X(T), and t_i has
-        max(0, i - k + 1) bulk cells."""
-        grid, buf = study.grid, study.scratch
-        m = grid.size - k
-        u[:m] = grid[k:]
+    def _by_index(self, study: _Study, u: np.ndarray, runs: tuple, cuts: np.ndarray,
+                  past: int) -> None:
+        """The shifted points of a window whose runs of cells reach nodes by
+        index: every path's samples are slices of its values, then X(T) past
+        T, and only the points of the ``cuts`` are located, snapped and
+        sampled from their own plan."""
+        grid, buf, n = study.grid, study.scratch, study.grid.size
+        tc = u[cuts]
+        cells = _locate(grid, tc)
+        if cuts.size:
+            if study.tol:
+                _snap(grid, tc, cells, study.tol, np.empty(tc.size))
+            u[cuts] = tc
+            plan = _sample_plan(grid, tc, cells)
+        reads = (*runs, (past, u.size, n - 1, False))
 
         def samples(P, out):
-            out = out[:u.size]
-            out[:m] = P.values[k:]
-            out[m:] = P.values[-1]
-            return P.values[:-1], out
+            out = _read(P.values, reads, out[:u.size])
+            if cuts.size:
+                out[cuts] = P._sample(plan)
+            return self._at_cell_starts(P.values, P.value_at), out
 
         outs = iter(buf.shifted)
         self.Xs, self.Xu = samples(self.X, next(outs))
         self.samples = [(self.Xs, self.Xu) if P is self.X else samples(P, next(outs))
                         for P in study.partners]
-        # one u at each node from k on, counted as a located window counts
-        jr = buf.counts[:grid.size]
-        jr[:k] = 0
-        jr[k:] = 1
-        self.jr = np.cumsum(jr, out=jr)
+        # a run's points count at its nodes, a cut's at the first node at or
+        # after it
+        pieces = sorted([(a, b, a + o) for a, b, o, _ in runs]
+                        + [(c, c + 1, s) for c, s
+                           in zip(cuts.tolist(), (cells + (grid[cells] != tc)).tolist())])
+        self.jruns = _count_runs(pieces, past, n)
 
-    def _located(self, study: _Study, u: np.ndarray) -> None:
+    def _located(self, study: _Study, u: np.ndarray, past: int) -> None:
         """The shifted points of any other window, located in the grid once,
         which gives one sample plan: the cell of every u, and the cell and
         fraction of each u off its cell's node.  The snap rule moves a u
         within tol of a node onto it first."""
         grid, buf, tol, T = study.grid, study.scratch, study.tol, self.X.horizon
-        # u is sorted, and past T it holds only nodes + eps (every pin is a
-        # jump time), more than 2 tol apart: at most the first is within tol
-        past = int(np.searchsorted(u, T, side="right"))
-        if past < u.size and u[past] - T <= tol:
-            u[past] = T
         uc = np.minimum(u, T, out=buf.uc[:u.size])
-        cells = _locate(grid, study.ends, uc, buf)
+        cells = _locate(grid, uc)
         if tol:
             _snap(grid, uc, cells, tol, buf.floats[:u.size])
             # the snap moved points up to T only, where u is uc
@@ -509,6 +618,14 @@ class _Mesh:
         jr.fill(0)
         np.add.at(jr, cells, 1)
         self.jr = np.cumsum(jr, out=jr)[:grid.size]
+        self.jruns = None
+
+    @cached_property
+    def jr(self) -> np.ndarray:
+        """The bulk counts of a window read by index, as an array: no kernel
+        reads them so, so they are built from ``jruns`` when read."""
+        return _read(np.arange(self.u.size + 1), self.jruns,
+                     np.empty(self.grid.size, dtype=np.intp))
 
     def _at_cell_starts(self, nodes: np.ndarray, at_inserted) -> np.ndarray:
         """A path's ``nodes`` (values or left values) at the cell starts, with
@@ -516,7 +633,9 @@ class _Mesh:
         if self.plain:
             return nodes[:-1]
         out = np.empty(self.sl.size)
-        out[self.rows[:-1]] = nodes[:-1]
+        for lo, hi, d, _ in self.rows:
+            hi = min(hi, nodes.size - 1)
+            out[lo + d:hi + d] = nodes[lo:hi]
         out[self.ins_cells] = at_inserted(self.shifted)
         return out
 
@@ -571,49 +690,41 @@ class _Sums:
 # -- kernels -----------------------------------------------------------------
 
 
-def _at_counts(S: np.ndarray, j: np.ndarray, k: int | None, out: np.ndarray) -> np.ndarray:
-    """``S[j]`` written in ``out``, for bulk counts ``j``.  On a window read
-    by index, ``k`` cells wide, j[i] is max(0, i - k + 1): that is a run of
-    S[0] and a slice of S, copied rather than gathered."""
-    if k is None:
-        # j counts cells, so it is in range and "clip" never acts; it
-        # spares the buffered copy that "raise" makes with out=
-        return np.take(S, j, out=out, mode="clip")
-    out[:k] = S[0]
-    out[k:] = S[1:out.size - k + 1]
-    return out
+def _mesh_sums(m: _Mesh, omega: np.ndarray, unit: bool = False) -> _Sums:
+    """The ``_Sums`` of weight ``omega`` on the mesh's own cells, with a
+    factor per partner of the study unless ``unit``."""
+    factors = () if unit else [(P, Ps) for P, (Ps, _) in zip(m.study.partners, m.samples)]
+    return _Sums(omega, m.X, m.Xs, factors)
 
 
-def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
+def _window_sums(m: _Mesh, sums: _Sums | None = None, unit: bool = False):
     """Window sums of omega-weighted increment products on the mesh of X.
 
     Returns a function of k that gives, for the study's k-th partner Y, as
     a path over t, (1/eps) sum over cells s of omega(s) (X(u(s) ^ t) - X(s))
     (Y(u(s) ^ t) - Y(s)) for every grid time t, or, with ``unit``, of
-    omega(s) (X(u(s) ^ t) - X(s)) alone.  ``omega`` None is the cell width,
-    the covariation's weight.  X's side is computed once, so one mesh
-    serves every partner.  Cells with u(s) <= t (the bulk) are one prefix
-    sum per partner, the only sum that depends on eps; the boundary cells
-    after t - eps expand into the prefix sums of ``_Sums``, which on a
-    plain mesh of the covariation are the study's, read at the bulk counts
-    by ``_at_counts``.  The bulk prefix sum and the assembly's temporaries
+    omega(s) (X(u(s) ^ t) - X(s)) alone.  ``sums`` holds omega and the
+    eps-free prefix sums; None is the covariation's, of the cell width.
+    X's side is computed once, so one mesh serves every partner.  Cells
+    with u(s) <= t (the bulk) are one prefix sum per partner, the only sum
+    that depends on eps; the boundary cells after t - eps expand into the
+    prefix sums of ``_Sums``, which on a plain mesh are the study's, read
+    at the mesh rows and the bulk counts by ``_read``, in runs on a window
+    read by index.  The bulk prefix sum and the assembly's temporaries
     are the study's scratch; each estimate is assembled in place in one
     accumulator, a fresh array that the window returns.
     """
     study = m.study
     X = m.X
     buf = study.scratch
-    if omega is None and m.plain:
-        sums = study.sums
-    else:
-        factors = () if unit else [(P, Ps) for P, (Ps, _)
-                                   in zip(study.partners, m.samples)]
-        sums = _Sums(m.w if omega is None else omega, X, m.Xs, factors)
+    if sums is None:
+        sums = study.sums if m.plain else _mesh_sums(m, m.w)
     omega, Sw, SwA, Am = sums.omega, sums.Sw, sums.SwA, sums.Am
     jidx = study.jidx
     # left limit at t: the bulk is the cells with u < t
     jl = np.searchsorted(m.u, m.grid[jidx], side="left")
     Al = X.left_values[jidx] - X.values[0]
+    jr = m.jr if m.jruns is None else m.jruns
 
     def against(k: int) -> CadlagPath:
         Y = study.partners[k]
@@ -631,17 +742,14 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             Bm, SwB, SwAB = sums.factors[k]
         np.cumsum(d, out=d)
 
-        def assemble(acc, p, j, k, Am, Bm):
+        def assemble(acc, p, j, Am, Bm):
             # bulk[j] is in acc; with r. = S.[p] - S.[j] this is
             # (bulk[j] + (Am Bm rw + rab) - (Am rb + Bm ra)) / eps, or with
             # ``unit`` (bulk[j] + Am rw - ra) / eps
-            r, q, s = buf.r[:j.size], buf.q[:j.size], buf.s[:j.size]
+            r, q, s = buf.r[:acc.size], buf.q[:acc.size], buf.s[:acc.size]
 
             def span(S):
-                # p holds mesh rows, so it is in range and "clip" never
-                # acts; it spares the buffered copy that "raise" makes with out=
-                Sp = S[p] if isinstance(p, slice) else np.take(S, p, out=s, mode="clip")
-                return np.subtract(Sp, _at_counts(S, j, k, r), out=r)
+                return np.subtract(_at(S, p, s), _at(S, j, r), out=r)
 
             if unit:
                 acc += np.multiply(span(Sw), Am, out=r)
@@ -662,8 +770,8 @@ def _window_sums(m: _Mesh, omega: np.ndarray | None = None, unit: bool = False):
             return acc
 
         Bl = Al if unit or Y is X else Y.left_values[jidx] - Y.values[0]
-        lefts = assemble(bulk[jl], m.jump_rows, jl, None, Al, Bl)
-        vals = assemble(_at_counts(bulk, m.jr, m.k, np.empty(m.jr.size)), m.rows, m.jr, m.k,
+        lefts = assemble(bulk[jl], m.jump_rows, jl, Al, Bl)
+        vals = assemble(_read(bulk, jr, np.empty(m.grid.size)), m.rows, jr,
                         Am, None if unit else Bm)
         return _jumping_at(X, vals, jidx, lefts)
 
@@ -677,8 +785,11 @@ def covariation(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
 
 def _forward_sums(m: _Mesh):
     """``_window_sums`` of the forward estimate: the X increment weighted by
-    the cell width times the study's first partner, the integrand Y."""
-    return _window_sums(m, m.w * m.samples[0][0], unit=True)
+    the cell width times the study's first partner, the integrand Y, whose
+    sums on a plain mesh are the study's."""
+    sums = (m.study.forward_sums if m.plain
+            else _mesh_sums(m, m.w * m.samples[0][0], unit=True))
+    return _window_sums(m, sums, unit=True)
 
 
 def forward_integral(Y: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
@@ -693,7 +804,7 @@ def weighted_qv(g: CadlagPath, X: CadlagPath, eps: float) -> CadlagPath:
     with g identically one this is exactly ``covariation(X, X, eps)``.
     """
     m = _Mesh(_Study(X, [X]), eps)
-    return _window_sums(m, m.w * m.weight_samples(g))(0)
+    return _window_sums(m, _mesh_sums(m, m.w * m.weight_samples(g)))(0)
 
 
 def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPath:
@@ -703,7 +814,8 @@ def covariation_continuous(X: CadlagPath, Y: CadlagPath, eps: float) -> CadlagPa
     m = _Mesh(_Study(X, [Y]), eps)
     Ys, Yu = m.samples[0]
     bulk = _cumsum0(m.w * (m.Xu - m.Xs) * (Yu - Ys))
-    vals = bulk[m.rows] / m.eps
+    vals = _read(bulk, m.rows, np.empty(m.grid.size))
+    vals /= m.eps
     return _jumping_at(X, vals)
 
 
@@ -913,17 +1025,26 @@ def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedul
         del against
 
 
+# the entries of a difference of two estimates that a sup gap holds at once
+_GAP_BLOCK = 8192
+
+
 def _sup_gap(a: CadlagPath, b: CadlagPath, out: np.ndarray) -> float:
-    """The sup-norm of b - a on the grid, the difference written in ``out``."""
-    d = np.subtract(b.values, a.values, out=out)
-    return float(np.max(np.abs(d, out=d)))
+    """The sup-norm of b - a on the grid, taken in blocks of ``out``'s size,
+    each block's difference written in ``out``."""
+    gap = 0.0
+    for i in range(0, b.values.size, out.size):
+        bv = b.values[i:i + out.size]
+        d = np.subtract(bv, a.values[i:i + out.size], out=out[:bv.size])
+        gap = max(gap, float(np.max(np.abs(d, out=d))))
+    return gap
 
 
 def _limits(windows, schedule: EpsilonSchedule, tol: float) -> list[LimitReport]:
     """The one sup-norm Cauchy bookkeeping: a LimitReport per partner of the
     stream ``windows`` of per-window estimate lists, holding only the
-    previous list and one gap buffer.  The tolerance is checked before any
-    estimate is made."""
+    previous list and one gap buffer of at most ``_GAP_BLOCK`` entries.
+    The tolerance is checked before any estimate is made."""
     _require_tol(tol)
     last, norms, gaps, gap = None, [], [], None
     for ests in windows:
@@ -931,7 +1052,7 @@ def _limits(windows, schedule: EpsilonSchedule, tol: float) -> list[LimitReport]
         if last is not None:
             if gap is None:
                 # every gap of the call: all its estimates lie on one grid
-                gap = np.empty(ests[0].values.size)
+                gap = np.empty(min(ests[0].values.size, _GAP_BLOCK))
             gaps.append([_sup_gap(a, b, gap) for a, b in zip(last, ests)])
         last = ests
     norms, gaps = np.array(norms).T, np.array(gaps).reshape(-1, len(last)).T

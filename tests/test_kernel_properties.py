@@ -248,14 +248,11 @@ def locate_case(draw):
     elif kind == "random":
         grid = np.unique(np.concatenate(([0.0, T], rng.uniform(0.0, T, n))))
     elif kind == "clustered":
-        # enough nodes packed into a sliver that one bucket holds more than
-        # the walk's rounds, so the binary-search fallback runs
-        m = draw(st.integers(2 * reg._LOCATE_ROUNDS + 4, 60))
+        # nodes packed into a sliver a fraction of a cell wide
+        m = draw(st.integers(12, 60))
         width = T / (4.0 * (n + m))
         start = rng.uniform(0.0, T - width)
         grid = np.union1d(grid, start + width * np.sort(rng.uniform(0.0, 1.0, m)))
-        buckets = np.bincount((grid / T * (grid.size - 1)).astype(np.intp))
-        assert buckets.max() > reg._LOCATE_ROUNDS + 1
     q = np.concatenate(([0.0, T], grid, np.nextafter(grid, -np.inf),
                         np.nextafter(grid, np.inf), [np.nextafter(T, np.inf), 2 * T],
                         rng.uniform(0.0, T, 50)))
@@ -265,9 +262,11 @@ def locate_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(locate_case())
 def test_locate_matches_binary_search(case):
+    # the cell of a time is the last node at or before it, counted here
+    # node by node
     grid, tc = case
-    want = np.searchsorted(grid, tc, side="right") - 1
-    assert reg._locate(grid, reg._buckets(grid), tc).tobytes() == want.tobytes()
+    want = np.count_nonzero(grid[None, :] <= tc[:, None], axis=1) - 1
+    assert reg._locate(grid, tc).tobytes() == want.astype(np.intp).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,6 +285,12 @@ def test_covariation_with_itself_equals_that_with_a_copy(case, rule, seed):
             assert a.tobytes() == b.tobytes()
 
 
+def _jump_grid(n, cells):
+    """The lattice of n cells on [0, 1] plus the off-lattice times ``cells``
+    cells in, as a simulated jump grid is built."""
+    return np.union1d(uniform_grid(1.0, n), np.asarray(cells, dtype=float) / n)
+
+
 @st.composite
 def mixed_schedule_case(draw):
     """A path with jumps and a schedule whose windows mix the mesh kinds.
@@ -295,14 +300,21 @@ def mixed_schedule_case(draw):
     inserted breakpoint), and eps at or past the last jump time shifts every
     jump to or below 0.  On the other grids tau - eps and t_i + eps of a
     whole-cell width may miss their node by an ulp, which the snap rule
-    takes as the node.
+    takes as the node.  A jump grid adds off-lattice nodes to the lattice,
+    as a simulated path's jump times are: the path jumps at some of them,
+    so the windows cut at its jump rows and at nodes where it does not
+    jump, and a whole-cell width shifts those jumps inside a cell.
     """
     n = draw(st.sampled_from([16, 32, 64, 10, 100, 1000]))
-    grid = uniform_grid(1.0, n)
-    marks = sorted(set(draw(st.lists(st.integers(2, n // 2), min_size=1, max_size=3))))
-    last = marks[-1]
-    X = _path(grid, np.array(marks, dtype=np.intp),
-              draw(st.sampled_from((PIECEWISE_CONSTANT, LINEAR))),
+    extra = draw(st.lists(st.tuples(st.integers(2, n // 2 - 1), st.floats(0.05, 0.95)),
+                          max_size=3, unique_by=lambda t: t[0]))
+    grid = _jump_grid(n, [j + f for j, f in extra])
+    lattice = set(draw(st.lists(st.integers(2, n // 2), min_size=1, max_size=3)))
+    times = np.array(sorted({uniform_grid(1.0, n)[k] for k in lattice}
+                            | {(j + f) / n for j, f in extra if draw(st.booleans())}))
+    marks = np.searchsorted(grid, times)
+    last = int(np.ceil(times[-1] * n))
+    X = _path(grid, marks, draw(st.sampled_from((PIECEWISE_CONSTANT, LINEAR))),
               draw(st.integers(0, 2**32 - 1)))
     on_node = st.integers(1, n - 1).map(lambda k: k / n)
     mid_cell = st.integers(1, last - 1).map(lambda k: (k + 0.5) / n)
@@ -394,19 +406,28 @@ def test_step_study_windows_are_plain_and_exact():
 def _index_cases():
     for n in (10, 100, 1000):
         for T in (1.0, 0.7, 3.0):
-            grid = uniform_grid(T, n)
-            marks = np.array(sorted({n // 3, n // 2, n - 1}), dtype=np.intp)
-            for rule in (PIECEWISE_CONSTANT, LINEAR):
-                X = _path(grid, marks, rule, n + int(10 * T))
-                for k in sorted({1, 2, n // 7, n // 2, n - 1}):
-                    for eps in (k * (T / n), k * T / n, grid[k]):
-                        yield X, float(eps)
+            lattice = uniform_grid(T, n)
+            on_lattice = np.array(sorted({n // 3, n // 2, n - 1}), dtype=np.intp)
+            # a jump grid, the lattice plus off-lattice times, with a path
+            # that jumps at lattice nodes, at the inserted ones, or nowhere
+            inserted = np.array([0.37, n / 3 + 0.61, n - 1.5]) * (T / n)
+            grid = np.union1d(lattice, inserted)
+            for grid, marks in ((lattice, on_lattice),
+                                (grid, np.searchsorted(grid, lattice[on_lattice])),
+                                (grid, np.searchsorted(grid, inserted)),
+                                (grid, np.zeros(0, dtype=np.intp))):
+                for rule in (PIECEWISE_CONSTANT, LINEAR):
+                    X = _path(grid, marks, rule, n + int(10 * T))
+                    for k in sorted({1, 2, n // 7, n // 2, n - 1}):
+                        for eps in (k * (T / n), k * T / n, lattice[k]):
+                            yield X, float(eps)
 
 
 def test_index_windows_give_the_located_windows_bits(monkeypatch):
-    # where every shifted point snaps to the node k cells on, reading the
-    # paths by index is a shortcut of locating and snapping, bit for bit
-    on_lattice = reg._cells_on
+    # where the shifted points fall into runs that snap to the nodes a fixed
+    # count of rows on, reading the paths by index is a shortcut of locating
+    # and snapping, bit for bit
+    by_index = reg._cell_runs
     used = 0
     for X, eps in _index_cases():
         none = np.zeros(0, dtype=np.intp)
@@ -415,11 +436,11 @@ def test_index_windows_give_the_located_windows_bits(monkeypatch):
         out, ks = {}, []
 
         def recorded(*args):
-            ks.append(on_lattice(*args))
+            ks.append(by_index(*args))
             return ks[-1]
 
         for side, rule in (("index", recorded), ("located", lambda *a: None)):
-            monkeypatch.setattr(reg, "_cells_on", rule)
+            monkeypatch.setattr(reg, "_cell_runs", rule)
             m = reg._Mesh(reg._Study(X, [X, Y]), eps)
             ests = [reg.covariation(X, Y, eps), reg.covariation(X, X, eps),
                     reg.forward_integral(Y, X, eps), reg.weighted_qv(g, X, eps),

@@ -475,3 +475,41 @@ def test_study_estimates_own_their_arrays(monkeypatch, case, kernel):
         for E, values, lefts in window:
             assert E.values.tobytes() == values.tobytes()
             assert E.left_values.tobytes() == lefts.tobytes()
+
+
+def test_windows_on_a_jump_grid_are_read_by_index(monkeypatch):
+    # a simulated jump grid is the lattice plus the jump times: every window
+    # of a schedule snapped to the lattice reads the nodes by index, and
+    # locates only the points of cells that start at a jump node
+    from pathcalc import dirichlet as dd
+    from pathcalc.jumps import NormalLaw
+
+    n = 20_000
+    X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=n, seed=100_003, sigma=1.0,
+                                     intensity=3.0, jump_law=NormalLaw(0.0, 1.0)))
+    assert X.jump_marks.size and X.grid.size == n + 1 + X.jump_marks.size
+    sched = reg.EpsilonSchedule.geometric(0.05, 10).snapped(1.0 / n)
+    located, by_index = [], reg._Mesh._by_index
+
+    def counted(self, study, u, runs, cuts, past):
+        located.append(cuts.size)
+        return by_index(self, study, u, runs, cuts, past)
+
+    def refused(self, *args):
+        raise AssertionError("a window was located")
+
+    monkeypatch.setattr(reg._Mesh, "_by_index", counted)
+    monkeypatch.setattr(reg._Mesh, "_located", refused)
+    # the battery's study is of the drift part, which does not jump: it cuts
+    # at the grid's jump nodes all the same
+    A = gt.decomposition["A"]
+    tests = dd.brownian_battery(X)
+    assert len(tests) == 3 and not A.jump_marks.size
+    for run in (lambda: reg.qv_limit(X, sched, 0.05),
+                lambda: dd.orthogonality_battery(A, tests, sched, 0.05),
+                lambda: reg._limits(reg._windows(X, [tests[0]], sched, reg._forward_sums),
+                                    sched, 0.05)):
+        located.clear()
+        run()
+        assert len(located) == len(sched)
+        assert max(located) <= X.jump_marks.size
