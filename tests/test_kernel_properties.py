@@ -403,6 +403,37 @@ def test_step_study_windows_are_plain_and_exact():
         assert abs(E.left_values[jump]) <= 1e-12
 
 
+@pytest.mark.parametrize("n, T", [(10, 1.0), (16, 1.0), (10, 0.7), (12, 3.0)])
+@pytest.mark.parametrize("d", [-2, -1, 0, 1, 2])
+def test_a_crowded_grid_snaps_nothing_and_its_pins_keep_u_sorted(n, T, d):
+    # nodes within 8 ulps of T make the snap distance 0, so tau - eps is a
+    # node only when it equals one (d = 0), and a node d ulps from it (d != 0)
+    # sits next to the inserted breakpoint.  The pinned point is tau itself,
+    # and u stays sorted around it: rounding is monotone, and fl(tau - eps)
+    # + eps rounds back to tau, so the pin never needs the running max
+    lattice = uniform_grid(T, n)
+    for k in (1, 3):
+        eps = k * T / n
+        tau = lattice[n // 2] + 0.3 * T / n
+        sh = tau - eps
+        near = sh + d * np.spacing(sh)
+        grid = np.union1d(lattice, [*(T - np.arange(1, 4) * np.spacing(T)), tau, near])
+        X = _path(grid, np.searchsorted(grid, [tau]), LINEAR, n + k)
+        Y = _path(grid, np.zeros(0, dtype=np.intp), LINEAR, n - k)
+        study = reg._Study(X, [X, Y])
+        assert study.tol == 0.0
+        m = reg._Mesh(study, eps)
+        assert m.plain == (d == 0)
+        pin = m.ins_cells if d else np.searchsorted(grid, [sh])
+        assert m.u[pin].tolist() == [tau]
+        assert np.all(np.diff(m.u) >= 0.0)
+        for est, (vals, lefts) in ((reg.covariation(X, Y, eps), brute_covariation(X, Y, eps)),
+                                   (reg.forward_integral(Y, X, eps),
+                                    brute_forward_integral(Y, X, eps))):
+            assert _close(est.values, vals)
+            assert _close(est.left_values[1:], lefts[1:])
+
+
 def _index_cases():
     for n in (10, 100, 1000):
         for T in (1.0, 0.7, 3.0):

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathcalc import paths
 from pathcalc.paths import (CadlagPath, PathError, _require_shared_grid, _union_marks,
                             constant_path, make_path, step_path, uniform_grid)
 
@@ -358,6 +361,64 @@ def test_csv_writes_every_value_as_its_repr():
     for a in ("grid", "values", "left_values", "jump_marks"):
         assert getattr(q, a).tobytes() == getattr(p, a).tobytes()
     assert q.to_csv() == text
+
+
+def _row_by_row_csv(p):
+    """The reference writer: each row joined from the repr of its values."""
+    is_jump = np.zeros(p.grid.size, dtype=int)
+    is_jump[p.jump_marks] = 1
+    rows = zip(p.grid.tolist(), p.values.tolist(), p.left_values.tolist(), is_jump.tolist())
+    return (f"# rule={p.rule}\nt,value,left_value,is_jump\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
+def _writer_cases():
+    rng = np.random.default_rng(11)
+    for n in (3, 8191, 8192, 8193, 16385):
+        grid = uniform_grid(1.0, n - 1)
+        values = np.cumsum(rng.normal(size=n)) / 7.0
+        yield pytest.param(CadlagPath(grid, values), id=f"one array, {n}")
+        # marks on both sides of each block edge, and at the last row
+        marks = sorted({i for e in range(8192, n, 8192) for i in (e - 1, e, e + 1) if i < n}
+                       | {n - 1})
+        left = values.copy()
+        left[marks] -= rng.uniform(0.5, 2.0, len(marks))
+        yield pytest.param(CadlagPath(grid, values, left), id=f"linear, {n}")
+        steps = np.repeat(values[::5], 5)[:n]
+        pc = CadlagPath(grid, steps, np.concatenate(([steps[0]], steps[:-1])), rule="pc")
+        yield pytest.param(pc, id=f"pc, {n}")
+    # an unmarked row whose value and left value are zeros of opposite sign
+    for value, left in ((0.0, -0.0), (-0.0, 0.0)):
+        grid = uniform_grid(1.0, 8193)
+        values = np.linspace(-1.0, 1.0, grid.size)
+        lefts = values.copy()
+        for i in (3, 8191, 8192):
+            values[i], lefts[i] = value, left
+        lefts[8193] += 1.0
+        yield pytest.param(CadlagPath(grid, values, lefts), id=f"{value!r} over {left!r}")
+
+
+@pytest.mark.parametrize("p", _writer_cases())
+def test_csv_writer_matches_a_row_by_row_writer(p):
+    # the writer converts by column and repr's a left value only where its
+    # bits differ from the value's, which the sign of zero does unmarked
+    text = p.to_csv()
+    assert text == _row_by_row_csv(p)
+    q = CadlagPath.from_csv(text)
+    for a in ("grid", "values", "left_values", "jump_marks"):
+        assert getattr(q, a).tobytes() == getattr(p, a).tobytes()
+    assert q.rule == p.rule
+
+
+def test_repr_is_named_only_in_the_one_csv_writer():
+    # every float a pathcalc artifact writes as text goes through paths._csv;
+    # a second CSV loop elsewhere would name the builtin repr
+    named = set()
+    for module in Path(paths.__file__).parent.glob("*.py"):
+        for top in ast.parse(module.read_text()).body:
+            if any(isinstance(node, ast.Name) and node.id == "repr" for node in ast.walk(top)):
+                named.add(f"{module.name}:{getattr(top, 'name', top.lineno)}")
+    assert named == {"paths.py:_csv"}
 
 
 def test_json_round_trip():
