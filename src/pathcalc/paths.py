@@ -249,7 +249,7 @@ class CadlagPath:
 
     def to_csv(self) -> str:
         """CSV with columns t,value,left_value,is_jump (bit exact round trip)."""
-        mask = np.zeros(self.grid.size, dtype=np.int8)
+        mask = np.zeros(self.grid.size, dtype=int)
         mask[self.jump_marks] = 1
         return _csv(f"# rule={self.rule}\nt,value,left_value,is_jump",
                     self.grid, self.values, self.left_values, mask)
@@ -319,8 +319,8 @@ def _union_marks(*paths: CadlagPath) -> np.ndarray:
 
 
 # rows per block, each block joined into one string: on a 1e5-point path
-# (5.3 MiB of text) ``to_csv`` peaks at 10.8 MiB, the blocks and their join,
-# at 4096 or 16384 rows as at 8192, and at 32.4 MiB in one block
+# (5.3 MiB of text) ``to_csv`` peaks at 11.4 MiB, the blocks and their join,
+# at 4096 or 16384 rows as at 8192, and at 37.0 MiB in one block
 _CSV_BLOCK = 8192
 
 
@@ -332,7 +332,6 @@ def _csv(header: str, *columns) -> str:
     float column reuses the strings of the float column before it and
     repr's only the rows whose bits differ from it (bits, so that -0.0 and
     0.0 stay apart): a path's left values are repr'd at its marks alone.
-    An integer column repr's each of its distinct values once.
     """
     def block(a: int) -> str:
         cols, prev = [], None
@@ -343,9 +342,6 @@ def _csv(header: str, *columns) -> str:
                 s = np.array(cols[-1], dtype=object)
                 s[rows] = list(map(repr, c[rows].tolist()))
                 s = s.tolist()
-            elif c.dtype.kind == "i":
-                values, at = np.unique(c, return_inverse=True)
-                s = np.array(list(map(repr, values.tolist())), dtype=object)[at].tolist()
             else:
                 s = list(map(repr, c.tolist()))
             cols.append(s)

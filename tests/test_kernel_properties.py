@@ -409,8 +409,10 @@ def test_a_crowded_grid_snaps_nothing_and_its_pins_keep_u_sorted(n, T, d):
     # nodes within 8 ulps of T make the snap distance 0, so tau - eps is a
     # node only when it equals one (d = 0), and a node d ulps from it (d != 0)
     # sits next to the inserted breakpoint.  The pinned point is tau itself,
-    # and u stays sorted around it: rounding is monotone, and fl(tau - eps)
-    # + eps rounds back to tau, so the pin never needs the running max
+    # and u stays sorted around it: s = fl(tau - eps) is the double nearest
+    # tau - eps, so a node below s is below tau - eps and one above s is
+    # above it, and adding eps, rounded monotonically, keeps each node on
+    # its side of tau.  (fl(s + eps) itself need not be tau.)
     lattice = uniform_grid(T, n)
     for k in (1, 3):
         eps = k * T / n

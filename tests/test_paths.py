@@ -410,15 +410,17 @@ def test_csv_writer_matches_a_row_by_row_writer(p):
     assert q.rule == p.rule
 
 
-def test_repr_is_named_only_in_the_one_csv_writer():
-    # every float a pathcalc artifact writes as text goes through paths._csv;
-    # a second CSV loop elsewhere would name the builtin repr
-    named = set()
+def test_rows_are_joined_only_in_the_one_csv_writer():
+    # every CSV row a pathcalc artifact holds is joined in paths._csv; a
+    # second CSV loop, in to_csv or in the cli, would join with "," itself
+    joined = set()
     for module in Path(paths.__file__).parent.glob("*.py"):
         for top in ast.parse(module.read_text()).body:
-            if any(isinstance(node, ast.Name) and node.id == "repr" for node in ast.walk(top)):
-                named.add(f"{module.name}:{getattr(top, 'name', top.lineno)}")
-    assert named == {"paths.py:_csv"}
+            if any(isinstance(node, ast.Attribute) and node.attr == "join"
+                   and isinstance(node.value, ast.Constant) and node.value.value == ","
+                   for node in ast.walk(top)):
+                joined.add(f"{module.name}:{getattr(top, 'name', top.lineno)}")
+    assert joined == {"paths.py:_csv"}
 
 
 def test_json_round_trip():
