@@ -25,7 +25,7 @@ from . import jumps as jmod
 from .ito import FunctionBundle, ItoReport, _Expansion, _measure_form, stieltjes_left
 from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms, increment_field,
                     integrability_report)
-from .paths import CadlagPath, PathError, _constant_on, _require_shared_grid
+from .paths import CadlagPath, PathError, _constant_on, _less_terms, _require_shared_grid
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, Decision, EpsilonSchedule, Verdict,
                          _limits, _require_fit, _require_tol, _windows,
                          alpha_atoms_verdict, bracket_verdict, covariation,
@@ -178,8 +178,8 @@ def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
     k_mu, k_nu, y_mu, y_nu, big_mu = ex.split
     vbar = ex.big_nu
     k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
-    gamma = (lhs - _constant_on(X, lhs.values[0]) - mart_int - k_comp
-             + y_comp - big_mu)
+    # y_comp enters with a plus sign: x - (-y) is x + y, bit for bit
+    gamma = _less_terms(lhs, lhs.values[0], (mart_int, k_comp, -y_comp, big_mu))
     a_path = gamma + vbar
     m_path = lhs - a_path
     orth = orthogonality_battery(a_path, brownian_battery(X, seed=battery_seed),
@@ -367,7 +367,7 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
     comp = _if_atoms(X, nu, lambda: jmod.compensated_integral(
         increment_field(F), X, nu))
-    a_path = lhs - _constant_on(X, lhs.values[0]) - comp
+    a_path = _less_terms(lhs, lhs.values[0], (comp,))
     orth = orthogonality_battery(a_path, brownian_battery(X), ex.schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,
                          tuple(v for r in orth for v in r.verdicts))

@@ -29,8 +29,8 @@ from . import jumps as jmod
 from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
-from .paths import (CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _samples,
-                    _union_marks)
+from .paths import (CadlagPath, _cumsum0, _jumping_at, _less_terms, _require_shared_grid,
+                    _samples)
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, Decision, EpsilonSchedule, Verdict,
                          _forward_sums, _require_fit, _require_tol, _windows,
                          qv_limit)
@@ -332,16 +332,8 @@ class _Expansion:
         f0 = float(lhs.values[0])
         sups = []
         for fp in windows:
-            terms = (fp, *fixed.values())
-            # left values differ from values only at some term's marks
-            rows = _union_marks(lhs, *terms)
-            r, rl = lhs.values - f0, lhs.left_values[rows] - f0
-            for q in terms:
-                r = r - q.values
-                rl = rl - q.left_values[rows]
-            sups.append(float(max(np.max(np.abs(r)), np.max(np.abs(rl), initial=0.0))))
-        jumps = rl != r[rows]
-        res = _jumping_at(lhs, r, rows[jumps], rl[jumps])
+            res = _less_terms(lhs, f0, (fp, *fixed.values()))
+            sups.append(res.sup_norm())
         return ItoReport(variant, self.F.name, lhs, f0, {**fixed, name: fp}, res,
                          np.asarray(sups), tuple(self.schedule.epsilons),
                          parts or {})
@@ -356,8 +348,10 @@ class ItoReport(Decision, kind="ito_report"):
 
     ``terms`` holds signed paths: the residual is
     lhs - initial_value - sum(terms) pointwise by construction, left limits
-    included, at the final window width; ``residual_sup_by_eps`` tracks the
-    sup-norm of the same assembly as the window shrinks along the schedule.
+    included but where the terms cancel a jump to round-off (the residual
+    is then continuous there), at the final window width;
+    ``residual_sup_by_eps`` tracks the sup-norm of the same assembly as the
+    window shrinks along the schedule.
     No harness sets a verdict; ``ito-check`` adds its ``residual_verdict``.
     """
 

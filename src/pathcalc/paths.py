@@ -5,7 +5,9 @@ with left limits, is extended to [T, inf) by its final value and before 0 by
 X(0), so X(0-) = X(0).  Jumps are first class: the path jumps exactly at the
 grid indices where its stored left limit differs from its value, and the
 constructor derives these jump marks itself.  Nothing is ever inferred from
-large increments.
+large increments.  A path derived by arithmetic keeps a mark of its operands
+only where its jump exceeds the round-off of that arithmetic
+(``_real_jumps``): jumps that cancel leave no mark.
 
 Two interpolation rules are supported between grid points:
 
@@ -227,8 +229,13 @@ class CadlagPath:
         _require_shared_grid(self, other)
         rows = _union_marks(self, other)
         rule = LINEAR if LINEAR in (self.rule, other.rule) else PIECEWISE_CONSTANT
-        return _jumping_at(self, fn(self.values, other.values), rows,
-                           fn(self.left_values[rows], other.left_values[rows]), rule)
+        values = fn(self.values, other.values)
+        lefts = fn(self.left_values[rows], other.left_values[rows])
+        # a piecewise-constant left value is the previous value, so such a
+        # sum keeps every row where the two differ
+        if rule == LINEAR:
+            rows, lefts = _real_jumps(rows, values, lefts, (self, other))
+        return _jumping_at(self, values, rows, lefts, rule)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -316,6 +323,42 @@ def _union_marks(*paths: CadlagPath) -> np.ndarray:
     if all(P is paths[0] for P in paths):
         return paths[0].jump_marks
     return np.unique(np.concatenate([P.jump_marks for P in paths]))
+
+
+# a derived path jumps at one of its operands' marks only by more than this
+# many ulps of the operands' largest |value| or |left value| there.  On 695
+# chain-rule assemblies of simulated jump paths (CHANGES.md) the round-off of
+# gamma reached 4 ulps, and the smallest jump a dropped term left 3e12
+JUMP_ULPS = 16
+
+
+def _real_jumps(rows, values, lefts, operands):
+    """The one mark rule of derived paths: of the sorted grid ``rows`` with
+    left values ``lefts`` of a path with ``values``, the rows, and their
+    lefts, where |value - left| exceeds ``JUMP_ULPS`` ulps of the largest
+    |value| or |left value| of the ``operands`` paths at that row.  Any other
+    row is round-off of the arithmetic, and its left value is its value."""
+    scale = np.zeros(rows.size)
+    for P in operands:
+        np.maximum(scale, np.abs(P.values[rows]), out=scale)
+        np.maximum(scale, np.abs(P.left_values[rows]), out=scale)
+    keep = np.abs(values[rows] - lefts) > JUMP_ULPS * np.spacing(scale)
+    return rows[keep], lefts[keep]
+
+
+def _less_terms(P: CadlagPath, c: float, terms) -> CadlagPath:
+    """The linear path P - c - terms[0] - terms[1] - ... on P's grid,
+    subtracted left to right: its values, and its left values at the union
+    of the marks, are those of that chain of differences.  Its marks follow
+    the mark rule over P and every term at once, so a jump of P that the
+    terms cancel leaves no mark, even where the last term is small."""
+    _require_shared_grid(P, *terms)
+    rows = _union_marks(P, *terms)
+    values, lefts = P.values - c, P.left_values[rows] - c
+    for q in terms:
+        values = values - q.values
+        lefts = lefts - q.left_values[rows]
+    return _jumping_at(P, values, *_real_jumps(rows, values, lefts, (P, *terms)))
 
 
 # rows per block, each block joined into one string: on a 1e5-point path

@@ -237,6 +237,26 @@ def _levy_ito(spec: SimSpec):
     return path, gt
 
 
+_FBM_ROWS = 256  # rows of the covariance built at once
+
+
+def _fbm_covariance(t: np.ndarray, two_h: float) -> np.ndarray:
+    """The lower triangle of 0.5 (s^2H + t^2H - |t - s|^2H) on the times
+    ``t``, built in place by blocks of rows; the strict upper triangle is
+    left unwritten, as ``np.linalg.cholesky`` reads only the lower one."""
+    th = t ** two_h
+    cov = np.empty((t.size, t.size))
+    for i0 in range(0, t.size, _FBM_ROWS):
+        i1 = min(i0 + _FBM_ROWS, t.size)
+        c = cov[i0:i1, :i1]
+        np.subtract(t[i0:i1, None], t[:i1], out=c)
+        np.abs(c, out=c)
+        c **= two_h
+        np.subtract(th[i0:i1, None] + th[:i1], c, out=c)
+        c *= 0.5
+    return cov
+
+
 def _fbm(spec: SimSpec):
     """Exact-covariance fractional Gaussian path via dense Cholesky.
 
@@ -249,10 +269,7 @@ def _fbm(spec: SimSpec):
     H = spec.hurst
     grid = uniform_grid(spec.T, spec.n)
     t = grid[1:]
-    two_h = 2.0 * H
-    cov = 0.5 * (t[:, None] ** two_h + t[None, :] ** two_h
-                 - np.abs(t[:, None] - t[None, :]) ** two_h)
-    L = np.linalg.cholesky(cov)
+    L = np.linalg.cholesky(_fbm_covariance(t, 2.0 * H))
     z = _rng(spec.seed).standard_normal(t.size)
     values = np.concatenate(([0.0], L @ z)) * spec.sigma + spec.x0
     path = CadlagPath(grid, values)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import pathcalc.simulate as sim
+from pathcalc.catalog import SCENARIOS
 from pathcalc import dirichlet as dd
 from pathcalc import ito
 from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError, path_of_function)
 from pathcalc.jumps import CompensatorSpec, DiracLaw, NormalLaw
-from pathcalc.paths import (CadlagPath, PathError, constant_path, step_path,
+from pathcalc.paths import (CadlagPath, PathError, _less_terms, constant_path, step_path,
                             uniform_grid)
 
 from oracles import linear_combination
@@ -277,6 +278,51 @@ def test_jump_identities_checks_the_derivatives_once(monkeypatch):
                         lambda F, *ranges: checked.append(F.name) or validate(F, *ranges))
     dd.jump_identities(FUNCTION_CATALOG["square"], X, dec, nu, sched, tol=0.05)
     assert checked == ["square"]
+
+
+# -- the residual part carries only real jumps -----------------------------------------
+
+
+def _jump(P, rows):
+    return np.abs(P.values[rows] - P.left_values[rows])
+
+
+@pytest.mark.parametrize("scenario", ["jump_diffusion", "cp_normal", "poisson"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_residual_part_carries_no_mark_and_its_mutants_keep_their_jumps(scenario, seed):
+    # the built-in compensators have no time atoms, so X jumps only at totally
+    # inaccessible times, where the predictable A^F cannot jump; round-off of
+    # its assembly is no jump, and a dropped term leaves a real one
+    X, gt = SCENARIOS[scenario].build(seed, 4000)
+    assert X.jump_marks.size
+    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+    dec = dd.LabeledDecomposition.from_ground_truth(gt)
+    rows = X.jump_marks
+    checked = []
+    for name, F in FUNCTION_CATALOG.items():
+        rep = dd.chain_rule_c01(F, X, dec, gt.compensator, sched, tol=0.05)
+        assert rep.a_path.jump_marks.size == rep.gamma.jump_marks.size == 0, name
+        assert np.max(_jump(rep.a_path, rows)) == 0.0
+        lhs, t = rep.lhs, rep.terms
+        f0 = lhs.values[0]
+        osc = (max(lhs.values.max(), lhs.left_values.max())
+               - min(lhs.values.min(), lhs.left_values.min()))
+        kept = {"k_comp": t["small_jump_compensated_increment"],
+                "y_comp": -t["small_jump_compensated_linear"],
+                "big_mu": t["big_jump_sum"]}
+        mutants = {"raw": (_less_terms(lhs, f0, ()), lhs)}
+        for drop, term in kept.items():
+            rest = [q for k, q in kept.items() if k != drop]
+            mutants[drop] = (_less_terms(lhs, f0, (t["martingale_integral"], *rest))
+                             + t["big_jump_compensator"], term)
+        for drop, (A, term) in mutants.items():
+            # the rows where the dropped term really jumps are marks of A
+            real = rows[_jump(term, rows) > 1e-9 * osc]
+            assert np.isin(real, A.jump_marks).all(), (name, drop)
+            assert np.all(_jump(A, real) > 1e-6 * osc), (name, drop)
+            checked += [drop] if real.size else []
+    # every path here has a big or a small jump that some term carries
+    assert checked.count("raw") == len(FUNCTION_CATALOG) and len(set(checked)) >= 2
 
 
 # -- reference defect path ----------------------------------------------------------

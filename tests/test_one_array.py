@@ -57,6 +57,7 @@ def _square_on_brownian(harness):
 
 
 V = sim.brownian_on_grid(GRID, 5)
+WS = sim.brownian_on_grid(STEP.grid, 3)
 
 
 JUMP_FREE = {
@@ -81,6 +82,8 @@ JUMP_FREE = {
     "fbm": lambda: sim.simulate(sim.SimSpec("fbm", n=256, seed=1, hurst=0.7))[0],
     "brownian_on_grid": lambda: W,
     "W + V": lambda: W + V,
+    "(STEP + WS) - (STEP + WS)": lambda: (STEP + WS) - (STEP + WS),
+    "(STEP + WS) - WS - STEP": lambda: (STEP + WS) - WS - STEP,
     "W - V": lambda: W - V,
     "-W": lambda: -W,
     "2.5 * W": lambda: 2.5 * W,
@@ -106,7 +109,6 @@ def _digest(P):
 # Poisson path, recorded before continuous paths held one array and before
 # left values were written at jump rows only: a path that jumps keeps its own
 # left array, with the same bytes
-WS = sim.brownian_on_grid(STEP.grid, 3)
 STEP_ESTIMATES = {
     "covariation": (lambda: reg.covariation(STEP, STEP, 0.1), "15a728bdab01c42b"),
     "forward_integral": (lambda: reg.forward_integral(WS, STEP, 0.1), "1bd9f9d3d273115b"),
@@ -268,3 +270,54 @@ def test_guard_sees_left_values_passed_to_the_constructor():
                      "class Spec:\n    def k(cls, a, b, c):\n        return cls(a, b, c)\n"
                      "class CadlagPath:\n    def m(cls, a, b, c):\n        return cls(a, b, c)\n")
     assert _left_value_writers(tree) == ["a", "b", "c", "d", "m"]
+
+
+# -- guard: one mark rule for derived paths ------------------------------------
+
+# functions that may compare a path's values with its left values: the
+# builder, the round-off rule of derived paths, and the constructor of paths
+# given from outside
+MARK_COMPARERS = {"paths.py": {"_jumping_at", "_real_jumps", "__post_init__"}}
+_LEFT_NAMES = {"rl"}
+_VALUE_NAMES = {"values", "value", "vals", "v", "r"}
+
+
+def _mark_comparers(tree: ast.Module) -> list[str]:
+    """Names of the functions holding a comparison, or an ``equal`` or
+    ``not_equal`` call, that reads both values (``values``, ``v``, ``r``, ...)
+    and left values (any name with ``left`` in it, or ``rl``)."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else name)
+            call = getattr(getattr(child, "func", None), "attr", None)
+            if isinstance(child, ast.Compare) or call in ("equal", "not_equal"):
+                ids = {getattr(n, "id", None) or getattr(n, "attr", None)
+                       for n in ast.walk(child)} - {None}
+                if (ids & _VALUE_NAMES
+                        and any("left" in i or i in _LEFT_NAMES for i in ids)):
+                    found.append(inner)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_the_mark_rule_compares_values_with_left_values(module):
+    found = set(_mark_comparers(ast.parse((SRC / module).read_text())))
+    assert found <= MARK_COMPARERS.get(module, set()), module
+
+
+def test_guard_sees_a_mark_comparison():
+    tree = ast.parse("def a(r, rl, rows):\n    return rl != r[rows]\n"
+                     "def b(P):\n    return P.values != P.left_values\n"
+                     "def c(v, left, tol):\n    return np.abs(v - left) > tol\n"
+                     "def d(values, lefts):\n    return np.not_equal(values, lefts)\n"
+                     "def e(t, left, tol):\n    return t - left <= tol\n"
+                     "def f(grid, left):\n    return grid.size != left.size\n"
+                     "def g(P):\n    return P.left_values is None\n"
+                     "def h(values, lefts):\n    return np.equal(values, lefts)\n")
+    assert _mark_comparers(tree) == ["a", "b", "c", "d", "h"]

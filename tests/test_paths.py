@@ -540,6 +540,89 @@ def test_the_shared_grid_rule_compares_another_grid_array_by_value():
         P + nudged
 
 
+# -- one mark rule for derived paths ---------------------------------------------
+
+
+def _jumping(seed, rows, sizes=None):
+    """A linear path on 60 cells that jumps at ``rows``, by ``sizes`` when
+    given and by random sizes otherwise."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, 60)
+    values = rng.normal(0.0, 3.0, grid.size)
+    sizes = rng.normal(0.0, 1.0, len(rows)) if sizes is None else sizes
+    return make_path(grid, values, [(r, values[r] - s) for r, s in zip(rows, sizes)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_sum_carries_the_same_marks_either_way(seed):
+    A = _jumping(seed, [5, 17, 30, 44])
+    # B cancels A's jumps at 17 and 30, to round-off, and jumps on its own at 50
+    B = _jumping(seed + 100, [17, 30, 50],
+                 [-A.jump_sizes[1], -A.jump_sizes[2], 0.7])
+    S, T = A + B, B + A
+    assert S.jump_marks.tolist() == T.jump_marks.tolist() == [5, 44, 50]
+    assert S.values.tobytes() == T.values.tobytes()
+    assert S.left_values.tobytes() == T.left_values.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_adding_and_taking_away_a_path_keeps_the_marks(seed):
+    X = _jumping(seed, [3, 20, 41])
+    Y = _jumping(seed + 100, [20, 33, 52])
+    assert ((X + Y) - Y).jump_marks.tolist() == [3, 20, 41]
+    assert np.max(np.abs(((X + Y) - Y).values - X.values)) < 1e-13
+    for Z in (X - X, X + (-X), (X + Y) - (Y + X)):
+        assert Z.jump_marks.size == 0
+        assert Z.left_values is Z.values
+
+
+def test_a_jump_counts_only_beyond_the_round_off_bound():
+    # A jumps from 0 to 1 and B from 0 to -1 + m ulps of 1 at row 1: the sum
+    # jumps by m ulps of the row's scale, 1
+    grid, ulp = [0.0, 0.5, 1.0], np.spacing(1.0)
+
+    def sum_jumps(size):
+        A = make_path(grid, [0.0, 1.0, 1.0], [(1, 0.0)])
+        B = make_path(grid, [0.0, -1.0 + size, 0.0], [(1, 0.0)])
+        return (A + B).jump_marks.tolist()
+
+    assert sum_jumps(paths.JUMP_ULPS * ulp) == []
+    assert sum_jumps((paths.JUMP_ULPS + 1) * ulp) == [1]
+
+
+def test_a_jump_of_a_billionth_of_its_scale_survives():
+    for scale in (1e-300, 1e-8, 1.0, 3e7, 1e300):
+        A = make_path([0.0, 0.5, 1.0], [0.0, scale, scale], [(1, 0.0)])
+        B = make_path([0.0, 0.5, 1.0], [0.0, -scale * (1.0 - 1e-9), 0.0], [(1, 0.0)])
+        S = A + B
+        assert S.jump_marks.tolist() == [1], scale
+        assert S.jump_sizes[0] == pytest.approx(1e-9 * scale, rel=1e-6)
+
+
+def test_a_piecewise_constant_sum_keeps_a_round_off_step():
+    # a pc left value is the previous value, so the step stays in the values
+    A = make_path([0.0, 0.5, 1.0], [0.0, 0.1 + 0.2, 0.1 + 0.2], [(1, 0.0)], rule="pc")
+    B = make_path([0.0, 0.5, 1.0], [0.0, -0.3, -0.3], [(1, 0.0)], rule="pc")
+    S = A + B
+    assert S.rule == "pc"
+    assert S.values[1] == 0.1 + 0.2 - 0.3 != 0.0
+    assert S.jump_marks.tolist() == [1]
+
+
+def test_less_terms_is_the_chain_of_differences_with_one_mark_rule():
+    X = _jumping(1, [3, 20, 41])
+    Y = _jumping(2, [20, 33])
+    Z = _jumping(3, [41, 52])
+    D = paths._less_terms(X, 0.75, (Y, Z))
+    chain = X - constant_path(X.grid, 0.75) - Y - Z
+    assert D.values.tobytes() == chain.values.tobytes()
+    assert D.jump_marks.tolist() == chain.jump_marks.tolist()
+    assert D.left_values.tobytes() == chain.left_values.tobytes()
+    # X's jump at 3 taken away again leaves no mark
+    E = paths._less_terms(X, 0.0, (X - Y, Y))
+    assert E.jump_marks.size == 0 and E.left_values is E.values
+
+
 def _every_path(obj, out):
     if isinstance(obj, CadlagPath):
         out.append(obj)

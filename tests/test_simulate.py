@@ -190,10 +190,46 @@ def test_decomposition_components_sum_to_path():
 
 
 def test_fbm_half_reduces_to_brownian_covariance():
-    grid = sim.uniform_grid(1.0, 64)
-    t = grid[1:]
-    cov = 0.5 * (t[:, None] + t[None, :] - np.abs(t[:, None] - t[None, :]))
-    assert np.allclose(cov, np.minimum(t[:, None], t[None, :]))
+    t = sim.uniform_grid(1.0, 64)[1:]
+    lower = np.tril_indices(t.size)
+    cov = sim._fbm_covariance(t, 1.0)
+    assert np.allclose(cov[lower], np.minimum(t[:, None], t[None, :])[lower])
+
+
+def _dense_fbm_covariance(t, two_h):
+    """The whole matrix, as one expression."""
+    return 0.5 * (t[:, None] ** two_h + t[None, :] ** two_h
+                  - np.abs(t[:, None] - t[None, :]) ** two_h)
+
+
+@pytest.mark.parametrize("n", [3, 255, 256, 257, 700])
+@pytest.mark.parametrize("hurst", [0.2, 0.25, 0.5, 0.75, 0.8])
+def test_fbm_covariance_blocks_are_the_dense_lower_triangle(n, hurst):
+    t = sim.uniform_grid(1.0, n)[1:]
+    lower = np.tril_indices(t.size)
+    cov = sim._fbm_covariance(t, 2.0 * hurst)
+    assert cov[lower].tobytes() == _dense_fbm_covariance(t, 2.0 * hurst)[lower].tobytes()
+
+
+@pytest.mark.parametrize("hurst", [0.2, 0.5, 0.7])
+def test_fbm_cholesky_reads_only_the_lower_triangle(hurst):
+    # the builder leaves the strict upper triangle unwritten; with NaN there,
+    # a Cholesky that read it would fail or differ
+    t = sim.uniform_grid(1.0, 600)[1:]
+    cov = sim._fbm_covariance(t, 2.0 * hurst)
+    cov[np.triu_indices(t.size, 1)] = np.nan
+    L = np.linalg.cholesky(cov)
+    assert L.tobytes() == np.linalg.cholesky(_dense_fbm_covariance(t, 2.0 * hurst)).tobytes()
+
+
+@pytest.mark.parametrize("n, seed, hurst", [(300, 1, 0.3), (600, 4, 0.8)])
+def test_fbm_path_is_the_dense_covariance_path(n, seed, hurst):
+    spec = SimSpec("fbm", n=n, seed=seed, hurst=hurst, sigma=1.5, x0=0.25)
+    X, _ = simulate(spec)
+    L = np.linalg.cholesky(_dense_fbm_covariance(X.grid[1:], 2.0 * hurst))
+    z = sim._rng(seed).standard_normal(n)
+    want = np.concatenate(([0.0], L @ z)) * 1.5 + 0.25
+    assert X.values.tobytes() == want.tobytes()
 
 
 def test_fbm_smooth_exponent_qv_decays_to_zero():
