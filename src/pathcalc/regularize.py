@@ -18,13 +18,13 @@ piecewise-constant paths.  Splitting each integral at t - eps turns the
 computation into prefix sums, and the work into a per-study part
 (``_Study``) and a per-window part (``_Mesh``).  Once per study, for all
 windows: the window-sized scratch buffers that every window writes in
-place (``_Scratch``), at the first window that inserts no breakpoint the
-grid's cells and the eps-free prefix sums of the covariation and of the
-forward estimate, and the nodes off the base lattice that its windows
-learn.  Once per window: the paths' values at the shifted sample points
-and the bulk cells of every t; the bulk prefix sum; and the O(n) assembly
-for all t, in place in one accumulator, the one fresh array of an
-estimate.
+place (``_Scratch``), the grid's cell widths and the nodes off the base
+lattice that they show, and at the first window that inserts no
+breakpoint the eps-free prefix sums of the covariation and of the
+forward estimate.  Once per window: the paths' values at the shifted
+sample points and the bulk cells of every t; the bulk prefix sum; and the
+O(n) assembly for all t, in place in one accumulator, the one fresh array
+of an estimate.
 
 One snap rule holds for every window: a shifted time, a sample point
 t_i + eps or a breakpoint tau - eps, within ``_SNAP_ULPS`` ulps of T of a
@@ -180,7 +180,7 @@ DEFAULT_SCHEDULE = EpsilonSchedule.geometric()
 _SNAP_ULPS = 4
 
 # the most nodes off the base lattice, beyond its jump rows, that a study
-# learns before it locates every window
+# cuts its windows at; a study with more locates every window
 _OFF_NODES = 32
 
 
@@ -261,17 +261,19 @@ class _Study:
     of X and every partner.  ``tol`` is the snap rule's distance,
     ``_SNAP_ULPS`` ulps of T, or 0 (nothing snaps) on a grid whose nodes
     lie 2 tol apart or closer, where a time could snap to either of two.
-    ``off`` are the nodes off the base lattice that are no jump row of the
-    study, as a path's jump times are on the grid of a part that does not
-    jump there, learned by its windows read by index (``_cell_runs``);
-    None once a window found no runs, and every later window is located.
-    A window that inserts no breakpoint has the plain grid's cells, starts
-    ``sl`` and widths ``w``, the covariation's eps-free prefix sums
-    ``sums`` and the forward estimate's ``forward_sums``, each built at the
-    first window that reads it, so a study whose windows all insert
-    breakpoints builds neither widths nor sums.  On the plain grid the
-    cell-start samples of X and the partners are their values, read in
-    place.
+    The grid's cell starts are ``sl`` and its widths ``w``.  ``off`` are
+    the nodes off the base lattice that are no jump row of the study, as a
+    path's jump times are on the grid of a part that does not jump there:
+    a node is off when both cells beside it are narrower than the widest
+    cell by more than tol.  Its windows read by index (``_cell_runs``) are
+    cut at ``cut_nodes``, the jump rows and ``off``.  ``off`` is None, and
+    every window located, when it holds more than ``_OFF_NODES`` nodes or
+    once a window found no runs.  A window that inserts no breakpoint has
+    the plain grid's cells, the covariation's eps-free prefix sums ``sums``
+    and the forward estimate's ``forward_sums``, each built at the first
+    window that reads it, so a study whose windows all insert breakpoints
+    builds no sums.  On the plain grid the cell-start samples of X and the
+    partners are their values, read in place.
 
     The study owns its windows' buffers, ``scratch`` (``_Scratch``): the
     shifted points, their nodes or cells, the bin counts, the samples at
@@ -298,11 +300,20 @@ class _Study:
         self.tol = tol if X.min_spacing > 2.0 * tol else 0.0
         others = sum(P is not X for P in partners)
         self.scratch = _Scratch(X.grid.size + self.jidx.size + 1, 1 + others)
-        self.off = np.zeros(0, dtype=np.intp)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return np.diff(self.grid)
+        self.w = w = np.diff(X.grid)
+        # a node is off the lattice when both cells beside it are narrower
+        # than the widest by more than tol, as a time inserted into a
+        # lattice cell leaves them; a grid with no narrow cell needs no mask
+        off = np.zeros(0, dtype=np.intp)
+        wide = float(w.max()) - self.tol
+        if float(w.min()) < wide:
+            narrow = w < wide
+            off = np.setdiff1d(np.flatnonzero(narrow[:-1] & narrow[1:]) + 1, self.jidx,
+                               assume_unique=True)
+        self.off = off if off.size <= _OFF_NODES else None
+        # jidx and off are disjoint: a sorted concatenation spares np.union1d its
+        # import of numpy.ma, about 1 MiB, at a first call
+        self.cut_nodes = np.sort(np.concatenate((self.jidx, off)))
 
     @cached_property
     def sums(self) -> "_Sums":
@@ -314,8 +325,8 @@ class _Study:
         return _Sums(self.w * self.partners[0].values[:-1], self.X, self.X.values[:-1], ())
 
 
-def _cell_runs(study: _Study, u: np.ndarray, past: int, ins: np.ndarray,
-               ins_cells: np.ndarray) -> tuple[tuple, tuple] | None:
+def _cell_runs(study: _Study, u: np.ndarray, past: int,
+               ins: np.ndarray) -> tuple[tuple, tuple] | None:
     """The runs of a window's cells up to the horizon, [0, ``past``), and
     its cuts: a run (a, b, o, True) when the shifted point of every cell c
     in [a, b) snaps to node c + o, which is then written in u; a cut, a
@@ -328,61 +339,39 @@ def _cell_runs(study: _Study, u: np.ndarray, past: int, ins: np.ndarray,
     count of rows it moves on changes only at an inserted node v: the cell
     that starts at v is cut, and past v a run starts (a point pinned to v
     continues its run).  The inserted nodes are the study's jump rows and
-    the nodes it learned, ``_Study.off`` (``ins`` and ``ins_cells`` give
-    their rows): where a run's points miss, the first of each stretch of
-    misses names one, the node the run predicted if the point lies on the
-    node after it, or else the node its cell starts at.  One O(n)
-    comparison against the snap distance, repeated only after learning;
-    a study that learns more than ``_OFF_NODES`` nodes, or none from a
-    window that misses, locates every window from then on."""
-    grid, tol, buf = study.grid, study.tol, study.scratch
-    while study.off is not None:
-        off = study.off
-        cuts = _rows_at(ins, np.union1d(study.jidx, off) if off.size else study.jidx)
-        cuts = cuts[cuts < past]
-        cut = set(cuts.tolist())
-        # a run starts after each cut and at the first point past each
-        # learned node
-        starts = sorted({0, *(cuts + 1).tolist(),
-                         *np.searchsorted(u[:past], grid[off], side="right").tolist()}
-                        - cut - {past})
-        bounds = sorted(cut.union(starts, [past]))
-        stops = [bounds[bisect.bisect_right(bounds, a)] for a in starts]
-        a = np.array(starts)
-        # the first node within tol of a run's first point, or past it; a
-        # run's cells that would read past the last node miss
-        o = np.searchsorted(grid, u[a] - tol) - a
-        ends = np.minimum(stops, grid.size - o).tolist()
-        runs = tuple(zip(starts, ends, o.tolist(), [True] * a.size))
-        nodes = _read(grid, runs, buf.uc[:past])
-        for lo, hi in zip(ends, stops):
-            nodes[lo:hi] = np.inf
-        nodes[cuts] = u[cuts]
-        d = np.subtract(u[:past], nodes, out=buf.floats[:past])
-        if d.max() <= tol and -d.min() <= tol:
-            u[:past] = nodes
-            return runs, tuple(cuts.tolist())
-        study.off = _learned(study, u, np.abs(d, out=d) > tol, a, o, ins_cells)
-    return None
-
-
-def _learned(study: _Study, u: np.ndarray, miss: np.ndarray, a: np.ndarray, o: np.ndarray,
-             ins_cells: np.ndarray) -> np.ndarray | None:
-    """The study's off-lattice nodes with those that the stretches of
-    ``miss`` name (``_cell_runs``), for runs starting at cells ``a`` that
-    move ``o`` rows on; None when they name none or too many.  Cell 0
-    starts at node 0, on any lattice."""
-    grid, tol = study.grid, study.tol
-    f = np.flatnonzero(miss[1:] > miss[:-1]) + 1
-    if miss[0] or study.off.size + f.size > _OFF_NODES:
+    its off-lattice nodes, ``_Study.cut_nodes`` (``ins`` gives their
+    rows).  One O(n) comparison against the snap distance; a window whose
+    points miss sets ``_Study.off`` to None, and every window of the study
+    is located from then on."""
+    if study.off is None:
         return None
-    x = np.minimum(np.searchsorted(grid, u[f] - tol), grid.size - 1)
-    on_node = np.abs(grid[x] - u[f]) <= tol
-    named = np.where(on_node, f + o[np.searchsorted(a, f, side="right") - 1],
-                     f - np.searchsorted(ins_cells, f))
-    named = named[named < grid.size]
-    new = np.setdiff1d(named, np.union1d(study.off, study.jidx))
-    return np.union1d(study.off, new) if new.size else None
+    grid, tol, buf = study.grid, study.tol, study.scratch
+    cuts = _rows_at(ins, study.cut_nodes)
+    cuts = cuts[cuts < past]
+    cut = set(cuts.tolist())
+    # a run starts after each cut and at the first point past each
+    # off-lattice node
+    starts = sorted({0, *(cuts + 1).tolist(),
+                     *np.searchsorted(u[:past], grid[study.off], side="right").tolist()}
+                    - cut - {past})
+    bounds = sorted(cut.union(starts, [past]))
+    stops = [bounds[bisect.bisect_right(bounds, a)] for a in starts]
+    a = np.array(starts)
+    # the first node within tol of a run's first point, or past it; a
+    # run's cells that would read past the last node miss
+    o = np.searchsorted(grid, u[a] - tol) - a
+    ends = np.minimum(stops, grid.size - o).tolist()
+    runs = tuple(zip(starts, ends, o.tolist(), [True] * a.size))
+    nodes = _read(grid, runs, buf.uc[:past])
+    for lo, hi in zip(ends, stops):
+        nodes[lo:hi] = np.inf
+    nodes[cuts] = u[cuts]
+    d = np.subtract(u[:past], nodes, out=buf.floats[:past])
+    if d.max() <= tol and -d.min() <= tol:
+        u[:past] = nodes
+        return runs, tuple(cuts.tolist())
+    study.off = None
+    return None
 
 
 def _count_runs(pieces, past: int, n: int) -> tuple:
@@ -457,14 +446,15 @@ class _Mesh:
     a node is on it (the window stays plain), and a u an ulp off a node
     reads the node's value; a u within tol past T is T.  ``samples[k]`` is
     the k-th partner's pair of samples at the cell starts and at u, and
-    (Xs, Xu) is X's; ``jr[i]`` is the number of bulk cells (u <= t_i) at
-    grid time t_i, which ``jruns`` holds as runs on a window read by index.
+    (Xs, Xu) is X's; ``jr`` gives the number of bulk cells (u <= t_i) at
+    every grid time t_i, as an array on a located window and as runs
+    (``_read``) on a window read by index.
 
     A window is read by index (``_by_index``) when the cells up to T, cut
     at the cells that start at a node off the lattice (a jump row of the
-    study, or one it learned), fall into runs of cells whose points all
-    snap to the node a fixed count of rows on (``_cell_runs``).  On a
-    uniform grid that is one run; on a grid that is the lattice plus
+    study, or one of its ``off`` nodes), fall into runs of cells whose
+    points all snap to the node a fixed count of rows on (``_cell_runs``).
+    On a uniform grid that is one run; on a grid that is the lattice plus
     inserted jump times, about one per jump: a cell that starts at a
     lattice node, or at a breakpoint tau - eps, reaches a node by index,
     and only the points tau + eps of the cuts are located.  The samples
@@ -525,15 +515,15 @@ class _Mesh:
         u = study.scratch.u[:sl.size]
         np.add(sl, eps, out=u)
         pins = np.concatenate((ins_cells, _rows_at(ins, on_grid)))
-        if pins.size:
-            u[pins] = np.concatenate((taus, on_grid_tau))
-            # u is sorted between the pins, so a running max moves it only
-            # if a pin breaks the order next to it
-            if (np.any(u[np.maximum(pins - 1, 0)] > u[pins])
-                    or np.any(u[pins] > u[np.minimum(pins + 1, u.size - 1)])):
-                np.maximum.accumulate(u, out=u)
-        # u is sorted, and past T it holds only nodes + eps (every pin is a
-        # jump time), more than 2 tol apart: at most the first is within tol
+        # the pins keep u sorted: s = fl(tau - eps) is the double nearest
+        # tau - eps, so a node below s is below tau - eps and one above s is
+        # above it, and adding eps, rounded monotonically, keeps each node on
+        # its side of tau (fl(s + eps) itself need not be tau).  A snapped
+        # pin's neighbours lie more than tol from s, as nodes lie more than
+        # 2 tol apart, so they keep their sides too
+        u[pins] = np.concatenate((taus, on_grid_tau))
+        # past T, u holds only nodes + eps (every pin is a jump time), more
+        # than 2 tol apart: at most the first is within tol
         past = int(np.searchsorted(u, T, side="right"))
         if past < u.size and u[past] - T <= tol:
             u[past] = T
@@ -548,7 +538,7 @@ class _Mesh:
         self.ins_cells = ins_cells
         self.shifted = shifted
         self.X = X
-        runs = _cell_runs(study, u, past, ins, ins_cells)
+        runs = _cell_runs(study, u, past, ins)
         if runs is None:
             self._located(study, u, past)
         else:
@@ -585,7 +575,7 @@ class _Mesh:
         pieces = sorted([(a, b, a + o) for a, b, o, _ in runs]
                         + [(c, c + 1, s) for c, s
                            in zip(cuts.tolist(), (cells + (grid[cells] != tc)).tolist())])
-        self.jruns = _count_runs(pieces, past, n)
+        self.jr = _count_runs(pieces, past, n)
 
     def _located(self, study: _Study, u: np.ndarray, past: int) -> None:
         """The shifted points of any other window, located in the grid once,
@@ -618,14 +608,6 @@ class _Mesh:
         jr.fill(0)
         np.add.at(jr, cells, 1)
         self.jr = np.cumsum(jr, out=jr)[:grid.size]
-        self.jruns = None
-
-    @cached_property
-    def jr(self) -> np.ndarray:
-        """The bulk counts of a window read by index, as an array: no kernel
-        reads them so, so they are built from ``jruns`` when read."""
-        return _read(np.arange(self.u.size + 1), self.jruns,
-                     np.empty(self.grid.size, dtype=np.intp))
 
     def _at_cell_starts(self, nodes: np.ndarray, at_inserted) -> np.ndarray:
         """A path's ``nodes`` (values or left values) at the cell starts, with
@@ -724,7 +706,6 @@ def _window_sums(m: _Mesh, sums: _Sums | None = None, unit: bool = False):
     # left limit at t: the bulk is the cells with u < t
     jl = np.searchsorted(m.u, m.grid[jidx], side="left")
     Al = X.left_values[jidx] - X.values[0]
-    jr = m.jr if m.jruns is None else m.jruns
 
     def against(k: int) -> CadlagPath:
         Y = study.partners[k]
@@ -771,7 +752,7 @@ def _window_sums(m: _Mesh, sums: _Sums | None = None, unit: bool = False):
 
         Bl = Al if unit or Y is X else Y.left_values[jidx] - Y.values[0]
         lefts = assemble(bulk[jl], m.jump_rows, jl, Al, Bl)
-        vals = assemble(_read(bulk, jr, np.empty(m.grid.size)), m.rows, jr,
+        vals = assemble(_read(bulk, m.jr, np.empty(m.grid.size)), m.rows, m.jr,
                         Am, None if unit else Bm)
         return _jumping_at(X, vals, jidx, lefts)
 

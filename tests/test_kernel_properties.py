@@ -175,7 +175,8 @@ def test_mesh_counts_and_samples_match_direct_searches(case, partners):
     none = np.zeros(0, dtype=np.intp)
     partners = [_path(X.grid, none, rule, seed) for rule, seed in partners]
     m = reg._Mesh(reg._Study(X, [Y] + partners), eps)
-    assert np.array_equal(m.jr, np.searchsorted(m.u, m.grid, side="right"))
+    jr = reg._read(np.arange(m.u.size + 1), m.jr, np.empty(m.grid.size, dtype=np.intp))
+    assert np.array_equal(jr, np.searchsorted(m.u, m.grid, side="right"))
     assert m.Xs.tobytes() == X.value_at(m.sl).tobytes()
     assert m.Xu.tobytes() == X.value_at(m.u).tobytes()
     assert len(m.samples) == 1 + len(partners)
@@ -478,7 +479,9 @@ def test_index_windows_give_the_located_windows_bits(monkeypatch):
             ests = [reg.covariation(X, Y, eps), reg.covariation(X, X, eps),
                     reg.forward_integral(Y, X, eps), reg.weighted_qv(g, X, eps),
                     reg.covariation_continuous(X, Y, eps)]
-            out[side] = ([m.u.copy(), m.jr.copy(), m.Xs, m.Xu.copy(),
+            jr = reg._read(np.arange(m.u.size + 1), m.jr,
+                           np.empty(m.grid.size, dtype=np.intp))
+            out[side] = ([m.u.copy(), jr, m.Xs, m.Xu.copy(),
                           *[a.copy() for pair in m.samples for a in pair]]
                          + [a for E in ests for a in (E.values, E.left_values, E.jump_marks)])
         monkeypatch.undo()
