@@ -246,6 +246,8 @@ class IntegrandField:
     ``fn(t, x, x_pre)`` must broadcast over numpy arrays.  ``truncation``
     restricts to small (|x| <= 1) or big (|x| > 1) jumps, a fixed split;
     integrals against a compensator use the fixed relative tolerance 1e-8.
+    ``fn`` is evaluated only at the jumps the truncation keeps, so it may
+    be undefined at the others.
     """
 
     fn: object
@@ -255,14 +257,21 @@ class IntegrandField:
         if self.truncation not in (None, "small", "big"):
             raise ValueError("truncation must be None, 'small' or 'big'")
 
-    def cut(self, x: np.ndarray) -> np.ndarray:
+    def keeps(self, x: np.ndarray) -> np.ndarray:
+        """Whether the truncation keeps each jump size in ``x``."""
         if self.truncation is None:
-            return np.ones(np.shape(x))
+            return np.ones(np.shape(x), dtype=bool)
         inside = np.abs(x) <= JUMP_SPLIT_THRESHOLD
-        return np.where(inside if self.truncation == "small" else ~inside, 1.0, 0.0)
+        return inside if self.truncation == "small" else ~inside
 
     def __call__(self, t, x, x_pre):
-        return np.asarray(self.fn(t, x, x_pre), dtype=float) * self.cut(x)
+        """W on the inputs broadcast together: ``fn`` at the kept jumps, and
+        +0.0 at the others."""
+        t, x, x_pre = np.broadcast_arrays(t, x, x_pre)
+        keep = self.keeps(x)
+        out = np.zeros(x.shape)
+        out[keep] = self.fn(t[keep], x[keep], x_pre[keep])
+        return out
 
     def with_truncation(self, truncation) -> "IntegrandField":
         return IntegrandField(self.fn, truncation)
@@ -358,14 +367,13 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
                    x_pre: np.ndarray) -> np.ndarray:
     """g(t) = int W(t, x) 1_trunc(x) law(dx) for every time in t."""
     if law.atom is not None:
-        x0 = law.atom
-        return field(t, np.full(t.shape, x0), x_pre)
+        return field(t, law.atom, x_pre)
     lo, hi = law.support
     # split at the truncation threshold so the cut is constant on each
     # segment; segments it zeroes are never evaluated
     cuts = [c for c in (-JUMP_SPLIT_THRESHOLD, JUMP_SPLIT_THRESHOLD) if lo < c < hi]
     edges = np.array([lo, *cuts, hi])
-    kept = field.cut(0.5 * (edges[:-1] + edges[1:])) != 0.0
+    kept = field.keeps(0.5 * (edges[:-1] + edges[1:]))
     a, b = edges[:-1][kept], edges[1:][kept]
     if not a.size:
         return np.zeros(t.shape)
@@ -385,8 +393,12 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
         # row blocks bound the field's temporaries to about _NU_BLOCK values
         rows = max(1, _NU_BLOCK // x.size)
         for r in range(0, t.size, rows):
-            vals = field(t[r:r + rows, None], x[None, :], x_pre[r:r + rows, None])
-            # a field that reads neither t nor x_pre returns one row for all
+            # the segments are kept whole, so fn is read with no mask; a
+            # formula that does not read x is spread over the nodes, and one
+            # that reads neither t nor x_pre returns one row for all
+            vals = np.asarray(field.fn(t[r:r + rows, None], x[None, :],
+                                       x_pre[r:r + rows, None]), dtype=float)
+            vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, (1, x.size)))
             end = t.size if vals.shape[0] < t[r:r + rows].size else r + rows
             kg[r:end] = vals @ dens
             l1[r:end] = np.abs(vals) @ np.abs(dens[:, 0])

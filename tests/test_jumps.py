@@ -263,6 +263,26 @@ def test_small_field_is_never_evaluated_on_big_jumps():
     assert np.array_equal(got.values, want.values)
 
 
+def test_small_field_is_never_evaluated_at_big_atoms():
+    X = two_jump_path()
+    nan_outside = jm.IntegrandField(
+        lambda t, x, p: np.where(np.abs(x) <= 1.0, x * x, np.nan), "small")
+    got = jm.integrate_mu(nan_outside, X)
+    want = jm.integrate_mu(jm.X_SQUARED_FIELD.with_truncation("small"), X)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.left_values.tobytes() == want.left_values.tobytes()
+
+
+def test_an_excluded_jump_reads_positive_zero():
+    # -x*x is -0.0 only through a multiply by the truncation's 0; an
+    # excluded jump is never evaluated, so no sum reads -0.0
+    field = jm.IntegrandField(lambda t, x, p: -x * x, "big")
+    assert not np.signbit(field(0.3, 0.5, 0.0))
+    P = jm.integrate_mu(field, two_jump_path())
+    for arr in (P.values, P.left_values):
+        assert not np.any(np.signbit(arr[arr == 0.0]))
+
+
 def test_fully_truncated_field_gives_exact_zero_path():
     X = two_jump_path()
     nu = jm.CompensatorSpec.compound_poisson(1.5, jm.UniformLaw(-0.5, 0.5))
