@@ -529,6 +529,7 @@ def test_decomposition_sums_and_martingale_access():
     X, gt, dec, _ = jd_setup(n=4000)
     total = dec.M_c + dec.M_d + dec.A
     assert np.max(np.abs(total.values - X.values)) < 1e-10
+    assert dd.LabeledDecomposition(M_d=dec.M_d).martingale is dec.M_d
     with pytest.raises(PathError):
         dd.LabeledDecomposition().martingale
 

@@ -330,7 +330,10 @@ def mixed_schedule_case(draw):
 def test_study_windows_match_fresh_kernel_calls(case, seed):
     # a study shares its grid work across windows; no window may see state
     # left by an earlier one, whichever mesh kind either of them built
-    X, sched = case
+    _assert_study_matches_fresh_calls(*case, seed)
+
+
+def _assert_study_matches_fresh_calls(X, sched, seed):
     none = np.zeros(0, dtype=np.intp)
     partners = [X] + [_path(X.grid, none, LINEAR, seed + k) for k in range(2)]
     # the covariation study takes every partner at once, the forward study
@@ -457,42 +460,80 @@ def _index_cases():
                             yield X, float(eps)
 
 
+def _both_routes(monkeypatch, X, eps):
+    """The runs and cuts of X's window of width eps (None: located), after
+    asserting that its mesh and the five kernels' meshes read it by index
+    with the bits of the located route, or all locate it."""
+    by_index = reg._cell_runs
+    none = np.zeros(0, dtype=np.intp)
+    Y = _path(X.grid, none, LINEAR, 7)
+    g = _path(X.grid, none, LINEAR, 8)
+    out, ks = {}, []
+
+    def recorded(*args):
+        ks.append(by_index(*args))
+        return ks[-1]
+
+    for side, rule in (("index", recorded), ("located", lambda *a: None)):
+        monkeypatch.setattr(reg, "_cell_runs", rule)
+        m = reg._Mesh(reg._Study(X, [X, Y]), eps)
+        ests = [reg.covariation(X, Y, eps), reg.covariation(X, X, eps),
+                reg.forward_integral(Y, X, eps), reg.weighted_qv(g, X, eps),
+                reg.covariation_continuous(X, Y, eps)]
+        jr = reg._read(np.arange(m.u.size + 1), m.jr, np.empty(m.grid.size, dtype=np.intp))
+        out[side] = ([m.u.copy(), jr, m.Xs, m.Xu.copy(),
+                      *[a.copy() for pair in m.samples for a in pair]]
+                     + [a for E in ests for a in (E.values, E.left_values, E.jump_marks)])
+    monkeypatch.undo()
+    assert len(set(ks)) == 1
+    if ks[0] is not None:
+        for a, b in zip(out["index"], out["located"], strict=True):
+            assert a.tobytes() == b.tobytes()
+    return ks[0]
+
+
 def test_index_windows_give_the_located_windows_bits(monkeypatch):
     # where the shifted points fall into runs that snap to the nodes a fixed
     # count of rows on, reading the paths by index is a shortcut of locating
     # and snapping, bit for bit
-    by_index = reg._cell_runs
-    used = 0
-    for X, eps in _index_cases():
-        none = np.zeros(0, dtype=np.intp)
-        Y = _path(X.grid, none, LINEAR, 7)
-        g = _path(X.grid, none, LINEAR, 8)
-        out, ks = {}, []
-
-        def recorded(*args):
-            ks.append(by_index(*args))
-            return ks[-1]
-
-        for side, rule in (("index", recorded), ("located", lambda *a: None)):
-            monkeypatch.setattr(reg, "_cell_runs", rule)
-            m = reg._Mesh(reg._Study(X, [X, Y]), eps)
-            ests = [reg.covariation(X, Y, eps), reg.covariation(X, X, eps),
-                    reg.forward_integral(Y, X, eps), reg.weighted_qv(g, X, eps),
-                    reg.covariation_continuous(X, Y, eps)]
-            jr = reg._read(np.arange(m.u.size + 1), m.jr,
-                           np.empty(m.grid.size, dtype=np.intp))
-            out[side] = ([m.u.copy(), jr, m.Xs, m.Xu.copy(),
-                          *[a.copy() for pair in m.samples for a in pair]]
-                         + [a for E in ests for a in (E.values, E.left_values, E.jump_marks)])
-        monkeypatch.undo()
-        # the mesh and the five kernels' meshes are all index windows or none
-        assert len(set(ks)) == 1
-        if ks[0] is None:
-            continue
-        used += 1
-        for a, b in zip(out["index"], out["located"], strict=True):
-            assert a.tobytes() == b.tobytes()
+    used = sum(_both_routes(monkeypatch, X, eps) is not None for X, eps in _index_cases())
     assert used > 100
+
+
+@pytest.mark.parametrize("rule", [PIECEWISE_CONSTANT, LINEAR])
+def test_a_lattice_node_between_two_jumps_is_an_extra_cut(monkeypatch, rule):
+    # both cells beside lattice node j hold a jump time, so both are narrow
+    # and the width rule takes node j as off the lattice: the cell that
+    # starts at it is one more cut, and every window is still read by index
+    n, j = 100, 40
+    times = np.array([j - 0.5, j + 0.3]) / n
+    grid = _jump_grid(n, times * n)
+    node = int(np.searchsorted(grid, j / n))
+    X = _path(grid, np.searchsorted(grid, times), rule, 3)
+    assert reg._Study(X, [X]).off.tolist() == [node]
+    for k in (1, 7, 25, 59):
+        eps = uniform_grid(1.0, n)[k]
+        runs, cuts = _both_routes(monkeypatch, X, eps)
+        sl = reg._Mesh(reg._Study(X, [X]), eps).sl
+        assert int(np.searchsorted(sl, grid[node])) in cuts
+
+
+def test_a_grid_with_too_many_off_lattice_nodes_locates_every_window(monkeypatch):
+    # more than _OFF_NODES nodes off the lattice where no path of the study
+    # jumps: every window is located, bit for bit as fresh kernel calls
+    n = 400
+    cells = np.arange(reg._OFF_NODES + 6) * 7 + 2.5
+    grid = _jump_grid(n, cells)
+    marks = np.searchsorted(grid, cells[[3, 20]] / n)
+    X = _path(grid, marks, LINEAR, 11)
+    assert reg._Study(X, [X]).off is None
+
+    def refused(self, *args):
+        raise AssertionError("a window was read by index")
+
+    monkeypatch.setattr(reg._Mesh, "_by_index", refused)
+    sched = reg.EpsilonSchedule.geometric(0.2, 4).snapped(1.0 / n)
+    _assert_study_matches_fresh_calls(X, sched, 12)
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000])

@@ -513,3 +513,57 @@ def test_windows_on_a_jump_grid_are_read_by_index(monkeypatch):
         run()
         assert len(located) == len(sched)
         assert max(located) <= X.jump_marks.size
+
+
+@pytest.mark.parametrize("kind", ["jump_diffusion", "compound_poisson", "pdp", "step"])
+def test_the_off_lattice_nodes_of_a_jump_grid_are_its_inserted_rows(kind):
+    # a simulated jump grid is the lattice plus the jump times: for a path
+    # that jumps nowhere on it, those rows are the nodes off the lattice,
+    # and for the path that jumps there they are its jump rows
+    n = 4001
+    if kind == "step":
+        X = step_path(1.0, n, 0.5)
+    else:
+        X, _ = sim.simulate(sim.SimSpec(kind, n=n, seed=5, intensity=3.0, switch_rate=3.0))
+    inserted = np.flatnonzero(~np.isin(X.grid, uniform_grid(1.0, n)))
+    assert 0 < inserted.size <= reg._OFF_NODES
+    C = CadlagPath(X.grid, np.sin(X.grid))
+    assert reg._Study(C, [C]).off.tolist() == inserted.tolist()
+    assert reg._Study(X, [X]).off.size == 0
+
+
+def test_jump_scenarios_read_every_window_by_index(monkeypatch):
+    # the qv study and the chain rule's battery of every jump scenario cut
+    # at the jump nodes and locate nothing; the bracket guard's tolerance
+    # is loose, as this counts routes, not decisions
+    import argparse
+
+    from pathcalc import cli
+    from pathcalc import dirichlet as dd
+    from pathcalc.catalog import SCENARIOS
+    from pathcalc.ito import FUNCTION_CATALOG
+
+    located, windows = [], []
+    by_index, locate = reg._Mesh._by_index, reg._Mesh._located
+
+    def counted(self, *args):
+        windows.append(1)
+        return by_index(self, *args)
+
+    def recorded(self, *args):
+        located.append(1)
+        return locate(self, *args)
+
+    monkeypatch.setattr(reg._Mesh, "_by_index", counted)
+    monkeypatch.setattr(reg._Mesh, "_located", recorded)
+    for name in ("poisson", "cp_normal", "jump_diffusion", "pdp", "step"):
+        for seed in (0, 1):
+            args = argparse.Namespace(eps0=None, levels=None, seed=seed, n=4000)
+            (X, gt), sched = cli._run(args, SCENARIOS[name])
+            reg.qv_limit(X, sched, 0.05)
+            if gt.decomposition is not None:
+                dec = dd.LabeledDecomposition.from_ground_truth(gt)
+                rep = dd.chain_rule_c01(FUNCTION_CATALOG["square"], X, dec, gt.compensator,
+                                        sched, tol=0.5)
+                assert len(rep.orth_reports) == 3
+    assert not located and len(windows) > 50

@@ -232,6 +232,12 @@ def test_fbm_path_is_the_dense_covariance_path(n, seed, hurst):
     assert X.values.tobytes() == want.tobytes()
 
 
+def test_fbm_half_bracket_is_sigma_squared_t():
+    X, gt = simulate(SimSpec("fbm", n=200, seed=3, hurst=0.5, sigma=2.0))
+    assert not gt.bracket_divergent
+    assert gt.bracket.values.tobytes() == (4.0 * X.grid).tobytes()
+
+
 def test_fbm_smooth_exponent_qv_decays_to_zero():
     X, gt = simulate(SimSpec("fbm", n=2000, seed=2, hurst=0.8))
     sched = reg.EpsilonSchedule.geometric(0.08, 4).snapped(gt.base_dt)
@@ -288,6 +294,7 @@ def test_pdp_constant_regimes_give_pure_steps():
     vals = X.values
     assert np.all(np.isin(np.round(vals, 12), [1.0, -0.5, 2.0]))
     assert np.array_equal(gt.regime_bounds, X.jump_times)
+    assert gt.to_json_dict()["regime_bounds"] == X.jump_times.tolist()
     # constant between switches
     assert np.all(np.abs(np.diff(vals)[np.diff(vals) != 0]) > 0.1)
 
