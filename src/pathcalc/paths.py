@@ -84,16 +84,12 @@ class _SamplePlan(NamedTuple):
     frac: np.ndarray
 
 
-def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray,
-                 out: np.ndarray | None = None) -> _SamplePlan:
-    """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``; the
-    cells' nodes are gathered into ``out`` when given.
+def _sample_plan(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray) -> _SamplePlan:
+    """Plan for times ``tc`` in [0, T] with their ``cells`` on ``grid``.
 
     A time off its node lies before the last node, so lo + 1 is a node.
     """
-    # the cells are in range, so "clip" never acts; it spares the buffered
-    # copy that "raise" makes with out=
-    off = np.flatnonzero(np.take(grid, cells, out=out, mode="clip") != tc)
+    off = np.flatnonzero(grid[cells] != tc)
     lo = cells[off]
     frac = (tc[off] - grid[lo]) / (grid[lo + 1] - grid[lo])
     return _SamplePlan(cells, off, lo, frac)
@@ -180,13 +176,11 @@ class CadlagPath:
         out = self._sample(_sample_plan(self.grid, tc, cells))
         return float(out[0]) if scalar else out
 
-    def _sample(self, plan: _SamplePlan, out: np.ndarray | None = None) -> np.ndarray:
-        """X at the times of ``plan`` (a plan on this path's grid), written in
-        ``out`` when given: the cell values, with the off-node entries
-        interpolated under the linear rule."""
-        # the cells are in range, so "clip" never acts; it spares the
-        # buffered copy that "raise" makes with out=
-        out = np.take(self.values, plan.cells, out=out, mode="clip")
+    def _sample(self, plan: _SamplePlan) -> np.ndarray:
+        """X at the times of ``plan`` (a plan on this path's grid): the cell
+        values, with the off-node entries interpolated under the linear
+        rule."""
+        out = self.values[plan.cells]
         if self.rule == LINEAR:
             v = self.values[plan.lo]
             out[plan.off] = v + plan.frac * (self.left_values[plan.lo + 1] - v)

@@ -40,8 +40,9 @@ the cuts are the cells that start at one, whose points tau + eps are off
 the lattice.  This holds for windows that insert breakpoints tau - eps
 too, whose points are pinned to the nodes tau.  Every other window
 locates its shifted points in the grid once, by binary search, which
-gives the samples and, by counting, the bulk cells, and snaps them by the
-same rule, so where both apply the two give the same bits.  A window that
+gives the samples and, by counting, the bulk cells, in fresh arrays, and
+snaps them by the same rule, so where both apply the two give the same
+bits.  A window that
 inserts a breakpoint inside a grid cell also builds its own cells and
 sums.  The estimators jump only where their inputs do, so left limits
 are assembled only at the input jump rows: elsewhere the boundary-window
@@ -71,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .paths import (CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _sample_plan,
-                    _union_marks)
+                    _SamplePlan, _union_marks)
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -228,28 +229,25 @@ class _Scratch:
     freed in one, which keeps its pages in the process for the next study
     instead of handing n-sized arrays back to the OS window by window.
 
-    A window first builds its mesh: ``u`` holds the shifted points,
-    ``shifted[k]`` the k-th of ``partners`` sample sets at u, and
-    ``counts`` the bulk cells at every grid time.  A window read by index
-    writes the nodes its runs' points snap to in ``uc`` and their distance
-    from u in ``floats``.  A located one writes u clipped at T in ``uc``,
-    the gathers of its snap and sample plan in ``floats``, and its node
-    test in ``mask``, over the dead counts.  The assembly reads u only to
-    search the left limits' bulk, and the samples and counts throughout;
-    it writes the bulk prefix sum ``bulk`` and its temporaries ``r``,
-    ``q`` and ``s`` over the rows of ``uc``, ``floats``, the spare row and
-    ``u``.  No estimate a window returns lies in the block.
+    A window first builds its mesh: ``u`` holds the shifted points.  A
+    window read by index writes the nodes its runs' points snap to in
+    ``uc``, their distance from u in ``floats``, and the k-th of
+    ``partners`` sample sets at u in ``shifted[k]``; a located window
+    writes only u and takes fresh arrays for the rest.  The assembly reads
+    u only to search the left limits' bulk, and the samples and counts
+    throughout; it writes the bulk prefix sum ``bulk`` and its
+    temporaries ``r``, ``q`` and ``s`` over the rows of ``uc``,
+    ``floats``, the spare row and ``u``.  No estimate a window returns
+    lies in the block.
     """
 
     def __init__(self, words: int, partners: int):
-        rows = np.empty((5 + partners, words))
+        rows = np.empty((4 + partners, words))
         self.u = self.s = rows[0]
-        self.counts = rows[1].view(np.intp)
-        self.mask = rows[1].view(bool)[:words]
-        self.uc = self.bulk = rows[2]
-        self.floats = self.r = rows[3]
-        self.q = rows[4]
-        self.shifted = list(rows[5:])
+        self.uc = self.bulk = rows[1]
+        self.floats = self.r = rows[2]
+        self.q = rows[3]
+        self.shifted = list(rows[4:])
 
 
 class _Study:
@@ -276,16 +274,15 @@ class _Study:
     partners are their values, read in place.
 
     The study owns its windows' buffers, ``scratch`` (``_Scratch``): the
-    shifted points, their nodes or cells, the bin counts, the samples at
-    the shifted points, the bulk prefix sum and the assembly's
-    temporaries, sized to the grid plus the most breakpoints a window
-    inserts.  Every window writes them in place, so a covariation window
-    read by index on the plain grid allocates no n-sized array but the
-    estimates it returns, and a located one only the cells of its location
-    and the off-node entries of its snap and its sample plan.  A mesh that
-    inserts breakpoints also builds its cells and cell-start samples, and
-    the forward and weighted kernels their cell weights and sums.  Nothing
-    outlives the call.
+    shifted points, the nodes of the runs, the samples at the shifted
+    points, the bulk prefix sum and the assembly's temporaries, sized to
+    the grid plus the most breakpoints a window inserts.  Every window
+    writes them in place, so a covariation window read by index on the
+    plain grid allocates no n-sized array but the estimates it returns.  A
+    located window takes fresh arrays for its location, its samples and
+    its counts.  A mesh that inserts breakpoints also builds its cells and
+    cell-start samples, and the forward and weighted kernels their cell
+    weights and sums.  Nothing outlives the call.
     """
 
     def __init__(self, X: CadlagPath, partners: list[CadlagPath]):
@@ -382,47 +379,40 @@ def _count_runs(pieces, past: int, n: int) -> tuple:
 
     The counts at t_i are the cells whose node is i or less, a prefix of
     the cells: those of a piece up to node i, or all before the first
-    piece that starts after i.  A run that continues the one before it
-    extends it."""
-    runs = []
-
-    def add(lo, hi, d, slope):
-        if runs and runs[-1][1] == lo:
-            plo, _, pd, pslope = runs[-1]
-            # the run before, continued over [lo, hi), gives these counts
-            if (slope == pslope and d == pd
-                    or hi - lo == 1 and lo * slope + d == lo * pslope + pd):
-                runs[-1] = (plo, hi, pd, pslope)
-                return
-        runs.append((lo, hi, d, slope))
-
-    lo = 0
+    piece that starts after i."""
+    runs, lo = [], 0
     for a, b, s in [*pieces, (past, past, n)]:
         if s > lo:
-            add(lo, s, a, False)
+            runs.append((lo, s, a, False))
         hi = s + b - a - 1
         if hi > s:
-            add(s, hi, a + 1 - s, True)
+            runs.append((s, hi, a + 1 - s, True))
         lo = hi
     return tuple(runs)
 
 
-def _snap(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray, tol: float,
-          out: np.ndarray) -> None:
+def _snap(grid: np.ndarray, tc: np.ndarray, cells: np.ndarray, tol: float) -> None:
     """The snap rule on times ``tc`` in [0, T] located at ``cells``: a time
     within ``tol`` of its cell's node, or else of the next node, is that
-    node, written over in ``tc`` and its cell in ``cells``.  The cells'
-    nodes are gathered into ``out``.  A time off its node lies before the
-    last node, so its cell + 1 is a node."""
-    # the cells are in range, so "clip" never acts; it spares the buffered
-    # copy that "raise" makes with out=
-    off = np.flatnonzero(np.take(grid, cells, out=out, mode="clip") != tc)
+    node, written over in ``tc`` and its cell in ``cells``.  A time off its
+    node lies before the last node, so its cell + 1 is a node."""
+    off = np.flatnonzero(grid[cells] != tc)
     lo = cells[off]
     t, left, right = tc[off], grid[lo], grid[lo + 1]
     down = t - left <= tol
     up = ~down & (right - t <= tol)
     cells[off[up]] += 1
     tc[off[down]], tc[off[up]] = left[down], right[up]
+
+
+def _plan(study: _Study, tc: np.ndarray) -> _SamplePlan:
+    """The sample plan of times ``tc`` in [0, T] on the study's grid: each
+    is located once (``_locate``) and, within the snap distance of a node,
+    moved onto it in ``tc`` (``_snap``)."""
+    cells = _locate(study.grid, tc)
+    if study.tol:
+        _snap(study.grid, tc, cells, study.tol)
+    return _sample_plan(study.grid, tc, cells)
 
 
 class _Mesh:
@@ -461,8 +451,9 @@ class _Mesh:
     are then slices of the paths' values, and the bulk counts runs
     (``_count_runs``).  Plain windows and windows that insert breakpoints
     alike take this route.  Any other window is located (``_located``):
-    every u is located in the grid once, by ``_locate``, and snapped
-    (``_snap``).  The location gives one sample plan, the cell of every u
+    every u capped at T is located in the grid once and snapped
+    (``_plan``, as the cuts' points are).  The location gives one sample
+    plan, the cell of every u
     and the cell and fraction of each u that falls strictly inside its
     cell, from which X and every partner of the study are sampled (they lie
     on one grid): a path gathers its values at the cells, and under the
@@ -472,13 +463,12 @@ class _Mesh:
     cell-start sample is its ``value_at``.  The width obeys
     ``_require_fit``.
 
-    ``u``, ``jr``, the samples at u and the location's work lie in the
+    ``u``, and on a window read by index the samples at u, lie in the
     study's scratch, written in place, so they hold this window's values
     only until its estimates are assembled.  Of the mesh, a window read by
-    index allocates nothing n-sized, a located one only its cells and the
-    off-node entries of its snap and its sample plan, and one that inserts
-    breakpoints also its own cells and their widths, and its cell-start
-    samples.
+    index allocates nothing n-sized, a located one its location, samples
+    at u and counts, and one that inserts breakpoints also its own cells
+    and their widths, and its cell-start samples.
     """
 
     def __init__(self, study: _Study, eps: float):
@@ -540,74 +530,59 @@ class _Mesh:
         self.X = X
         runs = _cell_runs(study, u, past, ins)
         if runs is None:
-            self._located(study, u, past)
+            at_u = self._located(study, u, past)
         else:
-            self._by_index(study, u, runs[0], np.array(runs[1], dtype=np.intp), past)
+            at_u = self._by_index(study, u, runs[0], np.array(runs[1], dtype=np.intp), past)
+        self.Xs, self.Xu = self._at_cell_starts(X.values, X.value_at), at_u(X)
+        self.samples = [(self.Xs, self.Xu) if P is X
+                        else (self._at_cell_starts(P.values, P.value_at), at_u(P))
+                        for P in study.partners]
 
     def _by_index(self, study: _Study, u: np.ndarray, runs: tuple, cuts: np.ndarray,
-                  past: int) -> None:
+                  past: int):
         """The shifted points of a window whose runs of cells reach nodes by
-        index: every path's samples are slices of its values, then X(T) past
-        T, and only the points of the ``cuts`` are located, snapped and
-        sampled from their own plan."""
-        grid, buf, n = study.grid, study.scratch, study.grid.size
-        tc = u[cuts]
-        cells = _locate(grid, tc)
-        if cuts.size:
-            if study.tol:
-                _snap(grid, tc, cells, study.tol, np.empty(tc.size))
-            u[cuts] = tc
-            plan = _sample_plan(grid, tc, cells)
-        reads = (*runs, (past, u.size, n - 1, False))
-
-        def samples(P, out):
-            out = _read(P.values, reads, out[:u.size])
-            if cuts.size:
-                out[cuts] = P._sample(plan)
-            return self._at_cell_starts(P.values, P.value_at), out
-
-        outs = iter(buf.shifted)
-        self.Xs, self.Xu = samples(self.X, next(outs))
-        self.samples = [(self.Xs, self.Xu) if P is self.X else samples(P, next(outs))
-                        for P in study.partners]
+        index, and a path's samples at them: slices of its values, then X(T)
+        past T, in the next of the study's ``shifted`` rows.  Only the points
+        of the ``cuts`` are located, snapped and sampled from their own
+        plan."""
+        grid, n = study.grid, study.grid.size
         # a run's points count at its nodes, a cut's at the first node at or
         # after it
-        pieces = sorted([(a, b, a + o) for a, b, o, _ in runs]
-                        + [(c, c + 1, s) for c, s
-                           in zip(cuts.tolist(), (cells + (grid[cells] != tc)).tolist())])
-        self.jr = _count_runs(pieces, past, n)
+        pieces = [(a, b, a + o) for a, b, o, _ in runs]
+        if cuts.size:
+            tc = u[cuts]
+            plan = _plan(study, tc)
+            u[cuts] = tc
+            cells = plan.cells
+            pieces += zip(cuts.tolist(), (cuts + 1).tolist(),
+                          (cells + (grid[cells] != tc)).tolist())
+        self.jr = _count_runs(sorted(pieces), past, n)
+        reads = (*runs, (past, u.size, n - 1, False))
+        outs = iter(study.scratch.shifted)
 
-    def _located(self, study: _Study, u: np.ndarray, past: int) -> None:
+        def at_u(P):
+            out = _read(P.values, reads, next(outs)[:u.size])
+            if cuts.size:
+                out[cuts] = P._sample(plan)
+            return out
+
+        return at_u
+
+    def _located(self, study: _Study, u: np.ndarray, past: int):
         """The shifted points of any other window, located in the grid once,
-        which gives one sample plan: the cell of every u, and the cell and
-        fraction of each u off its cell's node.  The snap rule moves a u
-        within tol of a node onto it first."""
-        grid, buf, tol, T = study.grid, study.scratch, study.tol, self.X.horizon
-        uc = np.minimum(u, T, out=buf.uc[:u.size])
-        cells = _locate(grid, uc)
-        if tol:
-            _snap(grid, uc, cells, tol, buf.floats[:u.size])
-            # the snap moved points up to T only, where u is uc
-            u[:past] = uc[:past]
-        # the one location: all paths lie on one grid, so one plan serves all
-        plan = _sample_plan(grid, uc, cells, buf.floats[:u.size])
-        # X's samples at u take the first row, each other partner's the next
-        outs = iter(buf.shifted)
-        X = self.X
-        self.Xs, self.Xu = self._samples(X, plan, next(outs))
-        self.samples = [(self.Xs, self.Xu) if P is X else self._samples(P, plan, next(outs))
-                        for P in study.partners]
-        del plan, uc
+        which gives one sample plan (all paths lie on one grid), and a path's
+        samples from it: the snap rule moves a u within tol of a node onto it
+        first.  The plan, the counts and the samples are fresh arrays."""
+        grid, n = study.grid, study.grid.size
+        uc = np.minimum(u, self.X.horizon)
+        plan = _plan(study, uc)
+        # the snap moved points up to T only, where u is uc
+        u[:past] = uc[:past]
         # bulk cells at t_i are those with u <= t_i: count each u at the first
-        # node at or after it (past the horizon, at grid.size)
-        on_node = np.equal(np.take(grid, cells, out=buf.floats[:u.size], mode="clip"), u,
-                           out=buf.mask[:u.size])
-        cells += 1
-        cells -= on_node
-        jr = buf.counts
-        jr.fill(0)
-        np.add.at(jr, cells, 1)
-        self.jr = np.cumsum(jr, out=jr)[:grid.size]
+        # node at or after it (past the horizon, at n)
+        cells = plan.cells
+        self.jr = np.cumsum(np.bincount(cells + (grid[cells] != u), minlength=n + 1)[:n])
+        return lambda P: P._sample(plan)
 
     def _at_cell_starts(self, nodes: np.ndarray, at_inserted) -> np.ndarray:
         """A path's ``nodes`` (values or left values) at the cell starts, with
@@ -620,13 +595,6 @@ class _Mesh:
             out[lo + d:hi + d] = nodes[lo:hi]
         out[self.ins_cells] = at_inserted(self.shifted)
         return out
-
-    def _samples(self, P: CadlagPath, plan, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P at the cell left endpoints and at the shifted points u, the
-        latter written in ``out``, given the plan of u capped at T; P jumps
-        only where the study's paths do."""
-        return (self._at_cell_starts(P.values, P.value_at),
-                P._sample(plan, out[:plan.cells.size]))
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
         """Caglad weight sampled at cell left endpoints (left limits).
