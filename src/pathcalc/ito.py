@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jumps as jmod
-from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms,
+from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms, atom_cumsum,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
 from .paths import (CadlagPath, _cumsum0, _jumping_at, _less_terms, _require_shared_grid,
@@ -179,16 +179,16 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
 
     Continuous motion between grid points is integrated with the previous
     grid value of H, and each marked jump of G contributes H(t-) dG exactly,
-    which makes the sum exact when G is a pure-jump path.
+    which makes the sum exact when G is a pure-jump path.  The jumps' part
+    is one running sum (``atom_cumsum``), so its left limit at a jump is
+    the sum of the jumps before it.
     """
     _require_shared_grid(H, G)
     cont_incr = G.left_values[1:] - G.values[:-1]
     cont = _cumsum0(H.values[:-1] * cont_incr)
-    jump_contrib = np.zeros(G.grid.size)
     marks = G.jump_marks
-    jump_contrib[marks] = H.left_values[marks] * G.jump_sizes
-    values = cont + np.cumsum(jump_contrib)
-    return _jumping_at(G, values, marks, values[marks] - jump_contrib[marks])
+    jumps, lefts = atom_cumsum(G.grid, G.jump_times, H.left_values[marks] * G.jump_sizes)
+    return _jumping_at(G, cont + jumps, marks, cont[marks] + lefts)
 
 
 def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:

@@ -12,7 +12,7 @@ from pathcalc import regularize as reg
 from pathcalc.ito import (FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError)
 from pathcalc.jumps import NormalLaw
-from pathcalc.paths import CadlagPath, constant_path, uniform_grid
+from pathcalc.paths import CadlagPath, constant_path, make_path, uniform_grid
 
 from oracles import linear_combination
 
@@ -378,6 +378,23 @@ def test_residual_keeps_its_left_limits(name):
     assert marks.size
     assert rep.residual.sup_norm() == rep.final_residual_sup
     assert rep.residual.left_values[marks].tobytes() == rl[marks].tobytes()
+
+
+def test_stieltjes_left_limit_at_a_jump_is_the_previous_value():
+    # against a pure-jump G the sum is the running sum of H(t-) dG over the
+    # jumps, so its left limit at a jump is the value one row before, bit
+    # for bit, for jump sizes over six orders of magnitude
+    rng = np.random.default_rng(3)
+    grid = uniform_grid(1.0, 200)
+    marks = np.sort(rng.choice(np.arange(1, grid.size), 40, replace=False))
+    steps = np.zeros(grid.size)
+    steps[marks] = rng.normal(size=40) * 10.0 ** rng.uniform(-3, 3, 40)
+    values = np.cumsum(steps)
+    G = make_path(grid, values, [(m, values[m - 1]) for m in marks], rule="pc")
+    H = CadlagPath(grid, 7.3 * rng.normal(size=grid.size))
+    S = ito.stieltjes_left(H, G)
+    assert S.jump_marks.tolist() == marks.tolist()
+    assert S.left_values[marks].tobytes() == S.values[marks - 1].tobytes()
 
 
 # -- bracket jump identity ----------------------------------------------------------
