@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, _constant_on, _cumsum0,
-                    _jumping_at)
+                    _jumping_at, _sorted_union)
 from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
@@ -446,7 +446,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
         ga = _size_marginal(field, law_a, np.array([ta]),
                             np.array([X.left_limit(ta)]))[0]
         atom_add[i:] += wt * ga
-    rows = np.unique(rows)  # all >= 1: an atom at t = 0 fails X.left_limit above
+    rows = _sorted_union(rows)  # all >= 1: an atom at t = 0 fails X.left_limit above
     return _jumping_at(X, values + atom_add, rows, values[rows] + atom_add[rows - 1])
 
 

@@ -316,7 +316,17 @@ def _union_marks(*paths: CadlagPath) -> np.ndarray:
     """The sorted union of the paths' jump marks: one path's own, uncopied."""
     if all(P is paths[0] for P in paths):
         return paths[0].jump_marks
-    return np.unique(np.concatenate([P.jump_marks for P in paths]))
+    return _sorted_union(*[P.jump_marks for P in paths])
+
+
+def _sorted_union(*arrays) -> np.ndarray:
+    """The sorted distinct entries of ``arrays``, the bits of ``np.unique`` of
+    their concatenation, without the import of ``numpy.ma`` (about 1 MiB)
+    that its first call makes."""
+    a = np.sort(np.concatenate(arrays))
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 # a derived path jumps at one of its operands' marks only by more than this
@@ -489,7 +499,7 @@ def step_path(T: float, n: int, step_time: float) -> CadlagPath:
     grid = uniform_grid(T, n)
     if step_time <= 0.0 or step_time >= T:
         raise PathError("step_time must lie in (0, T)")
-    grid = np.union1d(grid, [step_time])
+    grid = _sorted_union(grid, [step_time])
     values = np.where(grid >= step_time, 1.0, 0.0)
     return _jumping_at(constant_path(grid), values, [np.searchsorted(grid, step_time)],
                        0.0, PIECEWISE_CONSTANT)

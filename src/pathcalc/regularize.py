@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .paths import (CadlagPath, _cumsum0, _jumping_at, _require_shared_grid, _sample_plan,
-                    _SamplePlan, _union_marks)
+                    _SamplePlan, _sorted_union, _union_marks)
 
 DEFAULT_EPS_MAX = 0.05
 DEFAULT_LEVELS = 8
@@ -308,9 +308,7 @@ class _Study:
             off = np.setdiff1d(np.flatnonzero(narrow[:-1] & narrow[1:]) + 1, self.jidx,
                                assume_unique=True)
         self.off = off if off.size <= _OFF_NODES else None
-        # jidx and off are disjoint: a sorted concatenation spares np.union1d its
-        # import of numpy.ma, about 1 MiB, at a first call
-        self.cut_nodes = np.sort(np.concatenate((self.jidx, off)))
+        self.cut_nodes = _sorted_union(self.jidx, off)
 
     @cached_property
     def sums(self) -> "_Sums":
@@ -807,7 +805,7 @@ def rv_window_constant(Y: CadlagPath, X: CadlagPath, eps: float) -> float:
     _require_fit((eps,), X)
     eps = float(eps)
     grid = X.grid
-    edges = np.union1d(grid[grid < eps], [eps])
+    edges = _sorted_union(grid[grid < eps], [eps])
     lefts = edges[:-1]
     widths = np.diff(edges)
     return float(Y.values[0] * np.sum(widths * (X.value_at(lefts) - X.values[0])) / eps)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, _cumsum0, _jumping_at,
-                    _samples, constant_path, uniform_grid)
+                    _samples, _sorted_union, constant_path, uniform_grid)
 
 FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
@@ -158,7 +158,7 @@ def _merge_jump_times(base: np.ndarray, times: np.ndarray) -> np.ndarray:
         return base
     if np.any(np.diff(times) <= 0.0):
         raise SimulationError("sampled jump times must be strictly increasing")
-    return np.union1d(base, times)
+    return _sorted_union(base, times)
 
 
 def _sample_arrivals(rng, lam: float, T: float) -> np.ndarray:

@@ -1,6 +1,10 @@
-"""Every name a pathcalc module imports is used in that module."""
+"""Every name a pathcalc module imports is used in that module, and a run
+imports no more of numpy than it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +96,34 @@ def test_guard_sees_an_import_shadowed_by_a_local():
                      "    os = 1\n"
                      "    return os\n")
     assert _unused_imports(tree) == ["os"]
+
+
+_NO_MA = """
+import sys
+import pathcalc.simulate as sim
+from pathcalc import cli, dirichlet, ito, regularize
+from pathcalc.jumps import NormalLaw
+
+X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=2000, seed=0, sigma=1.0,
+                                 intensity=3.0, jump_law=NormalLaw(0.0, 1.0)))
+assert X.jump_marks.size
+sched = regularize.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+dirichlet.jump_identities(ito.FUNCTION_CATALOG["square"], X,
+                          dirichlet.LabeledDecomposition.from_ground_truth(gt),
+                          gt.compensator, sched, tol=0.5)
+assert cli.main(["simulate", "--kind", "compound_poisson", "--intensity", "2",
+                 "--jump-law", "normal:0,1", "--n", "1000", "--out", sys.argv[1]]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_a_jump_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique and the set routines built on it import numpy.ma at their
+    # first call (numpy 2.x), about 1 MiB kept for the life of the process;
+    # a fresh interpreter shows whether any pathcalc code path calls them
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _NO_MA, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
