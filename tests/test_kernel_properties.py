@@ -536,6 +536,18 @@ def test_a_grid_with_too_many_off_lattice_nodes_locates_every_window(monkeypatch
     _assert_study_matches_fresh_calls(X, sched, 12)
 
 
+def test_a_run_that_would_read_past_the_last_node_misses():
+    # the first point snaps to node 5, so a run over all eight cells would
+    # read nodes 5..12 of an 11-node grid: cells 6 and 7 have no node, and
+    # the stale 1.0 left in the node buffer must not match their points
+    X = _path(uniform_grid(1.0, 10), np.zeros(0, dtype=np.intp), LINEAR, 1)
+    study = reg._Study(X, [X])
+    u = study.scratch.u[:8]
+    u[:] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.0]
+    study.scratch.uc.fill(1.0)
+    assert reg._cell_runs(study, u, 8, np.zeros(0, dtype=np.intp)) is None
+
+
 @pytest.mark.parametrize("n", [10, 100, 1000])
 def test_a_width_off_a_whole_cell_count_is_interpolated(n):
     # 1e-9 cells is far past the snap tolerance: no shifted point or
