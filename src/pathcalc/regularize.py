@@ -224,10 +224,12 @@ class _Scratch:
     """Window-sized buffers that every window of one study writes in turn.
 
     One block of rows of ``words`` entries each, the most a window needs:
-    the grid's points, one inserted breakpoint per jump row of the study,
-    and one count past the horizon.  Taken in one allocation, the block is
-    freed in one, which keeps its pages in the process for the next study
-    instead of handing n-sized arrays back to the OS window by window.
+    the grid's points and one inserted breakpoint per jump row of the
+    study.  Taken in one allocation, the block is freed in one, which keeps
+    its pages in the process for the next study instead of handing n-sized
+    arrays back to the OS window by window.  The study's cell widths ``w``
+    take one row of it, so a study allocates no other n-sized array of its
+    own until it builds its sums.
 
     A window first builds its mesh: ``u`` holds the shifted points.  A
     window read by index writes the nodes its runs' points snap to in
@@ -242,12 +244,13 @@ class _Scratch:
     """
 
     def __init__(self, words: int, partners: int):
-        rows = np.empty((4 + partners, words))
+        rows = np.empty((5 + partners, words))
         self.u = self.s = rows[0]
         self.uc = self.bulk = rows[1]
         self.floats = self.r = rows[2]
         self.q = rows[3]
-        self.shifted = list(rows[4:])
+        self.w = rows[4]
+        self.shifted = list(rows[5:])
 
 
 class _Study:
@@ -296,8 +299,8 @@ class _Study:
         tol = _SNAP_ULPS * float(np.spacing(X.horizon))
         self.tol = tol if X.min_spacing > 2.0 * tol else 0.0
         others = sum(P is not X for P in partners)
-        self.scratch = _Scratch(X.grid.size + self.jidx.size + 1, 1 + others)
-        self.w = w = np.diff(X.grid)
+        self.scratch = _Scratch(X.grid.size + self.jidx.size, 1 + others)
+        self.w = w = np.subtract(self.grid[1:], self.sl, out=self.scratch.w[:self.sl.size])
         # a node is off the lattice when both cells beside it are narrower
         # than the widest by more than tol, as a time inserted into a
         # lattice cell leaves them; a grid with no narrow cell needs no mask
