@@ -276,8 +276,8 @@ class _Study:
     builds no sums.  On the plain grid the cell-start samples of X and the
     partners are their values, read in place.
 
-    The study owns its windows' buffers, ``scratch`` (``_Scratch``): the
-    shifted points, the nodes of the runs, the samples at the shifted
+    The study owns its windows' buffers, ``scratch`` (``_Scratch``), which
+    also holds ``w``: the shifted points, the nodes of the runs, the samples at the shifted
     points, the bulk prefix sum and the assembly's temporaries, sized to
     the grid plus the most breakpoints a window inserts.  Every window
     writes them in place, so a covariation window read by index on the

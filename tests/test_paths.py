@@ -39,6 +39,17 @@ def test_union_of_marks_is_sorted_and_one_path_keeps_its_own():
     assert _union_marks(a) is _union_marks(a, a) is a.jump_marks
 
 
+@pytest.mark.parametrize("arrays", [
+    (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)),
+    (np.array([5, 1, 3], dtype=np.intp), np.array([3, 2, 5], dtype=np.intp)),
+    (np.linspace(0.0, 1.0, 11), [0.35, 0.5, 0.0]),
+    (np.array([0.0, -0.0, 1.0]),)])
+def test_sorted_union_has_the_bits_of_np_unique(arrays):
+    want = np.unique(np.concatenate(arrays))
+    got = paths._sorted_union(*arrays)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_non_monotone_grid_rejected():
     with pytest.raises(PathError):
         make_path([0.0, 0.6, 0.5, 1.0], [0, 0, 0, 0])
