@@ -42,17 +42,16 @@ too, whose points are pinned to the nodes tau.  Every other window
 locates its shifted points in the grid once, by binary search, which
 gives the samples and, by counting, the bulk cells, in fresh arrays, and
 snaps them by the same rule, so where both apply the two give the same
-bits.  A window that
-inserts a breakpoint inside a grid cell also builds its own cells and
-sums.  The estimators jump only where their inputs do, so left limits
-are assembled only at the input jump rows: elsewhere the boundary-window
-algebra would leave reassociation dust.  A literal O(n^2) per-t
-transcription on its own breakpoint set (in the test suite) must match
-the kernels to floating-point reassociation accuracy.  The three split
-estimators are one window-sum kernel with different cell weights: the
-covariation weights the product of the X and Y increments by the cell
-width w, the weighted sum weights the squared X increment by w g, and
-the forward estimate weights the X increment alone by w Y.
+bits.  A window that inserts a breakpoint inside a grid cell also builds
+its own cells and sums.  The estimators jump only where their inputs do,
+so left limits are assembled only at the input jump rows: elsewhere the
+boundary-window algebra would leave reassociation dust.  A literal O(n^2)
+per-t transcription on its own breakpoint set (in the test suite) must
+match the kernels to floating-point reassociation accuracy.  The three
+split estimators are one window-sum kernel with different cell weights:
+the covariation weights the product of the X and Y increments by the cell
+width w, the weighted sum weights the squared X increment by w g, and the
+forward estimate weights the X increment alone by w Y.
 
 All kernels are pure functions; each is a study of one window.  A study
 of many windows runs through one driver, ``_windows``, which yields every
@@ -277,9 +276,10 @@ class _Study:
     partners are their values, read in place.
 
     The study owns its windows' buffers, ``scratch`` (``_Scratch``), which
-    also holds ``w``: the shifted points, the nodes of the runs, the samples at the shifted
-    points, the bulk prefix sum and the assembly's temporaries, sized to
-    the grid plus the most breakpoints a window inserts.  Every window
+    also holds ``w``: the shifted points, the nodes of the runs, the
+    samples at the shifted points, the bulk prefix sum and the assembly's
+    temporaries, sized to the grid plus the most breakpoints a window
+    inserts.  Every window
     writes them in place, so a covariation window read by index on the
     plain grid allocates no n-sized array but the estimates it returns.  A
     located window takes fresh arrays for its location, its samples and
@@ -448,20 +448,19 @@ class _Mesh:
     On a uniform grid that is one run; on a grid that is the lattice plus
     inserted jump times, about one per jump: a cell that starts at a
     lattice node, or at a breakpoint tau - eps, reaches a node by index,
-    and only the points tau + eps of the cuts are located.  The samples
-    are then slices of the paths' values, and the bulk counts runs
+    and only the points tau + eps of the cuts are located.  The samples are
+    then slices of the paths' values, and the bulk counts runs
     (``_count_runs``).  Plain windows and windows that insert breakpoints
     alike take this route.  Any other window is located (``_located``):
-    every u capped at T is located in the grid once and snapped
-    (``_plan``, as the cuts' points are).  The location gives one sample
-    plan, the cell of every u
-    and the cell and fraction of each u that falls strictly inside its
-    cell, from which X and every partner of the study are sampled (they lie
-    on one grid): a path gathers its values at the cells, and under the
-    linear rule interpolates only the off-node entries.  Counting each u at
-    the first node at or after it gives ``jr``.  Where both routes apply
-    they give the same bits.  At the inserted breakpoints every path's
-    cell-start sample is its ``value_at``.  The width obeys
+    every u capped at T is located in the grid once and snapped (``_plan``,
+    as the cuts' points are).  The location gives one sample plan, the cell
+    of every u and the cell and fraction of each u that falls strictly
+    inside its cell, from which X and every partner of the study are
+    sampled (they lie on one grid): a path gathers its values at the cells,
+    and under the linear rule interpolates only the off-node entries.
+    Counting each u at the first node at or after it gives ``jr``.  Where
+    both routes apply they give the same bits.  At the inserted breakpoints
+    every path's cell-start sample is its ``value_at``.  The width obeys
     ``_require_fit``.
 
     ``u``, and on a window read by index the samples at u, lie in the
