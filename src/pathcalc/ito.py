@@ -128,11 +128,8 @@ class FunctionBundle:
 
 
 FUNCTION_CATALOG: dict[str, FunctionBundle] = {
-    # identity's dx is shaped like x, not the number 1.0: a number makes the
-    # small-jump linear field x dF_x size-only, which the size quadrature
-    # sums in another order, so its last bits would move
     "identity": FunctionBundle("identity", "c12", f=lambda t, x: x, dt=lambda t, x: 0.0,
-                               dx=lambda t, x: np.ones_like(x), dxx=lambda t, x: 0.0),
+                               dx=lambda t, x: 1.0, dxx=lambda t, x: 0.0),
     "square": FunctionBundle("square", "c12", f=lambda t, x: x ** 2, dt=lambda t, x: 0.0,
                              dx=lambda t, x: 2.0 * x, dxx=lambda t, x: 2.0),
     "tx": FunctionBundle("tx", "c12", f=lambda t, x: t * x, dt=lambda t, x: x,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, _constant_on, _cumsum0,
-                    _jumping_at, _sorted_union)
+                    _jumping_at, _samples, _sorted_union)
 from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
@@ -393,17 +393,13 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
         # row blocks bound the field's temporaries to about _NU_BLOCK values
         rows = max(1, _NU_BLOCK // x.size)
         for r in range(0, t.size, rows):
-            # the segments are kept whole, so fn is read with no mask; a
-            # formula that does not read x is spread over the nodes, and one
-            # that reads neither t nor x_pre returns one row for all
-            vals = np.asarray(field.fn(t[r:r + rows, None], x[None, :],
-                                       x_pre[r:r + rows, None]), dtype=float)
-            vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, (1, x.size)))
-            end = t.size if vals.shape[0] < t[r:r + rows].size else r + rows
-            kg[r:end] = vals @ dens
-            l1[r:end] = np.abs(vals) @ np.abs(dens[:, 0])
-            if end == t.size:
-                break
+            # the segments are kept whole, so fn is read with no mask; its
+            # values broadcast over the block's rows and the nodes
+            tb = t[r:r + rows, None]
+            vals = _samples(field.fn(tb, x[None, :], x_pre[r:r + rows, None]),
+                            (tb.size, x.size))
+            kg[r:r + rows] = vals @ dens
+            l1[r:r + rows] = np.abs(vals) @ np.abs(dens[:, 0])
         kron, gauss = kg.T
         if not np.all(np.isfinite(kron)):
             raise QuadratureError("size integral diverged")
@@ -425,7 +421,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     Gauss values agree with the 15-point Kronrod values to
     ``SIZE_QUADRATURE_RTOL`` of the batch's largest L1 mass.  The field is
     evaluated in row blocks of max(1, 2**15 // nodes) cells, each reduced at
-    once to its Kronrod, Gauss and L1 sums (one block for a size-only field).
+    once to its Kronrod, Gauss and L1 sums.
     ``X`` supplies the grid and the left-limit context for the field.
     """
     grid = X.grid

@@ -411,7 +411,9 @@ def _cumsum0(a: np.ndarray) -> np.ndarray:
 
 def _samples(v, shape) -> np.ndarray:
     """An evaluator's result ``v`` (a scalar, or an array that broadcasts) as
-    a float array of ``shape``; copied only when it has to broadcast."""
+    a float array of ``shape``; copied only when it has to broadcast.  The
+    harnesses' samples of F and its derivatives, ``simulate``'s deterministic
+    regime and every row block of the size quadrature go through it."""
     a = np.asarray(v, dtype=float)
     return a if a.shape == shape else np.broadcast_to(a, shape).copy()
 

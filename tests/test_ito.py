@@ -539,26 +539,26 @@ _ON_FORMULAS = {
 }
 
 
-def _assert_close(a, b, where="result"):
-    """Equal decisions, names and marks; paths and numbers within 1e-12."""
+def _assert_same(a, b, where="result"):
+    """Equal decisions and names, and every path and number in the same bytes."""
     assert type(a) is type(b), where
     if isinstance(a, CadlagPath):
-        assert np.array_equal(a.grid, b.grid) and np.array_equal(a.jump_marks, b.jump_marks)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12, where
-        assert np.max(np.abs(a.left_values - b.left_values)) <= 1e-12, where
+        assert a.rule == b.rule, where
+        for f in ("grid", "values", "left_values", "jump_marks"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f"{where}.{f}"
     elif dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
-            _assert_close(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
     elif isinstance(a, dict):
         assert a.keys() == b.keys(), where
         for k in a:
-            _assert_close(a[k], b[k], f"{where}[{k!r}]")
+            _assert_same(a[k], b[k], f"{where}[{k!r}]")
     elif isinstance(a, (list, tuple)):
         assert len(a) == len(b), where
         for i, (u, v) in enumerate(zip(a, b)):
-            _assert_close(u, v, f"{where}[{i}]")
+            _assert_same(u, v, f"{where}[{i}]")
     elif isinstance(a, (float, np.ndarray)):
-        assert np.allclose(a, b, rtol=0.0, atol=1e-12), where
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), where
     else:
         assert a == b, where
 
@@ -568,8 +568,8 @@ def test_an_evaluator_may_return_a_plain_number(harness):
     X, gt, sched = jump_diffusion(n=4000)
     dec = dirichlet.LabeledDecomposition.from_ground_truth(gt)
     name, run = _ON_FORMULAS[harness]
-    _assert_close(run(FORMULA[name], X, gt, dec, sched),
-                  run(PADDED[name], X, gt, dec, sched))
+    _assert_same(run(FORMULA[name], X, gt, dec, sched),
+                 run(PADDED[name], X, gt, dec, sched))
 
 
 # -- guard: the catalog's evaluators are their formulas -------------------------
@@ -578,9 +578,10 @@ def test_an_evaluator_may_return_a_plain_number(harness):
 def _padded(tree: ast.Module) -> list[str]:
     """``bundle.evaluator`` for each evaluator of a ``FunctionBundle`` call
     (in ito.py, the catalog's) that pads its result to the shape of its
-    arguments, with a ``0.0 *`` term, ``np.full``, ``np.broadcast`` or
-    ``np.asarray`` of an argument; and the name of each module function that
-    builds an evaluator and pads it."""
+    arguments, with a ``0.0 *`` term, ``np.full``, ``np.broadcast``, or
+    ``np.asarray``, ``np.ones_like``, ``np.zeros_like`` or ``np.full_like``
+    of an argument; and the name of each module function that builds an
+    evaluator and pads it."""
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
 
     def pads(ev):
@@ -588,8 +589,8 @@ def _padded(tree: ast.Module) -> list[str]:
         for n in ast.walk(ev.body):
             attr = getattr(getattr(n, "func", None), "attr", None)
             if (attr in ("full", "broadcast")
-                    or attr == "asarray" and any(getattr(a, "id", None) in params
-                                                 for a in n.args)
+                    or attr in ("asarray", "ones_like", "zeros_like", "full_like")
+                    and any(getattr(a, "id", None) in params for a in n.args)
                     or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
                     and 0.0 in (getattr(n.left, "value", None),
                                 getattr(n.right, "value", None))):
@@ -627,4 +628,4 @@ def test_guard_sees_a_padded_evaluator():
         "    'b': FunctionBundle('b', 'c01', f=lambda t, x: np.asarray(x) ** 2,\n"
         "                        dx=lambda t, x: 2.0 * np.asarray(t + x)),\n"
         "}\n")
-    assert _padded(tree) == ["_c", "a.f", "b.f"]
+    assert _padded(tree) == ["_c", "a.dx", "a.f", "b.f"]

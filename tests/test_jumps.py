@@ -241,15 +241,17 @@ def test_size_quadrature_memory_stays_flat_past_64_panels():
     assert np.max(np.abs(got.values - want)) <= 1e-9
 
 
-def test_size_only_field_is_evaluated_once_per_level():
-    # its one row of values serves every row block of the batch
-    sizes = []
-    field = jm.field_from_size(lambda x: sizes.append(x.size) or np.cos(300.0 * x))
-    grid = uniform_grid(1.0, jm._NU_CHUNK)
-    X = CadlagPath(grid, np.zeros(grid.size), np.zeros(grid.size))
-    nu = jm.CompensatorSpec.compound_poisson(1.0, jm.UniformLaw(-1.0, 1.0))
-    jm.integrate_nu(field, nu, X)
-    assert sizes == [15 * 2 ** k for k in range(8)]
+@pytest.mark.parametrize("truncation", [None, "small", "big"])
+def test_a_size_only_field_sums_like_one_that_reads_x_pre(truncation):
+    # every row block is summed row by row, so a field's bits depend on its
+    # values, not on whether its formula reads t or x_pre
+    X, _ = sim.simulate(sim.SimSpec("jump_diffusion", n=20000, seed=0, intensity=3.0))
+    nu = jm.CompensatorSpec.compound_poisson(3.0, jm.NormalLaw(0.5, 1.0))
+    size_only = jm.IntegrandField(lambda t, x, p: x * x, truncation)
+    padded = jm.IntegrandField(lambda t, x, p: x * x + np.zeros_like(p), truncation)
+    a, b = jm.integrate_nu(size_only, nu, X), jm.integrate_nu(padded, nu, X)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.left_values.tobytes() == b.left_values.tobytes()
 
 
 def test_small_field_is_never_evaluated_on_big_jumps():
