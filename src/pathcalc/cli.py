@@ -49,6 +49,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are ``CliError``s, so ``main``
+    prints them as one ``error:`` line and returns 2."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_BAD_CONFIG)
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV) or "."
     return Path(out)
@@ -257,7 +265,7 @@ def _add_common(p, scenario=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pathcalc",
         description="window-smoothing calculus toolkit for cadlag paths")
     sub = ap.add_subparsers(dest="command", required=True)

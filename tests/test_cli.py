@@ -178,8 +178,7 @@ def test_simulate_without_n_uses_its_documented_default(tmp_path):
 @pytest.mark.parametrize("flag", [["--tol", "0.1"], ["--eps0", "0.1"],
                                   ["--levels", "3"]])
 def test_simulate_has_no_window_study_flags(tmp_path, capsys, flag):
-    assert exit_code(["simulate", "--kind", "brownian", *flag,
-                      "--out", str(tmp_path)]) == 2
+    assert run(["simulate", "--kind", "brownian", *flag, "--out", str(tmp_path)]) == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
     # a config key the subcommand lacks is ignored, as before
@@ -235,23 +234,16 @@ def test_bad_simulate_input_exits_2_naming_it(tmp_path, capsys, recwarn, flags, 
     assert not any(tmp_path.iterdir())
 
 
-def exit_code(argv):
-    try:
-        return run(argv)
-    except SystemExit as exc:  # argparse rejects a badly typed value
-        return exc.code
-
-
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
     # --tol and ito-check's --threshold take the same type
     cfg = tmp_path / "run.cfg"
     for command, key in ((["qv"], "tol"),
                          (["ito-check", "--fn", "identity"], "threshold")):
-        assert exit_code(command + ["--scenario", "poisson", f"--{key}", tol,
-                                    "--out", str(tmp_path)]) == 2
+        assert run(command + ["--scenario", "poisson", f"--{key}", tol,
+                              "--out", str(tmp_path)]) == 2
         cfg.write_text(f"scenario=poisson\n{key}={tol}\n")
-        assert exit_code(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert run(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count(f"argument --{key}: expected a positive") == 2
 
@@ -273,10 +265,10 @@ def test_non_finite_eps0_exits_2(tmp_path, capsys, eps0):
 ])
 def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command):
     for seed in ("-1", "1.5"):
-        assert exit_code(command + ["--seed", seed, "--out", str(tmp_path)]) == 2
+        assert run(command + ["--seed", seed, "--out", str(tmp_path)]) == 2
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=-1\n")
-    assert exit_code(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert run(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("argument --seed: expected a non-negative integer") == 3
 
@@ -373,7 +365,7 @@ def test_config_boolean_true_turns_flag_on(tmp_path):
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"scenario=poisson\nfn=identity\n{line}\n")
-    code = exit_code(["ito-check", "--config", str(cfg), "--out", str(tmp_path)])
+    code = run(["ito-check", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert line.split("=")[0] in capsys.readouterr().err
 
@@ -458,6 +450,12 @@ BAD_INPUT = [
     ("qv --n 1000", 2, "error: a scenario is required (flag or config file)"),
     ("simulate --kind poisson --n 100 --intensity -1", 2,
      "error: jump intensity must be nonnegative"),
+    # argparse's own rejections: one line, and main returns the code
+    ("qv --scenario bm --tol -1", 2,
+     "error: argument --tol: expected a positive finite number, got '-1'"),
+    ("qv --scenario bm --n abc", 2, "error: argument --n: invalid int value: 'abc'"),
+    ("nope", 2, "error: argument command: invalid choice: 'nope'"),
+    ("simulate", 2, "error: the following arguments are required: --kind"),
 ]
 
 
@@ -471,6 +469,14 @@ def test_no_bad_input_escapes_main(tmp_path, monkeypatch, capsys, argv, code, li
     else:
         assert out == "" and err.startswith(line) and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["qv", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pathcalc")
 
 
 # (the text of the file run.cfg, argv, exit code, the error line): input read
