@@ -525,6 +525,7 @@ class _Mesh:
         self.w = w
         self.u = u
         self.jump_rows = _rows_at(ins, study.jidx)
+        self.ins = ins
         self.ins_cells = ins_cells
         self.shifted = shifted
         self.X = X
@@ -589,12 +590,7 @@ class _Mesh:
         the matching evaluator ``at_inserted`` at the inserted breakpoints."""
         if self.plain:
             return nodes[:-1]
-        out = np.empty(self.sl.size)
-        for lo, hi, d, _ in self.rows:
-            hi = min(hi, nodes.size - 1)
-            out[lo + d:hi + d] = nodes[lo:hi]
-        out[self.ins_cells] = at_inserted(self.shifted)
-        return out
+        return np.insert(nodes[:-1], self.ins, at_inserted(self.shifted))
 
     def weight_samples(self, g: CadlagPath) -> np.ndarray:
         """Caglad weight sampled at cell left endpoints (left limits).
