@@ -2,7 +2,7 @@
 
 Run from the root of a checkout (pytest does not collect this file):
 
-    PYTHONPATH=src python tests/fingerprint.py
+    PYTHONPATH=src python tests/fingerprint.py [--cases]
 
 It prints one sha256 per group of cases and a total over the groups.  Two
 checkouts whose totals agree give byte-identical outputs on every case:
@@ -21,8 +21,12 @@ checkouts whose totals agree give byte-identical outputs on every case:
                   with the output directory scrubbed from the output.
 
 A path contributes its grid, values, left values, jump marks and rule, a
-report its JSON and every path it holds.  The script uses only long-standing
-public API, so one copy runs against any checkout.
+report its JSON and every path it holds.  With ``--cases`` one line per case
+comes first: its group, its ordinal in the group, a short label (the path
+label and the function or check where there is one) and the first 12 hex
+digits of the case's own sha256, so a diff of two checkouts' outputs names
+the cases that moved.  The script uses only long-standing public API, so one
+copy runs against any checkout.
 """
 
 from __future__ import annotations
@@ -56,12 +60,15 @@ GROUPS = ("paths", "kernels", "identities", "errors", "declared", "cli")
 class Fingerprint:
     def __init__(self):
         self.groups = {g: hashlib.sha256() for g in GROUPS}
+        self.cases = []
 
-    def add(self, group: str, obj) -> None:
-        h = self.groups[group]
+    def add(self, group: str, label: str, obj) -> None:
+        case = hashlib.sha256()
         for chunk in _chunks(obj):
-            h.update(len(chunk).to_bytes(8, "little"))
-            h.update(chunk)
+            for h in (self.groups[group], case):
+                h.update(len(chunk).to_bytes(8, "little"))
+                h.update(chunk)
+        self.cases.append((group, label, case.hexdigest()[:12]))
 
     def digests(self) -> dict:
         return {g: h.hexdigest() for g, h in self.groups.items()}
@@ -117,19 +124,22 @@ def _paths():
 
 def paths_group(fp: Fingerprint, cases) -> None:
     for label, X, gt in cases:
-        fp.add("paths", (label, X, gt))
-        fp.add("paths", gt.decomposition or {})
-        fp.add("paths", CadlagPath.from_csv(X.to_csv()))
-        fp.add("paths", (X.to_csv(), X.to_json()))
-        fp.add("paths", CadlagPath.from_json(X.to_json()))
+        fp.add("paths", label, (label, X, gt))
+        fp.add("paths", f"{label} decomposition", gt.decomposition or {})
+        fp.add("paths", f"{label} from_csv", CadlagPath.from_csv(X.to_csv()))
+        fp.add("paths", f"{label} csv json", (X.to_csv(), X.to_json()))
+        fp.add("paths", f"{label} from_json", CadlagPath.from_json(X.to_json()))
         Y = np.cos(1.0) * X
-        fp.add("paths", (X + Y, X - Y, -X, 2.5 * X, X.jumps(), X.sup_norm()))
+        fp.add("paths", f"{label} arithmetic",
+               (X + Y, X - Y, -X, 2.5 * X, X.jumps(), X.sup_norm()))
         t = np.linspace(0.0, 1.2, 97)
-        fp.add("paths", (X.value_at(t), X.left_limit(t[1:]), X.jump_times,
-                         X.jump_sizes, X.sum_squared_jumps()))
-    fp.add("paths", step_path(1.0, 50, 0.37))
-    fp.add("paths", make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [(1, 0.0)], rule="pc"))
-    fp.add("paths", make_path([0.0, 0.5, 1.0], [0.0, 1.0, 3.0], [(2, 2.0)]))
+        fp.add("paths", f"{label} evaluation", (X.value_at(t), X.left_limit(t[1:]),
+                                                 X.jump_times, X.jump_sizes,
+                                                 X.sum_squared_jumps()))
+    fp.add("paths", "step_path", step_path(1.0, 50, 0.37))
+    fp.add("paths", "make_path pc",
+           make_path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [(1, 0.0)], rule="pc"))
+    fp.add("paths", "make_path", make_path([0.0, 0.5, 1.0], [0.0, 1.0, 3.0], [(2, 2.0)]))
 
 
 def kernels_group(fp: Fingerprint, cases) -> None:
@@ -137,13 +147,13 @@ def kernels_group(fp: Fingerprint, cases) -> None:
         Y = (X * 0.5 + X * X.values[-1]) - X * 0.25
         g = ito.path_of_function(ito.FUNCTION_CATALOG["sin"], X)
         for eps in WIDTHS:
-            fp.add("kernels", (label, eps,
-                               reg.covariation(X, Y, eps),
-                               reg.covariation(X, X, eps),
-                               reg.forward_integral(Y, X, eps),
-                               reg.weighted_qv(g, X, eps),
-                               reg.covariation_continuous(X, Y, eps),
-                               reg.forward_integral_rv(Y, X, eps)))
+            fp.add("kernels", f"{label} eps={eps}", (label, eps,
+                                                     reg.covariation(X, Y, eps),
+                                                     reg.covariation(X, X, eps),
+                                                     reg.forward_integral(Y, X, eps),
+                                                     reg.weighted_qv(g, X, eps),
+                                                     reg.covariation_continuous(X, Y, eps),
+                                                     reg.forward_integral_rv(Y, X, eps)))
 
 
 def identities_group(fp: Fingerprint, cases) -> None:
@@ -154,21 +164,23 @@ def identities_group(fp: Fingerprint, cases) -> None:
         if kind == "jump_diffusion":
             for name in ito.C12_SUITE:
                 F = ito.FUNCTION_CATALOG[name]
-                fp.add("identities", (label, name,
-                                      *dd.jump_identities(F, X, dec, gt.compensator,
-                                                          sched, tol=0.05)))
-            fp.add("identities", dd.particular_wd_check(dec, gt.compensator, sched,
-                                                        tol=0.05))
-            fp.add("identities", dd.md_representation_check(dec, X, gt.compensator))
+                fp.add("identities", f"{label} jump_identities {name}",
+                       (label, name, *dd.jump_identities(F, X, dec, gt.compensator,
+                                                         sched, tol=0.05)))
+            fp.add("identities", f"{label} particular_wd_check",
+                   dd.particular_wd_check(dec, gt.compensator, sched, tol=0.05))
+            fp.add("identities", f"{label} md_representation_check",
+                   dd.md_representation_check(dec, X, gt.compensator))
         elif kind == "compound_poisson":
-            fp.add("identities", dd.special_wd_c0_chain(
+            fp.add("identities", f"{label} special_wd_c0_chain sin", dd.special_wd_c0_chain(
                 ito.FUNCTION_CATALOG["sin"], X, gt.compensator, sched))
-            fp.add("identities", dd.md_representation_check(dec, X, gt.compensator))
+            fp.add("identities", f"{label} md_representation_check",
+                   dd.md_representation_check(dec, X, gt.compensator))
         elif kind == "brownian":
-            fp.add("identities", ito.ito_terms_c12(ito.FUNCTION_CATALOG["square"], X,
-                                                   sched, tol=0.05))
-            fp.add("identities", ito.ito_c1_lambda(ito.FUNCTION_CATALOG["xabs_sqrt"],
-                                                   X, sched, tol=0.05))
+            fp.add("identities", f"{label} ito_terms_c12 square", ito.ito_terms_c12(
+                ito.FUNCTION_CATALOG["square"], X, sched, tol=0.05))
+            fp.add("identities", f"{label} ito_c1_lambda xabs_sqrt", ito.ito_c1_lambda(
+                ito.FUNCTION_CATALOG["xabs_sqrt"], X, sched, tol=0.05))
 
 
 def _rejection(fn) -> tuple:
@@ -224,7 +236,7 @@ def errors_group(fp: Fingerprint, cases) -> None:
             reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / N), tol=0.05),
     }
     for name, fn in rejected.items():
-        fp.add("errors", (name, _rejection(fn)))
+        fp.add("errors", name, (name, _rejection(fn)))
     # declared jumps that disagree with the values, in both directions
     csv_row = "{},{},{},{}\n"
     declared = {
@@ -247,7 +259,7 @@ def errors_group(fp: Fingerprint, cases) -> None:
              "left_values": [0.0, 0.5, 1.5], "jump_marks": [2, 1]})),
     }
     for name, fn in declared.items():
-        fp.add("declared", (name, _rejection(fn)[0]))
+        fp.add("declared", name, (name, _rejection(fn)[0]))
 
 
 # --levels keeps the smallest window ten cells wide on these short grids, so
@@ -279,11 +291,12 @@ def cli_group(fp: Fingerprint) -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main([*argv] if argv == ("list",) else [*argv, "--out", tmp])
             artifacts = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
-            fp.add("cli", (argv, code, out.getvalue().replace(tmp, "<out>"),
-                           err.getvalue().replace(tmp, "<out>"), artifacts))
+            fp.add("cli", " ".join(argv[:3]),
+                   (argv, code, out.getvalue().replace(tmp, "<out>"),
+                    err.getvalue().replace(tmp, "<out>"), artifacts))
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     fp = Fingerprint()
     cases = _paths()
     paths_group(fp, cases)
@@ -291,6 +304,11 @@ def main() -> int:
     identities_group(fp, cases)
     errors_group(fp, cases)
     cli_group(fp)
+    if "--cases" in argv:
+        ordinals = dict.fromkeys(GROUPS, 0)
+        for group, label, digest in fp.cases:
+            ordinals[group] += 1
+            print(f"{group:12s} {ordinals[group]:3d} {label:44s} {digest}")
     for group, digest in fp.digests().items():
         print(f"{group:12s} {digest}")
     print(f"{'total':12s} {fp.total()}")
@@ -298,4 +316,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -657,7 +657,7 @@ def test_marks_from_rows_are_the_indices_where_values_and_lefts_differ(monkeypat
 
     seen = []
     monkeypatch.setattr(fingerprint.Fingerprint, "add",
-                        lambda self, group, obj: _every_path(obj, seen))
+                        lambda self, group, label, obj: _every_path(obj, seen))
     fp, cases = fingerprint.Fingerprint(), fingerprint._paths()
     for group in (fingerprint.paths_group, fingerprint.kernels_group,
                   fingerprint.identities_group):
