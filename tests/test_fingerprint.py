@@ -35,7 +35,7 @@ def test_fingerprint_cases_name_every_group():
     cases = [line.split() for line in _lines()[:-7]]
     assert all(len(case) >= 4 and case[0] in GROUPS and re.fullmatch("[0-9a-f]{12}", case[-1])
                for case in cases)
-    assert sorted({case[0] for case in cases}) == sorted(GROUPS)
+    assert {case[0] for case in cases} == set(GROUPS)
     for group in GROUPS:
         ordinals = [int(case[1]) for case in cases if case[0] == group]
         assert ordinals == list(range(1, len(ordinals) + 1))
