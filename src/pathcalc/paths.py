@@ -21,7 +21,6 @@ paths, so instances can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -279,31 +278,6 @@ class CadlagPath:
         return _declared(cls(cols[:, 0], cols[:, 1], cols[:, 2], rule=rule),
                          np.flatnonzero(cols[:, 3]))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rule": self.rule,
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "left_values": self.left_values.tolist(),
-            "jump_marks": self.jump_marks.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CadlagPath":
-        """Inverse of ``to_json``; PathError for text that is not such an object."""
-        try:
-            d = json.loads(text)
-            arrays = [np.array(d[k], dtype=float) for k in ("grid", "values", "left_values")]
-            marks = np.array(d["jump_marks"], dtype=float)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise PathError("path JSON must be an object with grid, values, "
-                            f"left_values and jump_marks ({exc!r})") from None
-        return _declared(cls(*arrays, rule=d.get("rule", LINEAR)), marks)
-
 
 def _require_shared_grid(P: CadlagPath, *others: CadlagPath) -> None:
     """The one shared-grid rule: PathError unless ``others`` lie on P's grid."""
@@ -446,9 +420,8 @@ def _jumping_at(base: CadlagPath, values, rows=(), lefts=(), rule: str = LINEAR)
 
 def _declared(path: CadlagPath, marks) -> CadlagPath:
     """``path``, whose input also declared its jump indices ``marks``; a
-    PathError unless they are the indices where the path jumps (compared as
-    floats, so a fractional index is no index)."""
-    if not np.array_equal(np.asarray(marks, dtype=float), path.jump_marks):
+    PathError unless they are the indices where the path jumps."""
+    if not np.array_equal(marks, path.jump_marks):
         raise PathError("declared jumps are not the indices where values and "
                         "left_values differ")
     return path
@@ -491,9 +464,9 @@ def constant_path(grid, c: float = 0.0) -> CadlagPath:
     return CadlagPath(grid, np.full(grid.size, float(c)))
 
 
-def _constant_on(base: CadlagPath, c: float = 0.0) -> CadlagPath:
-    """``constant_path`` on the grid of ``base``, derived from it."""
-    return _jumping_at(base, np.full(base.grid.size, float(c)))
+def _constant_on(base: CadlagPath) -> CadlagPath:
+    """The zero path on the grid of ``base``, derived from it."""
+    return _jumping_at(base, np.zeros(base.grid.size))
 
 
 def step_path(T: float, n: int, step_time: float) -> CadlagPath:

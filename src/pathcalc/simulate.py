@@ -99,6 +99,8 @@ class SimSpec:
                 raise SimulationError(f"{name} must be finite")
         if self.intensity < 0.0:
             raise SimulationError("jump intensity must be nonnegative")
+        if self.intensity == 0.0 and self.kind in ("poisson", "compound_poisson"):
+            raise SimulationError(f"{self.kind} intensity must be positive")
         if self.switch_rate < 0.0:
             raise SimulationError("switch rate must be nonnegative")
         # written so that a NaN rate fails too: it would never end the draw
@@ -194,8 +196,6 @@ def _levy_ito_fields(spec: SimSpec):
     if spec.kind == "jump_diffusion":
         comp = CompensatorSpec.compound_poisson(lam, law) if lam > 0 else None
         return spec.sigma, spec.drift, lam, law, comp
-    if lam <= 0.0:
-        raise SimulationError(f"{spec.kind} intensity must be positive")
     if spec.kind == "poisson":
         return None, 0.0, lam, DiracLaw(1.0), CompensatorSpec.poisson(lam)
     return None, 0.0, lam, law, CompensatorSpec.compound_poisson(lam, law)

@@ -8,8 +8,8 @@ It prints one sha256 per group of cases and a total over the groups.  Two
 checkouts whose totals agree give byte-identical outputs on every case:
 
 * ``paths``       simulated paths (jump diffusion, compound Poisson,
-                  Brownian, pdp; 3 seeds each), their ground truth, CSV and
-                  JSON round trips, arithmetic, and evaluation off the grid;
+                  Brownian, pdp; 3 seeds each), their ground truth, CSV
+                  round trips, arithmetic, and evaluation off the grid;
 * ``kernels``     6 estimator kernels at 3 window widths on those paths;
 * ``identities``  ``jump_identities`` reports (4 functions, 3 seeds),
                   ``ito_terms_c12``, ``ito_c1_lambda`` and the three
@@ -127,8 +127,7 @@ def paths_group(fp: Fingerprint, cases) -> None:
         fp.add("paths", label, (label, X, gt))
         fp.add("paths", f"{label} decomposition", gt.decomposition or {})
         fp.add("paths", f"{label} from_csv", CadlagPath.from_csv(X.to_csv()))
-        fp.add("paths", f"{label} csv json", (X.to_csv(), X.to_json()))
-        fp.add("paths", f"{label} from_json", CadlagPath.from_json(X.to_json()))
+        fp.add("paths", f"{label} csv", X.to_csv())
         Y = np.cos(1.0) * X
         fp.add("paths", f"{label} arithmetic",
                (X + Y, X - Y, -X, 2.5 * X, X.jumps(), X.sup_norm()))
@@ -212,9 +211,6 @@ def errors_group(fp: Fingerprint, cases) -> None:
         "csv row": lambda: CadlagPath.from_csv("t,value,left_value,is_jump\n0,1,1\n"),
         "csv rule": lambda: CadlagPath.from_csv(
             "# rule=cubic\n0.0,0.0,0.0,0\n1.0,0.0,0.0,0\n"),
-        "json nan": lambda: CadlagPath.from_json(json.dumps(
-            {"grid": g3, "values": [0.0, float("nan"), 1.0],
-             "left_values": [0.0, 0.0, 1.0], "jump_marks": []})),
         "shared grid": lambda: X + step_path(1.0, 10, 0.5),
         "value_at": lambda: X.value_at(-1.0),
         "left_limit": lambda: X.left_limit(0.0),
@@ -248,15 +244,6 @@ def errors_group(fp: Fingerprint, cases) -> None:
             csv_row.format(0.0, 0.0, 0.0, 0) + csv_row.format(1.0, 1.0, 1.0, 1)),
         "csv index 0": lambda: CadlagPath.from_csv(
             csv_row.format(0.0, 1.0, 0.0, 1) + csv_row.format(1.0, 1.0, 1.0, 0)),
-        "json undeclared": lambda: CadlagPath.from_json(json.dumps(
-            {"grid": g3, "values": [0.0, 1.0, 1.0],
-             "left_values": [0.0, 0.0, 1.0], "jump_marks": []})),
-        "json zero size": lambda: CadlagPath.from_json(json.dumps(
-            {"grid": g3, "values": [0.0, 1.0, 1.0],
-             "left_values": [0.0, 1.0, 1.0], "jump_marks": [2]})),
-        "json unsorted": lambda: CadlagPath.from_json(json.dumps(
-            {"grid": g3, "values": [0.0, 1.0, 2.0],
-             "left_values": [0.0, 0.5, 1.5], "jump_marks": [2, 1]})),
     }
     for name, fn in declared.items():
         fp.add("declared", name, (name, _rejection(fn)[0]))

@@ -225,8 +225,8 @@ def test_guard_sees_a_copy_when_it_jumps():
 # -- guard: one builder writes left values, the readers pass them through -----
 
 # functions that may hand left values to the constructor: the builder, and the
-# three readers of left values given from outside
-LEFT_VALUE_WRITERS = {"paths.py": {"_jumping_at", "make_path", "from_csv", "from_json"}}
+# two readers of left values given from outside
+LEFT_VALUE_WRITERS = {"paths.py": {"_jumping_at", "make_path", "from_csv"}}
 
 
 def _left_value_writers(node: ast.AST, name: str = "<module>",

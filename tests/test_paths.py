@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -129,45 +128,6 @@ def test_csv_rejects_declared_jumps_that_disagree_with_the_values(rows):
     with pytest.raises(PathError, match="declared jumps"):
         CadlagPath.from_csv(_csv(rows))
     CadlagPath.from_csv(_csv([(t, v, lv, int(v != lv)) for t, v, lv, _ in rows]))
-
-
-@pytest.mark.parametrize("left, marks", [
-    ([0.0, 0.5, 2.0], []),  # undeclared
-    ([0.0, 1.0, 2.0], [1]),  # zero size
-    ([0.0, 0.5, 2.0], [1, 2]),  # one declared jump has zero size
-    ([0.0, 0.5, 1.5], [2, 1]),  # unsorted
-    ([0.0, 0.5, 1.5], [1, 1, 2]),  # repeated
-    ([0.0, 0.5, 2.0], [1, 3]),  # past the grid
-    ([0.0, 0.5, 2.0], [1.5]),  # not an index
-])
-def test_json_rejects_declared_jumps_that_disagree_with_the_values(left, marks):
-    d = {"schema_version": 1, "rule": "linear", "grid": [0.0, 0.5, 1.0],
-         "values": [0.0, 1.0, 2.0], "left_values": left, "jump_marks": marks}
-    with pytest.raises(PathError, match="declared jumps"):
-        CadlagPath.from_json(json.dumps(d))
-    d["jump_marks"] = np.flatnonzero(np.array(d["values"]) != left).tolist()
-    text = json.dumps(d, sort_keys=True)
-    assert CadlagPath.from_json(text).to_json() == text
-
-
-_JSON_PATH = {"grid": [0.0, 1.0], "values": [0.0, 0.0], "left_values": [0.0, 0.0],
-              "jump_marks": []}
-
-
-@pytest.mark.parametrize("text", [
-    "{not json", "[0.0, 1.0]",
-    *(json.dumps({k: v for k, v in _JSON_PATH.items() if k != key}) for key in _JSON_PATH),
-], ids=["not json", "list", *(f"no {key}" for key in _JSON_PATH)])
-def test_json_rejects_documents_that_are_not_paths(text):
-    with pytest.raises(PathError, match="must be an object with grid"):
-        CadlagPath.from_json(text)
-
-
-@pytest.mark.parametrize("key", _JSON_PATH)
-def test_json_rejects_arrays_that_are_not_numbers(key):
-    bad = "ab" if key == "jump_marks" else ["a", "b"]
-    with pytest.raises(PathError, match="must be an object with grid"):
-        CadlagPath.from_json(json.dumps({**_JSON_PATH, key: bad}))
 
 
 def test_mismatched_lengths_rejected():
@@ -432,13 +392,6 @@ def test_rows_are_joined_only_in_the_one_csv_writer():
                    for node in ast.walk(top)):
                 joined.add(f"{module.name}:{getattr(top, 'name', top.lineno)}")
     assert joined == {"paths.py:_csv"}
-
-
-def test_json_round_trip():
-    p = unit_step()
-    q = CadlagPath.from_json(p.to_json())
-    assert np.array_equal(p.values, q.values)
-    assert np.array_equal(p.jump_marks, q.jump_marks)
 
 
 def test_arithmetic_requires_shared_grid():

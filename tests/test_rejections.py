@@ -25,16 +25,11 @@ REJECTIONS = {
         PathError, "duplicate jump indices"),
     "step_path at the horizon": (
         lambda: step_path(1.0, 10, 1.0), PathError, r"step_time must lie in \(0, T\)"),
-    "from_json arrays of unequal length": (
-        lambda: CadlagPath.from_json('{"grid": [0, 1], "values": [0], '
-                                     '"left_values": [0, 0], "jump_marks": []}'),
+    "CadlagPath arrays of unequal length": (
+        lambda: CadlagPath([0.0, 1.0], [0.0], [0.0, 0.0]),
         PathError, "grid, values and left_values lengths differ"),
     "CadlagPath two dimensional grid": (
         lambda: CadlagPath(GRID[:4].reshape(2, 2), np.zeros((2, 2))),
-        PathError, "expected a one dimensional array"),
-    "from_json nested lists": (
-        lambda: CadlagPath.from_json('{"grid": [[0, 1]], "values": [[0, 0]], '
-                                     '"left_values": [[0, 0]], "jump_marks": []}'),
         PathError, "expected a one dimensional array"),
     "from_csv unknown rule": (
         lambda: CadlagPath.from_csv("# rule=foo\nt,value,left_value,is_jump\n"
