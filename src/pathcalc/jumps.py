@@ -51,22 +51,11 @@ class QuadratureError(ArithmeticError):
 
 
 class JumpLaw:
-    """Jump-size distribution: sampler plus an evaluable density or atom."""
+    """Jump-size distribution: ``sample(rng, size)``, ``mean()`` and
+    ``describe()``, and either an ``atom`` or a ``density(x)`` with its
+    ``support`` (lo, hi).  The base that ``CompensatorSpec`` checks for."""
 
     atom: float | None = None
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -85,10 +74,6 @@ class DiracLaw(JumpLaw):
 
     def sample(self, rng, size):
         return np.full(size, float(self.location))
-
-    @property
-    def support(self):
-        return (self.location, self.location)
 
     def mean(self):
         return float(self.location)

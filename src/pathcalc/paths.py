@@ -257,7 +257,7 @@ class CadlagPath:
     @classmethod
     def from_csv(cls, text: str) -> "CadlagPath":
         """Inverse of ``to_csv``; the rule comes from the ``# rule=`` header,
-        and is linear when there is none."""
+        and is linear when there is none.  ``is_jump`` is ``0`` or ``1``."""
         rule = LINEAR
         lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if lines and lines[0][1].startswith("#"):
@@ -274,6 +274,8 @@ class CadlagPath:
             except ValueError:
                 raise PathError(f"CSV line {no}: expected t,value,left_value,is_jump, "
                                 f"got {ln!r}") from None
+            if j not in ("0", "1"):
+                raise PathError(f"CSV line {no}: is_jump must be 0 or 1, got {j!r}")
         cols = np.array(rows, dtype=float).reshape(-1, 4)
         return _declared(cls(cols[:, 0], cols[:, 1], cols[:, 2], rule=rule),
                          np.flatnonzero(cols[:, 3]))

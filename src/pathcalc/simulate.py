@@ -13,7 +13,9 @@ A = x0 + drift t + lam E[nu] t.  Per kind: brownian has lam = 0 and ignores
 drift; poisson has unit jumps, sigma = drift = 0, the pc rule and the Poisson
 compensator; compound_poisson has the spec's law (unit jumps when unset),
 sigma = drift = 0 and the pc rule; jump_diffusion reads every field and has
-no compensator when lam = 0.
+no compensator when lam = 0.  The fbm kind samples fractional Gaussian
+noise by circulant embedding with numpy's FFT, which uses no BLAS, and
+sums it; it obeys the one MAX_CELLS rule of every kind.
 
 Randomness comes from numpy's counter-based Philox generator seeded as
 Philox(seed=[seed, stream]); identical specs therefore reproduce bit
@@ -33,7 +35,6 @@ from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
 from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, _cumsum0, _jumping_at,
                     _samples, _sorted_union, constant_path, uniform_grid)
 
-FBM_MAX_CELLS = 4096  # dense Cholesky; exactness is the point, not speed
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
 MAX_CELLS = 10**7  # base grid cells; ten times the largest grid in use
 
@@ -237,42 +238,33 @@ def _levy_ito(spec: SimSpec):
     return path, gt
 
 
-_FBM_ROWS = 256  # rows of the covariance built at once
-
-
-def _fbm_covariance(t: np.ndarray, two_h: float) -> np.ndarray:
-    """The lower triangle of 0.5 (s^2H + t^2H - |t - s|^2H) on the times
-    ``t``, built in place by blocks of rows; the strict upper triangle is
-    left unwritten, as ``np.linalg.cholesky`` reads only the lower one."""
-    th = t ** two_h
-    cov = np.empty((t.size, t.size))
-    for i0 in range(0, t.size, _FBM_ROWS):
-        i1 = min(i0 + _FBM_ROWS, t.size)
-        c = cov[i0:i1, :i1]
-        np.subtract(t[i0:i1, None], t[:i1], out=c)
-        np.abs(c, out=c)
-        c **= two_h
-        np.subtract(th[i0:i1, None] + th[:i1], c, out=c)
-        c *= 0.5
-    return cov
-
-
 def _fbm(spec: SimSpec):
-    """Exact-covariance fractional Gaussian path via dense Cholesky.
+    """Fractional Gaussian path by circulant embedding (Davies-Harte 1987).
 
-    Covariance 0.5 (s^2H + t^2H - |t - s|^2H).  Ground truth: the bracket is
-    the zero path for H > 1/2, t for H = 1/2, and divergent for H < 1/2.
+    The increments are fractional Gaussian noise, with autocovariance
+    0.5 (|k+1|^2H - 2|k|^2H + |k-1|^2H) dt^2H at lag k.  The circulant of
+    size 2n that embeds it has nonnegative eigenvalues for every H in (0, 1)
+    (Dietrich-Newsam 1997); round-off that makes one negative is rejected.
+    The real part of one FFT of their square roots times z1 + i z2 is an
+    exact sample of the noise, and the path is its running sum.  Ground
+    truth: the bracket is the zero path for H > 1/2, t for H = 1/2, and
+    divergent for H < 1/2.
     """
-    if spec.n > FBM_MAX_CELLS:
+    H, n = spec.hurst, spec.n
+    two_h, k = 2.0 * H, np.arange(n + 1.0)
+    acov = 0.5 * (np.abs(k - 1.0) ** two_h - 2.0 * k ** two_h
+                  + (k + 1.0) ** two_h) * spec.base_dt ** two_h
+    # the circulant's first row is acov[0..n], acov[n-1..1]; it is symmetric,
+    # so rfft gives its eigenvalues 0..n and the rest mirror them
+    eig = np.fft.rfft(np.concatenate((acov, acov[-2:0:-1]))).real
+    if eig.min() < 0.0:
         raise SimulationError(
-            f"exact-covariance sampling is limited to n <= {FBM_MAX_CELLS}")
-    H = spec.hurst
-    grid = uniform_grid(spec.T, spec.n)
-    t = grid[1:]
-    L = np.linalg.cholesky(_fbm_covariance(t, 2.0 * H))
-    z = _rng(spec.seed).standard_normal(t.size)
-    values = np.concatenate(([0.0], L @ z)) * spec.sigma + spec.x0
-    path = CadlagPath(grid, values)
+            f"circulant embedding of hurst {H} has a negative eigenvalue at n = {n}")
+    root = np.sqrt(eig / (2 * n))
+    z = _rng(spec.seed).standard_normal((2, 2 * n))
+    noise = np.fft.fft(np.concatenate((root, root[-2:0:-1])) * (z[0] + 1j * z[1]))
+    grid = uniform_grid(spec.T, n)
+    path = CadlagPath(grid, spec.x0 + spec.sigma * _cumsum0(noise[:n].real))
     if H > 0.5:
         bracket, divergent = _jumping_at(path, np.zeros(grid.size)), False
     elif H == 0.5:

@@ -230,6 +230,8 @@ def errors_group(fp: Fingerprint, cases) -> None:
         "no compensator": lambda: ito.ito_terms_measure_form(
             ito.FUNCTION_CATALOG["square"], X, None,
             reg.EpsilonSchedule.geometric(0.05, 6).snapped(1.0 / N), tol=0.05),
+        "csv is_jump 7": lambda: CadlagPath.from_csv("0.0,0.0,0.0,0\n0.5,1.0,0.0,7\n"),
+        "csv is_jump -1": lambda: CadlagPath.from_csv("0.0,0.0,0.0,0\n0.5,1.0,0.0,-1\n"),
     }
     for name, fn in rejected.items():
         fp.add("errors", name, (name, _rejection(fn)))

@@ -1,7 +1,8 @@
 """Reference code that only the tests use.
 
 ``brute_forward_integral`` and ``brute_covariation`` are literal O(n^2)
-per-t transcriptions of the window estimators.  They build their own
+per-t transcriptions of the window estimators, and ``brute_rv_start`` of the
+start-up piece that the whole-line forward estimate adds.  They build their own
 breakpoint set and read paths only through ``value_at`` and ``left_limit``,
 so they share nothing with the kernels' sample mesh and can see a fault in
 it.  Unlike the mesh-free Gauss-Legendre oracle in test_kernel_properties.py
@@ -68,6 +69,29 @@ def brute_covariation(X, Y, eps):
     """Covariation estimate of X and Y: (values, left limits) at grid times."""
     return _per_t(X, Y, float(eps),
                   lambda xs, ys, xc, yc: (xc - xs) * (yc - ys))
+
+
+def brute_rv_start(Y, X, eps):
+    """Start-up piece of the whole-line forward estimate: (values, left
+    limits) at grid times of Y(0)/eps int_0^eps (X(a ^ t) - X(0)) da.  The
+    integral is the left-endpoint sum over the grid cells below eps ^ t,
+    the last one cut there, plus (eps - t)^+ times X(t) - X(0) (values) or
+    X(t-) - X(0) (left limits)."""
+    eps = float(eps)
+    y0, x0 = Y.value_at(0.0), X.value_at(0.0)
+    grid = X.grid
+    vals = np.zeros(grid.size)
+    # t = 0 has no left limit; its row is never read
+    lefts = np.full(grid.size, np.nan)
+    for i, t in enumerate(grid):
+        cut = min(eps, t)
+        edges = np.append(grid[grid < cut], cut)
+        q = np.sum(np.diff(edges) * (X.value_at(edges[:-1]) - x0)) if i else 0.0
+        tail = max(eps - t, 0.0)
+        vals[i] = y0 * (q + tail * (X.value_at(t) - x0)) / eps
+        if i:
+            lefts[i] = y0 * (q + tail * (X.left_limit(t) - x0)) / eps
+    return vals, lefts
 
 
 def rel_error(kernel, brute):

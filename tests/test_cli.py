@@ -195,7 +195,7 @@ def test_simulate_bad_kind_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["qv", "--scenario", "fbm02", "--n", "5000"],
+    ["qv", "--scenario", "fbm02", "--n", "10000001"],
     ["qv", "--scenario", "bm", "--n", "1"],
     ["dirichlet-check", "--chain", "jump_diffusion", "--n", "1"],
     ["simulate", "--kind", "compound_poisson", "--intensity", "1e9", "--n", "1000"],
@@ -440,8 +440,8 @@ BAD_INPUT = [
      "error: scenario fbm08 has no compensator model"),
     ("simulate --kind compound_poisson --n 100 --jump-law normal:0,0", 2,
      "error: scale must be positive"),
-    ("dirichlet-check --scenario fbm_bm --n 5000", 2,
-     "error: exact-covariance sampling is limited to n <= 4096"),
+    ("dirichlet-check --scenario fbm_bm --n 10000001", 2,
+     "error: grid cells must be at most 10000000"),
     ("dirichlet-check --scenario nope", 2, "error: unknown scenario 'nope'"),
     ("forward --scenario bm --n 1000 --levels 2 --fn nope", 2,
      "error: unknown function 'nope'"),

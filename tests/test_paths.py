@@ -458,7 +458,7 @@ def test_nan_time_rejected():
 
 
 @pytest.mark.parametrize("row", ["0.5,1.0,0.0", "0.5,abc,0.0,1", "0.5,1.0,0.0,1,7",
-                                 "0.5,1.0,0.0,yes"])
+                                 "0.5,1.0,0.0,yes", "0.5,1.0,0.0,7", "0.5,1.0,0.0,-1"])
 def test_csv_malformed_row_names_the_line(row):
     lines = unit_step().to_csv().splitlines()
     assert lines[3].startswith("0.5,")

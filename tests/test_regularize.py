@@ -7,8 +7,8 @@ import pathcalc.simulate as sim
 from pathcalc import regularize as reg
 from pathcalc.paths import CadlagPath, PathError, constant_path, step_path, uniform_grid
 
-from oracles import (brute_covariation, brute_forward_integral, from_function,
-                     rel_error)
+from oracles import (brute_covariation, brute_forward_integral, brute_rv_start,
+                     from_function, rel_error)
 
 
 def linear_path(n=100, T=1.0):
@@ -201,6 +201,20 @@ def test_rv_variant_equals_truncated_when_start_value_zero():
     a = reg.forward_integral(Y, X, 0.05)
     b = reg.forward_integral_rv(Y, X, 0.05)
     assert np.max(np.abs(a.values - b.values)) < 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.8])
+def test_rv_variant_matches_the_whole_line_oracle_before_eps(eps):
+    # a jump of X falls inside [0, eps), where the start-up piece reads X(t)
+    # and X(t-); X(0) and Y(0) are nonzero
+    X = jumpy_path()
+    Y = from_function(X.grid, lambda t: np.cos(t) + 0.5)
+    assert X.values[0] != 0.0 and np.any(X.jump_times < eps)
+    est = reg.forward_integral_rv(Y, X, eps)
+    vals, lefts = brute_forward_integral(Y, X, eps)
+    start, start_lefts = brute_rv_start(Y, X, eps)
+    assert rel_error(est.values, vals + start) <= 1e-12
+    assert rel_error(est.left_values[1:], (lefts + start_lefts)[1:]) <= 1e-12
 
 
 def rv_gap(Y, X, eps):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,14 +191,7 @@ def test_decomposition_components_sum_to_path():
     assert np.max(np.abs(total - X.values)) < 1e-10
 
 
-# -- gaussian exact-covariance path -------------------------------------------------
-
-
-def test_fbm_half_reduces_to_brownian_covariance():
-    t = sim.uniform_grid(1.0, 64)[1:]
-    lower = np.tril_indices(t.size)
-    cov = sim._fbm_covariance(t, 1.0)
-    assert np.allclose(cov[lower], np.minimum(t[:, None], t[None, :])[lower])
+# -- fractional gaussian path ------------------------------------------------------
 
 
 def _dense_fbm_covariance(t, two_h):
@@ -202,34 +200,80 @@ def _dense_fbm_covariance(t, two_h):
                   - np.abs(t[:, None] - t[None, :]) ** two_h)
 
 
-@pytest.mark.parametrize("n", [3, 255, 256, 257, 700])
-@pytest.mark.parametrize("hurst", [0.2, 0.25, 0.5, 0.75, 0.8])
-def test_fbm_covariance_blocks_are_the_dense_lower_triangle(n, hurst):
-    t = sim.uniform_grid(1.0, n)[1:]
-    lower = np.tril_indices(t.size)
-    cov = sim._fbm_covariance(t, 2.0 * hurst)
-    assert cov[lower].tobytes() == _dense_fbm_covariance(t, 2.0 * hurst)[lower].tobytes()
+class _UnitDraws:
+    """A generator whose normal draws, taken in order, are the unit vector
+    with a one at flat index ``i``."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, size):
+        z = np.zeros(size)
+        if 0 <= self.i < z.size:
+            z.flat[self.i] = 1.0
+        self.i -= z.size
+        return z
 
 
-@pytest.mark.parametrize("hurst", [0.2, 0.5, 0.7])
-def test_fbm_cholesky_reads_only_the_lower_triangle(hurst):
-    # the builder leaves the strict upper triangle unwritten; with NaN there,
-    # a Cholesky that read it would fail or differ
-    t = sim.uniform_grid(1.0, 600)[1:]
-    cov = sim._fbm_covariance(t, 2.0 * hurst)
-    cov[np.triu_indices(t.size, 1)] = np.nan
-    L = np.linalg.cholesky(cov)
-    assert L.tobytes() == np.linalg.cholesky(_dense_fbm_covariance(t, 2.0 * hurst)).tobytes()
+@pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
+def test_fbm_sampler_map_has_the_dense_covariance(monkeypatch, hurst):
+    # the path is a linear map A of the draws; its columns are the paths of
+    # the unit draws, and A A^T is the law's covariance at the grid times
+    monkeypatch.setattr(sim, "_rng", lambda seed, stream=0: draws)
+    cols = []
+    while True:
+        draws = _UnitDraws(len(cols))
+        X, _ = simulate(SimSpec("fbm", n=48, hurst=hurst, x0=0.0, sigma=1.0))
+        if draws.i >= 0:  # the one lies past the last draw the sampler took
+            break
+        cols.append(X.values)
+    A = np.array(cols).T
+    assert not A[0].any()
+    t = X.grid[1:]
+    assert np.max(np.abs(A[1:] @ A[1:].T - _dense_fbm_covariance(t, 2.0 * hurst))) < 1e-12
 
 
-@pytest.mark.parametrize("n, seed, hurst", [(300, 1, 0.3), (600, 4, 0.8)])
-def test_fbm_path_is_the_dense_covariance_path(n, seed, hurst):
-    spec = SimSpec("fbm", n=n, seed=seed, hurst=hurst, sigma=1.5, x0=0.25)
-    X, _ = simulate(spec)
-    L = np.linalg.cholesky(_dense_fbm_covariance(X.grid[1:], 2.0 * hurst))
-    z = sim._rng(seed).standard_normal(n)
-    want = np.concatenate(([0.0], L @ z)) * 1.5 + 0.25
-    assert X.values.tobytes() == want.tobytes()
+@pytest.mark.parametrize("hurst", [0.2, 0.8])
+def test_fbm_increment_covariance_over_a_seed_block(hurst):
+    # unit spacing: the increments are fractional Gaussian noise, whose
+    # autocovariance at lag k is 0.5 (|k+1|^2H - 2|k|^2H + |k-1|^2H)
+    n, seeds = 128, range(200)
+    dX = np.array([np.diff(simulate(SimSpec("fbm", T=n, n=n, seed=s, hurst=hurst))[0].values)
+                   for s in seeds])
+    for k in (0, 1, 10):
+        per_seed = np.mean(dX[:, :n - k] * dX[:, k:], axis=1)
+        want = 0.5 * (abs(k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + abs(k - 1) ** (2 * hurst))
+        stderr = np.std(per_seed, ddof=1) / np.sqrt(len(seeds))
+        assert abs(per_seed.mean() - want) < 4.0 * stderr, (k, per_seed.mean(), want, stderr)
+
+
+def test_fbm_path_bits_do_not_depend_on_the_blas_thread_count():
+    code = ("import hashlib; from pathcalc.simulate import SimSpec, simulate; "
+            "X, _ = simulate(SimSpec('fbm', n=2000, seed=5, hurst=0.3)); "
+            "print(hashlib.sha256(X.values.tobytes()).hexdigest())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout)
+    assert len(digests) == 1
+
+
+def test_fbm_samples_any_grid_that_sim_spec_admits():
+    X, gt = simulate(SimSpec("fbm", n=5000, seed=0, hurst=0.3))
+    assert X.values.size == 5001 and np.all(np.isfinite(X.values))
+    assert gt.bracket_divergent
+
+
+def test_fbm_rejects_an_embedding_that_round_off_makes_negative():
+    # near H = 1 the autocovariance's second differences cancel to
+    # round-off at long lags, and an eigenvalue goes negative
+    with pytest.raises(SimulationError, match="negative eigenvalue"):
+        simulate(SimSpec("fbm", n=100000, seed=0, hurst=0.9999))
 
 
 def test_fbm_half_bracket_is_sigma_squared_t():
@@ -254,11 +298,6 @@ def test_fbm_rough_exponent_qv_grows():
     assert not rep.passed
     assert np.all(np.diff(rep.sup_norms) > 0)
     assert gt.bracket_divergent
-
-
-def test_fbm_dense_sampler_size_cap():
-    with pytest.raises(SimulationError):
-        simulate(SimSpec("fbm", n=100000, seed=0, hurst=0.3))
 
 
 # -- moving-average martingale -------------------------------------------------------
