@@ -23,8 +23,7 @@ import numpy as np
 
 from . import jumps as jmod
 from .ito import FunctionBundle, ItoReport, _Expansion, _measure_form, stieltjes_left
-from .jumps import (CompensatorSpec, X_FIELD, _has_atoms, _if_atoms, increment_field,
-                    integrability_report)
+from .jumps import CompensatorSpec, X_FIELD, increment_field, integrability_report
 from .paths import CadlagPath, PathError, _constant_on, _less_terms, _require_shared_grid
 from .regularize import (DEFAULT_SCHEDULE, DEFAULT_TOL, Decision, EpsilonSchedule, Verdict,
                          _limits, _require_fit, _require_tol, _windows,
@@ -168,11 +167,10 @@ def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
     F, X = ex.F, ex.X
     ex.require("c01")
     ex.bracket  # the bracket guard comes before the decomposition is read
-    has_atoms = _has_atoms(X, ex.nu)
     lhs = ex.lhs
     M = decomp.martingale
     mart_int = stieltjes_left(ex.dx_path, M)
-    if has_atoms and not integrability_report(X, F).taylor_remainder_summable:
+    if not integrability_report(X, F).taylor_remainder_summable:
         raise jmod.IntegrabilityError(
             "big-jump Taylor total is not finite for this function")
     k_mu, k_nu, y_mu, y_nu, big_mu = ex.split
@@ -282,10 +280,8 @@ def particular_wd_check(decomp: LabeledDecomposition,
     bracket_gap = float(np.max(np.abs(covariation(X, X, eps).values - reference)))
     scale = max(float(np.max(np.abs(reference))), 1.0)
 
-    small = _if_atoms(X, nu, lambda: jmod.compensated_integral(
-        X_FIELD.with_truncation("small"), X, nu))
-    big = _if_atoms(X, nu, lambda: jmod.integrate_mu(
-        X_FIELD.with_truncation("big"), X))
+    small = jmod.compensated_integral(X_FIELD.with_truncation("small"), X, nu)
+    big = jmod.integrate_mu(X_FIELD.with_truncation("big"), X)
     alpha = X - decomp._part("M_c", X) - small - big
     alpha_jumps = np.abs(alpha.values - alpha.left_values)
     if nu is not None:
@@ -320,7 +316,7 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
         raise jmod.IntegrabilityError("big-jump total is not finite")
     md = decomp._part("M_d", X)
     _require_shared_grid(X, md)
-    rebuilt = _if_atoms(X, nu, lambda: jmod.compensated_integral(X_FIELD, X, nu))
+    rebuilt = jmod.compensated_integral(X_FIELD, X, nu)
     sup_gap = float(np.max(np.abs(md.values - rebuilt.values)))
     atom_gaps = np.abs((md.values - md.left_values) - (X.values - X.left_values))
     scale = max(md.sup_norm(), X.sup_norm(), 1.0)
@@ -365,8 +361,7 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     jump_abs = float(np.sum(np.abs(lhs.jump_sizes)))
     if not np.isfinite(jump_abs):
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
-    comp = _if_atoms(X, nu, lambda: jmod.compensated_integral(
-        increment_field(F), X, nu))
+    comp = jmod.compensated_integral(increment_field(F), X, nu)
     a_path = _less_terms(lhs, lhs.values[0], (comp,))
     orth = orthogonality_battery(a_path, brownian_battery(X), ex.schedule, ORTH_TOL)
     return C0ChainReport(F.name, a_path, comp, jump_abs, orth,

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jumps as jmod
-from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, _if_atoms, atom_cumsum,
+from .jumps import (CompensatorSpec, IntegrandField, X_SQUARED_FIELD, atom_cumsum,
                     increment_field, integrability_report, linear_jump_field,
                     taylor_remainder_field)
 from .paths import (CadlagPath, _cumsum0, _jumping_at, _less_terms, _require_shared_grid,
@@ -219,7 +219,8 @@ class _Expansion:
     """The expansion of F(t, X_t) for one harness call: each piece is built
     when first read and kept for the rest of the call, so a view builds only
     the pieces it reads, and views that share one expansion build each
-    piece once.  ``nu`` may be None for a path without jump atoms.  The
+    piece once.  ``nu`` may be None for a path without jump atoms, and on
+    such a path a given ``nu`` is set aside for the zero measure.  The
     schedule is checked to fit X's grid (ScheduleError) before anything
     else, so every view rejects a bad schedule first."""
 
@@ -228,6 +229,13 @@ class _Expansion:
     def __init__(self, F, X, nu, schedule, tol):
         _require_fit(schedule, X)
         _require_tol(tol)
+        # the one place a given compensator is set aside: on a path without
+        # atoms every view reads the zero measure.  Integrating nu there gives
+        # sin's measure form on the jump-free poisson seed 6 a relative
+        # residual of 0.835 (its nu sides cancel to round-off, over the 1e-12
+        # floor as F(t, X_t) = 0), and makes xabs_sqrt's size quadrature raise
+        # on the jump-free jump_diffusion seeds 5, 6, 7 and 18
+        nu = nu if X.jump_marks.size else None
         self.F, self.X, self.nu, self.schedule, self.tol = F, X, nu, schedule, tol
 
     def require(self, smoothness):
@@ -300,20 +308,17 @@ class _Expansion:
         """(k_mu, k_nu, y_mu, y_nu, big_mu): the mu and nu sides of the
         small-jump increment and linear fields, and the big-jump Taylor sum."""
         F, X, nu = self.F, self.X, self.nu
-        return _if_atoms(X, nu, lambda: (
-            *jmod.compensated_parts(increment_field(F, "small"), X, nu),
-            *jmod.compensated_parts(linear_jump_field(F, "small"), X, nu),
-            jmod.integrate_mu(taylor_remainder_field(F, "big"), X)), 5)
+        return (*jmod.compensated_parts(increment_field(F, "small"), X, nu),
+                *jmod.compensated_parts(linear_jump_field(F, "small"), X, nu),
+                jmod.integrate_mu(taylor_remainder_field(F, "big"), X))
 
     @cached_property
     def small_nu(self):
-        return _if_atoms(self.X, self.nu, lambda: jmod.integrate_nu(
-            taylor_remainder_field(self.F, "small"), self.nu, self.X))
+        return jmod.integrate_nu(taylor_remainder_field(self.F, "small"), self.nu, self.X)
 
     @cached_property
     def big_nu(self):
-        return _if_atoms(self.X, self.nu, lambda: jmod.integrate_nu(
-            taylor_remainder_field(self.F, "big"), self.nu, self.X))
+        return jmod.integrate_nu(taylor_remainder_field(self.F, "big"), self.nu, self.X)
 
     def forward_windows(self):
         """The forward integral of dF_x(s, X_s) against X, window by window."""

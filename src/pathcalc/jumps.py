@@ -309,8 +309,8 @@ def atom_cumsum(grid: np.ndarray, times: np.ndarray, sizes: np.ndarray):
 def integrate_mu(field: IntegrandField, X: CadlagPath) -> CadlagPath:
     """Running sum over atoms up to t of W(s, dX_s), truncation applied."""
     times, sizes, pre = _atom_context(X)
-    contrib = field(times, sizes, pre) if len(times) else np.zeros(0)
-    if contrib.size and not np.all(np.isfinite(contrib)):
+    contrib = field(times, sizes, pre)
+    if not np.all(np.isfinite(contrib)):
         raise IntegrabilityError("field not finite at an atom")
     values, lefts = atom_cumsum(X.grid, times, contrib)
     return _jumping_at(X, values, X.jump_marks, lefts, PIECEWISE_CONSTANT)
@@ -395,8 +395,13 @@ def _size_marginal(field: IntegrandField, law: JumpLaw, t: np.ndarray,
     raise QuadratureError("size quadrature did not reach the tolerance")
 
 
-def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> CadlagPath:
+def integrate_nu(field: IntegrandField, nu: CompensatorSpec | None,
+                 X: CadlagPath) -> CadlagPath:
     """t -> int_0^t int W(s, x) nu(ds, dx), deterministic quadrature.
+
+    ``nu=None`` is the zero measure, the compensator of a path without jump
+    atoms: the integral is the zero path on X's grid, and a path with atoms
+    raises ValueError, as it needs a compensator model.
 
     Time uses left-endpoint sums on the path grid.  The size integral splits
     the density support at the truncation threshold and integrates only the
@@ -409,6 +414,10 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec, X: CadlagPath) -> C
     once to its Kronrod, Gauss and L1 sums.
     ``X`` supplies the grid and the left-limit context for the field.
     """
+    if nu is None:
+        if X.jump_marks.size:
+            raise ValueError("a compensator model is required for a path with jumps")
+        return _constant_on(X)
     grid = X.grid
     sl = grid[:-1]
     # left limits at cell left endpoints (X(0-) = X(0))
@@ -441,7 +450,7 @@ def _atom_rows(nu: CompensatorSpec, grid: np.ndarray) -> np.ndarray:
 
 
 def compensated_integral(field: IntegrandField, X: CadlagPath,
-                         nu: CompensatorSpec) -> CadlagPath:
+                         nu: CompensatorSpec | None) -> CadlagPath:
     """W * (mu - nu): integrate_mu minus integrate_nu on the path grid.
 
     Requires the path-level square-integrability surrogate: the running
@@ -452,34 +461,13 @@ def compensated_integral(field: IntegrandField, X: CadlagPath,
 
 
 def compensated_parts(field: IntegrandField, X: CadlagPath,
-                      nu: CompensatorSpec) -> tuple[CadlagPath, CadlagPath]:
+                      nu: CompensatorSpec | None) -> tuple[CadlagPath, CadlagPath]:
     """The mu and nu sides of the compensated integral, separately."""
     times, sizes, pre = _atom_context(X)
-    if len(times):
-        sq = field(times, sizes, pre) ** 2
-        total = float(np.sum(sq))
-        if not np.isfinite(total):
-            raise IntegrabilityError(
-                "square-summability surrogate failed: sum W(s, dX_s)^2 is not finite")
+    if not np.isfinite(float(np.sum(field(times, sizes, pre) ** 2))):
+        raise IntegrabilityError(
+            "square-summability surrogate failed: sum W(s, dX_s)^2 is not finite")
     return integrate_mu(field, X), integrate_nu(field, nu, X)
-
-
-def _has_atoms(X: CadlagPath, nu: CompensatorSpec | None) -> bool:
-    """Whether X carries jump atoms; a path with atoms needs a compensator
-    model, and every jump term of a path without atoms is the zero path."""
-    if X.jump_marks.size and nu is None:
-        raise ValueError("a compensator model is required for a path with jumps")
-    return bool(X.jump_marks.size)
-
-
-def _if_atoms(X: CadlagPath, nu: CompensatorSpec | None, build, count: int = 1):
-    """``build()``, the jump-measure or compensator integral(s) of X, when X
-    carries jump atoms; otherwise the zero path on X's grid, or a tuple of
-    ``count`` of them for a ``build`` that returns ``count`` paths."""
-    if _has_atoms(X, nu):
-        return build()
-    zero = _constant_on(X)
-    return zero if count == 1 else (zero,) * count
 
 
 # -- diagnostics -------------------------------------------------------------

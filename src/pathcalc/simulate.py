@@ -15,7 +15,9 @@ compensator; compound_poisson has the spec's law (unit jumps when unset),
 sigma = drift = 0 and the pc rule; jump_diffusion reads every field and has
 no compensator when lam = 0.  The fbm kind samples fractional Gaussian
 noise by circulant embedding with numpy's FFT, which uses no BLAS, and
-sums it; it obeys the one MAX_CELLS rule of every kind.
+sums it; it obeys the one MAX_CELLS rule of every kind.  The
+convolution_martingale kind's moving average is one FFT convolution, so no
+kind makes a BLAS call and a path's bits do not depend on its thread count.
 
 Randomness comes from numpy's counter-based Philox generator seeded as
 Philox(seed=[seed, stream]); identical specs therefore reproduce bit
@@ -284,8 +286,9 @@ def _convolution_martingale(spec: SimSpec):
     dt = spec.base_dt
     dW = rng.standard_normal(spec.n) * np.sqrt(dt)
     B = _cumsum0(rng.standard_normal(spec.n) * np.sqrt(dt))
-    conv = np.convolve(B, dW)
-    values = conv[: grid.size].copy()
+    # the 2n terms of the linear convolution fill one FFT of size 2n: none wraps
+    m = 2 * spec.n
+    values = np.fft.irfft(np.fft.rfft(B, m) * np.fft.rfft(dW, m), m)[: grid.size]
     values[0] = 0.0
     path = CadlagPath(grid, values)
     gt = GroundTruth(kind="convolution_martingale", base_dt=spec.base_dt,

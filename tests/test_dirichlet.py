@@ -444,12 +444,14 @@ def test_particular_brownian_plus_jumps_cross_term_vanishes():
 
 
 def test_md_representation_compensated_poisson():
-    X, gt = sim.simulate(sim.SimSpec("poisson", n=4000, seed=5, intensity=2.0))
-    dec = dd.LabeledDecomposition.from_ground_truth(gt)
-    rep = dd.md_representation_check(dec, X, gt.compensator)
-    assert rep.passed
-    assert rep.verdicts[0].statistic < 1e-10
-    assert rep.atom_gap_max < 1e-12
+    # seed 6 has no jump on [0, 1], so there M_d is -2t alone
+    for seed in (5, 6):
+        X, gt = sim.simulate(sim.SimSpec("poisson", n=4000, seed=seed, intensity=2.0))
+        dec = dd.LabeledDecomposition.from_ground_truth(gt)
+        rep = dd.md_representation_check(dec, X, gt.compensator)
+        assert rep.passed
+        assert rep.verdicts[0].statistic < 1e-10
+        assert rep.atom_gap_max < 1e-12
 
 
 def test_md_representation_continuous_path_both_sides_zero():
@@ -487,12 +489,14 @@ def test_md_representation_rejects_an_M_d_on_another_grid(grid):
 
 
 def test_c0_chain_identity_on_poisson_recovers_drift():
-    X, gt = sim.simulate(sim.SimSpec("poisson", n=50000, seed=5, intensity=2.0))
-    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
-    rep = dd.special_wd_c0_chain(FUNCTION_CATALOG["identity"], X,
-                                 gt.compensator, sched)
-    assert np.max(np.abs(rep.a_path.values - 2.0 * X.grid)) < 1e-10
-    assert rep.passed
+    # seed 6 has no jump on [0, 1]: the drift is the compensator's there too
+    for seed in (5, 6):
+        X, gt = sim.simulate(sim.SimSpec("poisson", n=50000, seed=seed, intensity=2.0))
+        sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+        rep = dd.special_wd_c0_chain(FUNCTION_CATALOG["identity"], X,
+                                     gt.compensator, sched)
+        assert np.max(np.abs(rep.a_path.values - 2.0 * X.grid)) < 1e-10
+        assert rep.passed
 
 
 def test_c0_chain_continuous_path_keeps_whole_increment():

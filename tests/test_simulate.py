@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -247,9 +248,12 @@ def test_fbm_increment_covariance_over_a_seed_block(hurst):
         assert abs(per_seed.mean() - want) < 4.0 * stderr, (k, per_seed.mean(), want, stderr)
 
 
-def test_fbm_path_bits_do_not_depend_on_the_blas_thread_count():
+@pytest.mark.parametrize("spec", ["SimSpec('fbm', n=2000, seed=5, hurst=0.3)",
+                                  "SimSpec('convolution_martingale', n=20000, seed=0)"],
+                         ids=["fbm", "convolution_martingale"])
+def test_sampler_path_bits_do_not_depend_on_the_blas_thread_count(spec):
     code = ("import hashlib; from pathcalc.simulate import SimSpec, simulate; "
-            "X, _ = simulate(SimSpec('fbm', n=2000, seed=5, hurst=0.3)); "
+            f"X, _ = simulate({spec}); "
             "print(hashlib.sha256(X.values.tobytes()).hexdigest())")
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = set()
@@ -307,6 +311,18 @@ def test_convolution_path_is_continuous():
     p, gt = simulate(SimSpec("convolution_martingale", n=512, seed=4))
     assert p.jump_marks.size == 0
     assert gt.bracket.values[-1] == pytest.approx(0.5)
+
+
+def test_convolution_path_is_the_direct_moving_average():
+    n, seed = 512, 4
+    p, _ = simulate(SimSpec("convolution_martingale", n=n, seed=seed))
+    rng = sim._rng(seed)
+    dW = rng.standard_normal(n) * np.sqrt(1.0 / n)
+    B = np.concatenate(([0.0], np.cumsum(rng.standard_normal(n) * np.sqrt(1.0 / n))))
+    # X(t_i) = sum_{j<i} B(t_i - t_j) dW_j, each sum exactly rounded
+    want = [math.fsum(B[i - j] * dW[j] for j in range(i)) for i in range(n + 1)]
+    assert p.values[0] == 0.0
+    assert np.max(np.abs(p.values - want)) < 1e-13
 
 
 def test_convolution_bracket_monte_carlo_mean():
