@@ -188,13 +188,8 @@ def stieltjes_left(H: CadlagPath, G: CadlagPath) -> CadlagPath:
     return _jumping_at(G, cont + jumps, marks, cont[marks] + lefts)
 
 
-def time_integral(h_samples: np.ndarray, grid: np.ndarray) -> CadlagPath:
-    """Running left-endpoint quadrature of a sampled integrand."""
-    return CadlagPath(grid, _riemann(h_samples, grid))
-
-
 def _riemann(h_samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The values of ``time_integral``."""
+    """Running left-endpoint quadrature of a sampled integrand on ``grid``."""
     return _cumsum0(np.diff(grid) * h_samples[:-1])
 
 
@@ -233,8 +228,7 @@ class _Expansion:
         # atoms every view reads the zero measure.  Integrating nu there gives
         # sin's measure form on the jump-free poisson seed 6 a relative
         # residual of 0.835 (its nu sides cancel to round-off, over the 1e-12
-        # floor as F(t, X_t) = 0), and makes xabs_sqrt's size quadrature raise
-        # on the jump-free jump_diffusion seeds 5, 6, 7 and 18
+        # floor as F(t, X_t) = 0)
         nu = nu if X.jump_marks.size else None
         self.F, self.X, self.nu, self.schedule, self.tol = F, X, nu, schedule, tol
 

@@ -10,8 +10,8 @@ responsibility.
 Jumps split into small (|x| <= 1) and big at the fixed JUMP_SPLIT_THRESHOLD;
 size integrals against a compensator are computed to the fixed relative
 tolerance SIZE_QUADRATURE_RTOL = 1e-8 by a composite G7/K15 rule that starts
-from one panel per kept segment and doubles up to 512; it converges per batch
-of 8192 grid cells, evaluated in row blocks of about 2**15 field values.
+from one panel per kept segment and doubles up to 512; it converges over the
+path, evaluated in row blocks of about 2**15 field values.
 
 The fields of a function bundle F (``increment_field``,
 ``linear_jump_field``, ``taylor_remainder_field``) live next to
@@ -35,8 +35,7 @@ from .regularize import Report
 
 JUMP_SPLIT_THRESHOLD = 1.0
 SIZE_QUADRATURE_RTOL = 1e-8
-_NU_CHUNK = 8192  # grid cells per size-quadrature batch
-_NU_BLOCK = 1 << 15  # field values per row block of a batch
+_NU_BLOCK = 1 << 15  # field values per row block of the size quadrature
 
 
 class IntegrabilityError(ValueError):
@@ -407,11 +406,11 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec | None,
     the density support at the truncation threshold and integrates only the
     segments the truncation keeps, with a composite Gauss-Kronrod G7/K15
     rule.  It starts from one panel per kept segment, and the panels double,
-    up to 512, until over each batch of 8192 grid cells the embedded 7-point
-    Gauss values agree with the 15-point Kronrod values to
-    ``SIZE_QUADRATURE_RTOL`` of the batch's largest L1 mass.  The field is
-    evaluated in row blocks of max(1, 2**15 // nodes) cells, each reduced at
-    once to its Kronrod, Gauss and L1 sums.
+    up to 512, until over the path the embedded 7-point Gauss values agree
+    with the 15-point Kronrod values to ``SIZE_QUADRATURE_RTOL`` of the
+    path's largest L1 mass.  The field is evaluated in row blocks of
+    max(1, 2**15 // nodes) cells, each reduced at once to its Kronrod, Gauss
+    and L1 sums.
     ``X`` supplies the grid and the left-limit context for the field.
     """
     if nu is None:
@@ -422,10 +421,7 @@ def integrate_nu(field: IntegrandField, nu: CompensatorSpec | None,
     sl = grid[:-1]
     # left limits at cell left endpoints (X(0-) = X(0))
     pre = X.left_values[:-1]
-    g = np.empty(sl.size)
-    for a in range(0, sl.size, _NU_CHUNK):
-        b = min(a + _NU_CHUNK, sl.size)
-        g[a:b] = _size_marginal(field, nu.law, sl[a:b], pre[a:b])
+    g = _size_marginal(field, nu.law, sl, pre)
     rate = nu.rate_at(sl)
     values = _cumsum0(np.diff(grid) * rate * g)
     if not nu.atoms:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jumps import CompensatorSpec, DiracLaw, JumpLaw, atom_cumsum
-from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, _cumsum0, _jumping_at,
-                    _samples, _sorted_union, constant_path, uniform_grid)
+from .paths import (LINEAR, PIECEWISE_CONSTANT, CadlagPath, _constant_on, _cumsum0,
+                    _jumping_at, _samples, _sorted_union, constant_path, uniform_grid)
 
 MAX_EXPECTED_ARRIVALS = 1e6  # arrivals are drawn one exponential at a time
 MAX_CELLS = 10**7  # base grid cells; ten times the largest grid in use
@@ -231,7 +231,7 @@ def _levy_ito(spec: SimSpec):
         kind=spec.kind, base_dt=spec.base_dt, jump_times=times, jump_sizes=sizes,
         bracket=_jumping_at(A, qv + sq, rows, qv[rows] + sql),
         decomposition={
-            "M_c": _jumping_at(A, np.zeros(grid.size) if w is None else w),
+            "M_c": _constant_on(A) if w is None else _jumping_at(A, w),
             "M_d": _jumping_at(A, jv - comp_drift, rows, jl - comp_drift[rows]),
             "A": A,
         },
@@ -268,7 +268,7 @@ def _fbm(spec: SimSpec):
     grid = uniform_grid(spec.T, n)
     path = CadlagPath(grid, spec.x0 + spec.sigma * _cumsum0(noise[:n].real))
     if H > 0.5:
-        bracket, divergent = _jumping_at(path, np.zeros(grid.size)), False
+        bracket, divergent = _constant_on(path), False
     elif H == 0.5:
         bracket, divergent = _jumping_at(path, spec.sigma ** 2 * grid), False
     else:

@@ -11,9 +11,9 @@ checkouts whose totals agree give byte-identical outputs on every case:
                   Brownian, pdp; 3 seeds each), their ground truth, CSV
                   round trips, arithmetic, and evaluation off the grid;
 * ``kernels``     6 estimator kernels at 3 window widths on those paths;
-* ``identities``  ``jump_identities`` reports (4 functions, 3 seeds),
-                  ``ito_terms_c12``, ``ito_c1_lambda`` and the three
-                  decomposition checks;
+* ``identities``  ``jump_identities`` reports (4 functions, 3 seeds, and
+                  ``sin`` on one path of 20000 cells), ``ito_terms_c12``,
+                  ``ito_c1_lambda`` and the three decomposition checks;
 * ``errors``      the type and message of every rejected input below;
 * ``declared``    the type only of inputs whose declared jumps disagree
                   with their values (their messages may be reworded);
@@ -180,6 +180,15 @@ def identities_group(fp: Fingerprint, cases) -> None:
                 ito.FUNCTION_CATALOG["square"], X, sched, tol=0.05))
             fp.add("identities", f"{label} ito_c1_lambda xabs_sqrt", ito.ito_c1_lambda(
                 ito.FUNCTION_CATALOG["xabs_sqrt"], X, sched, tol=0.05))
+    # a path of more than 8192 cells, whose size quadrature spans more rows
+    # than any path above
+    X, gt = simulate(SimSpec("jump_diffusion", n=20000, seed=500, sigma=1.0, intensity=3.0,
+                             jump_law=NormalLaw(0, 1)))
+    fp.add("identities", "jump_diffusion/500 n=20000 jump_identities sin",
+           dd.jump_identities(ito.FUNCTION_CATALOG["sin"], X,
+                              dd.LabeledDecomposition.from_ground_truth(gt), gt.compensator,
+                              reg.EpsilonSchedule.geometric(0.05, 10).snapped(gt.base_dt),
+                              tol=0.05))
 
 
 def _rejection(fn) -> tuple:

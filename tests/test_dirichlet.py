@@ -7,6 +7,7 @@ import pathcalc.simulate as sim
 from pathcalc.catalog import SCENARIOS
 from pathcalc import dirichlet as dd
 from pathcalc import ito
+from pathcalc import jumps as jm
 from pathcalc import regularize as reg
 from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, BundleValidationError,
                           FunctionBundle, NonConvergenceError, path_of_function)
@@ -123,6 +124,41 @@ def test_rough_time_function_beyond_smooth_class():
                             gt.compensator, sched, tol=0.05)
     assert len(rep.orth_reports) >= 3
     assert rep.passed
+
+
+def test_xabs_sqrt_chain_rule_runs_on_a_path_of_more_than_8192_cells(monkeypatch):
+    # the big-jump remainder of x |x|^(1/2) is singular at x = -X_{s-}, which
+    # lies on a big segment once |X_{s-}| > 1; the size quadrature is judged
+    # once over every row of the path
+    integrate = pytest.importorskip("scipy.integrate")
+    X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=20000, seed=0, sigma=1.0,
+                                     intensity=3.0, jump_law=NormalLaw(0, 1)))
+    sched = reg.EpsilonSchedule.geometric(0.05, 10).snapped(gt.base_dt)
+    dec = dd.LabeledDecomposition.from_ground_truth(gt)
+    F = FUNCTION_CATALOG["xabs_sqrt"]
+    calls, size_marginal = [], jm._size_marginal
+
+    def spy(field, law, t, x_pre):
+        calls.append((field, law, t, x_pre, size_marginal(field, law, t, x_pre)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(jm, "_size_marginal", spy)
+    assert dd.chain_rule_c01(F, X, dec, gt.compensator, sched, tol=0.5).passed
+    [(field, law, t, pre, got)] = [c for c in calls if c[0].truncation == "big"]
+    kinks = np.flatnonzero(np.abs(pre) > 1.0)
+    assert t.size == X.grid.size - 1 > 8192 and kinks.size
+    lo, hi = law.support
+    for i in kinks[::kinks.size // 12]:
+        def w(x):
+            return float(field(t[i], np.float64(x), pre[i])) * float(law.density(x))
+
+        def quad(f):
+            # over the two big segments, split at the singular point
+            return sum(integrate.quad(f, a, b, points=[-pre[i]] if a < -pre[i] < b else None,
+                                      epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                       for a, b in ((lo, -1.0), (1.0, hi)))
+
+        assert abs(got[i] - quad(w)) <= jm.SIZE_QUADRATURE_RTOL * quad(lambda x: abs(w(x))), i
 
 
 def test_defect_is_linear_in_the_function():

@@ -170,14 +170,14 @@ def test_nu_matches_adaptive_quadrature_oracle(law, fname):
     ids=["sin-taylor-big", "square-increment-small"])
 def test_size_marginal_is_independent_of_the_row_blocks(field, monkeypatch):
     integrate = pytest.importorskip("scipy.integrate")
-    # the first full batch of a jump-diffusion path, as integrate_nu builds it
-    X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=jm._NU_CHUNK, seed=1,
+    # 8192 rows of a jump-diffusion path, as integrate_nu reads them
+    X, gt = sim.simulate(sim.SimSpec("jump_diffusion", n=8192, seed=1,
                                      sigma=1.0, intensity=3.0,
                                      jump_law=jm.NormalLaw(0, 1)))
-    t = X.grid[:-1][:jm._NU_CHUNK]
-    pre = np.concatenate(([X.values[0]], X.left_values[1:-1]))[:jm._NU_CHUNK]
+    t = X.grid[:-1][:8192]
+    pre = np.concatenate(([X.values[0]], X.left_values[1:-1]))[:8192]
     nu = gt.compensator
-    assert t.size == jm._NU_CHUNK and X.jump_marks.size
+    assert t.size == 8192 and X.jump_marks.size
     got = jm._size_marginal(field, nu.law, t, pre)
     monkeypatch.setattr(jm, "_NU_BLOCK", 1)
     one_row = jm._size_marginal(field, nu.law, t, pre)
@@ -197,7 +197,7 @@ def test_size_marginal_is_independent_of_the_row_blocks(field, monkeypatch):
     (lambda x: np.cos(5000.0 * x), "did not reach the tolerance")],
     ids=["diverged", "not-converged"])
 def test_quadrature_error_in_the_last_block_is_raised(fn, message):
-    t = uniform_grid(1.0, jm._NU_CHUNK)[:-1]
+    t = uniform_grid(1.0, 8192)[:-1]
     assert t.size > jm._NU_BLOCK // 15  # the last row is past the first block
     pre = np.zeros(t.size)
     pre[-1] = 1.0
@@ -208,25 +208,34 @@ def test_quadrature_error_in_the_last_block_is_raised(fn, message):
 
 
 def test_tolerance_scale_is_the_largest_over_every_block():
-    # the last row's L1 mass sets the tolerance of the whole batch, so the
+    # the last row's L1 mass sets the tolerance of the whole path, so the
     # oscillating rows stop at one panel instead of refining to 128
-    t = uniform_grid(1.0, jm._NU_CHUNK)[:-1]
-    pre = np.zeros(t.size)
-    pre[-1] = 1.0
-    sizes = []
-
     def fn(s, x, p):
         sizes.append(x.size)
         return np.where(p > 0.5, 1e10, np.cos(300.0 * x))
 
-    jm._size_marginal(jm.IntegrandField(fn), jm.UniformLaw(-1.0, 1.0), t, pre)
+    law = jm.UniformLaw(-1.0, 1.0)
+    t = uniform_grid(1.0, 8192)[:-1]
+    pre = np.zeros(t.size)
+    pre[-1] = 1.0
+    sizes = []
+    jm._size_marginal(jm.IntegrandField(fn), law, t, pre)
+    assert set(sizes) == {15}
+    # integrate_nu on a path of two 8192-cell halves, the high-mass row in
+    # its last cell
+    grid = uniform_grid(1.0, 16384)
+    values = np.zeros(grid.size)
+    values[-2] = 1.0
+    sizes = []
+    jm.integrate_nu(jm.IntegrandField(fn), jm.CompensatorSpec.compound_poisson(1.0, law),
+                    CadlagPath(grid, values))
     assert set(sizes) == {15}
 
 
 def test_size_quadrature_memory_stays_flat_past_64_panels():
     # cos(300 x) needs 128 panels; read through x_pre, one 8192 x 1920
     # matrix of field values would take 126 MB
-    grid = uniform_grid(1.0, jm._NU_CHUNK)
+    grid = uniform_grid(1.0, 8192)
     X = CadlagPath(grid, np.sin(grid), np.sin(grid))
     nu = jm.CompensatorSpec.compound_poisson(1.5, jm.UniformLaw(-1.0, 1.0))
     field = jm.IntegrandField(lambda t, x, p: np.cos(300.0 * x) + 0.0 * p)

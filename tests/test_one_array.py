@@ -62,7 +62,9 @@ WS = sim.brownian_on_grid(STEP.grid, 3)
 
 JUMP_FREE = {
     "constant_path": lambda: constant_path(GRID, 2.0),
-    "time_integral": lambda: ito.time_integral(np.cos(GRID), GRID),
+    "time_integral": lambda: ito.ito_terms_c12(
+        ito.FUNCTION_CATALOG["tx"], _brownian()[0], reg.EpsilonSchedule((0.2, 0.1)),
+        tol=0.5).terms["time_integral"],
     "qv_continuous_part": _poisson_qvc,
     "covariation_continuous": lambda: reg.covariation_continuous(W, W, 0.05),
     "covariation": lambda: reg.covariation(W, W, 0.05),

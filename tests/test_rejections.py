@@ -12,9 +12,10 @@ import pytest
 from pathcalc import dirichlet as dd
 from pathcalc import ito
 from pathcalc import jumps as jm
+from pathcalc import simulate as sim
 from pathcalc.ito import FunctionBundle
-from pathcalc.paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, constant_path,
-                            make_path, step_path, uniform_grid)
+from pathcalc.paths import (PIECEWISE_CONSTANT, CadlagPath, PathError, _jumping_at,
+                            constant_path, make_path, step_path, uniform_grid)
 from pathcalc.regularize import EpsilonSchedule, ScheduleError
 
 GRID = uniform_grid(1.0, 200)
@@ -28,6 +29,9 @@ REJECTIONS = {
     "CadlagPath arrays of unequal length": (
         lambda: CadlagPath([0.0, 1.0], [0.0], [0.0, 0.0]),
         PathError, "grid, values and left_values lengths differ"),
+    "_jumping_at values of another length": (
+        lambda: _jumping_at(CadlagPath(GRID, GRID), np.zeros(GRID.size - 1)),
+        PathError, "grid, values and left_values lengths differ"),
     "CadlagPath two dimensional grid": (
         lambda: CadlagPath(GRID[:4].reshape(2, 2), np.zeros((2, 2))),
         PathError, "expected a one dimensional array"),
@@ -40,6 +44,9 @@ REJECTIONS = {
             0.0, jm.DiracLaw(1.0), atoms=((0.0123, jm.DiracLaw(1.0), 1.0),)),
             CadlagPath(GRID, GRID)),
         PathError, "compensator time atom must sit on the grid"),
+    "merged jump times that repeat": (
+        lambda: sim._merge_jump_times(GRID, [0.5, 0.5]), sim.SimulationError,
+        "sampled jump times must be strictly increasing"),
     "UniformLaw lo above hi": (
         lambda: jm.UniformLaw(1.0, 0.0), ValueError, "need lo < hi"),
     "IntegrandField unknown truncation": (
