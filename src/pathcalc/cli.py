@@ -384,3 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, jmod.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+
+
+if __name__ == "__main__":
+    sys.exit(main())

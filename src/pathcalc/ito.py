@@ -214,8 +214,7 @@ class _Expansion:
     """The expansion of F(t, X_t) for one harness call: each piece is built
     when first read and kept for the rest of the call, so a view builds only
     the pieces it reads, and views that share one expansion build each
-    piece once.  ``nu`` may be None for a path without jump atoms, and on
-    such a path a given ``nu`` is set aside for the zero measure.  The
+    piece once.  ``nu`` may be None for a path without jump atoms.  The
     schedule is checked to fit X's grid (ScheduleError) before anything
     else, so every view rejects a bad schedule first."""
 
@@ -224,12 +223,6 @@ class _Expansion:
     def __init__(self, F, X, nu, schedule, tol):
         _require_fit(schedule, X)
         _require_tol(tol)
-        # the one place a given compensator is set aside: on a path without
-        # atoms every view reads the zero measure.  Integrating nu there gives
-        # sin's measure form on the jump-free poisson seed 6 a relative
-        # residual of 0.835 (its nu sides cancel to round-off, over the 1e-12
-        # floor as F(t, X_t) = 0)
-        nu = nu if X.jump_marks.size else None
         self.F, self.X, self.nu, self.schedule, self.tol = F, X, nu, schedule, tol
 
     def require(self, smoothness):
@@ -308,7 +301,10 @@ class _Expansion:
 
     @cached_property
     def small_nu(self):
-        return jmod.integrate_nu(taylor_remainder_field(self.F, "small"), self.nu, self.X)
+        """The small-jump Taylor remainder against nu: W = K - Y, so it is
+        the increment field's nu side less the linear field's."""
+        _, k_nu, _, y_nu, _ = self.split
+        return k_nu - y_nu
 
     @cached_property
     def big_nu(self):
@@ -402,8 +398,8 @@ def _measure_form(ex: _Expansion) -> ItoReport:
         raise jmod.IntegrabilityError("squared jump total is not finite")
     time_term, bracket_term = ex.smooth_terms()
     k_mu, k_nu, y_mu, y_nu, big_mu = ex.split
-    # without atoms the mu sides vanish and the nu sides cancel identically
-    # (the compensator remainder equals the compensated field difference)
+    # the nu sides cancel by construction (small_nu is k_nu - y_nu), exactly
+    # when the other terms are 0
     small_nu = ex.small_nu
     terms = {
         "time_integral": time_term,

@@ -11,8 +11,9 @@ checkouts whose totals agree give byte-identical outputs on every case:
                   Brownian, pdp; 3 seeds each), their ground truth, CSV
                   round trips, arithmetic, and evaluation off the grid;
 * ``kernels``     6 estimator kernels at 3 window widths on those paths;
-* ``identities``  ``jump_identities`` reports (4 functions, 3 seeds, and
-                  ``sin`` on one path of 20000 cells), ``ito_terms_c12``,
+* ``identities``  ``jump_identities`` reports (4 functions, 3 seeds,
+                  ``sin`` on one path of 20000 cells, and ``square`` on a
+                  jump-free Poisson path), ``ito_terms_c12``,
                   ``ito_c1_lambda`` and the three decomposition checks;
 * ``errors``      the type and message of every rejected input below;
 * ``declared``    the type only of inputs whose declared jumps disagree
@@ -189,6 +190,12 @@ def identities_group(fp: Fingerprint, cases) -> None:
                               dd.LabeledDecomposition.from_ground_truth(gt), gt.compensator,
                               reg.EpsilonSchedule.geometric(0.05, 10).snapped(gt.base_dt),
                               tol=0.05))
+    # a path of a jump process that draws no jump, whose compensator is given
+    X, gt = simulate(SimSpec("poisson", n=N, seed=6, intensity=2.0))
+    fp.add("identities", "poisson/6 jump_identities square",
+           dd.jump_identities(ito.FUNCTION_CATALOG["square"], X,
+                              dd.LabeledDecomposition.from_ground_truth(gt), gt.compensator,
+                              sched, tol=0.05))
 
 
 def _rejection(fn) -> tuple:

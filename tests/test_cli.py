@@ -2,6 +2,9 @@ import argparse
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -129,6 +132,28 @@ def test_ito_check_measure_form(tmp_path):
         (tmp_path / "poisson_ito_identity_integrability.json").read_text())
     assert diag["kind"] == "integrability_report"
     assert diag["square_summable"] is True
+
+
+def test_ito_check_measure_form_on_a_jump_free_path(tmp_path):
+    # seed 6 draws no arrival, so F(t, X_t) = sin 0 = 0: the given nu is
+    # integrated and its sides cancel exactly, under the 1e-12 floor
+    assert run(["ito-check", "--scenario", "poisson", "--seed", "6", "--fn", "sin",
+                "--measure-form", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, code", [(["list"], 0), (["qv", "--scenario", "nope"], 2)],
+                         ids=["list", "unknown-scenario"])
+def test_python_dash_m_runs_the_command(argv, code, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "pathcalc.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stderr.splitlines() == ["error: unknown scenario 'nope'"]
+    else:
+        assert "processes:" in done.stdout
 
 
 def test_dirichlet_check_positive_and_negative(tmp_path):

@@ -361,6 +361,22 @@ def test_residual_part_carries_no_mark_and_its_mutants_keep_their_jumps(scenario
     assert checked.count("raw") == len(FUNCTION_CATALOG) and len(set(checked)) >= 2
 
 
+@pytest.mark.parametrize("seed", [6, 7])
+def test_residual_part_integrates_the_compensator_on_a_jump_free_path(seed):
+    # these seeds draw no arrival: A^F is the whole compensator integral
+    # lam int (F(s, X_s + 1) - F(s, X_s)) ds, also where F is not affine in x
+    X, gt = SCENARIOS["poisson"].build(seed, 4000)
+    assert not X.jump_marks.size
+    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+    dec = dd.LabeledDecomposition.from_ground_truth(gt)
+    for name, F in FUNCTION_CATALOG.items():
+        rep = dd.chain_rule_c01(F, X, dec, gt.compensator, sched, tol=0.05)
+        drift = 2.0 * ito._riemann(F.f(X.grid, X.values + 1.0) - F.f(X.grid, X.values),
+                                   X.grid)
+        gap = np.max(np.abs(rep.a_path.values - drift))
+        assert gap <= 1e-15 * np.max(np.abs(drift)), (name, gap)
+
+
 # -- reference defect path ----------------------------------------------------------
 
 

@@ -164,7 +164,7 @@ def test_bracket_guard_matches_the_full_study(case):
 
 def test_bracket_guard_evaluates_two_windows(monkeypatch):
     # and each harness builds only the compensator integrals it reads: the
-    # three jump harnesses share 4 distinct ones, which jump_identities
+    # three jump harnesses share 3 distinct ones, which jump_identities
     # builds once each
     X, gt, sched = jump_diffusion(n=4000)
     assert X.jump_marks.size
@@ -191,12 +191,12 @@ def test_bracket_guard_evaluates_two_windows(monkeypatch):
     F = FUNCTION_CATALOG["square"]
     for run, nu_count in (
             (lambda: ito.qv_continuous_part(X, sched, tol=0.05), 0),
-            (lambda: ito.ito_terms_measure_form(F, X, nu, sched, tol=0.05), 3),
+            (lambda: ito.ito_terms_measure_form(F, X, nu, sched, tol=0.05), 2),
             (lambda: dirichlet.gamma_c12_reference(F, X, dec, nu, sched,
-                                                   tol=0.05), 1),
+                                                   tol=0.05), 2),
             # the orthogonality battery's windows are studies of A, not of X
             (lambda: dirichlet.chain_rule_c01(F, X, dec, nu, sched, tol=0.05), 3),
-            (lambda: dirichlet.jump_identities(F, X, dec, nu, sched, tol=0.05), 4)):
+            (lambda: dirichlet.jump_identities(F, X, dec, nu, sched, tol=0.05), 3)):
         calls.clear()
         nu_calls.clear()
         run()
@@ -435,8 +435,11 @@ def test_measure_form_reduces_to_plain_form_for_continuous_path():
                                        tol=0.05)
     rep_p = ito.ito_terms_c12(FUNCTION_CATALOG["square"], X, sched, tol=0.05)
     assert np.max(np.abs(rep_m.residual.values - rep_p.residual.values)) < 1e-10
-    for key in ("small_jump_compensated_increment", "big_jump_sum"):
-        assert rep_m.terms[key].sup_norm() == 0.0
+    assert rep_m.terms["big_jump_sum"].sup_norm() == 0.0
+    # the given nu is integrated: the compensated increment is -int (F(X + 1) - F(X)) dt
+    F = FUNCTION_CATALOG["square"].f
+    drift = ito._riemann(F(X.grid, X.values + 1.0) - F(X.grid, X.values), X.grid)
+    assert np.array_equal(rep_m.terms["small_jump_compensated_increment"].values, -drift)
 
 
 def test_measure_form_constant_function_drops_linear_field():

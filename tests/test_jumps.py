@@ -7,7 +7,7 @@ import pytest
 import pathcalc.simulate as sim
 from pathcalc import jumps as jm
 from pathcalc import regularize as reg
-from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, increment_field,
+from pathcalc.ito import (C12_SUITE, FUNCTION_CATALOG, _Expansion, increment_field,
                           linear_jump_field, taylor_remainder_field)
 from pathcalc.paths import CadlagPath, uniform_grid
 
@@ -149,6 +149,7 @@ def test_nu_matches_adaptive_quadrature_oracle(law, fname):
     cut = jm.JUMP_SPLIT_THRESHOLD
     breaks = [c for c in (-cut, cut) if lo < c < hi]
     nu = jm.CompensatorSpec.compound_poisson(1.0, law)
+    oracle = {}
     for make in (increment_field, linear_jump_field, taylor_remainder_field):
         for truncation in (None, "small", "big"):
             field = make(F, truncation)
@@ -159,9 +160,13 @@ def test_nu_matches_adaptive_quadrature_oracle(law, fname):
                 g, _ = integrate.quad(integrand, lo, hi, points=breaks or None,
                                       epsabs=1e-13, epsrel=1e-13, limit=200)
                 expected.append(expected[-1] + dt * g)
+            oracle[make, truncation] = expected
             got = jm.integrate_nu(field, nu, X)
             assert np.max(np.abs(got.values - expected)) <= 1e-9, (make.__name__,
                                                                     truncation)
+    # the expansion's small remainder, K's integral less Y's, is W's
+    small_nu = _Expansion(F, X, nu, reg.EpsilonSchedule((0.5, 0.25)), 0.05).small_nu
+    assert np.max(np.abs(small_nu.values - oracle[taylor_remainder_field, "small"])) <= 1e-9
 
 
 @pytest.mark.parametrize("field", [
