@@ -5,10 +5,10 @@ covariation estimate of (A, N) decays below tolerance along the window
 schedule.  That is a statistical decision on one realization, never a proof,
 so every report carries the raw estimator norms and gaps.
 
-The chain-rule harnesses assemble the martingale part of F(t, X_t) from a
-labeled decomposition of X plus its compensator model, define the residual
-part by subtraction, and submit the residual to an orthogonality battery of
-independent Brownian test paths.  Predictability of labeled components is
+The chain rules for F of class C^{0,1} (``chain_rule_c01``) and for F merely
+continuous (``special_wd_c0_chain``) subtract their martingale-side terms
+from F(t, X_t) and share one tail that judges the residual A^F with a battery
+of independent Brownian test paths.  Predictability of labeled components is
 established by construction in the simulators, not inferred from data.
 ``chain_rule_c01``, ``gamma_c12_reference`` and ``special_wd_c0_chain``
 are views of the expansion of F(t, X_t) in ``ito``; ``jump_identities``
@@ -119,13 +119,15 @@ def orthogonality_battery(A: CadlagPath, tests: list[CadlagPath],
 
 @dataclass
 class ChainRuleReport(Decision, kind="chain_rule_report"):
-    """Decomposition F(t, X_t) = M^F + A^F with the defect path Gamma.
+    """F(t, X_t) = M^F + A^F, the decomposition of both chain rules.
 
-    ``gamma`` is F(t, X_t) minus the four explicit terms (initial value,
-    martingale integral, two compensated small-jump integrals, big-jump
-    sum); ``a_path`` regroups it with the big-jump compensator integral so
-    that a_path is predictable for predictable inputs.  ``terms`` keeps each
-    signed piece for linearity checks.  ``verdicts`` are the battery's.
+    ``gamma`` is F(t, X_t) less its initial value and the martingale-side
+    ``terms``, ``a_path`` = gamma + ``vbar`` and ``m_path`` = F(t, X_t) -
+    a_path.  C^{0,1} rule: four terms (martingale integral, two compensated
+    small-jump integrals, big-jump sum), and vbar, the big-jump compensator
+    integral (also in ``terms``), makes a_path predictable for predictable
+    inputs.  C^0 rule: the compensated increment, vbar = 0, a_path is
+    gamma.  ``verdicts`` are the battery's on a_path.
     """
 
     function: str
@@ -178,17 +180,23 @@ def _chain_rule(ex: _Expansion, decomp: LabeledDecomposition, orth_tol: float,
     k_comp, y_comp = k_mu - k_nu, y_mu - y_nu
     # y_comp enters with a plus sign: x - (-y) is x + y, bit for bit
     gamma = _less_terms(lhs, lhs.values[0], (mart_int, k_comp, -y_comp, big_mu))
-    a_path = gamma + vbar
-    m_path = lhs - a_path
-    orth = orthogonality_battery(a_path, brownian_battery(X, seed=battery_seed),
-                                 ex.schedule, orth_tol)
     terms = {"martingale_integral": mart_int,
              "small_jump_compensated_increment": k_comp,
              "small_jump_compensated_linear": y_comp,
              "big_jump_sum": big_mu,
              "big_jump_compensator": vbar}
-    return ChainRuleReport(F.name, lhs, m_path, a_path, gamma, vbar, terms,
-                           orth, tuple(v for r in orth for v in r.verdicts))
+    return _judged(ex, gamma, vbar, terms, orth_tol, battery_seed)
+
+
+def _judged(ex: _Expansion, gamma: CadlagPath, vbar: CadlagPath, terms: dict,
+            orth_tol: float, battery_seed: int) -> ChainRuleReport:
+    """The one tail of both chain rules: A^F = gamma + vbar, M^F = F(t, X_t)
+    - A^F, and the verdicts of ``brownian_battery(X, battery_seed)`` on A^F."""
+    a_path = gamma + vbar
+    orth = orthogonality_battery(a_path, brownian_battery(ex.X, seed=battery_seed),
+                                 ex.schedule, orth_tol)
+    return ChainRuleReport(ex.F.name, ex.lhs, ex.lhs - a_path, a_path, gamma, vbar,
+                           terms, orth, tuple(v for r in orth for v in r.verdicts))
 
 
 def gamma_c12_reference(F: FunctionBundle, X: CadlagPath,
@@ -326,22 +334,9 @@ def md_representation_check(decomp: LabeledDecomposition, X: CadlagPath,
 # -- continuous-function chain rule -------------------------------------------
 
 
-@dataclass
-class C0ChainReport(Decision, kind="c0_chain_report"):
-    """Decomposition of F(t, X_t) built without any space derivative;
-    ``verdicts`` are the battery's."""
-
-    function: str
-    a_path: CadlagPath
-    compensated: CadlagPath
-    jump_abs_total: float
-    orth_reports: list
-    verdicts: tuple[Verdict, ...]
-
-
 def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
                         nu: CompensatorSpec | None = None,
-                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE) -> C0ChainReport:
+                        schedule: EpsilonSchedule = DEFAULT_SCHEDULE) -> ChainRuleReport:
     """Chain rule from continuity alone: the compensated integral of the
     untruncated increment field F(s, X_{s-} + x) - F(s, X_{s-}) is removed
     from F(t, X_t) and the remainder is tested against ``brownian_battery(X)``
@@ -358,11 +353,8 @@ def special_wd_c0_chain(F: FunctionBundle, X: CadlagPath,
     """
     ex = _Expansion(F, X, nu, schedule, ORTH_TOL)
     lhs = ex.lhs
-    jump_abs = float(np.sum(np.abs(lhs.jump_sizes)))
-    if not np.isfinite(jump_abs):
+    if not np.isfinite(np.sum(np.abs(lhs.jump_sizes))):
         raise jmod.IntegrabilityError("jump total of F(t, X_t) is not finite")
     comp = jmod.compensated_integral(increment_field(F), X, nu)
-    a_path = _less_terms(lhs, lhs.values[0], (comp,))
-    orth = orthogonality_battery(a_path, brownian_battery(X), ex.schedule, ORTH_TOL)
-    return C0ChainReport(F.name, a_path, comp, jump_abs, orth,
-                         tuple(v for r in orth for v in r.verdicts))
+    return _judged(ex, _less_terms(lhs, lhs.values[0], (comp,)), _constant_on(X),
+                   {"compensated_increment": comp}, ORTH_TOL, 0)

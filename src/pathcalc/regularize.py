@@ -485,13 +485,14 @@ class _Mesh:
         on_grid = ins = np.zeros(0, dtype=np.intp)
         on_grid_tau = np.zeros(0)
         if shifted.size:
-            # the snap rule: tau - eps within tol of a node is that node, the
-            # node before it first (shifted < T, so ins is a node)
-            ins = np.searchsorted(grid, shifted)
-            below = (ins > 0) & (shifted - grid[ins - 1] <= tol)
-            hit = below | (grid[ins] - shifted <= tol)
-            on_grid, on_grid_tau = (ins - below)[hit], taus[hit]
-            taus, shifted, ins = taus[~hit], shifted[~hit], ins[~hit]
+            # the snap rule of located points, once a tau - eps in (-tol, 0)
+            # is node 0; a miss is inserted after its cell (shifted < T)
+            tc = np.maximum(shifted, 0.0)
+            cells = _locate(grid, tc)
+            _snap(grid, tc, cells, tol)
+            hit = grid[cells] == tc
+            on_grid, on_grid_tau = cells[hit], taus[hit]
+            taus, shifted, ins = taus[~hit], shifted[~hit], cells[~hit] + 1
         self.plain = not shifted.size
         ins_cells = ins + np.arange(shifted.size)
         if self.plain:
@@ -951,7 +952,8 @@ def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedul
              kernel=_window_sums):
     """The one window driver: per window of ``schedule`` (which must fit X,
     ``_require_fit``), the ``kernel`` estimates of X against every partner,
-    bit for bit ``covariation(X, P, eps)`` (``_window_sums``) or
+    bit for bit ``covariation(X, P, eps)`` (``_window_sums``) or, for the one
+    partner a forward study takes (ValueError for more, before any window),
     ``forward_integral(P, X, eps)`` (``_forward_sums``).  The mesh takes the
     marks of X and of every partner, so one partner always gets the mesh of
     (X, P), even one that jumps off X's marks (``ito_c1_lambda``: Y against
@@ -960,6 +962,8 @@ def _windows(X: CadlagPath, partners: list[CadlagPath], schedule: EpsilonSchedul
     The grid work (``_Study``) is done once, each window's ``_Mesh`` and X's
     side of the sums once per window, in the study's buffers: a window's
     only fresh n-sized arrays are the estimates it yields."""
+    if kernel is _forward_sums and len(partners) > 1:
+        raise ValueError("a forward study takes one partner, the integrand")
     _require_fit(schedule, X)
     study = _Study(X, partners)
     for e in schedule:

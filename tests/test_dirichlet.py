@@ -556,7 +556,7 @@ def test_c0_chain_continuous_path_keeps_whole_increment():
     rep = dd.special_wd_c0_chain(FUNCTION_CATALOG["sin"], X, None, sched)
     lhs = path_of_function(FUNCTION_CATALOG["sin"], X)
     assert np.max(np.abs(rep.a_path.values - (lhs.values - lhs.values[0]))) == 0.0
-    assert rep.compensated.sup_norm() == 0.0
+    assert rep.terms["compensated_increment"].sup_norm() == 0.0
 
 
 def test_c0_chain_on_regime_switching_path():
@@ -568,6 +568,36 @@ def test_c0_chain_on_regime_switching_path():
     assert rep.passed
     # the defect shrinks with the window
     assert rep.sup_norms[-1] < rep.sup_norms[0]
+
+
+# -- the one tail of both chain rules --------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", ["jump_diffusion", "cp_normal"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_both_chain_rules_judge_their_residual_in_one_tail(scenario, seed):
+    # A^F = gamma + vbar and M^F = F(t, X_t) - A^F bit for bit, the verdicts
+    # are the battery's on A^F in order, and both views write one report shape
+    X, gt = SCENARIOS[scenario].build(seed, 4000)
+    sched = reg.EpsilonSchedule.geometric(0.05, 8).snapped(gt.base_dt)
+    dec = dd.LabeledDecomposition.from_ground_truth(gt)
+    for name in ("square", "sin"):
+        F = FUNCTION_CATALOG[name]
+        views = {"c01": dd.chain_rule_c01(F, X, dec, gt.compensator, sched, tol=0.05),
+                 "c0": dd.special_wd_c0_chain(F, X, gt.compensator, sched)}
+        for view, rep in views.items():
+            assert type(rep) is dd.ChainRuleReport
+            assert path_bytes(rep.a_path) == path_bytes(rep.gamma + rep.vbar), (name, view)
+            assert path_bytes(rep.m_path) == path_bytes(rep.lhs - rep.a_path), (name, view)
+            battery = dd.orthogonality_battery(rep.a_path, dd.brownian_battery(X), sched,
+                                               dd.ORTH_TOL)
+            assert rep.verdicts == tuple(v for r in battery for v in r.verdicts)
+            assert rep.passed is all(v.passed for v in rep.verdicts)
+        c0 = views["c0"]
+        assert c0.vbar.sup_norm() == 0.0
+        assert path_bytes(c0.a_path) == path_bytes(c0.gamma)
+        assert list(c0.terms) == ["compensated_increment"]
+        assert set(views["c01"].to_json_dict()) == set(c0.to_json_dict()), name
 
 
 def test_reextracting_the_labeled_components():

@@ -457,6 +457,9 @@ def test_study_estimates_own_their_arrays(monkeypatch, case, kernel):
     # keep its bits once the study has finished
     X = STUDY_CASES[case]()
     partners = [X, sim.brownian_on_grid(X.grid, 6)]
+    if kernel == "_forward_sums":
+        # a forward study takes one partner, the integrand
+        partners = partners[1:]
     sched = reg.EpsilonSchedule((0.1, 0.05, 0.025, 0.0125))
     studies, plain = [], []
     Study, Mesh = reg._Study, reg._Mesh
@@ -489,6 +492,18 @@ def test_study_estimates_own_their_arrays(monkeypatch, case, kernel):
         for E, values, lefts in window:
             assert E.values.tobytes() == values.tobytes()
             assert E.left_values.tobytes() == lefts.tobytes()
+
+
+def test_a_forward_study_takes_one_partner():
+    # the forward sums read the study's first partner, so a second partner's
+    # slot would hold the first one's integral: rejected before any window
+    X = sim.brownian_on_grid(uniform_grid(1.0, 2000), 1)
+    Y1, Y2 = (sim.brownian_on_grid(X.grid, seed) for seed in (2, 3))
+    sched = reg.EpsilonSchedule((0.1, 0.05))
+    with pytest.raises(ValueError, match="one partner"):
+        next(reg._windows(X, [Y1, Y2], sched, reg._forward_sums))
+    (only,) = next(reg._windows(X, [Y2], sched, reg._forward_sums))
+    assert only.values.tobytes() == reg.forward_integral(Y2, X, 0.1).values.tobytes()
 
 
 def test_windows_on_a_jump_grid_are_read_by_index(monkeypatch):
